@@ -66,6 +66,7 @@ from .objective import (
     eval_objective_link_form,
     local_convexity_at,
     objective_gradient_in_f,
+    objective_hessian_in_f,
 )
 from .stackelberg import (
     GeneralMixture,

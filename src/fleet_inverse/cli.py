@@ -189,7 +189,7 @@ def _run_inverse(scenario: Scenario, args) -> tuple[list[str], list[dict], list[
 
 
 def _run_classify(scenario: Scenario, args) -> tuple[list[str], list[dict], list[str]]:
-    result = classify_convexity(scenario.strategy, scenario.network)
+    result = classify_convexity(scenario.strategy, scenario.network, scenario.config.pd_rtol)
     columns = ["lambda_hdv", "lambda_crv", "classification"]
     rows = [
         {

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InfeasibleProblemError
-from .forward import FeasibleSet, fleet_assign
+from .forward import fleet_assign
 from .network import Network
 from .objective import FleetStrategy
 
@@ -98,7 +98,6 @@ def simulate(
     h = np.asarray(initial_h, dtype=float)
     if np.any(h < 0):
         raise InfeasibleProblemError("initial HDV flows must be non-negative")
-    forward_set = FeasibleSet.from_network(network)
     states: list[DayState] = []
     for day in range(config.days):
         result = fleet_assign(

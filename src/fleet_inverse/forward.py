@@ -3,10 +3,13 @@ feasible polytope, with the solver picked by convexity class.
 
 The feasible set is a product of per-unit simplices (fleet mass of each OD
 unit distributed over its routes), optionally intersected with upper
-bounds.  Strictly convex objectives are solved by projected gradient with
-Armijo backtracking; concave ones by corner enumeration; everything else
-by multistart projected gradient seeded from the corners plus random
-interior points.
+bounds.  The class is decided from the network's structure
+(`classify_convexity`), which covers power-family, Webster and
+affine/cross-affine networks.  Strictly convex objectives are solved by
+projected gradient with Armijo backtracking and a Newton polish on the
+analytic Hessian; concave ones (linear ones included) by corner
+enumeration.  Only indefinite objectives fall to multistart projected
+gradient seeded from the corners plus random interior points.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .errors import (
     DimensionMismatchError,
     FleetModelError,
     InfeasibleProblemError,
-    UnsupportedDelayError,
 )
 from .network import Network
 from .objective import (
@@ -31,6 +33,7 @@ from .objective import (
     classify_convexity,
     eval_objective,
     objective_gradient_in_f,
+    objective_hessian_in_f,
 )
 from .parallel import ordered_map
 
@@ -438,9 +441,9 @@ def _newton_polish(
 ) -> tuple[np.ndarray, bool]:
     """Newton steps on the zero-sum subspace of the free coordinates.
 
-    Cheap at these sizes (finite-difference reduced Hessian) and drives the
-    interior stationarity residual to rounding level.  Aborts on any sign of
-    trouble and returns the input unchanged.
+    The reduced Hessian D^T H D comes from the analytic objective Hessian;
+    the steps drive the interior stationarity residual to rounding level.
+    Aborts on any sign of trouble and returns the input unchanged.
     """
     scale = 1.0 + feasible.total_mass
     atol = 1e-7 * scale
@@ -460,17 +463,12 @@ def _newton_polish(
     if not columns:
         return f, True
     d = np.column_stack(columns)
-    m = d.shape[1]
     f_val = eval_objective(strategy, h, f, network)
     current = f
     for _ in range(3):
         grad = objective_gradient_in_f(strategy, h, current, network)
         reduced_grad = d.T @ grad
-        eps = 1e-6 * scale
-        hess = np.zeros((m, m))
-        for j in range(m):
-            grad_j = objective_gradient_in_f(strategy, h, current + eps * d[:, j], network)
-            hess[:, j] = d.T @ (grad_j - grad) / eps
+        hess = d.T @ objective_hessian_in_f(strategy, h, current, network) @ d
         hess = 0.5 * (hess + hess.T)
         try:
             delta = np.linalg.solve(hess, -reduced_grad)
@@ -647,6 +645,8 @@ def fleet_assign(
     The total-flow operator is h + fleet_assign(...).f.
     """
     h = np.asarray(h, dtype=float)
+    if not np.all(np.isfinite(h)):
+        raise InfeasibleProblemError("HDV flows must be finite")
     if np.any(h < 0):
         raise InfeasibleProblemError("HDV flows must be non-negative")
     if feasible is None:
@@ -662,11 +662,7 @@ def fleet_assign(
             minimizer_set=(f,),
         )
 
-    try:
-        kind = classify_convexity(strategy, network).kind
-    except UnsupportedDelayError:
-        kind = None
-
+    kind = classify_convexity(strategy, network, config.pd_rtol).kind
     if kind is ConvexityKind.CONVEX_EVERYWHERE:
         return solve_convex(strategy, h, network, feasible, config, certify=certify)
     if kind is ConvexityKind.CONCAVE_EVERYWHERE:

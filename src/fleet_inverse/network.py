@@ -425,6 +425,24 @@ class Network:
                 jac[i, i] = link.delay.derivative(float(a[i]))
         return jac
 
+    def link_second_derivatives(self, a) -> np.ndarray:
+        """d^2 tau_a / d a_a^2 on every link carrying flow; 0 on cross-affine
+        links, whose delays are linear in the link flows.
+
+        Links without flow report 0: the curvature may be unbounded there
+        (BPR powers below 2), and the objective weights it by a link flow
+        that vanishes with it.
+        """
+        a = self._check_link_dim(a)
+        return np.array(
+            [
+                link.delay.second_derivative(float(a[i]))
+                if a[i] > 0 and i not in self._cross_rows
+                else 0.0
+                for i, link in enumerate(self.links)
+            ]
+        )
+
     def route_times(self, q) -> np.ndarray:
         """Travel time on every route at total flow q (route travel times are
         sums of the member links' delays)."""

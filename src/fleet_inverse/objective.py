@@ -2,9 +2,10 @@
 
 The fleet minimizes F(h, f) = (lam_hdv * h + lam_crv * f) . t(h + f) over
 its feasible assignments f, where h is the HDV route flow and t the route
-travel-time vector.  The sign pattern of (lam_hdv, lam_crv) decides whether
-F(h, .) is convex, concave, or neither, which in turn selects the forward
-solver and gates inverse uniqueness.
+travel-time vector.  The sign pattern of (lam_hdv, lam_crv) together with
+the network's structure (power-family, Webster or affine/cross-affine
+delays) decides whether F(h, .) is convex, concave, or neither, which in
+turn selects the forward solver and gates inverse uniqueness.
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .errors import DimensionMismatchError, UnsupportedDelayError
 from .network import (
     AffineDelay,
     BPRDelay,
+    CrossAffineDelay,
     Network,
     QuadraticDelay,
+    WebsterDelay,
 )
 
 __all__ = [
@@ -31,6 +35,7 @@ __all__ = [
     "eval_objective",
     "eval_objective_link_form",
     "objective_gradient_in_f",
+    "objective_hessian_in_f",
     "classify_convexity",
     "local_convexity_at",
     "link_curvature_sign",
@@ -151,6 +156,23 @@ def objective_gradient_in_f(strategy: FleetStrategy, h, f, network: Network) -> 
     return strategy.lam_crv * t + grad.T @ (strategy.lam_hdv * h + strategy.lam_crv * f)
 
 
+def objective_hessian_in_f(strategy: FleetStrategy, h, f, network: Network) -> np.ndarray:
+    """Hessian of F(h, .) at f:
+
+        lam_crv * (G + G^T) + sum_a (N^T w)_a * tau_a''(x_a) * n_a n_a^T
+
+    with G the route gradient at q = h + f, w = lam_hdv*h + lam_crv*f, x the
+    link flows, N the incidence matrix and n_a its column a.  Cross-affine
+    delays are linear, so only scalar delays contribute curvature."""
+    h, f = _check_pair(h, f, network.n_routes)
+    q = h + f
+    grad = network.route_gradient(q)
+    weight = network.route_to_link(strategy.lam_hdv * h + strategy.lam_crv * f)
+    curvature = weight * network.link_second_derivatives(network.route_to_link(q))
+    n = network.incidence
+    return strategy.lam_crv * (grad + grad.T) + (n * curvature) @ n.T
+
+
 def _link_gamma(delay) -> float:
     """Power-family exponent of a link delay (1 affine, 2 quadratic)."""
     if isinstance(delay, BPRDelay):
@@ -189,30 +211,87 @@ def _curvature_data(strategy: FleetStrategy, network: Network) -> tuple[LinkCurv
     return tuple(rows)
 
 
-def classify_convexity(strategy: FleetStrategy, network: Network) -> ConvexityClass:
-    """Classify F(h, .) over the whole non-negative orthant.
-
-    Requires a link-additive network with independent power-family delays.
-    Mixed-sign strategies are convex everywhere only when every link's
-    exponent satisfies lam_crv > (1 - gamma)/2 * lam_hdv; the mirrored
-    condition gives concavity.  Heterogeneous links take the most
-    conservative outcome (every link must pass).
-    """
-    if not network.link_additive:
-        raise UnsupportedDelayError(
-            "convexity classification requires independent link delays"
-        )
-    per_link = _curvature_data(strategy, network)
+def _sign_definite_kind(strategy: FleetStrategy) -> ConvexityKind | None:
+    """Class shared by every network whose delays are convex and
+    nondecreasing: each link's second derivative in the fleet flow,
+    2*lam_crv*tau' + w*tau'' with w the link's weighted flow, keeps the sign
+    of the weights when both have one."""
     lh, lc = strategy.lam_hdv, strategy.lam_crv
-
     if lh >= 0 and lc >= 0 and lh + lc > 0:
-        kind = ConvexityKind.CONVEX_EVERYWHERE
-    elif lh <= 0 and lc <= 0 and lh + lc < 0:
-        kind = ConvexityKind.CONCAVE_EVERYWHERE
-    elif lh < 0 < lc and all(lc > (1.0 - row.gamma) / 2.0 * lh for row in per_link):
-        kind = ConvexityKind.CONVEX_EVERYWHERE
-    elif lc < 0 < lh and all(lc < (1.0 - row.gamma) / 2.0 * lh for row in per_link):
-        kind = ConvexityKind.CONCAVE_EVERYWHERE
+        return ConvexityKind.CONVEX_EVERYWHERE
+    if lh <= 0 and lc <= 0 and lh + lc < 0:
+        return ConvexityKind.CONCAVE_EVERYWHERE
+    return None
+
+
+def _mixed_sign_power_kind(strategy: FleetStrategy, per_link: tuple[LinkCurvature, ...]) -> ConvexityKind:
+    lh, lc = strategy.lam_hdv, strategy.lam_crv
+    if lh < 0 < lc and all(lc > (1.0 - row.gamma) / 2.0 * lh for row in per_link):
+        return ConvexityKind.CONVEX_EVERYWHERE
+    if lc < 0 < lh and all(lc < (1.0 - row.gamma) / 2.0 * lh for row in per_link):
+        return ConvexityKind.CONCAVE_EVERYWHERE
+    return ConvexityKind.INDEFINITE
+
+
+def _power_family(delay) -> bool:
+    """BPR, affine or quadratic delay with exponent >= 1 (convex and
+    nondecreasing)."""
+    return isinstance(delay, (BPRDelay, AffineDelay, QuadraticDelay)) and _link_gamma(delay) >= 1.0
+
+
+def _quadratic_kind(strategy: FleetStrategy, network: Network, pd_rtol: float) -> ConvexityKind:
+    """Class of a quadratic objective from the eigenvalues of its constant
+    Hessian restricted to the feasible directions (every direction when the
+    network declares no OD units)."""
+    zero = np.zeros(network.n_routes)
+    hess = objective_hessian_in_f(strategy, zero, zero, network)
+    if network.units is None:
+        basis = np.eye(network.n_routes)
+    else:
+        basis = network.feasible_direction_basis()
+    eig = np.linalg.eigvalsh(basis.T @ hess @ basis)
+    threshold = pd_rtol * abs(np.trace(hess)) / network.n_routes
+    if eig.size == 0 or eig[0] > threshold:
+        return ConvexityKind.CONVEX_EVERYWHERE
+    if eig[-1] <= threshold:
+        return ConvexityKind.CONCAVE_EVERYWHERE
+    return ConvexityKind.INDEFINITE
+
+
+def classify_convexity(
+    strategy: FleetStrategy, network: Network, pd_rtol: float = DEFAULT_CONFIG.pd_rtol
+) -> ConvexityClass:
+    """Classify F(h, .) from the network's structure: over the whole
+    non-negative orthant for link-additive networks, and along the feasible
+    directions of the OD units for affine and cross-affine ones.
+
+    * Link-additive power-family networks (exponents >= 1): mixed-sign
+      strategies are convex everywhere only when every link's exponent
+      satisfies lam_crv > (1 - gamma)/2 * lam_hdv; the mirrored condition
+      gives concavity.  Heterogeneous links take the most conservative
+      outcome (every link must pass).  per_link holds each link's
+      curvature data.
+    * Link-additive networks whose delays are all convex and nondecreasing
+      (power family and Webster): sign-definite weights give convex or
+      concave, mixed signs indefinite.
+    * Affine and cross-affine networks: the objective is quadratic; its
+      Hessian restricted to feasible directions is convex when its smallest
+      eigenvalue exceeds pd_rtol * |trace| / R, concave when its largest
+      does not (this includes lam_crv = 0, a linear objective), and
+      indefinite otherwise.
+    * Anything else is indefinite: no global certificate applies.
+
+    per_link is empty outside the power family.
+    """
+    delays = [link.delay for link in network.links]
+    per_link: tuple[LinkCurvature, ...] = ()
+    if network.link_additive and all(_power_family(d) for d in delays):
+        per_link = _curvature_data(strategy, network)
+        kind = _sign_definite_kind(strategy) or _mixed_sign_power_kind(strategy, per_link)
+    elif network.link_additive and all(_power_family(d) or isinstance(d, WebsterDelay) for d in delays):
+        kind = _sign_definite_kind(strategy) or ConvexityKind.INDEFINITE
+    elif all(isinstance(d, (AffineDelay, CrossAffineDelay)) for d in delays):
+        kind = _quadratic_kind(strategy, network, pd_rtol)
     else:
         kind = ConvexityKind.INDEFINITE
     return ConvexityClass(kind=kind, per_link=per_link)

@@ -230,12 +230,34 @@ class TestCLI:
         assert "error[infeasible]" in capsys.readouterr().err
 
     def test_unsupported_exit_code(self, tmp_path, capsys):
-        # classification is refused on signalized links
+        # the Stackelberg analysis is limited to two-route networks
         assert (
-            run_cli(["classify", "--scenario", str(fixture_path("signalized_link")), "--out", "-"])
+            run_cli(["stackelberg", "--scenario", str(fixture_path("two_od")), "--out", "-"])
             == EXIT_UNSUPPORTED
         )
-        assert "error[unsupported]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error[unsupported]" in err
+        assert "covers two-route networks" in err
+
+    def test_cross_dependent_unstable_stackelberg_terminates(self, tmp_path):
+        # the malicious objective is linear on this network, so each
+        # simulated day is one corner enumeration
+        out = tmp_path / "stackelberg.csv"
+        args = ["stackelberg", "--scenario", str(fixture_path("cross_dependent_unstable"))]
+        assert run_cli(args + ["--out", str(out)]) == EXIT_OK
+        assert out.read_text().count("\n") == 2
+
+    @pytest.mark.parametrize(
+        "name,label",
+        [
+            ("signalized_link", "ConvexEverywhere"),
+            ("cross_dependent_stable", "ConvexEverywhere"),
+            ("cross_dependent_unstable", "ConcaveEverywhere"),
+        ],
+    )
+    def test_classify_by_structure(self, name, label, capsys):
+        assert run_cli(["classify", "--scenario", str(fixture_path(name)), "--out", "-"]) == EXIT_OK
+        assert f"objective classification: {label}" in capsys.readouterr().out
 
     def test_fiber_concentrated(self, tmp_path):
         out = tmp_path / "fiber.csv"

@@ -13,6 +13,7 @@ from fleet_inverse import (
     FeasibleSet,
     FleetModelError,
     FleetStrategy,
+    InfeasibleProblemError,
     QuadraticDelay,
     certify_local_min,
     eval_objective,
@@ -23,6 +24,7 @@ from fleet_inverse import (
     solve_convex,
     solve_general,
 )
+from fleet_inverse.scenario import fixture_path, parse_scenario
 from conftest import asymmetric_two_route, symmetric_quadratic, three_affine_routes, two_od_overlap
 
 SELFISH = FleetStrategy.preset("selfish")
@@ -216,6 +218,33 @@ class TestFleetAssign:
         blocks = net.unit_blocks()
         for block, unit in zip(blocks, net.units):
             assert float(result.f[block].sum()) == pytest.approx(unit.q_crv, abs=1e-9)
+
+
+class TestDispatchByStructure:
+    @pytest.mark.parametrize("name", ["cross_dependent_stable", "cross_dependent_unstable"])
+    def test_malicious_on_cross_affine_enumerates_corners(self, name):
+        # lam_crv = 0 makes the objective linear in f
+        net = parse_scenario(fixture_path(name)).network
+        result = fleet_assign(MALICIOUS, np.array([25.0, 25.0]), net)
+        assert result.trace.method == "corner_enumeration"
+        assert result.trace.starts == 2
+
+    def test_selfish_on_webster_is_one_start(self):
+        sc = parse_scenario(fixture_path("signalized_link"))
+        result = fleet_assign(SELFISH, sc.hdv_route_flows, sc.network)
+        assert result.trace.method == "projected_gradient"
+        assert result.trace.starts == 1
+        assert result.trace.converged and result.certificate.is_local_min
+
+    def test_mixed_weights_on_webster_keep_multistart(self):
+        sc = parse_scenario(fixture_path("signalized_link"))
+        result = fleet_assign(DISRUPTIVE, sc.hdv_route_flows, sc.network)
+        assert result.trace.method == "multistart_projected_gradient"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_hdv_flow_rejected(self, fig_two_route, bad):
+        with pytest.raises(InfeasibleProblemError):
+            fleet_assign(SELFISH, np.array([bad, 40.0]), fig_two_route)
 
 
 class TestCertify:

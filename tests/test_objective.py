@@ -10,15 +10,24 @@ from fleet_inverse import (
     ConvexityKind,
     QuadraticDelay,
     UnsupportedDelayError,
+    WebsterDelay,
     classify_convexity,
     eval_objective,
     eval_objective_link_form,
     local_convexity_at,
     objective_gradient_in_f,
+    objective_hessian_in_f,
     single_od_network,
 )
 from fleet_inverse.objective import link_curvature_sign, _curvature_data
-from conftest import asymmetric_two_route, overlap_network, three_affine_routes
+from conftest import (
+    asymmetric_two_route,
+    cross_dependent_two_route,
+    overlap_network,
+    symmetric_quadratic,
+    three_affine_routes,
+    two_od_overlap,
+)
 
 SELFISH = FleetStrategy.preset("selfish")
 ALTRUISTIC = FleetStrategy.preset("altruistic")
@@ -119,6 +128,65 @@ class TestGradient:
         np.testing.assert_allclose(grad, marginal, rtol=1e-12)
 
 
+def _webster_network():
+    return single_od_network(
+        [WebsterDelay(0.5, 1.0, 60.0), AffineDelay(5.0, 10.0)], q_hdv=0.5, q_crv=0.3
+    )
+
+
+class TestObjectiveHessian:
+    # (network, HDV flow, fleet flow) at interior points; Webster flows stay
+    # below saturation
+    CASES = {
+        "bpr4": (
+            lambda: single_od_network(
+                [BPRDelay(1.0, 1.0, 10.0, 4.0), BPRDelay(2.0, 1.0, 12.0, 4.0)], q_hdv=30, q_crv=12
+            ),
+            [18.0, 12.0],
+            [5.0, 7.0],
+        ),
+        "bpr_overlap": (overlap_network, [80.0, 70.0, 90.0, 60.0], [30.0, 20.0, 25.0, 25.0]),
+        "quadratic": (symmetric_quadratic, [20.0, 30.0], [35.0, 15.0]),
+        "webster": (_webster_network, [0.3, 0.2], [0.13, 0.17]),
+        "cross_affine": (lambda: cross_dependent_two_route(2.0, 1.0), [25.0, 25.0], [8.0, 12.0]),
+        "two_unit": (two_od_overlap, [12.0, 18.0, 20.0, 10.0], [9.0, 11.0, 4.0, 16.0]),
+    }
+
+    @pytest.mark.parametrize("preset", ["selfish", "altruistic", "malicious", "social", "disruptive"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_central_differences_of_gradient(self, case, preset):
+        build, h, f = self.CASES[case]
+        net = build()
+        strategy = FleetStrategy.preset(preset)
+        h, f = np.array(h), np.array(f)
+        hess = objective_hessian_in_f(strategy, h, f, net)
+        eps = 1e-6 * max(1.0, float(np.max(f)))
+        fd = np.zeros_like(hess)
+        for j in range(len(f)):
+            step = np.zeros_like(f)
+            step[j] = eps
+            fd[:, j] = (
+                objective_gradient_in_f(strategy, h, f + step, net)
+                - objective_gradient_in_f(strategy, h, f - step, net)
+            ) / (2 * eps)
+        np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-12 * np.max(np.abs(hess)))
+        np.testing.assert_allclose(hess, fd, rtol=0, atol=1e-6 * max(1.0, np.max(np.abs(fd))))
+
+    def test_quadratic_network_hessian_is_constant(self):
+        net = cross_dependent_two_route(0.5, 0.5)
+        a = objective_hessian_in_f(SELFISH, np.array([10.0, 5.0]), np.array([3.0, 17.0]), net)
+        b = objective_hessian_in_f(SELFISH, np.zeros(2), np.zeros(2), net)
+        np.testing.assert_array_equal(a, b)
+
+    def test_links_without_flow_add_no_curvature(self):
+        # tau'' of a BPR power below 2 is unbounded at zero flow, where the
+        # weighted link flow vanishes; the Hessian stays finite
+        net = single_od_network([BPRDelay(1.0, 1.0, 10.0, 1.5)] * 2, q_hdv=10, q_crv=5)
+        hess = objective_hessian_in_f(SELFISH, np.array([10.0, 0.0]), np.array([5.0, 0.0]), net)
+        assert np.all(np.isfinite(hess))
+        assert hess[1, 1] == 0.0
+
+
 class TestClassify:
     def test_disruptive_on_quadratic(self):
         net = single_od_network([QuadraticDelay(1, 1)] * 2, q_hdv=1, q_crv=1)
@@ -143,14 +211,21 @@ class TestClassify:
         assert classify_convexity(FleetStrategy(-1.0, 0.6), net).kind is ConvexityKind.INDEFINITE
         assert classify_convexity(FleetStrategy(-1.0, 1.6), net).kind is ConvexityKind.CONVEX_EVERYWHERE
 
-    def test_webster_refused(self):
-        from fleet_inverse import WebsterDelay
-
+    def test_webster_by_structure(self):
+        # Webster delays are convex and nondecreasing: sign-definite weights
+        # keep their sign in every link's curvature, mixed signs do not
         net = single_od_network(
             [WebsterDelay(0.5, 1.0, 60.0), AffineDelay(1, 1)], q_hdv=0.4, q_crv=0.2
         )
+        selfish = classify_convexity(SELFISH, net)
+        assert selfish.kind is ConvexityKind.CONVEX_EVERYWHERE
+        assert selfish.per_link == ()
+        assert classify_convexity(MALICIOUS, net).kind is ConvexityKind.CONCAVE_EVERYWHERE
+        disruptive = FleetStrategy.preset("disruptive")
+        assert classify_convexity(disruptive, net).kind is ConvexityKind.INDEFINITE
+        # the per-link threshold form stays limited to the power family
         with pytest.raises(UnsupportedDelayError):
-            classify_convexity(SELFISH, net)
+            local_convexity_at(SELFISH, np.array([0.2, 0.2]), np.array([0.1, 0.1]), net)
 
     def test_classifier_against_curvature_signs(self):
         # when the classifier reports convex/concave everywhere, every sampled

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fleet_inverse import (
+    AffineDelay,
     BPRDelay,
     CrossAffineDelay,
     ConvexityKind,
@@ -15,7 +16,7 @@ from fleet_inverse import (
     Network,
     ODUnit,
     Route,
-    UnsupportedDelayError,
+    WebsterDelay,
     classify_convexity,
     eval_objective,
     fleet_assign,
@@ -73,6 +74,62 @@ class TestClassifierSecondDirectionalDerivative:
             else:
                 assert d2 <= 1e-8 * (1.0 + abs(d2))
 
+    @pytest.mark.parametrize("family", ["webster", "cross_affine"])
+    def test_structural_labels_match_numeric_curvature(self, family):
+        # the same check on the networks classified by structure: Webster
+        # links with affine ones, and affine delays with cross dependence
+        rng = np.random.default_rng(7)
+        checked = 0
+        while checked < 300:
+            n = int(rng.integers(2, 4))
+            if family == "webster":
+                delays = [
+                    WebsterDelay(float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.5, 2.0)), 60.0)
+                    if rng.random() < 0.6
+                    else AffineDelay(float(rng.uniform(1, 5)), float(rng.uniform(1, 10)))
+                    for _ in range(n)
+                ]
+                net = single_od_network(delays, q_hdv=0.4, q_crv=0.3)
+                h = rng.dirichlet(np.ones(n)) * 0.4
+                f = 0.02 + rng.dirichlet(np.ones(n)) * 0.2
+                eps = 1e-4
+            else:
+                ids = [f"l{i}" for i in range(n)]
+                links = [
+                    Link(
+                        ids[i],
+                        CrossAffineDelay(
+                            float(rng.uniform(1, 5)),
+                            float(rng.uniform(0.5, 2.0)),
+                            {j: float(rng.uniform(-1.5, 1.5)) for j in ids if j != ids[i]},
+                        ),
+                    )
+                    for i in range(n)
+                ]
+                routes = [Route(f"r{i}", (ids[i],)) for i in range(n)]
+                unit = ODUnit("O", "D", q_hdv=30.0, q_crv=20.0, route_ids=tuple(r.id for r in routes))
+                net = Network(links, routes, units=[unit])
+                h = rng.dirichlet(np.ones(n)) * 30.0
+                f = 1.0 + rng.dirichlet(np.ones(n)) * 15.0
+                eps = 1e-2
+            strategy = FleetStrategy(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+            kind = classify_convexity(strategy, net).kind
+            if kind is ConvexityKind.INDEFINITE:
+                continue
+            g = rng.normal(0, 1, n)
+            g -= g.mean()
+            g /= float(np.max(np.abs(g)))
+            d2 = (
+                eval_objective(strategy, h, f + eps * g, net)
+                - 2.0 * eval_objective(strategy, h, f, net)
+                + eval_objective(strategy, h, f - eps * g, net)
+            ) / eps**2
+            checked += 1
+            if kind is ConvexityKind.CONVEX_EVERYWHERE:
+                assert d2 >= -1e-6 * (1.0 + abs(d2))
+            else:
+                assert d2 <= 1e-6 * (1.0 + abs(d2))
+
 
 class TestRouteLevelDelays:
     def build(self):
@@ -86,16 +143,33 @@ class TestRouteLevelDelays:
         unit = ODUnit("O", "D", q_hdv=20.0, q_crv=10.0, route_ids=("r1", "r2"))
         return Network(links, routes, units=[unit], route_level=True)
 
-    def test_classification_refused(self):
+    def test_classified_by_structure(self):
+        # affine and cross-affine delays make the objective quadratic, with
+        # the constant Hessian lam_crv * (G + G^T) on feasible directions
         net = self.build()
         assert not net.link_additive
-        with pytest.raises(UnsupportedDelayError):
-            classify_convexity(FleetStrategy.preset("selfish"), net)
+        selfish = classify_convexity(FleetStrategy.preset("selfish"), net)
+        assert selfish.kind is ConvexityKind.CONVEX_EVERYWHERE
+        assert selfish.per_link == ()
+        # lam_crv = 0: the objective is linear in f
+        malicious = classify_convexity(FleetStrategy.preset("malicious"), net)
+        assert malicious.kind is ConvexityKind.CONCAVE_EVERYWHERE
 
-    def test_general_solver_handles_it(self):
+    def test_classified_without_units(self):
+        # no OD units: every direction counts
+        links = [
+            Link("p1", CrossAffineDelay(1.0, 1.0, {"p2": 3.0})),
+            Link("p2", CrossAffineDelay(1.0, 1.0, {"p1": 0.0})),
+        ]
+        net = Network(links, [Route("r1", ("p1",)), Route("r2", ("p2",))])
+        # G + G^T = [[2, 3], [3, 2]] has eigenvalues 5 and -1
+        assert classify_convexity(FleetStrategy.preset("selfish"), net).kind is ConvexityKind.INDEFINITE
+        assert classify_convexity(FleetStrategy.preset("malicious"), net).kind is ConvexityKind.CONCAVE_EVERYWHERE
+
+    def test_forward_solver_handles_it(self):
         net = self.build()
         result = fleet_assign(FleetStrategy.preset("selfish"), np.array([12.0, 8.0]), net)
-        assert result.trace.method == "multistart_projected_gradient"
+        assert result.trace.method == "projected_gradient"
         assert result.certificate.is_local_min
         assert result.f.sum() == pytest.approx(10.0, abs=1e-9)
 
