@@ -16,8 +16,10 @@ class DimensionMismatchError(FleetModelError):
 class DelayDomainError(FleetModelError):
     """A delay function was evaluated outside its domain.
 
-    Raised for negative flows and for signalized links evaluated at a
-    degree of saturation outside (0, 1).
+    Raised for negative flows, for signalized links evaluated at a degree
+    of saturation outside (0, 1), and for derivatives of BPR delays that are
+    unbounded at zero flow (first derivative for powers below 1, second
+    derivative for powers below 2).
     """
 
 

@@ -13,7 +13,11 @@ observation.  For L > 0 and a travel-time gradient positive definite on
 feasible directions the VI is strictly monotone, hence has at most one
 solution: that is the uniqueness certificate reported alongside every
 result.  The solver is the extragradient method plus an active-set polish
-that removes the remaining iteration error.
+that solves the KKT system of one face exactly.  On certified inverses
+the polish is tried each time the iterate's active set changes, and the
+exact face solution is returned as soon as the extragradient has found
+its active set; otherwise the iteration runs to the gap tolerance and the
+polish removes the remaining iteration error.
 
 Residuals are reported as VI gap per vehicle of fleet mass,
 max_x A(f).(f - x) / max(1, fleet mass), in time units.
@@ -146,20 +150,30 @@ def stationarity_map(strategy: FleetStrategy, q, f, network: Network) -> np.ndar
     return a0 + b @ f
 
 
-def _linear_minimum(c: np.ndarray, feasible: FeasibleSet) -> tuple[np.ndarray, float]:
-    """Exact minimizer of c . x over the box-capped product simplex
-    (greedy fill of the cheapest routes; ties broken by route index)."""
+def _greedy_fill(c: np.ndarray, feasible: FeasibleSet, reverse_ties: bool = False) -> np.ndarray:
+    """Exact minimizer of c . x over the box-capped product simplex: fill the
+    cheapest routes first, ties broken by ascending route index (descending
+    when reverse_ties)."""
     x = np.zeros(feasible.n_routes)
     for block, total in zip(feasible.blocks, feasible.totals):
+        costs = c[block]
+        if reverse_ties:
+            order = np.lexsort((-np.arange(len(block)), costs))
+        else:
+            order = np.argsort(costs, kind="stable")
         remaining = float(total)
-        order = sorted(range(len(block)), key=lambda i: (c[block[i]], i))
-        for i in order:
-            r = block[i]
+        for r in block[order].tolist():
             cap = remaining if feasible.upper is None else min(remaining, float(feasible.upper[r]))
             x[r] = cap
             remaining -= cap
             if remaining <= 0:
                 break
+    return x
+
+
+def _linear_minimum(c: np.ndarray, feasible: FeasibleSet) -> tuple[np.ndarray, float]:
+    """Greedy LP minimizer of c . x and its value."""
+    x = _greedy_fill(c, feasible)
     return x, float(c @ x)
 
 
@@ -177,6 +191,17 @@ def _residual_scale(feasible: FeasibleSet) -> float:
 # -- extragradient + polish -------------------------------------------------------
 
 
+def _active_partition(f: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
+    """-1 where f is at its lower bound, +1 where it is at its cap, 0 where it
+    is free, each within 1e-6 * (1 + fleet mass)."""
+    tol_active = 1e-6 * (1.0 + feasible.total_mass)
+    lower_active = f <= tol_active
+    active = np.where(lower_active, -1, 0)
+    if feasible.upper is not None:
+        active[(f >= feasible.upper - tol_active) & ~lower_active] = 1
+    return active
+
+
 def _extragradient(
     a0: np.ndarray,
     b: np.ndarray,
@@ -184,47 +209,64 @@ def _extragradient(
     f0: np.ndarray,
     tol_gap: float,
     config: SolverConfig,
-) -> tuple[np.ndarray, int, bool]:
+    unique: bool = False,
+) -> tuple[np.ndarray, int, bool, bool]:
+    """Extragradient iterates until the VI gap is at most tol_gap.
+
+    When the VI is certified to have one solution (`unique`), each new
+    active partition of the iterate is tried with the active-set polish.
+    The first validated face solution that keeps that partition and is
+    within tol_gap is that solution, and it is returned at once.  Returns
+    (f, iterations, converged, f is a face solution).
+    """
     f = feasible.project(f0)
     b_norm = float(np.linalg.norm(b, 2))
     if b_norm <= 1e-300:
         x, _ = _linear_minimum(a0, feasible)
-        return x, 0, True
+        return x, 0, True, False
     step = config.extragradient_safety / b_norm
+    face = None
     for k in range(1, config.max_vi_iter + 1):
         af = a0 + b @ f
         if float(af @ f) - _linear_minimum(af, feasible)[1] <= tol_gap:
-            return f, k - 1, True
+            return f, k - 1, True, False
+        if unique:
+            active = _active_partition(f, feasible)
+            if face is None or not np.array_equal(active, face):
+                face = active
+                polished = _polish_active_set(a0, b, feasible, active)
+                # a candidate outside its own partition (a bound met with a
+                # zero multiplier) waits for the iterate to reach that bound,
+                # where the converged iterate's polish would solve it too
+                if (
+                    polished is not None
+                    and np.array_equal(_active_partition(polished, feasible), active)
+                    and _vi_gap(a0, b, polished, feasible) <= tol_gap
+                ):
+                    return polished, k - 1, True, True
         y = feasible.project(f - step * af)
         f = feasible.project(f - step * (a0 + b @ y))
-    return f, config.max_vi_iter, False
+    return f, config.max_vi_iter, False, False
 
 
 def _polish_active_set(
     a0: np.ndarray,
     b: np.ndarray,
     feasible: FeasibleSet,
-    f: np.ndarray,
+    active: np.ndarray,
 ) -> np.ndarray | None:
-    """Solve the KKT system on the active set guessed from f.
+    """Solve the KKT system on an active partition (see _active_partition).
 
     Free coordinates satisfy A(f)_r = mu_s inside their unit; coordinates
     pinned at a bound must respect the complementary inequality.  Returns
-    the exact solution, or None when the guess fails validation.
+    the exact solution on that face, or None when it fails validation.
     """
-    n = feasible.n_routes
     scale = 1.0 + feasible.total_mass
-    tol_active = 1e-6 * scale
+    lower_active = active < 0
+    upper_active = active > 0
+    free = active == 0
 
-    lower_active = f <= tol_active
-    upper_active = (
-        np.zeros(n, dtype=bool)
-        if feasible.upper is None
-        else (f >= feasible.upper - tol_active) & ~lower_active
-    )
-    free = ~(lower_active | upper_active)
-
-    fixed = np.where(lower_active, 0.0, f)
+    fixed = np.zeros(feasible.n_routes)
     if feasible.upper is not None:
         fixed = np.where(upper_active, feasible.upper, fixed)
 
@@ -247,7 +289,7 @@ def _polish_active_set(
         for i, r in enumerate(free_idx):
             lhs[i, : len(free_idx)] = b[r, free_idx]
             lhs[i, mu_of[block_of_route[r]]] = -1.0
-            rhs[i] = -a0[r] - float(b[r] @ (fixed * ~free))
+            rhs[i] = -a0[r] - float(b[r] @ fixed)
         for j, s in enumerate(blocks_with_free):
             block = feasible.blocks[s]
             row = len(free_idx) + j
@@ -277,8 +319,8 @@ def _polish_active_set(
     tol_kkt = 1e-6 * (1.0 + float(np.max(np.abs(a_val))))
     for s, block in enumerate(feasible.blocks):
         free_b = [r for r in block if free[r]]
-        lo_b = [r for r in block if lower_active[r] and not free[r]]
-        hi_b = [r for r in block if upper_active[r] and not lower_active[r] and not free[r]]
+        lo_b = [r for r in block if lower_active[r]]
+        hi_b = [r for r in block if upper_active[r]]
         if free_b:
             mu = float(np.mean(a_val[free_b]))
             if np.max(np.abs(a_val[free_b] - mu)) > tol_kkt:
@@ -303,10 +345,13 @@ def _solve_affine_vi(
     f0: np.ndarray,
     tol_gap: float,
     config: SolverConfig,
+    unique: bool = False,
 ) -> tuple[np.ndarray, float, bool]:
-    f, _, converged = _extragradient(a0, b, feasible, f0, tol_gap, config)
+    f, _, converged, on_face = _extragradient(a0, b, feasible, f0, tol_gap, config, unique)
     gap = _vi_gap(a0, b, f, feasible)
-    polished = _polish_active_set(a0, b, feasible, f)
+    if on_face:
+        return f, gap, True
+    polished = _polish_active_set(a0, b, feasible, _active_partition(f, feasible))
     if polished is not None:
         gap_polished = _vi_gap(a0, b, polished, feasible)
         if gap_polished <= max(gap, 1e-12):
@@ -419,10 +464,14 @@ def solve_inverse(
     q = np.asarray(q, dtype=float)
     if q.shape != (network.n_routes,):
         raise DimensionMismatchError("observed flow must be a route vector")
+    if not np.all(np.isfinite(q)):
+        raise InfeasibleProblemError("observed flows must be finite")
     if np.any(q < 0):
         raise InfeasibleProblemError("observed flows must be non-negative")
     blocks = network.unit_blocks()
     sizes = network.fleet_sizes() if sizes is None else np.asarray(sizes, dtype=float)
+    if not np.all(np.isfinite(sizes)):
+        raise InfeasibleProblemError("fleet sizes must be finite")
     for s, block in enumerate(blocks):
         if float(np.sum(q[block])) < sizes[s] - 1e-9 * (1.0 + sizes[s]):
             raise InfeasibleProblemError(
@@ -463,7 +512,8 @@ def solve_inverse(
         solutions = _distinct([x_fwd, x_rev], scale, config.tol_distinct)
     else:
         f_hat, gap, converged = _solve_affine_vi(
-            a0, b, feasible, _uniform_start(feasible), tol_gap, config
+            a0, b, feasible, _uniform_start(feasible), tol_gap, config,
+            unique=certificate.theorem_applies,
         )
         solutions = [f_hat]
         if not certificate.theorem_applies:
@@ -503,18 +553,7 @@ def solve_inverse(
 def _linear_minimum_reversed(c: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
     """Greedy LP minimizer with reversed tie-breaking; differs from the
     forward greedy exactly when the minimum is non-unique."""
-    x = np.zeros(feasible.n_routes)
-    for block, total in zip(feasible.blocks, feasible.totals):
-        remaining = float(total)
-        order = sorted(range(len(block)), key=lambda i: (c[block[i]], -i))
-        for i in order:
-            r = block[i]
-            cap = remaining if feasible.upper is None else min(remaining, float(feasible.upper[r]))
-            x[r] = cap
-            remaining -= cap
-            if remaining <= 0:
-                break
-    return x
+    return _greedy_fill(c, feasible, reverse_ties=True)
 
 
 def _multistart_vi(
@@ -596,10 +635,14 @@ def inverse_link_flows(
     a = np.asarray(a, dtype=float)
     if a.shape != (network.n_links,):
         raise DimensionMismatchError("observed flow must be a link vector")
+    if not np.all(np.isfinite(a)):
+        raise InfeasibleProblemError("observed link flows must be finite")
     if np.any(a < 0):
         raise InfeasibleProblemError("observed link flows must be non-negative")
     units = network.units_or_raise()
     sizes = network.fleet_sizes() if sizes is None else np.asarray(sizes, dtype=float)
+    if not np.all(np.isfinite(sizes)):
+        raise InfeasibleProblemError("fleet sizes must be finite")
     route_totals = np.array([u.q_hdv + u.q_crv for u in units])
     _realisability_check(network, a, route_totals, config)
 
@@ -615,10 +658,10 @@ def inverse_link_flows(
 
     scale = _residual_scale(feasible)
     tol_gap = config.tol_vi * (1.0 + float(np.linalg.norm(tau))) * scale
+    cert = _link_certificate(margin, jac, network, config)
 
     if feasible.total_mass == 0.0:
         phi = np.zeros(network.n_links)
-        cert = _link_certificate(margin, jac, network, config)
         return InverseResult(
             f_hat=phi,
             h_hat=a.copy(),
@@ -630,10 +673,10 @@ def inverse_link_flows(
         )
 
     f_param, gap, converged = _solve_affine_vi(
-        a0, b, feasible, _uniform_start(feasible), tol_gap, config
+        a0, b, feasible, _uniform_start(feasible), tol_gap, config,
+        unique=cert.theorem_applies,
     )
     phi = network.route_to_link(f_param)
-    cert = _link_certificate(margin, jac, network, config)
 
     solutions = [phi]
     if not cert.theorem_applies:

@@ -71,12 +71,16 @@ class BPRDelay:
 
     def derivative(self, x: float) -> float:
         g = self.power
+        if g < 1.0 and x <= 0.0:
+            raise DelayDomainError(f"BPR power {g} < 1 has no derivative at zero flow")
         return self.t0 * self.d * g * x ** (g - 1.0) / self.capacity**g
 
     def second_derivative(self, x: float) -> float:
         g = self.power
         if g == 1.0:
             return 0.0
+        if g < 2.0 and x <= 0.0:
+            raise DelayDomainError(f"BPR power {g} < 2 has no second derivative at zero flow")
         return self.t0 * self.d * g * (g - 1.0) * x ** (g - 2.0) / self.capacity**g
 
 

@@ -229,6 +229,17 @@ class TestCLI:
         assert run_cli(["inverse", "--scenario", str(path), "--out", "-"]) == EXIT_INFEASIBLE
         assert "error[infeasible]" in capsys.readouterr().err
 
+    def test_delay_domain_exit_code(self, tmp_path, capsys):
+        # BPR power 0.5 has no derivative on the route without flow
+        doc = load_doc("two_route_asymmetric")
+        for link in doc["links"]:
+            link["delay"]["power"] = 0.5
+        doc["hdv_route_flows"] = [10.0, 0.0]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["forward", "--scenario", str(path), "--out", "-"]) == EXIT_INFEASIBLE
+        assert "error[infeasible]" in capsys.readouterr().err
+
     def test_unsupported_exit_code(self, tmp_path, capsys):
         # the Stackelberg analysis is limited to two-route networks
         assert (

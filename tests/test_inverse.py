@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 
 from fleet_inverse import (
+    DEFAULT_CONFIG,
     AffineDelay,
+    BPRDelay,
     FeasibleSet,
     FleetStrategy,
     InfeasibleProblemError,
+    Link,
+    Network,
     NotRealisableError,
+    ODUnit,
+    QuadraticDelay,
+    Route,
     certify_local_min,
     discrete_recover,
     eval_objective,
@@ -28,6 +35,7 @@ from conftest import (
     three_affine_routes,
     two_od_overlap,
 )
+from fleet_inverse import inverse
 
 SELFISH = FleetStrategy.preset("selfish")
 ALTRUISTIC = FleetStrategy.preset("altruistic")
@@ -333,3 +341,214 @@ class TestCrossDependentRoundTrip:
         result = solve_inverse(SELFISH, h + forward.f, net)
         assert not result.certificate.theorem_applies
         assert "positive definite" in result.certificate.reason
+
+
+class TestNonFiniteObservations:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_route_observation(self, fig_two_route, bad):
+        with pytest.raises(InfeasibleProblemError, match="finite"):
+            solve_inverse(SELFISH, np.array([60.0, bad]), fig_two_route)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_link_observation(self, net_overlap, bad):
+        a = np.array([200.0, 200.0, 200.0, bad])
+        with pytest.raises(InfeasibleProblemError, match="finite"):
+            inverse_link_flows(SELFISH, a, net_overlap)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_fleet_sizes(self, fig_two_route, net_overlap, bad):
+        # an infinite size used to pass the capacity check and return f = 0
+        with pytest.raises(InfeasibleProblemError, match="finite"):
+            solve_inverse(SELFISH, np.array([60.0, 40.0]), fig_two_route, sizes=[bad])
+        a = np.array([200.0, 200.0, 200.0, 200.0])
+        with pytest.raises(InfeasibleProblemError, match="finite"):
+            inverse_link_flows(SELFISH, a, net_overlap, sizes=[bad])
+
+
+def _sorted_greedy(c, feasible, reverse_ties):
+    """Greedy LP fill with the tie order spelled out as Python sort keys."""
+    x = np.zeros(feasible.n_routes)
+    for block, total in zip(feasible.blocks, feasible.totals):
+        remaining = float(total)
+        sign = -1 if reverse_ties else 1
+        for i in sorted(range(len(block)), key=lambda i: (c[block[i]], sign * i)):
+            r = block[i]
+            cap = remaining if feasible.upper is None else min(remaining, float(feasible.upper[r]))
+            x[r] = cap
+            remaining -= cap
+            if remaining <= 0:
+                break
+    return x
+
+
+class TestLinearMinimum:
+    def test_matches_sorted_greedy_with_ties(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            sizes = rng.integers(1, 7, size=int(rng.integers(1, 4)))
+            bounds = np.cumsum(np.concatenate([[0], sizes]))
+            blocks = tuple(np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+            n = int(bounds[-1])
+            upper = rng.uniform(0.0, 10.0, n) if rng.random() < 0.7 else None
+            caps = [float(np.sum(upper[b])) if upper is not None else 30.0 for b in blocks]
+            totals = np.array([rng.uniform(0.0, cap) for cap in caps])
+            feasible = FeasibleSet(blocks=blocks, totals=totals, n_routes=n, upper=upper)
+            c = rng.integers(0, 3, n).astype(float)  # many ties
+            x, value = inverse._linear_minimum(c, feasible)
+            expected = _sorted_greedy(c, feasible, reverse_ties=False)
+            assert x.tobytes() == expected.tobytes()
+            assert value == float(c @ expected)
+            reversed_x = inverse._linear_minimum_reversed(c, feasible)
+            assert reversed_x.tobytes() == _sorted_greedy(c, feasible, True).tobytes()
+
+
+def _reference_solve(strategy, q, network):
+    """The certified route VI solved without the face exit: extragradient
+    until the gap is within tolerance, then one active-set polish.  Also
+    reports whether the polished point keeps the partition it was solved on."""
+    config = DEFAULT_CONFIG
+    feasible = FeasibleSet(
+        blocks=network.unit_blocks(), totals=network.fleet_sizes(),
+        n_routes=network.n_routes, upper=q,
+    )
+    grad = network.route_gradient(q)
+    a0 = strategy.lam_crv * network.route_times(q) + grad.T @ (strategy.lam_hdv * q)
+    b = strategy.margin * grad.T
+    scale = max(1.0, feasible.total_mass)
+    tol_gap = config.tol_vi * (1.0 + float(np.linalg.norm(network.route_times(q)))) * scale
+    step = config.extragradient_safety / float(np.linalg.norm(b, 2))
+    f = feasible.project(inverse._uniform_start(feasible))
+    for _ in range(config.max_vi_iter):
+        af = a0 + b @ f
+        if float(af @ f) - inverse._linear_minimum(af, feasible)[1] <= tol_gap:
+            break
+        y = feasible.project(f - step * af)
+        f = feasible.project(f - step * (a0 + b @ y))
+    gap = inverse._vi_gap(a0, b, f, feasible)
+    active = inverse._active_partition(f, feasible)
+    polished = inverse._polish_active_set(a0, b, feasible, active)
+    if polished is not None:
+        gap_polished = inverse._vi_gap(a0, b, polished, feasible)
+        if gap_polished <= max(gap, 1e-12):
+            f, gap = polished, gap_polished
+    keeps_face = np.array_equal(inverse._active_partition(f, feasible), active)
+    return f, gap / scale, keeps_face
+
+
+def _random_delay(rng):
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(20, 80)),
+                        float(rng.choice([2.0, 4.0])))
+    if kind == 1:
+        return AffineDelay(float(rng.uniform(1, 8)), float(rng.uniform(0.02, 0.2)))
+    return QuadraticDelay(float(rng.uniform(1, 8)), float(rng.uniform(1e-3, 1e-2)))
+
+
+def _certified_instances(count, seed):
+    """Forward equilibria q = h + f on 1-3 OD units of 2-5 single-link routes,
+    sometimes behind one shared link; some HDV route flows are zero, so the
+    fleet can fill those routes up to the observed cap."""
+    rng = np.random.default_rng(seed)
+    strategies = (SELFISH, MALICIOUS, FleetStrategy(-0.5, 1.5))
+    out = []
+    while len(out) < count:
+        shared = rng.random() < 0.4
+        links = [Link("s", AffineDelay(1.0, 0.05))] if shared else []
+        routes, units, h_parts = [], [], []
+        for u in range(int(rng.integers(1, 4))):
+            ids = []
+            for j in range(int(rng.integers(2, 6))):
+                links.append(Link(f"l{u}.{j}", _random_delay(rng)))
+                routes.append(Route(f"r{u}.{j}", (("s",) if shared else ()) + (f"l{u}.{j}",)))
+                ids.append(f"r{u}.{j}")
+            q_hdv, q_crv = float(rng.uniform(10, 60)), float(rng.uniform(5, 40))
+            units.append(ODUnit("O", f"D{u}", q_hdv=q_hdv, q_crv=q_crv, route_ids=tuple(ids)))
+            share = rng.dirichlet(np.ones(len(ids))) * (rng.random(len(ids)) < 0.7)
+            if share.sum() == 0.0:
+                share[0] = 1.0
+            h_parts.append(share / share.sum() * q_hdv)
+        net = Network(links, routes, units=units)
+        strategy = strategies[int(rng.integers(len(strategies)))]
+        h = np.concatenate(h_parts)
+        q = h + fleet_assign(strategy, h, net, certify=False, seed=0).f
+        if net.feasible_direction_pd(q).passes:
+            out.append((strategy, q, net))
+    return out
+
+
+@pytest.fixture
+def extragradient_calls(monkeypatch):
+    """Every (f, iterations, converged, face exit) _extragradient returns."""
+    calls = []
+    extragradient = inverse._extragradient
+
+    def recording(*args, **kwargs):
+        out = extragradient(*args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(inverse, "_extragradient", recording)
+    return calls
+
+
+class TestFaceExit:
+    def test_certified_solutions_match_full_run(self, extragradient_calls):
+        # the face solution depends only on the active partition, so the
+        # early exit returns the point the full run's final polish returns
+        # whenever that polish keeps the partition it was solved on; when it
+        # does not (a cap met with a zero multiplier, the converged iterate
+        # still outside the active band), both are exact solutions of the
+        # one VI and agree to rounding
+        capped = 0
+        for strategy, q, net in _certified_instances(50, seed=20):
+            result = solve_inverse(strategy, q, net)
+            assert result.certificate.theorem_applies
+            f_ref, residual_ref, keeps_face = _reference_solve(strategy, q, net)
+            if keeps_face:
+                assert result.f_hat.tobytes() == f_ref.tobytes()
+                assert result.residual == residual_ref
+            else:
+                np.testing.assert_allclose(result.f_hat, f_ref, rtol=0.0, atol=1e-12 * (1.0 + q.sum()))
+                assert abs(result.residual) <= 1e-12 * (1.0 + q.sum())
+            capped += bool(np.any((result.f_hat == q) & (q > 0)))
+        assert capped >= 10
+        assert sum(call[3] for call in extragradient_calls) >= 15
+
+    def test_route_ladder_iteration_gate(self, extragradient_calls):
+        # selfish round trips over R single-link BPR routes, R = 5, 20, 50, 100
+        rng = np.random.default_rng(2024)
+        for r in (5, 20, 50, 100):
+            for _ in range(3):
+                delays = [
+                    BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(20, 80)), 4.0)
+                    for _ in range(r)
+                ]
+                net = single_od_network(delays, q_hdv=10.0 * r, q_crv=5.0 * r)
+                h = rng.dirichlet(np.ones(r)) * 10.0 * r
+                f = fleet_assign(SELFISH, h, net, certify=False).f
+                result = solve_inverse(SELFISH, h + f, net)
+                assert result.certificate.theorem_applies
+                assert float(np.max(np.abs(result.f_hat - f))) <= 1e-6 * 5.0 * r
+        assert len(extragradient_calls) == 12
+        # 17,009 when every solve runs to the gap tolerance
+        assert sum(call[1] for call in extragradient_calls) <= 3500
+
+    def test_uncertified_inverse_runs_to_gap(self, extragradient_calls):
+        net = three_affine_routes(q_hdv=70.0, q_crv=30.0)
+        result = solve_inverse(ALTRUISTIC, np.array([30.0, 30.0, 40.0]), net)
+        assert not result.certificate.theorem_applies
+        assert extragradient_calls and not any(call[3] for call in extragradient_calls)
+
+    def test_link_inverse_face_exit(self, monkeypatch, extragradient_calls):
+        net = two_od_overlap()
+        a = net.route_to_link(np.array([30.0, 20.0, 25.0, 25.0]))
+        result = inverse_link_flows(SELFISH, a, net)
+        assert result.certificate.theorem_applies
+        assert [call[3] for call in extragradient_calls] == [True]
+        recording = inverse._extragradient
+        monkeypatch.setattr(inverse, "_extragradient", lambda *args: recording(*args[:6]))
+        full_run = inverse_link_flows(SELFISH, a, net)
+        assert extragradient_calls[1][3] is False
+        assert result.f_hat.tobytes() == full_run.f_hat.tobytes()
+        assert result.residual == full_run.residual

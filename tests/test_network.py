@@ -15,8 +15,10 @@ from fleet_inverse import (
     Link,
     Network,
     ODUnit,
+    FleetStrategy,
     Route,
     WebsterDelay,
+    fleet_assign,
     single_od_network,
 )
 from conftest import (
@@ -86,6 +88,24 @@ class TestRouteTimes:
     def test_negative_flow(self, fig_two_route):
         with pytest.raises(DelayDomainError):
             fig_two_route.route_times([-1.0, 5.0])
+
+
+class TestBPRZeroFlow:
+    def test_unbounded_derivatives_raise(self):
+        with pytest.raises(DelayDomainError):
+            BPRDelay(1.0, 1.0, 10.0, 0.5).derivative(0.0)
+        with pytest.raises(DelayDomainError):
+            BPRDelay(1.0, 1.0, 10.0, 1.5).second_derivative(0.0)
+        assert BPRDelay(1.0, 1.0, 10.0, 1.5).derivative(0.0) == 0.0
+        assert BPRDelay(1.0, 1.0, 10.0, 2.0).second_derivative(0.0) == pytest.approx(0.02)
+        assert BPRDelay(1.0, 1.0, 10.0, 1.0).second_derivative(0.0) == 0.0
+
+    def test_forward_with_empty_fractional_power_route(self):
+        net = single_od_network(
+            [BPRDelay(1.0, 1.0, 10.0, 0.5), BPRDelay(2.0, 1.0, 10.0, 0.5)], q_hdv=10.0, q_crv=5.0
+        )
+        with pytest.raises(DelayDomainError, match="zero flow"):
+            fleet_assign(FleetStrategy.preset("selfish"), [10.0, 0.0], net)
 
 
 class TestRouteGradient:
