@@ -25,7 +25,6 @@ from .forward import (
     FeasibleSet,
     certify_local_min,
     fleet_assign,
-    project_to_feasible,
     solve_concave,
     solve_convex,
     solve_general,

@@ -185,6 +185,9 @@ def _run_inverse(scenario: Scenario, args) -> tuple[list[str], list[dict], list[
     ]
     if len(result.solutions) > 1:
         summary.append(f"{len(result.solutions)} distinct solutions exhibited")
+    if not result.exhaustive:
+        cap = scenario.config.vertex_cap
+        summary.append(f"solution set not enumerated: more than vertex_cap = {cap} active partitions")
     return columns, rows, summary
 
 
@@ -431,12 +434,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="path to the scenario JSON file")
         p.add_argument("--out", default="-", help="CSV output path ('-' for stdout)")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--days", type=int, default=None, help="override simulation days")
-        p.add_argument("--mu", type=float, default=None, help="override HDV adaptation rate")
-        p.add_argument("--samples", type=int, default=200, help="stability bound sample count")
-        p.add_argument(
-            "--resolution", type=float, default=0.1, help="corner-support grid resolution"
-        )
+        if name in ("simulate", "stackelberg"):
+            p.add_argument("--days", type=int, default=None, help="override simulation days")
+            p.add_argument("--mu", type=float, default=None, help="override HDV adaptation rate")
+        if name == "stackelberg":
+            p.add_argument(
+                "--resolution", type=float, default=0.1, help="corner-support grid resolution"
+            )
+        if name == "lipschitz":
+            p.add_argument("--samples", type=int, default=200, help="stability bound sample count")
     return parser
 
 

@@ -17,8 +17,6 @@ class SolverConfig:
     # rank / positive-definiteness gates (relative thresholds)
     rank_rtol: float = 1e-9        # x largest singular value of the incidence matrix
     pd_rtol: float = 1e-9          # x trace(sym gradient)/R
-    # differentiation
-    fd_step: float = 1e-6          # central-difference step, scaled per coordinate
     # forward solvers
     tol_pg: float = 1e-9           # projected-gradient norm target, x (1 + |F|)
     tol_tie: float = 1e-9          # relative tie window for corner minima
@@ -27,7 +25,7 @@ class SolverConfig:
     tol_distinct: float = 1e-6     # minimizers distinct if max|df| exceeds this x scale
     n_starts: int = 20             # random multistart points (on top of vertices)
     n_dirs: int = 50               # random directions sampled by the certificate
-    vertex_cap: int = 20000        # refuse corner enumeration beyond this many vertices
+    vertex_cap: int = 20000        # refuse to enumerate more vertices or faces than this
     max_pg_iter: int = 5000
     armijo_factor: float = 0.5
     armijo_initial_step: float = 1.0

@@ -42,7 +42,6 @@ __all__ = [
     "AssignmentResult",
     "Certificate",
     "SolverTrace",
-    "project_to_feasible",
     "solve_convex",
     "solve_concave",
     "solve_general",
@@ -265,11 +264,6 @@ class FeasibleSet:
         return max(0.0, alpha)
 
 
-def project_to_feasible(v, feasible: FeasibleSet) -> np.ndarray:
-    """Euclidean projection onto the feasible polytope; idempotent."""
-    return feasible.project(v)
-
-
 # -- results -------------------------------------------------------------------
 
 
@@ -353,12 +347,17 @@ def certify_local_min(
     grad = objective_gradient_in_f(strategy, h, f, network)
     f_val = eval_objective(strategy, h, f, network)
     tol_dd = config.tol_dd * (1.0 + float(np.max(np.abs(grad))))
+    # the directions are zero-sum per unit: centring the gradient per unit
+    # keeps the derivatives and drops the rounding of the directions' sums
+    centred = grad.copy()
+    for block in feasible.blocks:
+        centred[block] -= np.mean(grad[block])
 
     min_dd = math.inf
     ok = True
     eps = float(np.finfo(float).eps)
     for g in directions:
-        d1 = float(grad @ g)
+        d1 = float(centred @ g)
         min_dd = min(min_dd, d1)
         if d1 < -tol_dd:
             ok = False

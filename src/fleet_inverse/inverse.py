@@ -17,7 +17,15 @@ that solves the KKT system of one face exactly.  On certified inverses
 the polish is tried each time the iterate's active set changes, and the
 exact face solution is returned as soon as the extragradient has found
 its active set; otherwise the iteration runs to the gap tolerance and the
-polish removes the remaining iteration error.
+polish removes the remaining iteration error.  At L = 0 the operator is
+constant, and its greedy minimizer is exact as it stands.
+
+When the certificate fails, the solution set is enumerated: every
+solution solves the KKT system of its face, so the polish runs on each
+lower/free/cap partition that can hold every unit's fleet.  A face whose
+KKT system is singular (L = 0, dependent routes) gives its minimum-norm
+solution.  Above SolverConfig.vertex_cap partitions nothing is enumerated
+(InverseResult.exhaustive = False).
 
 Residuals are reported as VI gap per vehicle of fleet mass,
 max_x A(f).(f - x) / max(1, fleet mass), in time units.
@@ -34,6 +42,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import (
     DimensionMismatchError,
+    FleetModelError,
     InfeasibleProblemError,
     NotRealisableError,
 )
@@ -56,7 +65,7 @@ __all__ = [
     "discrete_recover",
 ]
 
-MARGIN_EPS = 1e-12  # |L| below this counts as the degenerate L = 0 case
+MARGIN_EPS = 1e-12  # margins at or below this are not certified
 
 
 # -- result types ---------------------------------------------------------------
@@ -99,6 +108,8 @@ class InverseResult:
     converged: bool
     level: str  # "route" or "link"
     fiber: FiberResult | None = None
+    # False when the solution set was not enumerated (above the vertex cap)
+    exhaustive: bool = True
 
 
 @dataclass(frozen=True)
@@ -150,17 +161,13 @@ def stationarity_map(strategy: FleetStrategy, q, f, network: Network) -> np.ndar
     return a0 + b @ f
 
 
-def _greedy_fill(c: np.ndarray, feasible: FeasibleSet, reverse_ties: bool = False) -> np.ndarray:
-    """Exact minimizer of c . x over the box-capped product simplex: fill the
-    cheapest routes first, ties broken by ascending route index (descending
-    when reverse_ties)."""
+def _linear_minimum(c: np.ndarray, feasible: FeasibleSet) -> tuple[np.ndarray, float]:
+    """Exact minimizer of c . x over the box-capped product simplex and its
+    value: fill the cheapest routes first, ties broken by ascending route
+    index."""
     x = np.zeros(feasible.n_routes)
     for block, total in zip(feasible.blocks, feasible.totals):
-        costs = c[block]
-        if reverse_ties:
-            order = np.lexsort((-np.arange(len(block)), costs))
-        else:
-            order = np.argsort(costs, kind="stable")
+        order = np.argsort(c[block], kind="stable")
         remaining = float(total)
         for r in block[order].tolist():
             cap = remaining if feasible.upper is None else min(remaining, float(feasible.upper[r]))
@@ -168,12 +175,6 @@ def _greedy_fill(c: np.ndarray, feasible: FeasibleSet, reverse_ties: bool = Fals
             remaining -= cap
             if remaining <= 0:
                 break
-    return x
-
-
-def _linear_minimum(c: np.ndarray, feasible: FeasibleSet) -> tuple[np.ndarray, float]:
-    """Greedy LP minimizer of c . x and its value."""
-    x = _greedy_fill(c, feasible)
     return x, float(c @ x)
 
 
@@ -217,13 +218,14 @@ def _extragradient(
     active partition of the iterate is tried with the active-set polish.
     The first validated face solution that keeps that partition and is
     within tol_gap is that solution, and it is returned at once.  Returns
-    (f, iterations, converged, f is a face solution).
+    (f, iterations, converged, f is an exact solution).
     """
     f = feasible.project(f0)
     b_norm = float(np.linalg.norm(b, 2))
     if b_norm <= 1e-300:
+        # a constant operator: every minimizer of a0 . f solves the VI
         x, _ = _linear_minimum(a0, feasible)
-        return x, 0, True, False
+        return x, 0, True, True
     step = config.extragradient_safety / b_norm
     face = None
     for k in range(1, config.max_vi_iter + 1):
@@ -359,6 +361,78 @@ def _solve_affine_vi(
     return f, gap, converged or gap <= tol_gap
 
 
+# -- face enumeration ----------------------------------------------------------------
+
+
+def _block_labelings(caps: np.ndarray, total: float, tol: float, limit: int) -> list[np.ndarray]:
+    """Lower (-1) / free (0) / cap (+1) labelings of one unit's routes that
+    can hold its total within tol: capped mass equal to the total, or below
+    it with free routes whose caps reach above it (a free route that must
+    sit at a bound names a point another labeling names).  Free and cap
+    labels need a positive cap.  Stops after more than limit labelings."""
+    k = len(caps)
+    # the largest mass routes i.. can hold
+    reach = np.concatenate([np.cumsum(caps[::-1])[::-1], [0.0]]).tolist()
+    out: list[np.ndarray] = []
+    stack: list[tuple[tuple[int, ...], float, float]] = [((), 0.0, 0.0)]
+    while stack and len(out) <= limit:
+        labels, fixed, room = stack.pop()
+        i = len(labels)
+        if fixed > total + tol or fixed + room + reach[i] < total - tol:
+            continue
+        if i == k:
+            if room > 0.0:
+                keep = fixed < total - tol and fixed + room > total + tol
+            else:
+                keep = abs(fixed - total) <= tol
+            if keep:
+                out.append(np.array(labels))
+            continue
+        cap = float(caps[i])
+        if cap > 0.0:
+            if math.isfinite(cap):
+                stack.append((labels + (1,), fixed + cap, room))
+            stack.append((labels + (0,), fixed, room + cap))
+        stack.append((labels + (-1,), fixed, room))
+    return out
+
+
+def _face_solutions(
+    a0: np.ndarray,
+    b: np.ndarray,
+    feasible: FeasibleSet,
+    tol_gap: float,
+    config: SolverConfig,
+) -> tuple[list[np.ndarray], bool]:
+    """Every solution of the affine VI that solves the KKT system of a face.
+
+    Runs the active-set polish on every product of the units' labelings
+    (see _block_labelings) and keeps the candidates it validates whose VI
+    gap is within max(tol_gap, 1e-6 * scale).  Returns (solutions,
+    exhaustive); with more than config.vertex_cap partitions it enumerates
+    nothing and returns ([], False).
+    """
+    tol = 1e-7 * (1.0 + feasible.total_mass)
+    per_block = []
+    count = 1
+    for block, total in zip(feasible.blocks, feasible.totals):
+        caps = np.full(len(block), math.inf) if feasible.upper is None else feasible.upper[block]
+        per_block.append(_block_labelings(caps, float(total), tol, config.vertex_cap))
+        count *= len(per_block[-1])
+        if count > config.vertex_cap:
+            return [], False
+    gate = max(tol_gap, 1e-6 * _residual_scale(feasible))
+    active = np.full(feasible.n_routes, -1)
+    found = []
+    for combo in itertools.product(*per_block):
+        for block, labels in zip(feasible.blocks, combo):
+            active[block] = labels
+        f = _polish_active_set(a0, b, feasible, active)
+        if f is not None and _vi_gap(a0, b, f, feasible) <= gate:
+            found.append(f)
+    return found, True
+
+
 # -- route-level inverse -----------------------------------------------------------
 
 
@@ -405,47 +479,6 @@ def _certificate(
     )
 
 
-def _nonuniqueness_search_fixed_point(
-    strategy: FleetStrategy,
-    q: np.ndarray,
-    network: Network,
-    feasible: FeasibleSet,
-    a0: np.ndarray,
-    b: np.ndarray,
-    config: SolverConfig,
-    seed: int,
-) -> list[np.ndarray]:
-    """Look for several stationary flows by iterating the forward best
-    response f <- G(q - f); used when the uniqueness theorem does not apply."""
-    rng = np.random.default_rng(seed)
-    forward_set = FeasibleSet(
-        blocks=feasible.blocks, totals=feasible.totals, n_routes=feasible.n_routes
-    )
-    try:
-        starts = feasible.vertices(min(64, config.vertex_cap))
-    except Exception:
-        starts = []
-    starts += [feasible.random_point(rng) for _ in range(8)]
-    scale = _residual_scale(feasible)
-    tol_gap = 1e-6 * scale
-    found: list[np.ndarray] = []
-    for f0 in starts:
-        f = feasible.project(f0)
-        for _ in range(40):
-            h = np.maximum(q - f, 0.0)
-            result = fleet_assign(
-                strategy, h, network, feasible=forward_set, config=config, certify=False
-            )
-            f_next = feasible.project(result.f)
-            if float(np.max(np.abs(f_next - f))) <= 1e-9 * scale:
-                f = f_next
-                break
-            f = f_next
-        if _vi_gap(a0, b, f, feasible) <= tol_gap:
-            found.append(f)
-    return _distinct(found, scale, config.tol_distinct)
-
-
 def solve_inverse(
     strategy: FleetStrategy,
     q,
@@ -457,9 +490,9 @@ def solve_inverse(
     """Recover the fleet route flow from the observed total flow q.
 
     Solves the stationarity VI over {0 <= f <= q, per-unit sums = sizes}.
-    When the uniqueness certificate fails the solve still runs, but the
-    result is marked and a multistart search tries to exhibit additional
-    distinct solutions.
+    When the uniqueness certificate fails, `solutions` is f_hat followed by
+    the other face solutions (just f_hat, with `exhaustive` False, above
+    config.vertex_cap partitions).  `seed` is not read.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (network.n_routes,):
@@ -479,7 +512,6 @@ def solve_inverse(
                 f"{float(np.sum(q[block]))} on its routes"
             )
     feasible = FeasibleSet(blocks=blocks, totals=sizes, n_routes=network.n_routes, upper=q)
-    seed = config.seed if seed is None else seed
 
     certificate = _certificate(strategy, q, network, config)
     a0, b = _affine_operator(strategy, q, network)
@@ -501,29 +533,14 @@ def solve_inverse(
             level="route",
         )
 
-    margin = strategy.margin
-    solutions: list[np.ndarray]
-    if abs(margin) <= MARGIN_EPS:
-        # the operator is constant in f: every minimizer of the linear map
-        # a0 . f over the feasible set solves the VI
-        x_fwd, _ = _linear_minimum(a0, feasible)
-        x_rev = _linear_minimum_reversed(a0, feasible)
-        f_hat, gap, converged = x_fwd, 0.0, True
-        solutions = _distinct([x_fwd, x_rev], scale, config.tol_distinct)
-    else:
-        f_hat, gap, converged = _solve_affine_vi(
-            a0, b, feasible, _uniform_start(feasible), tol_gap, config,
-            unique=certificate.theorem_applies,
-        )
-        solutions = [f_hat]
-        if not certificate.theorem_applies:
-            if margin < 0:
-                extra = _nonuniqueness_search_fixed_point(
-                    strategy, q, network, feasible, a0, b, config, seed
-                )
-            else:
-                extra = _multistart_vi(a0, b, feasible, tol_gap, config, seed)
-            solutions = _distinct(solutions + extra, scale, config.tol_distinct)
+    f_hat, gap, converged = _solve_affine_vi(
+        a0, b, feasible, _uniform_start(feasible), tol_gap, config,
+        unique=certificate.theorem_applies,
+    )
+    solutions, exhaustive = [f_hat], True
+    if not certificate.theorem_applies:
+        faces, exhaustive = _face_solutions(a0, b, feasible, tol_gap, config)
+        solutions = _distinct(solutions + faces, scale, config.tol_distinct)
 
     fiber = None
     if not dependence.independent:
@@ -547,35 +564,8 @@ def solve_inverse(
         converged=converged,
         level="route",
         fiber=fiber,
+        exhaustive=exhaustive,
     )
-
-
-def _linear_minimum_reversed(c: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
-    """Greedy LP minimizer with reversed tie-breaking; differs from the
-    forward greedy exactly when the minimum is non-unique."""
-    return _greedy_fill(c, feasible, reverse_ties=True)
-
-
-def _multistart_vi(
-    a0: np.ndarray,
-    b: np.ndarray,
-    feasible: FeasibleSet,
-    tol_gap: float,
-    config: SolverConfig,
-    seed: int,
-) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    try:
-        starts = feasible.vertices(min(64, config.vertex_cap))
-    except Exception:
-        starts = []
-    starts += [feasible.random_point(rng) for _ in range(8)]
-    out = []
-    for f0 in starts:
-        f, gap, _ = _solve_affine_vi(a0, b, feasible, f0, tol_gap, config)
-        if gap <= max(tol_gap, 1e-6 * _residual_scale(feasible)):
-            out.append(f)
-    return _distinct(out, _residual_scale(feasible), config.tol_distinct)
 
 
 # -- link-level inverse -------------------------------------------------------------
@@ -630,7 +620,8 @@ def inverse_link_flows(
     are exactly the images of feasible route flows, a convex set); the
     returned link flow is unique whenever the margin is positive and the
     link-time jacobian is positive definite on realisable directions, even
-    if several route flows realize it.
+    if several route flows realize it.  Otherwise `solutions` holds the
+    link images of the face solutions, as in solve_inverse.  `seed` is not read.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (network.n_links,):
@@ -678,11 +669,11 @@ def inverse_link_flows(
     )
     phi = network.route_to_link(f_param)
 
-    solutions = [phi]
+    solutions, exhaustive = [phi], True
     if not cert.theorem_applies:
-        extra = _multistart_vi(a0, b, feasible, tol_gap, config, config.seed if seed is None else seed)
+        faces, exhaustive = _face_solutions(a0, b, feasible, tol_gap, config)
         solutions = _distinct(
-            [phi] + [network.route_to_link(f) for f in extra], scale, config.tol_distinct
+            [phi] + [network.route_to_link(f) for f in faces], scale, config.tol_distinct
         )
 
     return InverseResult(
@@ -693,6 +684,7 @@ def inverse_link_flows(
         solutions=tuple(solutions),
         converged=converged,
         level="link",
+        exhaustive=exhaustive,
     )
 
 
@@ -1014,7 +1006,7 @@ def discrete_recover(
     scale = max(1.0, float(np.sum(hdv_totals)))
     try:
         starts = h_set.vertices(min(64, config.vertex_cap))
-    except Exception:
+    except FleetModelError:
         starts = []
     starts += [h_set.random_point(rng) for _ in range(config.discrete_starts)]
 

@@ -277,8 +277,6 @@ class Network:
         existing links.
     units : OD units partitioning the route list.  Optional; operations that
         need demand data raise if units are missing.
-    route_level : marks networks whose delays were declared per route rather
-        than per physical link (each route is its own pseudo-link).
     """
 
     def __init__(
@@ -286,11 +284,9 @@ class Network:
         links: Sequence[Link],
         routes: Sequence[Route],
         units: Sequence[ODUnit] | None = None,
-        route_level: bool = False,
     ):
         self.links = tuple(links)
         self.routes = tuple(routes)
-        self.route_level = bool(route_level)
         if not self.links:
             raise ValueError("network needs at least one link")
         if not self.routes:
@@ -408,8 +404,9 @@ class Network:
 
     def link_travel_times(self, a) -> np.ndarray:
         a = self._check_link_dim(a)
-        if np.any(a < 0):
-            raise DelayDomainError("negative link flow")
+        # NaN fails both comparisons, inf the second
+        if not (a.min() >= 0 and a.max() < np.inf):
+            raise DelayDomainError("link flows must be finite and non-negative")
         tau = np.empty(self.n_links)
         for i, link in enumerate(self.links):
             if i in self._cross_rows:
@@ -451,8 +448,8 @@ class Network:
         """Travel time on every route at total flow q (route travel times are
         sums of the member links' delays)."""
         q = self._check_route_dim(q)
-        if np.any(q < 0):
-            raise DelayDomainError("negative route flow")
+        if not (q.min() >= 0 and q.max() < np.inf):
+            raise DelayDomainError("route flows must be finite and non-negative")
         return self.incidence @ self.link_travel_times(self.route_to_link(q))
 
     def route_gradient(self, q, method: str = "analytic") -> np.ndarray:
@@ -551,7 +548,6 @@ def single_od_network(
     delays: Sequence[Delay],
     q_hdv: float,
     q_crv: float,
-    route_level: bool = False,
 ) -> Network:
     """Convenience builder: one OD pair, one single-link route per delay."""
     links = [Link(id=f"l{i}", delay=d) for i, d in enumerate(delays)]
@@ -563,4 +559,4 @@ def single_od_network(
         q_crv=q_crv,
         route_ids=tuple(r.id for r in routes),
     )
-    return Network(links, routes, units=[unit], route_level=route_level)
+    return Network(links, routes, units=[unit])

@@ -250,6 +250,50 @@ class TestCLI:
         assert "error[unsupported]" in err
         assert "covers two-route networks" in err
 
+    @pytest.mark.parametrize(
+        "subcommand,flag,value",
+        [
+            ("forward", "--days", "5"),
+            ("inverse", "--mu", "0.5"),
+            ("simulate", "--resolution", "0.25"),
+            ("stackelberg", "--samples", "10"),
+            ("lipschitz", "--days", "5"),
+        ],
+    )
+    def test_flag_only_where_read(self, subcommand, flag, value, capsys):
+        args = [subcommand, "--scenario", str(fixture_path("stackelberg_symmetric")), "--out", "-"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + [flag, value])
+        assert exc.value.code == EXIT_PARSE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_inverse_above_vertex_cap(self, tmp_path, capsys):
+        # each unit of two_od has three active partitions that hold its fleet
+        def n_solutions(path):
+            lines = path.read_text().splitlines()
+            col = lines[0].split(",").index("n_solutions")
+            return lines[0], {line.split(",")[col] for line in lines[1:]}
+
+        full = tmp_path / "full.csv"
+        assert run_cli(["inverse", "--scenario", str(fixture_path("two_od")), "--out", str(full)]) == EXIT_OK
+        full_stdout = capsys.readouterr().out.splitlines()
+        doc = load_doc("two_od")
+        doc["tolerances"] = {"vertex_cap": 8}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        capped = tmp_path / "capped.csv"
+        assert run_cli(["inverse", "--scenario", str(path), "--out", str(capped)]) == EXIT_OK
+        capped_stdout = capsys.readouterr().out.splitlines()
+        assert [line for line in capped_stdout if line not in full_stdout] == [
+            "solution set not enumerated: more than vertex_cap = 8 active partitions"
+        ]
+        assert [line for line in full_stdout if line not in capped_stdout] == [
+            "3 distinct solutions exhibited"
+        ]
+        header, counts = n_solutions(full)
+        assert counts == {"3"}
+        assert n_solutions(capped) == (header, {"1"})
+
     def test_cross_dependent_unstable_stackelberg_terminates(self, tmp_path):
         # the malicious objective is linear on this network, so each
         # simulated day is one corner enumeration

@@ -18,7 +18,6 @@ from fleet_inverse import (
     certify_local_min,
     eval_objective,
     fleet_assign,
-    project_to_feasible,
     single_od_network,
     solve_concave,
     solve_convex,
@@ -59,26 +58,26 @@ def grid_project_oracle(v, total, step=0.01, upper=None):
 class TestProjection:
     def test_already_feasible(self):
         fset = simple_set(20.0)
-        np.testing.assert_allclose(project_to_feasible([10.0, 10.0], fset), [10.0, 10.0])
+        np.testing.assert_allclose(fset.project([10.0, 10.0]), [10.0, 10.0])
 
     def test_clipped_corner(self):
         # plain simplex shift gives (25, -5); the feasible answer is the corner
         fset = simple_set(20.0)
-        result = project_to_feasible([30.0, 0.0], fset)
+        result = fset.project([30.0, 0.0])
         np.testing.assert_allclose(result, [20.0, 0.0], atol=1e-12)
         oracle = grid_project_oracle([30.0, 0.0], 20.0)
         np.testing.assert_allclose(result, oracle, atol=0.01)
 
     def test_symmetric_negative(self):
         fset = simple_set(10.0)
-        np.testing.assert_allclose(project_to_feasible([-5.0, -5.0], fset), [5.0, 5.0])
+        np.testing.assert_allclose(fset.project([-5.0, -5.0]), [5.0, 5.0])
 
     def test_capped_projection_against_grid(self):
         fset = simple_set(20.0, upper=[12.0, 15.0])
         rng = np.random.default_rng(2)
         for _ in range(20):
             v = rng.uniform(-10, 30, 2)
-            result = project_to_feasible(v, fset)
+            result = fset.project(v)
             oracle = grid_project_oracle(v, 20.0, upper=[12.0, 15.0])
             np.testing.assert_allclose(result, oracle, atol=0.02)
             assert abs(result.sum() - 20.0) < 1e-9
@@ -88,8 +87,8 @@ class TestProjection:
     @settings(max_examples=100, deadline=None)
     def test_idempotent(self, v):
         fset = FeasibleSet(blocks=(np.arange(3),), totals=np.array([30.0]), n_routes=3)
-        once = project_to_feasible(np.asarray(v), fset)
-        twice = project_to_feasible(once, fset)
+        once = fset.project(np.asarray(v))
+        twice = fset.project(once)
         np.testing.assert_allclose(twice, once, atol=1e-9)
         assert abs(once.sum() - 30.0) < 1e-9 and np.all(once >= -1e-12)
 
@@ -267,6 +266,24 @@ class TestCertify:
         fset = FeasibleSet.from_network(net)
         cert = certify_local_min(MALICIOUS, np.array([25.0, 25.0]), np.array([25.0, 25.0]), net, fset)
         assert not cert.is_local_min
+
+    @pytest.mark.parametrize("name", ["two_route_asymmetric", "signalized_link"])
+    def test_flat_derivative_stable_under_one_ulp(self, name):
+        # interior minima: the exact derivative is zero, so the reported
+        # value is rounding only and must not follow the last bit of f
+        sc = parse_scenario(fixture_path(name))
+        h = sc.hdv_route_flows
+        f = fleet_assign(sc.strategy, h, sc.network, config=sc.config).f
+        fset = FeasibleSet.from_network(sc.network)
+        base = certify_local_min(sc.strategy, h, f, sc.network, fset, sc.config)
+        assert abs(base.min_directional_derivative) <= 1e-12
+        for r in range(len(f)):
+            for toward in (-np.inf, np.inf):
+                g = f.copy()
+                g[r] = np.nextafter(g[r], toward)
+                cert = certify_local_min(sc.strategy, h, g, sc.network, fset, sc.config)
+                moved = abs(cert.min_directional_derivative - base.min_directional_derivative)
+                assert moved <= 1e-12
 
 
 class TestInvariants:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from fleet_inverse import (
     DEFAULT_CONFIG,
@@ -365,13 +368,12 @@ class TestNonFiniteObservations:
             inverse_link_flows(SELFISH, a, net_overlap, sizes=[bad])
 
 
-def _sorted_greedy(c, feasible, reverse_ties):
+def _sorted_greedy(c, feasible):
     """Greedy LP fill with the tie order spelled out as Python sort keys."""
     x = np.zeros(feasible.n_routes)
     for block, total in zip(feasible.blocks, feasible.totals):
         remaining = float(total)
-        sign = -1 if reverse_ties else 1
-        for i in sorted(range(len(block)), key=lambda i: (c[block[i]], sign * i)):
+        for i in sorted(range(len(block)), key=lambda i: (c[block[i]], i)):
             r = block[i]
             cap = remaining if feasible.upper is None else min(remaining, float(feasible.upper[r]))
             x[r] = cap
@@ -395,11 +397,9 @@ class TestLinearMinimum:
             feasible = FeasibleSet(blocks=blocks, totals=totals, n_routes=n, upper=upper)
             c = rng.integers(0, 3, n).astype(float)  # many ties
             x, value = inverse._linear_minimum(c, feasible)
-            expected = _sorted_greedy(c, feasible, reverse_ties=False)
+            expected = _sorted_greedy(c, feasible)
             assert x.tobytes() == expected.tobytes()
             assert value == float(c @ expected)
-            reversed_x = inverse._linear_minimum_reversed(c, feasible)
-            assert reversed_x.tobytes() == _sorted_greedy(c, feasible, True).tobytes()
 
 
 def _reference_solve(strategy, q, network):
@@ -552,3 +552,127 @@ class TestFaceExit:
         assert extragradient_calls[1][3] is False
         assert result.f_hat.tobytes() == full_run.f_hat.tobytes()
         assert result.residual == full_run.residual
+
+
+def _single_link_network(rng, sizes):
+    """Independent single-link routes, sizes[u] of them in OD unit u, and
+    HDV flows drawn from a Dirichlet split of each unit's demand; about a
+    third of the routes get no HDV flow, so the fleet can fill them up to
+    the observed cap."""
+    links, routes, units, h_parts = [], [], [], []
+    for u, k in enumerate(sizes):
+        ids = []
+        for j in range(k):
+            links.append(Link(f"l{u}.{j}", _random_delay(rng)))
+            routes.append(Route(f"r{u}.{j}", (f"l{u}.{j}",)))
+            ids.append(f"r{u}.{j}")
+        q_hdv, q_crv = float(rng.uniform(10, 60)), float(rng.uniform(5, 40))
+        units.append(ODUnit("O", f"D{u}", q_hdv=q_hdv, q_crv=q_crv, route_ids=tuple(ids)))
+        share = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
+        if share.sum() == 0.0:
+            share[0] = 1.0
+        h_parts.append(share / share.sum() * q_hdv)
+    return Network(links, routes, units=units), np.concatenate(h_parts)
+
+
+def _defect_instance():
+    """Four BPR routes where the fixed-point search used to miss the fleet
+    flow: the third strategy of (1, -0.5), (1, 0), (0.5, 0.2), each with its
+    own HDV draw."""
+    rng = np.random.default_rng(0)
+    delays = [BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(20, 80)), 2.0) for _ in range(4)]
+    net = single_od_network(delays, q_hdv=60.0, q_crv=30.0)
+    for _ in range(3):
+        h = rng.dirichlet(np.ones(4)) * 60.0
+    return FleetStrategy(0.5, 0.2), h, net
+
+
+class TestFaceEnumeration:
+    def test_defect_instance_without_forward_solves(self, monkeypatch):
+        strategy, h, net = _defect_instance()
+        forward = fleet_assign(strategy, h, net)
+        assert forward.certificate.is_local_min
+        np.testing.assert_allclose(forward.f, [0.0, 20.59, 9.41, 0.0], atol=5e-3)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("the inverse must not run the forward solver")
+
+        monkeypatch.setattr(inverse, "fleet_assign", no_forward)
+        result = solve_inverse(strategy, h + forward.f, net)
+        assert not result.certificate.theorem_applies
+        assert result.exhaustive
+        assert result.solutions[0] is result.f_hat
+        distance = min(float(np.max(np.abs(f - forward.f))) for f in result.solutions)
+        assert distance <= 1e-9 * 30.0
+
+    def test_above_vertex_cap(self):
+        strategy, h, net = _defect_instance()
+        q = h + fleet_assign(strategy, h, net).f
+        full = solve_inverse(strategy, q, net)
+        assert len(full.solutions) > 1
+        capped = solve_inverse(strategy, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=10))
+        assert not capped.exhaustive
+        assert capped.solutions == (capped.f_hat,)
+        assert capped.f_hat.tobytes() == full.f_hat.tobytes()
+        assert capped.residual == full.residual
+
+        link_net = two_od_overlap()
+        a = link_net.route_to_link(np.array([30.0, 20.0, 25.0, 25.0]))
+        link = inverse_link_flows(ALTRUISTIC, a, link_net)
+        assert link.exhaustive
+        capped = inverse_link_flows(ALTRUISTIC, a, link_net, config=DEFAULT_CONFIG.replace(vertex_cap=1))
+        assert not capped.exhaustive
+        assert capped.solutions == (capped.f_hat,)
+
+    def test_zero_margin_returns_the_greedy_minimum(self):
+        # the operator is constant, so the extragradient's first point, the
+        # greedy minimizer of a0 . f, is exact and the polish must not move it
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            sizes = [int(k) for k in rng.integers(1, 4, size=int(rng.integers(1, 4)))]
+            net, h = _single_link_network(rng, sizes)
+            lam = float(rng.uniform(-1, 1))
+            strategy = FleetStrategy(lam, lam)
+            q = h + fleet_assign(strategy, h, net, certify=False, seed=0).f
+            result = solve_inverse(strategy, q, net)
+            feasible = FeasibleSet(
+                blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q
+            )
+            a0, _ = inverse._affine_operator(strategy, q, net)
+            greedy, _ = inverse._linear_minimum(a0, feasible)
+            assert result.f_hat.tobytes() == greedy.tobytes()
+            assert result.residual == 0.0 and result.converged
+
+    @given(
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 6),
+        lam_hdv=st.floats(-1.0, 1.0),
+        margin=st.just(0.0) | st.floats(-1.5, -1e-3) | st.floats(1e-3, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_certified_forward_flow_is_listed(self, sizes, lam_hdv, margin, seed):
+        # over the whole (lam_hdv, lam_crv) plane except nonzero margins below
+        # 1e-3: the inverse amplifies the forward solver's stationarity
+        # tolerance by 1 / margin, so there the forward flow is not a
+        # solution to 1e-6 (at margin 1e-7 it misses by several vehicles)
+        rng = np.random.default_rng(seed)
+        net, h = _single_link_network(rng, sizes)
+        strategy = FleetStrategy(lam_hdv, lam_hdv + margin)
+        forward = fleet_assign(strategy, h, net, seed=0, config=DEFAULT_CONFIG.replace(n_starts=4))
+        result = solve_inverse(strategy, h + forward.f, net)
+        assert result.exhaustive
+        if result.certificate.theorem_applies:
+            assert len(result.solutions) == 1
+        if not forward.certificate.is_local_min:
+            return
+        tol = 1e-6 * max(1.0, float(np.sum(net.fleet_sizes())))
+        solutions = np.array(result.solutions)
+        if strategy.margin == 0.0:
+            # a constant operator: the solutions form the face of minimizers
+            # of a0 . f, and the list holds every vertex of it
+            weight = 1.0 + float(np.sum(net.fleet_sizes()))
+            lhs = np.vstack([solutions.T, np.full(len(solutions), weight)])
+            _, residual = nnls(lhs, np.append(forward.f, weight))
+            assert residual <= tol
+        else:
+            assert float(np.min(np.max(np.abs(solutions - forward.f), axis=1))) <= tol

@@ -89,6 +89,14 @@ class TestRouteTimes:
         with pytest.raises(DelayDomainError):
             fig_two_route.route_times([-1.0, 5.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_flow(self, fig_two_route, bad):
+        # these used to come back as [nan, nan]
+        with pytest.raises(DelayDomainError, match="finite"):
+            fig_two_route.route_times([bad, 1.0])
+        with pytest.raises(DelayDomainError, match="finite"):
+            fig_two_route.link_travel_times([1.0, bad])
+
 
 class TestBPRZeroFlow:
     def test_unbounded_derivatives_raise(self):

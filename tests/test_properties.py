@@ -141,7 +141,7 @@ class TestRouteLevelDelays:
         ]
         routes = [Route("r1", ("p1",)), Route("r2", ("p2",))]
         unit = ODUnit("O", "D", q_hdv=20.0, q_crv=10.0, route_ids=("r1", "r2"))
-        return Network(links, routes, units=[unit], route_level=True)
+        return Network(links, routes, units=[unit])
 
     def test_classified_by_structure(self):
         # affine and cross-affine delays make the objective quadratic, with
