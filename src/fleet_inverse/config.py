@@ -18,17 +18,16 @@ class SolverConfig:
     rank_rtol: float = 1e-9        # x largest singular value of the incidence matrix
     pd_rtol: float = 1e-9          # x trace(sym gradient)/R
     # forward solvers
-    tol_pg: float = 1e-9           # projected-gradient norm target, x (1 + |F|)
+    tol_pg: float = 1e-9           # max|f - P(f - grad F)| target, x (1 + max|grad F|)
     tol_tie: float = 1e-9          # relative tie window for corner minima
     tol_dd: float = 1e-8           # directional-derivative slack in certificates
-    tol_curv: float = 1e-8         # curvature slack for flat directions, x (1 + |F|)
+    tol_curv: float = 1e-8         # curvature slack for flat directions, x (1 + |d2|)
     tol_distinct: float = 1e-6     # minimizers distinct if max|df| exceeds this x scale
     n_starts: int = 20             # random multistart points (on top of vertices)
     n_dirs: int = 50               # random directions sampled by the certificate
     vertex_cap: int = 20000        # refuse to enumerate more vertices or faces than this
-    max_pg_iter: int = 5000
+    max_pg_iter: int = 5000        # descent iterations per start
     armijo_factor: float = 0.5
-    armijo_initial_step: float = 1.0
     armijo_c1: float = 1e-4
     # inverse solver
     tol_vi: float = 1e-8           # VI gap target, x (1 + ||t(q)||_2)

@@ -5,11 +5,13 @@ The feasible set is a product of per-unit simplices (fleet mass of each OD
 unit distributed over its routes), optionally intersected with upper
 bounds.  The class is decided from the network's structure
 (`classify_convexity`), which covers power-family, Webster and
-affine/cross-affine networks.  Strictly convex objectives are solved by
-projected gradient with Armijo backtracking and a Newton polish on the
-analytic Hessian; concave ones (linear ones included) by corner
-enumeration.  Only indefinite objectives fall to multistart projected
-gradient seeded from the corners plus random interior points.
+affine/cross-affine networks.  Convex objectives are solved by one
+projected Newton descent: Newton steps on the analytic Hessian over the
+free face of each unit, with Barzilai-Borwein projected-gradient steps
+where the reduced Hessian is not positive semidefinite or the Newton arc
+fails.  Concave ones (linear ones included) are solved by corner
+enumeration.  Only indefinite objectives run the descent from many starts,
+the corners plus random interior points.
 """
 
 from __future__ import annotations
@@ -293,6 +295,15 @@ class AssignmentResult:
 # -- certificates ---------------------------------------------------------------
 
 
+def _centred(grad: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
+    """The gradient minus its mean over each unit: the same derivative along
+    every feasible direction."""
+    out = grad.copy()
+    for block in feasible.blocks:
+        out[block] -= np.mean(grad[block])
+    return out
+
+
 def _feasible_pair_directions(f: np.ndarray, feasible: FeasibleSet) -> list[np.ndarray]:
     dirs = []
     move_tol = 1e-12 * (1.0 + feasible.total_mass)
@@ -349,9 +360,7 @@ def certify_local_min(
     tol_dd = config.tol_dd * (1.0 + float(np.max(np.abs(grad))))
     # the directions are zero-sum per unit: centring the gradient per unit
     # keeps the derivatives and drops the rounding of the directions' sums
-    centred = grad.copy()
-    for block in feasible.blocks:
-        centred[block] -= np.mean(grad[block])
+    centred = _centred(grad, feasible)
 
     min_dd = math.inf
     ok = True
@@ -381,7 +390,59 @@ def certify_local_min(
 # -- solvers --------------------------------------------------------------------
 
 
-def _projected_gradient(
+def _newton_direction(
+    strategy: FleetStrategy,
+    h: np.ndarray,
+    network: Network,
+    feasible: FeasibleSet,
+    f: np.ndarray,
+    grad: np.ndarray,
+    p: np.ndarray,
+    eps: float,
+    pd_rtol: float,
+) -> np.ndarray | None:
+    """Projected Newton direction on the free face (Bertsekas 1982).
+
+    A coordinate within eps of a bound that the unit gradient projection p
+    keeps on that bound is eps-active: the direction puts it exactly on the
+    bound and spreads the mass this frees over its unit's free coordinates.
+    On the free face it takes the minimum-norm minimizer of the quadratic
+    model, with the reduced Hessian Q^T H Q on an orthonormal basis Q of
+    each unit's zero-sum free directions, so it never moves along the flat
+    directions of linearly dependent routes.  None when the reduced Hessian
+    is not positive semidefinite.
+    """
+    active = (f <= eps) & (p <= 0.0)
+    d = np.where(active, -f, 0.0)
+    if feasible.upper is not None:
+        at_cap = (f >= feasible.upper - eps) & (p >= feasible.upper) & ~active
+        d[at_cap] = feasible.upper[at_cap] - f[at_cap]
+        active |= at_cap
+    columns = []
+    for block in feasible.blocks:
+        free = block[~active[block]]
+        if len(free) == 0:
+            continue
+        d[free] = -np.sum(d[block]) / len(free)
+        # Helmert basis: column k is (1, ..., 1, -k, 0, ...) / sqrt(k (k + 1))
+        k = np.arange(1, len(free))
+        basis = np.zeros((feasible.n_routes, len(k)))
+        helmert = np.triu(np.ones((len(free), len(k)))) - np.diag(k, -1)[:, :-1]
+        basis[free] = helmert / np.sqrt(k * (k + 1.0))
+        columns.append(basis)
+    q = np.hstack([np.zeros((feasible.n_routes, 0))] + columns)
+    if q.shape[1] == 0:
+        return d
+    hess = objective_hessian_in_f(strategy, h, f, network)
+    w, v = np.linalg.eigh(q.T @ hess @ q)
+    cutoff = pd_rtol * float(np.max(np.abs(w)))
+    if w[0] < -cutoff:
+        return None
+    keep = w > cutoff
+    return d - q @ (v[:, keep] @ ((v[:, keep].T @ (q.T @ (grad + hess @ d))) / w[keep]))
+
+
+def _descend(
     strategy: FleetStrategy,
     h: np.ndarray,
     network: Network,
@@ -389,133 +450,70 @@ def _projected_gradient(
     f0: np.ndarray,
     config: SolverConfig,
 ) -> tuple[np.ndarray, int, bool]:
-    """Projected gradient descent with Armijo backtracking from f0.
+    """Projected Newton descent from f0; returns (f, iterations, converged).
 
-    The accepted step is carried over (doubled) between iterations; a
-    reduced-space Newton polish afterwards removes the remaining truncation
-    error on the final active support.
-    """
-    f = feasible.project(f0)
-    f_val = eval_objective(strategy, h, f, network)
-    converged = False
-    iterations = 0
-    step_init = config.armijo_initial_step
-    for iterations in range(1, config.max_pg_iter + 1):
-        grad = objective_gradient_in_f(strategy, h, f, network)
-        tol_stat = config.tol_pg * (1.0 + float(np.max(np.abs(grad))))
-        residual = f - feasible.project(f - grad)
-        if float(np.max(np.abs(residual))) <= tol_stat:
-            converged = True
-            break
-        step = step_init
-        accepted = False
-        while step > 1e-16:
-            f_new = feasible.project(f - step * grad)
-            decrease = float(grad @ (f_new - f))
-            f_new_val = eval_objective(strategy, h, f_new, network)
-            if f_new_val <= f_val + config.armijo_c1 * decrease:
-                accepted = True
-                break
-            step *= config.armijo_factor
-        if not accepted or float(np.max(np.abs(f_new - f))) <= 1e-15 * (1.0 + feasible.total_mass):
-            break
-        step_init = min(config.armijo_initial_step, 2.0 * step)
-        f, f_val = f_new, f_new_val
-    f, polished = _newton_polish(strategy, h, network, feasible, f, config)
-    if not converged:
-        grad = objective_gradient_in_f(strategy, h, f, network)
-        tol_stat = config.tol_pg * (1.0 + float(np.max(np.abs(grad))))
-        residual = float(np.max(np.abs(f - feasible.project(f - grad))))
-        converged = residual <= (tol_stat if polished else 10.0 * tol_stat)
-    return f, iterations, converged
-
-
-def _newton_polish(
-    strategy: FleetStrategy,
-    h: np.ndarray,
-    network: Network,
-    feasible: FeasibleSet,
-    f: np.ndarray,
-    config: SolverConfig,
-) -> tuple[np.ndarray, bool]:
-    """Newton steps on the zero-sum subspace of the free coordinates.
-
-    The reduced Hessian D^T H D comes from the analytic objective Hessian;
-    the steps drive the interior stationarity residual to rounding level.
-    Aborts on any sign of trouble and returns the input unchanged.
+    Each iteration takes the Newton direction on the free face (see
+    _newton_direction) and backtracks along the projection arc P(f + a d).
+    Where the reduced Hessian is not positive semidefinite or that arc
+    fails, it takes a projected-gradient step whose first trial is the
+    Barzilai-Borwein quotient s.s / s.y of the last two iterates (Birgin,
+    Martinez and Raydan 2000), at most the step that moves the steepest
+    centred gradient entry by 1 + the fleet mass.  It stops when
+    max|f - P(f - grad)| <= tol_pg * (1 + max|grad|) and the Newton step is
+    at rounding level; that last step is taken, so eps-active coordinates
+    end exactly on their bounds.
     """
     scale = 1.0 + feasible.total_mass
-    atol = 1e-7 * scale
-    columns = []
-    for block in feasible.blocks:
-        free = [
-            r
-            for r in block
-            if f[r] > atol
-            and (feasible.upper is None or f[r] < feasible.upper[r] - atol)
-        ]
-        for i in range(1, len(free)):
-            g = np.zeros(feasible.n_routes)
-            g[free[0]] = 1.0
-            g[free[i]] = -1.0
-            columns.append(g)
-    if not columns:
-        return f, True
-    d = np.column_stack(columns)
+    upper = math.inf if feasible.upper is None else feasible.upper
+
+    def arc(x: np.ndarray) -> np.ndarray:
+        return x if np.all((x >= 0.0) & (x <= upper)) else feasible.project(x)
+
+    f = feasible.project(f0)
     f_val = eval_objective(strategy, h, f, network)
-    current = f
-    for _ in range(3):
-        grad = objective_gradient_in_f(strategy, h, current, network)
-        reduced_grad = d.T @ grad
-        hess = d.T @ objective_hessian_in_f(strategy, h, current, network) @ d
-        hess = 0.5 * (hess + hess.T)
-        try:
-            delta = np.linalg.solve(hess, -reduced_grad)
-        except np.linalg.LinAlgError:
-            return f, False
-        if not np.all(np.isfinite(delta)):
-            return f, False
-        candidate = current + d @ delta
-        if not feasible.contains(candidate, tol=1e-9):
-            return f, False
-        candidate = feasible.project(candidate)
-        candidate_val = eval_objective(strategy, h, candidate, network)
-        if candidate_val > f_val + 1e-9 * (1.0 + abs(f_val)):
-            return f, False
-        current = candidate
-        if float(np.max(np.abs(d @ delta))) <= 1e-13 * scale:
+    previous = None
+    converged = False
+    iterations = 0
+    for iterations in range(1, config.max_pg_iter + 1):
+        grad = objective_gradient_in_f(strategy, h, f, network)
+        p = feasible.project(f - grad)
+        residual = float(np.max(np.abs(f - p)))
+        stationary = residual <= config.tol_pg * (1.0 + float(np.max(np.abs(grad))))
+        d = _newton_direction(
+            strategy, h, network, feasible, f, grad, p, min(1e-7 * scale, residual), config.pd_rtol
+        )
+        if d is not None and float(np.max(np.abs(d))) <= 1e-13 * scale:
+            # at rounding level: taken whole only at a stationary point
+            f, d = (arc(f + d) if stationary else f), None
+        if d is None and stationary:
+            converged = True
             break
-    return current, True
-
-
-def _snap_to_support(
-    strategy: FleetStrategy,
-    h: np.ndarray,
-    f: np.ndarray,
-    network: Network,
-    feasible: FeasibleSet,
-) -> np.ndarray:
-    """Zero out vanishing coordinates and rescale the remaining support so
-    per-unit sums are exact; kept only when the objective does not degrade."""
-    atol = 1e-7 * (1.0 + feasible.total_mass)
-    snapped = f.copy()
-    if feasible.upper is not None:
-        near_cap = snapped >= feasible.upper - atol
-        snapped[near_cap] = feasible.upper[near_cap]
-    snapped[snapped < atol] = 0.0
-    for block, total in zip(feasible.blocks, feasible.totals):
-        live = block[snapped[block] > 0]
-        s = float(np.sum(snapped[block]))
-        if s <= 0 or len(live) == 0:
-            continue
-        snapped[live] *= total / s
-    if not feasible.contains(snapped):
-        return f
-    old = eval_objective(strategy, h, f, network)
-    new = eval_objective(strategy, h, snapped, network)
-    if new <= old + 1e-9 * (1.0 + abs(old)):
-        return snapped
-    return f
+        step = scale / float(np.max(np.abs(_centred(grad, feasible))))
+        if previous is not None:
+            s, y = f - previous[0], grad - previous[1]
+            if float(s @ y) > 0.0:
+                step = min(step, float(s @ s) / float(s @ y))
+        arcs = [] if d is None else [lambda a: arc(f + a * d)]
+        if not stationary:
+            arcs.append(lambda a: feasible.project(f - a * step * grad))
+        # Armijo backtracking, with slack for the objective's rounding near
+        # a minimum
+        f_ref = f_val + 16.0 * np.finfo(float).eps * (1.0 + abs(f_val))
+        accepted = None
+        for point in arcs:
+            a = 1.0
+            while accepted is None and a > 1e-16:
+                x = point(a)
+                x_val = eval_objective(strategy, h, x, network)
+                if x_val <= f_ref + config.armijo_c1 * float(grad @ (x - f)):
+                    accepted = x, x_val
+                a *= config.armijo_factor
+        if accepted is None or float(np.max(np.abs(accepted[0] - f))) <= 1e-15 * scale:
+            converged = stationary
+            break
+        previous = (f, grad)
+        f, f_val = accepted
+    return f, iterations, converged
 
 
 def solve_convex(
@@ -526,12 +524,11 @@ def solve_convex(
     config: SolverConfig = DEFAULT_CONFIG,
     certify: bool = True,
 ) -> AssignmentResult:
-    """Projected gradient descent for convex objectives; the minimizer is
-    unique when the objective is strictly convex."""
+    """Projected Newton descent (see _descend) for convex objectives; the
+    minimizer is unique when the objective is strictly convex."""
     h = np.asarray(h, dtype=float)
     f0 = feasible.project(np.full(feasible.n_routes, feasible.total_mass / max(1, feasible.n_routes)))
-    f, iterations, converged = _projected_gradient(strategy, h, network, feasible, f0, config)
-    f = _snap_to_support(strategy, h, f, network, feasible)
+    f, iterations, converged = _descend(strategy, h, network, feasible, f0, config)
     cert = certify_local_min(strategy, h, f, network, feasible, config) if certify else None
     return AssignmentResult(
         f=f,
@@ -585,9 +582,10 @@ def solve_general(
     config: SolverConfig = DEFAULT_CONFIG,
     certify: bool = True,
 ) -> AssignmentResult:
-    """Multistart projected gradient for objectives that are neither convex
-    nor concave.  Starts from every vertex plus n_starts random interior
-    points; returns the best local minimizer found and all distinct ones."""
+    """Multistart descent (see _descend) for objectives that are neither
+    convex nor concave.  Starts from every vertex plus n_starts random
+    interior points; returns the best local minimizer found and all
+    distinct ones."""
     h = np.asarray(h, dtype=float)
     rng = np.random.default_rng(config.seed if seed is None else seed)
     try:
@@ -597,8 +595,7 @@ def solve_general(
     starts = starts + [feasible.random_point(rng) for _ in range(config.n_starts)]
 
     def run_start(f0):
-        f, iterations, converged = _projected_gradient(strategy, h, network, feasible, f0, config)
-        f = _snap_to_support(strategy, h, f, network, feasible)
+        f, iterations, converged = _descend(strategy, h, network, feasible, f0, config)
         return f, iterations, converged, eval_objective(strategy, h, f, network)
 
     # reduction stays ordered by start index, so the outcome is independent

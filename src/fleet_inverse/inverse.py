@@ -251,26 +251,20 @@ def _extragradient(
     return f, config.max_vi_iter, False, False
 
 
-def _polish_active_set(
+def _face_point(
     a0: np.ndarray,
     b: np.ndarray,
     feasible: FeasibleSet,
     active: np.ndarray,
 ) -> np.ndarray | None:
-    """Solve the KKT system on an active partition (see _active_partition).
-
-    Free coordinates satisfy A(f)_r = mu_s inside their unit; coordinates
-    pinned at a bound must respect the complementary inequality.  Returns
-    the exact solution on that face, or None when it fails validation.
-    """
-    scale = 1.0 + feasible.total_mass
-    lower_active = active < 0
-    upper_active = active > 0
+    """Solve the KKT system on an active partition (see _active_partition):
+    free coordinates satisfy A(f)_r = mu_s inside their unit, the others sit
+    on their bounds.  None when the solve is not finite; the point is not
+    checked against the bounds or the multipliers."""
     free = active == 0
-
     fixed = np.zeros(feasible.n_routes)
     if feasible.upper is not None:
-        fixed = np.where(upper_active, feasible.upper, fixed)
+        fixed = np.where(active > 0, feasible.upper, fixed)
 
     free_idx = np.where(free)[0]
     blocks_with_free = [
@@ -304,12 +298,49 @@ def _polish_active_set(
             return None
         candidate = fixed.copy()
         candidate[free_idx] = solution[: len(free_idx)]
+    return candidate
+
+
+def _bound_violations(candidate: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
+    """-1 where candidate is below 0 and +1 where it is above its cap, by
+    more than 1e-9 * (1 + fleet mass); 0 elsewhere (the labels of
+    _active_partition)."""
+    tol_feas = 1e-9 * (1.0 + feasible.total_mass)
+    out = np.where(candidate < -tol_feas, -1, 0)
+    if feasible.upper is not None:
+        out[candidate > feasible.upper + tol_feas] = 1
+    return out
+
+
+def _polish_active_set(
+    a0: np.ndarray,
+    b: np.ndarray,
+    feasible: FeasibleSet,
+    active: np.ndarray,
+) -> np.ndarray | None:
+    """The exact solution on the face of an active partition, or None when
+    its face point fails validation."""
+    candidate = _face_point(a0, b, feasible, active)
+    return None if candidate is None else _validated(a0, b, feasible, active, candidate)
+
+
+def _validated(
+    a0: np.ndarray,
+    b: np.ndarray,
+    feasible: FeasibleSet,
+    active: np.ndarray,
+    candidate: np.ndarray,
+) -> np.ndarray | None:
+    """The face point of an active partition clipped to its bounds, if it
+    lies inside them, on the unit sums, and with coordinates pinned at a
+    bound respecting the complementary inequality; None otherwise."""
+    scale = 1.0 + feasible.total_mass
+    lower_active = active < 0
+    upper_active = active > 0
+    free = active == 0
 
     # validate primal feasibility
-    tol_feas = 1e-9 * scale
-    if np.any(candidate < -tol_feas):
-        return None
-    if feasible.upper is not None and np.any(candidate > feasible.upper + tol_feas):
+    if np.any(_bound_violations(candidate, feasible)):
         return None
     candidate = np.clip(candidate, 0.0, None if feasible.upper is None else feasible.upper)
     for block, total in zip(feasible.blocks, feasible.totals):
@@ -353,7 +384,18 @@ def _solve_affine_vi(
     gap = _vi_gap(a0, b, f, feasible)
     if on_face:
         return f, gap, True
-    polished = _polish_active_set(a0, b, feasible, _active_partition(f, feasible))
+    # a free coordinate the face point pushes past a bound belongs on that
+    # bound: relabel and solve again, at most once per route
+    active = _active_partition(f, feasible)
+    for _ in range(feasible.n_routes):
+        point = _face_point(a0, b, feasible, active)
+        polished = None if point is None else _validated(a0, b, feasible, active, point)
+        if polished is not None or point is None:
+            break
+        pushed = np.where(active == 0, _bound_violations(point, feasible), 0)
+        if not np.any(pushed):
+            break
+        active = np.where(pushed != 0, pushed, active)
     if polished is not None:
         gap_polished = _vi_gap(a0, b, polished, feasible)
         if gap_polished <= max(gap, 1e-12):
@@ -939,22 +981,41 @@ def lipschitz_bound(
 
 
 def _integer_candidates(
-    f_hat: np.ndarray, blocks, sizes: np.ndarray, radius: float
+    f_hat: np.ndarray, blocks, sizes: np.ndarray, radius: float, cap: int
 ) -> tuple[np.ndarray, ...]:
-    if not np.allclose(sizes, np.round(sizes)):
+    """Nonnegative integer flows within radius of f_hat that round each
+    coordinate down or up and keep every unit's size, in ascending
+    lexicographic order.
+
+    A unit rounds up exactly as many of its fractional coordinates as its
+    size leaves above the sum of the floors, so only those subsets are
+    built.  Raises FleetModelError when there are more than cap of them.
+    """
+    if not np.allclose(sizes, np.round(sizes)) or np.any(f_hat <= -1.0):
         return ()
-    options = [(math.floor(v), math.ceil(v)) for v in f_hat]
+    # a coordinate in (-1, 0) can only round up to 0; + 0.0 clears -0.0
+    low = np.maximum(np.floor(f_hat), 0.0) + 0.0
+    ups_per_unit = []
+    count = 1
+    for block, size in zip(blocks, sizes):
+        fractional = block[f_hat[block] > low[block]]
+        ups = float(size) - float(np.sum(low[block]))
+        k = round(ups)
+        if abs(ups - k) >= 1e-9 or not 0 <= k <= len(fractional):
+            return ()
+        count *= math.comb(len(fractional), k)
+        if count > cap:
+            raise FleetModelError(
+                f"integer candidate enumeration exceeded the cap of {cap}; raise vertex_cap"
+            )
+        ups_per_unit.append(list(itertools.combinations(fractional.tolist(), k)))
     out = []
-    for combo in itertools.product(*[sorted(set(o)) for o in options]):
-        cand = np.asarray(combo, dtype=float)
-        if np.any(cand < 0):
-            continue
-        ok = all(
-            abs(float(np.sum(cand[block])) - sizes[s]) < 1e-9
-            for s, block in enumerate(blocks)
-        )
+    for combo in itertools.product(*ups_per_unit):
+        cand = low.copy()
+        for ups in combo:
+            cand[list(ups)] += 1.0
         # small cushion: f_hat itself carries solver noise
-        if ok and float(np.linalg.norm(cand - f_hat)) <= radius * (1.0 + 1e-6) + 1e-6:
+        if float(np.linalg.norm(cand - f_hat)) <= radius * (1.0 + 1e-6) + 1e-6:
             out.append(cand)
     out.sort(key=lambda v: tuple(v))
     return tuple(out)
@@ -1053,7 +1114,7 @@ def discrete_recover(
     rounding_radius = math.sqrt(network.n_routes) / 2.0
     closeness = 2.0 * lip_inverse * rounding_radius
 
-    candidates = _integer_candidates(inverse.f_hat, blocks, sizes, rounding_radius)
+    candidates = _integer_candidates(inverse.f_hat, blocks, sizes, rounding_radius, config.vertex_cap)
     return DiscreteRecovery(
         inverse=inverse,
         h_star=h_star,

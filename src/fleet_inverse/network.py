@@ -202,8 +202,6 @@ class CrossAffineDelay:
 
 Delay = Union[BPRDelay, AffineDelay, QuadraticDelay, WebsterDelay, CrossAffineDelay]
 
-SCALAR_DELAYS = (BPRDelay, AffineDelay, QuadraticDelay, WebsterDelay)
-
 
 @dataclass(frozen=True)
 class Link:

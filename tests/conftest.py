@@ -1,5 +1,6 @@
 """Shared instance builders for the test suite."""
 
+import numpy as np
 import pytest
 
 from fleet_inverse import (
@@ -83,6 +84,23 @@ def three_affine_routes(q_hdv=70.0, q_crv=30.0, slopes=(1.0, 1.0, 1.0)) -> Netwo
     return single_od_network(
         [AffineDelay(1.0, s) for s in slopes], q_hdv=q_hdv, q_crv=q_crv
     )
+
+
+def route_ladder(instance_seed=2024) -> list:
+    """(h, network) pairs of one OD pair over R single-link BPR routes
+    (power 4), q_hdv = 10R, q_crv = 5R, h ~ Dirichlet(1) * 10R: three draws
+    for each R = 5, 20, 50, 100."""
+    rng = np.random.default_rng(instance_seed)
+    out = []
+    for r in (5, 20, 50, 100):
+        for _ in range(3):
+            delays = [
+                BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(20, 80)), 4.0)
+                for _ in range(r)
+            ]
+            net = single_od_network(delays, q_hdv=10.0 * r, q_crv=5.0 * r)
+            out.append((rng.dirichlet(np.ones(r)) * 10.0 * r, net))
+    return out
 
 
 @pytest.fixture

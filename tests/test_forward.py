@@ -23,8 +23,16 @@ from fleet_inverse import (
     solve_convex,
     solve_general,
 )
+from fleet_inverse.objective import objective_gradient_in_f
 from fleet_inverse.scenario import fixture_path, parse_scenario
-from conftest import asymmetric_two_route, symmetric_quadratic, three_affine_routes, two_od_overlap
+from conftest import (
+    asymmetric_two_route,
+    overlap_network,
+    route_ladder,
+    symmetric_quadratic,
+    three_affine_routes,
+    two_od_overlap,
+)
 
 SELFISH = FleetStrategy.preset("selfish")
 ALTRUISTIC = FleetStrategy.preset("altruistic")
@@ -94,6 +102,16 @@ class TestProjection:
 
 
 class TestSolveConvex:
+    def test_dependent_routes_stay_off_the_flat_direction(self):
+        # r1 - r2 - r3 + r4 has zero link flow, so the objective is flat
+        # along it: the Newton step must not move there from the uniform
+        # start (a pair-difference reduced basis moves the flow by 11)
+        net = overlap_network()
+        result = fleet_assign(SELFISH, np.array([100.0, 50.0, 80.0, 70.0]), net)
+        assert result.trace.converged and result.certificate.is_local_min
+        assert abs(float(result.f @ np.array([1.0, -1.0, -1.0, 1.0]))) <= 1e-12 * 100.0
+        np.testing.assert_allclose(result.f, [50 / 3, 100 / 3, 50 / 3, 100 / 3], rtol=1e-12)
+
     def test_symmetric_split(self):
         net = single_od_network([AffineDelay(1, 1)] * 2, q_hdv=0.0, q_crv=10.0)
         result = solve_convex(SELFISH, np.zeros(2), net, FeasibleSet.from_network(net))
@@ -246,6 +264,30 @@ class TestDispatchByStructure:
             fleet_assign(SELFISH, np.array([bad, 40.0]), fig_two_route)
 
 
+class TestWorkCounters:
+    def test_route_ladder_iteration_gate(self):
+        total = 0
+        for h, net in route_ladder():
+            result = fleet_assign(SELFISH, h, net, certify=False)
+            assert result.trace.method == "projected_gradient"
+            assert result.trace.converged
+            total += result.trace.iterations
+            # stationary to rounding: the gradient is level on the support
+            grad = objective_gradient_in_f(SELFISH, h, result.f, net)[result.f > 0]
+            assert grad.max() - grad.min() <= 1e-15 * grad.max()
+        # 5,206 with projected gradient steps, a Newton polish and snapping
+        assert total <= 300
+
+    def test_disruptive_multistart_at_twenty_routes(self):
+        h, net = route_ladder()[3]
+        result = fleet_assign(DISRUPTIVE, h, net)
+        assert result.trace.method == "multistart_projected_gradient"
+        assert result.trace.starts == 40
+        assert result.trace.converged and result.certificate.is_local_min
+        # the best of 28,814 projected-gradient iterations
+        assert result.objective == pytest.approx(-2148.429844953721, rel=1e-12)
+
+
 class TestCertify:
     def test_interior_stationary_point(self):
         net = single_od_network([AffineDelay(1, 1)] * 2, q_hdv=0.0, q_crv=10.0)
@@ -303,7 +345,7 @@ class TestInvariants:
             assert result.f.sum() == pytest.approx(net.units[0].q_crv, abs=1e-9)
 
     def test_convex_unique_from_many_starts(self, fig_two_route):
-        from fleet_inverse.forward import _projected_gradient
+        from fleet_inverse.forward import _descend
         from fleet_inverse import DEFAULT_CONFIG
 
         h = np.array([10.0, 40.0])
@@ -312,7 +354,7 @@ class TestInvariants:
         solutions = []
         for _ in range(10):
             f0 = fset.random_point(rng)
-            f, _, _ = _projected_gradient(SELFISH, h, fig_two_route, fset, f0, DEFAULT_CONFIG)
+            f, _, _ = _descend(SELFISH, h, fig_two_route, fset, f0, DEFAULT_CONFIG)
             solutions.append(f)
         for f in solutions[1:]:
             np.testing.assert_allclose(f, solutions[0], atol=1e-6)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
@@ -13,6 +13,7 @@ from fleet_inverse import (
     AffineDelay,
     BPRDelay,
     FeasibleSet,
+    FleetModelError,
     FleetStrategy,
     InfeasibleProblemError,
     Link,
@@ -34,6 +35,7 @@ from fleet_inverse import (
 )
 from conftest import (
     asymmetric_two_route,
+    route_ladder,
     symmetric_quadratic,
     three_affine_routes,
     two_od_overlap,
@@ -309,6 +311,65 @@ class TestDiscreteRecover:
             discrete_recover(SELFISH, np.array([50.5, 49.5]), net)
 
 
+def _brute_force_roundings(f_hat, blocks, sizes, radius):
+    """Every floor/ceil pattern of f_hat that is nonnegative, keeps the unit
+    sizes and lies within radius (with the library's cushion), as rows in
+    ascending lexicographic order."""
+    r = len(f_hat)
+    masks = np.arange(2**r, dtype=np.int32)[:, None]
+    bits = ((masks >> np.arange(r, dtype=np.int32)) & 1).astype(np.int8)
+    lo = np.floor(f_hat)
+    up = np.ceil(f_hat) - lo
+    keep = np.ones(len(bits), dtype=bool)
+    for block, size in zip(blocks, sizes):
+        keep &= np.abs(lo[block].sum() + bits[:, block] @ up[block] - size) < 1e-9
+    cand = lo + bits[keep] * up
+    cand = cand[np.all(cand >= 0, axis=1)]
+    cand = cand[np.linalg.norm(cand - f_hat, axis=1) <= radius * (1.0 + 1e-6) + 1e-6]
+    return np.unique(cand, axis=0) + 0.0
+
+
+class TestIntegerCandidates:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(8)
+        seen = 0
+        for _ in range(300):
+            units = [int(k) for k in rng.integers(1, 4, size=int(rng.integers(1, 4)))]
+            blocks, start = [], 0
+            for k in units:
+                blocks.append(np.arange(start, start + k))
+                start += k
+            sizes = rng.integers(0, 6, size=len(units)).astype(float)
+            f_hat = np.concatenate([rng.dirichlet(np.ones(k)) * s for k, s in zip(units, sizes)])
+            # integral coordinates, and rounding noise just below 0
+            integral = rng.random(start) < 0.2
+            f_hat[integral] = np.round(f_hat[integral])
+            f_hat[rng.random(start) < 0.1] = -1e-12
+            radius = float(rng.uniform(0.2, 1.0)) * math.sqrt(start) / 2.0
+            got = inverse._integer_candidates(
+                f_hat, tuple(blocks), sizes, radius, DEFAULT_CONFIG.vertex_cap
+            )
+            expected = _brute_force_roundings(f_hat, blocks, sizes, radius)
+            assert isinstance(got, tuple)
+            assert np.array_equal(np.array(got).reshape(-1, start), expected)
+            seen += len(got)
+        assert seen >= 200
+
+    def test_eighteen_routes(self):
+        rng = np.random.default_rng(18)
+        f_hat = rng.dirichlet(np.ones(18)) * 90.0
+        f_hat += (90.0 - f_hat.sum()) / 18.0
+        blocks, sizes = (np.arange(18),), np.array([90.0])
+        radius = math.sqrt(18) / 2.0
+        with pytest.raises(FleetModelError):
+            inverse._integer_candidates(f_hat, blocks, sizes, radius, DEFAULT_CONFIG.vertex_cap)
+        up = 90 - int(np.floor(f_hat).sum())
+        got = inverse._integer_candidates(f_hat, blocks, sizes, radius, math.comb(18, up))
+        expected = _brute_force_roundings(f_hat, blocks, sizes, radius)
+        assert len(got) > 1000
+        assert np.array_equal(np.array(got), expected)
+
+
 class TestMultiUnit:
     def test_two_od_round_trip(self):
         net = two_od_overlap()
@@ -517,19 +578,11 @@ class TestFaceExit:
 
     def test_route_ladder_iteration_gate(self, extragradient_calls):
         # selfish round trips over R single-link BPR routes, R = 5, 20, 50, 100
-        rng = np.random.default_rng(2024)
-        for r in (5, 20, 50, 100):
-            for _ in range(3):
-                delays = [
-                    BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(20, 80)), 4.0)
-                    for _ in range(r)
-                ]
-                net = single_od_network(delays, q_hdv=10.0 * r, q_crv=5.0 * r)
-                h = rng.dirichlet(np.ones(r)) * 10.0 * r
-                f = fleet_assign(SELFISH, h, net, certify=False).f
-                result = solve_inverse(SELFISH, h + f, net)
-                assert result.certificate.theorem_applies
-                assert float(np.max(np.abs(result.f_hat - f))) <= 1e-6 * 5.0 * r
+        for h, net in route_ladder():
+            f = fleet_assign(SELFISH, h, net, certify=False).f
+            result = solve_inverse(SELFISH, h + f, net)
+            assert result.certificate.theorem_applies
+            assert float(np.max(np.abs(result.f_hat - f))) <= 1e-6 * net.fleet_sizes()[0]
         assert len(extragradient_calls) == 12
         # 17,009 when every solve runs to the gap tolerance
         assert sum(call[1] for call in extragradient_calls) <= 3500
@@ -650,6 +703,11 @@ class TestFaceEnumeration:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
+    # the certified inverse stops on an iterate 3e-3 from the solution whose
+    # partition holds a route that belongs on its lower bound
+    @example(sizes=[3, 1], lam_hdv=0.0, margin=0.03125, seed=2)
+    # a forward flow 2e-7 from the minimizer, which 1 / margin magnifies
+    @example(sizes=[2, 3], lam_hdv=0.0, margin=0.001, seed=3)
     def test_certified_forward_flow_is_listed(self, sizes, lam_hdv, margin, seed):
         # over the whole (lam_hdv, lam_crv) plane except nonzero margins below
         # 1e-3: the inverse amplifies the forward solver's stationarity
