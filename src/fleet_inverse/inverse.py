@@ -49,7 +49,6 @@ from .errors import (
 from .forward import FeasibleSet, fleet_assign
 from .network import Network
 from .objective import FleetStrategy
-from .parallel import ordered_map
 
 __all__ = [
     "UniquenessCertificate",
@@ -384,8 +383,10 @@ def _solve_affine_vi(
     gap = _vi_gap(a0, b, f, feasible)
     if on_face:
         return f, gap, True
-    # a free coordinate the face point pushes past a bound belongs on that
-    # bound: relabel and solve again, at most once per route
+    # of the free coordinates the face point pushes past a bound, the one
+    # the segment from f to that point crosses first belongs on its bound
+    # (the active-set ratio test); relabel it and solve again, at most once
+    # per route
     active = _active_partition(f, feasible)
     for _ in range(feasible.n_routes):
         point = _face_point(a0, b, feasible, active)
@@ -395,7 +396,12 @@ def _solve_affine_vi(
         pushed = np.where(active == 0, _bound_violations(point, feasible), 0)
         if not np.any(pushed):
             break
-        active = np.where(pushed != 0, pushed, active)
+        upper = math.inf if feasible.upper is None else feasible.upper
+        bound = np.where(pushed > 0, upper, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crossing = np.where(pushed != 0, (bound - f) / (point - f), np.inf)
+        first = int(np.argmin(crossing))
+        active[first] = pushed[first]
     if polished is not None:
         gap_polished = _vi_gap(a0, b, polished, feasible)
         if gap_polished <= max(gap, 1e-12):
@@ -900,19 +906,15 @@ def _step_interval(
 # -- stability bound -------------------------------------------------------------------
 
 
-def _hessian_norm_bound(network: Network, q: np.ndarray) -> float:
+def _hessian_norm_bound(network: Network, q: np.ndarray):
     """Upper bound on the spectral norm of the travel-time second-derivative
-    tensor at q: sum over links of |tau''| * N^(3/2), N the number of routes
-    through the link."""
-    a = network.route_to_link(q)
+    tensor at q (or at each row of a batch): sum over links of
+    |tau''| * N^(3/2), N the number of routes through the link."""
+    seconds = np.abs(network.delay_table.second_derivatives(network.route_to_link(q)))
     route_counts = np.sum(network.incidence, axis=0)
     total = 0.0
-    for i, link in enumerate(network.links):
-        if hasattr(link.delay, "second_derivative"):
-            second = abs(link.delay.second_derivative(float(a[i])))
-        else:
-            second = 0.0  # cross-affine delays are linear in the flows
-        total += second * route_counts[i] ** 1.5
+    for link in range(network.n_links):  # accumulated in link order
+        total = total + seconds[..., link] * route_counts[link] ** 1.5
     return total
 
 
@@ -929,7 +931,8 @@ def lipschitz_bound(
     Samples the demand simplex with independent counter-based substreams,
     estimates the supremum norms of the travel-time gradient and of its
     Lipschitz modulus, the minimum feasible-direction eigenvalue rho, and
-    assembles K / (L * rho) bounding |f* - f#| / |q* - q#|.
+    assembles K / (L * rho) bounding |f* - f#| / |q* - q#|.  The samples
+    are evaluated as one batch.
     """
     units = network.units_or_raise()
     blocks = network.unit_blocks()
@@ -941,23 +944,20 @@ def lipschitz_bound(
     fleet_mass = float(np.sum(network.fleet_sizes()))
     demand_mass = float(np.sum(unit_totals))
 
-    def sample_stats(i: int):
+    q = np.zeros((max(samples, 0), network.n_routes))
+    for i in range(len(q)):
         # independent counter-based substream per sample
         rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        q = np.zeros(network.n_routes)
         for block, total in zip(blocks, unit_totals):
-            q[block] = rng.dirichlet(np.ones(len(block))) * total
-        grad = network.route_gradient(q)
-        return (
-            float(np.linalg.norm(grad, 2)),
-            _hessian_norm_bound(network, q),
-            network.restricted_min_eigenvalue(q),
-        )
-
-    stats = ordered_map(sample_stats, range(samples), config.max_threads)
-    grad_norm = max((g for g, _, _ in stats), default=0.0)
-    hess_norm = max((h for _, h, _ in stats), default=0.0)
-    rho = min((r for _, _, r in stats), default=math.inf)
+            q[i, block] = rng.dirichlet(np.ones(len(block))) * total
+    grad_norms = hess_norms = rhos = []
+    if len(q):
+        grad_norms = np.linalg.norm(network.route_gradient(q), 2, axis=(1, 2)).tolist()
+        hess_norms = _hessian_norm_bound(network, q).tolist()
+        rhos = np.broadcast_to(network.restricted_min_eigenvalue(q), len(q)).tolist()
+    grad_norm = max(grad_norms, default=0.0)
+    hess_norm = max(hess_norms, default=0.0)
+    rho = min(rhos, default=math.inf)
 
     margin = strategy.margin
     constant = (

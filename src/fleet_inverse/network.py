@@ -19,8 +19,8 @@ is pure, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import (
     DelayDomainError,
     DimensionMismatchError,
     FleetModelError,
+    UnsupportedDelayError,
 )
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "Route",
     "ODUnit",
     "Network",
+    "DelayTable",
     "LinearIndependence",
     "PDCertificate",
 ]
@@ -51,9 +53,164 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _first(mask, values) -> float:
+    """The first entry of values (broadcast to mask's shape) where mask holds."""
+    return float(np.broadcast_to(values, np.shape(mask))[mask][0])
+
+
+def _constant(x, c) -> np.ndarray:
+    """c broadcast to the shape of x (a derivative that does not depend on x)."""
+    out = np.empty(np.shape(x))
+    out[...] = c
+    return out
+
+
+# -- kernels: each delay kind's formulas, written once ------------------------
+#
+# A kernel object holds the parameters of one link (numpy scalars) or of
+# every link of its kind in a network (arrays), plus the factors of each
+# formula that do not depend on the flow, computed once and in the same
+# left-to-right order as the full product.  Its methods take flows that
+# broadcast against the parameters: a scalar, a vector over the kind's
+# links, or a batch (S, n) of such vectors.  Float exponents go through
+# np.float_power, which rounds like the C library's pow (numpy's SIMD
+# power does not), so the arrays and the scalar methods agree bit for bit.
+
+
+def _raise_at_zero_flow(kind_mask, any_kind: bool, x, power, what: str) -> None:
+    if any_kind:
+        undefined = kind_mask & (x <= 0.0)
+        if undefined.any():
+            raise DelayDomainError(f"BPR power {_first(undefined, power)} {what} at zero flow")
+
+
+class _BPRKernels:
+    def __init__(self, t0, d, capacity, power):
+        self.t0, self.d, self.capacity, self.power = t0, d, capacity, power
+        self.capacity_power = np.float_power(capacity, power)
+        self.slope = t0 * d * power
+        self.curvature = self.slope * (power - 1.0)
+        self.slope_power = power - 1.0
+        self.curvature_power = power - 2.0
+        self.linear = power == 1.0
+        self.any_linear = bool(np.any(self.linear))
+        self.no_slope = power < 1.0
+        self.any_no_slope = bool(np.any(self.no_slope))
+        self.no_curvature = ~self.linear & (power < 2.0)
+        self.any_no_curvature = bool(np.any(self.no_curvature))
+
+    def values(self, x):
+        return self.t0 * (1.0 + self.d * np.float_power(x / self.capacity, self.power))
+
+    def derivatives(self, x):
+        _raise_at_zero_flow(self.no_slope, self.any_no_slope, x, self.power, "< 1 has no derivative")
+        return self.slope * np.float_power(x, self.slope_power) / self.capacity_power
+
+    def second_derivatives(self, x):
+        _raise_at_zero_flow(
+            self.no_curvature, self.any_no_curvature, x, self.power, "< 2 has no second derivative"
+        )
+        if not self.any_linear:
+            return self.curvature * np.float_power(x, self.curvature_power) / self.capacity_power
+        # power 1 is linear; its formula reads 0 * inf at zero flow
+        with np.errstate(divide="ignore", invalid="ignore"):
+            second = self.curvature * np.float_power(x, self.curvature_power) / self.capacity_power
+        return np.where(self.linear, 0.0, second)
+
+
+class _AffineKernels:
+    def __init__(self, intercept, slope):
+        self.intercept, self.slope = intercept, slope
+
+    def values(self, x):
+        return self.intercept + self.slope * x
+
+    def derivatives(self, x):
+        return _constant(x, self.slope)
+
+    def second_derivatives(self, x):
+        return _constant(x, 0.0)
+
+
+class _QuadraticKernels:
+    def __init__(self, intercept, coefficient):
+        self.intercept, self.coefficient = intercept, coefficient
+        self.slope = 2.0 * coefficient
+
+    def values(self, x):
+        return self.intercept + self.coefficient * x * x
+
+    def derivatives(self, x):
+        return self.slope * x
+
+    def second_derivatives(self, x):
+        return _constant(x, self.slope)
+
+
+def _check_saturation(x) -> None:
+    # NaN fails both comparisons
+    if x.size and not (np.minimum.reduce(x, axis=None) >= 0.0 and np.maximum.reduce(x, axis=None) < 1.0):
+        outside = ~((0.0 <= x) & (x < 1.0))
+        raise DelayDomainError(
+            f"signalized link requires degree of saturation in [0, 1), got {_first(outside, x)!r}"
+        )
+
+
+class _WebsterKernels:
+    def __init__(self, green_ratio, saturation_flow, cycle):
+        g, s = green_ratio, saturation_flow
+        self.g = g
+        self.queue = cycle * np.float_power(1.0 - g, 2.0)  # c (1-g)^2
+        self.queue_slope = self.queue * g
+        self.queue_curvature = self.queue_slope * g
+        self.random = 2.0 * g * s
+        self.random_curvature = g * s
+
+    def values(self, x):
+        _check_saturation(x)
+        return 0.9 * (self.queue / (2.0 * (1.0 - self.g * x)) + x / (self.random * (1.0 - x)))
+
+    def derivatives(self, x):
+        _check_saturation(x)
+        return 0.9 * (
+            self.queue_slope / (2.0 * np.float_power(1.0 - self.g * x, 2.0))
+            + 1.0 / (self.random * np.float_power(1.0 - x, 2.0))
+        )
+
+    def second_derivatives(self, x):
+        _check_saturation(x)
+        return 0.9 * (
+            self.queue_curvature / np.float_power(1.0 - self.g * x, 3.0)
+            + 1.0 / (self.random_curvature * np.float_power(1.0 - x, 3.0))
+        )
+
+
+class _KernelDelay:
+    """Scalar methods of a link-additive delay kind, evaluated by the kind's
+    kernels (`kernels`, built from the fields in order), which the compiled
+    delay table also runs on all links of the kind at once.  Out-of-domain
+    flows raise DelayDomainError."""
+
+    kernels: ClassVar[type]
+
+    def _kernels(self):
+        return self.kernels(*(np.float64(getattr(self, f.name)) for f in fields(self)))
+
+    def value(self, x: float) -> float:
+        return float(self._kernels().values(np.float64(x)))
+
+    def derivative(self, x: float) -> float:
+        return float(self._kernels().derivatives(np.float64(x)))
+
+    def second_derivative(self, x: float) -> float:
+        return float(self._kernels().second_derivatives(np.float64(x)))
+
+
 @dataclass(frozen=True)
-class BPRDelay:
+class BPRDelay(_KernelDelay):
     """Polynomial volume-delay function t0 * (1 + d * (x / capacity) ** power)."""
+
+    kernels = _BPRKernels
 
     t0: float
     d: float
@@ -66,27 +223,12 @@ class BPRDelay:
         if self.t0 <= 0 or self.d <= 0 or self.capacity <= 0 or self.power <= 0:
             raise ValueError("BPR parameters t0, d, capacity, power must be positive")
 
-    def value(self, x: float) -> float:
-        return self.t0 * (1.0 + self.d * (x / self.capacity) ** self.power)
-
-    def derivative(self, x: float) -> float:
-        g = self.power
-        if g < 1.0 and x <= 0.0:
-            raise DelayDomainError(f"BPR power {g} < 1 has no derivative at zero flow")
-        return self.t0 * self.d * g * x ** (g - 1.0) / self.capacity**g
-
-    def second_derivative(self, x: float) -> float:
-        g = self.power
-        if g == 1.0:
-            return 0.0
-        if g < 2.0 and x <= 0.0:
-            raise DelayDomainError(f"BPR power {g} < 2 has no second derivative at zero flow")
-        return self.t0 * self.d * g * (g - 1.0) * x ** (g - 2.0) / self.capacity**g
-
 
 @dataclass(frozen=True)
-class AffineDelay:
+class AffineDelay(_KernelDelay):
     """intercept + slope * x with strictly positive slope."""
+
+    kernels = _AffineKernels
 
     intercept: float
     slope: float
@@ -97,19 +239,12 @@ class AffineDelay:
         if self.slope <= 0:
             raise ValueError("affine delay slope must be positive")
 
-    def value(self, x: float) -> float:
-        return self.intercept + self.slope * x
-
-    def derivative(self, x: float) -> float:
-        return self.slope
-
-    def second_derivative(self, x: float) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
-class QuadraticDelay:
+class QuadraticDelay(_KernelDelay):
     """intercept + coefficient * x**2 with strictly positive coefficient."""
+
+    kernels = _QuadraticKernels
 
     intercept: float
     coefficient: float
@@ -120,18 +255,9 @@ class QuadraticDelay:
         if self.coefficient <= 0:
             raise ValueError("quadratic delay coefficient must be positive")
 
-    def value(self, x: float) -> float:
-        return self.intercept + self.coefficient * x * x
-
-    def derivative(self, x: float) -> float:
-        return 2.0 * self.coefficient * x
-
-    def second_derivative(self, x: float) -> float:
-        return 2.0 * self.coefficient
-
 
 @dataclass(frozen=True)
-class WebsterDelay:
+class WebsterDelay(_KernelDelay):
     """Signalized-intersection delay as a function of degree of saturation.
 
     value(x) = 0.9 * ( cycle*(1-g)^2 / (2*(1-g*x)) + x / (2*g*s*(1-x)) )
@@ -141,6 +267,8 @@ class WebsterDelay:
     the function continuously to x = 0.  Defined for 0 <= x < 1 and strictly
     increasing there.
     """
+
+    kernels = _WebsterKernels
 
     green_ratio: float
     saturation_flow: float
@@ -154,27 +282,6 @@ class WebsterDelay:
         if self.saturation_flow <= 0 or self.cycle <= 0:
             raise ValueError("saturation_flow and cycle must be positive")
 
-    def _check_domain(self, x: float) -> None:
-        if not 0.0 <= x < 1.0:
-            raise DelayDomainError(
-                f"signalized link requires degree of saturation in [0, 1), got {x!r}"
-            )
-
-    def value(self, x: float) -> float:
-        self._check_domain(x)
-        g, s, c = self.green_ratio, self.saturation_flow, self.cycle
-        return 0.9 * (c * (1.0 - g) ** 2 / (2.0 * (1.0 - g * x)) + x / (2.0 * g * s * (1.0 - x)))
-
-    def derivative(self, x: float) -> float:
-        self._check_domain(x)
-        g, s, c = self.green_ratio, self.saturation_flow, self.cycle
-        return 0.9 * (c * (1.0 - g) ** 2 * g / (2.0 * (1.0 - g * x) ** 2) + 1.0 / (2.0 * g * s * (1.0 - x) ** 2))
-
-    def second_derivative(self, x: float) -> float:
-        self._check_domain(x)
-        g, s, c = self.green_ratio, self.saturation_flow, self.cycle
-        return 0.9 * (c * (1.0 - g) ** 2 * g * g / (1.0 - g * x) ** 3 + 1.0 / (g * s * (1.0 - x) ** 3))
-
 
 @dataclass(frozen=True)
 class CrossAffineDelay:
@@ -182,7 +289,8 @@ class CrossAffineDelay:
 
     value = intercept + own_slope * x_own + sum(cross[j] * x_j).  Jointly the
     network gradient may lose monotonicity, so no positivity is enforced
-    beyond finiteness of the parameters.
+    beyond finiteness of the parameters.  The compiled delay table
+    evaluates it, since it needs every link flow.
     """
 
     intercept: float
@@ -266,6 +374,123 @@ class PDCertificate:
     threshold: float
 
 
+def _positions(idx: list[int]):
+    """A slice when the indices are one contiguous run (a view, no copy),
+    else an index array."""
+    if idx and idx == list(range(idx[0], idx[-1] + 1)):
+        return slice(idx[0], idx[-1] + 1)
+    return np.asarray(idx, dtype=int)
+
+
+def _rowwise(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """matrix @ v for one vector v, or for each row of a batch (S, n).
+
+    A batch runs one BLAS matrix-vector product per row, the same call as
+    the unbatched product, so every row is bit-identical to it; a single
+    matrix-matrix product would sum in another order.
+    """
+    if v.ndim == 1:
+        return matrix @ v
+    return np.matmul(matrix, v[..., None])[..., 0]
+
+
+class DelayTable:
+    """A network's link delays compiled into arrays.
+
+    Links of each kernel kind (BPR, affine, quadratic, Webster) share one
+    parameter array per field; cross-affine links share one intercept
+    vector and one slope matrix whose rows hold the own slope on the
+    diagonal.  Every method takes link flows of shape (L,) or a batch
+    (S, L), one row per flow, evaluates each kind's kernels once on all of
+    its links, and returns one value per link (the jacobian one row per
+    link).  Cross-affine sums run one BLAS dot product per row, so each row
+    of a batch is bit-identical to the unbatched call.  Flows are not
+    validated here beyond the kernels' own domains.
+    """
+
+    def __init__(self, links: Sequence[Link], link_index: Mapping[str, int]):
+        members: dict[type, list[int]] = {}
+        cross: list[int] = []
+        for i, link in enumerate(links):
+            kind = type(link.delay)
+            if kind is CrossAffineDelay:
+                cross.append(i)
+            elif issubclass(kind, _KernelDelay):
+                members.setdefault(kind, []).append(i)
+            else:
+                raise UnsupportedDelayError(
+                    f"link {link.id!r} has unsupported delay type {kind.__name__}"
+                )
+        # (kernels on the kind's parameter arrays, the kind's link positions),
+        # kinds in order of first appearance
+        self.kinds = tuple(
+            (
+                kind.kernels(
+                    *(np.array([getattr(links[i].delay, f.name) for i in idx]) for f in fields(kind))
+                ),
+                _positions(idx),
+            )
+            for kind, idx in members.items()
+        )
+        self.cross_at = np.asarray(cross, dtype=int)
+        self.cross_intercepts = np.array([links[i].delay.intercept for i in cross])
+        slopes = np.zeros((len(cross), len(links)))
+        for row, i in enumerate(cross):
+            link = links[i]
+            slopes[row, i] = link.delay.own_slope
+            for other_id, coef in link.delay.cross.items():
+                if other_id not in link_index:
+                    raise ValueError(
+                        f"link {link.id!r} cross-references unknown link {other_id!r}"
+                    )
+                if other_id == link.id:
+                    raise ValueError(f"link {link.id!r} cross-references itself")
+                slopes[row, link_index[other_id]] = coef
+        slopes.setflags(write=False)
+        self.cross_slopes = slopes
+
+    @property
+    def link_additive(self) -> bool:
+        return self.cross_at.size == 0
+
+    def values(self, a: np.ndarray) -> np.ndarray:
+        tau = np.empty(a.shape)
+        for kernels, at in self.kinds:
+            tau[..., at] = kernels.values(a[..., at])
+        if not self.link_additive:
+            tau[..., self.cross_at] = self.cross_intercepts + np.vecdot(
+                a[..., None, :], self.cross_slopes
+            )
+        return tau
+
+    def jacobian(self, a: np.ndarray) -> np.ndarray:
+        """d tau / d a, shape (..., L, L): diagonal on the kernel links, the
+        slope rows on the cross-affine links."""
+        n = a.shape[-1]
+        jac = np.zeros(a.shape + (n,))
+        diagonal = jac.reshape(a.shape[:-1] + (n * n,))[..., :: n + 1]  # a view
+        for kernels, at in self.kinds:
+            diagonal[..., at] = kernels.derivatives(a[..., at])
+        if not self.link_additive:
+            jac[..., self.cross_at, :] = self.cross_slopes
+        return jac
+
+    def second_derivatives(self, a: np.ndarray) -> np.ndarray:
+        """d^2 tau_i / d a_i^2 on every link, zero flow included (where a
+        kernel's curvature is undefined it raises DelayDomainError); 0 on
+        cross-affine links, which are linear in the link flows."""
+        second = np.zeros(a.shape)
+        for kernels, at in self.kinds:
+            second[..., at] = kernels.second_derivatives(a[..., at])
+        return second
+
+
+def _require_flows(x: np.ndarray, what: str) -> None:
+    # NaN fails both comparisons, inf the second
+    if x.size and not (x.min() >= 0 and x.max() < np.inf):
+        raise DelayDomainError(f"{what} flows must be finite and non-negative")
+
+
 class Network:
     """Immutable network with delay functions, routes, and OD units.
 
@@ -306,22 +531,7 @@ class Network:
         incidence.setflags(write=False)
         self.incidence = incidence
 
-        # resolve cross-dependence columns once
-        self._cross_rows: dict[int, np.ndarray] = {}
-        for a, link in enumerate(self.links):
-            if isinstance(link.delay, CrossAffineDelay):
-                row = np.zeros(len(self.links))
-                row[a] = link.delay.own_slope
-                for other_id, coef in link.delay.cross.items():
-                    if other_id not in self._link_index:
-                        raise ValueError(
-                            f"link {link.id!r} cross-references unknown link {other_id!r}"
-                        )
-                    if other_id == link.id:
-                        raise ValueError(f"link {link.id!r} cross-references itself")
-                    row[self._link_index[other_id]] = coef
-                row.setflags(write=False)
-                self._cross_rows[a] = row
+        self.delay_table = DelayTable(self.links, self._link_index)
 
         self.units: tuple[ODUnit, ...] | None = None
         self._unit_blocks: tuple[np.ndarray, ...] | None = None
@@ -359,7 +569,7 @@ class Network:
     @property
     def link_additive(self) -> bool:
         """True when every link delay depends only on its own flow."""
-        return not self._cross_rows
+        return self.delay_table.link_additive
 
     def unit_blocks(self) -> tuple[np.ndarray, ...]:
         if self._unit_blocks is None:
@@ -377,52 +587,43 @@ class Network:
             raise FleetModelError("this operation needs OD units, but none were declared")
         return self.units
 
-    def _check_route_dim(self, q: np.ndarray) -> np.ndarray:
+    def _check_route_dim(self, q, batch: bool = False) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        if q.shape != (self.n_routes,):
+        if q.shape[-1:] != (self.n_routes,) or q.ndim > (2 if batch else 1):
+            batches = " (or a batch of them)" if batch else ""
             raise DimensionMismatchError(
-                f"expected route vector of length {self.n_routes}, got shape {q.shape}"
+                f"expected route vector of length {self.n_routes}{batches}, got shape {q.shape}"
             )
         return q
 
-    def _check_link_dim(self, a: np.ndarray) -> np.ndarray:
+    def _check_link_dim(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=float)
-        if a.shape != (self.n_links,):
+        if a.shape[-1:] != (self.n_links,) or a.ndim > 2:
             raise DimensionMismatchError(
-                f"expected link vector of length {self.n_links}, got shape {a.shape}"
+                f"expected link vector of length {self.n_links} (or a batch of them), "
+                f"got shape {a.shape}"
             )
         return a
 
     # -- flow conversion and travel times -------------------------------------
+    #
+    # Every method here takes one flow vector or a batch (S, R) / (S, L) of
+    # them, one flow per row; each row of a batch is bit-identical to the
+    # unbatched call.
 
     def route_to_link(self, q) -> np.ndarray:
         """Aggregate a route flow into the induced link flow (linear)."""
-        q = self._check_route_dim(q)
-        return self.incidence.T @ q
+        return _rowwise(self.incidence.T, self._check_route_dim(q, batch=True))
 
     def link_travel_times(self, a) -> np.ndarray:
         a = self._check_link_dim(a)
-        # NaN fails both comparisons, inf the second
-        if not (a.min() >= 0 and a.max() < np.inf):
-            raise DelayDomainError("link flows must be finite and non-negative")
-        tau = np.empty(self.n_links)
-        for i, link in enumerate(self.links):
-            if i in self._cross_rows:
-                tau[i] = link.delay.intercept + float(self._cross_rows[i] @ a)
-            else:
-                tau[i] = link.delay.value(float(a[i]))
-        return tau
+        _require_flows(a, "link")
+        return self.delay_table.values(a)
 
     def link_time_jacobian(self, a) -> np.ndarray:
-        """d tau / d a, an (A, A) matrix; diagonal unless cross-dependence."""
-        a = self._check_link_dim(a)
-        jac = np.zeros((self.n_links, self.n_links))
-        for i, link in enumerate(self.links):
-            if i in self._cross_rows:
-                jac[i] = self._cross_rows[i]
-            else:
-                jac[i, i] = link.delay.derivative(float(a[i]))
-        return jac
+        """d tau / d a, an (A, A) matrix per flow; diagonal unless
+        cross-dependence."""
+        return self.delay_table.jacobian(self._check_link_dim(a))
 
     def link_second_derivatives(self, a) -> np.ndarray:
         """d^2 tau_a / d a_a^2 on every link carrying flow; 0 on cross-affine
@@ -433,51 +634,24 @@ class Network:
         that vanishes with it.
         """
         a = self._check_link_dim(a)
-        return np.array(
-            [
-                link.delay.second_derivative(float(a[i]))
-                if a[i] > 0 and i not in self._cross_rows
-                else 0.0
-                for i, link in enumerate(self.links)
-            ]
-        )
+        flowing = a > 0
+        # 0.5 lies inside every kernel's domain; those entries are dropped
+        second = self.delay_table.second_derivatives(np.where(flowing, a, 0.5))
+        return np.where(flowing, second, 0.0)
 
     def route_times(self, q) -> np.ndarray:
         """Travel time on every route at total flow q (route travel times are
         sums of the member links' delays)."""
-        q = self._check_route_dim(q)
-        if not (q.min() >= 0 and q.max() < np.inf):
-            raise DelayDomainError("route flows must be finite and non-negative")
-        return self.incidence @ self.link_travel_times(self.route_to_link(q))
+        q = self._check_route_dim(q, batch=True)
+        _require_flows(q, "route")
+        a = _rowwise(self.incidence.T, q)
+        return _rowwise(self.incidence, self.delay_table.values(a))
 
-    def route_gradient(self, q, method: str = "analytic") -> np.ndarray:
-        """Gradient matrix of route travel times with respect to route flows.
-
-        The analytic form composes the incidence matrix with the link-time
-        jacobian.  method="fd" falls back to central finite differences on
-        route_times (one-sided at the q >= 0 boundary).
-        """
-        q = self._check_route_dim(q)
-        if method == "analytic":
-            jac = self.link_time_jacobian(self.route_to_link(q))
-            return self.incidence @ jac @ self.incidence.T
-        if method == "fd":
-            return self._fd_gradient(q)
-        raise ValueError(f"unknown gradient method {method!r}")
-
-    def _fd_gradient(self, q: np.ndarray, step_scale: float = 1e-6) -> np.ndarray:
-        grad = np.zeros((self.n_routes, self.n_routes))
-        for j in range(self.n_routes):
-            h = max(step_scale, step_scale * abs(q[j]))
-            qp = q.copy()
-            qp[j] += h
-            if q[j] - h >= 0:
-                qm = q.copy()
-                qm[j] -= h
-                grad[:, j] = (self.route_times(qp) - self.route_times(qm)) / (2 * h)
-            else:
-                grad[:, j] = (self.route_times(qp) - self.route_times(q)) / h
-        return grad
+    def route_gradient(self, q) -> np.ndarray:
+        """Gradient matrix of route travel times with respect to route flows:
+        the incidence matrix composed with the link-time jacobian."""
+        jac = self.link_time_jacobian(self.route_to_link(q))
+        return self.incidence @ jac @ self.incidence.T
 
     # -- structure certificates ------------------------------------------------
 
@@ -510,27 +684,25 @@ class Network:
             return np.zeros((self.n_routes, 0))
         return np.column_stack(columns)
 
-    def restricted_min_eigenvalue(self, q, pair_normalized: bool = False) -> float:
-        """Smallest eigenvalue of sym(route gradient) on feasible directions.
-
-        With pair_normalized=True the value is scaled so that a single pair
-        swap (1, -1) has unit weight (twice the unit-norm Rayleigh quotient).
-        Returns +inf when the feasible subspace is trivial.
+    def restricted_min_eigenvalue(self, q):
+        """Smallest eigenvalue of sym(route gradient) on feasible directions
+        (the unit-norm Rayleigh quotient), one per row of a batch.  Returns
+        +inf when the feasible subspace is trivial.
         """
         basis = self.feasible_direction_basis()
         if basis.shape[1] == 0:
             return math.inf
-        grad = self.route_gradient(np.asarray(q, dtype=float))
-        sym = 0.5 * (grad + grad.T)
-        reduced = basis.T @ sym @ basis
-        value = float(np.linalg.eigvalsh(reduced)[0])
-        return 2.0 * value if pair_normalized else value
+        grad = self.route_gradient(q)
+        sym = 0.5 * (grad + np.swapaxes(grad, -1, -2))
+        value = np.linalg.eigvalsh(basis.T @ sym @ basis)[..., 0]
+        return float(value) if value.ndim == 0 else value
 
     def feasible_direction_pd(self, q, pd_rtol: float = 1e-9) -> PDCertificate:
         """Positive definiteness of the travel-time gradient on feasible
         directions, the gate for inverse uniqueness."""
         q = self._check_route_dim(q)
-        min_rayleigh = self.restricted_min_eigenvalue(q, pair_normalized=True)
+        # a unit pair swap (1, -1) has unit scale: twice the unit-norm quotient
+        min_rayleigh = 2.0 * self.restricted_min_eigenvalue(q)
         if math.isinf(min_rayleigh):
             return PDCertificate(passes=True, min_rayleigh=math.inf, threshold=0.0)
         grad = self.route_gradient(q)

@@ -118,21 +118,28 @@ class ConvexityClass:
         return self.kind.value
 
 
-def _check_pair(h: np.ndarray, f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair(
+    h: np.ndarray, f: np.ndarray, n: int, batch: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=float)
     f = np.asarray(f, dtype=float)
-    if h.shape != (n,) or f.shape != (n,):
+    if h.shape != f.shape or h.shape[-1:] != (n,) or h.ndim > (2 if batch else 1):
         raise DimensionMismatchError(
             f"expected two route vectors of length {n}, got {h.shape} and {f.shape}"
         )
     return h, f
 
 
-def eval_objective(strategy: FleetStrategy, h, f, network: Network) -> float:
-    """Fleet objective in route form, (lam_hdv*h + lam_crv*f) . t(h + f)."""
-    h, f = _check_pair(h, f, network.n_routes)
+def eval_objective(strategy: FleetStrategy, h, f, network: Network):
+    """Fleet objective in route form, (lam_hdv*h + lam_crv*f) . t(h + f).
+
+    h and f may also be batches (S, R); the result is then one objective
+    per row, each bit-identical to the unbatched call (one BLAS dot product
+    per row)."""
+    h, f = _check_pair(h, f, network.n_routes, batch=True)
     t = network.route_times(h + f)
-    return float((strategy.lam_hdv * h + strategy.lam_crv * f) @ t)
+    value = np.vecdot(strategy.lam_hdv * h + strategy.lam_crv * f, t)
+    return float(value) if h.ndim == 1 else value
 
 
 def eval_objective_link_form(strategy: FleetStrategy, h, f, network: Network) -> float:

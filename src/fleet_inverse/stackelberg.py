@@ -8,6 +8,11 @@ assignments, which this module verifies by brute force, and the optimal
 mixing probability is found by golden-section search plus a verification
 grid.  A best-response cycle check shows when no pure-HDV Nash point
 exists, and a day-to-day simulation supplies the myopic comparison.
+
+Grids of mixtures are solved as one batch: each mixture is a row of split
+fractions and weights, and one vectorized Illinois iterate finds every
+row's induced equilibrium, evaluating only the rows still active.  Each
+row is bit-identical to the single-mixture solve.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .errors import FleetModelError
 from .forward import FeasibleSet, solve_concave
 from .network import Network
 from .objective import FleetStrategy, eval_objective
-from .parallel import ordered_map
 
 __all__ = [
     "MixedCornerStrategy",
@@ -64,12 +68,23 @@ class GeneralMixture:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        weights = np.array([w for _, w in self.points])
-        if np.any(weights < 0) or abs(float(np.sum(weights)) - 1.0) > 1e-9:
-            raise ValueError("mixture weights must be non-negative and sum to one")
-        for alpha, _ in self.points:
-            if not 0.0 <= alpha <= 1.0:
-                raise ValueError("split fractions must lie in [0, 1]")
+        _check_mixtures(*_mixture_arrays([self]))
+
+
+def _mixture_arrays(mixtures) -> tuple[np.ndarray, np.ndarray]:
+    """Split fractions and weights of mixtures with equally many points,
+    one row per mixture."""
+    if any(len(point) != 2 for m in mixtures for point in m.points):
+        raise ValueError("mixture points must be (split fraction, weight) pairs")
+    points = np.array([m.points for m in mixtures], dtype=float).reshape(len(mixtures), -1, 2)
+    return points[..., 0], points[..., 1]
+
+
+def _check_mixtures(alphas: np.ndarray, weights: np.ndarray) -> None:
+    if np.any(weights < 0) or np.any(np.abs(np.sum(weights, axis=1) - 1.0) > 1e-9):
+        raise ValueError("mixture weights must be non-negative and sum to one")
+    if not np.all((0.0 <= alphas) & (alphas <= 1.0)):
+        raise ValueError("split fractions must lie in [0, 1]")
 
 
 def _require_two_routes(network: Network) -> None:
@@ -87,19 +102,86 @@ def _demands(network: Network, q_hdv, q_crv) -> tuple[float, float]:
     return float(q_hdv), float(q_crv)
 
 
-def _expected_costs(
-    mixture: GeneralMixture, h1: float, q_hdv: float, q_crv: float, network: Network
-) -> tuple[float, float]:
-    c1 = c2 = 0.0
+def _accumulate(weights: np.ndarray, rows, points, terms: np.ndarray) -> np.ndarray:
+    """Per-row sums of the weighted terms of the (row, point) pairs of
+    nonzero weight, added over the mixture points in their order."""
+    total = np.zeros(weights.shape[:1] + terms.shape[1:])
+    for k in range(weights.shape[1]):
+        at = points == k
+        total[rows[at]] += terms[at]
+    return total
+
+
+def _expected_cost_gap(alphas, weights, h1, q_hdv, q_crv, network) -> np.ndarray:
+    """Expected route-1 minus route-2 cost of each row's mixture when HDVs
+    put h1 on route 1, from one batched route_times call."""
     h2 = q_hdv - h1
-    for alpha, w in mixture.points:
-        if w == 0.0:
-            continue
-        q = np.array([h1 + alpha * q_crv, h2 + (1.0 - alpha) * q_crv])
-        t = network.route_times(q)
-        c1 += w * t[0]
-        c2 += w * t[1]
-    return c1, c2
+    rows, points = np.nonzero(weights)  # zero-weight points are never evaluated
+    alpha = alphas[rows, points]
+    q = np.column_stack((h1[rows] + alpha * q_crv, h2[rows] + (1.0 - alpha) * q_crv))
+    weighted = weights[rows, points][:, None] * network.route_times(q)
+    costs = _accumulate(weights, rows, points, weighted)
+    return costs[:, 0] - costs[:, 1]
+
+
+def _induced_ue_batch(
+    alphas: np.ndarray,
+    weights: np.ndarray,
+    q_hdv: float,
+    q_crv: float,
+    network: Network,
+    config: SolverConfig,
+) -> np.ndarray:
+    """HDV flows (S, 2) equilibrating each row's expected costs.
+
+    Illinois false position on h1 (Dowell and Jarratt 1971), row by row in
+    lockstep: the expected cost difference is strictly increasing in h1 for
+    increasing delays, so either a one-sided corner applies or the interior
+    root is bracketed.  Superlinear on the smooth difference, and lands
+    exactly on symmetric roots.  Rows leave the iterate as they converge.
+    """
+    x = np.zeros(len(alphas))
+    if q_hdv == 0.0:
+        return np.column_stack((x, q_hdv - x))
+
+    def gap(rows, h1):
+        return _expected_cost_gap(alphas[rows], weights[rows], h1, q_hdv, q_crv, network)
+
+    rows = np.arange(len(alphas))
+    fa = gap(rows, np.zeros(len(rows)))
+    rows, fa = rows[~(fa >= 0.0)], fa[~(fa >= 0.0)]  # fa >= 0: all HDVs on route 2
+    fb = gap(rows, np.full(len(rows), q_hdv))
+    x[rows[fb <= 0.0]] = q_hdv  # all HDVs on route 1
+    keep = ~(fb <= 0.0)
+    rows, fa, fb = rows[keep], fa[keep], fb[keep]
+
+    a = np.zeros(len(rows))
+    b = np.full(len(rows), q_hdv)
+    xr = 0.5 * (a + b)
+    side = np.zeros(len(rows), dtype=int)
+    for _ in range(200):
+        if not rows.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xr = np.where(fb != fa, (a * fb - b * fa) / (fb - fa), xr)
+        outside = ~np.isfinite(xr) | ~((a <= xr) & (xr <= b))
+        xr = np.where(outside, 0.5 * (a + b), xr)
+        fx = gap(rows, xr)
+        done = (np.abs(fx) <= config.ue_tol) | ((b - a) <= 1e-15 * q_hdv)
+        x[rows[done]] = xr[done]
+        go = ~done
+        rows, a, b, fa, fb, xr, fx, side = (
+            v[go] for v in (rows, a, b, fa, fb, xr, fx, side)
+        )
+        left = fx < 0.0
+        # the retained endpoint's value halves when the same side moves twice
+        fb = np.where(left & (side == -1), 0.5 * fb, fb)
+        fa = np.where(~left & (side == 1), 0.5 * fa, fa)
+        a, fa = np.where(left, xr, a), np.where(left, fx, fa)
+        b, fb = np.where(left, b, xr), np.where(left, fb, fx)
+        side = np.where(left, -1, 1)
+    x[rows] = xr  # rows out of iterations keep their last iterate
+    return np.column_stack((x, q_hdv - x))
 
 
 def induced_ue(
@@ -109,56 +191,24 @@ def induced_ue(
     network: Network | None = None,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
-    """HDV flows equilibrating expected costs under the announced mixture.
-
-    Bisection on h1: the expected cost difference is strictly increasing in
-    h1 for increasing delays, so either a one-sided corner applies or the
-    interior root is bracketed.
-    """
+    """HDV flows equilibrating expected costs under the announced mixture
+    (the one-row case of the batched Illinois solve)."""
     _require_two_routes(network)
     q_hdv, q_crv = _demands(network, q_hdv, q_crv)
-
-    def diff(h1: float) -> float:
-        c1, c2 = _expected_costs(mixture, h1, q_hdv, q_crv, network)
-        return c1 - c2
-
-    if q_hdv == 0.0:
-        return np.zeros(2)
-    a, b = 0.0, q_hdv
-    fa = diff(a)
-    if fa >= 0.0:
-        return np.array([0.0, q_hdv])
-    fb = diff(b)
-    if fb <= 0.0:
-        return np.array([q_hdv, 0.0])
-
-    # Illinois false position: superlinear on the smooth increasing diff,
-    # lands exactly on symmetric roots
-    x = 0.5 * (a + b)
-    side = 0
-    for _ in range(200):
-        if fb != fa:
-            x = (a * fb - b * fa) / (fb - fa)
-        if not math.isfinite(x) or not a <= x <= b:
-            x = 0.5 * (a + b)
-        fx = diff(x)
-        if abs(fx) <= config.ue_tol or (b - a) <= 1e-15 * q_hdv:
-            break
-        if fx < 0.0:
-            a, fa = x, fx
-            if side == -1:
-                fb *= 0.5
-            side = -1
-        else:
-            b, fb = x, fx
-            if side == 1:
-                fa *= 0.5
-            side = 1
-    return np.array([x, q_hdv - x])
+    alphas, weights = _mixture_arrays([mixture])
+    return _induced_ue_batch(alphas, weights, q_hdv, q_crv, network, config)[0]
 
 
-def _fleet_assignment(alpha: float, q_crv: float) -> np.ndarray:
-    return np.array([alpha * q_crv, (1.0 - alpha) * q_crv])
+def _expected_objectives(
+    strategy: FleetStrategy, alphas, weights, h: np.ndarray, network: Network, q_crv: float
+) -> np.ndarray:
+    """Each row's expected fleet objective over its mixture points, at the
+    row's HDV flows h (S, 2)."""
+    rows, points = np.nonzero(weights)
+    alpha = alphas[rows, points]
+    f = np.column_stack((alpha * q_crv, (1.0 - alpha) * q_crv))
+    terms = weights[rows, points] * eval_objective(strategy, h[rows], f, network)
+    return _accumulate(weights, rows, points, terms)
 
 
 def expected_fleet_objective(
@@ -172,13 +222,9 @@ def expected_fleet_objective(
     induced HDV flows h."""
     _require_two_routes(network)
     _, q_crv = _demands(network, 0.0, q_crv)
-    h = np.asarray(h, dtype=float)
-    total = 0.0
-    for alpha, w in mixture.points:
-        if w == 0.0:
-            continue
-        total += w * eval_objective(strategy, h, _fleet_assignment(alpha, q_crv), network)
-    return total
+    alphas, weights = _mixture_arrays([mixture])
+    h = np.asarray(h, dtype=float)[None]
+    return float(_expected_objectives(strategy, alphas, weights, h, network, q_crv)[0])
 
 
 def expected_hdv_time(
@@ -190,6 +236,27 @@ def expected_hdv_time(
     """Expected total HDV travel time under the mixture; the malicious
     fleet maximizes this quantity."""
     return -expected_fleet_objective(MALICIOUS, mixture, h, network, q_crv=q_crv)
+
+
+def _mixture_values(
+    strategy: FleetStrategy,
+    alphas: np.ndarray,
+    weights: np.ndarray,
+    q_hdv: float,
+    q_crv: float,
+    network: Network,
+    config: SolverConfig,
+) -> np.ndarray:
+    """Expected fleet objective of each row's mixture at its induced
+    equilibrium."""
+    h = _induced_ue_batch(alphas, weights, q_hdv, q_crv, network, config)
+    return _expected_objectives(strategy, alphas, weights, h, network, q_crv)
+
+
+def _corner_mixtures(ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """MixedCornerStrategy(p).as_mixture() for each p, as arrays."""
+    alphas = np.tile([1.0, 0.0], (len(ps), 1))
+    return alphas, np.column_stack((ps, 1.0 - ps))
 
 
 @dataclass(frozen=True)
@@ -208,9 +275,8 @@ def _corner_value(
     network: Network,
     config: SolverConfig,
 ) -> float:
-    mixture = MixedCornerStrategy(p).as_mixture()
-    h = induced_ue(mixture, q_hdv, q_crv, network, config)
-    return expected_fleet_objective(strategy, mixture, h, network, q_crv=q_crv)
+    alphas, weights = _mixture_arrays([MixedCornerStrategy(p).as_mixture()])
+    return float(_mixture_values(strategy, alphas, weights, q_hdv, q_crv, network, config)[0])
 
 
 def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
@@ -256,7 +322,7 @@ def optimize_corner_mixture(
         return MixtureOptimum(p_best=0.5, objective_best=v, optima=(0.5,), degenerate=True)
 
     grid = np.linspace(0.0, 1.0, config.mixture_grid)
-    values = np.array([value(p) for p in grid])
+    values = _mixture_values(strategy, *_corner_mixtures(grid), q_hdv, q_crv, network, config)
     v_min = float(np.min(values))
     window = 1e-9 * (1.0 + abs(v_min))
     near = values <= v_min + window
@@ -310,39 +376,30 @@ def verify_corner_support(
     _require_two_routes(network)
     q_hdv, q_crv = _demands(network, q_hdv, q_crv)
 
-    def corner_hdv_time(p: float) -> float:
-        mixture = MixedCornerStrategy(p).as_mixture()
-        h = induced_ue(mixture, q_hdv, q_crv, network, config)
-        return expected_hdv_time(mixture, h, network, q_crv=q_crv)
-
     ps = np.linspace(0.0, 1.0, config.mixture_grid)
-    best_corner = max(corner_hdv_time(p) for p in ps)
+    corner_times = -_mixture_values(MALICIOUS, *_corner_mixtures(ps), q_hdv, q_crv, network, config)
+    best_corner = max(corner_times.tolist())
 
     grid = np.arange(0.0, 1.0 + resolution / 2.0, resolution)
-    cells = [
-        (float(a1), float(a2), float(w)) for a1 in grid for a2 in grid for w in grid
-    ]
-
-    def evaluate(cell):
-        a1, a2, w = cell
-        mixture = GeneralMixture(points=((a1, w), (a2, 1.0 - w)))
-        h = induced_ue(mixture, q_hdv, q_crv, network, config)
-        return expected_hdv_time(mixture, h, network, q_crv=q_crv)
-
-    # grid cells are independent; the reduction below is ordered by index
-    values = ordered_map(evaluate, cells, config.max_threads)
+    # cells (alpha1, alpha2, weight) in nested-loop order
+    a1, a2, w = (c.ravel() for c in np.meshgrid(grid, grid, grid, indexing="ij"))
+    alphas = np.column_stack((a1, a2))
+    weights = np.column_stack((w, 1.0 - w))
+    _check_mixtures(alphas, weights)
+    hdv_times = -_mixture_values(MALICIOUS, alphas, weights, q_hdv, q_crv, network, config)
+    margins = best_corner - hdv_times
     worst = math.inf
     worst_at = (0.0, 0.0, 0.0)
-    for cell, value in zip(cells, values):
-        margin = best_corner - value
-        if margin < worst:
-            worst = margin
-            worst_at = cell
+    if margins.size:
+        i = int(np.argmin(margins))  # the first worst cell
+        if margins[i] < worst:
+            worst = float(margins[i])
+            worst_at = (float(a1[i]), float(a2[i]), float(w[i]))
     return CornerSupportReport(
         worst_margin=worst,
         worst_mixture=worst_at,
         best_corner_value=best_corner,
-        mixtures_checked=len(cells),
+        mixtures_checked=len(margins),
     )
 
 

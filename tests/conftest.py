@@ -16,6 +16,24 @@ from fleet_inverse import (
 )
 
 
+def fd_route_gradient(network: Network, q, step_scale: float = 1e-6) -> np.ndarray:
+    """Central finite differences of route_times (one-sided at the q >= 0
+    boundary), an oracle for Network.route_gradient."""
+    q = np.asarray(q, dtype=float)
+    grad = np.zeros((network.n_routes, network.n_routes))
+    for j in range(network.n_routes):
+        h = max(step_scale, step_scale * abs(q[j]))
+        qp = q.copy()
+        qp[j] += h
+        if q[j] - h >= 0:
+            qm = q.copy()
+            qm[j] -= h
+            grad[:, j] = (network.route_times(qp) - network.route_times(qm)) / (2 * h)
+        else:
+            grad[:, j] = (network.route_times(qp) - network.route_times(q)) / h
+    return grad
+
+
 def asymmetric_two_route(q_hdv=50.0, q_crv=50.0) -> Network:
     """Two independent routes, t1 = 5*(1+(x/50)^2), t2 = 15*(1+(x/80)^2)."""
     return single_od_network(

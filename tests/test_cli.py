@@ -1,5 +1,6 @@
 """Scenario parsing, CSV reports, determinism, error categories."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -22,6 +23,32 @@ from fleet_inverse.scenario import (
 )
 
 ALL_FIXTURES = list_fixtures()
+
+# sha256 of each report with default flags, as the per-link scalar kernels and
+# the one-mixture-at-a-time Stackelberg solves wrote it; the batched paths keep
+# every byte
+STACKELBERG_SHA256 = {
+    "cross_dependent_stable": "975f7c4abb5298eaad89ac3b20ebed2254783d8cc906c8947b7ebf1c15ba06d8",
+    "cross_dependent_unstable": "2755284f4ffb92ec5d91c39a32029e4cb449a5c7dce1e1612a6366539ca0136b",
+    "discrete_two_route": "69e19403f6729f744f19b33c82a1343debe5e6f1818ed72f3d3af755283626ad",
+    "signalized_link": "1ffc4dcf1e1aed2b1a4013064494c6c32dc3c285d2836597ce257af516763ba7",
+    "stackelberg_symmetric": "bd69dd9ea7ff838494411352752628e57ed11d3bbcea3d5de51d8a1e357c6191",
+    "two_route_asymmetric": "291252ab36ed7daf3dad6bb66084e2292f5efbfeb2ea0010b3aa3c3dbfbce7af",
+    "two_route_common_links": "01f54ae03da0c81e40dfb5f63ae35858723a6a2d9d9ff86edd69cbaefe779f2f",
+}
+LIPSCHITZ_SHA256 = {
+    "cross_dependent_stable": "feb8448e5b5422b3e6fa0b189aa946a83accbbb1f200a0fa30ee8f9214316312",
+    "cross_dependent_unstable": "e1aeb428a2a0400a419a077e3a0daf024a87afa3cfa3329e6626a49c036c20f2",
+    "discrete_two_route": "8fe360781d088f4ca497d761fe2316459133914e432dce792e469e7ceec940b2",
+    "signalized_link": "1b81ccc587ed57ef654b2f7e5a313fc883e7fdddf7025f4a5974f68388051a52",
+    "stackelberg_symmetric": "dc8fb70542a863cd55359463775794300a19d081b06c237bc8c5d91d248018f2",
+    "two_od": "00afce080f8430490b162f432a2c3d6c74d7735e4741bc3bbaba1dba2ec914d2",
+    "two_route_asymmetric": "95349eddba090204a3782a673b1cab2903f142347b8aa92ccbdd8ac281bc5102",
+    "two_route_common_links": "974ee5d7d0970fd5c36f5459fb2d8066b65ac4abbfac62b3b01466c281a253d5",
+    "two_stage_overlap": "1259eb532f0b25855ea11d6fbb14e22b611d62823f2f7ea8fc7e01c07d1b44e5",
+    "two_stage_overlap_concentrated": "1259eb532f0b25855ea11d6fbb14e22b611d62823f2f7ea8fc7e01c07d1b44e5",
+    "two_unit": "de837bbb58ca598dbaf0c29e8e0f5874b8d9ef71d84db02d8be6bf79eee90868",
+}
 
 
 def load_doc(name: str) -> dict:
@@ -418,3 +445,19 @@ class TestCLI:
         )
         assert float(row["bound"]) > 0
         assert row["defined"] == "1"
+
+
+class TestReportBytes:
+    """The stackelberg report of every two-route fixture and the lipschitz
+    report of every fixture keep their bytes."""
+
+    @pytest.mark.parametrize(
+        "subcommand,name",
+        [("stackelberg", name) for name in STACKELBERG_SHA256]
+        + [("lipschitz", name) for name in LIPSCHITZ_SHA256],
+    )
+    def test_report_sha256(self, subcommand, name, tmp_path):
+        digests = STACKELBERG_SHA256 if subcommand == "stackelberg" else LIPSCHITZ_SHA256
+        out = tmp_path / "report.csv"
+        assert run_cli([subcommand, "--scenario", str(fixture_path(name)), "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[name]

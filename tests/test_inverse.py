@@ -708,6 +708,9 @@ class TestFaceEnumeration:
     @example(sizes=[3, 1], lam_hdv=0.0, margin=0.03125, seed=2)
     # a forward flow 2e-7 from the minimizer, which 1 / margin magnifies
     @example(sizes=[2, 3], lam_hdv=0.0, margin=0.001, seed=3)
+    # the polished face pushes one route below 0 and, to hold the unit's
+    # mass, another above its cap; only the first belongs on its bound
+    @example(sizes=[3, 1, 1], lam_hdv=0.00390625, margin=0.00390625, seed=2)
     def test_certified_forward_flow_is_listed(self, sizes, lam_hdv, margin, seed):
         # over the whole (lam_hdv, lam_crv) plane except nonzero margins below
         # 1e-3: the inverse amplifies the forward solver's stationarity

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fleet_inverse import (
     AffineDelay,
     BPRDelay,
+    CrossAffineDelay,
     DelayDomainError,
     DimensionMismatchError,
     Link,
@@ -21,9 +22,13 @@ from fleet_inverse import (
     fleet_assign,
     single_od_network,
 )
+from fleet_inverse.scenario import fixture_path, parse_scenario
 from conftest import (
     cross_dependent_two_route,
+    fd_route_gradient,
     overlap_network,
+    symmetric_quadratic,
+    three_affine_routes,
     two_od_overlap,
 )
 
@@ -116,11 +121,143 @@ class TestBPRZeroFlow:
             fleet_assign(FleetStrategy.preset("selfish"), [10.0, 0.0], net)
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def long_routes_network(n_links=24, n_routes=4, per_route=14) -> Network:
+    """Routes of 14 links over 24 shared BPR and affine links: long enough
+    sums that a matrix-matrix product orders them differently from the
+    matrix-vector product."""
+    rng = np.random.default_rng(0)
+    links = [
+        Link(f"l{i}", BPRDelay(float(rng.uniform(1, 5)), 0.15, float(rng.uniform(20, 60)), 4.0))
+        if i % 2
+        else Link(f"l{i}", AffineDelay(float(rng.uniform(1, 3)), float(rng.uniform(0.1, 1))))
+        for i in range(n_links)
+    ]
+    routes = [
+        Route(f"r{r}", tuple(f"l{i}" for i in sorted(rng.choice(n_links, per_route, replace=False))))
+        for r in range(n_routes)
+    ]
+    unit = ODUnit("O", "D", q_hdv=30.0, q_crv=10.0, route_ids=tuple(r.id for r in routes))
+    return Network(links, routes, units=[unit])
+
+
+def kind_networks() -> dict[str, Network]:
+    """Every delay kind, each with the largest route flow that keeps its
+    links in their domains."""
+    return {
+        "long_routes": long_routes_network(),
+        "bpr": single_od_network(
+            [BPRDelay(5.0, 1.0, 50.0, p) for p in (1.0, 1.5, 2.0, 4.0)] + [BPRDelay(2.0, 0.15, 30.0, 0.5)],
+            q_hdv=50.0,
+            q_crv=20.0,
+        ),
+        "affine": three_affine_routes(slopes=(0.5, 1.0, 2.0)),
+        "quadratic": symmetric_quadratic(),
+        "webster": single_od_network(
+            [WebsterDelay(0.5, 1.0, 60.0), WebsterDelay(0.3, 2.0, 90.0), AffineDelay(2.0, 0.1)],
+            q_hdv=0.4,
+            q_crv=0.3,
+        ),
+        "cross_affine": cross_dependent_two_route(2.0, -0.5),
+        "common_links": parse_scenario(fixture_path("two_route_common_links")).network,
+        "signalized_fixture": parse_scenario(fixture_path("signalized_link")).network,
+    }
+
+
+KIND_FLOW_CAP = {"webster": 0.45, "signalized_fixture": 0.45}
+
+
+class TestBatchedKernels:
+    """Each row of a batched kernel call is bit-identical to the unbatched
+    call, and the scalar Delay methods share the table's formulas."""
+
+    @pytest.mark.parametrize("name", sorted(kind_networks()))
+    def test_rows_match_unbatched(self, name):
+        net = kind_networks()[name]
+        rng = np.random.default_rng(5)
+        q = rng.uniform(0.0, KIND_FLOW_CAP.get(name, 60.0), size=(64, net.n_routes))
+        q[0] = 0.0  # zero flow on every route
+        q[1, 0] = 0.0
+        times = net.route_times(q)
+        links = net.route_to_link(q)
+        tau = net.link_travel_times(links)
+        second = net.link_second_derivatives(links)
+        assert times.shape == q.shape and tau.shape == links.shape
+        for i in range(len(q)):
+            assert _bits(times[i]) == _bits(net.route_times(q[i]))
+            assert _bits(links[i]) == _bits(net.route_to_link(q[i]))
+            assert _bits(tau[i]) == _bits(net.link_travel_times(links[i]))
+            assert _bits(second[i]) == _bits(net.link_second_derivatives(links[i]))
+        flowing = q[2:]  # BPR powers below 1 have no derivative at zero flow
+        jac = net.link_time_jacobian(net.route_to_link(flowing))
+        grad = net.route_gradient(flowing)
+        rho = net.restricted_min_eigenvalue(flowing)
+        for i in range(len(flowing)):
+            assert _bits(jac[i]) == _bits(net.link_time_jacobian(net.route_to_link(flowing[i])))
+            assert _bits(grad[i]) == _bits(net.route_gradient(flowing[i]))
+            assert _bits(rho[i]) == _bits(net.restricted_min_eigenvalue(flowing[i]))
+
+    @pytest.mark.parametrize("name", sorted(kind_networks()))
+    def test_scalar_methods_share_the_table(self, name):
+        net = kind_networks()[name]
+        rng = np.random.default_rng(6)
+        a = net.route_to_link(rng.uniform(0.01, KIND_FLOW_CAP.get(name, 60.0), size=net.n_routes))
+        tau = net.link_travel_times(a)
+        jac = net.link_time_jacobian(a)
+        second = net.link_second_derivatives(a)
+        for i, link in enumerate(net.links):
+            if isinstance(link.delay, CrossAffineDelay):
+                continue
+            x = float(a[i])
+            assert _bits(tau[i]) == _bits(link.delay.value(x))
+            assert _bits(jac[i, i]) == _bits(link.delay.derivative(x))
+            assert _bits(second[i]) == _bits(link.delay.second_derivative(x))
+
+    def test_webster_saturation_raises_in_a_batch(self):
+        net = kind_networks()["webster"]
+        q = np.full((4, net.n_routes), 0.2)
+        net.route_times(q)
+        q[2, 1] = 1.0
+        with pytest.raises(DelayDomainError, match=r"saturation in \[0, 1\), got 1.0"):
+            net.route_times(q)
+        with pytest.raises(DelayDomainError, match="saturation"):
+            net.link_time_jacobian(net.route_to_link(q))
+        with pytest.raises(DelayDomainError, match="saturation"):
+            net.link_second_derivatives(net.route_to_link(q))
+
+    def test_bpr_fractional_power_derivative_raises_in_a_batch(self):
+        net = single_od_network(
+            [BPRDelay(1.0, 1.0, 10.0, 2.0), BPRDelay(1.0, 1.0, 10.0, 0.5)], q_hdv=10.0, q_crv=5.0
+        )
+        a = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 1.0]])
+        net.link_time_jacobian(a)  # zero flow is fine on the power-2 link
+        a[1, 1] = 0.0
+        with pytest.raises(DelayDomainError, match="BPR power 0.5 < 1 has no derivative at zero flow"):
+            net.link_time_jacobian(a)
+        with pytest.raises(DelayDomainError, match="< 2 has no second derivative"):
+            net.delay_table.second_derivatives(a)
+        # the objective's curvature drops zero-flow links instead
+        assert net.link_second_derivatives(a)[1, 1] == 0.0
+
+    def test_batch_shapes_checked(self):
+        net = symmetric_quadratic()
+        with pytest.raises(DimensionMismatchError):
+            net.route_times(np.ones((3, 3)))
+        with pytest.raises(DimensionMismatchError):
+            net.route_times(np.ones((2, 3, 2)))
+        with pytest.raises(DelayDomainError, match="finite"):
+            net.route_times(np.array([[1.0, 2.0], [np.nan, 1.0]]))
+        assert net.route_times(np.ones((0, 2))).shape == (0, 2)
+
+
 class TestRouteGradient:
     def test_two_route_diagonal(self, fig_two_route):
         grad = fig_two_route.route_gradient([50.0, 80.0])
         np.testing.assert_allclose(grad, np.diag([0.2, 0.375]), atol=1e-12)
-        fd = fig_two_route.route_gradient([50.0, 80.0], method="fd")
+        fd = fd_route_gradient(fig_two_route, [50.0, 80.0])
         np.testing.assert_allclose(fd, grad, rtol=1e-5, atol=1e-8)
 
     def test_overlap_structure(self):
@@ -237,7 +374,7 @@ class TestInvariants:
             caps = np.array([l.delay.capacity for l in net.links])
             q = rng.uniform(1.0, caps)
             analytic = net.route_gradient(q)
-            fd = net.route_gradient(q, method="fd")
+            fd = fd_route_gradient(net, q)
             np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-7)
 
     def test_gradient_psd_and_pd_iff_independent(self):

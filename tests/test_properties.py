@@ -25,7 +25,7 @@ from fleet_inverse import (
     solve_general,
     verify_corner_support,
 )
-from conftest import symmetric_quadratic
+from conftest import fd_route_gradient, symmetric_quadratic
 
 
 class TestClassifierSecondDirectionalDerivative:
@@ -177,7 +177,7 @@ class TestRouteLevelDelays:
         net = self.build()
         q = np.array([14.0, 16.0])
         np.testing.assert_allclose(
-            net.route_gradient(q, method="fd"), net.route_gradient(q), rtol=1e-5, atol=1e-7
+            fd_route_gradient(net, q), net.route_gradient(q), rtol=1e-5, atol=1e-7
         )
 
 

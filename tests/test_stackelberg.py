@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fleet_inverse import (
+    DEFAULT_CONFIG,
     FleetModelError,
     FleetStrategy,
     GeneralMixture,
@@ -16,7 +17,15 @@ from fleet_inverse import (
     optimize_corner_mixture,
     verify_corner_support,
 )
-from conftest import asymmetric_two_route, symmetric_quadratic, three_affine_routes
+from fleet_inverse.network import Network
+from fleet_inverse.scenario import fixture_path, parse_scenario
+from fleet_inverse.stackelberg import _expected_objectives, _induced_ue_batch
+from conftest import (
+    asymmetric_two_route,
+    cross_dependent_two_route,
+    symmetric_quadratic,
+    three_affine_routes,
+)
 
 MALICIOUS = FleetStrategy.preset("malicious")
 
@@ -178,3 +187,122 @@ class TestCompareRoutings:
         net = symmetric_quadratic()
         result = compare_routings(net, days=200, mu=0.2, seed=0, burn_in=50)
         assert result.myopic_mean_hdv_time >= result.stackelberg_hdv_time
+
+
+def two_route_networks() -> dict[str, Network]:
+    nets = {
+        "symmetric_quadratic": symmetric_quadratic(),
+        "asymmetric_bpr": asymmetric_two_route(),
+        "cross_affine": cross_dependent_two_route(2.0, -0.5),
+    }
+    for name in ("two_route_common_links", "signalized_link"):
+        nets[name] = parse_scenario(fixture_path(name)).network
+    return nets
+
+
+def scalar_induced_ue(mixture, network, ue_tol=DEFAULT_CONFIG.ue_tol) -> np.ndarray:
+    """One mixture's Illinois solve with scalar arithmetic, point by point:
+    the reference the batched solve must match bit for bit."""
+    unit = network.units[0]
+    q_hdv, q_crv = unit.q_hdv, unit.q_crv
+
+    def diff(h1):
+        c1 = c2 = 0.0
+        for alpha, w in mixture.points:
+            if w == 0.0:
+                continue
+            t = network.route_times(np.array([h1 + alpha * q_crv, q_hdv - h1 + (1.0 - alpha) * q_crv]))
+            c1 += w * t[0]
+            c2 += w * t[1]
+        return c1 - c2
+
+    a, b = 0.0, q_hdv
+    fa = diff(a)
+    if fa >= 0.0:
+        return np.array([0.0, q_hdv])
+    fb = diff(b)
+    if fb <= 0.0:
+        return np.array([q_hdv, 0.0])
+    x, side = 0.5 * (a + b), 0
+    for _ in range(200):
+        if fb != fa:
+            x = (a * fb - b * fa) / (fb - fa)
+        if not np.isfinite(x) or not a <= x <= b:
+            x = 0.5 * (a + b)
+        fx = diff(x)
+        if abs(fx) <= ue_tol or (b - a) <= 1e-15 * q_hdv:
+            break
+        if fx < 0.0:
+            a, fa = x, fx
+            if side == -1:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = x, fx
+            if side == 1:
+                fa *= 0.5
+            side = 1
+    return np.array([x, q_hdv - x])
+
+
+class TestBatchedIllinois:
+    """One vectorized Illinois iterate per grid; each row is bit-identical
+    to the single-mixture solve."""
+
+    @pytest.mark.parametrize("name", sorted(two_route_networks()))
+    def test_rows_match_induced_ue(self, name):
+        net = two_route_networks()[name]
+        rng = np.random.default_rng(3)
+        alphas = rng.uniform(0.0, 1.0, size=(120, 2))
+        w = rng.uniform(0.0, 1.0, size=120)
+        alphas[:8] = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.5, 0.5]] + [[1.0, 0.0]] * 3
+        w[:8] = [0.5, 0.5, 0.3, 0.7, 1.0, 0.0, 1.0, 0.25]  # zero weights are never evaluated
+        weights = np.column_stack((w, 1.0 - w))
+        unit = net.units[0]
+        h = _induced_ue_batch(alphas, weights, unit.q_hdv, unit.q_crv, net, DEFAULT_CONFIG)
+        values = _expected_objectives(MALICIOUS, alphas, weights, h, net, unit.q_crv)
+        for i in range(len(alphas)):
+            mixture = GeneralMixture(points=((alphas[i, 0], w[i]), (alphas[i, 1], 1.0 - w[i])))
+            single = induced_ue(mixture, network=net)
+            assert h[i].tobytes() == single.tobytes()
+            assert h[i].tobytes() == scalar_induced_ue(mixture, net).tobytes()
+            assert values[i] == expected_fleet_objective(MALICIOUS, mixture, single, net)
+
+    @pytest.mark.parametrize("name", sorted(two_route_networks()))
+    def test_three_point_rows_match_the_scalar_solve(self, name):
+        # three weighted terms: the sum order over the points shows
+        net = two_route_networks()[name]
+        rng = np.random.default_rng(4)
+        alphas = rng.uniform(0.0, 1.0, size=(40, 3))
+        weights = rng.dirichlet(np.ones(3), size=40)
+        weights[0, 1] = 0.0
+        weights[0] /= weights[0].sum()
+        unit = net.units[0]
+        h = _induced_ue_batch(alphas, weights, unit.q_hdv, unit.q_crv, net, DEFAULT_CONFIG)
+        for i in range(len(alphas)):
+            mixture = GeneralMixture(points=tuple(zip(alphas[i].tolist(), weights[i].tolist())))
+            assert h[i].tobytes() == scalar_induced_ue(mixture, net).tobytes()
+
+    def test_no_hdv_demand(self):
+        net = symmetric_quadratic(q_hdv=0.0)
+        alphas, weights = np.array([[1.0, 0.0]] * 3), np.array([[0.2, 0.8]] * 3)
+        h = _induced_ue_batch(alphas, weights, 0.0, 50.0, net, DEFAULT_CONFIG)
+        np.testing.assert_array_equal(h, np.zeros((3, 2)))
+
+    def test_corner_support_work_gate(self, monkeypatch):
+        # the criterion-7 call: 21**3 mixtures and 1001 corner points take
+        # 8 batched route_times calls over 78,317 rows; one scalar solve per
+        # grid point took 78,317 calls
+        calls, rows = [], []
+        route_times = Network.route_times
+
+        def counted(self, q):
+            calls.append(1)
+            rows.append(len(q) if np.ndim(q) == 2 else 1)
+            return route_times(self, q)
+
+        monkeypatch.setattr(Network, "route_times", counted)
+        report = verify_corner_support(symmetric_quadratic(), resolution=0.05)
+        assert report.mixtures_checked == 21**3
+        assert len(calls) <= 100
+        assert sum(rows) <= 80_000
