@@ -337,7 +337,6 @@ def _run_lipschitz(scenario: Scenario, args) -> tuple[list[str], list[dict], lis
         scenario.network,
         samples=args.samples,
         seed=seed,
-        config=scenario.config,
     )
     columns = ["constant", "rho", "margin", "grad_norm", "hess_norm", "bound", "defined", "samples"]
     rows = [

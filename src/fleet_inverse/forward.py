@@ -32,10 +32,11 @@ from .network import Network
 from .objective import (
     ConvexityKind,
     FleetStrategy,
+    _gradient_in_f,
+    _hessian_in_f,
     classify_convexity,
     eval_objective,
     objective_gradient_in_f,
-    objective_hessian_in_f,
 )
 from .parallel import ordered_map
 
@@ -397,6 +398,7 @@ def _newton_direction(
     feasible: FeasibleSet,
     f: np.ndarray,
     grad: np.ndarray,
+    route_grad: np.ndarray,
     p: np.ndarray,
     eps: float,
     pd_rtol: float,
@@ -409,8 +411,9 @@ def _newton_direction(
     On the free face it takes the minimum-norm minimizer of the quadratic
     model, with the reduced Hessian Q^T H Q on an orthonormal basis Q of
     each unit's zero-sum free directions, so it never moves along the flat
-    directions of linearly dependent routes.  None when the reduced Hessian
-    is not positive semidefinite.
+    directions of linearly dependent routes; the Hessian is built from the
+    route gradient route_grad at h + f.  None when the reduced Hessian is not
+    positive semidefinite.
     """
     active = (f <= eps) & (p <= 0.0)
     d = np.where(active, -f, 0.0)
@@ -433,7 +436,7 @@ def _newton_direction(
     q = np.hstack([np.zeros((feasible.n_routes, 0))] + columns)
     if q.shape[1] == 0:
         return d
-    hess = objective_hessian_in_f(strategy, h, f, network)
+    hess = _hessian_in_f(strategy, h, f, network, route_grad)
     w, v = np.linalg.eigh(q.T @ hess @ q)
     cutoff = pd_rtol * float(np.max(np.abs(w)))
     if w[0] < -cutoff:
@@ -475,12 +478,13 @@ def _descend(
     converged = False
     iterations = 0
     for iterations in range(1, config.max_pg_iter + 1):
-        grad = objective_gradient_in_f(strategy, h, f, network)
+        grad, route_grad = _gradient_in_f(strategy, h, f, network)
         p = feasible.project(f - grad)
         residual = float(np.max(np.abs(f - p)))
         stationary = residual <= config.tol_pg * (1.0 + float(np.max(np.abs(grad))))
         d = _newton_direction(
-            strategy, h, network, feasible, f, grad, p, min(1e-7 * scale, residual), config.pd_rtol
+            strategy, h, network, feasible, f, grad, route_grad, p,
+            min(1e-7 * scale, residual), config.pd_rtol,
         )
         if d is not None and float(np.max(np.abs(d))) <= 1e-13 * scale:
             # at rounding level: taken whole only at a stationary point

@@ -12,12 +12,13 @@ lam_hdv.  The operator is affine in f because q is fixed by the
 observation.  For L > 0 and a travel-time gradient positive definite on
 feasible directions the VI is strictly monotone, hence has at most one
 solution: that is the uniqueness certificate reported alongside every
-result.  The solver is the extragradient method plus an active-set polish
-that solves the KKT system of one face exactly.  On certified inverses
-the polish is tried each time the iterate's active set changes, and the
-exact face solution is returned as soon as the extragradient has found
-its active set; otherwise the iteration runs to the gap tolerance and the
-polish removes the remaining iteration error.  At L = 0 the operator is
+result.  A certified VI is solved exactly by a primal active-set walk
+from the greedy vertex: each round solves the KKT system of one face, then
+puts a route on the first bound the step to that face's point crosses or
+frees the bound route with the most wrong-signed multiplier, until the
+face point is the solution.  Otherwise, and if the walk stops early, the
+extragradient method runs to the gap tolerance and an active-set polish
+solves the KKT system of the iterate's face.  At L = 0 the operator is
 constant, and its greedy minimizer is exact as it stands.
 
 When the certificate fails, the solution set is enumerated: every
@@ -65,6 +66,8 @@ __all__ = [
 ]
 
 MARGIN_EPS = 1e-12  # margins at or below this are not certified
+# a multiplier of the wrong sign by at most this x (1 + max|A(f)|) is rounding
+RELEASE_RTOL = 1e-10
 
 
 # -- result types ---------------------------------------------------------------
@@ -188,7 +191,7 @@ def _residual_scale(feasible: FeasibleSet) -> float:
     return max(1.0, feasible.total_mass)
 
 
-# -- extragradient + polish -------------------------------------------------------
+# -- affine VI: active-set walk, extragradient, polish ----------------------------
 
 
 def _active_partition(f: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
@@ -202,6 +205,13 @@ def _active_partition(f: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
     return active
 
 
+def _uniform_start(feasible: FeasibleSet) -> np.ndarray:
+    f = np.zeros(feasible.n_routes)
+    for block, total in zip(feasible.blocks, feasible.totals):
+        f[block] = total / len(block)
+    return feasible.project(f)
+
+
 def _extragradient(
     a0: np.ndarray,
     b: np.ndarray,
@@ -209,45 +219,18 @@ def _extragradient(
     f0: np.ndarray,
     tol_gap: float,
     config: SolverConfig,
-    unique: bool = False,
-) -> tuple[np.ndarray, int, bool, bool]:
-    """Extragradient iterates until the VI gap is at most tol_gap.
-
-    When the VI is certified to have one solution (`unique`), each new
-    active partition of the iterate is tried with the active-set polish.
-    The first validated face solution that keeps that partition and is
-    within tol_gap is that solution, and it is returned at once.  Returns
-    (f, iterations, converged, f is an exact solution).
-    """
+) -> tuple[np.ndarray, int, bool]:
+    """Extragradient iterates until the VI gap is at most tol_gap; returns
+    (f, iterations, converged)."""
     f = feasible.project(f0)
-    b_norm = float(np.linalg.norm(b, 2))
-    if b_norm <= 1e-300:
-        # a constant operator: every minimizer of a0 . f solves the VI
-        x, _ = _linear_minimum(a0, feasible)
-        return x, 0, True, True
-    step = config.extragradient_safety / b_norm
-    face = None
+    step = config.extragradient_safety / float(np.linalg.norm(b, 2))
     for k in range(1, config.max_vi_iter + 1):
         af = a0 + b @ f
         if float(af @ f) - _linear_minimum(af, feasible)[1] <= tol_gap:
-            return f, k - 1, True, False
-        if unique:
-            active = _active_partition(f, feasible)
-            if face is None or not np.array_equal(active, face):
-                face = active
-                polished = _polish_active_set(a0, b, feasible, active)
-                # a candidate outside its own partition (a bound met with a
-                # zero multiplier) waits for the iterate to reach that bound,
-                # where the converged iterate's polish would solve it too
-                if (
-                    polished is not None
-                    and np.array_equal(_active_partition(polished, feasible), active)
-                    and _vi_gap(a0, b, polished, feasible) <= tol_gap
-                ):
-                    return polished, k - 1, True, True
+            return f, k - 1, True
         y = feasible.project(f - step * af)
         f = feasible.project(f - step * (a0 + b @ y))
-    return f, config.max_vi_iter, False, False
+    return f, config.max_vi_iter, False
 
 
 def _face_point(
@@ -265,38 +248,34 @@ def _face_point(
     if feasible.upper is not None:
         fixed = np.where(active > 0, feasible.upper, fixed)
 
-    free_idx = np.where(free)[0]
-    blocks_with_free = [
-        s for s, block in enumerate(feasible.blocks) if np.any(free[block])
-    ]
-    m = len(free_idx) + len(blocks_with_free)
-    if m == 0:
-        candidate = fixed
-    else:
-        col_of = {r: i for i, r in enumerate(free_idx)}
-        mu_of = {s: len(free_idx) + j for j, s in enumerate(blocks_with_free)}
-        lhs = np.zeros((m, m))
-        rhs = np.zeros(m)
-        block_of_route = {}
-        for s, block in enumerate(feasible.blocks):
-            for r in block:
-                block_of_route[r] = s
-        for i, r in enumerate(free_idx):
-            lhs[i, : len(free_idx)] = b[r, free_idx]
-            lhs[i, mu_of[block_of_route[r]]] = -1.0
-            rhs[i] = -a0[r] - float(b[r] @ fixed)
-        for j, s in enumerate(blocks_with_free):
-            block = feasible.blocks[s]
-            row = len(free_idx) + j
-            for r in block:
-                if free[r]:
-                    lhs[row, col_of[r]] = 1.0
-            rhs[row] = float(feasible.totals[s]) - float(np.sum(fixed[block][~free[block]]))
-        solution, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        if not np.all(np.isfinite(solution)):
-            return None
-        candidate = fixed.copy()
-        candidate[free_idx] = solution[: len(free_idx)]
+    free_idx = np.flatnonzero(free)
+    n_free = len(free_idx)
+    if n_free == 0:
+        return fixed
+    unit = np.zeros(feasible.n_routes, dtype=int)
+    for s, block in enumerate(feasible.blocks):
+        unit[block] = s
+    # the units holding a free route, ascending, and the position of each
+    # free route's unit among them
+    units_with_free, unit_row = np.unique(unit[free_idx], return_inverse=True)
+    m = n_free + len(units_with_free)
+    rows = np.arange(n_free)
+    lhs = np.zeros((m, m))
+    lhs[:n_free, :n_free] = b[np.ix_(free_idx, free_idx)]
+    lhs[rows, n_free + unit_row] = -1.0
+    lhs[n_free + unit_row, rows] = 1.0
+    rhs = np.zeros(m)
+    # one dot product per row: a single matrix-vector product can round
+    # differently
+    rhs[:n_free] = [-a0[r] - float(b[r] @ fixed) for r in free_idx]
+    for j, s in enumerate(units_with_free):
+        block = feasible.blocks[s]
+        rhs[n_free + j] = float(feasible.totals[s]) - float(np.sum(fixed[block][~free[block]]))
+    solution, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    if not np.all(np.isfinite(solution)):
+        return None
+    candidate = fixed.copy()
+    candidate[free_idx] = solution[:n_free]
     return candidate
 
 
@@ -370,38 +349,148 @@ def _validated(
     return candidate
 
 
+def _first_crossing(
+    x: np.ndarray, point: np.ndarray, active: np.ndarray, feasible: FeasibleSet
+) -> tuple[int, int, float] | None:
+    """The active-set ratio test: of the free coordinates `point` pushes past
+    a bound (see _bound_violations), the one the segment from x to point
+    crosses first, as (route, bound label, step along the segment); None
+    when it pushes none."""
+    pushed = np.where(active == 0, _bound_violations(point, feasible), 0)
+    if not np.any(pushed):
+        return None
+    upper = math.inf if feasible.upper is None else feasible.upper
+    bound = np.where(pushed > 0, upper, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = np.where(pushed != 0, (bound - x) / (point - x), np.inf)
+    first = int(np.argmin(crossing))
+    return first, int(pushed[first]), float(crossing[first])
+
+
+def _release(a_val: np.ndarray, feasible: FeasibleSet, active: np.ndarray, tol: float) -> int | None:
+    """The bound route whose multiplier has the most wrong sign at the
+    operator values a_val, lowest index on ties; None when no sign is wrong
+    by more than tol.  A route at 0 is wrong when it costs less than its
+    unit's multiplier, a route at its cap when it costs more; the multiplier
+    is the mean cost of the unit's free routes, or, in a unit with none, the
+    interval [max over its cap routes, min over its lower routes]."""
+    wrong = np.full(feasible.n_routes, -math.inf)
+    for block in feasible.blocks:
+        labels = active[block]
+        lower, cap = block[labels < 0], block[labels > 0]
+        free_costs = a_val[block[labels == 0]]
+        if len(free_costs):
+            mu_lo = mu_hi = float(np.mean(free_costs))
+        else:
+            mu_lo = max(a_val[cap], default=-math.inf)
+            mu_hi = min(a_val[lower], default=math.inf)
+        wrong[lower] = mu_lo - a_val[lower]
+        wrong[cap] = a_val[cap] - mu_hi
+    worst = int(np.argmax(wrong))
+    return worst if wrong[worst] > tol else None
+
+
+def _active_set_walk(
+    a0: np.ndarray,
+    b: np.ndarray,
+    feasible: FeasibleSet,
+    tol_gap: float,
+    config: SolverConfig,
+) -> tuple[np.ndarray | None, int]:
+    """The primal active-set method (Nocedal and Wright 2006, Algorithm
+    16.3) for a monotone affine VI, from the greedy vertex of a0.
+
+    Each round solves the KKT system of the working partition's face and
+    then takes the first step that applies: step towards the face point up
+    to the first bound it crosses and put that route on it (the ratio
+    test); put the free routes the point leaves inside the active band on
+    their bounds; free the bound route whose multiplier has the most wrong
+    sign beyond rounding (RELEASE_RTOL, see _release) and move to the
+    point; or return the point, validated, when its VI gap is within
+    tol_gap.  A cap inside the active band keeps its cap label, so a route
+    may end at a cap that _active_partition calls a lower bound.  Returns
+    (solution, rounds); the solution is None when that last check fails, a
+    face solve is not finite, a partition repeats or config.vertex_cap
+    rounds pass.
+    """
+    x = _linear_minimum(a0, feasible)[0]
+    active = _active_partition(x, feasible)
+    seen: set[bytes] = set()
+    for rounds in range(1, config.vertex_cap + 1):
+        key = active.tobytes()
+        if key in seen:
+            return None, rounds - 1
+        seen.add(key)
+        point = _face_point(a0, b, feasible, active)
+        if point is None:
+            return None, rounds
+        crossed = _first_crossing(x, point, active, feasible)
+        if crossed is not None:
+            route, label, step = crossed
+            x = x + min(max(step, 0.0), 1.0) * (point - x)
+            x[route] = 0.0 if label < 0 else feasible.upper[route]
+            active[route] = label
+            continue
+        labels = _active_partition(point, feasible)
+        banded = (active == 0) & (labels != 0)
+        if np.any(banded):
+            x = point
+            active[banded] = labels[banded]
+            continue
+        a_val = a0 + b @ point
+        route = _release(a_val, feasible, active, RELEASE_RTOL * (1.0 + float(np.max(np.abs(a_val)))))
+        if route is not None:
+            x = point
+            active[route] = 0
+            continue
+        solution = _validated(a0, b, feasible, active, point)
+        if solution is not None and _vi_gap(a0, b, solution, feasible) <= tol_gap:
+            return solution, rounds
+        return None, rounds
+    return None, config.vertex_cap
+
+
 def _solve_affine_vi(
     a0: np.ndarray,
     b: np.ndarray,
     feasible: FeasibleSet,
-    f0: np.ndarray,
     tol_gap: float,
     config: SolverConfig,
     unique: bool = False,
 ) -> tuple[np.ndarray, float, bool]:
-    f, _, converged, on_face = _extragradient(a0, b, feasible, f0, tol_gap, config, unique)
+    """Solve the affine VI A(f) = a0 + b f over the feasible set; returns
+    (f, VI gap, converged).
+
+    When the VI is certified to have one solution (`unique`) the active-set
+    walk from the greedy vertex finds it exactly.  Otherwise, or when the
+    walk stops, the extragradient runs from the uniform split to tol_gap,
+    and the active-set polish then solves the KKT system of the iterate's
+    face, relabelling one route a round by the ratio test.  A constant
+    operator's greedy minimizer is exact as it stands.
+    """
+    if float(np.max(np.abs(b), initial=0.0)) <= 1e-300:
+        # every minimizer of a0 . f solves the VI
+        f = _linear_minimum(a0, feasible)[0]
+        return f, _vi_gap(a0, b, f, feasible), True
+    if unique:
+        f, _ = _active_set_walk(a0, b, feasible, tol_gap, config)
+        if f is not None:
+            return f, _vi_gap(a0, b, f, feasible), True
+    f, _, converged = _extragradient(a0, b, feasible, _uniform_start(feasible), tol_gap, config)
     gap = _vi_gap(a0, b, f, feasible)
-    if on_face:
-        return f, gap, True
-    # of the free coordinates the face point pushes past a bound, the one
-    # the segment from f to that point crosses first belongs on its bound
-    # (the active-set ratio test); relabel it and solve again, at most once
-    # per route
+    # relabel the route the segment from f to the face point crosses first,
+    # and solve again, at most once per route
     active = _active_partition(f, feasible)
     for _ in range(feasible.n_routes):
         point = _face_point(a0, b, feasible, active)
         polished = None if point is None else _validated(a0, b, feasible, active, point)
         if polished is not None or point is None:
             break
-        pushed = np.where(active == 0, _bound_violations(point, feasible), 0)
-        if not np.any(pushed):
+        crossed = _first_crossing(f, point, active, feasible)
+        if crossed is None:
             break
-        upper = math.inf if feasible.upper is None else feasible.upper
-        bound = np.where(pushed > 0, upper, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            crossing = np.where(pushed != 0, (bound - f) / (point - f), np.inf)
-        first = int(np.argmin(crossing))
-        active[first] = pushed[first]
+        route, label, _ = crossed
+        active[route] = label
     if polished is not None:
         gap_polished = _vi_gap(a0, b, polished, feasible)
         if gap_polished <= max(gap, 1e-12):
@@ -482,13 +571,6 @@ def _face_solutions(
 
 
 # -- route-level inverse -----------------------------------------------------------
-
-
-def _uniform_start(feasible: FeasibleSet) -> np.ndarray:
-    f = np.zeros(feasible.n_routes)
-    for block, total in zip(feasible.blocks, feasible.totals):
-        f[block] = total / len(block)
-    return feasible.project(f)
 
 
 def _distinct(solutions: list[np.ndarray], scale: float, tol: float) -> list[np.ndarray]:
@@ -582,7 +664,7 @@ def solve_inverse(
         )
 
     f_hat, gap, converged = _solve_affine_vi(
-        a0, b, feasible, _uniform_start(feasible), tol_gap, config,
+        a0, b, feasible, tol_gap, config,
         unique=certificate.theorem_applies,
     )
     solutions, exhaustive = [f_hat], True
@@ -712,7 +794,7 @@ def inverse_link_flows(
         )
 
     f_param, gap, converged = _solve_affine_vi(
-        a0, b, feasible, _uniform_start(feasible), tol_gap, config,
+        a0, b, feasible, tol_gap, config,
         unique=cert.theorem_applies,
     )
     phi = network.route_to_link(f_param)
@@ -924,7 +1006,6 @@ def lipschitz_bound(
     total_demand: float | None = None,
     samples: int = 200,
     seed: int = 0,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> LipschitzBound:
     """Stability constant of the inverse map on {|q| = total demand}.
 
@@ -1103,13 +1184,7 @@ def discrete_recover(
     q_city = h_star + forward(h_star)
     inverse = solve_inverse(strategy, q_city, network, sizes=sizes, config=config, seed=seed)
 
-    lip = lipschitz_bound(
-        strategy,
-        network,
-        samples=100,
-        seed=seed,
-        config=config,
-    )
+    lip = lipschitz_bound(strategy, network, samples=100, seed=seed)
     lip_inverse = 1.0 + lip.bound if lip.defined else math.inf
     rounding_radius = math.sqrt(network.n_routes) / 2.0
     closeness = 2.0 * lip_inverse * rounding_radius

@@ -156,11 +156,17 @@ def objective_gradient_in_f(strategy: FleetStrategy, h, f, network: Network) -> 
     """Gradient of F(h, .) at f: lam_crv*t(q) + grad_t(q)^T (lam_hdv*h + lam_crv*f)
     with q = h + f.  Contracting with a direction g gives the directional
     derivative of the objective."""
+    return _gradient_in_f(strategy, h, f, network)[0]
+
+
+def _gradient_in_f(strategy: FleetStrategy, h, f, network: Network) -> tuple[np.ndarray, np.ndarray]:
+    """objective_gradient_in_f and the route gradient at q = h + f it is
+    built from, which _hessian_in_f takes."""
     h, f = _check_pair(h, f, network.n_routes)
     q = h + f
     t = network.route_times(q)
     grad = network.route_gradient(q)
-    return strategy.lam_crv * t + grad.T @ (strategy.lam_hdv * h + strategy.lam_crv * f)
+    return strategy.lam_crv * t + grad.T @ (strategy.lam_hdv * h + strategy.lam_crv * f), grad
 
 
 def objective_hessian_in_f(strategy: FleetStrategy, h, f, network: Network) -> np.ndarray:
@@ -172,10 +178,15 @@ def objective_hessian_in_f(strategy: FleetStrategy, h, f, network: Network) -> n
     link flows, N the incidence matrix and n_a its column a.  Cross-affine
     delays are linear, so only scalar delays contribute curvature."""
     h, f = _check_pair(h, f, network.n_routes)
-    q = h + f
-    grad = network.route_gradient(q)
+    return _hessian_in_f(strategy, h, f, network, network.route_gradient(h + f))
+
+
+def _hessian_in_f(
+    strategy: FleetStrategy, h: np.ndarray, f: np.ndarray, network: Network, grad: np.ndarray
+) -> np.ndarray:
+    """objective_hessian_in_f from the route gradient G at q = h + f."""
     weight = network.route_to_link(strategy.lam_hdv * h + strategy.lam_crv * f)
-    curvature = weight * network.link_second_derivatives(network.route_to_link(q))
+    curvature = weight * network.link_second_derivatives(network.route_to_link(h + f))
     n = network.incidence
     return strategy.lam_crv * (grad + grad.T) + (n * curvature) @ n.T
 

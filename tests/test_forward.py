@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleet_inverse import (
+    DEFAULT_CONFIG,
     AffineDelay,
     BPRDelay,
     FeasibleSet,
     FleetModelError,
     FleetStrategy,
     InfeasibleProblemError,
+    Network,
     QuadraticDelay,
     certify_local_min,
     eval_objective,
@@ -23,6 +25,7 @@ from fleet_inverse import (
     solve_convex,
     solve_general,
 )
+from fleet_inverse import forward
 from fleet_inverse.objective import objective_gradient_in_f
 from fleet_inverse.scenario import fixture_path, parse_scenario
 from conftest import (
@@ -286,6 +289,33 @@ class TestWorkCounters:
         assert result.trace.converged and result.certificate.is_local_min
         # the best of 28,814 projected-gradient iterations
         assert result.objective == pytest.approx(-2148.429844953721, rel=1e-12)
+
+
+    def test_one_route_gradient_per_descent_iteration(self, monkeypatch):
+        # the descent's objective gradient and Hessian share one travel-time
+        # gradient per iteration
+        calls = []
+        route_gradient = Network.route_gradient
+        monkeypatch.setattr(
+            Network, "route_gradient", lambda self, q: calls.append(1) or route_gradient(self, q)
+        )
+        descend = forward._descend
+        descents = []
+
+        def counting(*args):
+            before = len(calls)
+            f, iterations, converged = descend(*args)
+            descents.append((len(calls) - before, iterations))
+            return f, iterations, converged
+
+        monkeypatch.setattr(forward, "_descend", counting)
+        serial = DEFAULT_CONFIG.replace(max_threads=1)
+        ladder = route_ladder()
+        for strategy, (h, net) in [(SELFISH, ladder[4]), (DISRUPTIVE, ladder[3])]:
+            fleet_assign(strategy, h, net, certify=False, config=serial)
+        fleet_assign(MALICIOUS, np.array([40.0, 20.0]), asymmetric_two_route(), config=serial)
+        assert len(descents) >= 40 and sum(n for _, n in descents) >= 100
+        assert all(calls_made <= iterations + 1 for calls_made, iterations in descents)
 
 
 class TestCertify:

@@ -464,9 +464,10 @@ class TestLinearMinimum:
 
 
 def _reference_solve(strategy, q, network):
-    """The certified route VI solved without the face exit: extragradient
+    """The certified route VI solved by the extragradient alone: iterates
     until the gap is within tolerance, then one active-set polish.  Also
-    reports whether the polished point keeps the partition it was solved on."""
+    reports whether it returns the polished face point and that point keeps
+    the partition it was solved on."""
     config = DEFAULT_CONFIG
     feasible = FeasibleSet(
         blocks=network.unit_blocks(), totals=network.fleet_sizes(),
@@ -488,12 +489,13 @@ def _reference_solve(strategy, q, network):
     gap = inverse._vi_gap(a0, b, f, feasible)
     active = inverse._active_partition(f, feasible)
     polished = inverse._polish_active_set(a0, b, feasible, active)
+    on_face = False
     if polished is not None:
         gap_polished = inverse._vi_gap(a0, b, polished, feasible)
         if gap_polished <= max(gap, 1e-12):
             f, gap = polished, gap_polished
-    keeps_face = np.array_equal(inverse._active_partition(f, feasible), active)
-    return f, gap / scale, keeps_face
+            on_face = np.array_equal(inverse._active_partition(f, feasible), active)
+    return f, gap / scale, on_face
 
 
 def _random_delay(rng):
@@ -540,12 +542,12 @@ def _certified_instances(count, seed):
 
 @pytest.fixture
 def extragradient_calls(monkeypatch):
-    """Every (f, iterations, converged, face exit) _extragradient returns."""
+    """Every (f, iterations, converged) _extragradient returns."""
     calls = []
     extragradient = inverse._extragradient
 
-    def recording(*args, **kwargs):
-        out = extragradient(*args, **kwargs)
+    def recording(*args):
+        out = extragradient(*args)
         calls.append(out)
         return out
 
@@ -553,58 +555,146 @@ def extragradient_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def walk_calls(monkeypatch):
+    """Every (solution, rounds) _active_set_walk returns."""
+    calls = []
+    walk = inverse._active_set_walk
+
+    def recording(*args):
+        out = walk(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(inverse, "_active_set_walk", recording)
+    return calls
+
+
 class TestFaceExit:
-    def test_certified_solutions_match_full_run(self, extragradient_calls):
-        # the face solution depends only on the active partition, so the
-        # early exit returns the point the full run's final polish returns
-        # whenever that polish keeps the partition it was solved on; when it
-        # does not (a cap met with a zero multiplier, the converged iterate
-        # still outside the active band), both are exact solutions of the
-        # one VI and agree to rounding
-        capped = 0
+    def test_certified_solutions_match_full_run(self, extragradient_calls, walk_calls):
+        # the certified VI has one solution and a face point depends only on
+        # its partition, so where the full run's polished point keeps the
+        # partition it was solved on, the walk ends on the same face and
+        # returns the same bytes; elsewhere (a cap met with a zero
+        # multiplier, the converged iterate still outside the active band)
+        # the two agree to rounding here
+        capped = on_face = 0
         for strategy, q, net in _certified_instances(50, seed=20):
             result = solve_inverse(strategy, q, net)
             assert result.certificate.theorem_applies
-            f_ref, residual_ref, keeps_face = _reference_solve(strategy, q, net)
-            if keeps_face:
+            f_ref, residual_ref, ref_on_face = _reference_solve(strategy, q, net)
+            if ref_on_face:
                 assert result.f_hat.tobytes() == f_ref.tobytes()
                 assert result.residual == residual_ref
+                on_face += 1
             else:
                 np.testing.assert_allclose(result.f_hat, f_ref, rtol=0.0, atol=1e-12 * (1.0 + q.sum()))
                 assert abs(result.residual) <= 1e-12 * (1.0 + q.sum())
             capped += bool(np.any((result.f_hat == q) & (q > 0)))
         assert capped >= 10
-        assert sum(call[3] for call in extragradient_calls) >= 15
+        assert on_face >= 35
+        assert extragradient_calls == []
+        assert len(walk_calls) == 50 and all(f is not None for f, _ in walk_calls)
 
-    def test_route_ladder_iteration_gate(self, extragradient_calls):
+    def test_route_ladder_iteration_gate(self, extragradient_calls, walk_calls):
         # selfish round trips over R single-link BPR routes, R = 5, 20, 50, 100
         for h, net in route_ladder():
             f = fleet_assign(SELFISH, h, net, certify=False).f
             result = solve_inverse(SELFISH, h + f, net)
             assert result.certificate.theorem_applies
             assert float(np.max(np.abs(result.f_hat - f))) <= 1e-6 * net.fleet_sizes()[0]
-        assert len(extragradient_calls) == 12
-        # 17,009 when every solve runs to the gap tolerance
-        assert sum(call[1] for call in extragradient_calls) <= 3500
+        # 17,009 extragradient iterations when every solve runs to the gap
+        # tolerance, 3,421 when it exits on the first validated face
+        assert extragradient_calls == []
+        assert len(walk_calls) == 12 and all(f is not None for f, _ in walk_calls)
+        assert sum(rounds for _, rounds in walk_calls) <= 195  # 151 now
 
-    def test_uncertified_inverse_runs_to_gap(self, extragradient_calls):
+    def test_walk_frees_a_route_the_kkt_tolerance_would_keep_at_zero(self, walk_calls):
+        # route 41 carries 0.0031 fleet vehicles, yet the face with it at 0
+        # passes _validated (its multiplier is 8e-6 off, inside the 1e-6
+        # relative KKT tolerance) and the gap tolerance; a walk that stopped
+        # there would end 3e-3 vehicles off
+        h, net = route_ladder(instance_seed=2)[6]
+        f = fleet_assign(SELFISH, h, net, certify=False).f
+        result = solve_inverse(SELFISH, h + f, net)
+        assert walk_calls[0][0] is not None
+        assert float(np.max(np.abs(result.f_hat - f))) <= 1e-9 * net.fleet_sizes()[0]
+        assert result.residual <= 1e-12
+
+    def test_walk_cap_falls_back_to_the_extragradient(self, extragradient_calls, walk_calls):
+        h, net = route_ladder()[3]
+        q = h + fleet_assign(SELFISH, h, net, certify=False).f
+        walked = solve_inverse(SELFISH, q, net)
+        capped = solve_inverse(SELFISH, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=1))
+        assert walk_calls[1][0] is None and len(extragradient_calls) == 1
+        assert capped.converged and capped.residual <= 1e-12
+        assert float(np.max(np.abs(capped.f_hat - walked.f_hat))) <= 1e-9 * net.fleet_sizes()[0]
+
+    def test_uncertified_inverse_runs_to_gap(self, extragradient_calls, walk_calls):
         net = three_affine_routes(q_hdv=70.0, q_crv=30.0)
         result = solve_inverse(ALTRUISTIC, np.array([30.0, 30.0, 40.0]), net)
         assert not result.certificate.theorem_applies
-        assert extragradient_calls and not any(call[3] for call in extragradient_calls)
+        assert len(extragradient_calls) == 1 and walk_calls == []
 
-    def test_link_inverse_face_exit(self, monkeypatch, extragradient_calls):
+    def test_link_inverse_face_exit(self, monkeypatch, extragradient_calls, walk_calls):
         net = two_od_overlap()
         a = net.route_to_link(np.array([30.0, 20.0, 25.0, 25.0]))
         result = inverse_link_flows(SELFISH, a, net)
         assert result.certificate.theorem_applies
-        assert [call[3] for call in extragradient_calls] == [True]
-        recording = inverse._extragradient
-        monkeypatch.setattr(inverse, "_extragradient", lambda *args: recording(*args[:6]))
+        assert extragradient_calls == [] and walk_calls[0][0] is not None
+        monkeypatch.setattr(inverse, "_active_set_walk", lambda *args: (None, 0))
         full_run = inverse_link_flows(SELFISH, a, net)
-        assert extragradient_calls[1][3] is False
-        assert result.f_hat.tobytes() == full_run.f_hat.tobytes()
-        assert result.residual == full_run.residual
+        assert len(extragradient_calls) == 1
+        assert float(np.max(np.abs(result.f_hat - full_run.f_hat))) <= 1e-12 * float(np.max(full_run.f_hat))
+        assert abs(result.residual) <= 1e-12 and abs(full_run.residual) <= 1e-12
+
+
+def _dense_monotone_vi(rng):
+    """A strictly monotone affine VI a0 + b f over 1-3 units of 2-6 routes:
+    b is a positive definite Gram matrix, sometimes plus a skew part, and
+    most routes get a cap, some of them inside the active band."""
+    sizes = rng.integers(2, 7, size=int(rng.integers(1, 4)))
+    n = int(sizes.sum())
+    bounds = np.cumsum(np.concatenate([[0], sizes]))
+    blocks = tuple(np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    upper = None
+    if rng.random() < 0.7:
+        upper = np.where(rng.random(n) < 0.8, rng.uniform(0.5, 10.0, n), 1e-9)
+    caps = [float(np.sum(upper[b])) if upper is not None else 20.0 for b in blocks]
+    totals = np.array([rng.uniform(0.1, 0.95) * cap for cap in caps])
+    m = rng.normal(size=(n, n))
+    b = m @ m.T + 0.05 * np.eye(n)
+    if rng.random() < 0.3:
+        skew = rng.normal(size=(n, n))
+        b = b + skew - skew.T
+    a0 = 10.0 * rng.normal(size=n)
+    feasible = FeasibleSet(blocks=blocks, totals=totals, n_routes=n, upper=upper)
+    tol_gap = 1e-8 * (1.0 + float(np.linalg.norm(a0))) * max(1.0, feasible.total_mass)
+    return a0, b, feasible, tol_gap
+
+
+class TestActiveSetWalk:
+    def test_first_crossing_is_the_ratio_test(self):
+        # route 1 is pushed furthest past 0, but the segment from x to the
+        # face point reaches route 0's bound first
+        feasible = FeasibleSet(blocks=(np.arange(3),), totals=np.array([2.0]), n_routes=3)
+        x = np.array([0.2, 1.8, 0.0])
+        point = np.array([-0.1, -0.5, 2.6])
+        route, label, step = inverse._first_crossing(x, point, np.zeros(3, dtype=int), feasible)
+        assert (route, label) == (0, -1)
+        assert step == pytest.approx(0.2 / 0.3)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_dense_monotone_vi_needs_no_fallback(self, seed):
+        # coupled routes push several free routes past their bounds in one
+        # round; the walk still ends on the solution, the one feasible
+        # point whose VI gap is within the tolerance
+        a0, b, feasible, tol_gap = _dense_monotone_vi(np.random.default_rng(seed))
+        f, _ = inverse._active_set_walk(a0, b, feasible, tol_gap, DEFAULT_CONFIG)
+        assert f is not None
+        assert feasible.contains(f, tol=1e-9)
+        assert inverse._vi_gap(a0, b, f, feasible) <= tol_gap
 
 
 def _single_link_network(rng, sizes):
@@ -695,6 +785,35 @@ class TestFaceEnumeration:
             greedy, _ = inverse._linear_minimum(a0, feasible)
             assert result.f_hat.tobytes() == greedy.tobytes()
             assert result.residual == 0.0 and result.converged
+
+    @given(
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 6),
+        lam_hdv=st.floats(-1.0, 1.0),
+        margin=st.floats(1e-3, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_certified_walk_needs_no_fallback(self, sizes, lam_hdv, margin, seed):
+        # under the certificate the active-set walk alone solves the VI: it
+        # returns a validated face point within the gap tolerance
+        rng = np.random.default_rng(seed)
+        net, h = _single_link_network(rng, sizes)
+        strategy = FleetStrategy(lam_hdv, lam_hdv + margin)
+        forward = fleet_assign(strategy, h, net, seed=0, config=DEFAULT_CONFIG.replace(n_starts=4))
+        q = h + forward.f
+        if not inverse._certificate(strategy, q, net, DEFAULT_CONFIG).theorem_applies:
+            return
+        feasible = FeasibleSet(
+            blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q
+        )
+        a0, b = inverse._affine_operator(strategy, q, net)
+        scale = max(1.0, feasible.total_mass)
+        tol_gap = DEFAULT_CONFIG.tol_vi * (1.0 + float(np.linalg.norm(net.route_times(q)))) * scale
+        f, _ = inverse._active_set_walk(a0, b, feasible, tol_gap, DEFAULT_CONFIG)
+        assert f is not None
+        active = inverse._active_partition(f, feasible)
+        assert inverse._validated(a0, b, feasible, active, f).tobytes() == f.tobytes()
+        assert inverse._vi_gap(a0, b, f, feasible) <= tol_gap
 
     @given(
         sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 6),
