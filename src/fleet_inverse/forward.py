@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,20 @@ __all__ = [
 
 
 # -- feasible set -------------------------------------------------------------
+
+
+def bounded_factors(factors: Iterable[Iterable], cap: int, what: str) -> list[list]:
+    """Each factor as a list, read no deeper than a product of at most cap
+    members needs; raises FleetModelError, naming `what`, when the product
+    of the factors has more than cap members."""
+    lists: list[list] = []
+    count = 1
+    for factor in factors:
+        lists.append(list(itertools.islice(factor, cap // max(count, 1) + 1)))
+        count *= len(lists[-1])
+        if count > cap:
+            raise FleetModelError(f"{what} enumeration exceeded the cap of {cap}; raise vertex_cap")
+    return lists
 
 
 def _project_block_simplex(v: np.ndarray, total: float) -> np.ndarray:
@@ -184,63 +199,70 @@ class FeasibleSet:
                 return False
         return True
 
-    def block_vertices(self, s: int, cap: int) -> list[np.ndarray]:
-        """Vertices of unit s's feasible block (at most one coordinate away
-        from its bounds)."""
-        block = self.blocks[s]
-        total = float(self.totals[s])
-        k = len(block)
+    def _caps(self, s: int) -> list[float]:
         if self.upper is None:
-            if total == 0.0:
-                return [np.zeros(k)]
-            return [total * np.eye(k)[i] for i in range(k)]
-        upper = self.upper[block]
-        tol = 1e-12 * (1.0 + total)
-        out: list[np.ndarray] = []
+            return [math.inf] * len(self.blocks[s])
+        return self.upper[self.blocks[s]].tolist()
 
-        def rec(i: int, assigned: float, values: list[float], frac: int | None):
-            if len(out) > cap:
-                raise FleetModelError(
-                    f"vertex enumeration exceeded the cap of {cap}; raise vertex_cap"
-                )
-            if assigned > total + tol:
-                return
-            if i == k:
-                if frac is None:
-                    if abs(assigned - total) <= tol:
-                        out.append(np.asarray(values))
+    def labelings(self, s: int, tol: float, max_free: float = math.inf) -> Iterator[tuple[int, ...]]:
+        """Lower (-1) / free (0) / cap (+1) labelings of unit s's routes, at
+        most max_free of them free, that can hold its fleet mass within tol:
+        capped mass equal to the total, or below it with free routes whose
+        caps reach above it (a free route that must sit at a bound names a
+        point another labeling names).  Free and cap labels need a positive
+        cap.  Depth first, lower before free before cap at each route, and
+        lazily, so a caller may stop early."""
+        total = float(self.totals[s])
+        caps = self._caps(s)
+        # the largest mass routes i.. can hold
+        reach = list(itertools.accumulate(caps[::-1]))[::-1] + [0.0]
+        stack: list[tuple[tuple[int, ...], float, float]] = [((), 0.0, 0.0)]
+        while stack:
+            labels, fixed, room = stack.pop()
+            i = len(labels)
+            if fixed > total + tol or fixed + room + reach[i] < total - tol:
+                continue
+            if i == len(caps):
+                if room > 0.0:
+                    keep = fixed < total - tol and fixed + room > total + tol
                 else:
-                    v = total - assigned
-                    if tol < v < upper[frac] - tol:
-                        vals = list(values)
-                        vals[frac] = v
-                        out.append(np.asarray(vals))
-                return
-            rec(i + 1, assigned, values + [0.0], frac)
-            if math.isfinite(upper[i]) and upper[i] > tol:
-                rec(i + 1, assigned + float(upper[i]), values + [float(upper[i])], frac)
-            if frac is None:
-                rec(i + 1, assigned, values + [0.0], i)
-
-        rec(0, 0.0, [], None)
-        # deduplicate corners that were reached through several branches
-        unique: list[np.ndarray] = []
-        for v in out:
-            if not any(np.allclose(v, w, atol=10 * tol) for w in unique):
-                unique.append(v)
-        return unique
+                    keep = abs(fixed - total) <= tol
+                if keep:
+                    yield labels
+                continue
+            cap = caps[i]
+            if cap > 0.0:
+                if math.isfinite(cap):
+                    stack.append((labels + (1,), fixed + cap, room))
+                if labels.count(0) < max_free:
+                    stack.append((labels + (0,), fixed, room + cap))
+            stack.append((labels + (-1,), fixed, room))
 
     def vertices(self, cap: int) -> list[np.ndarray]:
-        per_block = [self.block_vertices(s, cap) for s in range(len(self.blocks))]
-        count = 1
-        for vs in per_block:
-            count *= max(1, len(vs))
-            if count > cap:
-                raise FleetModelError(
-                    f"vertex enumeration exceeded the cap of {cap}; raise vertex_cap"
-                )
+        """Every vertex of the set.  A unit's vertices are its labelings with
+        at most one free route (see labelings), the free route taking the
+        mass its capped routes leave; each unit's are in canonical order
+        (mass on the lowest route index first, so e_0 first on an uncapped
+        unit), and the units combine in itertools.product order.  Raises
+        FleetModelError above cap vertices."""
+        totals = self.totals.tolist()
+        per_unit = bounded_factors(
+            (self.labelings(s, 1e-12 * (1.0 + total), max_free=1) for s, total in enumerate(totals)),
+            cap, "vertex",
+        )
+        points = []
+        for s, labelings in enumerate(per_unit):
+            caps = self._caps(s)
+            unit_points = []
+            for labels in labelings:
+                x = [c if label > 0 else 0.0 for label, c in zip(labels, caps)]
+                if 0 in labels:
+                    # the capped mass summed in route order, as the walk sums it
+                    x[labels.index(0)] = totals[s] - list(itertools.accumulate(x))[-1]
+                unit_points.append(np.array(x))
+            points.append(_canonical_order(unit_points))
         out = []
-        for combo in itertools.product(*per_block):
+        for combo in itertools.product(*points):
             f = np.zeros(self.n_routes)
             for block, values in zip(self.blocks, combo):
                 f[block] = values

@@ -22,11 +22,12 @@ solves the KKT system of the iterate's face.  At L = 0 the operator is
 constant, and its greedy minimizer is exact as it stands.
 
 When the certificate fails, the solution set is enumerated: every
-solution solves the KKT system of its face, so the polish runs on each
-lower/free/cap partition that can hold every unit's fleet.  A face whose
-KKT system is singular (L = 0, dependent routes) gives its minimum-norm
-solution.  Above SolverConfig.vertex_cap partitions nothing is enumerated
-(InverseResult.exhaustive = False).
+solution solves the KKT system of its face, so that system is solved and
+validated on each lower/free/cap labeling that can hold every unit's fleet
+(FeasibleSet.labelings, the walk whose one-free-route labelings are the
+forward corners).  A face whose KKT system is singular (L = 0, dependent
+routes) gives its minimum-norm solution.  Above SolverConfig.vertex_cap
+labelings nothing is enumerated (InverseResult.exhaustive = False).
 
 Residuals are reported as VI gap per vehicle of fleet mass,
 max_x A(f).(f - x) / max(1, fleet mass), in time units.
@@ -47,7 +48,7 @@ from .errors import (
     InfeasibleProblemError,
     NotRealisableError,
 )
-from .forward import FeasibleSet, fleet_assign
+from .forward import FeasibleSet, bounded_factors, fleet_assign
 from .network import Network
 from .objective import FleetStrategy
 
@@ -290,18 +291,6 @@ def _bound_violations(candidate: np.ndarray, feasible: FeasibleSet) -> np.ndarra
     return out
 
 
-def _polish_active_set(
-    a0: np.ndarray,
-    b: np.ndarray,
-    feasible: FeasibleSet,
-    active: np.ndarray,
-) -> np.ndarray | None:
-    """The exact solution on the face of an active partition, or None when
-    its face point fails validation."""
-    candidate = _face_point(a0, b, feasible, active)
-    return None if candidate is None else _validated(a0, b, feasible, active, candidate)
-
-
 def _validated(
     a0: np.ndarray,
     b: np.ndarray,
@@ -501,39 +490,6 @@ def _solve_affine_vi(
 # -- face enumeration ----------------------------------------------------------------
 
 
-def _block_labelings(caps: np.ndarray, total: float, tol: float, limit: int) -> list[np.ndarray]:
-    """Lower (-1) / free (0) / cap (+1) labelings of one unit's routes that
-    can hold its total within tol: capped mass equal to the total, or below
-    it with free routes whose caps reach above it (a free route that must
-    sit at a bound names a point another labeling names).  Free and cap
-    labels need a positive cap.  Stops after more than limit labelings."""
-    k = len(caps)
-    # the largest mass routes i.. can hold
-    reach = np.concatenate([np.cumsum(caps[::-1])[::-1], [0.0]]).tolist()
-    out: list[np.ndarray] = []
-    stack: list[tuple[tuple[int, ...], float, float]] = [((), 0.0, 0.0)]
-    while stack and len(out) <= limit:
-        labels, fixed, room = stack.pop()
-        i = len(labels)
-        if fixed > total + tol or fixed + room + reach[i] < total - tol:
-            continue
-        if i == k:
-            if room > 0.0:
-                keep = fixed < total - tol and fixed + room > total + tol
-            else:
-                keep = abs(fixed - total) <= tol
-            if keep:
-                out.append(np.array(labels))
-            continue
-        cap = float(caps[i])
-        if cap > 0.0:
-            if math.isfinite(cap):
-                stack.append((labels + (1,), fixed + cap, room))
-            stack.append((labels + (0,), fixed, room + cap))
-        stack.append((labels + (-1,), fixed, room))
-    return out
-
-
 def _face_solutions(
     a0: np.ndarray,
     b: np.ndarray,
@@ -543,28 +499,27 @@ def _face_solutions(
 ) -> tuple[list[np.ndarray], bool]:
     """Every solution of the affine VI that solves the KKT system of a face.
 
-    Runs the active-set polish on every product of the units' labelings
-    (see _block_labelings) and keeps the candidates it validates whose VI
-    gap is within max(tol_gap, 1e-6 * scale).  Returns (solutions,
-    exhaustive); with more than config.vertex_cap partitions it enumerates
-    nothing and returns ([], False).
+    Solves and validates the face of every product of the units' labelings
+    (see FeasibleSet.labelings) and keeps the validated points whose VI gap
+    is within max(tol_gap, 1e-6 * scale).  Returns (solutions, exhaustive);
+    with more than config.vertex_cap partitions it enumerates nothing and
+    returns ([], False).
     """
     tol = 1e-7 * (1.0 + feasible.total_mass)
-    per_block = []
-    count = 1
-    for block, total in zip(feasible.blocks, feasible.totals):
-        caps = np.full(len(block), math.inf) if feasible.upper is None else feasible.upper[block]
-        per_block.append(_block_labelings(caps, float(total), tol, config.vertex_cap))
-        count *= len(per_block[-1])
-        if count > config.vertex_cap:
-            return [], False
+    try:
+        per_unit = bounded_factors(
+            (feasible.labelings(s, tol) for s in range(len(feasible.blocks))), config.vertex_cap, "face"
+        )
+    except FleetModelError:
+        return [], False
     gate = max(tol_gap, 1e-6 * _residual_scale(feasible))
     active = np.full(feasible.n_routes, -1)
     found = []
-    for combo in itertools.product(*per_block):
+    for combo in itertools.product(*per_unit):
         for block, labels in zip(feasible.blocks, combo):
             active[block] = labels
-        f = _polish_active_set(a0, b, feasible, active)
+        point = _face_point(a0, b, feasible, active)
+        f = None if point is None else _validated(a0, b, feasible, active, point)
         if f is not None and _vi_gap(a0, b, f, feasible) <= gate:
             found.append(f)
     return found, True
@@ -877,12 +832,15 @@ def _dykstra_min_norm(
     for _ in range(iterations):
         y = proj_box(x + p)
         p = x + p - y
-        x_new = proj_affine(y + qc)
-        qc = y + qc - x_new
-        if float(np.max(np.abs(x_new - x))) < 1e-13 * (1.0 + float(np.max(np.abs(x_new)))):
-            x = x_new
+        x, previous = proj_affine(y + qc), x
+        qc = y + qc - x
+        scale = 1.0 + float(np.max(np.abs(x)))
+        # a cycle can leave x in place while it is still outside the box
+        if (
+            float(np.max(np.abs(x - previous))) < 1e-13 * scale
+            and float(np.max(np.abs(proj_box(x) - x))) <= 1e-12 * scale
+        ):
             break
-        x = x_new
     return x
 
 
@@ -1077,21 +1035,15 @@ def _integer_candidates(
     # a coordinate in (-1, 0) can only round up to 0; + 0.0 clears -0.0
     low = np.maximum(np.floor(f_hat), 0.0) + 0.0
     ups_per_unit = []
-    count = 1
     for block, size in zip(blocks, sizes):
         fractional = block[f_hat[block] > low[block]]
         ups = float(size) - float(np.sum(low[block]))
         k = round(ups)
         if abs(ups - k) >= 1e-9 or not 0 <= k <= len(fractional):
             return ()
-        count *= math.comb(len(fractional), k)
-        if count > cap:
-            raise FleetModelError(
-                f"integer candidate enumeration exceeded the cap of {cap}; raise vertex_cap"
-            )
-        ups_per_unit.append(list(itertools.combinations(fractional.tolist(), k)))
+        ups_per_unit.append(itertools.combinations(fractional.tolist(), k))
     out = []
-    for combo in itertools.product(*ups_per_unit):
+    for combo in itertools.product(*bounded_factors(ups_per_unit, cap, "integer candidate")):
         cand = low.copy()
         for ups in combo:
             cand[list(ups)] += 1.0

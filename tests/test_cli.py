@@ -1,7 +1,9 @@
 """Scenario parsing, CSV reports, determinism, error categories."""
 
+import collections
 import hashlib
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from fleet_inverse.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNSUPPORTED,
+    SUBCOMMANDS,
     main,
 )
 from fleet_inverse.scenario import (
@@ -461,3 +464,54 @@ class TestReportBytes:
         out = tmp_path / "report.csv"
         assert run_cli([subcommand, "--scenario", str(fixture_path(name)), "--out", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[name]
+
+
+# fixtures that give observed flows and no HDV flows: the inverse side reads
+# them, the forward side (forward, simulate) rejects them; certify needs both
+# kinds of flow, which no fixture gives
+OBSERVED_ONLY = {
+    "cross_dependent_stable", "cross_dependent_unstable", "discrete_two_route", "two_od",
+    "two_route_common_links", "two_stage_overlap", "two_stage_overlap_concentrated", "two_unit",
+}
+# networks of more than two routes, which the Stackelberg analysis does not cover
+NOT_TWO_ROUTE = {"two_od", "two_stage_overlap", "two_stage_overlap_concentrated", "two_unit"}
+# about 0.2 s for the slowest cell in-process; a cell that overruns has hung
+CELL_BUDGET_S = 30.0
+
+
+def documented_exit(name: str, subcommand: str) -> int:
+    if subcommand == "certify":
+        return EXIT_PARSE
+    if subcommand in ("forward", "simulate"):
+        return EXIT_PARSE if name in OBSERVED_ONLY else EXIT_OK
+    if subcommand in ("inverse", "fiber"):
+        return EXIT_OK if name in OBSERVED_ONLY else EXIT_PARSE
+    if subcommand == "stackelberg" and name in NOT_TWO_ROUTE:
+        return EXIT_UNSUPPORTED
+    return EXIT_OK
+
+
+class TestCliMatrix:
+    """Every fixture x subcommand cell ends within its budget with its
+    documented exit code."""
+
+    def test_documented_exit_counts(self):
+        counts = collections.Counter(
+            documented_exit(name, sub) for name in ALL_FIXTURES for sub in SUBCOMMANDS
+        )
+        assert counts == {EXIT_OK: 51, EXIT_PARSE: 33, EXIT_UNSUPPORTED: 4}
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_cell_exit_code_within_budget(self, name, subcommand, tmp_path, capsys):
+        def overrun(signum, frame):
+            pytest.fail(f"{name} {subcommand} ran past its {CELL_BUDGET_S:.0f} s budget")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.setitimer(signal.ITIMER_REAL, CELL_BUDGET_S)
+        try:
+            code = main([subcommand, "--scenario", str(fixture_path(name)), "--out", str(tmp_path / "out.csv")])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == documented_exit(name, subcommand)

@@ -1,5 +1,6 @@
 """Forward assignment: projection, the three solvers, dispatch, certificates."""
 
+import itertools
 import math
 
 import numpy as np
@@ -102,6 +103,66 @@ class TestProjection:
         twice = fset.project(once)
         np.testing.assert_allclose(twice, once, atol=1e-9)
         assert abs(once.sum() - 30.0) < 1e-9 and np.all(once >= -1e-12)
+
+
+def vertex_oracle(caps, total):
+    """Every point with each route at 0, at its cap or, for at most one
+    route, free strictly inside its bounds and taking the rest, that holds
+    total within the vertices' tolerance; canonical order."""
+    tol = 1e-12 * (1.0 + total)
+    out = []
+    for labels in itertools.product((-1, 0, 1), repeat=len(caps)):
+        # a cap label needs a finite cap, and on a zero cap names the lower point
+        if labels.count(0) > 1 or any(l > 0 and not 0.0 < c < math.inf for l, c in zip(labels, caps)):
+            continue
+        x = np.zeros(len(caps))
+        fixed = 0.0
+        for i, (label, cap) in enumerate(zip(labels, caps)):
+            if label > 0:
+                x[i] = cap
+                fixed += cap
+        if 0 in labels:
+            free = labels.index(0)
+            x[free] = total - fixed
+            if not tol < x[free] < caps[free] - tol:
+                continue
+        elif abs(fixed - total) > tol:
+            continue
+        out.append(x)
+    return sorted(out, key=lambda v: tuple(-v))
+
+
+class TestVertices:
+    @given(
+        caps=st.lists(st.sampled_from([0.0, math.inf]) | st.floats(0.5, 10.0), min_size=1, max_size=5),
+        how=st.sampled_from(["zero", "subset", "share"]),
+        picks=st.lists(st.booleans(), min_size=5, max_size=5),
+        share=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_match_brute_force_labelings(self, caps, how, picks, share):
+        finite = [c for c in caps if math.isfinite(c)]
+        if how == "zero":
+            total = 0.0
+        elif how == "subset":  # the capped routes of some labeling hold it exactly
+            total = sum(c for c, pick in zip(caps, picks) if pick and math.isfinite(c))
+        else:
+            total = share * (sum(finite) + (10.0 if len(finite) < len(caps) else 0.0))
+        got = simple_set(total, n=len(caps), upper=caps).vertices(DEFAULT_CONFIG.vertex_cap)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in vertex_oracle(caps, total)]
+
+    def test_uncapped_order_is_e0_first_in_each_unit(self):
+        fset = FeasibleSet(
+            blocks=(np.arange(3), np.arange(3, 5), np.arange(5, 7)),
+            totals=np.array([6.0, 4.0, 0.0]),
+            n_routes=7,
+        )
+        expected = []
+        for i, j in itertools.product(range(3), range(3, 5)):
+            f = np.zeros(7)
+            f[i], f[j] = 6.0, 4.0
+            expected.append(f.tobytes())
+        assert [v.tobytes() for v in fset.vertices(DEFAULT_CONFIG.vertex_cap)] == expected
 
 
 class TestSolveConvex:

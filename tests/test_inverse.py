@@ -1,5 +1,6 @@
 """Inverse assignment: VI solver, certificates, fibers, stability, discrete."""
 
+import itertools
 import math
 
 import numpy as np
@@ -206,6 +207,39 @@ class TestLinkInverse:
             inverse_link_flows(SELFISH, np.array([200.0, 200.0, 50.0, 50.0]), net_overlap)
 
 
+def _three_stage_network():
+    """Three stages of two parallel affine links, one route through each of
+    the 8 link choices, one unit of fleet 40: a 4-dimensional route fiber."""
+    links = [Link(f"s{i}{c}", AffineDelay(1.0 + i, 0.1)) for i in range(3) for c in "ab"]
+    routes = [
+        Route("r" + "".join(p), tuple(f"s{i}{c}" for i, c in enumerate(p)))
+        for p in itertools.product("ab", repeat=3)
+    ]
+    unit = ODUnit("O", "D", q_hdv=60.0, q_crv=40.0, route_ids=tuple(r.id for r in routes))
+    return Network(links, routes, units=[unit])
+
+
+def _min_norm_by_kkt_enumeration(e, rhs, upper):
+    """argmin |x| over {e x = rhs, 0 <= x <= upper}: on every lower/free/cap
+    labeling, the KKT system x_free = e_free^T lam, e x = rhs with the other
+    coordinates on their bounds, solved by pseudo-inverse (lam need not be
+    unique); the feasible solution of least norm is the minimizer."""
+    m, n = e.shape
+    labels = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
+    free = labels == 0
+    bound = np.where(labels > 0, upper, 0.0)
+    kkt = np.zeros((len(labels), n + m, n + m))
+    kkt[:, :n, :n] = np.eye(n)
+    kkt[:, :n, n:] = np.where(free[:, :, None], -e.T[None], 0.0)
+    kkt[:, n:, :n] = e
+    target = np.concatenate([np.where(free, 0.0, bound), np.broadcast_to(rhs, (len(labels), m))], axis=1)
+    x = (np.linalg.pinv(kkt) @ target[:, :, None])[:, :n, 0]
+    solved = np.max(np.abs(x @ e.T - rhs), axis=1) <= 1e-9 * (1.0 + np.max(np.abs(rhs)))
+    inside = np.all((x >= -1e-9) & (x <= upper + 1e-9), axis=1)
+    candidates = x[solved & inside]
+    return candidates[np.argmin(np.sum(candidates**2, axis=1))]
+
+
 class TestRouteFiber:
     def test_uniform_case(self, net_overlap):
         phi = np.array([50.0, 50.0, 50.0, 50.0])
@@ -236,6 +270,32 @@ class TestRouteFiber:
     def test_unrealisable_phi(self, net_overlap):
         with pytest.raises(NotRealisableError):
             route_fiber(net_overlap, np.array([80.0, 20.0, 10.0, 10.0]))
+
+    def test_realisable_flows_on_four_dimensional_fiber(self):
+        # Dykstra's cycles could leave x in place while it was still outside
+        # the box; stopping there refused 9 of these 200 flows (the first at
+        # draw 7, residual 0.705) although f itself lies in the fiber
+        net = _three_stage_network()
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            f = rng.dirichlet(np.ones(8)) * 40.0
+            upper = f + rng.uniform(0.0, 3.0, 8)
+            fiber = route_fiber(net, net.route_to_link(f), upper=upper)
+            assert fiber.dimension == 4
+            assert fiber.residual <= 1e-9
+
+    def test_representative_is_the_min_norm_point(self):
+        net = _three_stage_network()
+        e = np.vstack([net.incidence.T, np.ones((1, 8))])
+        rng = np.random.default_rng(1)
+        for draw in range(8):
+            f = rng.dirichlet(np.ones(8)) * 40.0
+            upper = f + rng.uniform(0.0, 3.0, 8)
+            if draw not in (0, 1, 7):  # draw 7 is the first the early stop refused
+                continue
+            fiber = route_fiber(net, net.route_to_link(f), upper=upper)
+            expected = _min_norm_by_kkt_enumeration(e, e @ f, upper)
+            np.testing.assert_allclose(fiber.representative, expected, rtol=0.0, atol=1e-8)
 
 
 class TestLipschitzBound:
@@ -488,7 +548,8 @@ def _reference_solve(strategy, q, network):
         f = feasible.project(f - step * (a0 + b @ y))
     gap = inverse._vi_gap(a0, b, f, feasible)
     active = inverse._active_partition(f, feasible)
-    polished = inverse._polish_active_set(a0, b, feasible, active)
+    point = inverse._face_point(a0, b, feasible, active)
+    polished = None if point is None else inverse._validated(a0, b, feasible, active, point)
     on_face = False
     if polished is not None:
         gap_polished = inverse._vi_gap(a0, b, polished, feasible)

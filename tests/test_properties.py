@@ -23,7 +23,6 @@ from fleet_inverse import (
     lipschitz_bound,
     single_od_network,
     solve_general,
-    verify_corner_support,
 )
 from conftest import fd_route_gradient, symmetric_quadratic
 
@@ -197,13 +196,6 @@ class TestThreadDeterminism:
         )
         np.testing.assert_array_equal(serial.f, threaded.f)
         assert len(serial.minimizer_set) == len(threaded.minimizer_set)
-
-    def test_corner_support_same_result_any_worker_count(self):
-        net = symmetric_quadratic()
-        a = verify_corner_support(net, resolution=0.25, config=DEFAULT_CONFIG)
-        b = verify_corner_support(net, resolution=0.25, config=DEFAULT_CONFIG.replace(max_threads=4))
-        assert a.worst_margin == b.worst_margin
-        assert a.worst_mixture == b.worst_mixture
 
     def test_stability_bound_same_result_same_seed(self):
         # the samples are drawn from counter-based substreams of the seed
