@@ -41,18 +41,6 @@ EXIT_INFEASIBLE = 3
 EXIT_NONCONVERGED = 4
 EXIT_UNSUPPORTED = 5
 
-SUBCOMMANDS = (
-    "forward",
-    "inverse",
-    "classify",
-    "certify",
-    "simulate",
-    "stackelberg",
-    "lipschitz",
-    "fiber",
-)
-
-
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
@@ -422,6 +410,7 @@ HANDLERS = {
     "lipschitz": _run_lipschitz,
     "fiber": _run_fiber,
 }
+SUBCOMMANDS = tuple(HANDLERS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -8,8 +8,12 @@ scale at the point of use (documented next to each consumer).
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
+
+# image_distance_norm name -> the `ord` of numpy.linalg.norm
+IMAGE_DISTANCE_NORMS = {"l2": 2, "l1": 1, "linf": math.inf}
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,7 @@ class SolverConfig:
     # discrete recovery
     discrete_starts: int = 20
     max_outer_iter: int = 300
-    image_distance_norm: str = "l2"   # "l2" | "l1" | "linf"
+    image_distance_norm: str = "l2"   # a key of IMAGE_DISTANCE_NORMS
     # two-route equilibrium and mixture search
     ue_tol: float = 1e-10          # bisection residual target on equal expected costs
     tol_p: float = 1e-6            # golden-section tolerance on the mixing probability
@@ -46,9 +50,9 @@ class SolverConfig:
     max_threads: int = 1
 
     def __post_init__(self):
-        if self.image_distance_norm not in ("l2", "l1", "linf"):
+        if self.image_distance_norm not in IMAGE_DISTANCE_NORMS:
             raise ValueError(
-                f"image_distance_norm must be one of l2, l1, linf, "
+                f"image_distance_norm must be one of {', '.join(IMAGE_DISTANCE_NORMS)}, "
                 f"got {self.image_distance_norm!r}"
             )
         if self.max_threads < 1:

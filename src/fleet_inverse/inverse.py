@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
+from .config import DEFAULT_CONFIG, IMAGE_DISTANCE_NORMS, SolverConfig
 from .errors import (
     DimensionMismatchError,
     FleetModelError,
@@ -1092,7 +1092,7 @@ def discrete_recover(
             strategy, h, network, feasible=forward_set, config=config, certify=False
         ).f
 
-    norm_order = {"l2": 2, "l1": 1, "linf": np.inf}[config.image_distance_norm]
+    norm_order = IMAGE_DISTANCE_NORMS[config.image_distance_norm]
 
     def distance(h: np.ndarray) -> float:
         return float(np.linalg.norm(h + forward(h) - q, ord=norm_order))

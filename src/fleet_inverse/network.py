@@ -189,9 +189,20 @@ class _KernelDelay:
     """Scalar methods of a link-additive delay kind, evaluated by the kind's
     kernels (`kernels`, built from the fields in order), which the compiled
     delay table also runs on all links of the kind at once.  Out-of-domain
-    flows raise DelayDomainError."""
+    flows raise DelayDomainError.
+
+    Every delay kind, cross-affine included, also declares what scenario
+    files and the convexity classifier know of it: `kind`, its name in
+    scenario files (whose parameters are its fields, in order); `gamma`,
+    its power-family exponent, None outside the power family;
+    `convex_nondecreasing`; and `affine_in_flows`, whether it is affine in
+    the link flows."""
 
     kernels: ClassVar[type]
+    kind: ClassVar[str]
+    gamma: ClassVar[float | None] = None
+    convex_nondecreasing: ClassVar[bool] = True
+    affine_in_flows: ClassVar[bool] = False
 
     def _kernels(self):
         return self.kernels(*(np.float64(getattr(self, f.name)) for f in fields(self)))
@@ -211,11 +222,20 @@ class BPRDelay(_KernelDelay):
     """Polynomial volume-delay function t0 * (1 + d * (x / capacity) ** power)."""
 
     kernels = _BPRKernels
+    kind = "bpr"
 
     t0: float
     d: float
     capacity: float
     power: float
+
+    @property
+    def gamma(self) -> float:
+        return float(self.power)
+
+    @property
+    def convex_nondecreasing(self) -> bool:
+        return self.power >= 1.0
 
     def __post_init__(self):
         for name in ("t0", "d", "capacity", "power"):
@@ -229,6 +249,9 @@ class AffineDelay(_KernelDelay):
     """intercept + slope * x with strictly positive slope."""
 
     kernels = _AffineKernels
+    kind = "affine"
+    gamma = 1.0
+    affine_in_flows = True
 
     intercept: float
     slope: float
@@ -245,6 +268,8 @@ class QuadraticDelay(_KernelDelay):
     """intercept + coefficient * x**2 with strictly positive coefficient."""
 
     kernels = _QuadraticKernels
+    kind = "quadratic"
+    gamma = 2.0
 
     intercept: float
     coefficient: float
@@ -269,6 +294,7 @@ class WebsterDelay(_KernelDelay):
     """
 
     kernels = _WebsterKernels
+    kind = "webster"
 
     green_ratio: float
     saturation_flow: float
@@ -292,6 +318,11 @@ class CrossAffineDelay:
     beyond finiteness of the parameters.  The compiled delay table
     evaluates it, since it needs every link flow.
     """
+
+    kind = "cross_affine"
+    gamma = None
+    convex_nondecreasing = False
+    affine_in_flows = True
 
     intercept: float
     own_slope: float

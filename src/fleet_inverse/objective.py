@@ -3,9 +3,12 @@
 The fleet minimizes F(h, f) = (lam_hdv * h + lam_crv * f) . t(h + f) over
 its feasible assignments f, where h is the HDV route flow and t the route
 travel-time vector.  The sign pattern of (lam_hdv, lam_crv) together with
-the network's structure (power-family, Webster or affine/cross-affine
-delays) decides whether F(h, .) is convex, concave, or neither, which in
-turn selects the forward solver and gates inverse uniqueness.
+the network's structure decides whether F(h, .) is convex, concave, or
+neither, which in turn selects the forward solver and gates inverse
+uniqueness.  The classifier reads that structure from what each delay kind
+declares in network.py (its power-family exponent `gamma`, and whether it
+is convex and nondecreasing or affine in the link flows); it names no
+delay class.
 """
 
 from __future__ import annotations
@@ -18,14 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG
 from .errors import DimensionMismatchError, UnsupportedDelayError
-from .network import (
-    AffineDelay,
-    BPRDelay,
-    CrossAffineDelay,
-    Network,
-    QuadraticDelay,
-    WebsterDelay,
-)
+from .network import Network
 
 __all__ = [
     "FleetStrategy",
@@ -191,24 +187,15 @@ def _hessian_in_f(
     return strategy.lam_crv * (grad + grad.T) + (n * curvature) @ n.T
 
 
-def _link_gamma(delay) -> float:
-    """Power-family exponent of a link delay (1 affine, 2 quadratic)."""
-    if isinstance(delay, BPRDelay):
-        return float(delay.power)
-    if isinstance(delay, AffineDelay):
-        return 1.0
-    if isinstance(delay, QuadraticDelay):
-        return 2.0
-    raise UnsupportedDelayError(
-        f"convexity classification supports BPR/affine/quadratic links only, "
-        f"got {type(delay).__name__}"
-    )
-
-
 def _curvature_data(strategy: FleetStrategy, network: Network) -> tuple[LinkCurvature, ...]:
     rows = []
     for link in network.links:
-        gamma = _link_gamma(link.delay)
+        gamma = link.delay.gamma
+        if gamma is None:
+            raise UnsupportedDelayError(
+                f"convexity classification supports BPR/affine/quadratic links only, "
+                f"got {type(link.delay).__name__}"
+            )
         if gamma < 1.0:
             raise UnsupportedDelayError(
                 f"link {link.id!r} has exponent {gamma} < 1; the curvature "
@@ -249,12 +236,6 @@ def _mixed_sign_power_kind(strategy: FleetStrategy, per_link: tuple[LinkCurvatur
     if lc < 0 < lh and all(lc < (1.0 - row.gamma) / 2.0 * lh for row in per_link):
         return ConvexityKind.CONCAVE_EVERYWHERE
     return ConvexityKind.INDEFINITE
-
-
-def _power_family(delay) -> bool:
-    """BPR, affine or quadratic delay with exponent >= 1 (convex and
-    nondecreasing)."""
-    return isinstance(delay, (BPRDelay, AffineDelay, QuadraticDelay)) and _link_gamma(delay) >= 1.0
 
 
 def _quadratic_kind(strategy: FleetStrategy, network: Network, pd_rtol: float) -> ConvexityKind:
@@ -303,12 +284,12 @@ def classify_convexity(
     """
     delays = [link.delay for link in network.links]
     per_link: tuple[LinkCurvature, ...] = ()
-    if network.link_additive and all(_power_family(d) for d in delays):
+    if network.link_additive and all(d.gamma is not None and d.convex_nondecreasing for d in delays):
         per_link = _curvature_data(strategy, network)
         kind = _sign_definite_kind(strategy) or _mixed_sign_power_kind(strategy, per_link)
-    elif network.link_additive and all(_power_family(d) or isinstance(d, WebsterDelay) for d in delays):
+    elif network.link_additive and all(d.convex_nondecreasing for d in delays):
         kind = _sign_definite_kind(strategy) or ConvexityKind.INDEFINITE
-    elif all(isinstance(d, (AffineDelay, CrossAffineDelay)) for d in delays):
+    elif all(d.affine_in_flows for d in delays):
         kind = _quadratic_kind(strategy, network, pd_rtol)
     else:
         kind = ConvexityKind.INDEFINITE

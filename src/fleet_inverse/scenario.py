@@ -4,31 +4,29 @@ and optional observations, with eager validation.
 Every validation failure raises ScenarioError carrying a machine-readable
 code and the path of the offending field.  parse -> serialize -> parse is
 the identity on the validated model.
+
+Delays and the `simulation` and `tolerances` sections are read and
+written from the model's own declarations: a delay by its class's `kind`
+(network.py) and its dataclass fields in order, the two sections by the
+fields of SimulationConfig and SolverConfig, whose defaults fill what a
+document omits.  Each field is read by its declared type: a float as a
+finite number, an int as a JSON integer, a str as a string, never a bool.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .dynamics import SimulationConfig
-from .network import (
-    AffineDelay,
-    BPRDelay,
-    CrossAffineDelay,
-    Delay,
-    Link,
-    Network,
-    ODUnit,
-    QuadraticDelay,
-    Route,
-    WebsterDelay,
-)
+from .network import CrossAffineDelay, Delay, Link, Network, ODUnit, Route
 from .objective import PRESETS, FleetStrategy
 
 __all__ = [
@@ -95,86 +93,87 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _number(value, path: str, minimum: float | None = None, strict: bool = False) -> float:
+def _number(value, path: str, nonnegative: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail("bad-value", path, f"expected a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         _fail("bad-value", path, "number must be finite")
-    if minimum is not None:
-        if strict and value <= minimum:
-            _fail("negative-flow" if minimum == 0 else "bad-value", path, f"must be > {minimum}")
-        if not strict and value < minimum:
-            _fail("negative-flow" if minimum == 0 else "bad-value", path, f"must be >= {minimum}")
+    if nonnegative and value < 0.0:
+        _fail("negative-flow", path, "must be >= 0.0")
     return value
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail("bad-value", path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        _fail("bad-value", path, f"expected a string, got {value!r}")
+    return value
+
+
+def _slopes(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        _fail("malformed", path, "expected an object of link id to slope")
+    return {k: _number(v, f"{path}.{k}") for k, v in value.items()}
+
+
+_READERS = {float: _number, int: _integer, str: _string, Mapping[str, float]: _slopes}
+
+
+def _document_fields(cls) -> dict:
+    """name -> (reader, required) for each field of the dataclass cls that a
+    document gives, in declaration order; a field is required when it has no
+    default.  Fields of other types (a simulation's strategy) are not read
+    from documents."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (_READERS[hints[f.name]], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+        if hints[f.name] in _READERS
+    }
+
+
+_DELAY_KINDS = {cls.kind: cls for cls in typing.get_args(Delay)}
+_FIELDS = {
+    cls: _document_fields(cls) for cls in (*_DELAY_KINDS.values(), SimulationConfig, SolverConfig)
+}
+
+
+def _read_fields(cls, doc: dict, path: str) -> dict:
+    """The fields of cls that doc gives, each read by its declared type."""
+    values = {}
+    for name, (read, required) in _FIELDS[cls].items():
+        if required or name in doc:
+            values[name] = read(_require(doc, name, path), f"{path}.{name}")
+    return values
+
+
+def _fields_to_dict(obj) -> dict:
+    """The inverse of _read_fields, mappings sorted by key."""
+    doc = {}
+    for name in _FIELDS[type(obj)]:
+        value = getattr(obj, name)
+        doc[name] = dict(sorted(value.items())) if isinstance(value, dict) else value
+    return doc
 
 
 def _parse_delay(spec, path: str) -> Delay:
     if not isinstance(spec, dict):
         _fail("malformed", path, "delay must be an object with a 'kind' field")
     kind = _require(spec, "kind", path)
+    # a JSON array or object kind is unhashable
+    cls = _DELAY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        _fail("unknown-delay", f"{path}.kind", f"unknown delay variant {kind!r}")
     try:
-        if kind == "bpr":
-            return BPRDelay(
-                t0=_number(_require(spec, "t0", path), f"{path}.t0"),
-                d=_number(_require(spec, "d", path), f"{path}.d"),
-                capacity=_number(_require(spec, "capacity", path), f"{path}.capacity"),
-                power=_number(_require(spec, "power", path), f"{path}.power"),
-            )
-        if kind == "affine":
-            return AffineDelay(
-                intercept=_number(_require(spec, "intercept", path), f"{path}.intercept"),
-                slope=_number(_require(spec, "slope", path), f"{path}.slope"),
-            )
-        if kind == "quadratic":
-            return QuadraticDelay(
-                intercept=_number(_require(spec, "intercept", path), f"{path}.intercept"),
-                coefficient=_number(_require(spec, "coefficient", path), f"{path}.coefficient"),
-            )
-        if kind == "webster":
-            return WebsterDelay(
-                green_ratio=_number(_require(spec, "green_ratio", path), f"{path}.green_ratio"),
-                saturation_flow=_number(
-                    _require(spec, "saturation_flow", path), f"{path}.saturation_flow"
-                ),
-                cycle=_number(_require(spec, "cycle", path), f"{path}.cycle"),
-            )
-        if kind == "cross_affine":
-            cross = spec.get("cross", {})
-            if not isinstance(cross, dict):
-                _fail("malformed", f"{path}.cross", "expected an object of link id to slope")
-            return CrossAffineDelay(
-                intercept=_number(_require(spec, "intercept", path), f"{path}.intercept"),
-                own_slope=_number(_require(spec, "own_slope", path), f"{path}.own_slope"),
-                cross={k: _number(v, f"{path}.cross.{k}") for k, v in cross.items()},
-            )
+        return cls(**_read_fields(cls, spec, path))
     except ValueError as exc:
         _fail("bad-value", path, str(exc))
-    _fail("unknown-delay", f"{path}.kind", f"unknown delay variant {kind!r}")
-
-
-def _delay_to_dict(delay: Delay) -> dict:
-    if isinstance(delay, BPRDelay):
-        return {"kind": "bpr", "t0": delay.t0, "d": delay.d, "capacity": delay.capacity, "power": delay.power}
-    if isinstance(delay, AffineDelay):
-        return {"kind": "affine", "intercept": delay.intercept, "slope": delay.slope}
-    if isinstance(delay, QuadraticDelay):
-        return {"kind": "quadratic", "intercept": delay.intercept, "coefficient": delay.coefficient}
-    if isinstance(delay, WebsterDelay):
-        return {
-            "kind": "webster",
-            "green_ratio": delay.green_ratio,
-            "saturation_flow": delay.saturation_flow,
-            "cycle": delay.cycle,
-        }
-    if isinstance(delay, CrossAffineDelay):
-        return {
-            "kind": "cross_affine",
-            "intercept": delay.intercept,
-            "own_slope": delay.own_slope,
-            "cross": dict(sorted(delay.cross.items())),
-        }
-    raise TypeError(f"unknown delay type {type(delay)!r}")
 
 
 def _flow_vector(values, path: str, length: int, name: str) -> np.ndarray:
@@ -182,7 +181,7 @@ def _flow_vector(values, path: str, length: int, name: str) -> np.ndarray:
         _fail("malformed", path, f"expected a list of {length} numbers")
     if len(values) != length:
         _fail("bad-value", path, f"expected {length} entries for {name}, got {len(values)}")
-    return np.array([_number(v, f"{path}[{i}]", minimum=0.0) for i, v in enumerate(values)])
+    return np.array([_number(v, f"{path}[{i}]", nonnegative=True) for i, v in enumerate(values)])
 
 
 def parse_scenario_dict(doc: dict, source: str = "<memory>") -> Scenario:
@@ -258,8 +257,8 @@ def parse_scenario_dict(doc: dict, source: str = "<memory>") -> Scenario:
             ODUnit(
                 origin=str(item.get("origin", f"O{i}")),
                 destination=str(item.get("destination", f"D{i}")),
-                q_hdv=_number(_require(item, "q_hdv", path), f"{path}.q_hdv", minimum=0.0),
-                q_crv=_number(_require(item, "q_crv", path), f"{path}.q_crv", minimum=0.0),
+                q_hdv=_number(_require(item, "q_hdv", path), f"{path}.q_hdv", nonnegative=True),
+                q_crv=_number(_require(item, "q_crv", path), f"{path}.q_crv", nonnegative=True),
                 route_ids=tuple(unit_routes),
             )
         )
@@ -320,22 +319,21 @@ def parse_scenario_dict(doc: dict, source: str = "<memory>") -> Scenario:
         _fail("malformed", "$.simulation", "expected an object")
     try:
         simulation = SimulationConfig(
-            days=int(sim_doc.get("days", 100)),
-            mu=float(sim_doc.get("mu", 0.2)),
-            model=str(sim_doc.get("model", "smoothed")),
-            theta=float(sim_doc.get("theta", 1.0)),
-            seed=int(sim_doc.get("seed", 0)),
-            strategy=strategy,
+            **_read_fields(SimulationConfig, sim_doc, "$.simulation"), strategy=strategy
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         _fail("bad-value", "$.simulation", str(exc))
 
-    overrides = doc.get("tolerances", {})
-    if not isinstance(overrides, dict):
+    tolerances = doc.get("tolerances", {})
+    if not isinstance(tolerances, dict):
         _fail("malformed", "$.tolerances", "expected an object")
+    unknown = sorted(set(tolerances) - set(_FIELDS[SolverConfig]))
+    if unknown:
+        _fail("bad-value", "$.tolerances", f"unknown tolerance fields: {unknown}")
+    overrides = _read_fields(SolverConfig, tolerances, "$.tolerances")
     try:
         config = DEFAULT_CONFIG.replace(**overrides)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         _fail("bad-value", "$.tolerances", str(exc))
 
     return Scenario(
@@ -348,7 +346,7 @@ def parse_scenario_dict(doc: dict, source: str = "<memory>") -> Scenario:
         observed_link_flows=observed_links,
         simulation=simulation,
         config=config,
-        tolerance_overrides=dict(overrides),
+        tolerance_overrides=overrides,
         simulation_given=simulation_given,
     )
 
@@ -372,7 +370,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     doc: dict = {
         "schema": SCHEMA_VERSION,
         "links": [
-            {"id": link.id, "delay": _delay_to_dict(link.delay)} for link in net.links
+            {"id": link.id, "delay": {"kind": link.delay.kind, **_fields_to_dict(link.delay)}}
+            for link in net.links
         ],
         "routes": [
             {"id": route.id, "links": list(route.link_ids)} for route in net.routes
@@ -404,14 +403,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     if scenario.observed_link_flows is not None:
         doc["observed"] = {"link_flows": list(map(float, scenario.observed_link_flows))}
     if scenario.simulation_given:
-        sim = scenario.simulation
-        doc["simulation"] = {
-            "days": sim.days,
-            "mu": sim.mu,
-            "model": sim.model,
-            "theta": sim.theta,
-            "seed": sim.seed,
-        }
+        doc["simulation"] = _fields_to_dict(scenario.simulation)
     if scenario.tolerance_overrides:
         doc["tolerances"] = dict(scenario.tolerance_overrides)
     return doc

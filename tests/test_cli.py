@@ -16,6 +16,8 @@ from fleet_inverse.cli import (
     SUBCOMMANDS,
     main,
 )
+from fleet_inverse.config import DEFAULT_CONFIG
+from fleet_inverse.dynamics import SimulationConfig
 from fleet_inverse.scenario import (
     ScenarioError,
     fixture_path,
@@ -194,6 +196,117 @@ class TestParsing:
         doc["tolerances"] = {"no_such_knob": 1}
         with pytest.raises(ScenarioError):
             parse_scenario_dict(doc)
+
+
+# a valid spec of every delay kind for links[1] of two_od, parameters in
+# documented order
+DELAY_SPECS = {
+    "bpr": {"kind": "bpr", "t0": 1.0, "d": 1.0, "capacity": 50.0, "power": 2.0},
+    "affine": {"kind": "affine", "intercept": 1.0, "slope": 0.5},
+    "quadratic": {"kind": "quadratic", "intercept": 1.0, "coefficient": 0.01},
+    "webster": {"kind": "webster", "green_ratio": 0.5, "saturation_flow": 100.0, "cycle": 60.0},
+    "cross_affine": {"kind": "cross_affine", "intercept": 1.0, "own_slope": 0.5, "cross": {"a": 0.1}},
+}
+DELAY_PARAMETERS = [
+    (kind, key) for kind, spec in DELAY_SPECS.items() for key in spec if key not in ("kind", "cross")
+]
+
+
+def parse_error(doc) -> tuple[str, str]:
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_dict(doc)
+    return err.value.code, err.value.field_path
+
+
+def with_delay(spec) -> dict:
+    doc = load_doc("two_od")
+    doc["links"][1]["delay"] = spec
+    return doc
+
+
+class TestDelayDocuments:
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixture_serializes_to_its_own_text(self, name):
+        doc = scenario_to_dict(parse_scenario(fixture_path(name)))
+        assert json.dumps(doc, indent=2) + "\n" == fixture_path(name).read_text()
+
+    @pytest.mark.parametrize("kind", DELAY_SPECS)
+    def test_every_kind_round_trips(self, kind):
+        doc = with_delay(DELAY_SPECS[kind])
+        doc["simulation"] = {"days": 7, "mu": 0.5, "model": "logit", "theta": 2.0, "seed": 3}
+        doc["tolerances"] = {"tol_vi": 1e-6, "vertex_cap": 8, "image_distance_norm": "l1"}
+        assert scenario_to_dict(parse_scenario_dict(doc)) == doc
+
+    @pytest.mark.parametrize("kind,key", DELAY_PARAMETERS)
+    def test_missing_parameter(self, kind, key):
+        spec = dict(DELAY_SPECS[kind])
+        del spec[key]
+        assert parse_error(with_delay(spec)) == ("missing-field", f"$.links[1].delay.{key}")
+
+    @pytest.mark.parametrize("value", ["1.0", True, None, [1.0], float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind,key", DELAY_PARAMETERS)
+    def test_parameter_not_a_finite_number(self, kind, key, value):
+        spec = {**DELAY_SPECS[kind], key: value}
+        assert parse_error(with_delay(spec)) == ("bad-value", f"$.links[1].delay.{key}")
+
+    @pytest.mark.parametrize("kind", [["bpr"], {}, 3, None, "BPR"])
+    def test_unknown_kind(self, kind):
+        spec = {**DELAY_SPECS["bpr"], "kind": kind}
+        assert parse_error(with_delay(spec)) == ("unknown-delay", "$.links[1].delay.kind")
+
+    @pytest.mark.parametrize("cross", [[0.1], "a", 3, None])
+    def test_cross_not_an_object(self, cross):
+        spec = {**DELAY_SPECS["cross_affine"], "cross": cross}
+        assert parse_error(with_delay(spec)) == ("malformed", "$.links[1].delay.cross")
+
+    def test_cross_slopes(self):
+        spec = {**DELAY_SPECS["cross_affine"], "cross": {"a": True}}
+        assert parse_error(with_delay(spec)) == ("bad-value", "$.links[1].delay.cross.a")
+        spec["cross"] = {"z": 0.1}
+        assert parse_error(with_delay(spec)) == ("dangling-id", "$.links[1].delay.cross.z")
+        del spec["cross"]
+        assert parse_scenario_dict(with_delay(spec)).network.links[1].delay.cross == {}
+
+    def test_out_of_domain_parameter_names_the_delay(self):
+        spec = {**DELAY_SPECS["webster"], "green_ratio": 1.5}
+        assert parse_error(with_delay(spec)) == ("bad-value", "$.links[1].delay")
+
+
+class TestTypedSections:
+    """simulation and tolerances values are read by the declared types of
+    SimulationConfig and SolverConfig fields."""
+
+    def test_omitted_fields_take_the_dataclass_defaults(self):
+        doc = load_doc("two_od")
+        doc["simulation"] = {"mu": 0.5}
+        scenario = parse_scenario_dict(doc)
+        assert scenario.simulation == SimulationConfig(mu=0.5, strategy=scenario.strategy)
+        assert scenario.config == DEFAULT_CONFIG
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("days", "5"), ("days", 2.7), ("days", 5.0), ("days", True), ("mu", "0.5"), ("mu", True),
+         ("theta", float("inf")), ("theta", float("nan")), ("model", 3), ("seed", 1.5)],
+    )
+    def test_malformed_simulation_value(self, key, value):
+        doc = load_doc("two_od")
+        doc["simulation"] = {key: value}
+        assert parse_error(doc) == ("bad-value", f"$.simulation.{key}")
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("vertex_cap", "x"), ("vertex_cap", 2.5), ("vertex_cap", 20000.0), ("tol_vi", "1e-8"),
+         ("tol_vi", float("nan")), ("tol_vi", float("inf")), ("tol_vi", True)],
+    )
+    def test_malformed_tolerance_exits_parse(self, key, value, tmp_path, capsys):
+        # each of these used to crash (exit 1), spin to max_vi_iter (exit 4)
+        # or run (exit 0) on the inverse
+        doc = load_doc("two_od")
+        doc["tolerances"] = {key: value}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["inverse", "--scenario", str(path), "--out", "-"]) == EXIT_PARSE
+        assert f"error[parse]: bad-value at $.tolerances.{key}:" in capsys.readouterr().err
 
 
 def run_cli(args) -> int:

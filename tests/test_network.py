@@ -1,6 +1,9 @@
 """Network model: flow conversion, travel times, gradients, certificates."""
 
+import ast
 import math
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +20,14 @@ from fleet_inverse import (
     Network,
     ODUnit,
     FleetStrategy,
+    QuadraticDelay,
     Route,
     WebsterDelay,
     fleet_assign,
     single_od_network,
 )
+import fleet_inverse
+from fleet_inverse.network import Delay
 from fleet_inverse.scenario import fixture_path, parse_scenario
 from conftest import (
     cross_dependent_two_route,
@@ -391,3 +397,66 @@ class TestInvariants:
             assert eigs[0] > -threshold
             independent = net.routes_linearly_independent().independent
             assert (eigs[0] > threshold) == independent
+
+
+class TestDelayDeclarations:
+    """network.py is the one module that knows what a delay kind is."""
+
+    @pytest.mark.parametrize(
+        "delay,kind,gamma,convex,affine",
+        [
+            (BPRDelay(1.0, 1.0, 50.0, 0.5), "bpr", 0.5, False, False),
+            (BPRDelay(1.0, 1.0, 50.0, 1.0), "bpr", 1.0, True, False),
+            (BPRDelay(1.0, 1.0, 50.0, 2.0), "bpr", 2.0, True, False),
+            (AffineDelay(1.0, 0.5), "affine", 1.0, True, True),
+            (QuadraticDelay(1.0, 0.01), "quadratic", 2.0, True, False),
+            (WebsterDelay(0.5, 100.0, 60.0), "webster", None, True, False),
+            (CrossAffineDelay(1.0, 0.5), "cross_affine", None, False, True),
+        ],
+    )
+    def test_declared_structure(self, delay, kind, gamma, convex, affine):
+        assert (delay.kind, delay.gamma, delay.convex_nondecreasing, delay.affine_in_flows) == (
+            kind, gamma, convex, affine
+        )
+
+    def test_kind_names_are_distinct(self):
+        kinds = [cls.kind for cls in typing.get_args(Delay)]
+        assert sorted(kinds) == ["affine", "bpr", "cross_affine", "quadratic", "webster"]
+
+    def test_no_delay_type_tests_outside_network(self):
+        delay_names = {cls.__name__ for cls in typing.get_args(Delay)} | {"Delay", "_KernelDelay"}
+
+        def named(node) -> set[str]:
+            return {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            } & delay_names
+
+        src = Path(fleet_inverse.__file__).parent
+        type_tests = []
+        for path in sorted(src.rglob("*.py")):
+            if path.name == "network.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("isinstance", "issubclass")
+                    and len(node.args) == 2
+                ):
+                    names = named(node.args[1])
+                    # the dangling-id check on cross-affine references
+                    if names and (path.name, names) != ("scenario.py", {"CrossAffineDelay"}):
+                        type_tests.append(f"{path.name}:{node.lineno}")
+        assert type_tests == []
+
+        objective = ast.parse((src / "objective.py").read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(objective)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not imported & delay_names
+        assert not named(objective)

@@ -6,6 +6,7 @@ import pytest
 from fleet_inverse import (
     AffineDelay,
     BPRDelay,
+    CrossAffineDelay,
     FleetStrategy,
     ConvexityKind,
     QuadraticDelay,
@@ -19,7 +20,7 @@ from fleet_inverse import (
     objective_hessian_in_f,
     single_od_network,
 )
-from fleet_inverse.objective import link_curvature_sign, _curvature_data
+from fleet_inverse.objective import PRESETS, link_curvature_sign, _curvature_data
 from conftest import (
     asymmetric_two_route,
     cross_dependent_two_route,
@@ -250,6 +251,53 @@ class TestClassify:
                 assert all(v >= 0 for v in signs)
             elif kind is ConvexityKind.CONCAVE_EVERYWHERE:
                 assert all(v <= 0 for v in signs)
+
+
+def _boundary_networks() -> dict:
+    """Two-route networks at the classification rules' boundaries: BPR powers
+    below, at and above 1, each alone, with a Webster link and with a
+    cross-affine link, and the other kinds with a cross-affine link."""
+    webster = WebsterDelay(0.5, 100.0, 60.0)
+    cross = CrossAffineDelay(1.0, 0.5, {"l0": 0.1})
+    delays = {}
+    for p in (0.5, 1.0, 2.0):
+        bpr = BPRDelay(5.0, 1.0, 50.0, p)
+        delays[f"bpr{p}"] = [bpr, BPRDelay(15.0, 1.0, 80.0, p)]
+        delays[f"bpr{p}+webster"] = [bpr, webster]
+        delays[f"bpr{p}+cross"] = [bpr, cross]
+    delays["affine+cross"] = [AffineDelay(1.0, 0.5), cross]
+    delays["quadratic+cross"] = [QuadraticDelay(1.0, 0.01), cross]
+    return {name: single_od_network(d, q_hdv=50.0, q_crv=50.0) for name, d in delays.items()}
+
+
+CONVEX, CONCAVE, INDEFINITE = "ConvexEverywhere", "ConcaveEverywhere", "Indefinite"
+# label per preset, in PRESETS order (selfish, altruistic, malicious, social,
+# disruptive)
+BOUNDARY_TABLE = {
+    "bpr0.5": (INDEFINITE,) * 5,
+    "bpr0.5+webster": (INDEFINITE,) * 5,
+    "bpr0.5+cross": (INDEFINITE,) * 5,
+    "bpr1.0": (CONVEX, CONVEX, CONCAVE, CONVEX, CONVEX),
+    "bpr1.0+webster": (CONVEX, CONVEX, CONCAVE, CONVEX, INDEFINITE),
+    # a BPR link of power 1 is not affine-flagged: no quadratic-objective rule
+    "bpr1.0+cross": (INDEFINITE,) * 5,
+    "bpr2.0": (CONVEX, CONVEX, CONCAVE, CONVEX, CONVEX),
+    "bpr2.0+webster": (CONVEX, CONVEX, CONCAVE, CONVEX, INDEFINITE),
+    "bpr2.0+cross": (INDEFINITE,) * 5,
+    "affine+cross": (CONVEX, CONCAVE, CONCAVE, CONVEX, CONVEX),
+    "quadratic+cross": (INDEFINITE,) * 5,
+}
+
+
+class TestClassificationTable:
+    @pytest.mark.parametrize("name", BOUNDARY_TABLE)
+    def test_presets_at_rule_boundaries(self, name):
+        net = _boundary_networks()[name]
+        classes = [classify_convexity(s, net) for s in PRESETS.values()]
+        assert tuple(c.label for c in classes) == BOUNDARY_TABLE[name]
+        # only the power-family rule reports per-link curvature data
+        power_family = name in ("bpr1.0", "bpr2.0")
+        assert all(len(c.per_link) == (2 if power_family else 0) for c in classes)
 
 
 class TestLocalConvexity:
