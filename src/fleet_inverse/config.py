@@ -16,6 +16,16 @@ from dataclasses import dataclass
 IMAGE_DISTANCE_NORMS = {"l2": 2, "l1": 1, "linf": math.inf}
 
 
+# fields outside the tolerances (*_rtol, tol_*, ue_tol: finite and positive)
+# that have a range
+_OPEN_UNIT_INTERVAL = ("armijo_factor", "armijo_c1", "extragradient_safety")
+_MINIMUM = {
+    "n_starts": 0, "n_dirs": 0, "discrete_starts": 0,
+    "vertex_cap": 1, "max_pg_iter": 1, "max_vi_iter": 1, "max_outer_iter": 1, "max_threads": 1,
+    "mixture_grid": 2,
+}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     # rank / positive-definiteness gates (relative thresholds)
@@ -55,8 +65,15 @@ class SolverConfig:
                 f"image_distance_norm must be one of {', '.join(IMAGE_DISTANCE_NORMS)}, "
                 f"got {self.image_distance_norm!r}"
             )
-        if self.max_threads < 1:
-            raise ValueError("max_threads must be at least 1")
+        for f in dataclasses.fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name.endswith("_rtol") or name.startswith("tol_") or name == "ue_tol":
+                if not (math.isfinite(value) and value > 0.0):
+                    raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            elif name in _OPEN_UNIT_INTERVAL and not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+            elif name in _MINIMUM and value < _MINIMUM[name]:
+                raise ValueError(f"{name} must be at least {_MINIMUM[name]}, got {value!r}")
 
     def replace(self, **overrides) -> "SolverConfig":
         unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}

@@ -436,6 +436,17 @@ def _newton_direction(
     directions of linearly dependent routes; the Hessian is built from the
     route gradient route_grad at h + f.  None when the reduced Hessian is not
     positive semidefinite.
+
+    A diagonal route_grad (a separable network, see _gradient_in_f) gives
+    a diagonal H.  When every free entry of a unit with two or more free
+    routes exceeds pd_rtol times the largest, the step is the closed form
+    of the separable resource-allocation problem, O(R): with b = grad + H d
+    and one multiplier per unit, mu = sum(b_F / H_F) / sum(1 / H_F), each
+    free coordinate moves by -(b_F - mu) / H_F (with b_F and mu taken
+    relative to one entry of b_F, see below).  By Cauchy interlacing every
+    eigenvalue of the reduced Hessian then lies above the cutoff the
+    eigendecomposition would apply, so both give the same step.  Any other
+    face, indefinite ones included, takes the eigendecomposition.
     """
     active = (f <= eps) & (p <= 0.0)
     d = np.where(active, -f, 0.0)
@@ -443,22 +454,46 @@ def _newton_direction(
         at_cap = (f >= feasible.upper - eps) & (p >= feasible.upper) & ~active
         d[at_cap] = feasible.upper[at_cap] - f[at_cap]
         active |= at_cap
-    columns = []
+    faces = []
     for block in feasible.blocks:
         free = block[~active[block]]
         if len(free) == 0:
             continue
         d[free] = -np.sum(d[block]) / len(free)
+        if len(free) > 1:
+            faces.append(free)
+    if not faces:
+        return d
+    hess = _hessian_in_f(strategy, h, f, network, route_grad)
+    if hess.ndim == 1:
+        # H and b scaled by the power of 2 that brings the largest free
+        # curvature into [0.5, 1): exact, and with subnormal strategy
+        # weights it keeps pd_rtol * max and 1 / H_F finite
+        curvature = hess[np.concatenate(faces)]
+        exponent = -int(np.frexp(np.max(curvature))[1])
+        curvature = np.ldexp(curvature, exponent)
+        if np.all(curvature > pd_rtol * np.max(curvature)):
+            b = np.ldexp(grad + hess * d, exponent)
+            hess = np.ldexp(hess, exponent)
+            for free in faces:
+                # b_F relative to its entry on the flattest route: near a
+                # minimum these differences are exact, and the multiplier
+                # is then a small correction whose rounding 1 / H_F does
+                # not magnify
+                excess = b[free] - b[free[np.argmin(hess[free])]]
+                mu = np.sum(excess / hess[free]) / np.sum(1.0 / hess[free])
+                d[free] -= (excess - mu) / hess[free]
+            return d
+        hess = np.diag(hess)
+    columns = []
+    for free in faces:
         # Helmert basis: column k is (1, ..., 1, -k, 0, ...) / sqrt(k (k + 1))
         k = np.arange(1, len(free))
         basis = np.zeros((feasible.n_routes, len(k)))
         helmert = np.triu(np.ones((len(free), len(k)))) - np.diag(k, -1)[:, :-1]
         basis[free] = helmert / np.sqrt(k * (k + 1.0))
         columns.append(basis)
-    q = np.hstack([np.zeros((feasible.n_routes, 0))] + columns)
-    if q.shape[1] == 0:
-        return d
-    hess = _hessian_in_f(strategy, h, f, network, route_grad)
+    q = np.hstack(columns)
     w, v = np.linalg.eigh(q.T @ hess @ q)
     cutoff = pd_rtol * float(np.max(np.abs(w)))
     if w[0] < -cutoff:

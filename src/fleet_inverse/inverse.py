@@ -234,25 +234,57 @@ def _extragradient(
     return f, config.max_vi_iter, False
 
 
+def _diagonal_of(b: np.ndarray) -> np.ndarray | None:
+    """The diagonal of b when b is diagonal (a separable network, see
+    Network.separable), None otherwise; one check per VI solve, which
+    _face_point then takes."""
+    diagonal = np.diagonal(b)
+    return diagonal if np.count_nonzero(b) == np.count_nonzero(diagonal) else None
+
+
 def _face_point(
     a0: np.ndarray,
     b: np.ndarray,
     feasible: FeasibleSet,
     active: np.ndarray,
+    diagonal: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """Solve the KKT system on an active partition (see _active_partition):
     free coordinates satisfy A(f)_r = mu_s inside their unit, the others sit
     on their bounds.  None when the solve is not finite; the point is not
-    checked against the bounds or the multipliers."""
+    checked against the bounds or the multipliers.
+
+    When b is diagonal (`diagonal`, see _diagonal_of) with free entries
+    that are nonzero and share one sign, the system has the closed form of
+    the separable resource-allocation problem, O(R): with T_s the mass
+    unit s leaves to its free routes F, mu_s = (T_s + sum_F a0 / b) /
+    sum_F 1 / b and f_r = (mu_s - a0_r) / b_rr (with a0 and mu_s taken
+    relative to one entry of a0_F, see below).  Otherwise a least-squares
+    solve of the KKT system gives its unique or, where it is singular, its
+    minimum-norm solution."""
     free = active == 0
     fixed = np.zeros(feasible.n_routes)
     if feasible.upper is not None:
         fixed = np.where(active > 0, feasible.upper, fixed)
+    if not np.any(free):
+        return fixed
+
+    if diagonal is not None and (np.all(diagonal[free] > 0.0) or np.all(diagonal[free] < 0.0)):
+        point = fixed.copy()
+        for block, total in zip(feasible.blocks, feasible.totals):
+            routes = block[free[block]]
+            if len(routes):
+                # a0 relative to its entry on the flattest route, whose
+                # 1 / b dominates the sums: its share of mu's rounding then
+                # shrinks with b there instead of growing with 1 / b
+                excess = a0[routes] - a0[routes[np.argmin(np.abs(diagonal[routes]))]]
+                mass = float(total) - float(np.sum(fixed[block][~free[block]]))
+                mu = (mass + np.sum(excess / diagonal[routes])) / np.sum(1.0 / diagonal[routes])
+                point[routes] = (mu - excess) / diagonal[routes]
+        return point if np.all(np.isfinite(point)) else None
 
     free_idx = np.flatnonzero(free)
     n_free = len(free_idx)
-    if n_free == 0:
-        return fixed
     unit = np.zeros(feasible.n_routes, dtype=int)
     for s, block in enumerate(feasible.blocks):
         unit[block] = s
@@ -385,6 +417,7 @@ def _active_set_walk(
     feasible: FeasibleSet,
     tol_gap: float,
     config: SolverConfig,
+    diagonal: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, int]:
     """The primal active-set method (Nocedal and Wright 2006, Algorithm
     16.3) for a monotone affine VI, from the greedy vertex of a0.
@@ -400,7 +433,8 @@ def _active_set_walk(
     may end at a cap that _active_partition calls a lower bound.  Returns
     (solution, rounds); the solution is None when that last check fails, a
     face solve is not finite, a partition repeats or config.vertex_cap
-    rounds pass.
+    rounds pass.  `diagonal` is b's diagonal when b is diagonal (see
+    _face_point).
     """
     x = _linear_minimum(a0, feasible)[0]
     active = _active_partition(x, feasible)
@@ -410,7 +444,7 @@ def _active_set_walk(
         if key in seen:
             return None, rounds - 1
         seen.add(key)
-        point = _face_point(a0, b, feasible, active)
+        point = _face_point(a0, b, feasible, active, diagonal)
         if point is None:
             return None, rounds
         crossed = _first_crossing(x, point, active, feasible)
@@ -461,8 +495,9 @@ def _solve_affine_vi(
         # every minimizer of a0 . f solves the VI
         f = _linear_minimum(a0, feasible)[0]
         return f, _vi_gap(a0, b, f, feasible), True
+    diagonal = _diagonal_of(b)
     if unique:
-        f, _ = _active_set_walk(a0, b, feasible, tol_gap, config)
+        f, _ = _active_set_walk(a0, b, feasible, tol_gap, config, diagonal)
         if f is not None:
             return f, _vi_gap(a0, b, f, feasible), True
     f, _, converged = _extragradient(a0, b, feasible, _uniform_start(feasible), tol_gap, config)
@@ -471,7 +506,7 @@ def _solve_affine_vi(
     # and solve again, at most once per route
     active = _active_partition(f, feasible)
     for _ in range(feasible.n_routes):
-        point = _face_point(a0, b, feasible, active)
+        point = _face_point(a0, b, feasible, active, diagonal)
         polished = None if point is None else _validated(a0, b, feasible, active, point)
         if polished is not None or point is None:
             break
@@ -513,12 +548,13 @@ def _face_solutions(
     except FleetModelError:
         return [], False
     gate = max(tol_gap, 1e-6 * _residual_scale(feasible))
+    diagonal = _diagonal_of(b)
     active = np.full(feasible.n_routes, -1)
     found = []
     for combo in itertools.product(*per_unit):
         for block, labels in zip(feasible.blocks, combo):
             active[block] = labels
-        point = _face_point(a0, b, feasible, active)
+        point = _face_point(a0, b, feasible, active, diagonal)
         f = None if point is None else _validated(a0, b, feasible, active, point)
         if f is not None and _vi_gap(a0, b, f, feasible) <= gate:
             found.append(f)

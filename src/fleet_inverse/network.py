@@ -494,14 +494,22 @@ class DelayTable:
             )
         return tau
 
+    def derivatives(self, a: np.ndarray) -> np.ndarray:
+        """d tau_i / d a_i on every kernel link, the whole jacobian of a
+        link-additive network; 0 on cross-affine links, whose slopes are the
+        rows of cross_slopes."""
+        slopes = np.zeros(a.shape)
+        for kernels, at in self.kinds:
+            slopes[..., at] = kernels.derivatives(a[..., at])
+        return slopes
+
     def jacobian(self, a: np.ndarray) -> np.ndarray:
         """d tau / d a, shape (..., L, L): diagonal on the kernel links, the
         slope rows on the cross-affine links."""
         n = a.shape[-1]
         jac = np.zeros(a.shape + (n,))
         diagonal = jac.reshape(a.shape[:-1] + (n * n,))[..., :: n + 1]  # a view
-        for kernels, at in self.kinds:
-            diagonal[..., at] = kernels.derivatives(a[..., at])
+        diagonal[...] = self.derivatives(a)
         if not self.link_additive:
             jac[..., self.cross_at, :] = self.cross_slopes
         return jac
@@ -524,6 +532,13 @@ def _require_flows(x: np.ndarray, what: str) -> None:
 
 class Network:
     """Immutable network with delay functions, routes, and OD units.
+
+    A network is separable (`separable`) when it is link-additive and no
+    link lies on two routes.  Its route gradient is then diagonal, and so
+    are the fleet objective's Hessian and the inverse operator: the forward
+    descent runs on the gradient's diagonal (`route_gradient_diagonal`) and
+    the inverse's face solves on the operator's, in O(R), instead of on
+    (R, R) matrices.
 
     Parameters
     ----------
@@ -563,6 +578,7 @@ class Network:
         self.incidence = incidence
 
         self.delay_table = DelayTable(self.links, self._link_index)
+        self.separable = self.delay_table.link_additive and bool(np.all(incidence.sum(axis=0) <= 1.0))
 
         self.units: tuple[ODUnit, ...] | None = None
         self._unit_blocks: tuple[np.ndarray, ...] | None = None
@@ -683,6 +699,14 @@ class Network:
         the incidence matrix composed with the link-time jacobian."""
         jac = self.link_time_jacobian(self.route_to_link(q))
         return self.incidence @ jac @ self.incidence.T
+
+    def route_gradient_diagonal(self, q) -> np.ndarray:
+        """The diagonal of route_gradient on a link-additive network: each
+        route's summed link slopes, N tau'.  On a separable network it is
+        the whole gradient."""
+        if not self.link_additive:
+            raise UnsupportedDelayError("the route gradient's diagonal needs link-additive delays")
+        return _rowwise(self.incidence, self.delay_table.derivatives(self.route_to_link(q)))
 
     # -- structure certificates ------------------------------------------------
 

@@ -157,12 +157,17 @@ def objective_gradient_in_f(strategy: FleetStrategy, h, f, network: Network) -> 
 
 def _gradient_in_f(strategy: FleetStrategy, h, f, network: Network) -> tuple[np.ndarray, np.ndarray]:
     """objective_gradient_in_f and the route gradient at q = h + f it is
-    built from, which _hessian_in_f takes."""
+    built from, which _hessian_in_f takes: the (R, R) matrix, or on a
+    separable network its diagonal (R,), the whole gradient there."""
     h, f = _check_pair(h, f, network.n_routes)
     q = h + f
     t = network.route_times(q)
+    weight = strategy.lam_hdv * h + strategy.lam_crv * f
+    if network.separable:
+        slopes = network.route_gradient_diagonal(q)
+        return strategy.lam_crv * t + slopes * weight, slopes
     grad = network.route_gradient(q)
-    return strategy.lam_crv * t + grad.T @ (strategy.lam_hdv * h + strategy.lam_crv * f), grad
+    return strategy.lam_crv * t + grad.T @ weight, grad
 
 
 def objective_hessian_in_f(strategy: FleetStrategy, h, f, network: Network) -> np.ndarray:
@@ -180,10 +185,14 @@ def objective_hessian_in_f(strategy: FleetStrategy, h, f, network: Network) -> n
 def _hessian_in_f(
     strategy: FleetStrategy, h: np.ndarray, f: np.ndarray, network: Network, grad: np.ndarray
 ) -> np.ndarray:
-    """objective_hessian_in_f from the route gradient G at q = h + f."""
+    """objective_hessian_in_f from the route gradient G at q = h + f; from
+    a diagonal G (R,) (see _gradient_in_f) the Hessian's diagonal,
+    2 * lam_crv * G + N (w_link * tau''), the whole Hessian there."""
     weight = network.route_to_link(strategy.lam_hdv * h + strategy.lam_crv * f)
     curvature = weight * network.link_second_derivatives(network.route_to_link(h + f))
     n = network.incidence
+    if grad.ndim == 1:
+        return 2.0 * strategy.lam_crv * grad + n @ curvature
     return strategy.lam_crv * (grad + grad.T) + (n * curvature) @ n.T
 
 

@@ -308,6 +308,22 @@ class TestTypedSections:
         assert main(["inverse", "--scenario", str(path), "--out", "-"]) == EXIT_PARSE
         assert f"error[parse]: bad-value at $.tolerances.{key}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("tol_p", -1.0), ("tol_vi", 0.0), ("pd_rtol", -1e-9), ("ue_tol", 0.0), ("mixture_grid", 0),
+         ("mixture_grid", 1), ("n_starts", -1), ("n_dirs", -1), ("discrete_starts", -1),
+         ("vertex_cap", -1), ("vertex_cap", 0), ("max_pg_iter", 0), ("max_vi_iter", -1),
+         ("max_outer_iter", 0), ("armijo_factor", 1.0), ("armijo_c1", 0.0),
+         ("extragradient_safety", 1.5)],
+    )
+    def test_out_of_range_tolerance(self, key, value):
+        # well-typed values outside a field's range: a negative tol_p used to
+        # hang stackelberg, mixture_grid 0 crashed it (exit 1), and the rest
+        # were accepted silently
+        doc = load_doc("stackelberg_symmetric")
+        doc["tolerances"] = {key: value}
+        assert parse_error(doc) == ("bad-value", "$.tolerances")
+
 
 def run_cli(args) -> int:
     return main(args)

@@ -1,5 +1,6 @@
 """Forward assignment: projection, the three solvers, dispatch, certificates."""
 
+import collections
 import itertools
 import math
 
@@ -25,6 +26,7 @@ from fleet_inverse import (
     solve_concave,
     solve_convex,
     solve_general,
+    solve_inverse,
 )
 from fleet_inverse import forward
 from fleet_inverse.objective import objective_gradient_in_f
@@ -351,22 +353,46 @@ class TestWorkCounters:
         # the best of 28,814 projected-gradient iterations
         assert result.objective == pytest.approx(-2148.429844953721, rel=1e-12)
 
+    def test_route_ladder_round_trips_build_no_dense_step(self, monkeypatch):
+        # the ladder networks are separable, so the forward's Newton steps and
+        # the inverse walk's face solves take their O(R) closed forms; only
+        # the inverse's operator and its certificate (two) build a route
+        # gradient matrix, 188 of them with one per descent iteration
+        calls = collections.Counter()
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+        monkeypatch.setattr(Network, "route_gradient", counting("route_gradient", Network.route_gradient))
+        for h, net in route_ladder():
+            f = fleet_assign(SELFISH, h, net, certify=False).f
+            assert solve_inverse(SELFISH, h + f, net).certificate.theorem_applies
+        assert calls["eigh"] == 0 and calls["lstsq"] == 0
+        assert calls["route_gradient"] <= 36
+
 
     def test_one_route_gradient_per_descent_iteration(self, monkeypatch):
         # the descent's objective gradient and Hessian share one travel-time
-        # gradient per iteration
+        # gradient per iteration: the matrix, or on the separable ladder and
+        # two-route networks its diagonal, and there no matrix at all
         calls = []
-        route_gradient = Network.route_gradient
-        monkeypatch.setattr(
-            Network, "route_gradient", lambda self, q: calls.append(1) or route_gradient(self, q)
-        )
+        for name in ("route_gradient", "route_gradient_diagonal"):
+            method = getattr(Network, name)
+            monkeypatch.setattr(
+                Network, name, lambda self, q, name=name, method=method: calls.append(name) or method(self, q)
+            )
         descend = forward._descend
         descents = []
 
         def counting(*args):
             before = len(calls)
             f, iterations, converged = descend(*args)
-            descents.append((len(calls) - before, iterations))
+            descents.append((args[2].separable, calls[before:], iterations))
             return f, iterations, converged
 
         monkeypatch.setattr(forward, "_descend", counting)
@@ -375,8 +401,12 @@ class TestWorkCounters:
         for strategy, (h, net) in [(SELFISH, ladder[4]), (DISRUPTIVE, ladder[3])]:
             fleet_assign(strategy, h, net, certify=False, config=serial)
         fleet_assign(MALICIOUS, np.array([40.0, 20.0]), asymmetric_two_route(), config=serial)
-        assert len(descents) >= 40 and sum(n for _, n in descents) >= 100
-        assert all(calls_made <= iterations + 1 for calls_made, iterations in descents)
+        fleet_assign(SELFISH, np.array([100.0, 50.0, 80.0, 70.0]), overlap_network(), config=serial)
+        assert len(descents) >= 41 and sum(n for *_, n in descents) >= 100
+        assert [separable for separable, *_ in descents].count(False) >= 1
+        for separable, made, iterations in descents:
+            assert 1 <= len(made) <= iterations + 1
+            assert set(made) == {"route_gradient_diagonal" if separable else "route_gradient"}
 
 
 class TestCertify:

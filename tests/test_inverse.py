@@ -527,7 +527,8 @@ def _reference_solve(strategy, q, network):
     """The certified route VI solved by the extragradient alone: iterates
     until the gap is within tolerance, then one active-set polish.  Also
     reports whether it returns the polished face point and that point keeps
-    the partition it was solved on."""
+    the partition it was solved on.  The polish solves the face as
+    _solve_affine_vi does, in closed form where b is diagonal."""
     config = DEFAULT_CONFIG
     feasible = FeasibleSet(
         blocks=network.unit_blocks(), totals=network.fleet_sizes(),
@@ -548,7 +549,7 @@ def _reference_solve(strategy, q, network):
         f = feasible.project(f - step * (a0 + b @ y))
     gap = inverse._vi_gap(a0, b, f, feasible)
     active = inverse._active_partition(f, feasible)
-    point = inverse._face_point(a0, b, feasible, active)
+    point = inverse._face_point(a0, b, feasible, active, inverse._diagonal_of(b))
     polished = None if point is None else inverse._validated(a0, b, feasible, active, point)
     on_face = False
     if polished is not None:
@@ -891,6 +892,9 @@ class TestFaceEnumeration:
     # the polished face pushes one route below 0 and, to hold the unit's
     # mass, another above its cap; only the first belongs on its bound
     @example(sizes=[3, 1, 1], lam_hdv=0.00390625, margin=0.00390625, seed=2)
+    # subnormal weights: the separable Newton step's 1 / H overflows unless
+    # H is rescaled first
+    @example(sizes=[3, 2], lam_hdv=2.2250738585e-313, margin=0.0, seed=0)
     def test_certified_forward_flow_is_listed(self, sizes, lam_hdv, margin, seed):
         # over the whole (lam_hdv, lam_crv) plane except nonzero margins below
         # 1e-3: the inverse amplifies the forward solver's stationarity
