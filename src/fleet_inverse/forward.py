@@ -600,6 +600,14 @@ def solve_convex(
     )
 
 
+def _ties(points: list[np.ndarray], values: list[float], config: SolverConfig) -> list[np.ndarray]:
+    """The points whose objective value lies within config.tol_tie * (1 +
+    |best|) of the best one, in their given order: the tie set."""
+    best = min(values)
+    window = config.tol_tie * (1.0 + abs(best))
+    return [f for f, value in zip(points, values) if value <= best + window]
+
+
 def _canonical_order(candidates: list[np.ndarray]) -> list[np.ndarray]:
     # lexicographically largest first: mass concentrated on the lowest route
     # index becomes the canonical representative
@@ -619,10 +627,7 @@ def solve_concave(
     h = np.asarray(h, dtype=float)
     vertices = feasible.vertices(config.vertex_cap)
     values = [eval_objective(strategy, h, v, network) for v in vertices]
-    best = min(values)
-    window = config.tol_tie * (1.0 + abs(best))
-    ties = [v for v, val in zip(vertices, values) if val <= best + window]
-    ties = _canonical_order(ties)
+    ties = _canonical_order(_ties(vertices, values, config))
     f = ties[0]
     cert = certify_local_min(strategy, h, f, network, feasible, config) if certify else None
     return AssignmentResult(
@@ -683,7 +688,7 @@ def solve_general(
         objective=best_val,
         certificate=cert,
         trace=SolverTrace("multistart_projected_gradient", total_iter, len(starts), any_converged),
-        minimizer_set=tuple(f for f, _ in found),
+        minimizer_set=tuple(_ties(*zip(*found), config)),
     )
 
 

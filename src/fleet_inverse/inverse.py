@@ -12,14 +12,14 @@ lam_hdv.  The operator is affine in f because q is fixed by the
 observation.  For L > 0 and a travel-time gradient positive definite on
 feasible directions the VI is strictly monotone, hence has at most one
 solution: that is the uniqueness certificate reported alongside every
-result.  A certified VI is solved exactly by a primal active-set walk
-from the greedy vertex: each round solves the KKT system of one face, then
-puts a route on the first bound the step to that face's point crosses or
-frees the bound route with the most wrong-signed multiplier, until the
-face point is the solution.  Otherwise, and if the walk stops early, the
-extragradient method runs to the gap tolerance and an active-set polish
-solves the KKT system of the iterate's face.  At L = 0 the operator is
-constant, and its greedy minimizer is exact as it stands.
+result.  Both kinds of VI are solved by one least-index pivot (_pivot):
+each round solves the KKT system of one lower/free/cap face and flips the
+lowest-index route that breaks complementarity there, until the face
+point is the solution.  A certified VI starts it from the greedy vertex
+and needs nothing else.  An uncertified one starts it from the iterate of
+the extragradient method, run to the gap tolerance, whose face it
+polishes.  At L = 0 the operator is constant, and its greedy minimizer is
+exact as it stands.
 
 When the certificate fails, the solution set is enumerated: every
 solution solves the KKT system of its face, so that system is solved and
@@ -67,8 +67,6 @@ __all__ = [
 ]
 
 MARGIN_EPS = 1e-12  # margins at or below this are not certified
-# a multiplier of the wrong sign by at most this x (1 + max|A(f)|) is rounding
-RELEASE_RTOL = 1e-10
 
 
 # -- result types ---------------------------------------------------------------
@@ -192,17 +190,20 @@ def _residual_scale(feasible: FeasibleSet) -> float:
     return max(1.0, feasible.total_mass)
 
 
-# -- affine VI: active-set walk, extragradient, polish ----------------------------
+# -- affine VI: least-index pivot, extragradient ----------------------------------
 
 
 def _active_partition(f: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
     """-1 where f is at its lower bound, +1 where it is at its cap, 0 where it
-    is free, each within 1e-6 * (1 + fleet mass)."""
-    tol_active = 1e-6 * (1.0 + feasible.total_mass)
-    lower_active = f <= tol_active
+    is free, each within the route's active band min(1e-6 * (1 + fleet
+    mass), 1e-6 * cap), so a tiny cap keeps its own label."""
+    band = 1e-6 * (1.0 + feasible.total_mass)
+    if feasible.upper is not None:
+        band = np.minimum(band, 1e-6 * feasible.upper)
+    lower_active = f <= band
     active = np.where(lower_active, -1, 0)
     if feasible.upper is not None:
-        active[(f >= feasible.upper - tol_active) & ~lower_active] = 1
+        active[(f >= feasible.upper - band) & ~lower_active] = 1
     return active
 
 
@@ -370,107 +371,108 @@ def _validated(
     return candidate
 
 
-def _first_crossing(
-    x: np.ndarray, point: np.ndarray, active: np.ndarray, feasible: FeasibleSet
-) -> tuple[int, int, float] | None:
-    """The active-set ratio test: of the free coordinates `point` pushes past
-    a bound (see _bound_violations), the one the segment from x to point
-    crosses first, as (route, bound label, step along the segment); None
-    when it pushes none."""
-    pushed = np.where(active == 0, _bound_violations(point, feasible), 0)
-    if not np.any(pushed):
-        return None
-    upper = math.inf if feasible.upper is None else feasible.upper
-    bound = np.where(pushed > 0, upper, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crossing = np.where(pushed != 0, (bound - x) / (point - x), np.inf)
-    first = int(np.argmin(crossing))
-    return first, int(pushed[first]), float(crossing[first])
-
-
-def _release(a_val: np.ndarray, feasible: FeasibleSet, active: np.ndarray, tol: float) -> int | None:
-    """The bound route whose multiplier has the most wrong sign at the
-    operator values a_val, lowest index on ties; None when no sign is wrong
-    by more than tol.  A route at 0 is wrong when it costs less than its
-    unit's multiplier, a route at its cap when it costs more; the multiplier
-    is the mean cost of the unit's free routes, or, in a unit with none, the
-    interval [max over its cap routes, min over its lower routes]."""
-    wrong = np.full(feasible.n_routes, -math.inf)
-    for block in feasible.blocks:
-        labels = active[block]
-        lower, cap = block[labels < 0], block[labels > 0]
-        free_costs = a_val[block[labels == 0]]
+def _least_index_flip(
+    a_val: np.ndarray, point: np.ndarray, feasible: FeasibleSet, active: np.ndarray
+) -> tuple[int, int] | None:
+    """The lowest-index route whose label breaks complementarity at the face
+    point `point` (operator values a_val), and the label it takes; None when
+    no route does.  A free route outside its bounds (see _bound_violations)
+    goes to the bound it crossed.  A bound route whose multiplier has the
+    wrong sign by more than 1e-10 * (1 + max|A|) becomes free: a route at 0
+    that costs less than its unit's multiplier, a route at its cap that
+    costs more; the multiplier is the mean cost of the unit's free routes,
+    or, in a unit with none, the interval [max over its cap routes, min
+    over its lower routes].  In a unit with no free route whose bounds miss
+    its fleet mass by more than 1e-9 * (1 + fleet mass), the lowest-index
+    route that can close the gap becomes free: a cap route when the mass is
+    above the total, a lower route with a positive cap when below."""
+    tol_mass = 1e-9 * (1.0 + feasible.total_mass)
+    tol_dual = 1e-10 * (1.0 + float(np.max(np.abs(a_val))))
+    labels = np.where(active == 0, _bound_violations(point, feasible), 0)
+    broken = labels != 0
+    for block, total in zip(feasible.blocks, feasible.totals):
+        lower, cap = block[active[block] < 0], block[active[block] > 0]
+        free_costs = a_val[block[active[block] == 0]]
+        mass = float(np.sum(point[block]))
         if len(free_costs):
             mu_lo = mu_hi = float(np.mean(free_costs))
+        elif abs(mass - float(total)) > tol_mass:
+            room = lower if feasible.upper is None else lower[feasible.upper[lower] > 0.0]
+            broken[np.min(cap if mass > total else room)] = True
+            continue
         else:
             mu_lo = max(a_val[cap], default=-math.inf)
             mu_hi = min(a_val[lower], default=math.inf)
-        wrong[lower] = mu_lo - a_val[lower]
-        wrong[cap] = a_val[cap] - mu_hi
-    worst = int(np.argmax(wrong))
-    return worst if wrong[worst] > tol else None
+        broken[lower[a_val[lower] < mu_lo - tol_dual]] = True
+        broken[cap[a_val[cap] > mu_hi + tol_dual]] = True
+    if not np.any(broken):
+        return None
+    route = int(np.argmax(broken))
+    return route, int(labels[route])
 
 
-def _active_set_walk(
+def _pivot(
     a0: np.ndarray,
     b: np.ndarray,
     feasible: FeasibleSet,
+    active: np.ndarray,
     tol_gap: float,
     config: SolverConfig,
     diagonal: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, int]:
-    """The primal active-set method (Nocedal and Wright 2006, Algorithm
-    16.3) for a monotone affine VI, from the greedy vertex of a0.
+    """Least-index principal pivoting (Murty 1974; Cottle, Pang and Stone
+    1992, section 4.2) on the KKT system of the affine VI, from the
+    lower/free/cap partition `active`.
 
-    Each round solves the KKT system of the working partition's face and
-    then takes the first step that applies: step towards the face point up
-    to the first bound it crosses and put that route on it (the ratio
-    test); put the free routes the point leaves inside the active band on
-    their bounds; free the bound route whose multiplier has the most wrong
-    sign beyond rounding (RELEASE_RTOL, see _release) and move to the
-    point; or return the point, validated, when its VI gap is within
-    tol_gap.  A cap inside the active band keeps its cap label, so a route
-    may end at a cap that _active_partition calls a lower bound.  Returns
-    (solution, rounds); the solution is None when that last check fails, a
-    face solve is not finite, a partition repeats or config.vertex_cap
-    rounds pass.  `diagonal` is b's diagonal when b is diagonal (see
-    _face_point).
+    Each round solves the face of the working partition (_face_point, in
+    closed form when `diagonal` is b's diagonal) and flips the lowest-index
+    route that breaks complementarity there (see _least_index_flip).  When
+    none does, the free routes inside their active band (see
+    _active_partition) go onto their bounds, and the pivot goes on from
+    there.  It stops when no route is inside the band, a partition
+    repeats (as when a banded route's multiplier comes out wrong and frees
+    it again), a face solve is not finite or config.vertex_cap rounds
+    pass.  Returns (solution, rounds): the last face point at which no
+    route broke complementarity, validated, if its VI gap is within
+    tol_gap, and None otherwise.
+
+    Finiteness.  On a linear complementarity problem whose matrix is a
+    P-matrix, Murty proves that the least-index rule visits no partition
+    twice, so it ends within one round per partition.  On the certified
+    class b is positive definite on the unit-sum subspace, so every face
+    system has one solution and, with the unit multipliers eliminated, the
+    routes' complementarity problem has a P-matrix.  The proof does not
+    cover the rest: the unit equality rows, a cap as a third label, the
+    band step (which moves routes that break no sign) and signs that
+    rounding decides inside the tolerances above.  There a repeated
+    partition ends the pivot.  Where the certificate fails (the uncertified
+    polish) the argument does not hold at all.
     """
-    x = _linear_minimum(a0, feasible)[0]
-    active = _active_partition(x, feasible)
+    active = active.copy()
     seen: set[bytes] = set()
-    for rounds in range(1, config.vertex_cap + 1):
-        key = active.tobytes()
-        if key in seen:
-            return None, rounds - 1
-        seen.add(key)
+    found = None  # (partition, face point) of the last round where no route broke complementarity
+    rounds = 0
+    while rounds < config.vertex_cap and active.tobytes() not in seen:
+        rounds += 1
+        seen.add(active.tobytes())
         point = _face_point(a0, b, feasible, active, diagonal)
         if point is None:
-            return None, rounds
-        crossed = _first_crossing(x, point, active, feasible)
-        if crossed is not None:
-            route, label, step = crossed
-            x = x + min(max(step, 0.0), 1.0) * (point - x)
-            x[route] = 0.0 if label < 0 else feasible.upper[route]
+            break
+        flip = _least_index_flip(a0 + b @ point, point, feasible, active)
+        if flip is not None:
+            route, label = flip
             active[route] = label
             continue
+        found = active.copy(), point
         labels = _active_partition(point, feasible)
         banded = (active == 0) & (labels != 0)
-        if np.any(banded):
-            x = point
-            active[banded] = labels[banded]
-            continue
-        a_val = a0 + b @ point
-        route = _release(a_val, feasible, active, RELEASE_RTOL * (1.0 + float(np.max(np.abs(a_val)))))
-        if route is not None:
-            x = point
-            active[route] = 0
-            continue
-        solution = _validated(a0, b, feasible, active, point)
-        if solution is not None and _vi_gap(a0, b, solution, feasible) <= tol_gap:
-            return solution, rounds
-        return None, rounds
-    return None, config.vertex_cap
+        if not np.any(banded):
+            break
+        active[banded] = labels[banded]
+    solution = None if found is None else _validated(a0, b, feasible, *found)
+    if solution is not None and _vi_gap(a0, b, solution, feasible) <= tol_gap:
+        return solution, rounds
+    return None, rounds
 
 
 def _solve_affine_vi(
@@ -484,41 +486,30 @@ def _solve_affine_vi(
     """Solve the affine VI A(f) = a0 + b f over the feasible set; returns
     (f, VI gap, converged).
 
-    When the VI is certified to have one solution (`unique`) the active-set
-    walk from the greedy vertex finds it exactly.  Otherwise, or when the
-    walk stops, the extragradient runs from the uniform split to tol_gap,
-    and the active-set polish then solves the KKT system of the iterate's
-    face, relabelling one route a round by the ratio test.  A constant
-    operator's greedy minimizer is exact as it stands.
+    One least-index pivot (see _pivot) gives the answer.  When the VI is
+    certified to have one solution (`unique`) it starts from the partition
+    of the greedy vertex of a0, and the greedy vertex is returned,
+    unconverged, if it stops.  Otherwise the extragradient runs from the
+    uniform split to tol_gap, and the pivot starts from its iterate's
+    partition, replacing the iterate only by a point whose VI gap is no
+    larger (below 1e-12 always counts).  A constant operator's greedy
+    minimizer is exact as it stands.
     """
     if float(np.max(np.abs(b), initial=0.0)) <= 1e-300:
         # every minimizer of a0 . f solves the VI
         f = _linear_minimum(a0, feasible)[0]
         return f, _vi_gap(a0, b, f, feasible), True
-    diagonal = _diagonal_of(b)
+    converged = False
     if unique:
-        f, _ = _active_set_walk(a0, b, feasible, tol_gap, config, diagonal)
-        if f is not None:
-            return f, _vi_gap(a0, b, f, feasible), True
-    f, _, converged = _extragradient(a0, b, feasible, _uniform_start(feasible), tol_gap, config)
+        f = _linear_minimum(a0, feasible)[0]
+        tol = tol_gap
+    else:
+        f, _, converged = _extragradient(a0, b, feasible, _uniform_start(feasible), tol_gap, config)
+        tol = max(_vi_gap(a0, b, f, feasible), 1e-12)
+    solution, _ = _pivot(a0, b, feasible, _active_partition(f, feasible), tol, config, _diagonal_of(b))
+    if solution is not None:
+        f = solution
     gap = _vi_gap(a0, b, f, feasible)
-    # relabel the route the segment from f to the face point crosses first,
-    # and solve again, at most once per route
-    active = _active_partition(f, feasible)
-    for _ in range(feasible.n_routes):
-        point = _face_point(a0, b, feasible, active, diagonal)
-        polished = None if point is None else _validated(a0, b, feasible, active, point)
-        if polished is not None or point is None:
-            break
-        crossed = _first_crossing(f, point, active, feasible)
-        if crossed is None:
-            break
-        route, label, _ = crossed
-        active[route] = label
-    if polished is not None:
-        gap_polished = _vi_gap(a0, b, polished, feasible)
-        if gap_polished <= max(gap, 1e-12):
-            f, gap = polished, gap_polished
     return f, gap, converged or gap <= tol_gap
 
 

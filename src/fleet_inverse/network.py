@@ -747,7 +747,10 @@ class Network:
         basis = self.feasible_direction_basis()
         if basis.shape[1] == 0:
             return math.inf
-        grad = self.route_gradient(q)
+        return self._restricted_min_eigenvalue(basis, self.route_gradient(q))
+
+    @staticmethod
+    def _restricted_min_eigenvalue(basis: np.ndarray, grad: np.ndarray):
         sym = 0.5 * (grad + np.swapaxes(grad, -1, -2))
         value = np.linalg.eigvalsh(basis.T @ sym @ basis)[..., 0]
         return float(value) if value.ndim == 0 else value
@@ -756,11 +759,12 @@ class Network:
         """Positive definiteness of the travel-time gradient on feasible
         directions, the gate for inverse uniqueness."""
         q = self._check_route_dim(q)
-        # a unit pair swap (1, -1) has unit scale: twice the unit-norm quotient
-        min_rayleigh = 2.0 * self.restricted_min_eigenvalue(q)
-        if math.isinf(min_rayleigh):
+        basis = self.feasible_direction_basis()
+        if basis.shape[1] == 0:
             return PDCertificate(passes=True, min_rayleigh=math.inf, threshold=0.0)
         grad = self.route_gradient(q)
+        # a unit pair swap (1, -1) has unit scale: twice the unit-norm quotient
+        min_rayleigh = 2.0 * self._restricted_min_eigenvalue(basis, grad)
         threshold = pd_rtol * abs(np.trace(grad)) / self.n_routes
         return PDCertificate(
             passes=bool(min_rayleigh > threshold),
