@@ -8,9 +8,8 @@ endings, full-precision numbers, certificates as 0/1) plus a short summary
 on standard output.  Runs are deterministic given the scenario and seed.
 
 Exit codes: 0 success, 2 parse, 3 infeasible, 4 nonconverged, 5 unsupported.
-The environment variable FLEET_INVERSE_THREADS caps worker parallelism for
-multistart solves; grid sweeps (the stackelberg grids, the lipschitz
-samples) run as vectorized batches, not on threads.
+Solves run on one thread; grid sweeps (the stackelberg grids, the lipschitz
+samples) run as vectorized batches.
 """
 
 from __future__ import annotations

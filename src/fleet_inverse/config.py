@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 
 # image_distance_norm name -> the `ord` of numpy.linalg.norm
@@ -21,7 +20,7 @@ IMAGE_DISTANCE_NORMS = {"l2": 2, "l1": 1, "linf": math.inf}
 _OPEN_UNIT_INTERVAL = ("armijo_factor", "armijo_c1", "extragradient_safety")
 _MINIMUM = {
     "n_starts": 0, "n_dirs": 0, "discrete_starts": 0,
-    "vertex_cap": 1, "max_pg_iter": 1, "max_vi_iter": 1, "max_outer_iter": 1, "max_threads": 1,
+    "vertex_cap": 1, "max_pg_iter": 1, "max_vi_iter": 1, "max_outer_iter": 1,
     "mixture_grid": 2,
 }
 
@@ -57,7 +56,6 @@ class SolverConfig:
     mixture_grid: int = 1001       # verification grid for global optima in p
     # misc
     seed: int = 0
-    max_threads: int = 1
 
     def __post_init__(self):
         if self.image_distance_norm not in IMAGE_DISTANCE_NORMS:
@@ -82,12 +80,4 @@ class SolverConfig:
         return dataclasses.replace(self, **overrides)
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("FLEET_INVERSE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-DEFAULT_CONFIG = SolverConfig(max_threads=_threads_from_env())
+DEFAULT_CONFIG = SolverConfig()

@@ -134,13 +134,19 @@ class FeasibleSet:
     upper: np.ndarray | None = None
 
     def __post_init__(self):
+        if np.shape(self.totals) != (len(self.blocks),):
+            raise DimensionMismatchError(
+                f"expected one fleet total per unit ({len(self.blocks)}), got {np.shape(self.totals)}"
+            )
         if np.any(self.totals < 0):
             raise InfeasibleProblemError("negative fleet mass")
         if self.upper is not None:
-            for block, total in zip(self.blocks, self.totals):
-                if float(np.sum(self.upper[block])) < total - 1e-9 * (1.0 + total):
+            for s, (block, total) in enumerate(zip(self.blocks, self.totals)):
+                capacity = float(np.sum(self.upper[block]))
+                if capacity < total - 1e-9 * (1.0 + total):
                     raise InfeasibleProblemError(
-                        "upper bounds leave too little capacity for the unit's fleet mass"
+                        f"unit {s}: fleet size {total} exceeds the observed total "
+                        f"{capacity} on its routes"
                     )
 
     @classmethod
@@ -154,10 +160,6 @@ class FeasibleSet:
         if totals is None:
             totals = network.fleet_sizes()
         totals = np.asarray(totals, dtype=float)
-        if totals.shape != (len(blocks),):
-            raise DimensionMismatchError(
-                f"expected one fleet total per unit ({len(blocks)}), got {totals.shape}"
-            )
         if upper is not None:
             upper = np.asarray(upper, dtype=float)
             if upper.shape != (network.n_routes,):
@@ -664,9 +666,7 @@ def solve_general(
         f, iterations, converged = _descend(strategy, h, network, feasible, f0, config)
         return f, iterations, converged, eval_objective(strategy, h, f, network)
 
-    # reduction stays ordered by start index, so the outcome is independent
-    # of the worker count
-    outcomes = ordered_map(run_start, starts, config.max_threads)
+    outcomes = ordered_map(run_start, starts)
 
     scale = 1.0 + feasible.total_mass
     found: list[tuple[np.ndarray, float]] = []

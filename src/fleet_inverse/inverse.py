@@ -12,14 +12,23 @@ lam_hdv.  The operator is affine in f because q is fixed by the
 observation.  For L > 0 and a travel-time gradient positive definite on
 feasible directions the VI is strictly monotone, hence has at most one
 solution: that is the uniqueness certificate reported alongside every
-result.  Both kinds of VI are solved by one least-index pivot (_pivot):
-each round solves the KKT system of one lower/free/cap face and flips the
-lowest-index route that breaks complementarity there, until the face
-point is the solution.  A certified VI starts it from the greedy vertex
-and needs nothing else.  An uncertified one starts it from the iterate of
-the extragradient method, run to the gap tolerance, whose face it
-polishes.  At L = 0 the operator is constant, and its greedy minimizer is
-exact as it stands.
+result.  The link level applies the same theorem to an observed link flow
+a: the link times and the link-time jacobian at a take the place of t(q)
+and its gradient, the route variables are not capped, the jacobian is
+tested on realisable link directions, and the answer is the link image of
+the route solution.
+
+Both levels run one driver (_recover).  Each entry point validates its
+observation and assembles its feasible set, its operator and its
+positive-definiteness test (network._pd_certificate, on its own basis and
+matrix); the driver does the rest.  It solves the VI by one least-index
+pivot (_pivot): each round solves the KKT system of one lower/free/cap
+face and flips the lowest-index route that breaks complementarity there,
+until the face point is the solution.  A certified VI starts it from the
+greedy vertex and needs nothing else.  An uncertified one starts it from
+the iterate of the extragradient method, run to the gap tolerance, whose
+face it polishes.  At L = 0 the operator is constant, and its greedy
+minimizer is exact as it stands.
 
 When the certificate fails, the solution set is enumerated: every
 solution solves the KKT system of its face, so that system is solved and
@@ -49,7 +58,7 @@ from .errors import (
     NotRealisableError,
 )
 from .forward import FeasibleSet, bounded_factors, fleet_assign
-from .network import Network
+from .network import Network, PDCertificate, _pd_certificate
 from .objective import FleetStrategy
 
 __all__ = [
@@ -143,11 +152,15 @@ def _affine_operator(
     strategy: FleetStrategy, q: np.ndarray, network: Network
 ) -> tuple[np.ndarray, np.ndarray]:
     """A(f) = a0 + B f in route space at the observed total flow q."""
-    t = network.route_times(q)
-    grad = network.route_gradient(q)
-    a0 = strategy.lam_crv * t + grad.T @ (strategy.lam_hdv * q)
-    b = strategy.margin * grad.T
-    return a0, b
+    return _route_operator(strategy, q, network.route_times(q), network.route_gradient(q))
+
+
+def _route_operator(
+    strategy: FleetStrategy, q: np.ndarray, t: np.ndarray, grad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a0, B) of _affine_operator from the route times t and the route
+    gradient grad at q."""
+    return strategy.lam_crv * t + grad.T @ (strategy.lam_hdv * q), strategy.margin * grad.T
 
 
 def stationarity_map(strategy: FleetStrategy, q, f, network: Network) -> np.ndarray:
@@ -552,7 +565,7 @@ def _face_solutions(
     return found, True
 
 
-# -- route-level inverse -----------------------------------------------------------
+# -- one inverse at either level --------------------------------------------------------
 
 
 def _distinct(solutions: list[np.ndarray], scale: float, tol: float) -> list[np.ndarray]:
@@ -563,31 +576,104 @@ def _distinct(solutions: list[np.ndarray], scale: float, tol: float) -> list[np.
     return out
 
 
+# the certificate's reasons at each level: the margin is not positive; the
+# gradient is not positive definite (formatted with its min_rayleigh); the
+# theorem applies
+_ROUTE_REASONS = (
+    "margin lam_crv - lam_hdv is not positive; the assignment operator "
+    "is not invertible for this strategy",
+    "travel-time gradient is not positive definite on feasible "
+    "directions (min pair-swap eigenvalue {:.3g})",
+    "margin positive and travel-time gradient positive definite on feasible directions",
+)
+_LINK_REASONS = (
+    "margin lam_crv - lam_hdv is not positive",
+    "link-time jacobian is not positive definite on realisable directions",
+    "margin positive and link-time jacobian positive definite on realisable directions",
+)
+
+
 def _certificate(
-    strategy: FleetStrategy, q: np.ndarray, network: Network, config: SolverConfig
+    margin: float, pd: PDCertificate, reasons: tuple[str, str, str]
 ) -> UniquenessCertificate:
-    margin = strategy.margin
-    pd = network.feasible_direction_pd(q, config.pd_rtol)
+    """The uniqueness theorem applies when the margin exceeds MARGIN_EPS and
+    the gradient passes its positive-definiteness test."""
     if margin <= MARGIN_EPS:
-        reason = (
-            "margin lam_crv - lam_hdv is not positive; the assignment operator "
-            "is not invertible for this strategy"
-        )
-        applies = False
+        applies, reason = False, reasons[0]
     elif not pd.passes:
-        reason = (
-            "travel-time gradient is not positive definite on feasible "
-            f"directions (min pair-swap eigenvalue {pd.min_rayleigh:.3g})"
-        )
-        applies = False
+        applies, reason = False, reasons[1].format(pd.min_rayleigh)
     else:
-        reason = "margin positive and travel-time gradient positive definite on feasible directions"
-        applies = True
+        applies, reason = True, reasons[2]
     return UniquenessCertificate(
-        theorem_applies=applies,
-        reason=reason,
-        min_rayleigh=pd.min_rayleigh,
-        margin=margin,
+        theorem_applies=applies, reason=reason, min_rayleigh=pd.min_rayleigh, margin=margin
+    )
+
+
+def _observed(x, n: int, vector: str, flows: str) -> np.ndarray:
+    """The observed flow as a float vector of length n, finite and
+    non-negative."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise DimensionMismatchError(f"observed flow must be a {vector} vector")
+    if not np.all(np.isfinite(x)):
+        raise InfeasibleProblemError(f"{flows} must be finite")
+    if np.any(x < 0):
+        raise InfeasibleProblemError(f"{flows} must be non-negative")
+    return x
+
+
+def _fleet_sizes(network: Network, sizes) -> np.ndarray:
+    sizes = network.fleet_sizes() if sizes is None else np.asarray(sizes, dtype=float)
+    if not np.all(np.isfinite(sizes)):
+        raise InfeasibleProblemError("fleet sizes must be finite")
+    return sizes
+
+
+def _recover(
+    level: str,
+    observed: np.ndarray,
+    a0: np.ndarray,
+    b: np.ndarray,
+    feasible: FeasibleSet,
+    t_norm: float,
+    certificate: UniquenessCertificate,
+    config: SolverConfig,
+    image=lambda f: f,
+    fiber=lambda f_hat: None,
+) -> InverseResult:
+    """The inverse at one level from its VI a0 + b f over the route
+    variables in `feasible`: the VI's solution and, when the certificate
+    fails, its face solutions, each mapped by `image` to the level's flows
+    and listed once.  The gap tolerance is tol_vi * (1 + t_norm) * scale,
+    t_norm the norm of the level's travel times, and the residual is the
+    gap / scale, scale = max(1, fleet mass).  `fiber` maps f_hat to the
+    result's fiber."""
+    if feasible.total_mass == 0.0:
+        f_hat = np.zeros_like(observed)
+        return InverseResult(
+            f_hat=f_hat, h_hat=observed.copy(), residual=0.0, certificate=certificate,
+            solutions=(f_hat,), converged=True, level=level,
+        )
+    scale = _residual_scale(feasible)
+    tol_gap = config.tol_vi * (1.0 + t_norm) * scale
+    unique = certificate.theorem_applies
+    f, gap, converged = _solve_affine_vi(a0, b, feasible, tol_gap, config, unique=unique)
+    solutions, exhaustive = [f], True
+    if not unique:
+        faces, exhaustive = _face_solutions(a0, b, feasible, tol_gap, config)
+        solutions += faces
+    solutions = _distinct([image(g) for g in solutions], scale, config.tol_distinct)
+    f_hat = solutions[0]
+    return InverseResult(
+        f_hat=f_hat,
+        h_hat=observed - f_hat,
+        residual=gap / scale,
+        certificate=certificate,
+        solutions=tuple(solutions),
+        converged=converged,
+        level=level,
+        fiber=fiber(f_hat),
+        exhaustive=exhaustive,
     )
 
 
@@ -604,83 +690,38 @@ def solve_inverse(
     Solves the stationarity VI over {0 <= f <= q, per-unit sums = sizes}.
     When the uniqueness certificate fails, `solutions` is f_hat followed by
     the other face solutions (just f_hat, with `exhaustive` False, above
-    config.vertex_cap partitions).  `seed` is not read.
+    config.vertex_cap partitions).  On linearly dependent routes `fiber`
+    holds the route flows that share f_hat's link flow.  `seed` is not
+    read.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (network.n_routes,):
-        raise DimensionMismatchError("observed flow must be a route vector")
-    if not np.all(np.isfinite(q)):
-        raise InfeasibleProblemError("observed flows must be finite")
-    if np.any(q < 0):
-        raise InfeasibleProblemError("observed flows must be non-negative")
-    blocks = network.unit_blocks()
-    sizes = network.fleet_sizes() if sizes is None else np.asarray(sizes, dtype=float)
-    if not np.all(np.isfinite(sizes)):
-        raise InfeasibleProblemError("fleet sizes must be finite")
-    for s, block in enumerate(blocks):
-        if float(np.sum(q[block])) < sizes[s] - 1e-9 * (1.0 + sizes[s]):
-            raise InfeasibleProblemError(
-                f"unit {s}: fleet size {sizes[s]} exceeds the observed total "
-                f"{float(np.sum(q[block]))} on its routes"
-            )
-    feasible = FeasibleSet(blocks=blocks, totals=sizes, n_routes=network.n_routes, upper=q)
-
-    certificate = _certificate(strategy, q, network, config)
-    a0, b = _affine_operator(strategy, q, network)
-    scale = _residual_scale(feasible)
-    t_norm = float(np.linalg.norm(network.route_times(q)))
-    tol_gap = config.tol_vi * (1.0 + t_norm) * scale
-
-    dependence = network.routes_linearly_independent(config.rank_rtol)
-
-    if feasible.total_mass == 0.0:
-        f_hat = np.zeros(network.n_routes)
-        return InverseResult(
-            f_hat=f_hat,
-            h_hat=q.copy(),
-            residual=0.0,
-            certificate=certificate,
-            solutions=(f_hat,),
-            converged=True,
-            level="route",
-        )
-
-    f_hat, gap, converged = _solve_affine_vi(
-        a0, b, feasible, tol_gap, config,
-        unique=certificate.theorem_applies,
+    q = _observed(q, network.n_routes, "route", "observed flows")
+    feasible = FeasibleSet(
+        blocks=network.unit_blocks(),
+        totals=_fleet_sizes(network, sizes),
+        n_routes=network.n_routes,
+        upper=q,
     )
-    solutions, exhaustive = [f_hat], True
-    if not certificate.theorem_applies:
-        faces, exhaustive = _face_solutions(a0, b, feasible, tol_gap, config)
-        solutions = _distinct(solutions + faces, scale, config.tol_distinct)
+    # one route gradient and one t(q) give the certificate, the operator
+    # and the gap scale
+    grad = network.route_gradient(q)
+    t = network.route_times(q)
+    pd = _pd_certificate(network.feasible_direction_basis(), grad, config.pd_rtol)
+    a0, b = _route_operator(strategy, q, t, grad)
 
-    fiber = None
-    if not dependence.independent:
+    def fiber(f_hat: np.ndarray) -> FiberResult | None:
+        if network.routes_linearly_independent(config.rank_rtol).independent:
+            return None
         try:
-            fiber = route_fiber(
-                network,
-                network.route_to_link(f_hat),
-                totals=sizes,
-                upper=q,
-                config=config,
+            return route_fiber(
+                network, network.route_to_link(f_hat), totals=feasible.totals, upper=q, config=config
             )
         except NotRealisableError:
-            fiber = None
+            return None
 
-    return InverseResult(
-        f_hat=f_hat,
-        h_hat=q - f_hat,
-        residual=gap / scale,
-        certificate=certificate,
-        solutions=tuple(solutions),
-        converged=converged,
-        level="route",
-        fiber=fiber,
-        exhaustive=exhaustive,
+    return _recover(
+        "route", q, a0, b, feasible, float(np.linalg.norm(t)),
+        _certificate(strategy.margin, pd, _ROUTE_REASONS), config, fiber=fiber,
     )
-
-
-# -- link-level inverse -------------------------------------------------------------
 
 
 def _link_feasible_basis(network: Network) -> np.ndarray:
@@ -693,29 +734,6 @@ def _link_feasible_basis(network: Network) -> np.ndarray:
     u, s, _ = np.linalg.svd(image, full_matrices=False)
     rank = int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0)))
     return u[:, :rank]
-
-
-def _realisability_check(
-    network: Network,
-    a: np.ndarray,
-    route_totals: np.ndarray,
-    config: SolverConfig,
-) -> None:
-    """Verify some feasible route flow reproduces the observed link flow."""
-    fiber = route_fiber(
-        network,
-        a,
-        totals=route_totals,
-        upper=None,
-        config=config,
-        _allow_any=True,
-    )
-    tol = 1e-6 * (1.0 + float(np.max(np.abs(a))))
-    if fiber.residual > tol:
-        raise NotRealisableError(
-            f"no feasible route flow reproduces the observed link flow "
-            f"(best residual {fiber.residual:.3g})"
-        )
 
 
 def inverse_link_flows(
@@ -735,98 +753,28 @@ def inverse_link_flows(
     if several route flows realize it.  Otherwise `solutions` holds the
     link images of the face solutions, as in solve_inverse.  `seed` is not read.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (network.n_links,):
-        raise DimensionMismatchError("observed flow must be a link vector")
-    if not np.all(np.isfinite(a)):
-        raise InfeasibleProblemError("observed link flows must be finite")
-    if np.any(a < 0):
-        raise InfeasibleProblemError("observed link flows must be non-negative")
+    a = _observed(a, network.n_links, "link", "observed link flows")
     units = network.units_or_raise()
-    sizes = network.fleet_sizes() if sizes is None else np.asarray(sizes, dtype=float)
-    if not np.all(np.isfinite(sizes)):
-        raise InfeasibleProblemError("fleet sizes must be finite")
-    route_totals = np.array([u.q_hdv + u.q_crv for u in units])
-    _realisability_check(network, a, route_totals, config)
-
-    blocks = network.unit_blocks()
-    feasible = FeasibleSet(blocks=blocks, totals=sizes, n_routes=network.n_routes)
+    sizes = _fleet_sizes(network, sizes)
+    # a must be the link image of some route flow holding each unit's demand
+    demands = np.array([u.q_hdv + u.q_crv for u in units])
+    nearest = route_fiber(network, a, totals=demands, config=config, _allow_any=True)
+    if nearest.residual > 1e-6 * (1.0 + float(np.max(np.abs(a)))):
+        raise NotRealisableError(
+            f"no feasible route flow reproduces the observed link flow "
+            f"(best residual {nearest.residual:.3g})"
+        )
+    feasible = FeasibleSet(blocks=network.unit_blocks(), totals=sizes, n_routes=network.n_routes)
 
     tau = network.link_travel_times(a)
     jac = network.link_time_jacobian(a)
-    margin = strategy.margin
     incidence = network.incidence
     a0 = incidence @ (strategy.lam_crv * tau + jac.T @ (strategy.lam_hdv * a))
-    b = margin * incidence @ jac.T @ incidence.T
-
-    scale = _residual_scale(feasible)
-    tol_gap = config.tol_vi * (1.0 + float(np.linalg.norm(tau))) * scale
-    cert = _link_certificate(margin, jac, network, config)
-
-    if feasible.total_mass == 0.0:
-        phi = np.zeros(network.n_links)
-        return InverseResult(
-            f_hat=phi,
-            h_hat=a.copy(),
-            residual=0.0,
-            certificate=cert,
-            solutions=(phi,),
-            converged=True,
-            level="link",
-        )
-
-    f_param, gap, converged = _solve_affine_vi(
-        a0, b, feasible, tol_gap, config,
-        unique=cert.theorem_applies,
-    )
-    phi = network.route_to_link(f_param)
-
-    solutions, exhaustive = [phi], True
-    if not cert.theorem_applies:
-        faces, exhaustive = _face_solutions(a0, b, feasible, tol_gap, config)
-        solutions = _distinct(
-            [phi] + [network.route_to_link(f) for f in faces], scale, config.tol_distinct
-        )
-
-    return InverseResult(
-        f_hat=phi,
-        h_hat=a - phi,
-        residual=gap / scale,
-        certificate=cert,
-        solutions=tuple(solutions),
-        converged=converged,
-        level="link",
-        exhaustive=exhaustive,
-    )
-
-
-def _link_certificate(
-    margin: float, jac: np.ndarray, network: Network, config: SolverConfig
-) -> UniquenessCertificate:
-    basis = _link_feasible_basis(network)
-    if basis.shape[1] == 0:
-        min_rayleigh = math.inf
-        pd_ok = True
-    else:
-        sym = 0.5 * (jac + jac.T)
-        min_rayleigh = 2.0 * float(np.linalg.eigvalsh(basis.T @ sym @ basis)[0])
-        threshold = config.pd_rtol * abs(np.trace(sym)) / max(1, network.n_links)
-        pd_ok = min_rayleigh > threshold
-    if margin <= MARGIN_EPS:
-        applies, reason = False, "margin lam_crv - lam_hdv is not positive"
-    elif not pd_ok:
-        applies, reason = False, (
-            "link-time jacobian is not positive definite on realisable directions"
-        )
-    else:
-        applies, reason = True, (
-            "margin positive and link-time jacobian positive definite on realisable directions"
-        )
-    return UniquenessCertificate(
-        theorem_applies=applies,
-        reason=reason,
-        min_rayleigh=min_rayleigh,
-        margin=margin,
+    b = strategy.margin * incidence @ jac.T @ incidence.T
+    pd = _pd_certificate(_link_feasible_basis(network), jac, config.pd_rtol)
+    return _recover(
+        "link", a, a0, b, feasible, float(np.linalg.norm(tau)),
+        _certificate(strategy.margin, pd, _LINK_REASONS), config, image=network.route_to_link,
     )
 
 
@@ -1101,10 +1049,9 @@ def discrete_recover(
     if not np.allclose(q, np.round(q)):
         raise ValueError("observed flow must be integer-valued for discrete recovery")
     blocks = network.unit_blocks()
-    sizes = network.fleet_sizes() if sizes is None else np.asarray(sizes, dtype=float)
-    hdv_totals = np.array(
-        [float(np.sum(q[block])) - sizes[s] for s, block in enumerate(blocks)]
-    )
+    sizes = _fleet_sizes(network, sizes)
+    forward_set = FeasibleSet(blocks=blocks, totals=sizes, n_routes=network.n_routes)
+    hdv_totals = np.array([float(np.sum(q[block])) - size for block, size in zip(blocks, sizes)])
     if np.any(hdv_totals < -1e-9):
         raise InfeasibleProblemError("fleet sizes exceed the observed unit totals")
     hdv_totals = np.maximum(hdv_totals, 0.0)
@@ -1112,7 +1059,6 @@ def discrete_recover(
     rng = np.random.default_rng(seed)
 
     h_set = FeasibleSet(blocks=blocks, totals=hdv_totals, n_routes=network.n_routes)
-    forward_set = FeasibleSet(blocks=blocks, totals=sizes, n_routes=network.n_routes)
 
     def forward(h: np.ndarray) -> np.ndarray:
         return fleet_assign(

@@ -405,6 +405,32 @@ class PDCertificate:
     threshold: float
 
 
+def _restricted_min_eigenvalue(basis: np.ndarray, grad: np.ndarray):
+    """Least eigenvalue of sym(grad) on the orthonormal columns of basis
+    (the unit-norm Rayleigh quotient), one per matrix of a batch."""
+    sym = 0.5 * (grad + np.swapaxes(grad, -1, -2))
+    value = np.linalg.eigvalsh(basis.T @ sym @ basis)[..., 0]
+    return float(value) if value.ndim == 0 else value
+
+
+def _pd_certificate(basis: np.ndarray, grad: np.ndarray, pd_rtol: float) -> PDCertificate:
+    """Positive definiteness of the (n, n) gradient grad on the span of the
+    orthonormal columns of basis: twice its least restricted eigenvalue
+    against pd_rtol * |trace| / n.  The test behind both inverse
+    certificates: the route gradient on feasible directions, and the
+    link-time jacobian on realisable ones."""
+    if basis.shape[1] == 0:
+        return PDCertificate(passes=True, min_rayleigh=math.inf, threshold=0.0)
+    # a unit pair swap (1, -1) has unit scale: twice the unit-norm quotient
+    min_rayleigh = 2.0 * _restricted_min_eigenvalue(basis, grad)
+    threshold = pd_rtol * abs(np.trace(grad)) / grad.shape[0]
+    return PDCertificate(
+        passes=bool(min_rayleigh > threshold),
+        min_rayleigh=min_rayleigh,
+        threshold=float(threshold),
+    )
+
+
 def _positions(idx: list[int]):
     """A slice when the indices are one contiguous run (a view, no copy),
     else an index array."""
@@ -747,30 +773,13 @@ class Network:
         basis = self.feasible_direction_basis()
         if basis.shape[1] == 0:
             return math.inf
-        return self._restricted_min_eigenvalue(basis, self.route_gradient(q))
-
-    @staticmethod
-    def _restricted_min_eigenvalue(basis: np.ndarray, grad: np.ndarray):
-        sym = 0.5 * (grad + np.swapaxes(grad, -1, -2))
-        value = np.linalg.eigvalsh(basis.T @ sym @ basis)[..., 0]
-        return float(value) if value.ndim == 0 else value
+        return _restricted_min_eigenvalue(basis, self.route_gradient(q))
 
     def feasible_direction_pd(self, q, pd_rtol: float = 1e-9) -> PDCertificate:
         """Positive definiteness of the travel-time gradient on feasible
         directions, the gate for inverse uniqueness."""
         q = self._check_route_dim(q)
-        basis = self.feasible_direction_basis()
-        if basis.shape[1] == 0:
-            return PDCertificate(passes=True, min_rayleigh=math.inf, threshold=0.0)
-        grad = self.route_gradient(q)
-        # a unit pair swap (1, -1) has unit scale: twice the unit-norm quotient
-        min_rayleigh = 2.0 * self._restricted_min_eigenvalue(basis, grad)
-        threshold = pd_rtol * abs(np.trace(grad)) / self.n_routes
-        return PDCertificate(
-            passes=bool(min_rayleigh > threshold),
-            min_rayleigh=min_rayleigh,
-            threshold=float(threshold),
-        )
+        return _pd_certificate(self.feasible_direction_basis(), self.route_gradient(q), pd_rtol)
 
 
 def single_od_network(

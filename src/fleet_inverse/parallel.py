@@ -1,21 +1,16 @@
-"""Deterministic worker-pool helper.
+"""Ordered map over multistart starts.
 
-Results are collected in submission order, so reductions behave identically
-whatever the worker count; FLEET_INVERSE_THREADS (via SolverConfig) caps it.
+Solves run on one thread; results come back in submission order, and the
+reductions over them follow that order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], max_workers: int = 1) -> list[R]:
-    items = list(items)
-    if max_workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(max_workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    return [fn(x) for x in items]

@@ -366,8 +366,8 @@ class TestWorkCounters:
     def test_route_ladder_round_trips_build_no_dense_step(self, monkeypatch):
         # the ladder networks are separable, so the forward's Newton steps and
         # the inverse pivot's face solves take their O(R) closed forms; only
-        # the inverse's operator and its certificate (one each) build a route
-        # gradient matrix, 188 of them with one per descent iteration
+        # the inverse builds a route gradient matrix, one for its operator
+        # and its certificate together (188 with one per descent iteration)
         calls = collections.Counter()
 
         def counting(name, function):
@@ -383,7 +383,7 @@ class TestWorkCounters:
             f = fleet_assign(SELFISH, h, net, certify=False).f
             assert solve_inverse(SELFISH, h + f, net).certificate.theorem_applies
         assert calls["eigh"] == 0 and calls["lstsq"] == 0
-        assert calls["route_gradient"] <= 24
+        assert calls["route_gradient"] <= 12
 
 
     def test_one_route_gradient_per_descent_iteration(self, monkeypatch):
@@ -406,12 +406,11 @@ class TestWorkCounters:
             return f, iterations, converged
 
         monkeypatch.setattr(forward, "_descend", counting)
-        serial = DEFAULT_CONFIG.replace(max_threads=1)
         ladder = route_ladder()
         for strategy, (h, net) in [(SELFISH, ladder[4]), (DISRUPTIVE, ladder[3])]:
-            fleet_assign(strategy, h, net, certify=False, config=serial)
-        fleet_assign(MALICIOUS, np.array([40.0, 20.0]), asymmetric_two_route(), config=serial)
-        fleet_assign(SELFISH, np.array([100.0, 50.0, 80.0, 70.0]), overlap_network(), config=serial)
+            fleet_assign(strategy, h, net, certify=False)
+        fleet_assign(MALICIOUS, np.array([40.0, 20.0]), asymmetric_two_route())
+        fleet_assign(SELFISH, np.array([100.0, 50.0, 80.0, 70.0]), overlap_network())
         assert len(descents) >= 41 and sum(n for *_, n in descents) >= 100
         assert [separable for separable, *_ in descents].count(False) >= 1
         for separable, made, iterations in descents:

@@ -12,6 +12,7 @@ from scipy.optimize import nnls
 from fleet_inverse import (
     DEFAULT_CONFIG,
     AffineDelay,
+    DimensionMismatchError,
     BPRDelay,
     FeasibleSet,
     FleetModelError,
@@ -42,6 +43,7 @@ from conftest import (
     two_od_overlap,
 )
 from fleet_inverse import inverse
+from fleet_inverse.scenario import fixture_path, parse_scenario
 
 SELFISH = FleetStrategy.preset("selfish")
 ALTRUISTIC = FleetStrategy.preset("altruistic")
@@ -489,6 +491,49 @@ class TestNonFiniteObservations:
             inverse_link_flows(SELFISH, a, net_overlap, sizes=[bad])
 
 
+class TestFleetSizeShape:
+    # one fleet size per OD unit: a longer list used to lose its extra sizes
+    # (yet count them in the residual scale), a shorter one to raise
+    # IndexError
+    @pytest.mark.parametrize("sizes", [[10.0, 1e6], []])
+    def test_route_inverse(self, fig_two_route, sizes):
+        with pytest.raises(DimensionMismatchError, match="one fleet total per unit"):
+            solve_inverse(SELFISH, np.array([60.0, 40.0]), fig_two_route, sizes=sizes)
+
+    @pytest.mark.parametrize("sizes", [[10.0], [10.0, 10.0, 10.0]])
+    def test_link_inverse(self, sizes):
+        net = two_od_overlap()
+        a = net.route_to_link(np.array([30.0, 20.0, 25.0, 25.0]))
+        with pytest.raises(DimensionMismatchError, match="one fleet total per unit"):
+            inverse_link_flows(SELFISH, a, net, sizes=sizes)
+
+    @pytest.mark.parametrize("sizes", [[10.0, 1e6], []])
+    def test_discrete_recover(self, fig_two_route, sizes):
+        with pytest.raises(DimensionMismatchError, match="one fleet total per unit"):
+            discrete_recover(SELFISH, np.array([60.0, 40.0]), fig_two_route, sizes=sizes)
+
+
+class TestRouteCertificate:
+    def test_certificate_is_the_feasible_direction_test(self):
+        # the route inverse certifies with Network.feasible_direction_pd at
+        # the observation: the same eigenvalue, bit for bit, and the same
+        # verdict wherever the margin is positive
+        cases = _certified_instances(20, seed=7)
+        strategy, h, net = _defect_instance()
+        cases.append((strategy, h + fleet_assign(strategy, h, net).f, net))
+        for name in ("cross_dependent_unstable", "two_od", "two_stage_overlap", "two_stage_overlap_concentrated"):
+            scenario = parse_scenario(fixture_path(name))
+            cases.append((scenario.strategy, scenario.observed_route_flows, scenario.network))
+        verdicts = set()
+        for strategy, q, net in cases:
+            certificate = solve_inverse(strategy, q, net).certificate
+            pd = net.feasible_direction_pd(q, DEFAULT_CONFIG.pd_rtol)
+            assert certificate.min_rayleigh.hex() == pd.min_rayleigh.hex()
+            assert certificate.theorem_applies == (strategy.margin > inverse.MARGIN_EPS and pd.passes)
+            verdicts.add((strategy.margin > inverse.MARGIN_EPS, pd.passes))
+        assert {(True, True), (True, False)} <= verdicts
+
+
 def _sorted_greedy(c, feasible):
     """Greedy LP fill with the tie order spelled out as Python sort keys."""
     x = np.zeros(feasible.n_routes)
@@ -893,7 +938,8 @@ class TestFaceEnumeration:
         strategy = FleetStrategy(lam_hdv, lam_hdv + margin)
         forward = fleet_assign(strategy, h, net, seed=0, config=DEFAULT_CONFIG.replace(n_starts=4))
         q = h + forward.f
-        if not inverse._certificate(strategy, q, net, DEFAULT_CONFIG).theorem_applies:
+        pd = net.feasible_direction_pd(q, DEFAULT_CONFIG.pd_rtol)
+        if not inverse._certificate(strategy.margin, pd, inverse._ROUTE_REASONS).theorem_applies:
             return
         feasible = FeasibleSet(
             blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q

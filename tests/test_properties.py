@@ -1,5 +1,5 @@
 """Cross-module properties: classifier vs numerical curvature, route-level
-delay declarations, and thread-count determinism."""
+delay declarations, and seed determinism."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from fleet_inverse import (
     CrossAffineDelay,
     ConvexityKind,
     DEFAULT_CONFIG,
-    FeasibleSet,
     FleetStrategy,
     Link,
     Network,
@@ -22,7 +21,6 @@ from fleet_inverse import (
     fleet_assign,
     lipschitz_bound,
     single_od_network,
-    solve_general,
 )
 from conftest import fd_route_gradient, symmetric_quadratic
 
@@ -181,22 +179,6 @@ class TestRouteLevelDelays:
 
 
 class TestThreadDeterminism:
-    def test_multistart_same_result_any_worker_count(self):
-        net = single_od_network(
-            [BPRDelay(1.0, 1.0, 10.0, 4.0), BPRDelay(2.0, 1.0, 12.0, 4.0), BPRDelay(1.5, 1.0, 9.0, 4.0)],
-            q_hdv=30.0,
-            q_crv=12.0,
-        )
-        strategy = FleetStrategy(-1.0, 0.5)  # indefinite on gamma-4 links
-        h = np.array([12.0, 10.0, 8.0])
-        fset = FeasibleSet.from_network(net)
-        serial = solve_general(strategy, h, net, fset, seed=3, config=DEFAULT_CONFIG)
-        threaded = solve_general(
-            strategy, h, net, fset, seed=3, config=DEFAULT_CONFIG.replace(max_threads=4)
-        )
-        np.testing.assert_array_equal(serial.f, threaded.f)
-        assert len(serial.minimizer_set) == len(threaded.minimizer_set)
-
     def test_stability_bound_same_result_same_seed(self):
         # the samples are drawn from counter-based substreams of the seed
         net = symmetric_quadratic()
@@ -212,10 +194,6 @@ class TestConfigValidation:
     def test_bad_norm_rejected(self):
         with pytest.raises(ValueError):
             DEFAULT_CONFIG.replace(image_distance_norm="l3")
-
-    def test_bad_threads_rejected(self):
-        with pytest.raises(ValueError):
-            DEFAULT_CONFIG.replace(max_threads=0)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
