@@ -412,6 +412,20 @@ HANDLERS = {
 SUBCOMMANDS = tuple(HANDLERS)
 
 
+def _ranged(kind, accepts, what: str):
+    """An argparse type: `kind` of the text, rejected (exit 2) unless
+    `accepts` holds for it."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid <type> value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fleet-inverse",
@@ -424,14 +438,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="-", help="CSV output path ('-' for stdout)")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         if name in ("simulate", "stackelberg"):
-            p.add_argument("--days", type=int, default=None, help="override simulation days")
-            p.add_argument("--mu", type=float, default=None, help="override HDV adaptation rate")
+            p.add_argument(
+                "--days", type=_ranged(int, lambda v: v >= 1, "must be at least 1"),
+                default=None, help="override simulation days",
+            )
+            p.add_argument(
+                "--mu", type=_ranged(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+                default=None, help="override HDV adaptation rate",
+            )
         if name == "stackelberg":
             p.add_argument(
-                "--resolution", type=float, default=0.1, help="corner-support grid resolution"
+                "--resolution", type=_ranged(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+                default=0.1, help="corner-support grid resolution",
             )
         if name == "lipschitz":
-            p.add_argument("--samples", type=int, default=200, help="stability bound sample count")
+            p.add_argument(
+                "--samples", type=_ranged(int, lambda v: v >= 1, "must be at least 1"),
+                default=200, help="stability bound sample count",
+            )
     return parser
 
 

@@ -44,8 +44,8 @@ class SolverConfig:
     armijo_c1: float = 1e-4
     # inverse solver
     tol_vi: float = 1e-8           # VI gap target, x (1 + ||t(q)||_2)
-    max_vi_iter: int = 20000
-    extragradient_safety: float = 0.9
+    max_vi_iter: int = 20000       # extragradient iterations, above vertex_cap faces
+    extragradient_safety: float = 0.9  # extragradient step, x 1 / ||b||_2
     # discrete recovery
     discrete_starts: int = 20
     max_outer_iter: int = 300

@@ -21,22 +21,24 @@ the route solution.
 Both levels run one driver (_recover).  Each entry point validates its
 observation and assembles its feasible set, its operator and its
 positive-definiteness test (network._pd_certificate, on its own basis and
-matrix); the driver does the rest.  It solves the VI by one least-index
-pivot (_pivot): each round solves the KKT system of one lower/free/cap
-face and flips the lowest-index route that breaks complementarity there,
-until the face point is the solution.  A certified VI starts it from the
-greedy vertex and needs nothing else.  An uncertified one starts it from
-the iterate of the extragradient method, run to the gap tolerance, whose
-face it polishes.  At L = 0 the operator is constant, and its greedy
-minimizer is exact as it stands.
+matrix); the driver does the rest, with one method for each class of VI.
+A certified VI is solved by one least-index pivot (_pivot) from the
+greedy vertex: each round solves the KKT system of one lower/free/cap face
+and flips the lowest-index route that breaks complementarity there, until
+the face point is the solution.  At L = 0 the operator is constant, and
+its greedy minimizer is exact as it stands.
 
 When the certificate fails, the solution set is enumerated: every
 solution solves the KKT system of its face, so that system is solved and
 validated on each lower/free/cap labeling that can hold every unit's fleet
 (FeasibleSet.labelings, the walk whose one-free-route labelings are the
 forward corners).  A face whose KKT system is singular (L = 0, dependent
-routes) gives its minimum-norm solution.  Above SolverConfig.vertex_cap
-labelings nothing is enumerated (InverseResult.exhaustive = False).
+routes) gives its minimum-norm solution.  The listed solution of least
+norm is the estimate (the greedy minimizer when the operator is
+constant).  Above SolverConfig.vertex_cap labelings nothing is enumerated
+(InverseResult.exhaustive = False), and the estimate is the extragradient
+iterate run to the gap tolerance, polished on its face by the pivot
+(_extragradient).
 
 Residuals are reported as VI gap per vehicle of fleet mass,
 max_x A(f).(f - x) / max(1, fleet mass), in time units.
@@ -220,34 +222,6 @@ def _active_partition(f: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
     return active
 
 
-def _uniform_start(feasible: FeasibleSet) -> np.ndarray:
-    f = np.zeros(feasible.n_routes)
-    for block, total in zip(feasible.blocks, feasible.totals):
-        f[block] = total / len(block)
-    return feasible.project(f)
-
-
-def _extragradient(
-    a0: np.ndarray,
-    b: np.ndarray,
-    feasible: FeasibleSet,
-    f0: np.ndarray,
-    tol_gap: float,
-    config: SolverConfig,
-) -> tuple[np.ndarray, int, bool]:
-    """Extragradient iterates until the VI gap is at most tol_gap; returns
-    (f, iterations, converged)."""
-    f = feasible.project(f0)
-    step = config.extragradient_safety / float(np.linalg.norm(b, 2))
-    for k in range(1, config.max_vi_iter + 1):
-        af = a0 + b @ f
-        if float(af @ f) - _linear_minimum(af, feasible)[1] <= tol_gap:
-            return f, k - 1, True
-        y = feasible.project(f - step * af)
-        f = feasible.project(f - step * (a0 + b @ y))
-    return f, config.max_vi_iter, False
-
-
 def _diagonal_of(b: np.ndarray) -> np.ndarray | None:
     """The diagonal of b when b is diagonal (a separable network, see
     Network.separable), None otherwise; one check per VI solve, which
@@ -346,9 +320,13 @@ def _validated(
 ) -> np.ndarray | None:
     """The face point of an active partition clipped to its bounds, if it
     lies inside them, on the unit sums, and with coordinates pinned at a
-    bound respecting the complementary inequality; None otherwise."""
+    bound respecting the complementary inequality; None otherwise.  A route
+    whose cap is 0 cannot move, so its cost bounds no multiplier
+    (FeasibleSet.labelings puts it at its lower bound)."""
     scale = 1.0 + feasible.total_mass
     lower_active = active < 0
+    if feasible.upper is not None:
+        lower_active &= feasible.upper > 0.0
     upper_active = active > 0
     free = active == 0
 
@@ -458,8 +436,9 @@ def _pivot(
     cover the rest: the unit equality rows, a cap as a third label, the
     band step (which moves routes that break no sign) and signs that
     rounding decides inside the tolerances above.  There a repeated
-    partition ends the pivot.  Where the certificate fails (the uncertified
-    polish) the argument does not hold at all.
+    partition ends the pivot.  Where the certificate fails (the polish of
+    the extragradient's iterate above the face cap) the argument does not
+    hold at all.
     """
     active = active.copy()
     seen: set[bytes] = set()
@@ -492,38 +471,48 @@ def _solve_affine_vi(
     a0: np.ndarray,
     b: np.ndarray,
     feasible: FeasibleSet,
+    greedy: np.ndarray,
     tol_gap: float,
     config: SolverConfig,
-    unique: bool = False,
-) -> tuple[np.ndarray, float, bool]:
-    """Solve the affine VI A(f) = a0 + b f over the feasible set; returns
-    (f, VI gap, converged).
-
-    One least-index pivot (see _pivot) gives the answer.  When the VI is
-    certified to have one solution (`unique`) it starts from the partition
-    of the greedy vertex of a0, and the greedy vertex is returned,
-    unconverged, if it stops.  Otherwise the extragradient runs from the
-    uniform split to tol_gap, and the pivot starts from its iterate's
-    partition, replacing the iterate only by a point whose VI gap is no
-    larger (below 1e-12 always counts).  A constant operator's greedy
-    minimizer is exact as it stands.
+) -> np.ndarray:
+    """The solution of the affine VI A(f) = a0 + b f over the feasible set
+    when it is certified to have one: the least-index pivot (see _pivot)
+    from the partition of `greedy`, the greedy vertex of a0, or that vertex
+    when the pivot stops without a solution (the caller reports it
+    unconverged).
     """
-    if float(np.max(np.abs(b), initial=0.0)) <= 1e-300:
-        # every minimizer of a0 . f solves the VI
-        f = _linear_minimum(a0, feasible)[0]
-        return f, _vi_gap(a0, b, f, feasible), True
-    converged = False
-    if unique:
-        f = _linear_minimum(a0, feasible)[0]
-        tol = tol_gap
-    else:
-        f, _, converged = _extragradient(a0, b, feasible, _uniform_start(feasible), tol_gap, config)
-        tol = max(_vi_gap(a0, b, f, feasible), 1e-12)
+    solution, _ = _pivot(a0, b, feasible, _active_partition(greedy, feasible), tol_gap, config, _diagonal_of(b))
+    return greedy if solution is None else solution
+
+
+def _extragradient(
+    a0: np.ndarray,
+    b: np.ndarray,
+    feasible: FeasibleSet,
+    tol_gap: float,
+    config: SolverConfig,
+) -> np.ndarray:
+    """An uncertified VI's estimate where its faces are too many to
+    enumerate: extragradient iterates (Korpelevich 1976, step
+    config.extragradient_safety / ||b||) from the uniform split until the
+    VI gap is at most tol_gap or config.max_vi_iter pass, then the pivot
+    from the iterate's partition, whose point replaces the iterate when its
+    gap is no larger (below 1e-12 always counts).  The caller reports
+    convergence from the returned point's gap."""
+    f = np.zeros(feasible.n_routes)
+    for block, total in zip(feasible.blocks, feasible.totals):
+        f[block] = total / len(block)
+    f = feasible.project(f)
+    step = config.extragradient_safety / float(np.linalg.norm(b, 2))
+    for _ in range(config.max_vi_iter):
+        af = a0 + b @ f
+        if float(af @ f) - _linear_minimum(af, feasible)[1] <= tol_gap:
+            break
+        y = feasible.project(f - step * af)
+        f = feasible.project(f - step * (a0 + b @ y))
+    tol = max(_vi_gap(a0, b, f, feasible), 1e-12)
     solution, _ = _pivot(a0, b, feasible, _active_partition(f, feasible), tol, config, _diagonal_of(b))
-    if solution is not None:
-        f = solution
-    gap = _vi_gap(a0, b, f, feasible)
-    return f, gap, converged or gap <= tol_gap
+    return f if solution is None else solution
 
 
 # -- face enumeration ----------------------------------------------------------------
@@ -535,14 +524,14 @@ def _face_solutions(
     feasible: FeasibleSet,
     tol_gap: float,
     config: SolverConfig,
-) -> tuple[list[np.ndarray], bool]:
+) -> list[np.ndarray] | None:
     """Every solution of the affine VI that solves the KKT system of a face.
 
     Solves and validates the face of every product of the units' labelings
     (see FeasibleSet.labelings) and keeps the validated points whose VI gap
-    is within max(tol_gap, 1e-6 * scale).  Returns (solutions, exhaustive);
-    with more than config.vertex_cap partitions it enumerates nothing and
-    returns ([], False).
+    is within max(tol_gap, 1e-6 * scale), in enumeration order.  With more
+    than config.vertex_cap partitions it enumerates nothing and returns
+    None.
     """
     tol = 1e-7 * (1.0 + feasible.total_mass)
     try:
@@ -550,7 +539,7 @@ def _face_solutions(
             (feasible.labelings(s, tol) for s in range(len(feasible.blocks))), config.vertex_cap, "face"
         )
     except FleetModelError:
-        return [], False
+        return None
     gate = max(tol_gap, 1e-6 * _residual_scale(feasible))
     diagonal = _diagonal_of(b)
     active = np.full(feasible.n_routes, -1)
@@ -562,18 +551,20 @@ def _face_solutions(
         f = None if point is None else _validated(a0, b, feasible, active, point)
         if f is not None and _vi_gap(a0, b, f, feasible) <= gate:
             found.append(f)
-    return found, True
+    return found
 
 
 # -- one inverse at either level --------------------------------------------------------
 
 
-def _distinct(solutions: list[np.ndarray], scale: float, tol: float) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for f in solutions:
-        if not any(float(np.max(np.abs(f - g))) <= tol * scale for g in out):
-            out.append(f)
-    return out
+def _distinct(points: list[np.ndarray], scale: float, tol: float) -> list[int]:
+    """The indices of the points more than tol * scale (max norm) from
+    every earlier point kept, ascending."""
+    kept: list[int] = []
+    for i, f in enumerate(points):
+        if not any(float(np.max(np.abs(f - points[j]))) <= tol * scale for j in kept):
+            kept.append(i)
+    return kept
 
 
 # the certificate's reasons at each level: the margin is not positive; the
@@ -642,12 +633,24 @@ def _recover(
     fiber=lambda f_hat: None,
 ) -> InverseResult:
     """The inverse at one level from its VI a0 + b f over the route
-    variables in `feasible`: the VI's solution and, when the certificate
-    fails, its face solutions, each mapped by `image` to the level's flows
-    and listed once.  The gap tolerance is tol_vi * (1 + t_norm) * scale,
-    t_norm the norm of the level's travel times, and the residual is the
-    gap / scale, scale = max(1, fleet mass).  `fiber` maps f_hat to the
-    result's fiber."""
+    variables in `feasible`, with one method for each class of VI:
+
+    - certified (at most one solution): _solve_affine_vi;
+    - constant operator: its greedy minimizer, then the face solutions;
+    - any other: the face solutions alone (_face_solutions), first the one
+      of least Euclidean norm in the level's flows among those whose gap
+      is within the tolerance (among all, if none is; the first such in
+      enumeration order on a tie), then the rest in enumeration order; the
+      greedy vertex of a0, unconverged, when no face validates.
+
+    Above config.vertex_cap partitions nothing is enumerated (exhaustive
+    False), and a non-constant operator's one solution is _extragradient's.
+
+    Each solution is mapped by `image` to the level's flows and listed
+    once; f_hat is the first.  The gap tolerance is tol_vi * (1 + t_norm)
+    * scale, t_norm the norm of the level's travel times, and the residual
+    is f_hat's gap / scale, scale = max(1, fleet mass).  `fiber` maps f_hat
+    to the result's fiber."""
     if feasible.total_mass == 0.0:
         f_hat = np.zeros_like(observed)
         return InverseResult(
@@ -657,20 +660,41 @@ def _recover(
     scale = _residual_scale(feasible)
     tol_gap = config.tol_vi * (1.0 + t_norm) * scale
     unique = certificate.theorem_applies
-    f, gap, converged = _solve_affine_vi(a0, b, feasible, tol_gap, config, unique=unique)
-    solutions, exhaustive = [f], True
+    greedy = _linear_minimum(a0, feasible)[0]
+    # a constant operator (L = 0): every minimizer of a0 . f solves the VI
+    constant = float(np.max(np.abs(b), initial=0.0)) <= 1e-300
+    if constant:
+        points = [greedy]
+    elif unique:
+        points = [_solve_affine_vi(a0, b, feasible, greedy, tol_gap, config)]
+    else:
+        points = []
+    exhaustive = True
     if not unique:
-        faces, exhaustive = _face_solutions(a0, b, feasible, tol_gap, config)
-        solutions += faces
-    solutions = _distinct([image(g) for g in solutions], scale, config.tol_distinct)
-    f_hat = solutions[0]
+        faces = _face_solutions(a0, b, feasible, tol_gap, config)
+        exhaustive = faces is not None
+        if exhaustive:
+            points += faces
+        elif not constant:
+            points = [_extragradient(a0, b, feasible, tol_gap, config)]
+    points = points or [greedy]
+    images = [image(g) for g in points]
+    kept = _distinct(images, scale, config.tol_distinct)
+    if not (unique or constant) and len(kept) > 1:
+        # least norm among the solutions within tol_gap, if any is
+        first = min(kept, key=lambda i: (
+            _vi_gap(a0, b, points[i], feasible) > tol_gap, float(np.linalg.norm(images[i]))
+        ))
+        kept = [first] + [i for i in kept if i != first]
+    f_hat = images[kept[0]]
+    gap = _vi_gap(a0, b, points[kept[0]], feasible)
     return InverseResult(
         f_hat=f_hat,
         h_hat=observed - f_hat,
         residual=gap / scale,
         certificate=certificate,
-        solutions=tuple(solutions),
-        converged=converged,
+        solutions=tuple(images[i] for i in kept),
+        converged=gap <= tol_gap,
         level=level,
         fiber=fiber(f_hat),
         exhaustive=exhaustive,
@@ -688,11 +712,12 @@ def solve_inverse(
     """Recover the fleet route flow from the observed total flow q.
 
     Solves the stationarity VI over {0 <= f <= q, per-unit sums = sizes}.
-    When the uniqueness certificate fails, `solutions` is f_hat followed by
-    the other face solutions (just f_hat, with `exhaustive` False, above
-    config.vertex_cap partitions).  On linearly dependent routes `fiber`
-    holds the route flows that share f_hat's link flow.  `seed` is not
-    read.
+    When the uniqueness certificate fails, `solutions` lists every face
+    solution, f_hat (the one of least norm, see _recover) first; above
+    config.vertex_cap partitions it is just f_hat, the extragradient's
+    estimate, with `exhaustive` False.  On linearly dependent routes
+    `fiber` holds the route flows that share f_hat's link flow.  `seed` is
+    not read.
     """
     q = _observed(q, network.n_routes, "route", "observed flows")
     feasible = FeasibleSet(
@@ -936,7 +961,6 @@ def _hessian_norm_bound(network: Network, q: np.ndarray):
 def lipschitz_bound(
     strategy: FleetStrategy,
     network: Network,
-    total_demand: float | None = None,
     samples: int = 200,
     seed: int = 0,
 ) -> LipschitzBound:
@@ -951,10 +975,6 @@ def lipschitz_bound(
     units = network.units_or_raise()
     blocks = network.unit_blocks()
     unit_totals = np.array([u.q_hdv + u.q_crv for u in units])
-    if total_demand is not None:
-        if len(units) != 1:
-            raise ValueError("total_demand override needs a single-unit network")
-        unit_totals = np.array([float(total_demand)])
     fleet_mass = float(np.sum(network.fleet_sizes()))
     demand_mass = float(np.sum(unit_totals))
 

@@ -652,9 +652,6 @@ class Network:
     def fleet_sizes(self) -> np.ndarray:
         return np.array([u.q_crv for u in self.units_or_raise()])
 
-    def hdv_demands(self) -> np.ndarray:
-        return np.array([u.q_hdv for u in self.units_or_raise()])
-
     def units_or_raise(self) -> tuple[ODUnit, ...]:
         if self.units is None:
             raise FleetModelError("this operation needs OD units, but none were declared")

@@ -453,6 +453,31 @@ class TestCLI:
         assert counts == {"3"}
         assert n_solutions(capped) == (header, {"1"})
 
+    @pytest.mark.parametrize(
+        "subcommand,flag,value",
+        [
+            ("simulate", "--days", "0"),
+            ("stackelberg", "--days", "0"),
+            ("simulate", "--mu", "2"),
+            ("stackelberg", "--mu", "-0.5"),
+            ("simulate", "--mu", "nan"),
+            ("stackelberg", "--resolution", "0"),
+            ("stackelberg", "--resolution", "-1"),
+            ("stackelberg", "--resolution", "1.5"),
+            ("lipschitz", "--samples", "-3"),
+            ("lipschitz", "--samples", "0"),
+        ],
+    )
+    def test_override_out_of_range(self, subcommand, flag, value, capsys):
+        # --days 0 and --mu 2 used to exit 1 with a ValueError, --resolution
+        # 0 with a ZeroDivisionError; --resolution -1 reported "worst margin
+        # inf over 0 mixtures" and --samples -3 a report of -3 samples
+        args = [subcommand, "--scenario", str(fixture_path("stackelberg_symmetric")), "--out", "-"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + [flag, value])
+        assert exc.value.code == EXIT_PARSE
+        assert f"argument {flag}: must " in capsys.readouterr().err
+
     def test_cross_dependent_unstable_stackelberg_terminates(self, tmp_path):
         # the malicious objective is linear on this network, so each
         # simulated day is one corner enumeration

@@ -43,7 +43,7 @@ from conftest import (
     two_od_overlap,
 )
 from fleet_inverse import inverse
-from fleet_inverse.scenario import fixture_path, parse_scenario
+from fleet_inverse.scenario import fixture_path, list_fixtures, parse_scenario
 
 SELFISH = FleetStrategy.preset("selfish")
 ALTRUISTIC = FleetStrategy.preset("altruistic")
@@ -595,18 +595,20 @@ def _reference_link_solve(strategy, a, network):
 
 
 def _reference_vi(a0, b, feasible, t_norm):
-    """A certified affine VI solved by the extragradient alone, from the
-    uniform split: iterates until the gap is within tolerance, then one
-    active-set polish.  Also reports whether it returns the polished face
-    point and that point keeps the partition it was solved on.  The polish
-    solves the face in closed form where b is diagonal, as the library's
-    pivot does."""
-    config = DEFAULT_CONFIG
+    """A certified affine VI solved by the extragradient alone (Korpelevich
+    1976, step 0.9 / ||b||, at most 20,000 iterations), from the uniform
+    split: iterates until the gap is within tolerance, then one active-set
+    polish.  Also reports whether it returns the polished face point and
+    that point keeps the partition it was solved on.  The polish solves the
+    face in closed form where b is diagonal, as the library's pivot does."""
     scale = max(1.0, feasible.total_mass)
-    tol_gap = config.tol_vi * (1.0 + t_norm) * scale
-    step = config.extragradient_safety / float(np.linalg.norm(b, 2))
-    f = feasible.project(inverse._uniform_start(feasible))
-    for _ in range(config.max_vi_iter):
+    tol_gap = DEFAULT_CONFIG.tol_vi * (1.0 + t_norm) * scale
+    step = 0.9 / float(np.linalg.norm(b, 2))
+    f = np.zeros(feasible.n_routes)
+    for block, total in zip(feasible.blocks, feasible.totals):
+        f[block] = total / len(block)
+    f = feasible.project(f)
+    for _ in range(20000):
         af = a0 + b @ f
         if float(af @ f) - inverse._linear_minimum(af, feasible)[1] <= tol_gap:
             break
@@ -669,7 +671,7 @@ def _certified_instances(count, seed):
 
 @pytest.fixture
 def extragradient_calls(monkeypatch):
-    """Every (f, iterations, converged) _extragradient returns."""
+    """Every estimate _extragradient returns."""
     calls = []
     extragradient = inverse._extragradient
 
@@ -737,8 +739,8 @@ class TestFaceExit:
             result = solve_inverse(SELFISH, h + f, net)
             assert result.certificate.theorem_applies
             assert float(np.max(np.abs(result.f_hat - f))) <= 1e-6 * net.fleet_sizes()[0]
-        # 17,009 extragradient iterations when every solve runs to the gap
-        # tolerance, 3,421 when it exits on the first validated face
+        # each certified solve is one pivot from the greedy vertex; the gate
+        # leaves room for a few more rounds than the 171 taken now
         assert extragradient_calls == []
         assert len(walk_calls) == 12 and all(f is not None for f, _ in walk_calls)
         assert sum(rounds for _, rounds in walk_calls) <= 195  # 171 now
@@ -769,12 +771,97 @@ class TestFaceExit:
         a0, _ = inverse._affine_operator(SELFISH, q, net)
         assert capped.f_hat.tobytes() == inverse._linear_minimum(a0, feasible)[0].tobytes()
 
-    def test_uncertified_inverse_runs_to_gap(self, extragradient_calls, walk_calls):
+    def test_uncertified_f_hat_is_the_least_norm_solution(self, extragradient_calls, walk_calls):
+        # every bundled fixture network at its observed (or forward) flow,
+        # under seven strategies, at the route and the link level: an
+        # uncertified inverse lists its face solutions, the one of least norm
+        # in the level's flows first, and runs no other solver; a constant
+        # operator keeps its greedy minimizer first
+        strategies = (SELFISH, ALTRUISTIC, MALICIOUS, SOCIAL, DISRUPTIVE,
+                      FleetStrategy(0.5, 0.2), FleetStrategy(1.0, 0.5))
+        uncertified = multi = 0
+        for name in list_fixtures():
+            scenario = parse_scenario(fixture_path(name))
+            net = scenario.network
+            if scenario.observed_route_flows is not None:
+                q = scenario.observed_route_flows
+            else:
+                h = scenario.hdv_route_flows
+                q = h + fleet_assign(scenario.strategy, h, net, certify=False).f
+            for strategy in strategies:
+                for result in (solve_inverse(strategy, q, net),
+                               inverse_link_flows(strategy, net.route_to_link(q), net)):
+                    if result.certificate.theorem_applies:
+                        continue
+                    uncertified += 1
+                    multi += len(result.solutions) > 1
+                    assert result.solutions[0] is result.f_hat
+                    assert result.converged
+                    norms = [float(np.linalg.norm(f)) for f in result.solutions]
+                    if strategy.margin != 0.0:
+                        assert norms[0] == min(norms)
+        assert (uncertified, multi) == (103, 54)
+        # the pivot ran only in the certified solves, the extragradient in none
+        assert len(walk_calls) == 154 - 103
+        assert extragradient_calls == []
+
+    def test_least_norm_prefers_a_solution_within_the_gap_tolerance(self, monkeypatch):
+        # A(f) = -1e-4 f over {f1 + f2 = 1}: the vertex (1, 0) solves the VI,
+        # and (0.501, 0.499) has a gap of 1e-7, inside the face gate
+        # max(tol_gap, 1e-6 scale) but above tol_gap = 1e-8; the estimate is
+        # the vertex although the other point has the smaller norm
+        feasible = FeasibleSet(blocks=(np.array([0, 1]),), totals=np.array([1.0]), n_routes=2, upper=np.ones(2))
+        a0, b = np.zeros(2), -1e-4 * np.eye(2)
+        near, vertex = np.array([0.501, 0.499]), np.array([1.0, 0.0])
+        assert 1e-8 < inverse._vi_gap(a0, b, near, feasible) <= 1e-6
+        assert inverse._vi_gap(a0, b, vertex, feasible) == 0.0
+        monkeypatch.setattr(inverse, "_face_solutions", lambda *args: [near, vertex])
+        certificate = inverse.UniquenessCertificate(False, "not certified", -1e-4, -1.0)
+        result = inverse._recover("route", np.ones(2), a0, b, feasible, 0.0, certificate, DEFAULT_CONFIG)
+        assert result.f_hat is result.solutions[0] and result.f_hat is vertex
+        assert result.converged and len(result.solutions) == 2
+
+    def test_face_enumeration_frees_the_multiplier_of_a_zero_cap_route(self):
+        # route 0 carries no observed flow, so its fleet flow is pinned at 0
+        # whatever it costs; it is the cheapest route here (A(f) = q - f
+        # under the altruistic strategy), and a validation that held it to
+        # its unit's multiplier listed no solution at all
         net = three_affine_routes(q_hdv=70.0, q_crv=30.0)
-        result = solve_inverse(ALTRUISTIC, np.array([30.0, 30.0, 40.0]), net)
+        result = solve_inverse(ALTRUISTIC, np.array([0.0, 50.0, 50.0]), net)
+        assert not result.certificate.theorem_applies and result.converged
+        expected = [[0.0, 15.0, 15.0], [0.0, 30.0, 0.0], [0.0, 0.0, 30.0]]
+        assert sorted(f.tolist() for f in result.solutions) == sorted(expected)
+        np.testing.assert_allclose(result.f_hat, expected[0], rtol=0.0, atol=1e-12)
+
+    def test_uncertified_inverse_runs_to_gap(self, extragradient_calls, walk_calls):
+        # above the face cap nothing is enumerated: the extragradient picks
+        # the iterate and the pivot polishes it once
+        net = three_affine_routes(q_hdv=70.0, q_crv=30.0)
+        q = np.array([30.0, 30.0, 40.0])
+        full = solve_inverse(ALTRUISTIC, q, net)
+        result = solve_inverse(ALTRUISTIC, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=5))
         assert not result.certificate.theorem_applies
-        # the extragradient picks the iterate and the pivot polishes it once
         assert len(extragradient_calls) == 1 and len(walk_calls) == 1
+        assert full.exhaustive and not result.exhaustive and result.converged
+        assert result.solutions == (result.f_hat,)
+        assert min(float(np.max(np.abs(result.f_hat - f))) for f in full.solutions) <= 1e-9 * 30.0
+
+    def test_above_the_default_cap_answers(self, extragradient_calls):
+        # one unit of 10 BPR routes has more than vertex_cap = 20,000
+        # lower/free/cap labelings, so the uncertified inverse answers from
+        # the extragradient: one solution, not the whole set
+        rng = np.random.default_rng([10, 0])
+        delays = [BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(20, 80)), 2.0) for _ in range(10)]
+        net = single_od_network(delays, q_hdv=100.0, q_crv=50.0)
+        h = rng.dirichlet(np.ones(10)) * 100.0
+        strategy = FleetStrategy(0.5, 0.2)
+        f = fleet_assign(strategy, h, net, certify=False).f
+        result = solve_inverse(strategy, h + f, net)
+        assert not result.certificate.theorem_applies
+        assert not result.exhaustive and result.converged and len(extragradient_calls) == 1
+        assert result.solutions == (result.f_hat,)
+        assert float(np.sum(result.f_hat)) == pytest.approx(50.0)
+        assert np.all(result.f_hat >= 0.0) and np.all(result.f_hat <= h + f)
 
     def test_link_inverse_face_exit(self, extragradient_calls, walk_calls):
         net = two_od_overlap()
@@ -886,15 +973,16 @@ class TestFaceEnumeration:
         assert distance <= 1e-9 * 30.0
 
     def test_above_vertex_cap(self):
+        # above the cap nothing is enumerated, and the one estimate is a
+        # solution the full enumeration lists
         strategy, h, net = _defect_instance()
         q = h + fleet_assign(strategy, h, net).f
         full = solve_inverse(strategy, q, net)
         assert len(full.solutions) > 1
         capped = solve_inverse(strategy, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=10))
-        assert not capped.exhaustive
+        assert not capped.exhaustive and capped.converged
         assert capped.solutions == (capped.f_hat,)
-        assert capped.f_hat.tobytes() == full.f_hat.tobytes()
-        assert capped.residual == full.residual
+        assert min(float(np.max(np.abs(capped.f_hat - f))) for f in full.solutions) <= 1e-9 * 30.0
 
         link_net = two_od_overlap()
         a = link_net.route_to_link(np.array([30.0, 20.0, 25.0, 25.0]))
@@ -905,8 +993,8 @@ class TestFaceEnumeration:
         assert capped.solutions == (capped.f_hat,)
 
     def test_zero_margin_returns_the_greedy_minimum(self):
-        # the operator is constant, so the extragradient's first point, the
-        # greedy minimizer of a0 . f, is exact and the polish must not move it
+        # the operator is constant, so the greedy minimizer of a0 . f is
+        # exact, and it comes first, ahead of the face solutions
         rng = np.random.default_rng(5)
         for _ in range(40):
             sizes = [int(k) for k in rng.integers(1, 4, size=int(rng.integers(1, 4)))]

@@ -1,9 +1,14 @@
 """Cross-module properties: classifier vs numerical curvature, route-level
 delay declarations, and seed determinism."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fleet_inverse
 from fleet_inverse import (
     AffineDelay,
     BPRDelay,
@@ -22,6 +27,7 @@ from fleet_inverse import (
     lipschitz_bound,
     single_od_network,
 )
+from fleet_inverse.config import SolverConfig
 from conftest import fd_route_gradient, symmetric_quadratic
 
 
@@ -196,5 +202,20 @@ class TestConfigValidation:
             DEFAULT_CONFIG.replace(image_distance_norm="l3")
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError):
-            DEFAULT_CONFIG.replace(no_such_field=1.0)
+        # the deleted thread knob included
+        for name in ("no_such_field", "max_threads"):
+            with pytest.raises(ValueError, match="unknown tolerance fields"):
+                DEFAULT_CONFIG.replace(**{name: 1})
+
+    def test_every_field_is_read(self):
+        # a SolverConfig field that no module outside config.py reads is a
+        # knob that does nothing (as max_threads was before its deletion)
+        package = Path(fleet_inverse.__file__).parent
+        source = "\n".join(
+            path.read_text() for path in sorted(package.glob("*.py")) if path.name != "config.py"
+        )
+        unread = [
+            f.name for f in dataclasses.fields(SolverConfig)
+            if not re.search(rf"\.{f.name}\b", source)
+        ]
+        assert unread == []
