@@ -198,9 +198,7 @@ def _run_certify(scenario: Scenario, args) -> tuple[list[str], list[dict], list[
     h = _need(scenario, "hdv_route_flows", "hdv_route_flows")
     f = _need(scenario, "fleet_route_flows", "fleet_route_flows")
     feasible = FeasibleSet.from_network(net)
-    cert = certify_local_min(
-        scenario.strategy, h, f, net, feasible, scenario.config, seed=args.seed
-    )
+    cert = certify_local_min(scenario.strategy, h, f, net, feasible, scenario.config)
     q = np.asarray(h) + np.asarray(f)
     pd = net.feasible_direction_pd(q, scenario.config.pd_rtol)
     independence = net.routes_linearly_independent(scenario.config.rank_rtol)

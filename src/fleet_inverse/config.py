@@ -19,7 +19,7 @@ IMAGE_DISTANCE_NORMS = {"l2": 2, "l1": 1, "linf": math.inf}
 # that have a range
 _OPEN_UNIT_INTERVAL = ("armijo_factor", "armijo_c1", "extragradient_safety")
 _MINIMUM = {
-    "n_starts": 0, "n_dirs": 0, "discrete_starts": 0,
+    "n_starts": 0, "discrete_starts": 0,
     "vertex_cap": 1, "max_pg_iter": 1, "max_vi_iter": 1, "max_outer_iter": 1,
     "mixture_grid": 2,
 }
@@ -34,10 +34,8 @@ class SolverConfig:
     tol_pg: float = 1e-9           # max|f - P(f - grad F)| target, x (1 + max|grad F|)
     tol_tie: float = 1e-9          # relative tie window for corner minima
     tol_dd: float = 1e-8           # directional-derivative slack in certificates
-    tol_curv: float = 1e-8         # curvature slack for flat directions, x (1 + |d2|)
     tol_distinct: float = 1e-6     # minimizers distinct if max|df| exceeds this x scale
     n_starts: int = 20             # random multistart points (on top of vertices)
-    n_dirs: int = 50               # random directions sampled by the certificate
     vertex_cap: int = 20000        # refuse to enumerate more vertices or faces than this
     max_pg_iter: int = 5000        # descent iterations per start
     armijo_factor: float = 0.5

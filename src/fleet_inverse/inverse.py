@@ -862,6 +862,8 @@ def route_fiber(
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (network.n_links,):
         raise DimensionMismatchError("phi must be a link vector")
+    if not np.all(np.isfinite(phi)):
+        raise InfeasibleProblemError("link flow must be finite")
     blocks = network.unit_blocks()
     if totals is None:
         totals = network.fleet_sizes()
@@ -970,28 +972,25 @@ def lipschitz_bound(
     estimates the supremum norms of the travel-time gradient and of its
     Lipschitz modulus, the minimum feasible-direction eigenvalue rho, and
     assembles K / (L * rho) bounding |f* - f#| / |q* - q#|.  The samples
-    are evaluated as one batch.
+    (at least 1) are evaluated as one batch.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     units = network.units_or_raise()
     blocks = network.unit_blocks()
     unit_totals = np.array([u.q_hdv + u.q_crv for u in units])
     fleet_mass = float(np.sum(network.fleet_sizes()))
     demand_mass = float(np.sum(unit_totals))
 
-    q = np.zeros((max(samples, 0), network.n_routes))
-    for i in range(len(q)):
+    q = np.zeros((samples, network.n_routes))
+    for i in range(samples):
         # independent counter-based substream per sample
         rng = np.random.Generator(np.random.Philox(key=[seed, i]))
         for block, total in zip(blocks, unit_totals):
             q[i, block] = rng.dirichlet(np.ones(len(block))) * total
-    grad_norms = hess_norms = rhos = []
-    if len(q):
-        grad_norms = np.linalg.norm(network.route_gradient(q), 2, axis=(1, 2)).tolist()
-        hess_norms = _hessian_norm_bound(network, q).tolist()
-        rhos = np.broadcast_to(network.restricted_min_eigenvalue(q), len(q)).tolist()
-    grad_norm = max(grad_norms, default=0.0)
-    hess_norm = max(hess_norms, default=0.0)
-    rho = min(rhos, default=math.inf)
+    grad_norm = max(np.linalg.norm(network.route_gradient(q), 2, axis=(1, 2)).tolist())
+    hess_norm = max(_hessian_norm_bound(network, q).tolist())
+    rho = min(np.broadcast_to(network.restricted_min_eigenvalue(q), samples).tolist())
 
     margin = strategy.margin
     constant = (
@@ -1065,7 +1064,7 @@ def discrete_recover(
     achieved distance and the theoretical closeness radius
     2 * Lip(inverse) * rounding radius.
     """
-    q = np.asarray(q, dtype=float)
+    q = _observed(q, network.n_routes, "route", "observed flows")
     if not np.allclose(q, np.round(q)):
         raise ValueError("observed flow must be integer-valued for discrete recovery")
     blocks = network.unit_blocks()

@@ -372,7 +372,10 @@ def verify_corner_support(
     Sweeps (alpha1, alpha2, weight) on a grid, computes each mixture's
     induced equilibrium and expected HDV time and compares against the best
     corner mixture; the worst margin should never be materially negative.
+    The grid step resolution lies in (0, 1].
     """
+    if not 0.0 < resolution <= 1.0:
+        raise ValueError(f"resolution must lie in (0, 1], got {resolution!r}")
     _require_two_routes(network)
     q_hdv, q_crv = _demands(network, q_hdv, q_crv)
 
@@ -388,16 +391,10 @@ def verify_corner_support(
     _check_mixtures(alphas, weights)
     hdv_times = -_mixture_values(MALICIOUS, alphas, weights, q_hdv, q_crv, network, config)
     margins = best_corner - hdv_times
-    worst = math.inf
-    worst_at = (0.0, 0.0, 0.0)
-    if margins.size:
-        i = int(np.argmin(margins))  # the first worst cell
-        if margins[i] < worst:
-            worst = float(margins[i])
-            worst_at = (float(a1[i]), float(a2[i]), float(w[i]))
+    i = int(np.argmin(margins))  # the first worst cell
     return CornerSupportReport(
-        worst_margin=worst,
-        worst_mixture=worst_at,
+        worst_margin=float(margins[i]),
+        worst_mixture=(float(a1[i]), float(a2[i]), float(w[i])),
         best_corner_value=best_corner,
         mixtures_checked=len(margins),
     )

@@ -13,6 +13,7 @@ from fleet_inverse import (
     DEFAULT_CONFIG,
     AffineDelay,
     BPRDelay,
+    DimensionMismatchError,
     FeasibleSet,
     FleetModelError,
     FleetStrategy,
@@ -29,7 +30,7 @@ from fleet_inverse import (
     solve_inverse,
 )
 from fleet_inverse import forward
-from fleet_inverse.objective import objective_gradient_in_f
+from fleet_inverse.objective import objective_gradient_in_f, objective_hessian_in_f
 from fleet_inverse.scenario import fixture_path, parse_scenario
 from conftest import (
     asymmetric_two_route,
@@ -456,6 +457,75 @@ class TestCertify:
                 cert = certify_local_min(sc.strategy, h, g, sc.network, fset, sc.config)
                 moved = abs(cert.min_directional_derivative - base.min_directional_derivative)
                 assert moved <= 1e-12
+
+    def test_saddle_without_a_descending_pair_fails(self):
+        # disruptive BPR-4 routes: phi_r'' = 4 t0 x^2 / c^4 * (5 f_r - h_r), so
+        # route 0 (h > 5 f) curves down, yet every pair swap curves up; moving
+        # mass from routes 1 and 2 into route 0 together descends.  t0 puts
+        # phi_r' at 1 on every route: f is first-order stationary.
+        h, f, cap = np.array([40.0, 30.0, 30.0]), np.array([4.0, 16.0, 16.0]), 60.0
+        x = h + f
+        t0 = 1.0 / (1.0 + (x / cap) ** 4 + 4.0 * (f - h) * x**3 / cap**4)
+        net = single_od_network([BPRDelay(float(t), 1.0, cap, 4.0) for t in t0], q_hdv=100.0, q_crv=36.0)
+        curvature = np.diag(objective_hessian_in_f(DISRUPTIVE, h, f, net))
+        assert curvature[0] < 0.0
+        assert min(curvature[i] + curvature[j] for i, j in itertools.combinations(range(3), 2)) > 0.0
+        assert curvature @ np.array([4.0, 1.0, 1.0]) < 0.0  # along (2, -1, -1)
+        cert = certify_local_min(DISRUPTIVE, h, f, net, FeasibleSet.from_network(net))
+        assert cert.min_directional_derivative == pytest.approx(0.0, abs=1e-12)
+        assert not cert.is_local_min
+
+    @pytest.mark.parametrize("t0,local_min", [(2.0, False), (1.5, True)])
+    def test_degenerate_corner(self, t0, local_min):
+        # malicious, t_r = t0_r (1 + x^2): the gradient is -2 t0_r h_r x_r, so
+        # at f = (10, 0) the only feasible pair moves mass into the empty
+        # route 1 with derivative 400 - 20 t0; at t0 = 2 that pair is flat
+        # and curves down (-2 (10 + 20)), at 1.5 it rises at first order
+        net = single_od_network([BPRDelay(1.0, 1.0, 1.0, 2.0), BPRDelay(t0, 1.0, 1.0, 2.0)], q_hdv=20.0, q_crv=10.0)
+        h, f = np.array([10.0, 10.0]), np.array([10.0, 0.0])
+        cert = certify_local_min(MALICIOUS, h, f, net, FeasibleSet.from_network(net))
+        assert cert.min_directional_derivative == pytest.approx(400.0 - 200.0 * t0, abs=1e-9)
+        assert cert.is_local_min == local_min
+
+    def test_wrong_length_rejected(self):
+        net = symmetric_quadratic()
+        with pytest.raises(DimensionMismatchError):
+            certify_local_min(SELFISH, np.zeros(2), np.array([50.0, 0.0, 0.0]), net, FeasibleSet.from_network(net))
+
+    def test_derivative_is_the_least_pair_derivative(self):
+        # a non-stationary point with one route at its cap and one at zero:
+        # the pairs move mass from a route above 0 into a route below its cap
+        net = overlap_network()
+        upper = np.array([60.0, 30.0, 40.0, 50.0])
+        fset = FeasibleSet.from_network(net, upper=upper)
+        h, f = np.array([100.0, 50.0, 80.0, 70.0]), np.array([60.0, 0.0, 25.0, 15.0])
+        c = objective_gradient_in_f(DISRUPTIVE, h, f, net)
+        c = c - np.mean(c)
+        least = min(c[i] - c[j] for i, j in itertools.permutations(range(4), 2) if f[j] > 0.0 and f[i] < upper[i])
+        cert = certify_local_min(DISRUPTIVE, h, f, net, fset)
+        assert least < 0.0
+        assert cert.min_directional_derivative == least
+        assert not cert.is_local_min
+
+    def test_work_counters(self, monkeypatch):
+        # one gradient, at most one Hessian, and neither an objective
+        # evaluation nor a sampled point: no finite differences, no random
+        # directions
+        h, net = route_ladder()[3]
+        f = fleet_assign(SELFISH, h, net, certify=False).f
+        counts = collections.Counter()
+        for name in ("eval_objective", "_gradient_in_f", "_hessian_in_f"):
+            def counting(*args, _name=name, _original=getattr(forward, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(forward, name, counting)
+        monkeypatch.setattr(FeasibleSet, "random_point", None)
+        cert = certify_local_min(SELFISH, h, f, net, FeasibleSet.from_network(net))
+        assert cert.is_local_min
+        assert counts["eval_objective"] == 0
+        assert counts["_gradient_in_f"] == 1
+        assert counts["_hessian_in_f"] <= 1
 
 
 class TestInvariants:

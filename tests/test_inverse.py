@@ -491,6 +491,26 @@ class TestNonFiniteObservations:
             inverse_link_flows(SELFISH, a, net_overlap, sizes=[bad])
 
 
+    @pytest.mark.parametrize(
+        "level,observed,error,match",
+        [
+            ("link", [math.nan, 1.0], InfeasibleProblemError, "link flow must be finite"),
+            ("route", [50.0, 50.0, 0.0], DimensionMismatchError, "route vector"),
+            ("route", [math.nan, 50.0], InfeasibleProblemError, "observed flows must be finite"),
+            ("route", [-10.0, 110.0], InfeasibleProblemError, "must be non-negative"),
+        ],
+    )
+    def test_fiber_and_discrete_recovery(self, fig_two_route, level, observed, error, match):
+        # these used to return an all-NaN fiber, raise numpy's broadcast
+        # error or the integer check's plain ValueError, or "recover" a
+        # negative observation
+        with pytest.raises(error, match=match):
+            if level == "link":
+                route_fiber(fig_two_route, observed)
+            else:
+                discrete_recover(SELFISH, observed, symmetric_quadratic(q_hdv=90.0, q_crv=10.0))
+
+
 class TestFleetSizeShape:
     # one fleet size per OD unit: a longer list used to lose its extra sizes
     # (yet count them in the residual scale), a shorter one to raise

@@ -26,6 +26,7 @@ from fleet_inverse import (
     fleet_assign,
     lipschitz_bound,
     single_od_network,
+    verify_corner_support,
 )
 from fleet_inverse.config import SolverConfig
 from conftest import fd_route_gradient, symmetric_quadratic
@@ -196,14 +197,32 @@ class TestThreadDeterminism:
         assert (other.rho, other.grad_norm) != (a.rho, a.grad_norm)
 
 
+class TestLibraryRanges:
+    @pytest.mark.parametrize(
+        "name,value",
+        [("resolution", 0.0), ("resolution", -0.1), ("resolution", 1.5), ("resolution", float("nan")),
+         ("samples", 0), ("samples", -3)],
+    )
+    def test_out_of_range_argument(self, name, value):
+        # the ranges the CLI enforces on --resolution and --samples: 0 used
+        # to divide by zero, -0.1 to report a worst margin of inf over 0
+        # mixtures, and -3 to report samples = -3
+        net = symmetric_quadratic()
+        with pytest.raises(ValueError, match=f"{name} must"):
+            if name == "resolution":
+                verify_corner_support(net, resolution=value)
+            else:
+                lipschitz_bound(FleetStrategy.preset("selfish"), net, samples=value)
+
+
 class TestConfigValidation:
     def test_bad_norm_rejected(self):
         with pytest.raises(ValueError):
             DEFAULT_CONFIG.replace(image_distance_norm="l3")
 
     def test_unknown_field_rejected(self):
-        # the deleted thread knob included
-        for name in ("no_such_field", "max_threads"):
+        # the deleted thread and certificate knobs included
+        for name in ("no_such_field", "max_threads", "n_dirs", "tol_curv"):
             with pytest.raises(ValueError, match="unknown tolerance fields"):
                 DEFAULT_CONFIG.replace(**{name: 1})
 
