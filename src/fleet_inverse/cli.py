@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from . import dynamics, inverse, stackelberg
+from .config import _valid_seed
 from .errors import (
     ConvergenceError,
     DelayDomainError,
@@ -434,7 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="path to the scenario JSON file")
         p.add_argument("--out", default="-", help="CSV output path ('-' for stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        p.add_argument("--seed", type=_ranged(int, _valid_seed, "must lie in [0, 2**63)"), default=None,
+                       help="override the scenario seed")
         if name in ("simulate", "stackelberg"):
             p.add_argument(
                 "--days", type=_ranged(int, lambda v: v >= 1, "must be at least 1"),

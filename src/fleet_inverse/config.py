@@ -25,6 +25,12 @@ _MINIMUM = {
 }
 
 
+def _valid_seed(seed) -> bool:
+    """Seeds lie in [0, 2**63): numpy's generators take no negative seed,
+    and a Philox key word holds 64 bits."""
+    return 0 <= seed < 2**63
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     # rank / positive-definiteness gates (relative thresholds)
@@ -70,6 +76,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
             elif name in _MINIMUM and value < _MINIMUM[name]:
                 raise ValueError(f"{name} must be at least {_MINIMUM[name]}, got {value!r}")
+        if not _valid_seed(self.seed):
+            raise ValueError(f"seed must lie in [0, 2**63), got {self.seed!r}")
 
     def replace(self, **overrides) -> "SolverConfig":
         unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}

@@ -8,12 +8,12 @@ Per-unit totals are conserved on both sides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import InfeasibleProblemError
+from .config import DEFAULT_CONFIG, SolverConfig, _valid_seed
 from .forward import fleet_assign
 from .network import Network
 from .objective import FleetStrategy
@@ -37,8 +37,10 @@ class SimulationConfig:
             raise ValueError("mu must lie in [0, 1]")
         if self.model not in ("smoothed", "logit"):
             raise ValueError(f"unknown HDV model {self.model!r}")
-        if self.theta <= 0:
-            raise ValueError("logit theta must be positive")
+        if not (math.isfinite(self.theta) and self.theta > 0):
+            raise ValueError("logit theta must be finite and positive")
+        if not _valid_seed(self.seed):
+            raise ValueError(f"seed must lie in [0, 2**63), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,7 @@ def simulate(
     Deterministic given the seed: the fleet side uses the canonical
     representative when its minimizer is a tie set.
     """
-    h = np.asarray(initial_h, dtype=float)
-    if np.any(h < 0):
-        raise InfeasibleProblemError("initial HDV flows must be non-negative")
+    h = np.asarray(initial_h, dtype=float)  # fleet_assign checks it on day 0
     states: list[DayState] = []
     for day in range(config.days):
         result = fleet_assign(

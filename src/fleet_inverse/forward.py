@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,9 +137,13 @@ class FeasibleSet:
             raise DimensionMismatchError(
                 f"expected one fleet total per unit ({len(self.blocks)}), got {np.shape(self.totals)}"
             )
+        if not np.all(np.isfinite(self.totals)):
+            raise InfeasibleProblemError("fleet sizes must be finite")
         if np.any(self.totals < 0):
             raise InfeasibleProblemError("negative fleet mass")
         if self.upper is not None:
+            if np.any(np.isnan(self.upper)):
+                raise InfeasibleProblemError("upper bounds must not be NaN")
             for s, (block, total) in enumerate(zip(self.blocks, self.totals)):
                 capacity = float(np.sum(self.upper[block]))
                 if capacity < total - 1e-9 * (1.0 + total):
@@ -189,16 +193,14 @@ class FeasibleSet:
         return out
 
     def contains(self, f, tol: float = 1e-8) -> bool:
+        """Whether f is finite and within tol * (1 + fleet mass) of its
+        bounds and of each unit's total."""
         f = np.asarray(f, dtype=float)
-        scale = 1.0 + self.total_mass
-        if np.any(f < -tol * scale):
-            return False
-        if self.upper is not None and np.any(f > self.upper + tol * scale):
-            return False
-        for block, total in zip(self.blocks, self.totals):
-            if abs(float(np.sum(f[block])) - total) > tol * scale:
-                return False
-        return True
+        slack = tol * (1.0 + self.total_mass)
+        upper = math.inf if self.upper is None else self.upper
+        sums = np.array([np.sum(f[block]) for block in self.blocks])
+        inside = np.all((f >= -slack) & (f <= upper + slack))
+        return bool(inside and np.all(np.abs(sums - self.totals) <= slack))
 
     def _caps(self, s: int) -> list[float]:
         if self.upper is None:
@@ -338,6 +340,16 @@ def _zero_sum_basis(faces: list[np.ndarray], n_routes: int) -> np.ndarray:
     return np.hstack(columns)
 
 
+def _hdv_flows(h) -> np.ndarray:
+    """The HDV flows as a float vector, finite and non-negative."""
+    h = np.asarray(h, dtype=float)
+    if not np.all(np.isfinite(h)):
+        raise InfeasibleProblemError("HDV flows must be finite")
+    if np.any(h < 0):
+        raise InfeasibleProblemError("HDV flows must be non-negative")
+    return h
+
+
 def certify_local_min(
     strategy: FleetStrategy,
     h,
@@ -362,9 +374,16 @@ def certify_local_min(
     minimum, but it never passes a point with a descending pair or with
     negative curvature along a critical direction.  It checks these
     necessary conditions and is no proof of strict minimality.
+
+    Raises InfeasibleProblemError unless h is finite and non-negative and f
+    is a finite point of the set (FeasibleSet.contains).
     """
-    h = np.asarray(h, dtype=float)
+    h = _hdv_flows(h)
     f = np.asarray(f, dtype=float)
+    if f.shape != (feasible.n_routes,):
+        raise DimensionMismatchError(f"fleet flows must be a vector of length {feasible.n_routes}")
+    if not feasible.contains(f):
+        raise InfeasibleProblemError("fleet flows must be finite and lie in the feasible set")
     grad, route_grad = _gradient_in_f(strategy, h, f, network)
     tol_dd = config.tol_dd * (1.0 + float(np.max(np.abs(grad))))
     move_tol = 1e-12 * (1.0 + feasible.total_mass)
@@ -398,6 +417,21 @@ def certify_local_min(
 # -- solvers --------------------------------------------------------------------
 
 
+def _separable_minimum(c: np.ndarray, curvature: np.ndarray, mass: float) -> np.ndarray:
+    """The stationary point x of sum(c x + curvature x^2 / 2) on sum(x) =
+    mass, its minimizer when the curvatures are positive; all of them must
+    share one sign.  This is the closed form of the separable
+    resource-allocation problem (Patriksson 2008), O(R): x = (mu - c) /
+    curvature with mu = (mass + sum(c / curvature)) / sum(1 / curvature)."""
+    # c relative to its entry on the flattest route, whose 1 / curvature
+    # dominates the sums: near a solution these differences are exact, and
+    # mu is then a small correction whose rounding 1 / curvature does not
+    # magnify
+    excess = c - c[np.argmin(np.abs(curvature))]
+    mu = (mass + np.sum(excess / curvature)) / np.sum(1.0 / curvature)
+    return (mu - excess) / curvature
+
+
 def _newton_direction(
     strategy: FleetStrategy,
     h: np.ndarray,
@@ -424,14 +458,12 @@ def _newton_direction(
 
     A diagonal route_grad (a separable network, see _gradient_in_f) gives
     a diagonal H.  When every free entry of a unit with two or more free
-    routes exceeds pd_rtol times the largest, the step is the closed form
-    of the separable resource-allocation problem, O(R): with b = grad + H d
-    and one multiplier per unit, mu = sum(b_F / H_F) / sum(1 / H_F), each
-    free coordinate moves by -(b_F - mu) / H_F (with b_F and mu taken
-    relative to one entry of b_F, see below).  By Cauchy interlacing every
-    eigenvalue of the reduced Hessian then lies above the cutoff the
-    eigendecomposition would apply, so both give the same step.  Any other
-    face, indefinite ones included, takes the eigendecomposition.
+    routes exceeds pd_rtol times the largest, H and b = grad + H d are
+    scaled by one power of 2 and each unit's free coordinates move by
+    _separable_minimum(b_F, H_F, 0), the O(R) closed form.  By Cauchy
+    interlacing every eigenvalue of the reduced Hessian then lies above the
+    cutoff the eigendecomposition would apply, so both give the same step.
+    Any other face, indefinite ones included, takes the eigendecomposition.
     """
     active = (f <= eps) & (p <= 0.0)
     d = np.where(active, -f, 0.0)
@@ -461,13 +493,7 @@ def _newton_direction(
             b = np.ldexp(grad + hess * d, exponent)
             hess = np.ldexp(hess, exponent)
             for free in faces:
-                # b_F relative to its entry on the flattest route: near a
-                # minimum these differences are exact, and the multiplier
-                # is then a small correction whose rounding 1 / H_F does
-                # not magnify
-                excess = b[free] - b[free[np.argmin(hess[free])]]
-                mu = np.sum(excess / hess[free]) / np.sum(1.0 / hess[free])
-                d[free] -= (excess - mu) / hess[free]
+                d[free] += _separable_minimum(b[free], hess[free], 0.0)
             return d
         hess = np.diag(hess)
     q = _zero_sum_basis(faces, feasible.n_routes)
@@ -585,6 +611,16 @@ def _ties(points: list[np.ndarray], values: list[float], config: SolverConfig) -
     return [f for f, value in zip(points, values) if value <= best + window]
 
 
+def _distinct(points: Sequence[np.ndarray], scale: float, tol: float) -> list[int]:
+    """The indices of the points more than tol * scale (max norm) from
+    every earlier point kept, ascending."""
+    kept: list[int] = []
+    for i, f in enumerate(points):
+        if not any(float(np.max(np.abs(f - points[j]))) <= tol * scale for j in kept):
+            kept.append(i)
+    return kept
+
+
 def _canonical_order(candidates: list[np.ndarray]) -> list[np.ndarray]:
     # lexicographically largest first: mass concentrated on the lowest route
     # index becomes the canonical representative
@@ -641,28 +677,16 @@ def solve_general(
         f, iterations, converged = _descend(strategy, h, network, feasible, f0, config)
         return f, iterations, converged, eval_objective(strategy, h, f, network)
 
-    outcomes = ordered_map(run_start, starts)
-
-    scale = 1.0 + feasible.total_mass
-    found: list[tuple[np.ndarray, float]] = []
-    total_iter = 0
-    any_converged = False
-    for f, iterations, converged, val in outcomes:
-        total_iter += iterations
-        any_converged = any_converged or converged
-        for g, _ in found:
-            if float(np.max(np.abs(g - f))) <= config.tol_distinct * scale:
-                break
-        else:
-            found.append((f, val))
-    found.sort(key=lambda pair: pair[1])
+    points, iterations, converged, values = zip(*ordered_map(run_start, starts))
+    kept = _distinct(points, 1.0 + feasible.total_mass, config.tol_distinct)
+    found = sorted(((points[i], values[i]) for i in kept), key=lambda pair: pair[1])
     best_f, best_val = found[0]
     cert = certify_local_min(strategy, h, best_f, network, feasible, config) if certify else None
     return AssignmentResult(
         f=best_f,
         objective=best_val,
         certificate=cert,
-        trace=SolverTrace("multistart_projected_gradient", total_iter, len(starts), any_converged),
+        trace=SolverTrace("multistart_projected_gradient", sum(iterations), len(starts), any(converged)),
         minimizer_set=tuple(_ties(*zip(*found), config)),
     )
 
@@ -681,11 +705,7 @@ def fleet_assign(
 
     The total-flow operator is h + fleet_assign(...).f.
     """
-    h = np.asarray(h, dtype=float)
-    if not np.all(np.isfinite(h)):
-        raise InfeasibleProblemError("HDV flows must be finite")
-    if np.any(h < 0):
-        raise InfeasibleProblemError("HDV flows must be non-negative")
+    h = _hdv_flows(h)
     if feasible is None:
         feasible = FeasibleSet.from_network(network)
 

@@ -29,16 +29,17 @@ the face point is the solution.  At L = 0 the operator is constant, and
 its greedy minimizer is exact as it stands.
 
 When the certificate fails, the solution set is enumerated: every
-solution solves the KKT system of its face, so that system is solved and
-validated on each lower/free/cap labeling that can hold every unit's fleet
+solution solves the KKT system of its face, so that system is solved on
+each lower/free/cap labeling that can hold every unit's fleet
 (FeasibleSet.labelings, the walk whose one-free-route labelings are the
-forward corners).  A face whose KKT system is singular (L = 0, dependent
-routes) gives its minimum-norm solution.  The listed solution of least
-norm is the estimate (the greedy minimizer when the operator is
-constant).  Above SolverConfig.vertex_cap labelings nothing is enumerated
-(InverseResult.exhaustive = False), and the estimate is the extragradient
-iterate run to the gap tolerance, polished on its face by the pivot
-(_extragradient).
+forward corners), and its point is kept when the pivot's complementarity
+test (_complementarity) finds no broken route there.  A face whose KKT
+system is singular (L = 0, dependent routes) gives its minimum-norm
+solution.  The listed solution of least norm is the estimate (the greedy
+minimizer when the operator is constant).  Above SolverConfig.vertex_cap
+labelings nothing is enumerated (InverseResult.exhaustive = False), and
+the estimate is the extragradient iterate run to the gap tolerance,
+polished on its face by the pivot (_extragradient).
 
 Residuals are reported as VI gap per vehicle of fleet mass,
 max_x A(f).(f - x) / max(1, fleet mass), in time units.
@@ -52,14 +53,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, IMAGE_DISTANCE_NORMS, SolverConfig
+from .config import DEFAULT_CONFIG, IMAGE_DISTANCE_NORMS, SolverConfig, _valid_seed
 from .errors import (
     DimensionMismatchError,
     FleetModelError,
     InfeasibleProblemError,
     NotRealisableError,
 )
-from .forward import FeasibleSet, bounded_factors, fleet_assign
+from .forward import FeasibleSet, _distinct, _separable_minimum, bounded_factors, fleet_assign
 from .network import Network, PDCertificate, _pd_certificate
 from .objective import FleetStrategy
 
@@ -240,35 +241,30 @@ def _face_point(
     """Solve the KKT system on an active partition (see _active_partition):
     free coordinates satisfy A(f)_r = mu_s inside their unit, the others sit
     on their bounds.  None when the solve is not finite; the point is not
-    checked against the bounds or the multipliers.
+    checked against the bounds or the multipliers (see _complementarity).
 
     When b is diagonal (`diagonal`, see _diagonal_of) with free entries
-    that are nonzero and share one sign, the system has the closed form of
-    the separable resource-allocation problem, O(R): with T_s the mass
-    unit s leaves to its free routes F, mu_s = (T_s + sum_F a0 / b) /
-    sum_F 1 / b and f_r = (mu_s - a0_r) / b_rr (with a0 and mu_s taken
-    relative to one entry of a0_F, see below).  Otherwise a least-squares
-    solve of the KKT system gives its unique or, where it is singular, its
-    minimum-norm solution."""
+    that are nonzero and share one sign, each unit's free routes F take
+    forward._separable_minimum(a0_F, b_FF, T_s), T_s the mass unit s's
+    bound routes leave, O(R).  Otherwise a least-squares solve of the KKT
+    system gives its unique or, where it is singular, its minimum-norm
+    solution."""
     free = active == 0
     fixed = np.zeros(feasible.n_routes)
     if feasible.upper is not None:
         fixed = np.where(active > 0, feasible.upper, fixed)
     if not np.any(free):
         return fixed
+    # the mass each unit's bound routes leave to its free routes
+    left = [float(total) - float(np.sum(fixed[block][~free[block]]))
+            for block, total in zip(feasible.blocks, feasible.totals)]
 
     if diagonal is not None and (np.all(diagonal[free] > 0.0) or np.all(diagonal[free] < 0.0)):
         point = fixed.copy()
-        for block, total in zip(feasible.blocks, feasible.totals):
+        for block, mass in zip(feasible.blocks, left):
             routes = block[free[block]]
             if len(routes):
-                # a0 relative to its entry on the flattest route, whose
-                # 1 / b dominates the sums: its share of mu's rounding then
-                # shrinks with b there instead of growing with 1 / b
-                excess = a0[routes] - a0[routes[np.argmin(np.abs(diagonal[routes]))]]
-                mass = float(total) - float(np.sum(fixed[block][~free[block]]))
-                mu = (mass + np.sum(excess / diagonal[routes])) / np.sum(1.0 / diagonal[routes])
-                point[routes] = (mu - excess) / diagonal[routes]
+                point[routes] = _separable_minimum(a0[routes], diagonal[routes], mass)
         return point if np.all(np.isfinite(point)) else None
 
     free_idx = np.flatnonzero(free)
@@ -289,9 +285,7 @@ def _face_point(
     # one dot product per row: a single matrix-vector product can round
     # differently
     rhs[:n_free] = [-a0[r] - float(b[r] @ fixed) for r in free_idx]
-    for j, s in enumerate(units_with_free):
-        block = feasible.blocks[s]
-        rhs[n_free + j] = float(feasible.totals[s]) - float(np.sum(fixed[block][~free[block]]))
+    rhs[n_free:] = [left[s] for s in units_with_free]
     solution, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     if not np.all(np.isfinite(solution)):
         return None
@@ -311,6 +305,50 @@ def _bound_violations(candidate: np.ndarray, feasible: FeasibleSet) -> np.ndarra
     return out
 
 
+def _kkt_tolerances(a_val: np.ndarray, feasible: FeasibleSet) -> tuple[float, float]:
+    """The tolerances of a face point's masses, 1e-9 * (1 + fleet mass), and
+    of its multipliers, 1e-10 * (1 + max|A|), A the operator values a_val."""
+    return 1e-9 * (1.0 + feasible.total_mass), 1e-10 * (1.0 + float(np.max(np.abs(a_val))))
+
+
+def _complementarity(
+    a_val: np.ndarray, point: np.ndarray, feasible: FeasibleSet, active: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(broken, crossed): the routes whose label breaks complementarity at
+    the face point `point` of the partition `active` (operator values
+    a_val), and the bound each free route crossed (see _bound_violations).
+
+    A free route breaks it when it lies outside its bounds.  A bound route
+    breaks it when its multiplier has the wrong sign by more than 1e-10 * (1
+    + max|A|): a route at 0 that costs less than its unit's multiplier, a
+    route at its cap that costs more; the multiplier is the mean cost of
+    the unit's free routes or, in a unit with none, the interval [max over
+    its cap routes, min over its lower routes].  A route whose cap is 0
+    cannot move, so its cost bounds no multiplier.  In a unit with no free
+    route whose bounds miss its fleet mass by more than 1e-9 * (1 + fleet
+    mass), only the lowest-index route that can close the gap is marked: a
+    cap route when the mass is above the total, a lower route when below."""
+    tol_mass, tol_dual = _kkt_tolerances(a_val, feasible)
+    crossed = np.where(active == 0, _bound_violations(point, feasible), 0)
+    broken = crossed != 0
+    movable = np.ones(feasible.n_routes, dtype=bool) if feasible.upper is None else feasible.upper > 0.0
+    for block, total in zip(feasible.blocks, feasible.totals):
+        lower, cap = block[(active[block] < 0) & movable[block]], block[active[block] > 0]
+        free_costs = a_val[block[active[block] == 0]]
+        mass = float(np.sum(point[block]))
+        if len(free_costs):
+            mu_lo = mu_hi = float(np.mean(free_costs))
+        elif abs(mass - float(total)) > tol_mass:
+            broken[np.min(cap if mass > total else lower)] = True
+            continue
+        else:
+            mu_lo = max(a_val[cap], default=-math.inf)
+            mu_hi = min(a_val[lower], default=math.inf)
+        broken[lower[a_val[lower] < mu_lo - tol_dual]] = True
+        broken[cap[a_val[cap] > mu_hi + tol_dual]] = True
+    return broken, crossed
+
+
 def _validated(
     a0: np.ndarray,
     b: np.ndarray,
@@ -318,88 +356,25 @@ def _validated(
     active: np.ndarray,
     candidate: np.ndarray,
 ) -> np.ndarray | None:
-    """The face point of an active partition clipped to its bounds, if it
-    lies inside them, on the unit sums, and with coordinates pinned at a
-    bound respecting the complementary inequality; None otherwise.  A route
-    whose cap is 0 cannot move, so its cost bounds no multiplier
-    (FeasibleSet.labelings puts it at its lower bound)."""
-    scale = 1.0 + feasible.total_mass
-    lower_active = active < 0
-    if feasible.upper is not None:
-        lower_active &= feasible.upper > 0.0
-    upper_active = active > 0
-    free = active == 0
-
-    # validate primal feasibility
+    """The face point `candidate` of the partition `active` clipped to its
+    bounds, if it solves the VI: inside its bounds (see _bound_violations),
+    with no route breaking complementarity (see _complementarity), and with
+    what a point off a solved face system can also miss, each unit's free
+    costs equal within the multipliers' tolerance and its sum within the
+    mass tolerance; None otherwise."""
     if np.any(_bound_violations(candidate, feasible)):
         return None
-    candidate = np.clip(candidate, 0.0, None if feasible.upper is None else feasible.upper)
-    for block, total in zip(feasible.blocks, feasible.totals):
-        if abs(float(np.sum(candidate[block])) - float(total)) > 1e-7 * scale:
-            return None
-
-    # validate dual feasibility
     a_val = a0 + b @ candidate
-    tol_kkt = 1e-6 * (1.0 + float(np.max(np.abs(a_val))))
-    for s, block in enumerate(feasible.blocks):
-        free_b = [r for r in block if free[r]]
-        lo_b = [r for r in block if lower_active[r]]
-        hi_b = [r for r in block if upper_active[r]]
-        if free_b:
-            mu = float(np.mean(a_val[free_b]))
-            if np.max(np.abs(a_val[free_b] - mu)) > tol_kkt:
-                return None
-        else:
-            lo_min = min((a_val[r] for r in lo_b), default=math.inf)
-            hi_max = max((a_val[r] for r in hi_b), default=-math.inf)
-            if hi_max > lo_min + tol_kkt:
-                return None
-            mu = min(lo_min, max(hi_max, 0.0))
-        if any(a_val[r] < mu - tol_kkt for r in lo_b):
-            return None
-        if any(a_val[r] > mu + tol_kkt for r in hi_b):
-            return None
-    return candidate
-
-
-def _least_index_flip(
-    a_val: np.ndarray, point: np.ndarray, feasible: FeasibleSet, active: np.ndarray
-) -> tuple[int, int] | None:
-    """The lowest-index route whose label breaks complementarity at the face
-    point `point` (operator values a_val), and the label it takes; None when
-    no route does.  A free route outside its bounds (see _bound_violations)
-    goes to the bound it crossed.  A bound route whose multiplier has the
-    wrong sign by more than 1e-10 * (1 + max|A|) becomes free: a route at 0
-    that costs less than its unit's multiplier, a route at its cap that
-    costs more; the multiplier is the mean cost of the unit's free routes,
-    or, in a unit with none, the interval [max over its cap routes, min
-    over its lower routes].  In a unit with no free route whose bounds miss
-    its fleet mass by more than 1e-9 * (1 + fleet mass), the lowest-index
-    route that can close the gap becomes free: a cap route when the mass is
-    above the total, a lower route with a positive cap when below."""
-    tol_mass = 1e-9 * (1.0 + feasible.total_mass)
-    tol_dual = 1e-10 * (1.0 + float(np.max(np.abs(a_val))))
-    labels = np.where(active == 0, _bound_violations(point, feasible), 0)
-    broken = labels != 0
-    for block, total in zip(feasible.blocks, feasible.totals):
-        lower, cap = block[active[block] < 0], block[active[block] > 0]
-        free_costs = a_val[block[active[block] == 0]]
-        mass = float(np.sum(point[block]))
-        if len(free_costs):
-            mu_lo = mu_hi = float(np.mean(free_costs))
-        elif abs(mass - float(total)) > tol_mass:
-            room = lower if feasible.upper is None else lower[feasible.upper[lower] > 0.0]
-            broken[np.min(cap if mass > total else room)] = True
-            continue
-        else:
-            mu_lo = max(a_val[cap], default=-math.inf)
-            mu_hi = min(a_val[lower], default=math.inf)
-        broken[lower[a_val[lower] < mu_lo - tol_dual]] = True
-        broken[cap[a_val[cap] > mu_hi + tol_dual]] = True
-    if not np.any(broken):
+    if np.any(_complementarity(a_val, candidate, feasible, active)[0]):
         return None
-    route = int(np.argmax(broken))
-    return route, int(labels[route])
+    tol_mass, tol_dual = _kkt_tolerances(a_val, feasible)
+    for block, total in zip(feasible.blocks, feasible.totals):
+        free_costs = a_val[block[active[block] == 0]]
+        if abs(float(np.sum(candidate[block])) - float(total)) > tol_mass or (
+            len(free_costs) and float(np.max(np.abs(free_costs - np.mean(free_costs)))) > tol_dual
+        ):
+            return None
+    return np.clip(candidate, 0.0, feasible.upper)
 
 
 def _pivot(
@@ -417,15 +392,15 @@ def _pivot(
 
     Each round solves the face of the working partition (_face_point, in
     closed form when `diagonal` is b's diagonal) and flips the lowest-index
-    route that breaks complementarity there (see _least_index_flip).  When
-    none does, the free routes inside their active band (see
-    _active_partition) go onto their bounds, and the pivot goes on from
-    there.  It stops when no route is inside the band, a partition
-    repeats (as when a banded route's multiplier comes out wrong and frees
-    it again), a face solve is not finite or config.vertex_cap rounds
-    pass.  Returns (solution, rounds): the last face point at which no
-    route broke complementarity, validated, if its VI gap is within
-    tol_gap, and None otherwise.
+    route that breaks complementarity there (see _complementarity): a free
+    route to the bound it crossed, a bound route to free.  When none does,
+    the free routes inside their active band (see _active_partition) go
+    onto their bounds, and the pivot goes on from there.  It stops when no
+    route is inside the band, a partition repeats (as when a banded route's
+    multiplier comes out wrong and frees it again), a face solve is not
+    finite or config.vertex_cap rounds pass.  Returns (solution, rounds):
+    the last face point at which no route broke complementarity, clipped to
+    its bounds, if its VI gap is within tol_gap, and None otherwise.
 
     Finiteness.  On a linear complementarity problem whose matrix is a
     P-matrix, Murty proves that the least-index rule visits no partition
@@ -442,7 +417,7 @@ def _pivot(
     """
     active = active.copy()
     seen: set[bytes] = set()
-    found = None  # (partition, face point) of the last round where no route broke complementarity
+    found = None  # the last face point where no route broke complementarity
     rounds = 0
     while rounds < config.vertex_cap and active.tobytes() not in seen:
         rounds += 1
@@ -450,20 +425,19 @@ def _pivot(
         point = _face_point(a0, b, feasible, active, diagonal)
         if point is None:
             break
-        flip = _least_index_flip(a0 + b @ point, point, feasible, active)
-        if flip is not None:
-            route, label = flip
-            active[route] = label
+        broken, crossed = _complementarity(a0 + b @ point, point, feasible, active)
+        if np.any(broken):
+            route = int(np.argmax(broken))
+            active[route] = crossed[route]
             continue
-        found = active.copy(), point
+        found = np.clip(point, 0.0, feasible.upper)
         labels = _active_partition(point, feasible)
         banded = (active == 0) & (labels != 0)
         if not np.any(banded):
             break
         active[banded] = labels[banded]
-    solution = None if found is None else _validated(a0, b, feasible, *found)
-    if solution is not None and _vi_gap(a0, b, solution, feasible) <= tol_gap:
-        return solution, rounds
+    if found is not None and _vi_gap(a0, b, found, feasible) <= tol_gap:
+        return found, rounds
     return None, rounds
 
 
@@ -527,11 +501,11 @@ def _face_solutions(
 ) -> list[np.ndarray] | None:
     """Every solution of the affine VI that solves the KKT system of a face.
 
-    Solves and validates the face of every product of the units' labelings
-    (see FeasibleSet.labelings) and keeps the validated points whose VI gap
-    is within max(tol_gap, 1e-6 * scale), in enumeration order.  With more
-    than config.vertex_cap partitions it enumerates nothing and returns
-    None.
+    Solves the face of every product of the units' labelings (see
+    FeasibleSet.labelings) and keeps the points that _validated accepts,
+    by the pivot's complementarity test, and whose VI gap is within
+    max(tol_gap, 1e-6 * scale), in enumeration order.  With more than
+    config.vertex_cap partitions it enumerates nothing and returns None.
     """
     tol = 1e-7 * (1.0 + feasible.total_mass)
     try:
@@ -555,16 +529,6 @@ def _face_solutions(
 
 
 # -- one inverse at either level --------------------------------------------------------
-
-
-def _distinct(points: list[np.ndarray], scale: float, tol: float) -> list[int]:
-    """The indices of the points more than tol * scale (max norm) from
-    every earlier point kept, ascending."""
-    kept: list[int] = []
-    for i, f in enumerate(points):
-        if not any(float(np.max(np.abs(f - points[j]))) <= tol * scale for j in kept):
-            kept.append(i)
-    return kept
 
 
 # the certificate's reasons at each level: the margin is not positive; the
@@ -611,13 +575,6 @@ def _observed(x, n: int, vector: str, flows: str) -> np.ndarray:
     if np.any(x < 0):
         raise InfeasibleProblemError(f"{flows} must be non-negative")
     return x
-
-
-def _fleet_sizes(network: Network, sizes) -> np.ndarray:
-    sizes = network.fleet_sizes() if sizes is None else np.asarray(sizes, dtype=float)
-    if not np.all(np.isfinite(sizes)):
-        raise InfeasibleProblemError("fleet sizes must be finite")
-    return sizes
 
 
 def _recover(
@@ -720,12 +677,7 @@ def solve_inverse(
     not read.
     """
     q = _observed(q, network.n_routes, "route", "observed flows")
-    feasible = FeasibleSet(
-        blocks=network.unit_blocks(),
-        totals=_fleet_sizes(network, sizes),
-        n_routes=network.n_routes,
-        upper=q,
-    )
+    feasible = FeasibleSet.from_network(network, sizes, q)
     # one route gradient and one t(q) give the certificate, the operator
     # and the gap scale
     grad = network.route_gradient(q)
@@ -780,7 +732,7 @@ def inverse_link_flows(
     """
     a = _observed(a, network.n_links, "link", "observed link flows")
     units = network.units_or_raise()
-    sizes = _fleet_sizes(network, sizes)
+    feasible = FeasibleSet.from_network(network, sizes)
     # a must be the link image of some route flow holding each unit's demand
     demands = np.array([u.q_hdv + u.q_crv for u in units])
     nearest = route_fiber(network, a, totals=demands, config=config, _allow_any=True)
@@ -789,7 +741,6 @@ def inverse_link_flows(
             f"no feasible route flow reproduces the observed link flow "
             f"(best residual {nearest.residual:.3g})"
         )
-    feasible = FeasibleSet(blocks=network.unit_blocks(), totals=sizes, n_routes=network.n_routes)
 
     tau = network.link_travel_times(a)
     jac = network.link_time_jacobian(a)
@@ -864,11 +815,9 @@ def route_fiber(
         raise DimensionMismatchError("phi must be a link vector")
     if not np.all(np.isfinite(phi)):
         raise InfeasibleProblemError("link flow must be finite")
-    blocks = network.unit_blocks()
-    if totals is None:
-        totals = network.fleet_sizes()
-    totals = np.asarray(totals, dtype=float)
-    upper_arr = None if upper is None else np.asarray(upper, dtype=float)
+    # FeasibleSet checks the totals and the caps
+    feasible = FeasibleSet.from_network(network, totals, upper)
+    blocks, totals, upper_arr = feasible.blocks, feasible.totals, feasible.upper
 
     rows = [network.incidence.T]
     rhs = [phi]
@@ -976,6 +925,8 @@ def lipschitz_bound(
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
+    if not _valid_seed(seed):
+        raise ValueError(f"seed must lie in [0, 2**63), got {seed!r}")
     units = network.units_or_raise()
     blocks = network.unit_blocks()
     unit_totals = np.array([u.q_hdv + u.q_crv for u in units])
@@ -1068,8 +1019,8 @@ def discrete_recover(
     if not np.allclose(q, np.round(q)):
         raise ValueError("observed flow must be integer-valued for discrete recovery")
     blocks = network.unit_blocks()
-    sizes = _fleet_sizes(network, sizes)
-    forward_set = FeasibleSet(blocks=blocks, totals=sizes, n_routes=network.n_routes)
+    forward_set = FeasibleSet.from_network(network, sizes)
+    sizes = forward_set.totals
     hdv_totals = np.array([float(np.sum(q[block])) - size for block, size in zip(blocks, sizes)])
     if np.any(hdv_totals < -1e-9):
         raise InfeasibleProblemError("fleet sizes exceed the observed unit totals")

@@ -465,38 +465,24 @@ def compare_routings(
     _require_two_routes(network)
     q_hdv, q_crv = _demands(network, q_hdv, q_crv)
     burn_in = days // 4 if burn_in is None else burn_in
+    if not 0 <= burn_in < days:
+        raise ValueError(f"burn_in must lie in [0, days), got {burn_in!r}")
 
     optimum = optimize_corner_mixture(MALICIOUS, network, q_hdv, q_crv, config)
-    stack_time = -optimum.objective_best
-
-    if q_crv == 0.0:
-        sim_config = SimulationConfig(days=days, mu=mu, seed=seed, strategy=MALICIOUS)
-        states = simulate(sim_config, np.array([q_hdv, 0.0]), network, config)
-        mean_time = float(np.mean([s.t_hdv for s in states[burn_in:]]))
-        return RoutingComparison(
-            stackelberg=optimum,
-            stackelberg_hdv_time=stack_time,
-            myopic_mean_hdv_time=mean_time,
-            myopic_days=days,
-            burn_in=burn_in,
-            nash_exists=True,
-            nash_cycle=(),
-            trivial=True,
-        )
-
+    # with no fleet the game is trivial: HDVs start on route 0 and no Nash
+    # search runs
+    trivial = q_crv == 0.0
     sim_config = SimulationConfig(days=days, mu=mu, seed=seed, strategy=MALICIOUS)
-    initial = np.array([0.6 * q_hdv, 0.4 * q_hdv])
+    initial = np.array([q_hdv, 0.0] if trivial else [0.6 * q_hdv, 0.4 * q_hdv])
     states = simulate(sim_config, initial, network, config)
-    mean_time = float(np.mean([s.t_hdv for s in states[burn_in:]]))
-
-    nash_exists, cycle = _nash_cycle(q_hdv, q_crv, network, config)
+    nash_exists, cycle = (True, ()) if trivial else _nash_cycle(q_hdv, q_crv, network, config)
     return RoutingComparison(
         stackelberg=optimum,
-        stackelberg_hdv_time=stack_time,
-        myopic_mean_hdv_time=mean_time,
+        stackelberg_hdv_time=-optimum.objective_best,
+        myopic_mean_hdv_time=float(np.mean([s.t_hdv for s in states[burn_in:]])),
         myopic_days=days,
         burn_in=burn_in,
         nash_exists=nash_exists,
         nash_cycle=cycle,
-        trivial=False,
+        trivial=trivial,
     )

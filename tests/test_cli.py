@@ -29,30 +29,163 @@ from fleet_inverse.scenario import (
 
 ALL_FIXTURES = list_fixtures()
 
-# sha256 of each report with default flags, as the per-link scalar kernels and
-# the one-mixture-at-a-time Stackelberg solves wrote it; the batched paths keep
-# every byte
-STACKELBERG_SHA256 = {
-    "cross_dependent_stable": "975f7c4abb5298eaad89ac3b20ebed2254783d8cc906c8947b7ebf1c15ba06d8",
-    "cross_dependent_unstable": "2755284f4ffb92ec5d91c39a32029e4cb449a5c7dce1e1612a6366539ca0136b",
-    "discrete_two_route": "69e19403f6729f744f19b33c82a1343debe5e6f1818ed72f3d3af755283626ad",
-    "signalized_link": "1ffc4dcf1e1aed2b1a4013064494c6c32dc3c285d2836597ce257af516763ba7",
-    "stackelberg_symmetric": "bd69dd9ea7ff838494411352752628e57ed11d3bbcea3d5de51d8a1e357c6191",
-    "two_route_asymmetric": "291252ab36ed7daf3dad6bb66084e2292f5efbfeb2ea0010b3aa3c3dbfbce7af",
-    "two_route_common_links": "01f54ae03da0c81e40dfb5f63ae35858723a6a2d9d9ff86edd69cbaefe779f2f",
-}
-LIPSCHITZ_SHA256 = {
-    "cross_dependent_stable": "feb8448e5b5422b3e6fa0b189aa946a83accbbb1f200a0fa30ee8f9214316312",
-    "cross_dependent_unstable": "e1aeb428a2a0400a419a077e3a0daf024a87afa3cfa3329e6626a49c036c20f2",
-    "discrete_two_route": "8fe360781d088f4ca497d761fe2316459133914e432dce792e469e7ceec940b2",
-    "signalized_link": "1b81ccc587ed57ef654b2f7e5a313fc883e7fdddf7025f4a5974f68388051a52",
-    "stackelberg_symmetric": "dc8fb70542a863cd55359463775794300a19d081b06c237bc8c5d91d248018f2",
-    "two_od": "00afce080f8430490b162f432a2c3d6c74d7735e4741bc3bbaba1dba2ec914d2",
-    "two_route_asymmetric": "95349eddba090204a3782a673b1cab2903f142347b8aa92ccbdd8ac281bc5102",
-    "two_route_common_links": "974ee5d7d0970fd5c36f5459fb2d8066b65ac4abbfac62b3b01466c281a253d5",
-    "two_stage_overlap": "1259eb532f0b25855ea11d6fbb14e22b611d62823f2f7ea8fc7e01c07d1b44e5",
-    "two_stage_overlap_concentrated": "1259eb532f0b25855ea11d6fbb14e22b611d62823f2f7ea8fc7e01c07d1b44e5",
-    "two_unit": "de837bbb58ca598dbaf0c29e8e0f5874b8d9ef71d84db02d8be6bf79eee90868",
+# sha256 of the CSV report and of the standard output of every fixture x
+# subcommand cell that exits 0 with default flags, keyed by (subcommand,
+# fixture): a change that claims the same results keeps every byte
+REPORT_SHA256 = {
+    ("forward", "signalized_link"): (
+        "8b643346186e627302418085d1aea14f11231a925509f96babe2b326f5f1d997",
+        "f877fea30e5fcd4443498c8190053a33cff0dd130d4bb8e6c0f6e491cd876596"),
+    ("forward", "stackelberg_symmetric"): (
+        "d2dd697c10b6d7f7d7ba4f20d1074c9902e16b04206a641242ecc57d6febf42d",
+        "aa735f3bdde521ff7c7ce167895c72a399de2ed47298deadfb6a26b809f856aa"),
+    ("forward", "two_route_asymmetric"): (
+        "d14ec6b3302176d4554cdbd8edeb43ba20f4d0ee1cee03345101c11c5483a4ee",
+        "12782491a3e531b6669e113279ae42dcd14513a649189ad21789597e65bde2e9"),
+    ("inverse", "cross_dependent_stable"): (
+        "f87c085707e83bf728f4ae5418d2b1a4f0a33c0bc673ca676746aa76f58656e8",
+        "390d8386bfb12fd57d61df08a4daf1aa409c78f544be957447720d3aa94f393d"),
+    ("inverse", "cross_dependent_unstable"): (
+        "86310412eb0da2a3e8219f46593cd485be0bb20ae6314e45a5d421d54f7091b7",
+        "b919dd302463e2147cfd3196bea1b858e0f8261c479c0d198570d6d2f77d3090"),
+    ("inverse", "discrete_two_route"): (
+        "72179a2a666aa9b591e6465b83d9d111b01155f6b87326990c5b7ed1869b619e",
+        "831f107c10e527ce05ddeeeaf4e0ba2192bbf2cbdf03b8e4f11ceac81104b1bb"),
+    ("inverse", "two_od"): (
+        "5be6ef6f89d601702e84b5f91cdf97cdda4d7cfe17271160a98057a2184ff2a4",
+        "f8f25b32d90718899efbe9aff464bf03a3e34ca849be6bd199b83fd843f772d6"),
+    ("inverse", "two_route_common_links"): (
+        "bdd59fb911a6607d5241d3f01a210bc1c56dd2363a1c950dcc2640e3e3997b1f",
+        "94b55a7ce7b657198800df2ddb1eb7cffe3e94ffb373d1517b43b221cd2dbbe9"),
+    ("inverse", "two_stage_overlap"): (
+        "6d720170d6b6bc9365d658e78a4b6f2632efaf3044b985781488b93c5c61dc6c",
+        "4589b34dcd9fe135947d5da2362dcd752fc3b506f10fb58b438a00b73b2fae75"),
+    ("inverse", "two_stage_overlap_concentrated"): (
+        "8f754b22af6aca83fc6c373c1b4c5ba71672a0e33963c81d455bf2f8e0829be4",
+        "bdb6ff5aaac6022a21414bc5ac0c7026d5cc834ca9880df43ff3a428c85819c9"),
+    ("inverse", "two_unit"): (
+        "2b4352c0a4e51106cbe24b1c366bdb64a667d172a864771c321374933d71ad30",
+        "d9d037bbbf822c8c71b15802c0eb2a4ce9331bb1e01fbd329b7ec9e761f0e01c"),
+    ("classify", "cross_dependent_stable"): (
+        "4d54d2bc86f3020c21533cb36dc8747c74619b268fdfd2988c42cf99a975f9ce",
+        "c42267e6f9d4459bea934fc2108e83cfec192b3f76824da7c6e10e2342b9b202"),
+    ("classify", "cross_dependent_unstable"): (
+        "6f301e19ed9cfa3cd8280f727ff53d498fff4d11e46effec8da4401af305f0af",
+        "363f9561f85e661a306ac1f272bdd0c386641fbd8a1933cd701b2ad218f1f440"),
+    ("classify", "discrete_two_route"): (
+        "4d54d2bc86f3020c21533cb36dc8747c74619b268fdfd2988c42cf99a975f9ce",
+        "c42267e6f9d4459bea934fc2108e83cfec192b3f76824da7c6e10e2342b9b202"),
+    ("classify", "signalized_link"): (
+        "4d54d2bc86f3020c21533cb36dc8747c74619b268fdfd2988c42cf99a975f9ce",
+        "c42267e6f9d4459bea934fc2108e83cfec192b3f76824da7c6e10e2342b9b202"),
+    ("classify", "stackelberg_symmetric"): (
+        "586065b97bcbe4b20a9de8ab3c044e03cf52ef41aa069889fb44736bb549cb1f",
+        "363f9561f85e661a306ac1f272bdd0c386641fbd8a1933cd701b2ad218f1f440"),
+    ("classify", "two_od"): (
+        "4d54d2bc86f3020c21533cb36dc8747c74619b268fdfd2988c42cf99a975f9ce",
+        "c42267e6f9d4459bea934fc2108e83cfec192b3f76824da7c6e10e2342b9b202"),
+    ("classify", "two_route_asymmetric"): (
+        "4d54d2bc86f3020c21533cb36dc8747c74619b268fdfd2988c42cf99a975f9ce",
+        "c42267e6f9d4459bea934fc2108e83cfec192b3f76824da7c6e10e2342b9b202"),
+    ("classify", "two_route_common_links"): (
+        "4d54d2bc86f3020c21533cb36dc8747c74619b268fdfd2988c42cf99a975f9ce",
+        "c42267e6f9d4459bea934fc2108e83cfec192b3f76824da7c6e10e2342b9b202"),
+    ("classify", "two_stage_overlap"): (
+        "4d54d2bc86f3020c21533cb36dc8747c74619b268fdfd2988c42cf99a975f9ce",
+        "c42267e6f9d4459bea934fc2108e83cfec192b3f76824da7c6e10e2342b9b202"),
+    ("classify", "two_stage_overlap_concentrated"): (
+        "4d54d2bc86f3020c21533cb36dc8747c74619b268fdfd2988c42cf99a975f9ce",
+        "c42267e6f9d4459bea934fc2108e83cfec192b3f76824da7c6e10e2342b9b202"),
+    ("classify", "two_unit"): (
+        "4d54d2bc86f3020c21533cb36dc8747c74619b268fdfd2988c42cf99a975f9ce",
+        "c42267e6f9d4459bea934fc2108e83cfec192b3f76824da7c6e10e2342b9b202"),
+    ("simulate", "signalized_link"): (
+        "5756104348ee5a0bcee30b9f2bc7a4ab91b778d5ed68ab81b536fe26cdfd2539",
+        "f511c3eef34830ffded13d5bf2e2ed1ef2a5fa98b9fc38dd511439d7a9837352"),
+    ("simulate", "stackelberg_symmetric"): (
+        "841e40d2552e009fd16c7148ccd271550439728f0d9cc7fa17763e8442f84cc2",
+        "18e0cef76b8aa9a148022999d6b894b9ba45da17ecff8b56251e3858ad417c46"),
+    ("simulate", "two_route_asymmetric"): (
+        "895ec15dee0e62e9db934ab012778cc7a0345b28431236756a3b0388d1b4beb1",
+        "3f64e89f8eae83f07b45bd3c8398d0391c601f6bb4efda2974af6e3e754f4af8"),
+    ("stackelberg", "cross_dependent_stable"): (
+        "975f7c4abb5298eaad89ac3b20ebed2254783d8cc906c8947b7ebf1c15ba06d8",
+        "3751d29fe2541055a4194ce558d0dc7bb12b99404c52e10cd9467f9aee757289"),
+    ("stackelberg", "cross_dependent_unstable"): (
+        "2755284f4ffb92ec5d91c39a32029e4cb449a5c7dce1e1612a6366539ca0136b",
+        "5e615b80e3b0b515c87cfc23f6d96f0bd4b5195821b714b1065b84c22ecd125b"),
+    ("stackelberg", "discrete_two_route"): (
+        "69e19403f6729f744f19b33c82a1343debe5e6f1818ed72f3d3af755283626ad",
+        "cd7ed8bfb56d4cc8a9fa31c0ee29cde774b7abe7b22c583eea38c4290d2a8b5f"),
+    ("stackelberg", "signalized_link"): (
+        "1ffc4dcf1e1aed2b1a4013064494c6c32dc3c285d2836597ce257af516763ba7",
+        "c32a985f60c528100cb0c435b3cd7173fcc00be640932593cbae72baefbe08fe"),
+    ("stackelberg", "stackelberg_symmetric"): (
+        "bd69dd9ea7ff838494411352752628e57ed11d3bbcea3d5de51d8a1e357c6191",
+        "2ef6d21950a5832f8a7ae019964b824750821ec7186c9703cc00839fe949496b"),
+    ("stackelberg", "two_route_asymmetric"): (
+        "291252ab36ed7daf3dad6bb66084e2292f5efbfeb2ea0010b3aa3c3dbfbce7af",
+        "1120ea0f66ef226d883d4a0548c8c4e1ef996674e7dfd9671e3744409c947f94"),
+    ("stackelberg", "two_route_common_links"): (
+        "01f54ae03da0c81e40dfb5f63ae35858723a6a2d9d9ff86edd69cbaefe779f2f",
+        "3300b69fa287c1cfe78ca6207375a78d076d8556447b4fe4332e7fc619a99543"),
+    ("lipschitz", "cross_dependent_stable"): (
+        "feb8448e5b5422b3e6fa0b189aa946a83accbbb1f200a0fa30ee8f9214316312",
+        "bb48c72a44595941f399df793c555cf48a3277abf4f9d4b59d614e74610869b6"),
+    ("lipschitz", "cross_dependent_unstable"): (
+        "e1aeb428a2a0400a419a077e3a0daf024a87afa3cfa3329e6626a49c036c20f2",
+        "11e9c280627eb77a30fab6fa68e4decf86bf2e95224b2ffd5f63f01e04373bc6"),
+    ("lipschitz", "discrete_two_route"): (
+        "8fe360781d088f4ca497d761fe2316459133914e432dce792e469e7ceec940b2",
+        "fdf130ca6c4e8b8a4cce2b47e3fe98a2e9ae4f06334dde46767b12a50228a166"),
+    ("lipschitz", "signalized_link"): (
+        "1b81ccc587ed57ef654b2f7e5a313fc883e7fdddf7025f4a5974f68388051a52",
+        "2fbb763f660fbd48f3cb7c488c44c9e22195817944850f79fd6d951542102694"),
+    ("lipschitz", "stackelberg_symmetric"): (
+        "dc8fb70542a863cd55359463775794300a19d081b06c237bc8c5d91d248018f2",
+        "46810e58d4fcea59742407f0c939fad4522b22cb52548c8e4d5006c4eb4fc870"),
+    ("lipschitz", "two_od"): (
+        "00afce080f8430490b162f432a2c3d6c74d7735e4741bc3bbaba1dba2ec914d2",
+        "3bd45cf4d5e00c80219ae0696c3888e1c592e3ae732fc9682c8342658f941a96"),
+    ("lipschitz", "two_route_asymmetric"): (
+        "95349eddba090204a3782a673b1cab2903f142347b8aa92ccbdd8ac281bc5102",
+        "cc400ebece8752540c2411b91b476ee392f285d9f252916a3983463200ece062"),
+    ("lipschitz", "two_route_common_links"): (
+        "974ee5d7d0970fd5c36f5459fb2d8066b65ac4abbfac62b3b01466c281a253d5",
+        "08e67be7f23a9082d466e7be9d0fd69d0a38d19213426bdd38346f8bfd134652"),
+    ("lipschitz", "two_stage_overlap"): (
+        "1259eb532f0b25855ea11d6fbb14e22b611d62823f2f7ea8fc7e01c07d1b44e5",
+        "399a62b0471201749cf0ae671dd35f11a777636cfbfd24ec5818af34c094aecc"),
+    ("lipschitz", "two_stage_overlap_concentrated"): (
+        "1259eb532f0b25855ea11d6fbb14e22b611d62823f2f7ea8fc7e01c07d1b44e5",
+        "399a62b0471201749cf0ae671dd35f11a777636cfbfd24ec5818af34c094aecc"),
+    ("lipschitz", "two_unit"): (
+        "de837bbb58ca598dbaf0c29e8e0f5874b8d9ef71d84db02d8be6bf79eee90868",
+        "d63708baf58b8dc5aa6a2e099682f8b4f496b8821fd1a67f43f02df08e166124"),
+    ("fiber", "cross_dependent_stable"): (
+        "624dac670b184e860193bee45b797fdcb972ee97e6ffa49f2e5b1eace9fc3795",
+        "e7e59e7b095432e76fef55713892a89bbff6288f0d6ce937310a202e09472332"),
+    ("fiber", "cross_dependent_unstable"): (
+        "763cb29e4769bb59675a5ed1e09a39a977e79981035dba0e6a6676a23386aabd",
+        "40c616a664edf1379121918447e8eeca0ac2a298e7413451bc123ddd6a434868"),
+    ("fiber", "discrete_two_route"): (
+        "064c096e12db2da1b633fca2e1931f1f4468fd444f0c3c09afbc078c6ad2de1e",
+        "8e3fdaded9b0829b1b1e1cb6eafb0c617895640323864d9e1ce8671306b345e0"),
+    ("fiber", "two_od"): (
+        "279ec4d86ddff8dcffbfece7fdcdf84851433ad059af3884c1ed6fc744d4a991",
+        "f157f3ece5d49acb45e39ed3dbbc9c170dd9672dcca257ee30b915b37441f096"),
+    ("fiber", "two_route_common_links"): (
+        "7ee8addcc3ce3e017b0bbe5a2fc4a5f8b4cf39941adea4344c9e63c90ebb463b",
+        "abe7c7ab5d282d075c5d3987af1eab90861684ace5853f25e8601770dff0096b"),
+    ("fiber", "two_stage_overlap"): (
+        "1be7618e34f086dd81e0c21d8cc794bba1170e32e3f7ee2fb1d58581350c27a9",
+        "f54d8090cb73ac220425728513fbcf867ac80b98298f23b40d6d4e1382c69af8"),
+    ("fiber", "two_stage_overlap_concentrated"): (
+        "5d1ca946d520df79a41825fe06e83d0f997fc9ec778bfe0b9da1d51480222d89",
+        "cd0578c685914e457029efd406ba732f08cfb59ad4744a921287ec1b7fe3e7ac"),
+    ("fiber", "two_unit"): (
+        "2e06a60a46a9822fe761711666613a247c5833491fa2a5a16c30cfa47412b66e",
+        "bf4b125c8ddfa6c5021a4af858c5dcfd90fd1931abb01ea9e0c9c46e327dfee7"),
 }
 
 
@@ -314,7 +447,7 @@ class TestTypedSections:
          ("mixture_grid", 1), ("n_starts", -1), ("discrete_starts", -1),
          ("vertex_cap", -1), ("vertex_cap", 0), ("max_pg_iter", 0), ("max_vi_iter", -1),
          ("max_outer_iter", 0), ("armijo_factor", 1.0), ("armijo_c1", 0.0),
-         ("extragradient_safety", 1.5)],
+         ("extragradient_safety", 1.5), ("seed", -3), ("seed", 2**63)],
     )
     def test_out_of_range_tolerance(self, key, value):
         # well-typed values outside a field's range: a negative tol_p used to
@@ -323,6 +456,19 @@ class TestTypedSections:
         doc = load_doc("stackelberg_symmetric")
         doc["tolerances"] = {key: value}
         assert parse_error(doc) == ("bad-value", "$.tolerances")
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "lipschitz"])
+    def test_negative_simulation_seed_exits_parse(self, subcommand, tmp_path, capsys):
+        # the disruptive strategy is indefinite on this fixture, so each
+        # day's forward solve draws random starts: a negative seed used to
+        # crash numpy's generators (exit 1)
+        doc = load_doc("signalized_link")
+        doc["strategy"] = "disruptive"
+        doc["simulation"] = {"seed": -2}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main([subcommand, "--scenario", str(path), "--out", "-"]) == EXIT_PARSE
+        assert "error[parse]: bad-value at $.simulation: seed must lie in [0, 2**63)" in capsys.readouterr().err
 
     def test_deleted_certificate_knobs_exit_parse(self, tmp_path, capsys):
         # the certificate samples no directions and takes no finite
@@ -478,12 +624,18 @@ class TestCLI:
             ("stackelberg", "--resolution", "1.5"),
             ("lipschitz", "--samples", "-3"),
             ("lipschitz", "--samples", "0"),
+            ("forward", "--seed", "-1"),
+            ("simulate", "--seed", "-1"),
+            ("lipschitz", "--seed", "99999999999999999999999"),
+            ("lipschitz", "--seed", str(2**63)),
         ],
     )
     def test_override_out_of_range(self, subcommand, flag, value, capsys):
         # --days 0 and --mu 2 used to exit 1 with a ValueError, --resolution
         # 0 with a ZeroDivisionError; --resolution -1 reported "worst margin
-        # inf over 0 mixtures" and --samples -3 a report of -3 samples
+        # inf over 0 mixtures" and --samples -3 a report of -3 samples; a
+        # negative --seed and one of 2**64 or more crashed numpy's generators
+        # (exit 1)
         args = [subcommand, "--scenario", str(fixture_path("stackelberg_symmetric")), "--out", "-"]
         with pytest.raises(SystemExit) as exc:
             run_cli(args + [flag, value])
@@ -556,6 +708,18 @@ class TestCLI:
         assert row["routes_independent"] == "1"
         assert float(row["margin"]) == 1.0
 
+    @pytest.mark.parametrize("flows", [[0.0, 0.0], [30.0, 30.0]])
+    def test_certify_outside_the_feasible_set_exits_infeasible(self, flows, tmp_path, capsys):
+        # the fleet size is 50: at (0, 0) no pair swap is feasible, and the
+        # certificate used to pass with derivative inf (exit 0)
+        doc = load_doc("two_route_asymmetric")
+        doc["fleet_route_flows"] = flows
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["certify", "--scenario", str(path), "--out", str(tmp_path / "certify.csv")])
+        assert code == EXIT_INFEASIBLE
+        assert "error[infeasible]: fleet flows must be finite and lie in the feasible set" in capsys.readouterr().err
+
     def test_inverse_with_observed_link_flows(self, tmp_path):
         doc = load_doc("two_stage_overlap")
         doc["observed"] = {"link_flows": [200.0, 200.0, 200.0, 200.0]}
@@ -617,19 +781,16 @@ class TestCLI:
 
 
 class TestReportBytes:
-    """The stackelberg report of every two-route fixture and the lipschitz
-    report of every fixture keep their bytes."""
+    """Every report that exits 0 keeps the bytes of its CSV and of its
+    summary."""
 
-    @pytest.mark.parametrize(
-        "subcommand,name",
-        [("stackelberg", name) for name in STACKELBERG_SHA256]
-        + [("lipschitz", name) for name in LIPSCHITZ_SHA256],
-    )
-    def test_report_sha256(self, subcommand, name, tmp_path):
-        digests = STACKELBERG_SHA256 if subcommand == "stackelberg" else LIPSCHITZ_SHA256
+    @pytest.mark.parametrize("subcommand,name", list(REPORT_SHA256))
+    def test_report_sha256(self, subcommand, name, tmp_path, capsys):
         out = tmp_path / "report.csv"
         assert run_cli([subcommand, "--scenario", str(fixture_path(name)), "--out", str(out)]) == EXIT_OK
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[name]
+        digests = (hashlib.sha256(out.read_bytes()).hexdigest(),
+                   hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert digests == REPORT_SHA256[subcommand, name]
 
 
 # fixtures that give observed flows and no HDV flows: the inverse side reads

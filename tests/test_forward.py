@@ -487,6 +487,23 @@ class TestCertify:
         assert cert.min_directional_derivative == pytest.approx(400.0 - 200.0 * t0, abs=1e-9)
         assert cert.is_local_min == local_min
 
+    @pytest.mark.parametrize(
+        "h,f,match",
+        [
+            ([25.0, 25.0], [0.0, 0.0], "fleet flows must be finite and lie in the feasible set"),
+            ([25.0, 25.0], [60.0, -10.0], "fleet flows must be finite and lie in the feasible set"),
+            ([25.0, 25.0], [math.nan, 50.0], "fleet flows must be finite and lie in the feasible set"),
+            ([25.0, math.inf], [25.0, 25.0], "HDV flows must be finite"),
+            ([-1.0, 26.0], [25.0, 25.0], "HDV flows must be non-negative"),
+        ],
+    )
+    def test_outside_the_feasible_set_rejected(self, h, f, match):
+        # the fleet size is 50: at f = (0, 0) no pair swap is feasible, and
+        # the certificate used to pass with derivative inf
+        net = symmetric_quadratic()
+        with pytest.raises(InfeasibleProblemError, match=match):
+            certify_local_min(MALICIOUS, np.array(h), np.array(f), net, FeasibleSet.from_network(net))
+
     def test_wrong_length_rejected(self):
         net = symmetric_quadratic()
         with pytest.raises(DimensionMismatchError):

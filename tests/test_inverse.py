@@ -12,6 +12,9 @@ from scipy.optimize import nnls
 from fleet_inverse import (
     DEFAULT_CONFIG,
     AffineDelay,
+    SimulationConfig,
+    SolverConfig,
+    compare_routings,
     DimensionMismatchError,
     BPRDelay,
     FeasibleSet,
@@ -511,6 +514,42 @@ class TestNonFiniteObservations:
                 discrete_recover(SELFISH, observed, symmetric_quadratic(q_hdv=90.0, q_crv=10.0))
 
 
+class TestTypedInputErrors:
+    # each of these used to escape the typed errors: numpy's LinAlgError
+    # (totals of the wrong length), an all-NaN fiber (non-finite totals or
+    # NaN caps), a NotRealisableError (caps of the wrong length), a NaN
+    # mean HDV time (burn_in past the simulated days), or a silent accept
+    # (NaN fleet totals, theta, a negative burn_in) or a crash inside numpy's
+    # generators (seeds out of range)
+    @pytest.mark.parametrize(
+        "call,error,match",
+        [
+            (lambda net: route_fiber(net, net.route_to_link(np.array([30.0, 20.0])), totals=[10.0, 1.0]),
+             DimensionMismatchError, "one fleet total per unit"),
+            (lambda net: route_fiber(net, net.route_to_link(np.array([30.0, 20.0])), totals=[math.nan]),
+             InfeasibleProblemError, "fleet sizes must be finite"),
+            (lambda net: route_fiber(net, net.route_to_link(np.array([30.0, 20.0])), totals=[math.inf]),
+             InfeasibleProblemError, "fleet sizes must be finite"),
+            (lambda net: route_fiber(net, net.route_to_link(np.array([30.0, 20.0])), upper=[60.0]),
+             DimensionMismatchError, "upper bound vector has wrong length"),
+            (lambda net: route_fiber(net, net.route_to_link(np.array([30.0, 20.0])), upper=[60.0, math.nan]),
+             InfeasibleProblemError, "upper bounds must not be NaN"),
+            (lambda net: FeasibleSet(blocks=net.unit_blocks(), totals=np.array([math.nan]), n_routes=2),
+             InfeasibleProblemError, "fleet sizes must be finite"),
+            (lambda net: SimulationConfig(theta=math.nan), ValueError, "theta must be finite and positive"),
+            (lambda net: SimulationConfig(seed=-2), ValueError, r"seed must lie in \[0, 2\*\*63\)"),
+            (lambda net: SolverConfig(seed=2**63), ValueError, r"seed must lie in \[0, 2\*\*63\)"),
+            (lambda net: lipschitz_bound(SELFISH, net, samples=2, seed=-1), ValueError, "seed must lie"),
+            (lambda net: lipschitz_bound(SELFISH, net, samples=2, seed=10**23), ValueError, "seed must lie"),
+            (lambda net: compare_routings(net, days=10, burn_in=20), ValueError, r"burn_in must lie in \[0, days\)"),
+            (lambda net: compare_routings(net, days=10, burn_in=-1), ValueError, r"burn_in must lie in \[0, days\)"),
+        ],
+    )
+    def test_raises_typed_error(self, fig_two_route, call, error, match):
+        with pytest.raises(error, match=match):
+            call(fig_two_route)
+
+
 class TestFleetSizeShape:
     # one fleet size per OD unit: a longer list used to lose its extra sizes
     # (yet count them in the residual scale), a shorter one to raise
@@ -975,6 +1014,20 @@ def _defect_instance():
 
 
 class TestFaceEnumeration:
+    def test_a_route_cheaper_than_its_multiplier_is_no_solution(self):
+        # A(f) = a0 - 1e-3 f over one unit with caps (10, 10, 1) and fleet 10:
+        # at (5, 5, 0) route 2 costs 1.5e-6 less than the free routes, so it
+        # is no solution (its VI gap is 1.5e-6); the enumeration's old 1e-6
+        # relative KKT tolerance and its gate max(tol_gap, 1e-6 * scale)
+        # both let it in
+        feasible = FeasibleSet(blocks=(np.arange(3),), totals=np.array([10.0]), n_routes=3,
+                               upper=np.array([10.0, 10.0, 1.0]))
+        a0, b = np.array([1.0, 1.0, 1.0 - 5e-3 - 1.5e-6]), -1e-3 * np.eye(3)
+        assert inverse._vi_gap(a0, b, np.array([5.0, 5.0, 0.0]), feasible) == pytest.approx(1.5e-6)
+        found = inverse._face_solutions(a0, b, feasible, 1e-7, DEFAULT_CONFIG)
+        assert sorted(f.tolist() for f in found) == [[0.0, 10.0, 0.0], [4.5, 4.5, 1.0], [10.0, 0.0, 0.0]]
+        assert all(inverse._vi_gap(a0, b, f, feasible) == 0.0 for f in found)
+
     def test_defect_instance_without_forward_solves(self, monkeypatch):
         strategy, h, net = _defect_instance()
         forward = fleet_assign(strategy, h, net)
