@@ -175,9 +175,6 @@ def _run_inverse(scenario: Scenario, args) -> tuple[list[str], list[dict], list[
     ]
     if len(result.solutions) > 1:
         summary.append(f"{len(result.solutions)} distinct solutions exhibited")
-    if not result.exhaustive:
-        cap = scenario.config.vertex_cap
-        summary.append(f"solution set not enumerated: more than vertex_cap = {cap} active partitions")
     return columns, rows, summary
 
 

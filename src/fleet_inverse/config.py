@@ -17,10 +17,10 @@ IMAGE_DISTANCE_NORMS = {"l2": 2, "l1": 1, "linf": math.inf}
 
 # fields outside the tolerances (*_rtol, tol_*, ue_tol: finite and positive)
 # that have a range
-_OPEN_UNIT_INTERVAL = ("armijo_factor", "armijo_c1", "extragradient_safety")
+_OPEN_UNIT_INTERVAL = ("armijo_factor", "armijo_c1")
 _MINIMUM = {
     "n_starts": 0, "discrete_starts": 0,
-    "vertex_cap": 1, "max_pg_iter": 1, "max_vi_iter": 1, "max_outer_iter": 1,
+    "vertex_cap": 1, "max_pg_iter": 1, "max_outer_iter": 1,
     "mixture_grid": 2,
 }
 
@@ -48,8 +48,6 @@ class SolverConfig:
     armijo_c1: float = 1e-4
     # inverse solver
     tol_vi: float = 1e-8           # VI gap target, x (1 + ||t(q)||_2)
-    max_vi_iter: int = 20000       # extragradient iterations, above vertex_cap faces
-    extragradient_safety: float = 0.9  # extragradient step, x 1 / ||b||_2
     # discrete recovery
     discrete_starts: int = 20
     max_outer_iter: int = 300

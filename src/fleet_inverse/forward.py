@@ -207,23 +207,30 @@ class FeasibleSet:
             return [math.inf] * len(self.blocks[s])
         return self.upper[self.blocks[s]].tolist()
 
-    def labelings(self, s: int, tol: float, max_free: float = math.inf) -> Iterator[tuple[int, ...]]:
+    def labelings(
+        self, s: int, tol: float, max_free: float = math.inf, windows: np.ndarray | None = None
+    ) -> Iterator[tuple[int, ...]]:
         """Lower (-1) / free (0) / cap (+1) labelings of unit s's routes, at
         most max_free of them free, that can hold its fleet mass within tol:
         capped mass equal to the total, or below it with free routes whose
         caps reach above it (a free route that must sit at a bound names a
         point another labeling names).  Free and cap labels need a positive
-        cap.  Depth first, lower before free before cap at each route, and
+        cap.  With `windows`, an (n_routes, 3, 2) array of the interval
+        [lo, hi] of the unit's multiplier that each route's label (-1, 0,
+        +1) allows, a branch ends once its labels' intervals do not meet.
+        Depth first, lower before free before cap at each route, and
         lazily, so a caller may stop early."""
         total = float(self.totals[s])
         caps = self._caps(s)
         # the largest mass routes i.. can hold
         reach = list(itertools.accumulate(caps[::-1]))[::-1] + [0.0]
-        stack: list[tuple[tuple[int, ...], float, float]] = [((), 0.0, 0.0)]
+        allowed = None if windows is None else windows[self.blocks[s]].tolist()
+        # (labels, capped mass, free routes' cap sum, multiplier interval)
+        stack = [((), 0.0, 0.0, (-math.inf, math.inf))]
         while stack:
-            labels, fixed, room = stack.pop()
+            labels, fixed, room, mu = stack.pop()
             i = len(labels)
-            if fixed > total + tol or fixed + room + reach[i] < total - tol:
+            if fixed > total + tol or fixed + room + reach[i] < total - tol or mu[0] > mu[1]:
                 continue
             if i == len(caps):
                 if room > 0.0:
@@ -234,12 +241,15 @@ class FeasibleSet:
                     yield labels
                 continue
             cap = caps[i]
+            lower = free = capped = mu
+            if allowed is not None:
+                lower, free, capped = ((max(mu[0], lo), min(mu[1], hi)) for lo, hi in allowed[i])
             if cap > 0.0:
                 if math.isfinite(cap):
-                    stack.append((labels + (1,), fixed + cap, room))
+                    stack.append((labels + (1,), fixed + cap, room, capped))
                 if labels.count(0) < max_free:
-                    stack.append((labels + (0,), fixed, room + cap))
-            stack.append((labels + (-1,), fixed, room))
+                    stack.append((labels + (0,), fixed, room + cap, free))
+            stack.append((labels + (-1,), fixed, room, lower))
 
     def vertices(self, cap: int) -> list[np.ndarray]:
         """Every vertex of the set.  A unit's vertices are its labelings with
@@ -664,12 +674,16 @@ def solve_general(
     """Multistart descent (see _descend) for objectives that are neither
     convex nor concave.  Starts from every vertex plus n_starts random
     interior points; returns the best local minimizer found and all
-    distinct ones."""
+    distinct ones.  Above config.vertex_cap vertices only the random
+    points start, and with n_starts = 0 the vertex enumeration's
+    FleetModelError is raised."""
     h = np.asarray(h, dtype=float)
     rng = np.random.default_rng(config.seed if seed is None else seed)
     try:
         starts = feasible.vertices(config.vertex_cap)
     except FleetModelError:
+        if config.n_starts == 0:
+            raise
         starts = []
     starts = starts + [feasible.random_point(rng) for _ in range(config.n_starts)]
 

@@ -33,13 +33,14 @@ solution solves the KKT system of its face, so that system is solved on
 each lower/free/cap labeling that can hold every unit's fleet
 (FeasibleSet.labelings, the walk whose one-free-route labelings are the
 forward corners), and its point is kept when the pivot's complementarity
-test (_complementarity) finds no broken route there.  A face whose KKT
-system is singular (L = 0, dependent routes) gives its minimum-norm
-solution.  The listed solution of least norm is the estimate (the greedy
-minimizer when the operator is constant).  Above SolverConfig.vertex_cap
-labelings nothing is enumerated (InverseResult.exhaustive = False), and
-the estimate is the extragradient iterate run to the gap tolerance,
-polished on its face by the pivot (_extragradient).
+test (_complementarity) finds no broken route there.  On a separable
+network each label of a route allows its unit's multiplier only one
+interval (_multiplier_windows), so the walk drops every labeling whose
+intervals do not meet.  A face whose KKT system is singular (L = 0,
+dependent routes) gives its minimum-norm solution.  The listed solution of
+least norm is the estimate (the greedy minimizer when the operator is
+constant).  Above SolverConfig.vertex_cap labelings the enumeration
+raises FleetModelError: the solution set is complete or not given.
 
 Residuals are reported as VI gap per vehicle of fleet mass,
 max_x A(f).(f - x) / max(1, fleet mass), in time units.
@@ -113,6 +114,10 @@ class FiberResult:
 
 @dataclass(frozen=True)
 class InverseResult:
+    """One inverse at the route or the link level: `solutions` is the whole
+    solution set found (one point when the certificate applies), f_hat
+    first; a set too large to enumerate raises FleetModelError instead."""
+
     f_hat: np.ndarray
     h_hat: np.ndarray
     residual: float
@@ -121,8 +126,6 @@ class InverseResult:
     converged: bool
     level: str  # "route" or "link"
     fiber: FiberResult | None = None
-    # False when the solution set was not enumerated (above the vertex cap)
-    exhaustive: bool = True
 
 
 @dataclass(frozen=True)
@@ -206,7 +209,7 @@ def _residual_scale(feasible: FeasibleSet) -> float:
     return max(1.0, feasible.total_mass)
 
 
-# -- affine VI: least-index pivot, extragradient ----------------------------------
+# -- affine VI: least-index pivot ------------------------------------------------------
 
 
 def _active_partition(f: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
@@ -226,7 +229,7 @@ def _active_partition(f: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
 def _diagonal_of(b: np.ndarray) -> np.ndarray | None:
     """The diagonal of b when b is diagonal (a separable network, see
     Network.separable), None otherwise; one check per VI solve, which
-    _face_point then takes."""
+    _face_point and _multiplier_windows then take."""
     diagonal = np.diagonal(b)
     return diagonal if np.count_nonzero(b) == np.count_nonzero(diagonal) else None
 
@@ -384,7 +387,7 @@ def _pivot(
     active: np.ndarray,
     tol_gap: float,
     config: SolverConfig,
-    diagonal: np.ndarray | None = None,
+    diagonal: np.ndarray | None,
 ) -> tuple[np.ndarray | None, int]:
     """Least-index principal pivoting (Murty 1974; Cottle, Pang and Stone
     1992, section 4.2) on the KKT system of the affine VI, from the
@@ -411,9 +414,7 @@ def _pivot(
     cover the rest: the unit equality rows, a cap as a third label, the
     band step (which moves routes that break no sign) and signs that
     rounding decides inside the tolerances above.  There a repeated
-    partition ends the pivot.  Where the certificate fails (the polish of
-    the extragradient's iterate above the face cap) the argument does not
-    hold at all.
+    partition ends the pivot.  It runs only on certified VIs.
     """
     active = active.copy()
     seen: set[bytes] = set()
@@ -441,55 +442,34 @@ def _pivot(
     return None, rounds
 
 
-def _solve_affine_vi(
-    a0: np.ndarray,
-    b: np.ndarray,
-    feasible: FeasibleSet,
-    greedy: np.ndarray,
-    tol_gap: float,
-    config: SolverConfig,
-) -> np.ndarray:
-    """The solution of the affine VI A(f) = a0 + b f over the feasible set
-    when it is certified to have one: the least-index pivot (see _pivot)
-    from the partition of `greedy`, the greedy vertex of a0, or that vertex
-    when the pivot stops without a solution (the caller reports it
-    unconverged).
-    """
-    solution, _ = _pivot(a0, b, feasible, _active_partition(greedy, feasible), tol_gap, config, _diagonal_of(b))
-    return greedy if solution is None else solution
-
-
-def _extragradient(
-    a0: np.ndarray,
-    b: np.ndarray,
-    feasible: FeasibleSet,
-    tol_gap: float,
-    config: SolverConfig,
-) -> np.ndarray:
-    """An uncertified VI's estimate where its faces are too many to
-    enumerate: extragradient iterates (Korpelevich 1976, step
-    config.extragradient_safety / ||b||) from the uniform split until the
-    VI gap is at most tol_gap or config.max_vi_iter pass, then the pivot
-    from the iterate's partition, whose point replaces the iterate when its
-    gap is no larger (below 1e-12 always counts).  The caller reports
-    convergence from the returned point's gap."""
-    f = np.zeros(feasible.n_routes)
-    for block, total in zip(feasible.blocks, feasible.totals):
-        f[block] = total / len(block)
-    f = feasible.project(f)
-    step = config.extragradient_safety / float(np.linalg.norm(b, 2))
-    for _ in range(config.max_vi_iter):
-        af = a0 + b @ f
-        if float(af @ f) - _linear_minimum(af, feasible)[1] <= tol_gap:
-            break
-        y = feasible.project(f - step * af)
-        f = feasible.project(f - step * (a0 + b @ y))
-    tol = max(_vi_gap(a0, b, f, feasible), 1e-12)
-    solution, _ = _pivot(a0, b, feasible, _active_partition(f, feasible), tol, config, _diagonal_of(b))
-    return f if solution is None else solution
-
-
 # -- face enumeration ----------------------------------------------------------------
+
+
+def _multiplier_windows(a0: np.ndarray, diagonal: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
+    """The windows of FeasibleSet.labelings for a diagonal b: route r costs
+    A_r = a0_r + b_rr f_r, so its unit's multiplier is at most a0_r when r
+    is at 0 (unless its cap is 0: then it bounds none), at least a0_r +
+    b_rr u_r when r is at its cap u_r, and between the two when r is free
+    (the breakpoints of Pardalos and Kovoor 1990).
+
+    The windows are widened by _validated's tolerances, so a labeling whose
+    windows do not meet has no face point that _validated accepts: by
+    1e-10 * (1 + M), M the largest |A| within tol_feas = 1e-9 * (1 + fleet
+    mass) of the bounds, and free routes by a further |b_rr| * tol_feas.
+    Such a point puts at most T + k * tol_feas on a route of a unit of k
+    routes and fleet T, which stands in for larger (or infinite) caps."""
+    tol_feas = 1e-9 * (1.0 + feasible.total_mass)
+    most = np.zeros(feasible.n_routes)
+    for block, total in zip(feasible.blocks, feasible.totals):
+        most[block] = total + len(block) * tol_feas
+    caps = math.inf if feasible.upper is None else feasible.upper
+    at_cap = a0 + diagonal * np.minimum(caps, most)
+    slope = np.abs(diagonal) * tol_feas
+    tol = 1e-10 * (1.0 + float(np.max(np.maximum(np.abs(a0), np.abs(at_cap)))) + float(np.max(slope)))
+    inf = np.full(feasible.n_routes, math.inf)
+    lo = np.column_stack([-inf, np.minimum(a0, at_cap) - slope - tol, at_cap - tol])
+    hi = np.column_stack([np.where(caps > 0.0, a0 + tol, math.inf), np.maximum(a0, at_cap) + slope + tol, inf])
+    return np.stack([lo, hi], axis=-1)
 
 
 def _face_solutions(
@@ -498,24 +478,24 @@ def _face_solutions(
     feasible: FeasibleSet,
     tol_gap: float,
     config: SolverConfig,
-) -> list[np.ndarray] | None:
+    diagonal: np.ndarray | None,
+) -> list[np.ndarray]:
     """Every solution of the affine VI that solves the KKT system of a face.
 
     Solves the face of every product of the units' labelings (see
-    FeasibleSet.labelings) and keeps the points that _validated accepts,
-    by the pivot's complementarity test, and whose VI gap is within
-    max(tol_gap, 1e-6 * scale), in enumeration order.  With more than
-    config.vertex_cap partitions it enumerates nothing and returns None.
+    FeasibleSet.labelings; where b is diagonal, `diagonal`, only those whose
+    multiplier windows meet, see _multiplier_windows) and keeps the points
+    that _validated accepts, by the pivot's complementarity test, and whose
+    VI gap is within max(tol_gap, 1e-6 * scale), in enumeration order.
+    Raises FleetModelError above config.vertex_cap partitions.
     """
     tol = 1e-7 * (1.0 + feasible.total_mass)
-    try:
-        per_unit = bounded_factors(
-            (feasible.labelings(s, tol) for s in range(len(feasible.blocks))), config.vertex_cap, "face"
-        )
-    except FleetModelError:
-        return None
+    windows = None if diagonal is None else _multiplier_windows(a0, diagonal, feasible)
+    per_unit = bounded_factors(
+        (feasible.labelings(s, tol, windows=windows) for s in range(len(feasible.blocks))),
+        config.vertex_cap, "face",
+    )
     gate = max(tol_gap, 1e-6 * _residual_scale(feasible))
-    diagonal = _diagonal_of(b)
     active = np.full(feasible.n_routes, -1)
     found = []
     for combo in itertools.product(*per_unit):
@@ -592,7 +572,9 @@ def _recover(
     """The inverse at one level from its VI a0 + b f over the route
     variables in `feasible`, with one method for each class of VI:
 
-    - certified (at most one solution): _solve_affine_vi;
+    - certified (at most one solution): the least-index pivot (_pivot)
+      from the partition of the greedy vertex of a0, or that vertex,
+      unconverged, when the pivot stops without a solution;
     - constant operator: its greedy minimizer, then the face solutions;
     - any other: the face solutions alone (_face_solutions), first the one
       of least Euclidean norm in the level's flows among those whose gap
@@ -600,8 +582,9 @@ def _recover(
       enumeration order on a tie), then the rest in enumeration order; the
       greedy vertex of a0, unconverged, when no face validates.
 
-    Above config.vertex_cap partitions nothing is enumerated (exhaustive
-    False), and a non-constant operator's one solution is _extragradient's.
+    Above config.vertex_cap partitions the enumeration raises
+    FleetModelError.  b's diagonal (see _diagonal_of) is taken once, for
+    the pivot's closed form and the enumeration's windows.
 
     Each solution is mapped by `image` to the level's flows and listed
     once; f_hat is the first.  The gap tolerance is tol_vi * (1 + t_norm)
@@ -618,22 +601,18 @@ def _recover(
     tol_gap = config.tol_vi * (1.0 + t_norm) * scale
     unique = certificate.theorem_applies
     greedy = _linear_minimum(a0, feasible)[0]
+    diagonal = _diagonal_of(b)
     # a constant operator (L = 0): every minimizer of a0 . f solves the VI
     constant = float(np.max(np.abs(b), initial=0.0)) <= 1e-300
     if constant:
         points = [greedy]
     elif unique:
-        points = [_solve_affine_vi(a0, b, feasible, greedy, tol_gap, config)]
+        solution, _ = _pivot(a0, b, feasible, _active_partition(greedy, feasible), tol_gap, config, diagonal)
+        points = [greedy if solution is None else solution]
     else:
         points = []
-    exhaustive = True
     if not unique:
-        faces = _face_solutions(a0, b, feasible, tol_gap, config)
-        exhaustive = faces is not None
-        if exhaustive:
-            points += faces
-        elif not constant:
-            points = [_extragradient(a0, b, feasible, tol_gap, config)]
+        points += _face_solutions(a0, b, feasible, tol_gap, config, diagonal)
     points = points or [greedy]
     images = [image(g) for g in points]
     kept = _distinct(images, scale, config.tol_distinct)
@@ -654,7 +633,6 @@ def _recover(
         converged=gap <= tol_gap,
         level=level,
         fiber=fiber(f_hat),
-        exhaustive=exhaustive,
     )
 
 
@@ -671,10 +649,9 @@ def solve_inverse(
     Solves the stationarity VI over {0 <= f <= q, per-unit sums = sizes}.
     When the uniqueness certificate fails, `solutions` lists every face
     solution, f_hat (the one of least norm, see _recover) first; above
-    config.vertex_cap partitions it is just f_hat, the extragradient's
-    estimate, with `exhaustive` False.  On linearly dependent routes
-    `fiber` holds the route flows that share f_hat's link flow.  `seed` is
-    not read.
+    config.vertex_cap partitions it raises FleetModelError.  On linearly
+    dependent routes `fiber` holds the route flows that share f_hat's link
+    flow.  `seed` is not read.
     """
     q = _observed(q, network.n_routes, "route", "observed flows")
     feasible = FeasibleSet.from_network(network, sizes, q)
@@ -728,7 +705,8 @@ def inverse_link_flows(
     returned link flow is unique whenever the margin is positive and the
     link-time jacobian is positive definite on realisable directions, even
     if several route flows realize it.  Otherwise `solutions` holds the
-    link images of the face solutions, as in solve_inverse.  `seed` is not read.
+    link images of the face solutions, as in solve_inverse (FleetModelError
+    above config.vertex_cap partitions).  `seed` is not read.
     """
     a = _observed(a, network.n_links, "link", "observed link flows")
     units = network.units_or_raise()

@@ -452,7 +452,8 @@ class TestTypedSections:
     def test_out_of_range_tolerance(self, key, value):
         # well-typed values outside a field's range: a negative tol_p used to
         # hang stackelberg, mixture_grid 0 crashed it (exit 1), and the rest
-        # were accepted silently
+        # were accepted silently; max_vi_iter and extragradient_safety are
+        # deleted fields now, refused at the same path as unknown ones
         doc = load_doc("stackelberg_symmetric")
         doc["tolerances"] = {key: value}
         assert parse_error(doc) == ("bad-value", "$.tolerances")
@@ -481,6 +482,20 @@ class TestTypedSections:
         err = capsys.readouterr().err
         assert "error[parse]: bad-value at $.tolerances:" in err
         assert "unknown tolerance fields: ['n_dirs', 'tol_curv']" in err
+
+    def test_deleted_inverse_knobs_exit_parse(self, tmp_path, capsys):
+        # no inverse runs an extragradient: a scenario still setting its
+        # iteration cap or its step factor exits 2, in range or not
+        for knobs in ({"max_vi_iter": 20000, "extragradient_safety": 0.9},
+                      {"max_vi_iter": -1, "extragradient_safety": 1.5}):
+            doc = load_doc("two_od")
+            doc["tolerances"] = knobs
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(doc))
+            assert main(["inverse", "--scenario", str(path), "--out", "-"]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert "error[parse]: bad-value at $.tolerances:" in err
+            assert "unknown tolerance fields: ['extragradient_safety', 'max_vi_iter']" in err
 
 
 def run_cli(args) -> int:
@@ -585,31 +600,40 @@ class TestCLI:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_inverse_above_vertex_cap(self, tmp_path, capsys):
-        # each unit of two_od has three active partitions that hold its fleet
-        def n_solutions(path):
-            lines = path.read_text().splitlines()
-            col = lines[0].split(",").index("n_solutions")
-            return lines[0], {line.split(",")[col] for line in lines[1:]}
-
+        # each unit of two_od has three active partitions that hold its
+        # fleet, so the solution set is listed at vertex_cap 9 and refused,
+        # like every other enumeration, at 8: exit 5 and no report
         full = tmp_path / "full.csv"
         assert run_cli(["inverse", "--scenario", str(fixture_path("two_od")), "--out", str(full)]) == EXIT_OK
-        full_stdout = capsys.readouterr().out.splitlines()
+        assert "3 distinct solutions exhibited" in capsys.readouterr().out.splitlines()
+        lines = full.read_text().splitlines()
+        col = lines[0].split(",").index("n_solutions")
+        assert {line.split(",")[col] for line in lines[1:]} == {"3"}
         doc = load_doc("two_od")
-        doc["tolerances"] = {"vertex_cap": 8}
+        for cap, code in ((9, EXIT_OK), (8, EXIT_UNSUPPORTED)):
+            doc["tolerances"] = {"vertex_cap": cap}
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(doc))
+            capped = tmp_path / f"capped{cap}.csv"
+            assert run_cli(["inverse", "--scenario", str(path), "--out", str(capped)]) == code
+            captured = capsys.readouterr()
+            if code == EXIT_OK:
+                assert capped.read_text() == full.read_text()
+            else:
+                assert not capped.exists()
+                assert "face enumeration exceeded the cap of 8; raise vertex_cap" in captured.err
+
+    def test_forward_without_starts_above_vertex_cap(self, tmp_path, capsys):
+        # the disruptive objective is indefinite here, so the forward starts
+        # from the vertices and n_starts random points: with neither, the
+        # vertex enumeration's refusal is the answer, exit 5
+        doc = load_doc("signalized_link")
+        doc["strategy"] = "disruptive"
+        doc["tolerances"] = {"n_starts": 0, "vertex_cap": 1}
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
-        capped = tmp_path / "capped.csv"
-        assert run_cli(["inverse", "--scenario", str(path), "--out", str(capped)]) == EXIT_OK
-        capped_stdout = capsys.readouterr().out.splitlines()
-        assert [line for line in capped_stdout if line not in full_stdout] == [
-            "solution set not enumerated: more than vertex_cap = 8 active partitions"
-        ]
-        assert [line for line in full_stdout if line not in capped_stdout] == [
-            "3 distinct solutions exhibited"
-        ]
-        header, counts = n_solutions(full)
-        assert counts == {"3"}
-        assert n_solutions(capped) == (header, {"1"})
+        assert run_cli(["forward", "--scenario", str(path), "--out", "-"]) == EXIT_UNSUPPORTED
+        assert "vertex enumeration exceeded the cap of 1; raise vertex_cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "subcommand,flag,value",

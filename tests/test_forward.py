@@ -276,6 +276,22 @@ class TestSolveGeneral:
         general = solve_general(SELFISH, h, fig_two_route, fset, seed=1)
         np.testing.assert_allclose(general.f, convex.f, atol=1e-5)
 
+    def test_no_start_raises_the_vertex_cap(self):
+        # above vertex_cap vertices only the random points start; with
+        # n_starts = 0 there is none, and the vertex enumeration's error is
+        # the answer
+        sc = parse_scenario(fixture_path("signalized_link"))
+        fset = FeasibleSet.from_network(sc.network)
+        h = sc.hdv_route_flows
+        config = DEFAULT_CONFIG.replace(n_starts=0, vertex_cap=1)
+        with pytest.raises(FleetModelError, match="vertex enumeration exceeded the cap of 1"):
+            solve_general(DISRUPTIVE, h, sc.network, fset, seed=0, config=config)
+        with pytest.raises(FleetModelError, match="vertex enumeration exceeded the cap of 1"):
+            fleet_assign(DISRUPTIVE, h, sc.network, seed=0, config=config)
+        # one random start is enough to answer
+        result = fleet_assign(DISRUPTIVE, h, sc.network, seed=0, config=config.replace(n_starts=1))
+        assert result.trace.starts == 1 and fset.contains(result.f)
+
     def test_empty_fleet(self):
         net = asymmetric_two_route(q_crv=0.0)
         result = fleet_assign(SELFISH, np.array([10.0, 40.0]), net)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -729,21 +730,6 @@ def _certified_instances(count, seed):
 
 
 @pytest.fixture
-def extragradient_calls(monkeypatch):
-    """Every estimate _extragradient returns."""
-    calls = []
-    extragradient = inverse._extragradient
-
-    def recording(*args):
-        out = extragradient(*args)
-        calls.append(out)
-        return out
-
-    monkeypatch.setattr(inverse, "_extragradient", recording)
-    return calls
-
-
-@pytest.fixture
 def walk_calls(monkeypatch):
     """Every (solution, rounds) the pivot (_pivot) returns."""
     calls = []
@@ -766,7 +752,7 @@ def _pivot_from_greedy(a0, b, feasible, tol_gap):
 
 
 class TestFaceExit:
-    def test_certified_solutions_match_full_run(self, extragradient_calls, walk_calls):
+    def test_certified_solutions_match_full_run(self, walk_calls):
         # the certified VI has one solution and a face point depends only on
         # its partition, so where the full run's polished point keeps the
         # partition it was solved on, the pivot ends on the same face and
@@ -788,10 +774,9 @@ class TestFaceExit:
             capped += bool(np.any((result.f_hat == q) & (q > 0)))
         assert capped >= 10
         assert on_face >= 35
-        assert extragradient_calls == []
         assert len(walk_calls) == 50 and all(f is not None for f, _ in walk_calls)
 
-    def test_route_ladder_iteration_gate(self, extragradient_calls, walk_calls):
+    def test_route_ladder_iteration_gate(self, walk_calls):
         # selfish round trips over R single-link BPR routes, R = 5, 20, 50, 100
         for h, net in route_ladder():
             f = fleet_assign(SELFISH, h, net, certify=False).f
@@ -800,7 +785,6 @@ class TestFaceExit:
             assert float(np.max(np.abs(result.f_hat - f))) <= 1e-6 * net.fleet_sizes()[0]
         # each certified solve is one pivot from the greedy vertex; the gate
         # leaves room for a few more rounds than the 171 taken now
-        assert extragradient_calls == []
         assert len(walk_calls) == 12 and all(f is not None for f, _ in walk_calls)
         assert sum(rounds for _, rounds in walk_calls) <= 195  # 171 now
 
@@ -816,7 +800,7 @@ class TestFaceExit:
         assert float(np.max(np.abs(result.f_hat - f))) <= 1e-9 * net.fleet_sizes()[0]
         assert result.residual <= 1e-12
 
-    def test_pivot_cap_reports_unconverged(self, extragradient_calls, walk_calls):
+    def test_pivot_cap_reports_unconverged(self, walk_calls):
         # a certified solve has no fallback: a pivot cut at one round returns
         # the greedy vertex, flagged unconverged
         h, net = route_ladder()[3]
@@ -824,13 +808,13 @@ class TestFaceExit:
         pivoted = solve_inverse(SELFISH, q, net)
         capped = solve_inverse(SELFISH, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=1))
         assert pivoted.converged and pivoted.certificate.theorem_applies
-        assert walk_calls[1] == (None, 1) and extragradient_calls == []
+        assert walk_calls[1] == (None, 1)
         assert not capped.converged and capped.residual > 1e-6
         feasible = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q)
         a0, _ = inverse._affine_operator(SELFISH, q, net)
         assert capped.f_hat.tobytes() == inverse._linear_minimum(a0, feasible)[0].tobytes()
 
-    def test_uncertified_f_hat_is_the_least_norm_solution(self, extragradient_calls, walk_calls):
+    def test_uncertified_f_hat_is_the_least_norm_solution(self, walk_calls):
         # every bundled fixture network at its observed (or forward) flow,
         # under seven strategies, at the route and the link level: an
         # uncertified inverse lists its face solutions, the one of least norm
@@ -860,9 +844,8 @@ class TestFaceExit:
                     if strategy.margin != 0.0:
                         assert norms[0] == min(norms)
         assert (uncertified, multi) == (103, 54)
-        # the pivot ran only in the certified solves, the extragradient in none
+        # the pivot ran only in the certified solves
         assert len(walk_calls) == 154 - 103
-        assert extragradient_calls == []
 
     def test_least_norm_prefers_a_solution_within_the_gap_tolerance(self, monkeypatch):
         # A(f) = -1e-4 f over {f1 + f2 = 1}: the vertex (1, 0) solves the VI,
@@ -892,23 +875,23 @@ class TestFaceExit:
         assert sorted(f.tolist() for f in result.solutions) == sorted(expected)
         np.testing.assert_allclose(result.f_hat, expected[0], rtol=0.0, atol=1e-12)
 
-    def test_uncertified_inverse_runs_to_gap(self, extragradient_calls, walk_calls):
-        # above the face cap nothing is enumerated: the extragradient picks
-        # the iterate and the pivot polishes it once
+    def test_uncertified_inverse_runs_to_gap(self, walk_calls):
+        # the whole solution set, within the gap tolerance, or none: above
+        # the face cap the uncertified inverse raises, and no pivot runs
         net = three_affine_routes(q_hdv=70.0, q_crv=30.0)
         q = np.array([30.0, 30.0, 40.0])
         full = solve_inverse(ALTRUISTIC, q, net)
-        result = solve_inverse(ALTRUISTIC, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=5))
-        assert not result.certificate.theorem_applies
-        assert len(extragradient_calls) == 1 and len(walk_calls) == 1
-        assert full.exhaustive and not result.exhaustive and result.converged
-        assert result.solutions == (result.f_hat,)
-        assert min(float(np.max(np.abs(result.f_hat - f))) for f in full.solutions) <= 1e-9 * 30.0
+        assert not full.certificate.theorem_applies and full.converged
+        assert len(full.solutions) > 1
+        with pytest.raises(FleetModelError, match="face enumeration exceeded the cap of 1"):
+            solve_inverse(ALTRUISTIC, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=1))
+        assert walk_calls == []
 
-    def test_above_the_default_cap_answers(self, extragradient_calls):
-        # one unit of 10 BPR routes has more than vertex_cap = 20,000
-        # lower/free/cap labelings, so the uncertified inverse answers from
-        # the extragradient: one solution, not the whole set
+    def test_above_the_default_cap_answers(self, walk_calls):
+        # one unit of 10 BPR routes has 28,311 lower/free/cap labelings,
+        # above vertex_cap = 20,000; the multiplier windows leave 9, so the
+        # uncertified inverse lists its whole solution set, the forward flow
+        # among them
         rng = np.random.default_rng([10, 0])
         delays = [BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(20, 80)), 2.0) for _ in range(10)]
         net = single_od_network(delays, q_hdv=100.0, q_crv=50.0)
@@ -916,18 +899,19 @@ class TestFaceExit:
         strategy = FleetStrategy(0.5, 0.2)
         f = fleet_assign(strategy, h, net, certify=False).f
         result = solve_inverse(strategy, h + f, net)
-        assert not result.certificate.theorem_applies
-        assert not result.exhaustive and result.converged and len(extragradient_calls) == 1
-        assert result.solutions == (result.f_hat,)
-        assert float(np.sum(result.f_hat)) == pytest.approx(50.0)
-        assert np.all(result.f_hat >= 0.0) and np.all(result.f_hat <= h + f)
+        assert not result.certificate.theorem_applies and result.converged
+        assert len(result.solutions) == 3 and walk_calls == []
+        assert min(float(np.max(np.abs(g - f))) for g in result.solutions) <= 1e-9 * 50.0
+        for g in result.solutions:
+            assert float(np.sum(g)) == pytest.approx(50.0)
+            assert np.all(g >= 0.0) and np.all(g <= h + f)
 
-    def test_link_inverse_face_exit(self, extragradient_calls, walk_calls):
+    def test_link_inverse_face_exit(self, walk_calls):
         net = two_od_overlap()
         a = net.route_to_link(np.array([30.0, 20.0, 25.0, 25.0]))
         result = inverse_link_flows(SELFISH, a, net)
         assert result.certificate.theorem_applies
-        assert extragradient_calls == [] and walk_calls[0][0] is not None
+        assert walk_calls[0][0] is not None
         phi_ref, residual_ref = _reference_link_solve(SELFISH, a, net)
         assert float(np.max(np.abs(result.f_hat - phi_ref))) <= 1e-12 * float(np.max(phi_ref))
         assert abs(result.residual) <= 1e-12 and abs(residual_ref) <= 1e-12
@@ -1024,7 +1008,7 @@ class TestFaceEnumeration:
                                upper=np.array([10.0, 10.0, 1.0]))
         a0, b = np.array([1.0, 1.0, 1.0 - 5e-3 - 1.5e-6]), -1e-3 * np.eye(3)
         assert inverse._vi_gap(a0, b, np.array([5.0, 5.0, 0.0]), feasible) == pytest.approx(1.5e-6)
-        found = inverse._face_solutions(a0, b, feasible, 1e-7, DEFAULT_CONFIG)
+        found = inverse._face_solutions(a0, b, feasible, 1e-7, DEFAULT_CONFIG, inverse._diagonal_of(b))
         assert sorted(f.tolist() for f in found) == [[0.0, 10.0, 0.0], [4.5, 4.5, 1.0], [10.0, 0.0, 0.0]]
         assert all(inverse._vi_gap(a0, b, f, feasible) == 0.0 for f in found)
 
@@ -1040,30 +1024,26 @@ class TestFaceEnumeration:
         monkeypatch.setattr(inverse, "fleet_assign", no_forward)
         result = solve_inverse(strategy, h + forward.f, net)
         assert not result.certificate.theorem_applies
-        assert result.exhaustive
         assert result.solutions[0] is result.f_hat
         distance = min(float(np.max(np.abs(f - forward.f))) for f in result.solutions)
         assert distance <= 1e-9 * 30.0
 
     def test_above_vertex_cap(self):
-        # above the cap nothing is enumerated, and the one estimate is a
-        # solution the full enumeration lists
+        # above the cap the solution set is not given in part: both levels
+        # raise, as every other enumeration does
         strategy, h, net = _defect_instance()
         q = h + fleet_assign(strategy, h, net).f
         full = solve_inverse(strategy, q, net)
         assert len(full.solutions) > 1
-        capped = solve_inverse(strategy, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=10))
-        assert not capped.exhaustive and capped.converged
-        assert capped.solutions == (capped.f_hat,)
-        assert min(float(np.max(np.abs(capped.f_hat - f))) for f in full.solutions) <= 1e-9 * 30.0
+        with pytest.raises(FleetModelError, match="face enumeration exceeded the cap of 1;"):
+            solve_inverse(strategy, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=1))
 
         link_net = two_od_overlap()
         a = link_net.route_to_link(np.array([30.0, 20.0, 25.0, 25.0]))
         link = inverse_link_flows(ALTRUISTIC, a, link_net)
-        assert link.exhaustive
-        capped = inverse_link_flows(ALTRUISTIC, a, link_net, config=DEFAULT_CONFIG.replace(vertex_cap=1))
-        assert not capped.exhaustive
-        assert capped.solutions == (capped.f_hat,)
+        assert not link.certificate.theorem_applies and link.converged
+        with pytest.raises(FleetModelError, match="face enumeration exceeded the cap of 1;"):
+            inverse_link_flows(ALTRUISTIC, a, link_net, config=DEFAULT_CONFIG.replace(vertex_cap=1))
 
     def test_zero_margin_returns_the_greedy_minimum(self):
         # the operator is constant, so the greedy minimizer of a0 . f is
@@ -1142,7 +1122,6 @@ class TestFaceEnumeration:
         strategy = FleetStrategy(lam_hdv, lam_hdv + margin)
         forward = fleet_assign(strategy, h, net, seed=0, config=DEFAULT_CONFIG.replace(n_starts=4))
         result = solve_inverse(strategy, h + forward.f, net)
-        assert result.exhaustive
         if result.certificate.theorem_applies:
             assert len(result.solutions) == 1
         if not forward.certificate.is_local_min:
@@ -1158,3 +1137,39 @@ class TestFaceEnumeration:
             assert residual <= tol
         else:
             assert float(np.min(np.max(np.abs(solutions - forward.f), axis=1))) <= tol
+
+    @given(
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 6),
+        lam_hdv=st.floats(-1.0, 1.0),
+        margin=st.just(0.0) | st.floats(-1.5, -1e-3) | st.floats(1e-3, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    # a route that carries no flow is the cheapest of its unit at two of
+    # the three solutions; its cost must bound no multiplier
+    @example(sizes=[3], lam_hdv=0.9955567715468285, margin=-1.007819025135596, seed=3819440197)
+    def test_multiplier_windows_drop_no_face_solution(self, sizes, lam_hdv, margin, seed):
+        # the windows prune only labelings whose face point _validated
+        # rejects: on separable draws, at the route level (caps, 0 on a
+        # route without HDV flow that the fleet leaves empty) and the link
+        # level (no caps), the pruned enumeration lists the same arrays in
+        # the same order as the walk given no windows
+        rng = np.random.default_rng(seed)
+        net, h = _single_link_network(rng, sizes)
+        strategy = FleetStrategy(lam_hdv, lam_hdv + margin)
+        q = h + fleet_assign(strategy, h, net, seed=0, config=DEFAULT_CONFIG.replace(n_starts=4), certify=False).f
+        route_set = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q)
+        a0, b = inverse._affine_operator(strategy, q, net)
+        a = net.route_to_link(q)
+        tau, jac = net.link_travel_times(a), net.link_time_jacobian(a)
+        link_a0 = net.incidence @ (strategy.lam_crv * tau + jac.T @ (strategy.lam_hdv * a))
+        link_b = strategy.margin * net.incidence @ jac.T @ net.incidence.T
+        link_set = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes)
+        for a0, b, feasible in ((a0, b, route_set), (link_a0, link_b, link_set)):
+            diagonal = inverse._diagonal_of(b)
+            assert diagonal is not None
+            tol_gap = DEFAULT_CONFIG.tol_vi * max(1.0, feasible.total_mass)
+            pruned = inverse._face_solutions(a0, b, feasible, tol_gap, DEFAULT_CONFIG, diagonal)
+            with mock.patch.object(inverse, "_multiplier_windows", return_value=None):
+                walked = inverse._face_solutions(a0, b, feasible, tol_gap, DEFAULT_CONFIG, diagonal)
+            assert [f.tobytes() for f in pruned] == [f.tobytes() for f in walked]
