@@ -200,6 +200,8 @@ def _run_certify(scenario: Scenario, args) -> tuple[list[str], list[dict], list[
     q = np.asarray(h) + np.asarray(f)
     pd = net.feasible_direction_pd(q, scenario.config.pd_rtol)
     independence = net.routes_linearly_independent(scenario.config.rank_rtol)
+    # the route flows sharing f's link flow and unit sums
+    fiber = inverse.route_fiber(net, net.route_to_link(np.asarray(f)), config=scenario.config)
     columns = [
         "is_local_min",
         "min_directional_derivative",
@@ -217,7 +219,7 @@ def _run_certify(scenario: Scenario, args) -> tuple[list[str], list[dict], list[
             "min_rayleigh": pd.min_rayleigh,
             "margin": scenario.strategy.margin,
             "routes_independent": independence.independent,
-            "fiber_dimension": independence.fiber_dimension,
+            "fiber_dimension": fiber.dimension,
         }
     ]
     summary = [

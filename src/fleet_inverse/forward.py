@@ -79,44 +79,29 @@ def _project_block_simplex(v: np.ndarray, total: float) -> np.ndarray:
     css = np.cumsum(u)
     js = np.arange(1, len(v) + 1)
     candidates = u - (css - total) / js
+    candidates[0] = total  # its exact value, which rounding can zero
     rho = int(np.nonzero(candidates > 0)[0][-1])
     theta = (css[rho] - total) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 
 
 def _project_block_capped(v: np.ndarray, total: float, upper: np.ndarray) -> np.ndarray:
-    """Projection onto {0 <= x <= upper, sum(x) = total} via the shifted clip
-    clip(v - theta, 0, upper).
-
-    The mass as a function of theta is piecewise linear and non-increasing
-    with breakpoints at v_i and v_i - u_i, so the exact shift is found on the
-    bracketing segment."""
-    cap_sum = float(np.sum(upper))
-    if total >= cap_sum:
+    """Projection onto {0 <= x <= upper, sum(x) = total}, clip(v - theta, 0,
+    upper), by rounds of the simplex projection (Kiwiel 2008): the capped
+    mass is at most the uncapped one on any shift, so a route the simplex
+    projection of the routes not yet capped puts above its cap is on its cap
+    in the answer.  Each round caps at least one route: at most k rounds."""
+    if total >= float(np.sum(upper)):
         return upper.copy()
-    if total <= 0:
-        return np.zeros_like(v)
-    # caps at or above the block total never bind (each coordinate <= total)
-    upper = np.minimum(upper, total)
-    bps = np.unique(np.concatenate([v, v - upper]))
-    masses = np.sum(np.clip(v[None, :] - bps[:, None], 0.0, upper[None, :]), axis=1)
-    # masses is non-increasing along bps; locate the bracketing segment
-    idx = int(np.searchsorted(-masses, -total, side="left"))
-    if idx == 0:
-        theta = bps[0]
-    else:
-        j = idx - 1
-        lo_bp = bps[j]
-        hi_bp = bps[min(idx, len(bps) - 1)]
-        m_lo = masses[j]
-        # slope = number of coordinates strictly between their bounds here
-        mid = 0.5 * (lo_bp + hi_bp)
-        active = int(np.sum((v - upper < mid) & (mid < v)))
-        if active == 0:
-            theta = hi_bp
-        else:
-            theta = lo_bp + (m_lo - total) / active
-    return np.clip(v - theta, 0.0, upper)
+    x = upper.copy()
+    free = np.ones(len(v), dtype=bool)
+    while True:
+        x[free] = _project_block_simplex(v[free], total - float(np.sum(upper[~free])))
+        over = x > upper
+        if not over.any():
+            return x
+        x[over] = upper[over]
+        free &= ~over
 
 
 @dataclass(frozen=True)
@@ -673,10 +658,10 @@ def solve_general(
 ) -> AssignmentResult:
     """Multistart descent (see _descend) for objectives that are neither
     convex nor concave.  Starts from every vertex plus n_starts random
-    interior points; returns the best local minimizer found and all
-    distinct ones.  Above config.vertex_cap vertices only the random
-    points start, and with n_starts = 0 the vertex enumeration's
-    FleetModelError is raised."""
+    interior points; returns the best local minimizer found, with the
+    converged flag of the start that found it, and all distinct ones.
+    Above config.vertex_cap vertices only the random points start, and
+    with n_starts = 0 the vertex enumeration's FleetModelError is raised."""
     h = np.asarray(h, dtype=float)
     rng = np.random.default_rng(config.seed if seed is None else seed)
     try:
@@ -692,16 +677,16 @@ def solve_general(
         return f, iterations, converged, eval_objective(strategy, h, f, network)
 
     points, iterations, converged, values = zip(*ordered_map(run_start, starts))
-    kept = _distinct(points, 1.0 + feasible.total_mass, config.tol_distinct)
-    found = sorted(((points[i], values[i]) for i in kept), key=lambda pair: pair[1])
-    best_f, best_val = found[0]
+    kept = sorted(_distinct(points, 1.0 + feasible.total_mass, config.tol_distinct), key=lambda i: values[i])
+    best = kept[0]
+    best_f, best_val = points[best], values[best]
     cert = certify_local_min(strategy, h, best_f, network, feasible, config) if certify else None
     return AssignmentResult(
         f=best_f,
         objective=best_val,
         certificate=cert,
-        trace=SolverTrace("multistart_projected_gradient", sum(iterations), len(starts), any(converged)),
-        minimizer_set=tuple(_ties(*zip(*found), config)),
+        trace=SolverTrace("multistart_projected_gradient", sum(iterations), len(starts), converged[best]),
+        minimizer_set=tuple(_ties([points[i] for i in kept], [values[i] for i in kept], config)),
     )
 
 

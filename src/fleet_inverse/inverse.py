@@ -48,6 +48,7 @@ max_x A(f).(f - x) / max(1, fleet mass), in time units.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, IMAGE_DISTANCE_NORMS, SolverConfig, _valid_seed
 from .errors import (
+    ConvergenceError,
     DimensionMismatchError,
     FleetModelError,
     InfeasibleProblemError,
@@ -735,42 +737,45 @@ def inverse_link_flows(
 # -- route fiber ----------------------------------------------------------------------
 
 
-def _dykstra_min_norm(
-    e: np.ndarray,
-    rhs: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray | None,
-    iterations: int = 4000,
-) -> np.ndarray:
-    """Projection of the origin onto {x : e x = rhs} intersect the box,
-    by Dykstra's alternating projections."""
-    pinv = np.linalg.pinv(e)
-
-    def proj_affine(x):
-        return x - pinv @ (e @ x - rhs)
-
-    def proj_box(x):
-        y = np.maximum(x, lower)
-        if upper is not None:
-            y = np.minimum(y, upper)
-        return y
-
-    x = proj_affine(np.zeros(e.shape[1]))
-    p = np.zeros_like(x)
-    qc = np.zeros_like(x)
-    for _ in range(iterations):
-        y = proj_box(x + p)
-        p = x + p - y
-        x, previous = proj_affine(y + qc), x
-        qc = y + qc - x
-        scale = 1.0 + float(np.max(np.abs(x)))
-        # a cycle can leave x in place while it is still outside the box
-        if (
-            float(np.max(np.abs(x - previous))) < 1e-13 * scale
-            and float(np.max(np.abs(proj_box(x) - x))) <= 1e-12 * scale
-        ):
+def _least_distance(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+    """The least-norm c with g c >= h, None when no c satisfies it (Lawson
+    and Hanson 1974, ch. 23): with m = [g^T; h^T], e the last unit vector
+    and w >= 0 least in |m w - e|, c = -r[:k] / r[k] for r = m w - e, and
+    r = 0 when no c is feasible.  w comes from the Lawson-Hanson active-set
+    method, finite in exact arithmetic; ConvergenceError past 3 * len(h)
+    steps, SciPy's bound.  h is scaled to unit max norm first."""
+    k, n = g.shape[1], len(h)
+    scale = float(np.max(np.abs(h), initial=0.0)) or 1.0
+    m = np.vstack([g.T, h / scale])
+    e = np.eye(k + 1)[k]
+    tol = 10.0 * max(k + 1, n) * np.finfo(float).eps
+    w = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        gradient = np.where(passive, -np.inf, m.T @ (e - m @ w))
+        # the gradient carries rounding in proportion to the weights
+        if np.max(gradient) <= tol * (1.0 + float(np.sum(w))):
             break
-    return x
+        passive[np.argmax(gradient)] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(m[:, passive], e, rcond=None)[0]
+            blocking = np.flatnonzero(passive & (s < 0.0))
+            if not len(blocking):
+                break
+            # step from w toward s until the first passive weight reaches 0
+            ratios = w[blocking] / (w[blocking] - s[blocking])
+            w = w + float(np.min(ratios)) * (s - w)
+            passive &= w > tol
+            passive[blocking[np.argmin(ratios)]] = False
+        w = s
+    else:
+        raise ConvergenceError(f"least-distance solve exceeded {3 * n} active-set steps")
+    r = m @ w - e
+    # -r[k] = |r|^2 at the optimum, zero exactly when no c is feasible
+    if -r[k] <= tol * (1.0 + float(np.sum(w))):
+        return None
+    return -scale * r[:k] / r[k]
 
 
 def route_fiber(
@@ -786,7 +791,9 @@ def route_fiber(
     Returns the minimum-norm representative, an orthonormal basis of the
     fiber directions (null directions of the conversion that also preserve
     per-unit sums), and the admissible coefficient interval along each
-    basis direction.
+    basis direction.  The representative f_p + basis c is exact: f_p, the
+    least-squares flow, is orthogonal to the fiber, so c is the least
+    coefficient vector keeping it inside the box (f_p when none does).
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (network.n_links,):
@@ -795,7 +802,8 @@ def route_fiber(
         raise InfeasibleProblemError("link flow must be finite")
     # FeasibleSet checks the totals and the caps
     feasible = FeasibleSet.from_network(network, totals, upper)
-    blocks, totals, upper_arr = feasible.blocks, feasible.totals, feasible.upper
+    blocks, totals = feasible.blocks, feasible.totals
+    box = np.full(network.n_routes, math.inf) if feasible.upper is None else feasible.upper
 
     rows = [network.incidence.T]
     rhs = [phi]
@@ -814,24 +822,24 @@ def route_fiber(
     rank = int(np.sum(s_vals > config.rank_rtol * (s_vals[0] if s_vals.size else 1.0)))
     basis = vt[rank:].T  # (R, k) orthonormal
 
-    lower = np.zeros(network.n_routes)
     k = basis.shape[1]
     if k == 0:
         rep = f_p
     elif k == 1:
         v = basis[:, 0]
-        t_lo, t_hi = _step_interval(f_p, v, lower, upper_arr)
+        t_lo, t_hi = _step_interval(f_p, v, box)
         if t_lo > t_hi:
             t_lo = t_hi = 0.5 * (t_lo + t_hi)
         t_star = float(np.clip(-(f_p @ v), t_lo, t_hi))
         rep = f_p + t_star * v
     else:
-        rep = _dykstra_min_norm(e, target, lower, upper_arr)
+        capped = np.isfinite(box)
+        g, h = np.vstack([basis, -basis[capped]]), np.concatenate([-f_p, f_p[capped] - box[capped]])
+        c = _least_distance(g, h)
+        rep = f_p if c is None else f_p + basis @ c
 
     # clip into the box so the residual measures constrained realisability
-    rep = np.maximum(rep, lower)
-    if upper_arr is not None:
-        rep = np.minimum(rep, upper_arr)
+    rep = np.minimum(np.maximum(rep, 0.0), box)
     rep = np.where(np.abs(rep) < 1e-11 * (1.0 + float(np.max(np.abs(rep)))), 0.0, rep)
     residual = float(np.linalg.norm(e @ rep - target))
     if residual > tol and not _allow_any:
@@ -841,7 +849,7 @@ def route_fiber(
         )
 
     intervals = tuple(
-        _step_interval(rep, basis[:, j], lower, upper_arr) for j in range(k)
+        _step_interval(rep, basis[:, j], box) for j in range(k)
     )
     return FiberResult(
         representative=rep,
@@ -851,24 +859,15 @@ def route_fiber(
     )
 
 
-def _step_interval(
-    point: np.ndarray,
-    direction: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray | None,
-) -> tuple[float, float]:
-    """Admissible coefficient range t with point + t*direction inside the box."""
+def _step_interval(point: np.ndarray, direction: np.ndarray, upper: np.ndarray) -> tuple[float, float]:
+    """Admissible coefficient range t with point + t*direction inside the
+    box [0, upper]."""
     t_lo, t_hi = -math.inf, math.inf
-    for r in range(len(point)):
-        v = direction[r]
-        if v > 1e-14:
-            t_lo = max(t_lo, (lower[r] - point[r]) / v)
-            if upper is not None and math.isfinite(upper[r]):
-                t_hi = min(t_hi, (upper[r] - point[r]) / v)
-        elif v < -1e-14:
-            t_hi = min(t_hi, (lower[r] - point[r]) / v)
-            if upper is not None and math.isfinite(upper[r]):
-                t_lo = max(t_lo, (upper[r] - point[r]) / v)
+    for p, v, u in zip(point, direction, upper):
+        if abs(v) > 1e-14:
+            to_lower, to_upper = (0.0 - p) / v, (u - p) / v
+            lo, hi = (to_lower, to_upper) if v > 0 else (to_upper, to_lower)
+            t_lo, t_hi = max(t_lo, lo), min(t_hi, hi)
     return (t_lo, t_hi)
 
 
@@ -989,8 +988,10 @@ def discrete_recover(
 
     Finds the point of the forward operator's image closest to q (multistart
     projected search over HDV flows with fixed per-unit totals, the forward
-    solver evaluated inside), then inverts that nearest image.  Reports the
-    achieved distance and the theoretical closeness radius
+    solver evaluated inside), then inverts that nearest image.  It starts
+    from q - f for each solution f of solve_inverse(q), so an observation in
+    the image stops at its first start, then from the vertices and random
+    points.  Reports the achieved distance and the theoretical closeness radius
     2 * Lip(inverse) * rounding radius.
     """
     q = _observed(q, network.n_routes, "route", "observed flows")
@@ -1019,10 +1020,12 @@ def discrete_recover(
         return float(np.linalg.norm(h + forward(h) - q, ord=norm_order))
 
     scale = max(1.0, float(np.sum(hdv_totals)))
-    try:
-        starts = h_set.vertices(min(64, config.vertex_cap))
-    except FleetModelError:
-        starts = []
+    # each group of starts is optional: the search runs without it
+    starts = []
+    with contextlib.suppress(FleetModelError):
+        starts += [q - f for f in solve_inverse(strategy, q, network, sizes=sizes, config=config).solutions]
+    with contextlib.suppress(FleetModelError):
+        starts += h_set.vertices(min(64, config.vertex_cap))
     starts += [h_set.random_point(rng) for _ in range(config.discrete_starts)]
 
     best_h, best_val = None, math.inf

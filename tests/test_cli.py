@@ -732,6 +732,26 @@ class TestCLI:
         assert row["routes_independent"] == "1"
         assert float(row["margin"]) == 1.0
 
+    def test_certify_reports_the_route_fiber_dimension(self, tmp_path):
+        # r2 and r3 share link b but lie in different units, whose sums pin
+        # them: the route fiber is a point, as the inverse reports, though
+        # the link-route incidence has a null direction (the column read 1)
+        from fleet_inverse import solve_inverse
+        from fleet_inverse.scenario import parse_scenario
+
+        doc = load_doc("two_unit")
+        doc["fleet_route_flows"] = [5.0, 5.0, 5.0]
+        doc["hdv_route_flows"] = [15.0, 15.0, 5.0]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "certify.csv"
+        assert run_cli(["certify", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert (row["routes_independent"], row["fiber_dimension"]) == ("0", "0")
+        base = parse_scenario(fixture_path("two_unit"))
+        assert solve_inverse(base.strategy, base.observed_route_flows, base.network).fiber.dimension == 0
+
     @pytest.mark.parametrize("flows", [[0.0, 0.0], [30.0, 30.0]])
     def test_certify_outside_the_feasible_set_exits_infeasible(self, flows, tmp_path, capsys):
         # the fleet size is 50: at (0, 0) no pair swap is feasible, and the

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,6 +99,24 @@ class TestProjection:
             assert abs(result.sum() - 20.0) < 1e-9
             assert np.all(result <= np.array([12.0, 15.0]) + 1e-9)
 
+    @given(
+        v=st.lists(st.floats(-50, 50), min_size=1, max_size=12),
+        caps=st.lists(st.sampled_from([0.0, math.inf]) | st.floats(0.0, 20.0), min_size=12, max_size=12),
+        how=st.sampled_from(["zero", "full", "share"]),
+        share=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_capped_projection_against_bisection(self, v, caps, how, share):
+        v, upper = np.array(v), np.array(caps[: len(v)])
+        room = float(np.sum(upper)) if math.isfinite(np.sum(upper)) else 100.0
+        total = {"zero": 0.0, "full": room, "share": share * room}[how]
+        simplex = forward._project_block_simplex
+        with mock.patch.object(forward, "_project_block_simplex", wraps=simplex) as rounds:
+            got = simple_set(total, n=len(v), upper=upper).project(v)
+        assert rounds.call_count <= len(v)
+        expected = bisection_capped_oracle(v, total, upper)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * (1.0 + total + np.max(np.abs(v))))
+
     @given(v=st.lists(st.floats(-50, 50), min_size=3, max_size=3))
     @settings(max_examples=100, deadline=None)
     def test_idempotent(self, v):
@@ -106,6 +125,21 @@ class TestProjection:
         twice = fset.project(once)
         np.testing.assert_allclose(twice, once, atol=1e-9)
         assert abs(once.sum() - 30.0) < 1e-9 and np.all(once >= -1e-12)
+
+
+def bisection_capped_oracle(v, total, upper):
+    """clip(v - theta, 0, upper) holding total: the mass is continuous and
+    non-increasing in theta, at least total at min(v) - total and 0 at
+    max(v), so theta is bisected until its bracket is 1e-13 wide."""
+    if total >= np.sum(upper):
+        return upper.copy()
+    lo, hi = float(np.min(v)) - total, float(np.max(v))
+    while hi - lo > 1e-13 * (1.0 + abs(lo) + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if np.sum(np.clip(v - mid, 0.0, upper)) >= total else (lo, mid)
+    return np.clip(v - 0.5 * (lo + hi), 0.0, upper)
 
 
 def vertex_oracle(caps, total):
@@ -275,6 +309,26 @@ class TestSolveGeneral:
         convex = solve_convex(SELFISH, h, fig_two_route, fset)
         general = solve_general(SELFISH, h, fig_two_route, fset, seed=1)
         np.testing.assert_allclose(general.f, convex.f, atol=1e-5)
+
+    def test_converged_is_the_flag_of_the_returned_start(self):
+        # at max_pg_iter = 5 one of the 25 starts converges, but the best
+        # point is start 7's, which did not: the trace used to read True
+        h, net = route_ladder()[0]
+        runs = []
+        descend = forward._descend
+
+        def spy(*args):
+            runs.append(descend(*args))
+            return runs[-1]
+
+        with mock.patch.object(forward, "_descend", spy):
+            result = solve_general(
+                DISRUPTIVE, h, net, FeasibleSet.from_network(net),
+                config=DEFAULT_CONFIG.replace(max_pg_iter=5), certify=False,
+            )
+        best = next(i for i, (f, _, _) in enumerate(runs) if f is result.f)
+        assert (len(runs), best, sum(converged for _, _, converged in runs)) == (25, 7, 1)
+        assert not result.trace.converged
 
     def test_no_start_raises_the_vertex_cap(self):
         # above vertex_cap vertices only the random points start; with

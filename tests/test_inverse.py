@@ -227,19 +227,19 @@ def _three_stage_network():
 
 def _min_norm_by_kkt_enumeration(e, rhs, upper):
     """argmin |x| over {e x = rhs, 0 <= x <= upper}: on every lower/free/cap
-    labeling, the KKT system x_free = e_free^T lam, e x = rhs with the other
-    coordinates on their bounds, solved by pseudo-inverse (lam need not be
-    unique); the feasible solution of least norm is the minimizer."""
-    m, n = e.shape
+    labeling the bound coordinates are fixed and the free ones take the
+    least-norm solution of e x = rhs, pinv(e_free) (rhs - e x_bound), which
+    is the face's KKT point x_free = e_free^T lam; the feasible solution of
+    least norm is the minimizer."""
+    n = e.shape[1]
     labels = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
     free = labels == 0
-    bound = np.where(labels > 0, upper, 0.0)
-    kkt = np.zeros((len(labels), n + m, n + m))
-    kkt[:, :n, :n] = np.eye(n)
-    kkt[:, :n, n:] = np.where(free[:, :, None], -e.T[None], 0.0)
-    kkt[:, n:, :n] = e
-    target = np.concatenate([np.where(free, 0.0, bound), np.broadcast_to(rhs, (len(labels), m))], axis=1)
-    x = (np.linalg.pinv(kkt) @ target[:, :, None])[:, :n, 0]
+    x = np.where(labels > 0, upper, 0.0)
+    # one pseudo-inverse per free set
+    patterns, groups = np.unique(free, axis=0, return_inverse=True)
+    for g, pattern in enumerate(patterns):
+        rows = np.flatnonzero(groups.ravel() == g)
+        x[np.ix_(rows, pattern)] = (rhs - x[rows] @ e.T) @ np.linalg.pinv(e[:, pattern]).T
     solved = np.max(np.abs(x @ e.T - rhs), axis=1) <= 1e-9 * (1.0 + np.max(np.abs(rhs)))
     inside = np.all((x >= -1e-9) & (x <= upper + 1e-9), axis=1)
     candidates = x[solved & inside]
@@ -278,9 +278,10 @@ class TestRouteFiber:
             route_fiber(net_overlap, np.array([80.0, 20.0, 10.0, 10.0]))
 
     def test_realisable_flows_on_four_dimensional_fiber(self):
-        # Dykstra's cycles could leave x in place while it was still outside
-        # the box; stopping there refused 9 of these 200 flows (the first at
-        # draw 7, residual 0.705) although f itself lies in the fiber
+        # Dykstra's alternating projections, which the least-distance solve
+        # replaced, could stop while still outside the box and refused 9 of
+        # these 200 flows (the first at draw 7, residual 0.705) although f
+        # itself lies in the fiber
         net = _three_stage_network()
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -294,14 +295,83 @@ class TestRouteFiber:
         net = _three_stage_network()
         e = np.vstack([net.incidence.T, np.ones((1, 8))])
         rng = np.random.default_rng(1)
-        for draw in range(8):
+        for _ in range(20):
             f = rng.dirichlet(np.ones(8)) * 40.0
             upper = f + rng.uniform(0.0, 3.0, 8)
-            if draw not in (0, 1, 7):  # draw 7 is the first the early stop refused
-                continue
             fiber = route_fiber(net, net.route_to_link(f), upper=upper)
             expected = _min_norm_by_kkt_enumeration(e, e @ f, upper)
-            np.testing.assert_allclose(fiber.representative, expected, rtol=0.0, atol=1e-8)
+            np.testing.assert_allclose(fiber.representative, expected, rtol=0.0, atol=1e-11)
+
+    def test_representative_on_zero_slack_boxes(self):
+        # a third of the routes empty and every cap at f: the box touches
+        # the fiber where f lies
+        net = _three_stage_network()
+        e = np.vstack([net.incidence.T, np.ones((1, 8))])
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            f = rng.dirichlet(np.ones(8)) * 40.0
+            f[rng.random(8) < 0.3] = 0.0
+            f *= 40.0 / f.sum()
+            fiber = route_fiber(net, net.route_to_link(f), upper=f)
+            assert fiber.residual <= 1e-9
+            expected = _min_norm_by_kkt_enumeration(e, e @ f, f)
+            np.testing.assert_allclose(fiber.representative, expected, rtol=0.0, atol=1e-11)
+
+    def test_unrealisable_link_flow_on_four_dimensional_fiber(self):
+        # the third stage carries none of the unit's 100 vehicles: no route
+        # flow of f_p + span(basis) is non-negative, so the least-distance
+        # solve finds no point and the residual refuses the link flow
+        answers = []
+        least_distance = inverse._least_distance
+
+        def spy(g, h):
+            answers.append(least_distance(g, h))
+            return answers[-1]
+
+        with mock.patch.object(inverse, "_least_distance", spy):
+            with pytest.raises(NotRealisableError):
+                inverse_link_flows(SELFISH, np.array([100.0, 0.0, 100.0, 0.0, 0.0, 0.0]), _three_stage_network())
+        assert len(answers) == 1 and answers[0] is None
+
+
+def _least_distance_by_nnls(g, h):
+    """scipy's NNLS on Lawson and Hanson's least-distance reduction."""
+    k = g.shape[1]
+    m = np.vstack([g.T, h])
+    e = np.zeros(k + 1)
+    e[k] = 1.0
+    w, _ = nnls(m, e)
+    r = m @ w - e
+    return None if np.linalg.norm(r) <= 1e-10 else -r[:k] / r[k]
+
+
+class TestLeastDistance:
+    @given(
+        k=st.integers(1, 5),
+        n=st.integers(1, 12),
+        feasible=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_nnls(self, k, n, feasible, seed):
+        # feasible: h = g c0 - slack, some slacks zero; otherwise one more
+        # pair of rows asks a . c >= 1 and -a . c >= 0
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(n, k))
+        h = g @ rng.normal(size=k) - np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 2.0, n))
+        if not feasible:
+            a = rng.normal(size=k)
+            g, h = np.vstack([g, a, -a]), np.append(h, [1.0, 0.0])
+        got, expected = inverse._least_distance(g, h), _least_distance_by_nnls(g, h)
+        if not feasible:
+            assert got is None and expected is None
+            return
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-9 * (1.0 + np.linalg.norm(expected)))
+        assert np.all(g @ got >= h - 1e-12 * (1.0 + np.max(np.abs(h))))
+
+    def test_origin_when_it_is_feasible(self):
+        g = np.array([[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(inverse._least_distance(g, np.array([-1.0, 0.0])), [0.0, 0.0])
 
 
 class TestLipschitzBound:
@@ -370,6 +440,28 @@ class TestDiscreteRecover:
         result = discrete_recover(SELFISH, np.array([50.0, 50.0]), net)
         np.testing.assert_allclose(result.q_city, [50.0, 50.0], atol=1e-7)
         assert result.image_distance == pytest.approx(0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("strategy,h", [(SELFISH, [40.5, 40.5]), (MALICIOUS, [31.0, 50.0])])
+    def test_observation_in_image_stops_at_the_inverse_start(self, strategy, h):
+        # q - f for the inverse's solution f is already in the image: one
+        # forward solve measures that start and one gives q_city, so no
+        # Armijo trial runs
+        net = symmetric_quadratic(q_hdv=81.0, q_crv=19.0)
+        q = np.asarray(h) + fleet_assign(strategy, np.asarray(h), net).f
+        assert np.allclose(q, np.round(q))
+        with mock.patch.object(inverse, "fleet_assign", wraps=fleet_assign) as forward_calls:
+            result = discrete_recover(strategy, np.round(q), net)
+        assert forward_calls.call_count == 2 <= len(result.inverse.solutions) + 1
+        assert result.image_distance <= 1e-10
+
+    @pytest.mark.parametrize("q,distance", [([100.0, 0.0], 26.870057685088806), ([95.0, 5.0], 19.79898987322333)])
+    def test_observation_outside_image(self, q, distance):
+        # the inverse's starts come first, and every vertex and random start
+        # still runs after them
+        net = symmetric_quadratic(q_hdv=81.0, q_crv=19.0)
+        result = discrete_recover(SELFISH, np.array(q), net)
+        np.testing.assert_allclose(result.q_city, [81.0, 19.0], atol=1e-9)
+        assert result.image_distance == pytest.approx(distance, rel=1e-9)
 
     def test_rejects_fractional_observation(self):
         net = symmetric_quadratic(q_hdv=81.0, q_crv=19.0)
