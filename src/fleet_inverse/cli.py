@@ -1,11 +1,15 @@
 """Batch command-line interface: scenario in, CSV report out.
 
-    fleet-inverse <subcommand> --scenario <path> --out <path> [--seed N] ...
+    fleet-inverse <subcommand> --scenario <path> --out <path> ...
 
 Subcommands: forward, inverse, classify, certify, simulate, stackelberg,
-lipschitz, fiber.  Reports are CSV (header row, comma delimiter, LF line
-endings, full-precision numbers, certificates as 0/1) plus a short summary
-on standard output.  Runs are deterministic given the scenario and seed.
+lipschitz, fiber.  Each takes only the flags its solvers read: --seed on
+forward, simulate, stackelberg and lipschitz, --days and --mu on simulate
+and stackelberg, --resolution on stackelberg, --samples on lipschitz.
+Reports are CSV (header row from the report's fields, comma delimiter, LF
+line endings, full-precision numbers, certificates as 0/1) plus a short
+summary on standard output.  Runs are deterministic given the scenario and
+seed.
 
 Exit codes: 0 success, 2 parse, 3 infeasible, 4 nonconverged, 5 unsupported.
 Solves run on one thread; grid sweeps (the stackelberg grids, the lipschitz
@@ -51,10 +55,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out_path: str, columns: list[str], rows: list[dict]) -> None:
-    lines = [",".join(columns)]
+def _write_csv(out_path: str, rows: list[dict]) -> None:
+    lines = [",".join(rows[0])]
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+        lines.append(",".join(_fmt(value) for value in row.values()))
     text = "\n".join(lines) + "\n"
     if out_path == "-":
         sys.stdout.write(text)
@@ -70,31 +74,25 @@ def _need(scenario: Scenario, attr: str, what: str):
     return value
 
 
-class NonConverged(ConvergenceError):
-    pass
+def _simulation(scenario: Scenario, args) -> dynamics.SimulationConfig:
+    """The scenario's simulation settings with the --days, --mu and --seed
+    given on the command line in place of its own."""
+    overrides = {name: getattr(args, name, None) for name in ("days", "mu", "seed")}
+    return dataclasses.replace(
+        scenario.simulation, **{name: value for name, value in overrides.items() if value is not None}
+    )
 
 
 # -- subcommand handlers ----------------------------------------------------------
 
 
-def _run_forward(scenario: Scenario, args) -> tuple[list[str], list[dict], list[str]]:
+def _run_forward(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     net = scenario.network
     h = _need(scenario, "hdv_route_flows", "hdv_route_flows")
     result = fleet_assign(scenario.strategy, h, net, seed=args.seed, config=scenario.config)
     if not result.trace.converged:
-        raise NonConverged("forward solver hit its iteration cap")
+        raise ConvergenceError("forward solver hit its iteration cap")
     times = net.route_times(h + result.f)
-    columns = [
-        "route",
-        "hdv_flow",
-        "fleet_flow",
-        "total_flow",
-        "route_time",
-        "objective",
-        "is_local_min",
-        "min_directional_derivative",
-        "n_minimizers",
-    ]
     rows = [
         {
             "route": net.routes[r].id,
@@ -116,40 +114,25 @@ def _run_forward(scenario: Scenario, args) -> tuple[list[str], list[dict], list[
     ]
     if len(result.minimizer_set) > 1:
         summary.append(f"{len(result.minimizer_set)} tied minimizers found")
-    return columns, rows, summary
+    return rows, summary
 
 
-def _run_inverse(scenario: Scenario, args) -> tuple[list[str], list[dict], list[str]]:
+def _run_inverse(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     net = scenario.network
     if scenario.observed_link_flows is not None:
         result = inverse.inverse_link_flows(
-            scenario.strategy, scenario.observed_link_flows, net,
-            config=scenario.config, seed=args.seed,
+            scenario.strategy, scenario.observed_link_flows, net, config=scenario.config
         )
         names = [link.id for link in net.links]
         observed = scenario.observed_link_flows
         id_col = "link"
     else:
         observed = _need(scenario, "observed_route_flows", "observed flows")
-        result = inverse.solve_inverse(
-            scenario.strategy, observed, net, config=scenario.config, seed=args.seed
-        )
+        result = inverse.solve_inverse(scenario.strategy, observed, net, config=scenario.config)
         names = [route.id for route in net.routes]
         id_col = "route"
     if not result.converged:
-        raise NonConverged("inverse solver did not reach its residual target")
-    columns = [
-        id_col,
-        "observed_flow",
-        "fleet_flow_hat",
-        "hdv_flow_hat",
-        "residual",
-        "theorem_applies",
-        "min_rayleigh",
-        "margin",
-        "n_solutions",
-        "fiber_dimension",
-    ]
+        raise ConvergenceError("inverse solver did not reach its residual target")
     fiber_dim = result.fiber.dimension if result.fiber is not None else 0
     rows = [
         {
@@ -175,12 +158,11 @@ def _run_inverse(scenario: Scenario, args) -> tuple[list[str], list[dict], list[
     ]
     if len(result.solutions) > 1:
         summary.append(f"{len(result.solutions)} distinct solutions exhibited")
-    return columns, rows, summary
+    return rows, summary
 
 
-def _run_classify(scenario: Scenario, args) -> tuple[list[str], list[dict], list[str]]:
+def _run_classify(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     result = classify_convexity(scenario.strategy, scenario.network, scenario.config.pd_rtol)
-    columns = ["lambda_hdv", "lambda_crv", "classification"]
     rows = [
         {
             "lambda_hdv": scenario.strategy.lam_hdv,
@@ -188,10 +170,10 @@ def _run_classify(scenario: Scenario, args) -> tuple[list[str], list[dict], list
             "classification": result.label,
         }
     ]
-    return columns, rows, [f"objective classification: {result.label}"]
+    return rows, [f"objective classification: {result.label}"]
 
 
-def _run_certify(scenario: Scenario, args) -> tuple[list[str], list[dict], list[str]]:
+def _run_certify(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     net = scenario.network
     h = _need(scenario, "hdv_route_flows", "hdv_route_flows")
     f = _need(scenario, "fleet_route_flows", "fleet_route_flows")
@@ -202,15 +184,6 @@ def _run_certify(scenario: Scenario, args) -> tuple[list[str], list[dict], list[
     independence = net.routes_linearly_independent(scenario.config.rank_rtol)
     # the route flows sharing f's link flow and unit sums
     fiber = inverse.route_fiber(net, net.route_to_link(np.asarray(f)), config=scenario.config)
-    columns = [
-        "is_local_min",
-        "min_directional_derivative",
-        "pd_passes",
-        "min_rayleigh",
-        "margin",
-        "routes_independent",
-        "fiber_dimension",
-    ]
     rows = [
         {
             "is_local_min": cert.is_local_min,
@@ -229,21 +202,14 @@ def _run_certify(scenario: Scenario, args) -> tuple[list[str], list[dict], list[
         f"(min pair-swap eigenvalue {pd.min_rayleigh:.3g})",
         f"routes linearly independent: {independence.independent}",
     ]
-    return columns, rows, summary
+    return rows, summary
 
 
-def _run_simulate(scenario: Scenario, args) -> tuple[list[str], list[dict], list[str]]:
+def _run_simulate(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     net = scenario.network
     h0 = _need(scenario, "hdv_route_flows", "hdv_route_flows")
-    sim = scenario.simulation
-    sim = dataclasses.replace(
-        sim,
-        days=args.days if args.days is not None else sim.days,
-        mu=args.mu if args.mu is not None else sim.mu,
-        seed=args.seed if args.seed is not None else sim.seed,
-    )
+    sim = _simulation(scenario, args)
     states = dynamics.simulate(sim, h0, net, scenario.config)
-    columns = ["day", "route", "hdv_flow", "fleet_flow", "route_time", "t_hdv", "t_crv"]
     rows = []
     for state in states:
         for r in range(net.n_routes):
@@ -264,32 +230,18 @@ def _run_simulate(scenario: Scenario, args) -> tuple[list[str], list[dict], list
         f"mean HDV travel time {mean_hdv:.6g}; final day HDV flows: "
         + ", ".join(f"{net.routes[r].id}={states[-1].h[r]:.6g}" for r in range(net.n_routes)),
     ]
-    return columns, rows, summary
+    return rows, summary
 
 
-def _run_stackelberg(scenario: Scenario, args) -> tuple[list[str], list[dict], list[str]]:
+def _run_stackelberg(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     net = scenario.network
-    sim = scenario.simulation
-    days = args.days if args.days is not None else sim.days
-    mu = args.mu if args.mu is not None else sim.mu
-    seed = args.seed if args.seed is not None else sim.seed
+    sim = _simulation(scenario, args)
     comparison = stackelberg.compare_routings(
-        net, days=days, mu=mu, seed=seed, config=scenario.config
+        net, days=sim.days, mu=sim.mu, seed=sim.seed, config=scenario.config
     )
     support = stackelberg.verify_corner_support(
         net, resolution=args.resolution, config=scenario.config
     )
-    columns = [
-        "p_best",
-        "stackelberg_objective",
-        "stackelberg_hdv_time",
-        "myopic_mean_hdv_time",
-        "nash_exists",
-        "n_optima",
-        "worst_corner_margin",
-        "days",
-        "burn_in",
-    ]
     rows = [
         {
             "p_best": comparison.stackelberg.p_best,
@@ -312,18 +264,16 @@ def _run_stackelberg(scenario: Scenario, args) -> tuple[list[str], list[dict], l
         f"corner support worst margin {support.worst_margin:.3g} "
         f"over {support.mixtures_checked} mixtures",
     ]
-    return columns, rows, summary
+    return rows, summary
 
 
-def _run_lipschitz(scenario: Scenario, args) -> tuple[list[str], list[dict], list[str]]:
-    seed = args.seed if args.seed is not None else scenario.simulation.seed
+def _run_lipschitz(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     bound = inverse.lipschitz_bound(
         scenario.strategy,
         scenario.network,
         samples=args.samples,
-        seed=seed,
+        seed=_simulation(scenario, args).seed,
     )
-    columns = ["constant", "rho", "margin", "grad_norm", "hess_norm", "bound", "defined", "samples"]
     rows = [
         {
             "constant": bound.constant,
@@ -342,16 +292,15 @@ def _run_lipschitz(scenario: Scenario, args) -> tuple[list[str], list[dict], lis
     ]
     if not bound.defined:
         summary.append("bound undefined: needs positive margin and positive rho")
-    return columns, rows, summary
+    return rows, summary
 
 
-def _run_fiber(scenario: Scenario, args) -> tuple[list[str], list[dict], list[str]]:
+def _run_fiber(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     net = scenario.network
     if scenario.observed_route_flows is not None:
         q = scenario.observed_route_flows
         link_result = inverse.inverse_link_flows(
-            scenario.strategy, net.route_to_link(q), net,
-            config=scenario.config, seed=args.seed,
+            scenario.strategy, net.route_to_link(q), net, config=scenario.config
         )
         phi = link_result.f_hat
         fiber = inverse.route_fiber(net, phi, upper=q, config=scenario.config)
@@ -362,15 +311,6 @@ def _run_fiber(scenario: Scenario, args) -> tuple[list[str], list[dict], list[st
         origin = "fleet link flow taken from observed.link_flows"
     else:
         raise ScenarioError("missing-field", "$.observed", "fiber needs observed flows")
-    columns = [
-        "route",
-        "representative",
-        "fiber_dimension",
-        "residual",
-        "basis_0",
-        "interval_low_0",
-        "interval_high_0",
-    ]
     dim = fiber.dimension
     rows = []
     for r in range(net.n_routes):
@@ -394,7 +334,7 @@ def _run_fiber(scenario: Scenario, args) -> tuple[list[str], list[dict], list[st
     if dim >= 1:
         widths = [hi - lo for lo, hi in fiber.intervals]
         summary.append(f"admissible interval widths: {', '.join(f'{w:.6g}' for w in widths)}")
-    return columns, rows, summary
+    return rows, summary
 
 
 HANDLERS = {
@@ -434,8 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="path to the scenario JSON file")
         p.add_argument("--out", default="-", help="CSV output path ('-' for stdout)")
-        p.add_argument("--seed", type=_ranged(int, _valid_seed, "must lie in [0, 2**63)"), default=None,
-                       help="override the scenario seed")
+        if name in ("forward", "simulate", "stackelberg", "lipschitz"):
+            p.add_argument("--seed", type=_ranged(int, _valid_seed, "must lie in [0, 2**63)"), default=None,
+                           help="override the scenario seed")
         if name in ("simulate", "stackelberg"):
             p.add_argument(
                 "--days", type=_ranged(int, lambda v: v >= 1, "must be at least 1"),
@@ -459,8 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(subcommand: str, scenario: Scenario, out_path: str, args) -> int:
-    columns, rows, summary = HANDLERS[subcommand](scenario, args)
-    _write_csv(out_path, columns, rows)
+    rows, summary = HANDLERS[subcommand](scenario, args)
+    _write_csv(out_path, rows)
     for line in summary:
         print(line)
     return EXIT_OK

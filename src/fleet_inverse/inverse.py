@@ -577,7 +577,6 @@ def _recover(
     - certified (at most one solution): the least-index pivot (_pivot)
       from the partition of the greedy vertex of a0, or that vertex,
       unconverged, when the pivot stops without a solution;
-    - constant operator: its greedy minimizer, then the face solutions;
     - any other: the face solutions alone (_face_solutions), first the one
       of least Euclidean norm in the level's flows among those whose gap
       is within the tolerance (among all, if none is; the first such in
@@ -604,21 +603,14 @@ def _recover(
     unique = certificate.theorem_applies
     greedy = _linear_minimum(a0, feasible)[0]
     diagonal = _diagonal_of(b)
-    # a constant operator (L = 0): every minimizer of a0 . f solves the VI
-    constant = float(np.max(np.abs(b), initial=0.0)) <= 1e-300
-    if constant:
-        points = [greedy]
-    elif unique:
+    if unique:
         solution, _ = _pivot(a0, b, feasible, _active_partition(greedy, feasible), tol_gap, config, diagonal)
         points = [greedy if solution is None else solution]
     else:
-        points = []
-    if not unique:
-        points += _face_solutions(a0, b, feasible, tol_gap, config, diagonal)
-    points = points or [greedy]
+        points = _face_solutions(a0, b, feasible, tol_gap, config, diagonal) or [greedy]
     images = [image(g) for g in points]
     kept = _distinct(images, scale, config.tol_distinct)
-    if not (unique or constant) and len(kept) > 1:
+    if not unique and len(kept) > 1:
         # least norm among the solutions within tol_gap, if any is
         first = min(kept, key=lambda i: (
             _vi_gap(a0, b, points[i], feasible) > tol_gap, float(np.linalg.norm(images[i]))
@@ -698,7 +690,6 @@ def inverse_link_flows(
     network: Network,
     sizes=None,
     config: SolverConfig = DEFAULT_CONFIG,
-    seed: int | None = None,
 ) -> InverseResult:
     """Recover the fleet link flow from an observed total link flow.
 
@@ -708,7 +699,8 @@ def inverse_link_flows(
     link-time jacobian is positive definite on realisable directions, even
     if several route flows realize it.  Otherwise `solutions` holds the
     link images of the face solutions, as in solve_inverse (FleetModelError
-    above config.vertex_cap partitions).  `seed` is not read.
+    above config.vertex_cap partitions).  It draws no random numbers, so
+    it takes no seed.
     """
     a = _observed(a, network.n_links, "link", "observed link flows")
     units = network.units_or_raise()
@@ -1058,7 +1050,7 @@ def discrete_recover(
 
     h_star = best_h if best_h is not None else h_set.project(np.zeros(network.n_routes))
     q_city = h_star + forward(h_star)
-    inverse = solve_inverse(strategy, q_city, network, sizes=sizes, config=config, seed=seed)
+    inverse = solve_inverse(strategy, q_city, network, sizes=sizes, config=config)
 
     lip = lipschitz_bound(strategy, network, samples=100, seed=seed)
     lip_inverse = 1.0 + lip.bound if lip.defined else math.inf

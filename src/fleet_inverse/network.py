@@ -385,10 +385,6 @@ class LinearIndependence:
     independent: bool
     null_basis: np.ndarray  # (R, k) orthonormal basis of {v : incidence^T v = 0}
 
-    @property
-    def fiber_dimension(self) -> int:
-        return self.null_basis.shape[1]
-
 
 @dataclass(frozen=True)
 class PDCertificate:

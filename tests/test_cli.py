@@ -1,9 +1,12 @@
 """Scenario parsing, CSV reports, determinism, error categories."""
 
+import argparse
 import collections
 import hashlib
 import json
+import re
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from fleet_inverse.cli import (
     EXIT_PARSE,
     EXIT_UNSUPPORTED,
     SUBCOMMANDS,
+    _build_parser,
     main,
 )
 from fleet_inverse.config import DEFAULT_CONFIG
@@ -590,6 +594,10 @@ class TestCLI:
             ("simulate", "--resolution", "0.25"),
             ("stackelberg", "--samples", "10"),
             ("lipschitz", "--days", "5"),
+            ("classify", "--seed", "1"),
+            ("certify", "--seed", "1"),
+            ("inverse", "--seed", "1"),
+            ("fiber", "--seed", "1"),
         ],
     )
     def test_flag_only_where_read(self, subcommand, flag, value, capsys):
@@ -598,6 +606,30 @@ class TestCLI:
             run_cli(args + [flag, value])
         assert exc.value.code == EXIT_PARSE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_usage_matches_the_parser(self):
+        # the README's usage block lists, for each subcommand, exactly the
+        # options its parser takes: the "<subcommand>" line those of every
+        # subcommand, a named line the ones only that subcommand adds
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command-line interface", 1)[1].split("```")[1]
+        listed = {}
+        for line in block.splitlines():
+            if line.startswith("fleet-inverse "):
+                name = line.split()[1]
+                assert name not in listed, f"{name} listed twice"
+                listed[name] = set(re.findall(r"--[a-z]+", line))
+        common = listed.pop("<subcommand>")
+        assert set(listed) <= set(SUBCOMMANDS)
+        subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for name in SUBCOMMANDS:
+            taken = {
+                option
+                for action in subparsers.choices[name]._actions
+                for option in action.option_strings
+                if option.startswith("--") and option != "--help"
+            }
+            assert common | listed.get(name, set()) == taken, name
 
     def test_inverse_above_vertex_cap(self, tmp_path, capsys):
         # each unit of two_od has three active partitions that hold its

@@ -910,8 +910,7 @@ class TestFaceExit:
         # every bundled fixture network at its observed (or forward) flow,
         # under seven strategies, at the route and the link level: an
         # uncertified inverse lists its face solutions, the one of least norm
-        # in the level's flows first, and runs no other solver; a constant
-        # operator keeps its greedy minimizer first
+        # in the level's flows first, and runs no other solver
         strategies = (SELFISH, ALTRUISTIC, MALICIOUS, SOCIAL, DISRUPTIVE,
                       FleetStrategy(0.5, 0.2), FleetStrategy(1.0, 0.5))
         uncertified = multi = 0
@@ -933,8 +932,7 @@ class TestFaceExit:
                     assert result.solutions[0] is result.f_hat
                     assert result.converged
                     norms = [float(np.linalg.norm(f)) for f in result.solutions]
-                    if strategy.margin != 0.0:
-                        assert norms[0] == min(norms)
+                    assert norms[0] == min(norms)
         assert (uncertified, multi) == (103, 54)
         # the pivot ran only in the certified solves
         assert len(walk_calls) == 154 - 103
@@ -1137,9 +1135,10 @@ class TestFaceEnumeration:
         with pytest.raises(FleetModelError, match="face enumeration exceeded the cap of 1;"):
             inverse_link_flows(ALTRUISTIC, a, link_net, config=DEFAULT_CONFIG.replace(vertex_cap=1))
 
-    def test_zero_margin_returns_the_greedy_minimum(self):
-        # the operator is constant, so the greedy minimizer of a0 . f is
-        # exact, and it comes first, ahead of the face solutions
+    def test_zero_margin_lists_the_greedy_minimum(self):
+        # the operator is constant, so every minimizer of a0 . f solves the
+        # VI; the face enumeration lists the greedy one, and f_hat is the
+        # least-norm listed solution, as for every other uncertified VI
         rng = np.random.default_rng(5)
         for _ in range(40):
             sizes = [int(k) for k in rng.integers(1, 4, size=int(rng.integers(1, 4)))]
@@ -1153,8 +1152,11 @@ class TestFaceEnumeration:
             )
             a0, _ = inverse._affine_operator(strategy, q, net)
             greedy, _ = inverse._linear_minimum(a0, feasible)
-            assert result.f_hat.tobytes() == greedy.tobytes()
-            assert result.residual == 0.0 and result.converged
+            solutions = np.array(result.solutions)
+            assert float(np.min(np.max(np.abs(solutions - greedy), axis=1))) <= 1e-12
+            norms = np.linalg.norm(solutions, axis=1)
+            assert result.f_hat is result.solutions[0] and norms[0] == np.min(norms)
+            assert result.converged
 
     @given(
         sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 6),
@@ -1265,3 +1267,36 @@ class TestFaceEnumeration:
             with mock.patch.object(inverse, "_multiplier_windows", return_value=None):
                 walked = inverse._face_solutions(a0, b, feasible, tol_gap, DEFAULT_CONFIG, diagonal)
             assert [f.tobytes() for f in pruned] == [f.tobytes() for f in walked]
+
+
+class TestValidated:
+    """_validated's own checks, past the bounds and the complementarity
+    test: a face point off a solved face system can miss its unit's sum or
+    its free routes' common cost, and neither of the other tests sees it."""
+
+    feasible = FeasibleSet(blocks=(np.array([0, 1]),), totals=np.array([1.0]), n_routes=2, upper=np.ones(2))
+    free = np.zeros(2, dtype=int)
+    b = np.eye(2)
+
+    def _passes_the_other_tests(self, a0, candidate):
+        assert not np.any(inverse._bound_violations(candidate, self.feasible))
+        a_val = a0 + self.b @ candidate
+        assert not np.any(inverse._complementarity(a_val, candidate, self.feasible, self.free)[0])
+
+    def test_refuses_a_unit_sum_off_its_total(self):
+        # both routes free at equal cost 0.3, but they carry 0.6 of the
+        # unit's 1.0
+        a0, candidate = np.zeros(2), np.array([0.3, 0.3])
+        self._passes_the_other_tests(a0, candidate)
+        assert inverse._validated(a0, self.b, self.feasible, self.free, candidate) is None
+        held = np.array([0.5, 0.5])
+        assert inverse._validated(a0, self.b, self.feasible, self.free, held).tobytes() == held.tobytes()
+
+    def test_refuses_unequal_free_costs(self):
+        # the unit's sum holds, but its free routes cost 0.7 and 0.3
+        a0, candidate = np.zeros(2), np.array([0.7, 0.3])
+        self._passes_the_other_tests(a0, candidate)
+        assert inverse._validated(a0, self.b, self.feasible, self.free, candidate) is None
+        balanced = np.array([-0.2, 0.2])
+        validated = inverse._validated(balanced, self.b, self.feasible, self.free, candidate)
+        assert validated.tobytes() == candidate.tobytes()

@@ -316,7 +316,7 @@ class TestLinearIndependence:
     def test_single_route(self):
         net = single_od_network([AffineDelay(1.0, 1.0)], q_hdv=1.0, q_crv=1.0)
         result = net.routes_linearly_independent()
-        assert result.independent and result.fiber_dimension == 0
+        assert result.independent and result.null_basis.shape[1] == 0
 
 
 class TestFeasibleDirectionPD:
