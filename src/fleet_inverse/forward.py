@@ -500,6 +500,19 @@ def _newton_direction(
     return d - q @ (v[:, keep] @ ((v[:, keep].T @ (q.T @ (grad + hess @ d))) / w[keep]))
 
 
+def _backtrack(a: float, f_val: float, slope: float, x_val: float, factor: float) -> float:
+    """The next Armijo trial step after step a was rejected: the minimizer
+    a* of the quadratic in the step with value f_val at 0, derivative slope
+    / a there (slope = grad . (x - f), x the rejected trial point) and value
+    x_val at a, safeguarded into [0.1 a, factor a]; factor a when that
+    quadratic has no positive curvature (Nocedal and Wright 2006, section
+    3.5)."""
+    curvature = x_val - f_val - slope
+    if not curvature > 0.0:
+        return factor * a
+    return min(factor * a, max(0.1 * a, -slope * a / (2.0 * curvature)))
+
+
 def _descend(
     strategy: FleetStrategy,
     h: np.ndarray,
@@ -516,7 +529,12 @@ def _descend(
     fails, it takes a projected-gradient step whose first trial is the
     Barzilai-Borwein quotient s.s / s.y of the last two iterates (Birgin,
     Martinez and Raydan 2000), at most the step that moves the steepest
-    centred gradient entry by 1 + the fleet mass.  It stops when
+    centred gradient entry by 1 + the fleet mass.  Each arc first tries a =
+    1; after a rejected trial the next a interpolates (see _backtrack), and
+    an arc fails once a falls to 1e-16 (each rejection multiplies a by at
+    most armijo_factor: within 54 trials at 0.5).  A trial returns the
+    travel times at its point with its objective, and the accepted trial's
+    times give the next iteration's gradient.  It stops when
     max|f - P(f - grad)| <= tol_pg * (1 + max|grad|) and the Newton step is
     at rounding level; that last step is taken, so eps-active coordinates
     end exactly on their bounds.
@@ -528,12 +546,12 @@ def _descend(
         return x if np.all((x >= 0.0) & (x <= upper)) else feasible.project(x)
 
     f = feasible.project(f0)
-    f_val = eval_objective(strategy, h, f, network)
+    f_val, times = eval_objective(strategy, h, f, network, return_times=True)
     previous = None
     converged = False
     iterations = 0
     for iterations in range(1, config.max_pg_iter + 1):
-        grad, route_grad = _gradient_in_f(strategy, h, f, network)
+        grad, route_grad = _gradient_in_f(strategy, h, f, network, times)
         p = feasible.project(f - grad)
         residual = float(np.max(np.abs(f - p)))
         stationary = residual <= config.tol_pg * (1.0 + float(np.max(np.abs(grad))))
@@ -563,15 +581,17 @@ def _descend(
             a = 1.0
             while accepted is None and a > 1e-16:
                 x = point(a)
-                x_val = eval_objective(strategy, h, x, network)
-                if x_val <= f_ref + config.armijo_c1 * float(grad @ (x - f)):
-                    accepted = x, x_val
-                a *= config.armijo_factor
+                x_val, x_times = eval_objective(strategy, h, x, network, return_times=True)
+                slope = float(grad @ (x - f))
+                if x_val <= f_ref + config.armijo_c1 * slope:
+                    accepted = x, x_val, x_times
+                else:
+                    a = _backtrack(a, f_val, slope, x_val, config.armijo_factor)
         if accepted is None or float(np.max(np.abs(accepted[0] - f))) <= 1e-15 * scale:
             converged = stationary
             break
         previous = (f, grad)
-        f, f_val = accepted
+        f, f_val, times = accepted
     return f, iterations, converged
 
 

@@ -22,11 +22,14 @@ Both levels run one driver (_recover).  Each entry point validates its
 observation and assembles its feasible set, its operator and its
 positive-definiteness test (network._pd_certificate, on its own basis and
 matrix); the driver does the rest, with one method for each class of VI.
-A certified VI is solved by one least-index pivot (_pivot) from the
-greedy vertex: each round solves the KKT system of one lower/free/cap face
-and flips the lowest-index route that breaks complementarity there, until
-the face point is the solution.  At L = 0 the operator is constant, and
-its greedy minimizer is exact as it stands.
+A certified VI is solved by one least-index pivot (_pivot): each round
+solves the KKT system of one lower/free/cap face and flips the
+lowest-index route that breaks complementarity there, until the face point
+is the solution.  Where the operator is separable (b diagonal and
+positive), one sorted search over each unit's breakpoints finds its
+multiplier and with it the solution's face (_swept_partition), so the
+pivot's first round confirms it; elsewhere the pivot starts from the
+greedy vertex.
 
 When the certificate fails, the solution set is enumerated: every
 solution solves the KKT system of its face, so that system is solved on
@@ -38,9 +41,9 @@ network each label of a route allows its unit's multiplier only one
 interval (_multiplier_windows), so the walk drops every labeling whose
 intervals do not meet.  A face whose KKT system is singular (L = 0,
 dependent routes) gives its minimum-norm solution.  The listed solution of
-least norm is the estimate (the greedy minimizer when the operator is
-constant).  Above SolverConfig.vertex_cap labelings the enumeration
-raises FleetModelError: the solution set is complete or not given.
+least norm is the estimate.  Above SolverConfig.vertex_cap labelings the
+enumeration raises FleetModelError: the solution set is complete or not
+given.
 
 Residuals are reported as VI gap per vehicle of fleet mass,
 max_x A(f).(f - x) / max(1, fleet mass), in time units.
@@ -393,7 +396,10 @@ def _pivot(
 ) -> tuple[np.ndarray | None, int]:
     """Least-index principal pivoting (Murty 1974; Cottle, Pang and Stone
     1992, section 4.2) on the KKT system of the affine VI, from the
-    lower/free/cap partition `active`.
+    lower/free/cap partition `active`: the greedy vertex's, or on a
+    separable VI the breakpoint sweep's (_swept_partition), where the first
+    round finds no broken route, barring ties that rounding decides, and
+    only confirms the solution.
 
     Each round solves the face of the working partition (_face_point, in
     closed form when `diagonal` is b's diagonal) and flips the lowest-index
@@ -442,6 +448,42 @@ def _pivot(
     if found is not None and _vi_gap(a0, b, found, feasible) <= tol_gap:
         return found, rounds
     return None, rounds
+
+
+def _swept_partition(a0: np.ndarray, diagonal: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
+    """The partition (see _active_partition) of the solution of the VI a0 +
+    b f when b is diagonal, `diagonal`, and positive on every route whose
+    cap is positive, by one breakpoint search per unit (Pardalos and Kovoor
+    1990), O(R log R).
+
+    At its unit's multiplier mu, route r carries x_r(mu) = clip((mu - a0_r)
+    / b_rr, 0, u_r), so the unit's mass is piecewise linear and
+    nondecreasing in mu, with the breakpoints a0_r and a0_r + b_rr u_r of
+    _multiplier_windows.  Sorted, they give the mass at each breakpoint
+    from the running sum of the slopes; mu solves the linear piece that
+    reaches the unit's fleet.  Routes with cap 0 stay at 0.  The labels are
+    those of x(mu); rounding may mislabel a route that ties inside the
+    tolerances, which the pivot (_pivot) then repairs."""
+    caps = np.full(feasible.n_routes, math.inf) if feasible.upper is None else feasible.upper
+    x = np.zeros(feasible.n_routes)
+    for block, total in zip(feasible.blocks, feasible.totals):
+        routes = block[caps[block] > 0.0]
+        if total <= 0.0 or not len(routes):
+            continue
+        lo, b_r, u = a0[routes], diagonal[routes], caps[routes]
+        hi = lo + b_r * u
+        finite = np.isfinite(hi)
+        points = np.concatenate([lo, hi[finite]])
+        order = np.argsort(points, kind="stable")
+        points = points[order]
+        # the mass's slope right of each breakpoint, and the mass at each
+        rate = np.cumsum(np.concatenate([1.0 / b_r, -1.0 / b_r[finite]])[order])
+        mass = np.concatenate([[0.0], np.cumsum(rate[:-1] * np.diff(points))])
+        # the last breakpoint whose mass is below the fleet
+        j = int(np.searchsorted(mass, total)) - 1
+        mu = points[j] + (total - mass[j]) / rate[j] if rate[j] > 0.0 else points[j]
+        x[routes] = np.clip((mu - lo) / b_r, 0.0, u)
+    return _active_partition(x, feasible)
 
 
 # -- face enumeration ----------------------------------------------------------------
@@ -575,8 +617,10 @@ def _recover(
     variables in `feasible`, with one method for each class of VI:
 
     - certified (at most one solution): the least-index pivot (_pivot)
-      from the partition of the greedy vertex of a0, or that vertex,
-      unconverged, when the pivot stops without a solution;
+      from the partition of the breakpoint sweep (_swept_partition) when
+      b is diagonal and positive on every route with a positive cap, and
+      from the partition of the greedy vertex of a0 otherwise; that
+      vertex, unconverged, when the pivot stops without a solution;
     - any other: the face solutions alone (_face_solutions), first the one
       of least Euclidean norm in the level's flows among those whose gap
       is within the tolerance (among all, if none is; the first such in
@@ -585,7 +629,7 @@ def _recover(
 
     Above config.vertex_cap partitions the enumeration raises
     FleetModelError.  b's diagonal (see _diagonal_of) is taken once, for
-    the pivot's closed form and the enumeration's windows.
+    the sweep, the pivot's closed form and the enumeration's windows.
 
     Each solution is mapped by `image` to the level's flows and listed
     once; f_hat is the first.  The gap tolerance is tol_vi * (1 + t_norm)
@@ -604,7 +648,12 @@ def _recover(
     greedy = _linear_minimum(a0, feasible)[0]
     diagonal = _diagonal_of(b)
     if unique:
-        solution, _ = _pivot(a0, b, feasible, _active_partition(greedy, feasible), tol_gap, config, diagonal)
+        movable = np.ones(feasible.n_routes, dtype=bool) if feasible.upper is None else feasible.upper > 0.0
+        if diagonal is not None and np.all(diagonal[movable] > 0.0):
+            start = _swept_partition(a0, diagonal, feasible)
+        else:
+            start = _active_partition(greedy, feasible)
+        solution, _ = _pivot(a0, b, feasible, start, tol_gap, config, diagonal)
         points = [greedy if solution is None else solution]
     else:
         points = _face_solutions(a0, b, feasible, tol_gap, config, diagonal) or [greedy]

@@ -126,16 +126,18 @@ def _check_pair(
     return h, f
 
 
-def eval_objective(strategy: FleetStrategy, h, f, network: Network):
+def eval_objective(strategy: FleetStrategy, h, f, network: Network, return_times: bool = False):
     """Fleet objective in route form, (lam_hdv*h + lam_crv*f) . t(h + f).
 
     h and f may also be batches (S, R); the result is then one objective
     per row, each bit-identical to the unbatched call (one BLAS dot product
-    per row)."""
+    per row).  With return_times, (objective, t(h + f)): the travel times
+    the gradient at f is built from (see _gradient_in_f)."""
     h, f = _check_pair(h, f, network.n_routes, batch=True)
     t = network.route_times(h + f)
     value = np.vecdot(strategy.lam_hdv * h + strategy.lam_crv * f, t)
-    return float(value) if h.ndim == 1 else value
+    value = float(value) if h.ndim == 1 else value
+    return (value, t) if return_times else value
 
 
 def eval_objective_link_form(strategy: FleetStrategy, h, f, network: Network) -> float:
@@ -155,13 +157,18 @@ def objective_gradient_in_f(strategy: FleetStrategy, h, f, network: Network) -> 
     return _gradient_in_f(strategy, h, f, network)[0]
 
 
-def _gradient_in_f(strategy: FleetStrategy, h, f, network: Network) -> tuple[np.ndarray, np.ndarray]:
+def _gradient_in_f(
+    strategy: FleetStrategy, h, f, network: Network, t: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """objective_gradient_in_f and the route gradient at q = h + f it is
     built from, which _hessian_in_f takes: the (R, R) matrix, or on a
-    separable network its diagonal (R,), the whole gradient there."""
+    separable network its diagonal (R,), the whole gradient there.  t, when
+    given, is t(q) as eval_objective returned it, so it is not evaluated
+    again."""
     h, f = _check_pair(h, f, network.n_routes)
     q = h + f
-    t = network.route_times(q)
+    if t is None:
+        t = network.route_times(q)
     weight = strategy.lam_hdv * h + strategy.lam_crv * f
     if network.separable:
         slopes = network.route_gradient_diagonal(q)

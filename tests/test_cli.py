@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fleet_inverse import forward
 from fleet_inverse.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -867,6 +868,26 @@ class TestReportBytes:
         digests = (hashlib.sha256(out.read_bytes()).hexdigest(),
                    hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
         assert digests == REPORT_SHA256[subcommand, name]
+
+    def test_fixture_descents_accept_their_first_trial(self, tmp_path, monkeypatch, capsys):
+        # the forward descent's line search tries the full step first; no
+        # fixture descent rejects it, so the interpolated backtracking
+        # (forward._backtrack) changes no report byte
+        backtracks, iterations = [], []
+        descend = forward._descend
+
+        def counting(*args):
+            out = descend(*args)
+            iterations.append(out[1])
+            return out
+
+        monkeypatch.setattr(forward, "_descend", counting)
+        monkeypatch.setattr(forward, "_backtrack", lambda *args: backtracks.append(args) or 0.0)
+        for subcommand, name in REPORT_SHA256:
+            run_cli([subcommand, "--scenario", str(fixture_path(name)), "--out", str(tmp_path / "out.csv")])
+        capsys.readouterr()
+        assert backtracks == []
+        assert sum(iterations) >= 800  # 810 descent iterations in all
 
 
 # fixtures that give observed flows and no HDV flows: the inverse side reads

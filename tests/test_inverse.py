@@ -875,10 +875,11 @@ class TestFaceExit:
             result = solve_inverse(SELFISH, h + f, net)
             assert result.certificate.theorem_applies
             assert float(np.max(np.abs(result.f_hat - f))) <= 1e-6 * net.fleet_sizes()[0]
-        # each certified solve is one pivot from the greedy vertex; the gate
-        # leaves room for a few more rounds than the 171 taken now
+        # each certified solve is one pivot from the partition that the
+        # breakpoint sweep finds, and its first round confirms it (171
+        # rounds from the greedy vertex)
         assert len(walk_calls) == 12 and all(f is not None for f, _ in walk_calls)
-        assert sum(rounds for _, rounds in walk_calls) <= 195  # 171 now
+        assert [rounds for _, rounds in walk_calls] == [1] * 12
 
     def test_walk_frees_a_route_the_kkt_tolerance_would_keep_at_zero(self, walk_calls):
         # route 41 carries 0.0031 fleet vehicles, yet the face with it at 0
@@ -894,13 +895,19 @@ class TestFaceExit:
 
     def test_pivot_cap_reports_unconverged(self, walk_calls):
         # a certified solve has no fallback: a pivot cut at one round returns
-        # the greedy vertex, flagged unconverged
-        h, net = route_ladder()[3]
+        # the greedy vertex, flagged unconverged.  A connector link on every
+        # route of an R = 20 ladder draw makes b non-diagonal, so the pivot
+        # starts from the greedy vertex (6 rounds uncut)
+        h, plain = route_ladder()[3]
+        links = [Link("s", AffineDelay(1.0, 0.05))] + list(plain.links)
+        routes = [Route(r.id, ("s",) + r.link_ids) for r in plain.routes]
+        net = Network(links, routes, units=plain.units)
         q = h + fleet_assign(SELFISH, h, net, certify=False).f
         pivoted = solve_inverse(SELFISH, q, net)
         capped = solve_inverse(SELFISH, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=1))
+        assert not net.separable
         assert pivoted.converged and pivoted.certificate.theorem_applies
-        assert walk_calls[1] == (None, 1)
+        assert walk_calls[0][1] > 1 and walk_calls[1] == (None, 1)
         assert not capped.converged and capped.residual > 1e-6
         feasible = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q)
         a0, _ = inverse._affine_operator(SELFISH, q, net)
@@ -1031,7 +1038,45 @@ def _dense_monotone_vi(rng):
     return a0, b, feasible, tol_gap
 
 
+def _separable_vi(rng):
+    """An affine VI a0 + diag(b) f with b > 0 over 1-4 units of 1-6 routes,
+    drawn on coarse grids so that breakpoints a0_r and a0_r + b_rr u_r tie
+    across routes: caps of 0, finite or infinite, and fleets that are
+    sometimes exactly a sum of caps (the multiplier on a breakpoint)."""
+    sizes = rng.integers(1, 7, size=int(rng.integers(1, 5)))
+    n = int(sizes.sum())
+    bounds = np.cumsum(np.concatenate([[0], sizes]))
+    blocks = tuple(np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    a0 = rng.integers(0, 4, size=n).astype(float)
+    diagonal = rng.choice([0.5, 1.0, 2.0], size=n)
+    upper = rng.choice([0.0, 1.0, 2.0, 3.0, math.inf], size=n)
+    totals = []
+    for block in blocks:
+        upper[block[0]] = max(upper[block[0]], 1.0)  # each unit holds some mass
+        finite = upper[block][np.isfinite(upper[block])]
+        if rng.random() < 0.4 and len(finite):
+            totals.append(float(np.sum(finite[rng.random(len(finite)) < 0.5])))
+        else:
+            totals.append(float(rng.uniform(0.0, min(float(np.sum(upper[block])), 10.0))))
+    feasible = FeasibleSet(blocks=blocks, totals=np.array(totals), n_routes=n, upper=upper)
+    tol_gap = 1e-8 * (1.0 + float(np.linalg.norm(a0))) * max(1.0, feasible.total_mass)
+    return a0, np.diag(diagonal), feasible, tol_gap
+
+
 class TestPivot:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_start_matches_the_greedy_start(self, seed):
+        # the breakpoint sweep only picks where the pivot starts: from its
+        # partition the pivot ends on the greedy-started answer
+        a0, b, feasible, tol_gap = _separable_vi(np.random.default_rng(seed))
+        diagonal = inverse._diagonal_of(b)
+        greedy, _ = _pivot_from_greedy(a0, b, feasible, tol_gap)
+        start = inverse._swept_partition(a0, diagonal, feasible)
+        swept, _ = inverse._pivot(a0, b, feasible, start, tol_gap, DEFAULT_CONFIG, diagonal)
+        assert greedy is not None and swept is not None
+        np.testing.assert_allclose(swept, greedy, rtol=0.0, atol=1e-12 * (1.0 + feasible.total_mass))
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     # caps of 1e-9 holding the whole fleet, inside the fleet-wide active band
