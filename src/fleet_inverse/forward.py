@@ -504,9 +504,9 @@ def _backtrack(a: float, f_val: float, slope: float, x_val: float, factor: float
     """The next Armijo trial step after step a was rejected: the minimizer
     a* of the quadratic in the step with value f_val at 0, derivative slope
     / a there (slope = grad . (x - f), x the rejected trial point) and value
-    x_val at a, safeguarded into [0.1 a, factor a]; factor a when that
-    quadratic has no positive curvature (Nocedal and Wright 2006, section
-    3.5)."""
+    x_val at a, safeguarded as min(factor a, max(0.1 a, a*)); factor a
+    when that quadratic has no positive curvature (Nocedal and Wright 2006,
+    section 3.5).  With factor <= 0.1 the result is always factor a."""
     curvature = x_val - f_val - slope
     if not curvature > 0.0:
         return factor * a

@@ -600,9 +600,6 @@ class Network:
         self.incidence = incidence
 
         self.delay_table = DelayTable(self.links, self._link_index)
-        # results that depend only on the network, each computed on its first
-        # call (see _invariant)
-        self._invariants: dict = {}
         self.separable = self.delay_table.link_additive and bool(np.all(incidence.sum(axis=0) <= 1.0))
 
         self.units: tuple[ODUnit, ...] | None = None
@@ -732,49 +729,34 @@ class Network:
 
     # -- structure certificates ------------------------------------------------
 
-    def _invariant(self, key, build):
-        """build() on the first call with key, the same object on every later
-        one: the network is immutable, so its structure is computed once."""
-        if key not in self._invariants:
-            self._invariants[key] = build()
-        return self._invariants[key]
-
     def routes_linearly_independent(self, rank_rtol: float = 1e-9) -> LinearIndependence:
         """Rank test of the incidence matrix via singular values.
 
         When dependent, returns an orthonormal basis of route-space vectors
-        whose induced link flows vanish (read-only).  Computed once per
-        rank_rtol and then returned as the same object.
+        whose induced link flows vanish.
         """
-        def build() -> LinearIndependence:
-            u, s, _ = np.linalg.svd(self.incidence, full_matrices=True)
-            threshold = rank_rtol * (s[0] if s.size else 0.0)
-            rank = int(np.sum(s > threshold))
-            basis = u[:, rank:].copy()
-            basis.setflags(write=False)
-            return LinearIndependence(independent=rank == self.n_routes, null_basis=basis)
-
-        return self._invariant(("independence", rank_rtol), build)
+        u, s, _ = np.linalg.svd(self.incidence, full_matrices=True)
+        threshold = rank_rtol * (s[0] if s.size else 0.0)
+        rank = int(np.sum(s > threshold))
+        basis = u[:, rank:].copy()
+        basis.setflags(write=False)
+        return LinearIndependence(independent=rank == self.n_routes, null_basis=basis)
 
     def feasible_direction_basis(self) -> np.ndarray:
-        """Orthonormal basis of directions with zero sum inside every unit
-        block; computed once, then returned as the same read-only array."""
-        def build() -> np.ndarray:
-            columns = []
-            for block in self.unit_blocks():
-                k = len(block)
-                if k < 2:
-                    continue
-                _, _, vt = np.linalg.svd(np.ones((1, k)))
-                for row in vt[1:]:
-                    col = np.zeros(self.n_routes)
-                    col[block] = row
-                    columns.append(col)
-            basis = np.column_stack(columns) if columns else np.zeros((self.n_routes, 0))
-            basis.setflags(write=False)
-            return basis
-
-        return self._invariant("basis", build)
+        """Orthonormal basis of directions with zero sum inside every unit block."""
+        columns = []
+        for block in self.unit_blocks():
+            k = len(block)
+            if k < 2:
+                continue
+            _, _, vt = np.linalg.svd(np.ones((1, k)))
+            for row in vt[1:]:
+                col = np.zeros(self.n_routes)
+                col[block] = row
+                columns.append(col)
+        if not columns:
+            return np.zeros((self.n_routes, 0))
+        return np.column_stack(columns)
 
     def restricted_min_eigenvalue(self, q):
         """Smallest eigenvalue of sym(route gradient) on feasible directions

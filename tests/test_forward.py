@@ -446,11 +446,13 @@ class TestWorkCounters:
     def test_backtrack_interpolates_within_its_safeguards(self):
         # the quadratic through f(0) = 0, slope -1 and f(1) = 1 has its
         # minimum at 1/4; a flat or concave quadratic halves the step, and
-        # a* is kept inside [0.1 a, factor a]
+        # the step is min(factor a, max(0.1 a, a*)), so a factor below 0.1
+        # always wins
         assert forward._backtrack(1.0, 0.0, -1.0, 1.0, 0.5) == 0.25
         assert forward._backtrack(1.0, 0.0, -1.0, -1.0, 0.5) == 0.5
         assert forward._backtrack(2.0, 0.0, -1.0, 1e9, 0.5) == pytest.approx(0.2)
         assert forward._backtrack(1.0, 0.0, -1.0, -0.5, 0.5) == 0.5
+        assert forward._backtrack(1.0, 0.0, -1.0, 1.0, 0.05) == 0.05
 
     def test_disruptive_multistart_at_twenty_routes(self):
         h, net = route_ladder()[3]

@@ -318,26 +318,6 @@ class TestLinearIndependence:
         result = net.routes_linearly_independent()
         assert result.independent and result.null_basis.shape[1] == 0
 
-    def test_structure_is_computed_once_and_read_only(self, net_overlap):
-        # the rank test and the feasible-direction basis depend only on the
-        # immutable network: the first call computes them, later calls
-        # return the same object, and it cannot be written into
-        basis = net_overlap.feasible_direction_basis()
-        dep = net_overlap.routes_linearly_independent(1e-9)
-        assert net_overlap.feasible_direction_basis() is basis
-        assert net_overlap.routes_linearly_independent(1e-9) is dep
-        assert net_overlap.routes_linearly_independent(1e-3) is not dep
-        for array in (basis, dep.null_basis):
-            with pytest.raises(ValueError):
-                array[0, 0] = 1.0
-
-    def test_construction_computes_no_structure(self, monkeypatch):
-        # the network's structure is computed on first use, not when it is
-        # built
-        monkeypatch.setattr(np.linalg, "svd", None)
-        net = single_od_network([AffineDelay(1.0, 1.0)] * 3, q_hdv=1.0, q_crv=1.0)
-        assert net._invariants == {}
-
 
 class TestFeasibleDirectionPD:
     def test_cross_dependent_fails(self):
