@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig, _valid_seed
-from .forward import fleet_assign
+from .forward import _assigner, _hdv_flows
 from .network import Network
 from .objective import FleetStrategy
 
@@ -94,21 +94,17 @@ def simulate(
 ) -> list[DayState]:
     """Run the day-to-day loop and record one state per day.
 
-    Deterministic given the seed: the fleet side uses the canonical
-    representative when its minimizer is a tie set.
+    Each day the fleet solves as fleet_assign(strategy, h, network,
+    seed=config.seed + day, certify=False) does, with the solver chosen
+    once for the run.  Deterministic given the seed: the fleet side uses
+    the canonical representative when its minimizer is a tie set.
     """
-    h = np.asarray(initial_h, dtype=float)  # fleet_assign checks it on day 0
+    h = _hdv_flows(initial_h)  # each later day's flows are a mix of valid ones
+    # one convexity class and one feasible set serve every day
+    assign = _assigner(config.strategy, network, solver_config)
     states: list[DayState] = []
     for day in range(config.days):
-        result = fleet_assign(
-            config.strategy,
-            h,
-            network,
-            seed=config.seed + day,
-            config=solver_config,
-            certify=False,
-        )
-        f = result.f
+        f = assign(h, config.seed + day, False).f
         times = network.route_times(h + f)
         states.append(
             DayState(

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +33,10 @@ from .network import Network
 from .objective import (
     ConvexityKind,
     FleetStrategy,
+    _evaluate,
     _gradient_in_f,
     _hessian_in_f,
+    _Point,
     classify_convexity,
     eval_objective,
 )
@@ -76,11 +78,11 @@ def _project_block_simplex(v: np.ndarray, total: float) -> np.ndarray:
     if total <= 0:
         return np.zeros_like(v)
     u = np.sort(v)[::-1]
-    css = np.cumsum(u)
+    css = u.cumsum()
     js = np.arange(1, len(v) + 1)
     candidates = u - (css - total) / js
     candidates[0] = total  # its exact value, which rounding can zero
-    rho = int(np.nonzero(candidates > 0)[0][-1])
+    rho = int((candidates > 0).nonzero()[0][-1])
     theta = (css[rho] - total) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 
@@ -110,12 +112,14 @@ class FeasibleSet:
 
     blocks[s] holds the route indices of unit s; totals[s] the fleet mass
     that must be placed on them.  upper is a full-length cap vector or None.
+    total_mass, the sum of the totals, is taken once, at construction.
     """
 
     blocks: tuple[np.ndarray, ...]
     totals: np.ndarray
     n_routes: int
     upper: np.ndarray | None = None
+    total_mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.shape(self.totals) != (len(self.blocks),):
@@ -126,6 +130,7 @@ class FeasibleSet:
             raise InfeasibleProblemError("fleet sizes must be finite")
         if np.any(self.totals < 0):
             raise InfeasibleProblemError("negative fleet mass")
+        object.__setattr__(self, "total_mass", float(np.sum(self.totals)))
         if self.upper is not None:
             if np.any(np.isnan(self.upper)):
                 raise InfeasibleProblemError("upper bounds must not be NaN")
@@ -158,10 +163,6 @@ class FeasibleSet:
             n_routes=network.n_routes,
             upper=upper,
         )
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.totals))
 
     def project(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -244,21 +245,32 @@ class FeasibleSet:
         unit), and the units combine in itertools.product order.  Raises
         FleetModelError above cap vertices."""
         totals = self.totals.tolist()
-        per_unit = bounded_factors(
-            (self.labelings(s, 1e-12 * (1.0 + total), max_free=1) for s, total in enumerate(totals)),
-            cap, "vertex",
-        )
-        points = []
-        for s, labelings in enumerate(per_unit):
-            caps = self._caps(s)
-            unit_points = []
-            for labels in labelings:
-                x = [c if label > 0 else 0.0 for label, c in zip(labels, caps)]
-                if 0 in labels:
-                    # the capped mass summed in route order, as the walk sums it
-                    x[labels.index(0)] = totals[s] - list(itertools.accumulate(x))[-1]
-                unit_points.append(np.array(x))
-            points.append(_canonical_order(unit_points))
+        tols = [1e-12 * (1.0 + total) for total in totals]
+        if self.upper is None:
+            # every labeling has one free route: total * e_i in route order,
+            # or none and the origin alone when the total is within tol of 0
+            points = bounded_factors(
+                (
+                    [np.zeros(len(block))] if total <= tol else total * np.eye(len(block))
+                    for block, total, tol in zip(self.blocks, totals, tols)
+                ),
+                cap, "vertex",
+            )
+        else:
+            per_unit = bounded_factors(
+                (self.labelings(s, tol, max_free=1) for s, tol in enumerate(tols)), cap, "vertex"
+            )
+            points = []
+            for s, labelings in enumerate(per_unit):
+                caps = self._caps(s)
+                unit_points = []
+                for labels in labelings:
+                    x = [c if label > 0 else 0.0 for label, c in zip(labels, caps)]
+                    if 0 in labels:
+                        # the capped mass summed in route order, as the walk sums it
+                        x[labels.index(0)] = totals[s] - list(itertools.accumulate(x))[-1]
+                    unit_points.append(np.array(x))
+                points.append(_canonical_order(unit_points))
         out = []
         for combo in itertools.product(*points):
             f = np.zeros(self.n_routes)
@@ -379,7 +391,8 @@ def certify_local_min(
         raise DimensionMismatchError(f"fleet flows must be a vector of length {feasible.n_routes}")
     if not feasible.contains(f):
         raise InfeasibleProblemError("fleet flows must be finite and lie in the feasible set")
-    grad, route_grad = _gradient_in_f(strategy, h, f, network)
+    point = _evaluate(strategy, h, f, network)
+    grad, route_grad = _gradient_in_f(strategy, point, network)
     tol_dd = config.tol_dd * (1.0 + float(np.max(np.abs(grad))))
     move_tol = 1e-12 * (1.0 + feasible.total_mass)
     centred = _centred(grad, feasible)
@@ -400,7 +413,7 @@ def certify_local_min(
             faces.append(block[flat.any(axis=0) | flat.any(axis=1)])
     ok = min_dd >= -tol_dd
     if ok and faces:
-        hess = _hessian_in_f(strategy, h, f, network, route_grad)
+        hess = _hessian_in_f(strategy, point, network, route_grad)
         if hess.ndim == 1:
             hess = np.diag(hess)
         q = _zero_sum_basis(faces, feasible.n_routes)
@@ -422,14 +435,14 @@ def _separable_minimum(c: np.ndarray, curvature: np.ndarray, mass: float) -> np.
     # dominates the sums: near a solution these differences are exact, and
     # mu is then a small correction whose rounding 1 / curvature does not
     # magnify
-    excess = c - c[np.argmin(np.abs(curvature))]
-    mu = (mass + np.sum(excess / curvature)) / np.sum(1.0 / curvature)
+    excess = c - c[np.abs(curvature).argmin()]
+    mu = (mass + (excess / curvature).sum()) / (1.0 / curvature).sum()
     return (mu - excess) / curvature
 
 
 def _newton_direction(
     strategy: FleetStrategy,
-    h: np.ndarray,
+    point: _Point,
     network: Network,
     feasible: FeasibleSet,
     f: np.ndarray,
@@ -447,9 +460,10 @@ def _newton_direction(
     On the free face it takes the minimum-norm minimizer of the quadratic
     model, with the reduced Hessian Q^T H Q on an orthonormal basis Q of
     each unit's zero-sum free directions, so it never moves along the flat
-    directions of linearly dependent routes; the Hessian is built from the
-    route gradient route_grad at h + f.  None when the reduced Hessian is not
-    positive semidefinite.
+    directions of linearly dependent routes; the Hessian is built, only
+    when a unit has two or more free routes, from f's evaluated point and
+    the route gradient route_grad there.  None when the reduced Hessian is
+    not positive semidefinite.
 
     A diagonal route_grad (a separable network, see _gradient_in_f) gives
     a diagonal H.  When every free entry of a unit with two or more free
@@ -471,20 +485,20 @@ def _newton_direction(
         free = block[~active[block]]
         if len(free) == 0:
             continue
-        d[free] = -np.sum(d[block]) / len(free)
+        d[free] = -d[block].sum() / len(free)
         if len(free) > 1:
             faces.append(free)
     if not faces:
         return d
-    hess = _hessian_in_f(strategy, h, f, network, route_grad)
+    hess = _hessian_in_f(strategy, point, network, route_grad)
     if hess.ndim == 1:
         # H and b scaled by the power of 2 that brings the largest free
         # curvature into [0.5, 1): exact, and with subnormal strategy
         # weights it keeps pd_rtol * max and 1 / H_F finite
         curvature = hess[np.concatenate(faces)]
-        exponent = -int(np.frexp(np.max(curvature))[1])
+        exponent = -math.frexp(curvature.max())[1]
         curvature = np.ldexp(curvature, exponent)
-        if np.all(curvature > pd_rtol * np.max(curvature)):
+        if (curvature > pd_rtol * curvature.max()).all():
             b = np.ldexp(grad + hess * d, exponent)
             hess = np.ldexp(hess, exponent)
             for free in faces:
@@ -529,69 +543,73 @@ def _descend(
     fails, it takes a projected-gradient step whose first trial is the
     Barzilai-Borwein quotient s.s / s.y of the last two iterates (Birgin,
     Martinez and Raydan 2000), at most the step that moves the steepest
-    centred gradient entry by 1 + the fleet mass.  Each arc first tries a =
-    1; after a rejected trial the next a interpolates (see _backtrack), and
-    an arc fails once a falls to 1e-16 (each rejection multiplies a by at
-    most armijo_factor: within 54 trials at 0.5).  A trial returns the
-    travel times at its point with its objective, and the accepted trial's
-    times give the next iteration's gradient.  It stops when
-    max|f - P(f - grad)| <= tol_pg * (1 + max|grad|) and the Newton step is
-    at rounding level; that last step is taken, so eps-active coordinates
-    end exactly on their bounds.
+    centred gradient entry by 1 + the fleet mass; that step is computed
+    only when this arc is tried.  Each arc first tries a = 1; after a
+    rejected trial the next a interpolates (see _backtrack), and an arc
+    fails once a falls to 1e-16 (each rejection multiplies a by at most
+    armijo_factor: within 54 trials at 0.5).  Each point is evaluated once
+    (eval_objective's point, see objective._evaluate): the accepted
+    trial's link flows, weights and travel times give the next iteration's
+    gradient, and its link flows and weights the Hessian, which is built
+    only when a face needs it.  It stops when max|f - P(f - grad)| <=
+    tol_pg * (1 + max|grad|) and the Newton step is at rounding level; that
+    last step is taken, so eps-active coordinates end exactly on their
+    bounds.
     """
     scale = 1.0 + feasible.total_mass
     upper = math.inf if feasible.upper is None else feasible.upper
+    rounding = 16.0 * np.finfo(float).eps
 
     def arc(x: np.ndarray) -> np.ndarray:
-        return x if np.all((x >= 0.0) & (x <= upper)) else feasible.project(x)
+        return x if ((x >= 0.0) & (x <= upper)).all() else feasible.project(x)
+
+    def search(path) -> tuple[np.ndarray, _Point] | None:
+        # Armijo backtracking along path(a), with slack for the objective's
+        # rounding near a minimum; the accepted trial's point, or None
+        f_ref = here.value + rounding * (1.0 + abs(here.value))
+        a = 1.0
+        while a > 1e-16:
+            x = path(a)
+            trial = eval_objective(strategy, h, x, network, return_point=True)
+            slope = float(grad @ (x - f))
+            if trial.value <= f_ref + config.armijo_c1 * slope:
+                return x, trial
+            a = _backtrack(a, here.value, slope, trial.value, config.armijo_factor)
+        return None
 
     f = feasible.project(f0)
-    f_val, times = eval_objective(strategy, h, f, network, return_times=True)
+    here = eval_objective(strategy, h, f, network, return_point=True)
     previous = None
     converged = False
     iterations = 0
     for iterations in range(1, config.max_pg_iter + 1):
-        grad, route_grad = _gradient_in_f(strategy, h, f, network, times)
+        grad, route_grad = _gradient_in_f(strategy, here, network)
         p = feasible.project(f - grad)
-        residual = float(np.max(np.abs(f - p)))
-        stationary = residual <= config.tol_pg * (1.0 + float(np.max(np.abs(grad))))
+        residual = float(np.abs(f - p).max())
+        stationary = residual <= config.tol_pg * (1.0 + float(np.abs(grad).max()))
         d = _newton_direction(
-            strategy, h, network, feasible, f, grad, route_grad, p,
+            strategy, here, network, feasible, f, grad, route_grad, p,
             min(1e-7 * scale, residual), config.pd_rtol,
         )
-        if d is not None and float(np.max(np.abs(d))) <= 1e-13 * scale:
+        if d is not None and float(np.abs(d).max()) <= 1e-13 * scale:
             # at rounding level: taken whole only at a stationary point
             f, d = (arc(f + d) if stationary else f), None
         if d is None and stationary:
             converged = True
             break
-        step = scale / float(np.max(np.abs(_centred(grad, feasible))))
-        if previous is not None:
-            s, y = f - previous[0], grad - previous[1]
-            if float(s @ y) > 0.0:
-                step = min(step, float(s @ s) / float(s @ y))
-        arcs = [] if d is None else [lambda a: arc(f + a * d)]
-        if not stationary:
-            arcs.append(lambda a: feasible.project(f - a * step * grad))
-        # Armijo backtracking, with slack for the objective's rounding near
-        # a minimum
-        f_ref = f_val + 16.0 * np.finfo(float).eps * (1.0 + abs(f_val))
-        accepted = None
-        for point in arcs:
-            a = 1.0
-            while accepted is None and a > 1e-16:
-                x = point(a)
-                x_val, x_times = eval_objective(strategy, h, x, network, return_times=True)
-                slope = float(grad @ (x - f))
-                if x_val <= f_ref + config.armijo_c1 * slope:
-                    accepted = x, x_val, x_times
-                else:
-                    a = _backtrack(a, f_val, slope, x_val, config.armijo_factor)
-        if accepted is None or float(np.max(np.abs(accepted[0] - f))) <= 1e-15 * scale:
+        accepted = None if d is None else search(lambda a: arc(f + a * d))
+        if accepted is None and not stationary:
+            step = scale / float(np.abs(_centred(grad, feasible)).max())
+            if previous is not None:
+                s, y = f - previous[0], grad - previous[1]
+                if float(s @ y) > 0.0:
+                    step = min(step, float(s @ s) / float(s @ y))
+            accepted = search(lambda a: feasible.project(f - a * step * grad))
+        if accepted is None or float(np.abs(accepted[0] - f).max()) <= 1e-15 * scale:
             converged = stationary
             break
         previous = (f, grad)
-        f, f_val, times = accepted
+        f, here = accepted
     return f, iterations, converged
 
 
@@ -710,6 +728,41 @@ def solve_general(
     )
 
 
+def _assigner(
+    strategy: FleetStrategy,
+    network: Network,
+    config: SolverConfig,
+    feasible: FeasibleSet | None = None,
+) -> Callable[[np.ndarray, int | None, bool], AssignmentResult]:
+    """fleet_assign's dispatch, decided once for a strategy and a network:
+    the solver of its convexity class on the feasible set, as a function of
+    (h, seed, certify) for checked HDV flows h.  The set defaults to the
+    network's."""
+    if feasible is None:
+        feasible = FeasibleSet.from_network(network)
+
+    if feasible.total_mass == 0.0:
+        def empty(h, seed, certify):
+            f = np.zeros(feasible.n_routes)
+            return AssignmentResult(
+                f=f,
+                objective=eval_objective(strategy, h, f, network),
+                certificate=Certificate(True, math.inf),
+                trace=SolverTrace("empty_fleet", 0, 0, True),
+                minimizer_set=(f,),
+            )
+        return empty
+
+    kind = classify_convexity(strategy, network, config.pd_rtol).kind
+    if kind is ConvexityKind.CONVEX_EVERYWHERE:
+        return lambda h, seed, certify: solve_convex(strategy, h, network, feasible, config, certify=certify)
+    if kind is ConvexityKind.CONCAVE_EVERYWHERE:
+        return lambda h, seed, certify: solve_concave(strategy, h, network, feasible, config, certify=certify)
+    return lambda h, seed, certify: solve_general(
+        strategy, h, network, feasible, seed=seed, config=config, certify=certify
+    )
+
+
 def fleet_assign(
     strategy: FleetStrategy,
     h,
@@ -725,22 +778,4 @@ def fleet_assign(
     The total-flow operator is h + fleet_assign(...).f.
     """
     h = _hdv_flows(h)
-    if feasible is None:
-        feasible = FeasibleSet.from_network(network)
-
-    if feasible.total_mass == 0.0:
-        f = np.zeros(feasible.n_routes)
-        return AssignmentResult(
-            f=f,
-            objective=eval_objective(strategy, h, f, network),
-            certificate=Certificate(True, math.inf),
-            trace=SolverTrace("empty_fleet", 0, 0, True),
-            minimizer_set=(f,),
-        )
-
-    kind = classify_convexity(strategy, network, config.pd_rtol).kind
-    if kind is ConvexityKind.CONVEX_EVERYWHERE:
-        return solve_convex(strategy, h, network, feasible, config, certify=certify)
-    if kind is ConvexityKind.CONCAVE_EVERYWHERE:
-        return solve_concave(strategy, h, network, feasible, config, certify=certify)
-    return solve_general(strategy, h, network, feasible, seed=seed, config=config, certify=certify)
+    return _assigner(strategy, network, config, feasible)(h, seed, certify)

@@ -629,7 +629,8 @@ def _recover(
 
     Above config.vertex_cap partitions the enumeration raises
     FleetModelError.  b's diagonal (see _diagonal_of) is taken once, for
-    the sweep, the pivot's closed form and the enumeration's windows.
+    the sweep, the pivot's closed form and the enumeration's windows; the
+    greedy vertex only where one of the methods above uses it.
 
     Each solution is mapped by `image` to the level's flows and listed
     once; f_hat is the first.  The gap tolerance is tol_vi * (1 + t_norm)
@@ -645,18 +646,21 @@ def _recover(
     scale = _residual_scale(feasible)
     tol_gap = config.tol_vi * (1.0 + t_norm) * scale
     unique = certificate.theorem_applies
-    greedy = _linear_minimum(a0, feasible)[0]
+
+    def greedy() -> np.ndarray:
+        return _linear_minimum(a0, feasible)[0]
+
     diagonal = _diagonal_of(b)
     if unique:
         movable = np.ones(feasible.n_routes, dtype=bool) if feasible.upper is None else feasible.upper > 0.0
         if diagonal is not None and np.all(diagonal[movable] > 0.0):
             start = _swept_partition(a0, diagonal, feasible)
         else:
-            start = _active_partition(greedy, feasible)
+            start = _active_partition(greedy(), feasible)
         solution, _ = _pivot(a0, b, feasible, start, tol_gap, config, diagonal)
-        points = [greedy if solution is None else solution]
+        points = [greedy() if solution is None else solution]
     else:
-        points = _face_solutions(a0, b, feasible, tol_gap, config, diagonal) or [greedy]
+        points = _face_solutions(a0, b, feasible, tol_gap, config, diagonal) or [greedy()]
     images = [image(g) for g in points]
     kept = _distinct(images, scale, config.tol_distinct)
     if not unique and len(kept) > 1:

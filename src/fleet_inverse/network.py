@@ -708,16 +708,23 @@ class Network:
     def route_times(self, q) -> np.ndarray:
         """Travel time on every route at total flow q (route travel times are
         sums of the member links' delays)."""
-        q = self._check_route_dim(q, batch=True)
+        return self._link_flows_and_times(self._check_route_dim(q, batch=True))[1]
+
+    def _link_flows_and_times(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(link flows, route times) at route flows q of the right shape:
+        route_times' arithmetic, with the link flows it forms on the way."""
         _require_flows(q, "route")
         a = _rowwise(self.incidence.T, q)
-        return _rowwise(self.incidence, self.delay_table.values(a))
+        return a, _rowwise(self.incidence, self.delay_table.values(a))
 
     def route_gradient(self, q) -> np.ndarray:
         """Gradient matrix of route travel times with respect to route flows:
         the incidence matrix composed with the link-time jacobian."""
-        jac = self.link_time_jacobian(self.route_to_link(q))
-        return self.incidence @ jac @ self.incidence.T
+        return self._route_gradient_at(self.route_to_link(q))
+
+    def _route_gradient_at(self, a: np.ndarray) -> np.ndarray:
+        """route_gradient at the route flows whose link flows are a."""
+        return self.incidence @ self.link_time_jacobian(a) @ self.incidence.T
 
     def route_gradient_diagonal(self, q) -> np.ndarray:
         """The diagonal of route_gradient on a link-additive network: each
@@ -725,16 +732,31 @@ class Network:
         the whole gradient."""
         if not self.link_additive:
             raise UnsupportedDelayError("the route gradient's diagonal needs link-additive delays")
-        return _rowwise(self.incidence, self.delay_table.derivatives(self.route_to_link(q)))
+        return self._route_gradient_diagonal_at(self.route_to_link(q))
+
+    def _route_gradient_diagonal_at(self, a: np.ndarray) -> np.ndarray:
+        """route_gradient_diagonal at the route flows whose link flows are a."""
+        return _rowwise(self.incidence, self.delay_table.derivatives(a))
 
     # -- structure certificates ------------------------------------------------
 
     def routes_linearly_independent(self, rank_rtol: float = 1e-9) -> LinearIndependence:
-        """Rank test of the incidence matrix via singular values.
+        """Rank test of the incidence matrix via singular values: routes are
+        independent when every singular value exceeds rank_rtol times the
+        largest.
 
         When dependent, returns an orthonormal basis of route-space vectors
-        whose induced link flows vanish.
+        whose induced link flows vanish.  On a separable network the routes'
+        links are disjoint and non-empty, so the singular values are the
+        square roots of the route lengths and no SVD runs unless they fail
+        the test.
         """
+        if self.separable:
+            singular = np.sqrt(self.incidence.sum(axis=1))
+            if np.all(singular > rank_rtol * np.max(singular)):
+                basis = np.zeros((self.n_routes, 0))
+                basis.setflags(write=False)
+                return LinearIndependence(independent=True, null_basis=basis)
         u, s, _ = np.linalg.svd(self.incidence, full_matrices=True)
         threshold = rank_rtol * (s[0] if s.size else 0.0)
         rank = int(np.sum(s > threshold))

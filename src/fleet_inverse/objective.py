@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,18 +127,37 @@ def _check_pair(
     return h, f
 
 
-def eval_objective(strategy: FleetStrategy, h, f, network: Network, return_times: bool = False):
+class _Point(NamedTuple):
+    """One point's quantities, each formed once (see _evaluate)."""
+
+    value: float | np.ndarray  # the objective w . t
+    x: np.ndarray  # the link flows N^T (h + f)
+    w: np.ndarray  # the route weights lam_hdv*h + lam_crv*f
+    t: np.ndarray  # the route times t(h + f), summed from tau(x)
+
+
+def _evaluate(strategy: FleetStrategy, h: np.ndarray, f: np.ndarray, network: Network) -> _Point:
+    """The objective at f and the link flows, weights and route times it is
+    built from: the one place they are formed, which the gradient
+    (_gradient_in_f) and the Hessian (_hessian_in_f) at f read.  h and f
+    are checked pairs, one vector or a batch (S, R) of them."""
+    x, t = network._link_flows_and_times(h + f)
+    w = strategy.lam_hdv * h + strategy.lam_crv * f
+    value = np.vecdot(w, t)
+    return _Point(float(value) if h.ndim == 1 else value, x, w, t)
+
+
+def eval_objective(strategy: FleetStrategy, h, f, network: Network, return_point: bool = False):
     """Fleet objective in route form, (lam_hdv*h + lam_crv*f) . t(h + f).
 
     h and f may also be batches (S, R); the result is then one objective
     per row, each bit-identical to the unbatched call (one BLAS dot product
-    per row).  With return_times, (objective, t(h + f)): the travel times
-    the gradient at f is built from (see _gradient_in_f)."""
+    per row).  With return_point, the whole evaluation (see _evaluate),
+    from which the gradient and Hessian at f are built without forming
+    its link flows, weights or travel times again."""
     h, f = _check_pair(h, f, network.n_routes, batch=True)
-    t = network.route_times(h + f)
-    value = np.vecdot(strategy.lam_hdv * h + strategy.lam_crv * f, t)
-    value = float(value) if h.ndim == 1 else value
-    return (value, t) if return_times else value
+    point = _evaluate(strategy, h, f, network)
+    return point if return_point else point.value
 
 
 def eval_objective_link_form(strategy: FleetStrategy, h, f, network: Network) -> float:
@@ -154,27 +174,21 @@ def objective_gradient_in_f(strategy: FleetStrategy, h, f, network: Network) -> 
     """Gradient of F(h, .) at f: lam_crv*t(q) + grad_t(q)^T (lam_hdv*h + lam_crv*f)
     with q = h + f.  Contracting with a direction g gives the directional
     derivative of the objective."""
-    return _gradient_in_f(strategy, h, f, network)[0]
-
-
-def _gradient_in_f(
-    strategy: FleetStrategy, h, f, network: Network, t: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """objective_gradient_in_f and the route gradient at q = h + f it is
-    built from, which _hessian_in_f takes: the (R, R) matrix, or on a
-    separable network its diagonal (R,), the whole gradient there.  t, when
-    given, is t(q) as eval_objective returned it, so it is not evaluated
-    again."""
     h, f = _check_pair(h, f, network.n_routes)
-    q = h + f
-    if t is None:
-        t = network.route_times(q)
-    weight = strategy.lam_hdv * h + strategy.lam_crv * f
+    return _gradient_in_f(strategy, _evaluate(strategy, h, f, network), network)[0]
+
+
+def _gradient_in_f(strategy: FleetStrategy, point: _Point, network: Network) -> tuple[np.ndarray, np.ndarray]:
+    """objective_gradient_in_f at the evaluated point, and the route
+    gradient it is built from, which _hessian_in_f takes: the (R, R)
+    matrix, or on a separable network its diagonal (R,), the whole gradient
+    there.  Both come from the point's link flows, and the gradient from
+    its weights and travel times."""
     if network.separable:
-        slopes = network.route_gradient_diagonal(q)
-        return strategy.lam_crv * t + slopes * weight, slopes
-    grad = network.route_gradient(q)
-    return strategy.lam_crv * t + grad.T @ weight, grad
+        slopes = network._route_gradient_diagonal_at(point.x)
+        return strategy.lam_crv * point.t + slopes * point.w, slopes
+    grad = network._route_gradient_at(point.x)
+    return strategy.lam_crv * point.t + grad.T @ point.w, grad
 
 
 def objective_hessian_in_f(strategy: FleetStrategy, h, f, network: Network) -> np.ndarray:
@@ -186,17 +200,17 @@ def objective_hessian_in_f(strategy: FleetStrategy, h, f, network: Network) -> n
     link flows, N the incidence matrix and n_a its column a.  Cross-affine
     delays are linear, so only scalar delays contribute curvature."""
     h, f = _check_pair(h, f, network.n_routes)
-    return _hessian_in_f(strategy, h, f, network, network.route_gradient(h + f))
+    point = _evaluate(strategy, h, f, network)
+    return _hessian_in_f(strategy, point, network, network._route_gradient_at(point.x))
 
 
-def _hessian_in_f(
-    strategy: FleetStrategy, h: np.ndarray, f: np.ndarray, network: Network, grad: np.ndarray
-) -> np.ndarray:
-    """objective_hessian_in_f from the route gradient G at q = h + f; from
-    a diagonal G (R,) (see _gradient_in_f) the Hessian's diagonal,
-    2 * lam_crv * G + N (w_link * tau''), the whole Hessian there."""
-    weight = network.route_to_link(strategy.lam_hdv * h + strategy.lam_crv * f)
-    curvature = weight * network.link_second_derivatives(network.route_to_link(h + f))
+def _hessian_in_f(strategy: FleetStrategy, point: _Point, network: Network, grad: np.ndarray) -> np.ndarray:
+    """objective_hessian_in_f at the evaluated point from the route
+    gradient G there; from a diagonal G (R,) (see _gradient_in_f) the
+    Hessian's diagonal, 2 * lam_crv * G + N (w_link * tau''), the whole
+    Hessian there."""
+    weight = network.route_to_link(point.w)
+    curvature = weight * network.link_second_derivatives(point.x)
     n = network.incidence
     if grad.ndim == 1:
         return 2.0 * strategy.lam_crv * grad + n @ curvature

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 from fleet_inverse import (
+    BPRDelay,
     DayState,
     FleetStrategy,
+    Network,
     SimulationConfig,
+    fleet_assign,
     hdv_day_update,
     simulate,
+    single_od_network,
 )
+from fleet_inverse.scenario import fixture_path, parse_scenario
 from conftest import asymmetric_two_route, symmetric_quadratic, two_od_overlap
 
 MALICIOUS = FleetStrategy.preset("malicious")
@@ -143,6 +148,46 @@ class TestSimulate:
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.h, sb.h)
             np.testing.assert_array_equal(sa.f, sb.f)
+
+
+def _cross_affine():
+    return parse_scenario(fixture_path("cross_dependent_stable")).network
+
+
+def _bpr4_pair():
+    # power 4 under the disruptive strategy is indefinite: multistart with
+    # random starts drawn from each day's seed
+    return single_od_network([BPRDelay(1.0, 1.0, 10.0, 4.0), BPRDelay(2.0, 1.0, 12.0, 4.0)], q_hdv=30, q_crv=12)
+
+
+class TestSolverChosenOnce:
+    @pytest.mark.parametrize("build,preset,h0,model,days", [
+        (_cross_affine, "selfish", [30.0, 20.0], "smoothed", 100),
+        (_cross_affine, "malicious", [30.0, 20.0], "logit", 100),
+        (_bpr4_pair, "disruptive", [18.0, 12.0], "smoothed", 10),
+    ])
+    def test_days_match_fleet_assign_with_one_classification(self, build, preset, h0, model, days, monkeypatch):
+        # every day solves as fleet_assign(..., seed=seed + day,
+        # certify=False) does, bit for bit, but the convexity class (on the
+        # cross-affine network one feasible-direction basis) is decided once
+        # a run, not once a day
+        net = build()
+        config = SimulationConfig(days=days, mu=0.2, model=model, seed=7, strategy=FleetStrategy.preset(preset))
+        reference, h = [], np.array(h0)
+        for day in range(config.days):
+            f = fleet_assign(config.strategy, h, net, seed=config.seed + day, certify=False).f
+            times = net.route_times(h + f)
+            reference.append((h.copy(), f, times, float(h @ times), float(f @ times)))
+            h = hdv_day_update(config, make_state(net, h, f), net)
+        bases = []
+        basis = Network.feasible_direction_basis
+        monkeypatch.setattr(Network, "feasible_direction_basis", lambda self: bases.append(1) or basis(self))
+        states = simulate(config, np.array(h0), net)
+        assert len(bases) == (1 if build is _cross_affine else 0)
+        for state, (h, f, times, t_hdv, t_crv) in zip(states, reference, strict=True):
+            for got, want in ((state.h, h), (state.f, f), (state.route_times, times)):
+                assert got.tobytes() == want.tobytes()
+            assert (state.t_hdv, state.t_crv) == (t_hdv, t_crv)
 
 
 class TestConfigValidation:

@@ -1,6 +1,7 @@
 """Forward assignment: projection, the three solvers, dispatch, certificates."""
 
 import collections
+import hashlib
 import itertools
 import math
 from unittest import mock
@@ -30,7 +31,7 @@ from fleet_inverse import (
     solve_general,
     solve_inverse,
 )
-from fleet_inverse import forward
+from fleet_inverse import forward, network
 from fleet_inverse.objective import objective_gradient_in_f, objective_hessian_in_f
 from fleet_inverse.scenario import fixture_path, parse_scenario
 from conftest import (
@@ -41,6 +42,11 @@ from conftest import (
     three_affine_routes,
     two_od_overlap,
 )
+
+# sha256 of the route_ladder round trips' bytes (see
+# TestWorkCounters.test_ladder_bytes): a change that claims the same results
+# keeps it, as REPORT_SHA256 in test_cli.py does for the fixture reports
+LADDER_SHA256 = "7ff63864244a36ac8f10cc23499ce9557aa4daf08118b8d9fed628949ad4f628"
 
 SELFISH = FleetStrategy.preset("selfish")
 ALTRUISTIC = FleetStrategy.preset("altruistic")
@@ -200,6 +206,28 @@ class TestVertices:
             f[i], f[j] = 6.0, 4.0
             expected.append(f.tobytes())
         assert [v.tobytes() for v in fset.vertices(DEFAULT_CONFIG.vertex_cap)] == expected
+
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        totals=st.lists(st.sampled_from([0.0, 5e-13, 1e-12, 2e-12]) | st.floats(0.0, 100.0), min_size=3, max_size=3),
+        cap=st.integers(1, 60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_uncapped_units_match_the_labeling_walk(self, sizes, totals, cap):
+        # an uncapped unit's vertices are built directly; infinite caps take
+        # the labeling walk, which names the same points in the same order,
+        # and the product of the units raises the same error above the cap
+        blocks = tuple(np.arange(sum(sizes[:u]), sum(sizes[:u + 1])) for u in range(len(sizes)))
+        n, masses = sum(sizes), np.array(totals[:len(sizes)])
+        direct = FeasibleSet(blocks=blocks, totals=masses, n_routes=n)
+        walk = FeasibleSet(blocks=blocks, totals=masses, n_routes=n, upper=np.full(n, math.inf))
+        outcomes = []
+        for fset in (direct, walk):
+            try:
+                outcomes.append([v.tobytes() for v in fset.vertices(cap)])
+            except FleetModelError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestSolveConvex:
@@ -432,7 +460,7 @@ class TestWorkCounters:
         # ladder forwards make 249 of each (457 objective and 609 travel-time
         # evaluations with blind halving and the times evaluated again)
         calls = collections.Counter()
-        for owner, name in ((forward, "eval_objective"), (Network, "route_times")):
+        for owner, name in ((forward, "eval_objective"), (network.DelayTable, "values")):
             method = getattr(owner, name)
             monkeypatch.setattr(
                 owner, name, lambda *args, name=name, method=method, **kwargs:
@@ -441,7 +469,39 @@ class TestWorkCounters:
         for h, net in route_ladder():
             fleet_assign(SELFISH, h, net, certify=False)
         assert calls["eval_objective"] <= 275
-        assert calls["route_times"] <= 270
+        assert calls["values"] <= 270
+
+    def test_route_ladder_forms_each_point_once(self, monkeypatch):
+        # one evaluation per point: its link flows N^T (h + f), delays and
+        # travel times are formed once, and the gradient (link slopes) and
+        # the Hessian (link curvatures and weights N^T w) at an iterate read
+        # them.  The 12 ladder forwards take 141 iterations and evaluate 249
+        # points, forming link flows 249 times (531 when the gradient and the
+        # Hessian each formed them again) and the delay table's values,
+        # slopes and curvatures 249, 141 and 141 times.
+        calls = collections.Counter()
+        for name in ("values", "derivatives", "second_derivatives"):
+            method = getattr(network.DelayTable, name)
+            monkeypatch.setattr(
+                network.DelayTable, name, lambda self, a, name=name, method=method: calls.update([name]) or method(self, a)
+            )
+        rowwise = network._rowwise
+
+        def counting(matrix, v):
+            # the incidence transposed (a view) maps route vectors to links
+            calls["to_links"] += matrix.base is not None
+            return rowwise(matrix, v)
+
+        monkeypatch.setattr(network, "_rowwise", counting)
+        monkeypatch.setattr(forward, "eval_objective", lambda *args, method=forward.eval_objective, **kwargs:
+                            calls.update(["points"]) or method(*args, **kwargs))
+        iterations = sum(fleet_assign(SELFISH, h, net, certify=False).trace.iterations for h, net in route_ladder())
+        assert iterations <= 150 and calls["points"] <= 275
+        assert calls["values"] == calls["points"]
+        assert calls["derivatives"] == calls["second_derivatives"] == iterations
+        # every Hessian forms its link weights once; every other product is a
+        # point's link flows
+        assert calls["to_links"] - calls["second_derivatives"] == calls["points"]
 
     def test_backtrack_interpolates_within_its_safeguards(self):
         # the quadratic through f(0) = 0, slope -1 and f(1) = 1 has its
@@ -486,15 +546,25 @@ class TestWorkCounters:
         assert calls["route_gradient"] <= 12
 
 
+    def test_ladder_bytes(self):
+        # the 12 selfish round trips (instance seed 2024) keep every byte of
+        # the forward's f and the inverse's f_hat, in ladder order
+        digest = hashlib.sha256()
+        for h, net in route_ladder():
+            f = fleet_assign(SELFISH, h, net, certify=False).f
+            digest.update(f.tobytes() + solve_inverse(SELFISH, h + f, net).f_hat.tobytes())
+        assert digest.hexdigest() == LADDER_SHA256
+
     def test_one_route_gradient_per_descent_iteration(self, monkeypatch):
         # the descent's objective gradient and Hessian share one travel-time
-        # gradient per iteration: the matrix, or on the separable ladder and
-        # two-route networks its diagonal, and there no matrix at all
+        # gradient per iteration, built from the point's link flows: the
+        # matrix, or on the separable ladder and two-route networks its
+        # diagonal, and there no matrix at all
         calls = []
-        for name in ("route_gradient", "route_gradient_diagonal"):
+        for name in ("_route_gradient_at", "_route_gradient_diagonal_at"):
             method = getattr(Network, name)
             monkeypatch.setattr(
-                Network, name, lambda self, q, name=name, method=method: calls.append(name) or method(self, q)
+                Network, name, lambda self, a, name=name, method=method: calls.append(name) or method(self, a)
             )
         descend = forward._descend
         descents = []
@@ -515,7 +585,7 @@ class TestWorkCounters:
         assert [separable for separable, *_ in descents].count(False) >= 1
         for separable, made, iterations in descents:
             assert 1 <= len(made) <= iterations + 1
-            assert set(made) == {"route_gradient_diagonal" if separable else "route_gradient"}
+            assert set(made) == {"_route_gradient_diagonal_at" if separable else "_route_gradient_at"}
 
 
 class TestCertify:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleet_inverse import (
     AffineDelay,
@@ -9,7 +11,11 @@ from fleet_inverse import (
     CrossAffineDelay,
     FleetStrategy,
     ConvexityKind,
+    Link,
+    Network,
+    ODUnit,
     QuadraticDelay,
+    Route,
     UnsupportedDelayError,
     WebsterDelay,
     classify_convexity,
@@ -20,7 +26,7 @@ from fleet_inverse import (
     objective_hessian_in_f,
     single_od_network,
 )
-from fleet_inverse.objective import PRESETS, link_curvature_sign, _curvature_data
+from fleet_inverse.objective import PRESETS, _curvature_data, _gradient_in_f, _hessian_in_f, link_curvature_sign
 from conftest import (
     asymmetric_two_route,
     cross_dependent_two_route,
@@ -133,6 +139,82 @@ def _webster_network():
     return single_od_network(
         [WebsterDelay(0.5, 1.0, 60.0), AffineDelay(5.0, 10.0)], q_hdv=0.5, q_crv=0.3
     )
+
+
+def _evaluation_instance(rng, topology: str):
+    """(network, h, f) with positive flows: separable (each route on links
+    of its own), overlapping (routes on random shared link sets), Webster
+    (overlapping, with signalized links and link flows below saturation)
+    or cross-affine (the two-route cross-dependent network)."""
+    if topology == "cross_affine":
+        net = cross_dependent_two_route(float(rng.uniform(-0.9, 0.9)), float(rng.uniform(-0.9, 0.9)))
+    else:
+        n_routes = int(rng.integers(2, 6))
+        if topology == "separable":
+            sets = [[f"{r}.{i}" for i in range(int(rng.integers(1, 4)))] for r in range(n_routes)]
+        else:
+            n_links = int(rng.integers(2, 6))
+            sets = [[f"{i}" for i in np.flatnonzero(rng.random(n_links) < 0.5)] or ["0"] for _ in range(n_routes)]
+        ids = sorted({link for links in sets for link in links})
+
+        def delay():
+            kind = int(rng.integers(4 if topology == "webster" else 3))
+            if kind == 0:
+                return BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(0.5, 80)), float(rng.choice([1.0, 2.0, 4.0])))
+            if kind == 1:
+                return AffineDelay(float(rng.uniform(1, 8)), float(rng.uniform(0.02, 2.0)))
+            if kind == 2:
+                return QuadraticDelay(float(rng.uniform(1, 8)), float(rng.uniform(1e-3, 1.0)))
+            return WebsterDelay(float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.5, 2.0)), float(rng.uniform(30, 120)))
+
+        routes = [Route(f"r{r}", tuple(links)) for r, links in enumerate(sets)]
+        unit = ODUnit("O", "D", q_hdv=1.0, q_crv=1.0, route_ids=tuple(route.id for route in routes))
+        net = Network([Link(i, delay()) for i in ids], routes, units=[unit])
+    h, f = rng.uniform(0.0, 50.0, net.n_routes), rng.uniform(0.0, 50.0, net.n_routes) * (rng.random(net.n_routes) < 0.7)
+    if topology == "webster":
+        scale = 0.9 / float(np.max(net.route_to_link(h + f)))
+        h, f = h * scale, f * scale
+    return net, h, f
+
+
+class TestSharedEvaluation:
+    @given(
+        topology=st.sampled_from(["separable", "overlapping", "webster", "cross_affine"]),
+        lam_hdv=st.floats(-1.5, 1.5),
+        lam_crv=st.floats(-1.5, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_evaluation_reproduces_every_formula(self, topology, lam_hdv, lam_crv, seed):
+        # the descent's evaluated point (eval_objective's point, then the
+        # gradient and the Hessian built from its link flows, weights and
+        # times) and the public calls all give, bit for bit, the objective,
+        # gradient and Hessian formed from the network's own layer at q =
+        # h + f; the signs of the weights are drawn independently, so mixed
+        # signs included
+        strategy = FleetStrategy(lam_hdv, lam_crv)
+        net, h, f = _evaluation_instance(np.random.default_rng(seed), topology)
+        q, w = h + f, lam_hdv * h + lam_crv * f
+        t = net.route_times(q)
+        value = float(np.vecdot(w, t))
+        curvature = net.route_to_link(w) * net.link_second_derivatives(net.route_to_link(q))
+        n, matrix = net.incidence, net.route_gradient(q)
+        dense = lam_crv * (matrix + matrix.T) + (n * curvature) @ n.T
+        if net.separable:
+            slopes = net.route_gradient_diagonal(q)
+            grad, hess = lam_crv * t + slopes * w, 2.0 * lam_crv * slopes + n @ curvature
+        else:
+            grad, hess = lam_crv * t + matrix.T @ w, dense
+
+        point = eval_objective(strategy, h, f, net, return_point=True)
+        descent_grad, route_grad = _gradient_in_f(strategy, point, net)
+        got = [
+            point.value, point.t, descent_grad, _hessian_in_f(strategy, point, net, route_grad),
+            eval_objective(strategy, h, f, net), objective_gradient_in_f(strategy, h, f, net),
+            objective_hessian_in_f(strategy, h, f, net),
+        ]
+        want = [value, t, grad, hess, value, grad, dense]
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
 
 
 class TestObjectiveHessian:

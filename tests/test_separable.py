@@ -27,7 +27,7 @@ from fleet_inverse import (
 )
 from fleet_inverse import forward, inverse
 from fleet_inverse.config import DEFAULT_CONFIG
-from fleet_inverse.objective import _gradient_in_f, _hessian_in_f
+from fleet_inverse.objective import _evaluate, _gradient_in_f, _hessian_in_f
 from fleet_inverse.scenario import fixture_path, parse_scenario
 from conftest import route_ladder
 
@@ -117,6 +117,30 @@ class TestSeparableFlag:
         assert all(net.separable for _, net in route_ladder())
 
 
+class TestIndependence:
+    @pytest.mark.parametrize("rank_rtol", [1e-9, 0.5, 0.6, 1.0])
+    def test_separable_flag_and_basis_match_the_svd(self, rank_rtol):
+        # disjoint non-empty routes: the singular values are the square roots
+        # of the route lengths, so the flag needs no SVD; where they fail
+        # the test the SVD still gives the null basis
+        networks = [parse_scenario(fixture_path(name)).network for name in SEPARABLE_FIXTURES]
+        networks += [net for _, net in route_ladder()]
+        rng = np.random.default_rng(3)
+        networks += [_separable_instance(rng, [3, 2], False, False)[0] for _ in range(5)]
+        for net in networks:
+            assert net.separable
+            s = np.linalg.svd(net.incidence, compute_uv=False)
+            rank = int(np.sum(s > rank_rtol * s[0]))
+            result = net.routes_linearly_independent(rank_rtol)
+            assert result.independent == (rank == net.n_routes)
+            assert result.null_basis.shape == (net.n_routes, net.n_routes - rank)
+
+    def test_separable_independence_runs_no_svd(self):
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            assert all(net.routes_linearly_independent().independent for _, net in route_ladder())
+        assert svd.call_count == 0
+
+
 class TestRouteGradient:
     @pytest.mark.parametrize("name", SEPARABLE_FIXTURES + LINK_ADDITIVE_DENSE)
     def test_diagonal_matches_the_gradient_matrix(self, name):
@@ -154,18 +178,19 @@ class TestClosedForms:
             strategy = FleetStrategy(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 1.5)))
         else:
             strategy = FleetStrategy(float(rng.uniform(-1.5, 0.0)), float(rng.uniform(-1.0, 1.0)))
-        grad, slopes = _gradient_in_f(strategy, h, f, net)
+        point = _evaluate(strategy, h, f, net)
+        grad, slopes = _gradient_in_f(strategy, point, net)
         assert slopes.shape == (net.n_routes,)
         p = feasible.project(f - grad)
         eps = 1e-7 * (1.0 + feasible.total_mass)
-        args = (strategy, h, net, feasible, f, grad)
+        args = (strategy, point, net, feasible, f, grad)
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             closed = forward._newton_direction(*args, slopes, p, eps, DEFAULT_CONFIG.pd_rtol)
         dense = forward._newton_direction(*args, np.diag(slopes), p, eps, DEFAULT_CONFIG.pd_rtol)
         # a positive definite face takes the closed form; on a face left to
         # the eigendecomposition the two Hessians differ in rounding only
         # (2 lam G against lam (G + G^T))
-        hess = _hessian_in_f(strategy, h, f, net, slopes)
+        hess = _hessian_in_f(strategy, point, net, slopes)
         if convex and np.all(hess > DEFAULT_CONFIG.pd_rtol * np.max(hess)):
             assert eigh.call_count == 0
         if closed is None or dense is None:
