@@ -3,8 +3,8 @@ feasible polytope, with the solver picked by convexity class.
 
 The feasible set is a product of per-unit simplices (fleet mass of each OD
 unit distributed over its routes), optionally intersected with upper
-bounds.  The class is decided from the network's structure
-(`classify_convexity`), which covers power-family, Webster and
+bounds.  The class is decided from the network's structure (the kind
+of `classify_convexity`), which covers power-family, Webster and
 affine/cross-affine networks.  Convex objectives are solved by one
 projected Newton descent: Newton steps on the analytic Hessian over the
 free face of each unit, with Barzilai-Borwein projected-gradient steps
@@ -36,8 +36,8 @@ from .objective import (
     _evaluate,
     _gradient_in_f,
     _hessian_in_f,
+    _convexity_kind,
     _Point,
-    classify_convexity,
     eval_objective,
 )
 from .parallel import ordered_map
@@ -753,7 +753,7 @@ def _assigner(
             )
         return empty
 
-    kind = classify_convexity(strategy, network, config.pd_rtol).kind
+    kind = _convexity_kind(strategy, network, config.pd_rtol)
     if kind is ConvexityKind.CONVEX_EVERYWHERE:
         return lambda h, seed, certify: solve_convex(strategy, h, network, feasible, config, certify=certify)
     if kind is ConvexityKind.CONCAVE_EVERYWHERE:

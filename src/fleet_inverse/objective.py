@@ -259,11 +259,11 @@ def _sign_definite_kind(strategy: FleetStrategy) -> ConvexityKind | None:
     return None
 
 
-def _mixed_sign_power_kind(strategy: FleetStrategy, per_link: tuple[LinkCurvature, ...]) -> ConvexityKind:
+def _mixed_sign_power_kind(strategy: FleetStrategy, gammas: list[float]) -> ConvexityKind:
     lh, lc = strategy.lam_hdv, strategy.lam_crv
-    if lh < 0 < lc and all(lc > (1.0 - row.gamma) / 2.0 * lh for row in per_link):
+    if lh < 0 < lc and all(lc > (1.0 - gamma) / 2.0 * lh for gamma in gammas):
         return ConvexityKind.CONVEX_EVERYWHERE
-    if lc < 0 < lh and all(lc < (1.0 - row.gamma) / 2.0 * lh for row in per_link):
+    if lc < 0 < lh and all(lc < (1.0 - gamma) / 2.0 * lh for gamma in gammas):
         return ConvexityKind.CONCAVE_EVERYWHERE
     return ConvexityKind.INDEFINITE
 
@@ -312,18 +312,26 @@ def classify_convexity(
 
     per_link is empty outside the power family.
     """
+    per_link = _curvature_data(strategy, network) if _power_family(network) else ()
+    return ConvexityClass(kind=_convexity_kind(strategy, network, pd_rtol), per_link=per_link)
+
+
+def _power_family(network: Network) -> bool:
+    return network.link_additive and all(
+        link.delay.gamma is not None and link.delay.convex_nondecreasing for link in network.links
+    )
+
+
+def _convexity_kind(strategy: FleetStrategy, network: Network, pd_rtol: float) -> ConvexityKind:
+    """classify_convexity's kind alone, without the per-link rows."""
     delays = [link.delay for link in network.links]
-    per_link: tuple[LinkCurvature, ...] = ()
-    if network.link_additive and all(d.gamma is not None and d.convex_nondecreasing for d in delays):
-        per_link = _curvature_data(strategy, network)
-        kind = _sign_definite_kind(strategy) or _mixed_sign_power_kind(strategy, per_link)
-    elif network.link_additive and all(d.convex_nondecreasing for d in delays):
-        kind = _sign_definite_kind(strategy) or ConvexityKind.INDEFINITE
-    elif all(d.affine_in_flows for d in delays):
-        kind = _quadratic_kind(strategy, network, pd_rtol)
-    else:
-        kind = ConvexityKind.INDEFINITE
-    return ConvexityClass(kind=kind, per_link=per_link)
+    if _power_family(network):
+        return _sign_definite_kind(strategy) or _mixed_sign_power_kind(strategy, [d.gamma for d in delays])
+    if network.link_additive and all(d.convex_nondecreasing for d in delays):
+        return _sign_definite_kind(strategy) or ConvexityKind.INDEFINITE
+    if all(d.affine_in_flows for d in delays):
+        return _quadratic_kind(strategy, network, pd_rtol)
+    return ConvexityKind.INDEFINITE
 
 
 def link_curvature_sign(row: LinkCurvature, eta: float, phi: float) -> int:
