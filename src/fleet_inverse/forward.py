@@ -557,11 +557,12 @@ def _descend(
     bounds.
     """
     scale = 1.0 + feasible.total_mass
-    upper = math.inf if feasible.upper is None else feasible.upper
     rounding = 16.0 * np.finfo(float).eps
 
     def arc(x: np.ndarray) -> np.ndarray:
-        return x if ((x >= 0.0) & (x <= upper)).all() else feasible.project(x)
+        # x.min() is NaN when an entry is, and NaN fails the test
+        inside = x.min() >= 0.0 and (feasible.upper is None or (x <= feasible.upper).all())
+        return x if inside else feasible.project(x)
 
     def search(path) -> tuple[np.ndarray, _Point] | None:
         # Armijo backtracking along path(a), with slack for the objective's

@@ -501,12 +501,17 @@ class DelayTable:
                 slopes[row, link_index[other_id]] = coef
         slopes.setflags(write=False)
         self.cross_slopes = slopes
+        # when every link is of one kernel kind, its kernels answer for the
+        # whole table
+        self.single = self.kinds[0][0] if len(self.kinds) == 1 and not cross else None
 
     @property
     def link_additive(self) -> bool:
         return self.cross_at.size == 0
 
     def values(self, a: np.ndarray) -> np.ndarray:
+        if self.single is not None:
+            return self.single.values(a)
         tau = np.empty(a.shape)
         for kernels, at in self.kinds:
             tau[..., at] = kernels.values(a[..., at])
@@ -520,6 +525,8 @@ class DelayTable:
         """d tau_i / d a_i on every kernel link, the whole jacobian of a
         link-additive network; 0 on cross-affine links, whose slopes are the
         rows of cross_slopes."""
+        if self.single is not None:
+            return self.single.derivatives(a)
         slopes = np.zeros(a.shape)
         for kernels, at in self.kinds:
             slopes[..., at] = kernels.derivatives(a[..., at])
@@ -540,6 +547,8 @@ class DelayTable:
         """d^2 tau_i / d a_i^2 on every link, zero flow included (where a
         kernel's curvature is undefined it raises DelayDomainError); 0 on
         cross-affine links, which are linear in the link flows."""
+        if self.single is not None:
+            return self.single.second_derivatives(a)
         second = np.zeros(a.shape)
         for kernels, at in self.kinds:
             second[..., at] = kernels.second_derivatives(a[..., at])
@@ -772,13 +781,12 @@ class Network:
             if k < 2:
                 continue
             _, _, vt = np.linalg.svd(np.ones((1, k)))
-            for row in vt[1:]:
-                col = np.zeros(self.n_routes)
-                col[block] = row
-                columns.append(col)
+            basis = np.zeros((self.n_routes, k - 1))
+            basis[block] = vt[1:].T
+            columns.append(basis)
         if not columns:
             return np.zeros((self.n_routes, 0))
-        return np.column_stack(columns)
+        return np.hstack(columns)
 
     def restricted_min_eigenvalue(self, q):
         """Smallest eigenvalue of sym(route gradient) on feasible directions
