@@ -317,6 +317,8 @@ def classify_convexity(
 
 
 def _power_family(network: Network) -> bool:
+    """Whether the network is link-additive with convex, nondecreasing
+    power-family delays: the class that has per-link curvature rows."""
     return network.link_additive and all(
         link.delay.gamma is not None and link.delay.convex_nondecreasing for link in network.links
     )
