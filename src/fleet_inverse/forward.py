@@ -170,6 +170,10 @@ class FeasibleSet:
             raise DimensionMismatchError(
                 f"expected vector of length {self.n_routes}, got {v.shape}"
             )
+        if self.upper is None and len(self.blocks) == 1 and len(self.blocks[0]) == self.n_routes:
+            # one uncapped unit over every route: v's own simplex projection,
+            # which does not depend on the order the unit lists its routes in
+            return _project_block_simplex(v, float(self.totals[0]))
         out = np.zeros(self.n_routes)
         for block, total in zip(self.blocks, self.totals):
             if self.upper is None:
@@ -495,7 +499,7 @@ def _newton_direction(
         # H and b scaled by the power of 2 that brings the largest free
         # curvature into [0.5, 1): exact, and with subnormal strategy
         # weights it keeps pd_rtol * max and 1 / H_F finite
-        curvature = hess[np.concatenate(faces)]
+        curvature = hess[faces[0] if len(faces) == 1 else np.concatenate(faces)]
         exponent = -math.frexp(curvature.max())[1]
         curvature = np.ldexp(curvature, exponent)
         if (curvature > pd_rtol * curvature.max()).all():

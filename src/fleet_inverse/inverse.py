@@ -20,8 +20,9 @@ the route solution.
 
 Both levels run one driver (_recover).  Each entry point validates its
 observation and assembles its feasible set, its operator and its
-positive-definiteness test (network._pd_certificate, on its own basis and
-matrix); the driver does the rest, with one method for each class of VI.
+positive-definiteness test (Network.feasible_direction_pd at the route
+level, network._pd_certificate on the link level's basis and jacobian);
+the driver does the rest, with one method for each class of VI.
 A certified VI is solved by one least-index pivot (_pivot): each round
 solves the KKT system of one lower/free/cap face and flips the
 lowest-index route that breaks complementarity there, until the face point
@@ -92,10 +93,19 @@ MARGIN_EPS = 1e-12  # margins at or below this are not certified
 
 @dataclass(frozen=True)
 class UniquenessCertificate:
+    """The uniqueness theorem's verdict: it applies when the margin exceeds
+    MARGIN_EPS and `pd`, the positive-definiteness test, passes.
+    min_rayleigh reads through to pd's, so where the test passed without
+    it (see Network.feasible_direction_pd) it is computed only when read."""
+
     theorem_applies: bool
     reason: str
-    min_rayleigh: float
+    pd: PDCertificate
     margin: float
+
+    @property
+    def min_rayleigh(self) -> float:
+        return self.pd.min_rayleigh
 
 
 @dataclass(frozen=True)
@@ -172,6 +182,21 @@ def _route_operator(
     """(a0, B) of _affine_operator from the route times t and the route
     gradient grad at q."""
     return strategy.lam_crv * t + grad.T @ (strategy.lam_hdv * q), strategy.margin * grad.T
+
+
+def _separable_operator(
+    strategy: FleetStrategy, q: np.ndarray, network: Network
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, a0, B): the route times at q and _route_operator's (a0, B) on a
+    separable network, from the route gradient's diagonal g instead of the
+    gradient matrix: a0 = lam_crv t + g (lam_hdv q), B = margin diag(g).
+    Bit for bit the dense operator wherever each route has one or two
+    links, zeros included: the dense product's sums make a zero product +0,
+    and B's off-diagonal zeros carry the margin's sign."""
+    x, t = network._link_flows_and_times(q)
+    slopes = network._route_gradient_diagonal_at(x)
+    a0 = strategy.lam_crv * t + (slopes * (strategy.lam_hdv * q) + 0.0)
+    return t, a0, strategy.margin * np.diag(slopes)
 
 
 def stationarity_map(strategy: FleetStrategy, q, f, network: Network) -> np.ndarray:
@@ -583,9 +608,7 @@ def _certificate(
         applies, reason = False, reasons[1].format(pd.min_rayleigh)
     else:
         applies, reason = True, reasons[2]
-    return UniquenessCertificate(
-        theorem_applies=applies, reason=reason, min_rayleigh=pd.min_rayleigh, margin=margin
-    )
+    return UniquenessCertificate(theorem_applies=applies, reason=reason, pd=pd, margin=margin)
 
 
 def _observed(x, n: int, vector: str, flows: str) -> np.ndarray:
@@ -694,20 +717,26 @@ def solve_inverse(
     """Recover the fleet route flow from the observed total flow q.
 
     Solves the stationarity VI over {0 <= f <= q, per-unit sums = sizes}.
-    When the uniqueness certificate fails, `solutions` lists every face
-    solution, f_hat (the one of least norm, see _recover) first; above
-    config.vertex_cap partitions it raises FleetModelError.  On linearly
-    dependent routes `fiber` holds the route flows that share f_hat's link
-    flow.  `seed` is not read.
+    The certificate's positive-definiteness test is
+    Network.feasible_direction_pd at q, which on a separable network
+    mostly passes without an eigendecomposition, leaving min_rayleigh to
+    be computed when read; there the operator comes from the route
+    gradient's diagonal (see _separable_operator).  When the uniqueness
+    certificate fails, `solutions` lists every face solution, f_hat (the
+    one of least norm, see _recover) first; above config.vertex_cap
+    partitions it raises FleetModelError.  On linearly dependent routes
+    `fiber` holds the route flows that share f_hat's link flow.  `seed` is
+    not read.
     """
     q = _observed(q, network.n_routes, "route", "observed flows")
     feasible = FeasibleSet.from_network(network, sizes, q)
-    # one route gradient and one t(q) give the certificate, the operator
-    # and the gap scale
-    grad = network.route_gradient(q)
-    t = network.route_times(q)
-    pd = _pd_certificate(network.feasible_direction_basis(), grad, config.pd_rtol)
-    a0, b = _route_operator(strategy, q, t, grad)
+    pd = network.feasible_direction_pd(q, config.pd_rtol)
+    if network.separable:
+        t, a0, b = _separable_operator(strategy, q, network)
+    else:
+        # one route gradient and one t(q) give the operator and the gap scale
+        t = network.route_times(q)
+        a0, b = _route_operator(strategy, q, t, network.route_gradient(q))
 
     def fiber(f_hat: np.ndarray) -> FiberResult | None:
         if network.routes_linearly_independent(config.rank_rtol).independent:

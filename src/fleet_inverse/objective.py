@@ -208,9 +208,10 @@ def _hessian_in_f(strategy: FleetStrategy, point: _Point, network: Network, grad
     """objective_hessian_in_f at the evaluated point from the route
     gradient G there; from a diagonal G (R,) (see _gradient_in_f) the
     Hessian's diagonal, 2 * lam_crv * G + N (w_link * tau''), the whole
-    Hessian there."""
-    weight = network.route_to_link(point.w)
-    curvature = weight * network.link_second_derivatives(point.x)
+    Hessian there.  The point's arrays have their shapes already, so the
+    link weights and curvatures skip the public methods' checks."""
+    weight = network._route_to_link_at(point.w)
+    curvature = weight * network._link_second_derivatives_at(point.x)
     n = network.incidence
     if grad.ndim == 1:
         return 2.0 * strategy.lam_crv * grad + n @ curvature

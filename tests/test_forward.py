@@ -47,6 +47,15 @@ from conftest import (
 # TestWorkCounters.test_ladder_bytes): a change that claims the same results
 # keeps it, as REPORT_SHA256 in test_cli.py does for the fixture reports
 LADDER_SHA256 = "7ff63864244a36ac8f10cc23499ce9557aa4daf08118b8d9fed628949ad4f628"
+# the same at held-out instance seed 77, and the inverses' certificates
+# (theorem_applies and the bits of min_rayleigh) at each instance seed
+LADDER_BYTES = {
+    2024: (LADDER_SHA256, "f637a7bd83de226398329141a1b7978034927a4767650fc027233c54424db688"),
+    77: (
+        "47e019673a1cf6da833da008182ddac0b8e9c7d5723b68ba3452dd724b58e458",
+        "de0dfbd17e1104030027a69c2087037e55ef1179ef61c516e1532031672c4c06",
+    ),
+}
 
 SELFISH = FleetStrategy.preset("selfish")
 ALTRUISTIC = FleetStrategy.preset("altruistic")
@@ -480,19 +489,17 @@ class TestWorkCounters:
         # Hessian each formed them again) and the delay table's values,
         # slopes and curvatures 249, 141 and 141 times.
         calls = collections.Counter()
-        for name in ("values", "derivatives", "second_derivatives"):
-            method = getattr(network.DelayTable, name)
+        for owner, name, key in (
+            (network.DelayTable, "values", "values"),
+            (network.DelayTable, "derivatives", "derivatives"),
+            (network.DelayTable, "second_derivatives", "second_derivatives"),
+            # every route-to-link product, checked or not
+            (Network, "_route_to_link_at", "to_links"),
+        ):
+            method = getattr(owner, name)
             monkeypatch.setattr(
-                network.DelayTable, name, lambda self, a, name=name, method=method: calls.update([name]) or method(self, a)
+                owner, name, lambda self, a, key=key, method=method: calls.update([key]) or method(self, a)
             )
-        rowwise = network._rowwise
-
-        def counting(matrix, v):
-            # the incidence transposed (a view) maps route vectors to links
-            calls["to_links"] += matrix.base is not None
-            return rowwise(matrix, v)
-
-        monkeypatch.setattr(network, "_rowwise", counting)
         monkeypatch.setattr(forward, "eval_objective", lambda *args, method=forward.eval_objective, **kwargs:
                             calls.update(["points"]) or method(*args, **kwargs))
         iterations = sum(fleet_assign(SELFISH, h, net, certify=False).trace.iterations for h, net in route_ladder())
@@ -525,9 +532,10 @@ class TestWorkCounters:
 
     def test_route_ladder_round_trips_build_no_dense_step(self, monkeypatch):
         # the ladder networks are separable, so the forward's Newton steps and
-        # the inverse pivot's face solves take their O(R) closed forms; only
-        # the inverse builds a route gradient matrix, one for its operator
-        # and its certificate together (188 with one per descent iteration)
+        # the inverse pivot's face solves take their O(R) closed forms; the
+        # inverse's operator and certificate take the gradient's diagonal,
+        # so no route gradient matrix is built (12 when each inverse built
+        # one, 188 with one per descent iteration)
         calls = collections.Counter()
 
         def counting(name, function):
@@ -543,17 +551,47 @@ class TestWorkCounters:
             f = fleet_assign(SELFISH, h, net, certify=False).f
             assert solve_inverse(SELFISH, h + f, net).certificate.theorem_applies
         assert calls["eigh"] == 0 and calls["lstsq"] == 0
-        assert calls["route_gradient"] <= 12
+        assert calls["route_gradient"] == 0
 
 
     def test_ladder_bytes(self):
-        # the 12 selfish round trips (instance seed 2024) keep every byte of
-        # the forward's f and the inverse's f_hat, in ladder order
-        digest = hashlib.sha256()
+        # at each instance seed the 12 selfish round trips keep every byte of
+        # the forward's f and the inverse's f_hat, in ladder order, and every
+        # inverse its certificate's verdict and min_rayleigh (computed when
+        # read)
+        for instance_seed, expected in LADDER_BYTES.items():
+            flows, certificates = hashlib.sha256(), hashlib.sha256()
+            for h, net in route_ladder(instance_seed):
+                f = fleet_assign(SELFISH, h, net, certify=False).f
+                inv = solve_inverse(SELFISH, h + f, net)
+                flows.update(f.tobytes() + inv.f_hat.tobytes())
+                certificate = inv.certificate
+                certificates.update(bytes([certificate.theorem_applies]) + np.float64(certificate.min_rayleigh).tobytes())
+            assert (flows.hexdigest(), certificates.hexdigest()) == expected, instance_seed
+
+    def test_ladder_inverses_certify_without_an_eigendecomposition(self, monkeypatch):
+        # the ladder networks are separable and every observed route flows,
+        # so the interlacing bound certifies each inverse: no dense gradient,
+        # basis or eigendecomposition (12 of each when every inverse ran the
+        # dense test).  min_rayleigh is computed when first read, once.
+        calls = collections.Counter()
+        for owner, name in (
+            (np.linalg, "eigvalsh"), (Network, "route_gradient"), (Network, "feasible_direction_basis")
+        ):
+            method = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *args, name=name, method=method: calls.update([name]) or method(*args)
+            )
+        inverses = []
         for h, net in route_ladder():
             f = fleet_assign(SELFISH, h, net, certify=False).f
-            digest.update(f.tobytes() + solve_inverse(SELFISH, h + f, net).f_hat.tobytes())
-        assert digest.hexdigest() == LADDER_SHA256
+            inverses.append(solve_inverse(SELFISH, h + f, net))
+        assert all(inv.certificate.theorem_applies for inv in inverses)
+        assert calls == {}
+        certificate = inverses[-1].certificate
+        first = certificate.min_rayleigh
+        assert calls == {"eigvalsh": 1, "route_gradient": 1, "feasible_direction_basis": 1}
+        assert certificate.min_rayleigh is first and calls["eigvalsh"] == 1
 
     def test_one_route_gradient_per_descent_iteration(self, monkeypatch):
         # the descent's objective gradient and Hessian share one travel-time

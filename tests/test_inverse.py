@@ -26,6 +26,7 @@ from fleet_inverse import (
     Network,
     NotRealisableError,
     ODUnit,
+    PDCertificate,
     QuadraticDelay,
     Route,
     certify_local_min,
@@ -955,7 +956,8 @@ class TestFaceExit:
         assert 1e-8 < inverse._vi_gap(a0, b, near, feasible) <= 1e-6
         assert inverse._vi_gap(a0, b, vertex, feasible) == 0.0
         monkeypatch.setattr(inverse, "_face_solutions", lambda *args: [near, vertex])
-        certificate = inverse.UniquenessCertificate(False, "not certified", -1e-4, -1.0)
+        pd = PDCertificate(passes=False, threshold=0.0, rayleigh=lambda: -1e-4)
+        certificate = inverse.UniquenessCertificate(False, "not certified", pd, -1.0)
         result = inverse._recover("route", np.ones(2), a0, b, feasible, 0.0, certificate, DEFAULT_CONFIG)
         assert result.f_hat is result.solutions[0] and result.f_hat is vertex
         assert result.converged and len(result.solutions) == 2

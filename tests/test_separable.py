@@ -1,13 +1,13 @@
-"""Separable networks: the O(R) closed forms of the forward's Newton step and
-the inverse's face solve against the dense eigendecomposition and
-least-squares paths they replace there."""
+"""Separable networks: the O(R) closed forms of the forward's Newton step,
+the inverse's face solve and the inverse's certificate against the dense
+eigendecomposition and least-squares paths they replace there."""
 
 import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fleet_inverse import (
@@ -23,10 +23,13 @@ from fleet_inverse import (
     Route,
     UnsupportedDelayError,
     WebsterDelay,
+    fleet_assign,
     single_od_network,
+    solve_inverse,
 )
 from fleet_inverse import forward, inverse
 from fleet_inverse.config import DEFAULT_CONFIG
+from fleet_inverse.network import _pd_certificate
 from fleet_inverse.objective import _evaluate, _gradient_in_f, _hessian_in_f
 from fleet_inverse.scenario import fixture_path, parse_scenario
 from conftest import route_ladder
@@ -232,3 +235,195 @@ class TestClosedForms:
             dense = inverse._face_point(a0, b, feasible, active)
             scale = 1.0 + float(np.max(np.abs(dense)))
             np.testing.assert_allclose(closed, dense, rtol=0.0, atol=1e-10 * scale)
+
+
+def _observed_separable(rng, sizes, signalized: bool):
+    """A separable network of len(sizes) OD units, sizes[u] routes in unit
+    u, each route over one or two links of its own, and an observed route
+    flow q that holds every unit's fleet.  About a quarter of the routes
+    carry no flow and a quarter nearly none (10^-3 to 10^-12 of their
+    share), so their slopes straddle the positive-definiteness threshold."""
+    links, routes, units, parts = [], [], [], []
+    for u, k in enumerate(sizes):
+        ids = []
+        for j in range(k):
+            link_ids = tuple(f"l{u}.{j}.{i}" for i in range(int(rng.integers(1, 3))))
+            links += [Link(lid, _random_delay(rng, signalized)) for lid in link_ids]
+            routes.append(Route(f"r{u}.{j}", link_ids))
+            ids.append(f"r{u}.{j}")
+        # with signalized links every link flow stays below 0.9
+        q = rng.dirichlet(np.ones(k)) * (rng.uniform(0.2, 0.9) if signalized else rng.uniform(15, 100))
+        kind = rng.choice([0, 0, 1, 2], size=k)
+        q = np.where(kind == 1, 0.0, np.where(kind == 2, q * 10.0 ** -rng.uniform(3, 12, k), q))
+        q_crv = float(q.sum() * rng.uniform(0.1, 0.9))
+        units.append(ODUnit("O", f"D{u}", q_hdv=float(q.sum()) - q_crv, q_crv=q_crv, route_ids=tuple(ids)))
+        parts.append(q)
+    return Network(links, routes, units=units), np.concatenate(parts)
+
+
+def _dense_inverse(strategy, q, net, config=DEFAULT_CONFIG):
+    """solve_inverse as the dense test and the dense operator give it: the
+    route gradient matrix, the feasible-direction basis and eigvalsh."""
+    feasible = FeasibleSet.from_network(net, None, q)
+    grad, t = net.route_gradient(q), net.route_times(q)
+    pd = _pd_certificate(net.feasible_direction_basis(), grad, config.pd_rtol)
+    a0, b = inverse._route_operator(strategy, q, t, grad)
+    certificate = inverse._certificate(strategy.margin, pd, inverse._ROUTE_REASONS)
+    return inverse._recover("route", q, a0, b, feasible, float(np.linalg.norm(t)), certificate, config)
+
+
+def _outcome(solve, *args):
+    """solve's result, or the type and message of the error it raised."""
+    try:
+        return solve(*args)
+    except Exception as exc:  # both paths must raise alike
+        return type(exc), str(exc)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _assert_same_operator(strategy, q, net):
+    """The separable operator has every byte of the dense one, the signs of
+    its zeros included."""
+    t = net.route_times(q)
+    dense = (t,) + inverse._route_operator(strategy, q, t, net.route_gradient(q))
+    assert [x.tobytes() for x in inverse._separable_operator(strategy, q, net)] == [x.tobytes() for x in dense]
+
+
+def _assert_same_inverse(result, reference):
+    """Every byte of the two inverses: f_hat, the residual, the solutions,
+    the verdict and its reason, and min_rayleigh (read last)."""
+    if isinstance(reference, tuple) or isinstance(result, tuple):
+        assert result == reference
+        return
+    assert result.f_hat.tobytes() == reference.f_hat.tobytes()
+    assert _bits(result.residual) == _bits(reference.residual)
+    assert [x.tobytes() for x in result.solutions] == [x.tobytes() for x in reference.solutions]
+    assert result.converged == reference.converged and result.fiber is None and reference.fiber is None
+    mine, dense = result.certificate, reference.certificate
+    assert (mine.theorem_applies, mine.reason, mine.pd.passes) == (dense.theorem_applies, dense.reason, dense.pd.passes)
+    assert _bits(mine.min_rayleigh) == _bits(dense.min_rayleigh)
+
+
+class TestSeparableCertificate:
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        signalized=st.booleans(),
+        lam_hdv=st.floats(-1.0, 1.0),
+        margin=st.just(0.0) | st.floats(-1.5, -1e-3) | st.floats(1e-3, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_inverse_matches_the_dense_certificate_and_operator(self, sizes, signalized, lam_hdv, margin, seed):
+        # the interlacing bound decides as the dense test does, and the
+        # inverse from the gradient's diagonal keeps every byte of the one
+        # from the gradient matrix (routes of one or two links).  The null
+        # strategy is skipped: with A = 0 every face solves the VI, and
+        # enumerating them, not the operator, takes the time.
+        assume(lam_hdv != 0.0 or margin != 0.0)
+        rng = np.random.default_rng(seed)
+        net, q = _observed_separable(rng, sizes, signalized)
+        assert net.separable
+        pd = net.feasible_direction_pd(q, DEFAULT_CONFIG.pd_rtol)
+        dense = _pd_certificate(net.feasible_direction_basis(), net.route_gradient(q), DEFAULT_CONFIG.pd_rtol)
+        assert pd.passes == dense.passes
+        assert _bits(pd.min_rayleigh) == _bits(dense.min_rayleigh)
+        strategy = FleetStrategy(lam_hdv, lam_hdv + margin)
+        _assert_same_operator(strategy, q, net)
+        _assert_same_inverse(_outcome(solve_inverse, strategy, q, net), _outcome(_dense_inverse, strategy, q, net))
+
+    @given(
+        k=st.integers(3, 6),
+        offset=st.floats(-64.0, 64.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(k=3, offset=0.0, seed=0)
+    @example(k=6, offset=1.0, seed=1)
+    def test_bound_decides_as_the_dense_test_at_its_threshold(self, k, offset, seed):
+        # two affine routes share the least slope s, so s is the restricted
+        # gradient's least eigenvalue; s sits `offset` rounding allowances
+        # (16 R eps max|g|) above the slope at which 2 s meets the threshold
+        # pd_rtol |trace| / R.  The dense test turns near offset 0, within
+        # its rounding, and the bound only above offset 1.
+        rng = np.random.default_rng(seed)
+        others = rng.uniform(0.02, 0.2, k - 2)
+        pd_rtol = DEFAULT_CONFIG.pd_rtol
+        slack = 16.0 * k * np.finfo(float).eps * float(others.max())
+        s = pd_rtol * float(others.sum()) / (2.0 * k - 2.0 * pd_rtol) + offset * slack
+        net = single_od_network([AffineDelay(1.0, s), AffineDelay(1.0, s)] + [AffineDelay(1.0, g) for g in others], 10.0, 5.0)
+        q = rng.uniform(1.0, 5.0, k)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            pd = net.feasible_direction_pd(q, pd_rtol)
+        dense = _pd_certificate(net.feasible_direction_basis(), net.route_gradient(q), pd_rtol)
+        assert pd.passes == dense.passes
+        if offset < 0.99:
+            assert eigvalsh.call_count == 1
+        elif offset > 1.01:
+            assert eigvalsh.call_count == 0 and pd.passes
+        assert _bits(pd.min_rayleigh) == _bits(dense.min_rayleigh)
+
+    @pytest.mark.parametrize("lam_hdv, lam_crv", [(-2.0, -1.0), (-1.0, -2.0), (0.5, -0.5)])
+    def test_operator_keeps_the_dense_zeros(self, lam_hdv, lam_crv):
+        # zero intercepts and an empty route make lam_crv t and g (lam_hdv q)
+        # signed zeros there, and a negative margin signs B's off-diagonal
+        # zeros: the separable operator keeps each one's sign
+        delays = [AffineDelay(0.0, 0.5), QuadraticDelay(0.0, 0.01), BPRDelay(1.0, 1.0, 30.0, 4.0)]
+        net = single_od_network(delays, q_hdv=20.0, q_crv=10.0)
+        for q in (np.array([0.0, 12.0, 18.0]), np.array([6.0, 0.0, 24.0]), np.array([10.0, 20.0, 0.0])):
+            _assert_same_operator(FleetStrategy(lam_hdv, lam_crv), q, net)
+
+    def test_min_rayleigh_reads_its_own_copy_of_q(self):
+        # the bound certifies this draw; min_rayleigh, computed when first
+        # read, is the one at q even though the caller's array has changed
+        h, net = route_ladder()[3]
+        q = h + fleet_assign(FleetStrategy.preset("selfish"), h, net, certify=False).f
+        expected = _pd_certificate(net.feasible_direction_basis(), net.route_gradient(q), DEFAULT_CONFIG.pd_rtol)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            pd = net.feasible_direction_pd(q, DEFAULT_CONFIG.pd_rtol)
+        assert pd.passes and eigvalsh.call_count == 0
+        q[:] = q[::-1]
+        assert _bits(pd.min_rayleigh) == _bits(expected.min_rayleigh)
+
+    def test_seed_2_ladder_draw_is_left_to_the_dense_test(self):
+        # instance seed 2, R = 100, draw 1: a route's slope is below the
+        # bound, so the dense test decides, and it refuses the certificate
+        h, net = route_ladder(2)[10]
+        selfish = FleetStrategy.preset("selfish")
+        q = h + fleet_assign(selfish, h, net, certify=False).f
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            pd = net.feasible_direction_pd(q, DEFAULT_CONFIG.pd_rtol)
+        assert eigvalsh.call_count == 1 and not pd.passes
+        result = solve_inverse(selfish, q, net)
+        assert not result.certificate.theorem_applies
+        _assert_same_inverse(result, _dense_inverse(selfish, q, net))
+
+    def test_three_link_routes_agree_within_rounding(self):
+        # a route's slope sums three link slopes: the diagonal's
+        # matrix-vector product may add them in another order than the
+        # gradient matrix's products, so the operator may differ in its last
+        # bits; f_hat then agrees within 1e-12 * (1 + fleet mass), and the
+        # verdict, its reason and min_rayleigh (dense when read) exactly
+        rng = np.random.default_rng(5)
+        links, routes, units = [], [], []
+        for u, k in enumerate((4, 3)):
+            ids = [f"r{u}.{j}" for j in range(k)]
+            for j, rid in enumerate(ids):
+                link_ids = tuple(f"l{u}.{j}.{i}" for i in range(3))
+                links += [Link(lid, _random_delay(rng, False)) for lid in link_ids]
+                routes.append(Route(rid, link_ids))
+            units.append(ODUnit("O", f"D{u}", q_hdv=20.0 * k, q_crv=10.0 * k, route_ids=tuple(ids)))
+        net = Network(links, routes, units=units)
+        assert net.separable and int(net.incidence.sum(axis=1).min()) == 3
+        for strategy in (FleetStrategy.preset("selfish"), FleetStrategy(0.3, 0.8), FleetStrategy(-0.5, 1.0)):
+            h = np.concatenate([rng.dirichlet(np.ones(k)) * 20.0 * k for k in (4, 3)])
+            q = h + fleet_assign(strategy, h, net, certify=False).f
+            result, reference = solve_inverse(strategy, q, net), _dense_inverse(strategy, q, net)
+            mass = float(np.sum(net.fleet_sizes()))
+            np.testing.assert_allclose(result.f_hat, reference.f_hat, rtol=0.0, atol=1e-12 * (1.0 + mass))
+            assert len(result.solutions) == len(reference.solutions)
+            mine, dense = result.certificate, reference.certificate
+            assert (mine.theorem_applies, mine.reason) == (dense.theorem_applies, dense.reason)
+            assert _bits(mine.min_rayleigh) == _bits(dense.min_rayleigh)
