@@ -23,14 +23,15 @@ observation and assembles its feasible set, its operator and its
 positive-definiteness test (Network.feasible_direction_pd at the route
 level, network._pd_certificate on the link level's basis and jacobian);
 the driver does the rest, with one method for each class of VI.
+B is an (R,) diagonal where it is diagonal (a separable network) and an
+(R, R) matrix otherwise, and every step reads its form from b itself.
 A certified VI is solved by one least-index pivot (_pivot): each round
 solves the KKT system of one lower/free/cap face and flips the
 lowest-index route that breaks complementarity there, until the face point
-is the solution.  Where the operator is separable (b diagonal and
-positive), one sorted search over each unit's breakpoints finds its
-multiplier and with it the solution's face (_swept_partition), so the
-pivot's first round confirms it; elsewhere the pivot starts from the
-greedy vertex.
+is the solution.  Where b is a positive diagonal, one sorted search over
+each unit's breakpoints finds its multiplier and with it the solution's
+face (_swept_partition), so the pivot's first round confirms it; elsewhere
+the pivot starts from the greedy vertex.
 
 When the certificate fails, the solution set is enumerated: every
 solution solves the KKT system of its face, so that system is solved on
@@ -180,23 +181,17 @@ def _route_operator(
     strategy: FleetStrategy, q: np.ndarray, t: np.ndarray, grad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(a0, B) of _affine_operator from the route times t and the route
-    gradient grad at q."""
-    return strategy.lam_crv * t + grad.T @ (strategy.lam_hdv * q), strategy.margin * grad.T
+    gradient grad at q: the matrix, or on a separable network its diagonal
+    g (R,), which gives B's diagonal (R,), margin g.  Bit for bit the dense
+    operator's a0 and B's diagonal wherever each route has one or two
+    links (see _times)."""
+    return strategy.lam_crv * t + _times(grad.T, strategy.lam_hdv * q), strategy.margin * grad.T
 
 
-def _separable_operator(
-    strategy: FleetStrategy, q: np.ndarray, network: Network
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, a0, B): the route times at q and _route_operator's (a0, B) on a
-    separable network, from the route gradient's diagonal g instead of the
-    gradient matrix: a0 = lam_crv t + g (lam_hdv q), B = margin diag(g).
-    Bit for bit the dense operator wherever each route has one or two
-    links, zeros included: the dense product's sums make a zero product +0,
-    and B's off-diagonal zeros carry the margin's sign."""
-    x, t = network._link_flows_and_times(q)
-    slopes = network._route_gradient_diagonal_at(x)
-    a0 = strategy.lam_crv * t + (slopes * (strategy.lam_hdv * q) + 0.0)
-    return t, a0, strategy.margin * np.diag(slopes)
+def _times(b: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """B f for an operator b given as its diagonal (R,) or as a matrix.
+    The + 0.0 makes a zero product +0, as the matrix product's sums do."""
+    return b * f + 0.0 if b.ndim == 1 else b @ f
 
 
 def stationarity_map(strategy: FleetStrategy, q, f, network: Network) -> np.ndarray:
@@ -207,6 +202,8 @@ def stationarity_map(strategy: FleetStrategy, q, f, network: Network) -> np.ndar
     f = np.asarray(f, dtype=float)
     if q.shape != f.shape or q.shape != (network.n_routes,):
         raise DimensionMismatchError("q and f must both be route vectors")
+    if not np.all(np.isfinite(f)):
+        raise InfeasibleProblemError("fleet flows must be finite")
     a0, b = _affine_operator(strategy, q, network)
     return a0 + b @ f
 
@@ -230,7 +227,7 @@ def _linear_minimum(c: np.ndarray, feasible: FeasibleSet) -> tuple[np.ndarray, f
 
 def _vi_gap(a0: np.ndarray, b: np.ndarray, f: np.ndarray, feasible: FeasibleSet) -> float:
     """max_x A(f).(f - x) over the feasible set; zero exactly at solutions."""
-    c = a0 + b @ f
+    c = a0 + _times(b, f)
     _, best = _linear_minimum(c, feasible)
     return float(c @ f) - best
 
@@ -256,32 +253,25 @@ def _active_partition(f: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
     return active
 
 
-def _diagonal_of(b: np.ndarray) -> np.ndarray | None:
-    """The diagonal of b when b is diagonal (a separable network, see
-    Network.separable), None otherwise; one check per VI solve, which
-    _face_point and _multiplier_windows then take."""
+def _diagonal_of(b: np.ndarray) -> np.ndarray:
+    """The (R, R) operator b as its diagonal (R,) when b is diagonal (the
+    link level of a separable network, or a zero margin), b itself
+    otherwise."""
     diagonal = np.diagonal(b)
-    return diagonal if np.count_nonzero(b) == np.count_nonzero(diagonal) else None
+    return diagonal if np.count_nonzero(b) == np.count_nonzero(diagonal) else b
 
 
-def _face_point(
-    a0: np.ndarray,
-    b: np.ndarray,
-    feasible: FeasibleSet,
-    active: np.ndarray,
-    diagonal: np.ndarray | None = None,
-) -> np.ndarray | None:
+def _face_point(a0: np.ndarray, b: np.ndarray, feasible: FeasibleSet, active: np.ndarray) -> np.ndarray | None:
     """Solve the KKT system on an active partition (see _active_partition):
     free coordinates satisfy A(f)_r = mu_s inside their unit, the others sit
     on their bounds.  None when the solve is not finite; the point is not
     checked against the bounds or the multipliers (see _complementarity).
 
-    When b is diagonal (`diagonal`, see _diagonal_of) with free entries
-    that are nonzero and share one sign, each unit's free routes F take
-    forward._separable_minimum(a0_F, b_FF, T_s), T_s the mass unit s's
-    bound routes leave, O(R).  Otherwise a least-squares solve of the KKT
-    system gives its unique or, where it is singular, its minimum-norm
-    solution."""
+    When b is a diagonal (R,) with free entries that are nonzero and share
+    one sign, each unit's free routes F take forward._separable_minimum(a0_F,
+    b_F, T_s), T_s the mass unit s's bound routes leave, O(R).  Otherwise a
+    least-squares solve of the KKT system gives its unique or, where it is
+    singular, its minimum-norm solution."""
     free = active == 0
     fixed = np.zeros(feasible.n_routes)
     if feasible.upper is not None:
@@ -292,12 +282,12 @@ def _face_point(
     left = [float(total) - float(np.sum(fixed[block][~free[block]]))
             for block, total in zip(feasible.blocks, feasible.totals)]
 
-    if diagonal is not None and (np.all(diagonal[free] > 0.0) or np.all(diagonal[free] < 0.0)):
+    if b.ndim == 1 and (np.all(b[free] > 0.0) or np.all(b[free] < 0.0)):
         point = fixed.copy()
         for block, mass in zip(feasible.blocks, left):
             routes = block[free[block]]
             if len(routes):
-                point[routes] = _separable_minimum(a0[routes], diagonal[routes], mass)
+                point[routes] = _separable_minimum(a0[routes], b[routes], mass)
         return point if np.all(np.isfinite(point)) else None
 
     free_idx = np.flatnonzero(free)
@@ -311,13 +301,19 @@ def _face_point(
     m = n_free + len(units_with_free)
     rows = np.arange(n_free)
     lhs = np.zeros((m, m))
-    lhs[:n_free, :n_free] = b[np.ix_(free_idx, free_idx)]
     lhs[rows, n_free + unit_row] = -1.0
     lhs[n_free + unit_row, rows] = 1.0
     rhs = np.zeros(m)
-    # one dot product per row: a single matrix-vector product can round
-    # differently
-    rhs[:n_free] = [-a0[r] - float(b[r] @ fixed) for r in free_idx]
+    if b.ndim == 1:
+        # zeros of b's sign off the diagonal, as margin * diag(g), g >= 0,
+        # has them; b couples no free route to a fixed one
+        lhs[:n_free, :n_free] = b[free_idx, None] * np.eye(n_free)
+        rhs[:n_free] = -a0[free_idx]
+    else:
+        lhs[:n_free, :n_free] = b[np.ix_(free_idx, free_idx)]
+        # one dot product per row: a single matrix-vector product can round
+        # differently
+        rhs[:n_free] = [-a0[r] - float(b[r] @ fixed) for r in free_idx]
     rhs[n_free:] = [left[s] for s in units_with_free]
     solution, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     if not np.all(np.isfinite(solution)):
@@ -397,7 +393,7 @@ def _validated(
     mass tolerance; None otherwise."""
     if np.any(_bound_violations(candidate, feasible)):
         return None
-    a_val = a0 + b @ candidate
+    a_val = a0 + _times(b, candidate)
     if np.any(_complementarity(a_val, candidate, feasible, active)[0]):
         return None
     tol_mass, tol_dual = _kkt_tolerances(a_val, feasible)
@@ -417,8 +413,7 @@ def _pivot(
     active: np.ndarray,
     tol_gap: float,
     config: SolverConfig,
-    diagonal: np.ndarray | None,
-) -> tuple[np.ndarray | None, int]:
+) -> tuple[np.ndarray | None, int, float | None]:
     """Least-index principal pivoting (Murty 1974; Cottle, Pang and Stone
     1992, section 4.2) on the KKT system of the affine VI, from the
     lower/free/cap partition `active`: the greedy vertex's, or on a
@@ -427,16 +422,17 @@ def _pivot(
     only confirms the solution.
 
     Each round solves the face of the working partition (_face_point, in
-    closed form when `diagonal` is b's diagonal) and flips the lowest-index
+    closed form when b is a diagonal) and flips the lowest-index
     route that breaks complementarity there (see _complementarity): a free
     route to the bound it crossed, a bound route to free.  When none does,
     the free routes inside their active band (see _active_partition) go
     onto their bounds, and the pivot goes on from there.  It stops when no
     route is inside the band, a partition repeats (as when a banded route's
     multiplier comes out wrong and frees it again), a face solve is not
-    finite or config.vertex_cap rounds pass.  Returns (solution, rounds):
-    the last face point at which no route broke complementarity, clipped to
-    its bounds, if its VI gap is within tol_gap, and None otherwise.
+    finite or config.vertex_cap rounds pass.  Returns (solution, rounds,
+    gap): the last face point at which no route broke complementarity,
+    clipped to its bounds, if its VI gap is within tol_gap, and None
+    otherwise; gap is the solution's VI gap, None without one.
 
     Finiteness.  On a linear complementarity problem whose matrix is a
     P-matrix, Murty proves that the least-index rule visits no partition
@@ -456,10 +452,10 @@ def _pivot(
     while rounds < config.vertex_cap and active.tobytes() not in seen:
         rounds += 1
         seen.add(active.tobytes())
-        point = _face_point(a0, b, feasible, active, diagonal)
+        point = _face_point(a0, b, feasible, active)
         if point is None:
             break
-        broken, crossed = _complementarity(a0 + b @ point, point, feasible, active)
+        broken, crossed = _complementarity(a0 + _times(b, point), point, feasible, active)
         if np.any(broken):
             route = int(np.argmax(broken))
             active[route] = crossed[route]
@@ -470,16 +466,18 @@ def _pivot(
         if not np.any(banded):
             break
         active[banded] = labels[banded]
-    if found is not None and _vi_gap(a0, b, found, feasible) <= tol_gap:
-        return found, rounds
-    return None, rounds
+    if found is not None:
+        gap = _vi_gap(a0, b, found, feasible)
+        if gap <= tol_gap:
+            return found, rounds, gap
+    return None, rounds, None
 
 
-def _swept_partition(a0: np.ndarray, diagonal: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
+def _swept_partition(a0: np.ndarray, b: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
     """The partition (see _active_partition) of the solution of the VI a0 +
-    b f when b is diagonal, `diagonal`, and positive on every route whose
-    cap is positive, by one breakpoint search per unit (Pardalos and Kovoor
-    1990), O(R log R).
+    b f when b is a diagonal (R,) positive on every route whose cap is
+    positive, by one breakpoint search per unit (Pardalos and Kovoor 1990),
+    O(R log R).
 
     At its unit's multiplier mu, route r carries x_r(mu) = clip((mu - a0_r)
     / b_rr, 0, u_r), so the unit's mass is piecewise linear and
@@ -495,7 +493,7 @@ def _swept_partition(a0: np.ndarray, diagonal: np.ndarray, feasible: FeasibleSet
         routes = block[caps[block] > 0.0]
         if total <= 0.0 or not len(routes):
             continue
-        lo, b_r, u = a0[routes], diagonal[routes], caps[routes]
+        lo, b_r, u = a0[routes], b[routes], caps[routes]
         hi = lo + b_r * u
         finite = np.isfinite(hi)
         points = np.concatenate([lo, hi[finite]])
@@ -514,8 +512,8 @@ def _swept_partition(a0: np.ndarray, diagonal: np.ndarray, feasible: FeasibleSet
 # -- face enumeration ----------------------------------------------------------------
 
 
-def _multiplier_windows(a0: np.ndarray, diagonal: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
-    """The windows of FeasibleSet.labelings for a diagonal b: route r costs
+def _multiplier_windows(a0: np.ndarray, b: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
+    """The windows of FeasibleSet.labelings for a diagonal b (R,): route r costs
     A_r = a0_r + b_rr f_r, so its unit's multiplier is at most a0_r when r
     is at 0 (unless its cap is 0: then it bounds none), at least a0_r +
     b_rr u_r when r is at its cap u_r, and between the two when r is free
@@ -532,8 +530,8 @@ def _multiplier_windows(a0: np.ndarray, diagonal: np.ndarray, feasible: Feasible
     for block, total in zip(feasible.blocks, feasible.totals):
         most[block] = total + len(block) * tol_feas
     caps = math.inf if feasible.upper is None else feasible.upper
-    at_cap = a0 + diagonal * np.minimum(caps, most)
-    slope = np.abs(diagonal) * tol_feas
+    at_cap = a0 + b * np.minimum(caps, most)
+    slope = np.abs(b) * tol_feas
     tol = 1e-10 * (1.0 + float(np.max(np.maximum(np.abs(a0), np.abs(at_cap)))) + float(np.max(slope)))
     inf = np.full(feasible.n_routes, math.inf)
     lo = np.column_stack([-inf, np.minimum(a0, at_cap) - slope - tol, at_cap - tol])
@@ -547,19 +545,18 @@ def _face_solutions(
     feasible: FeasibleSet,
     tol_gap: float,
     config: SolverConfig,
-    diagonal: np.ndarray | None,
 ) -> list[np.ndarray]:
     """Every solution of the affine VI that solves the KKT system of a face.
 
     Solves the face of every product of the units' labelings (see
-    FeasibleSet.labelings; where b is diagonal, `diagonal`, only those whose
+    FeasibleSet.labelings; where b is a diagonal (R,), only those whose
     multiplier windows meet, see _multiplier_windows) and keeps the points
     that _validated accepts, by the pivot's complementarity test, and whose
     VI gap is within max(tol_gap, 1e-6 * scale), in enumeration order.
     Raises FleetModelError above config.vertex_cap partitions.
     """
     tol = 1e-7 * (1.0 + feasible.total_mass)
-    windows = None if diagonal is None else _multiplier_windows(a0, diagonal, feasible)
+    windows = _multiplier_windows(a0, b, feasible) if b.ndim == 1 else None
     per_unit = bounded_factors(
         (feasible.labelings(s, tol, windows=windows) for s in range(len(feasible.blocks))),
         config.vertex_cap, "face",
@@ -570,7 +567,7 @@ def _face_solutions(
     for combo in itertools.product(*per_unit):
         for block, labels in zip(feasible.blocks, combo):
             active[block] = labels
-        point = _face_point(a0, b, feasible, active, diagonal)
+        point = _face_point(a0, b, feasible, active)
         f = None if point is None else _validated(a0, b, feasible, active, point)
         if f is not None and _vi_gap(a0, b, f, feasible) <= gate:
             found.append(f)
@@ -637,11 +634,12 @@ def _recover(
     fiber=lambda f_hat: None,
 ) -> InverseResult:
     """The inverse at one level from its VI a0 + b f over the route
-    variables in `feasible`, with one method for each class of VI:
+    variables in `feasible`, b a diagonal (R,) or a matrix, with one method
+    for each class of VI:
 
     - certified (at most one solution): the least-index pivot (_pivot)
       from the partition of the breakpoint sweep (_swept_partition) when
-      b is diagonal and positive on every route with a positive cap, and
+      b is a diagonal positive on every route with a positive cap, and
       from the partition of the greedy vertex of a0 otherwise; that
       vertex, unconverged, when the pivot stops without a solution;
     - any other: the face solutions alone (_face_solutions), first the one
@@ -651,9 +649,9 @@ def _recover(
       greedy vertex of a0, unconverged, when no face validates.
 
     Above config.vertex_cap partitions the enumeration raises
-    FleetModelError.  b's diagonal (see _diagonal_of) is taken once, for
-    the sweep, the pivot's closed form and the enumeration's windows; the
-    greedy vertex only where one of the methods above uses it.
+    FleetModelError.  A matrix b that is diagonal is taken as its diagonal
+    (see _diagonal_of) first; the greedy vertex only where one of the
+    methods above uses it.
 
     Each solution is mapped by `image` to the level's flows and listed
     once; f_hat is the first.  The gap tolerance is tol_vi * (1 + t_norm)
@@ -673,17 +671,19 @@ def _recover(
     def greedy() -> np.ndarray:
         return _linear_minimum(a0, feasible)[0]
 
-    diagonal = _diagonal_of(b)
+    if b.ndim == 2:
+        b = _diagonal_of(b)
+    gap = None  # f_hat's VI gap, where the pivot has checked it
     if unique:
         movable = np.ones(feasible.n_routes, dtype=bool) if feasible.upper is None else feasible.upper > 0.0
-        if diagonal is not None and np.all(diagonal[movable] > 0.0):
-            start = _swept_partition(a0, diagonal, feasible)
+        if b.ndim == 1 and np.all(b[movable] > 0.0):
+            start = _swept_partition(a0, b, feasible)
         else:
             start = _active_partition(greedy(), feasible)
-        solution, _ = _pivot(a0, b, feasible, start, tol_gap, config, diagonal)
+        solution, _, gap = _pivot(a0, b, feasible, start, tol_gap, config)
         points = [greedy() if solution is None else solution]
     else:
-        points = _face_solutions(a0, b, feasible, tol_gap, config, diagonal) or [greedy()]
+        points = _face_solutions(a0, b, feasible, tol_gap, config) or [greedy()]
     images = [image(g) for g in points]
     kept = _distinct(images, scale, config.tol_distinct)
     if not unique and len(kept) > 1:
@@ -693,7 +693,8 @@ def _recover(
         ))
         kept = [first] + [i for i in kept if i != first]
     f_hat = images[kept[0]]
-    gap = _vi_gap(a0, b, points[kept[0]], feasible)
+    if gap is None:
+        gap = _vi_gap(a0, b, points[kept[0]], feasible)
     return InverseResult(
         f_hat=f_hat,
         h_hat=observed - f_hat,
@@ -717,26 +718,22 @@ def solve_inverse(
     """Recover the fleet route flow from the observed total flow q.
 
     Solves the stationarity VI over {0 <= f <= q, per-unit sums = sizes}.
-    The certificate's positive-definiteness test is
-    Network.feasible_direction_pd at q, which on a separable network
-    mostly passes without an eigendecomposition, leaving min_rayleigh to
-    be computed when read; there the operator comes from the route
-    gradient's diagonal (see _separable_operator).  When the uniqueness
-    certificate fails, `solutions` lists every face solution, f_hat (the
-    one of least norm, see _recover) first; above config.vertex_cap
-    partitions it raises FleetModelError.  On linearly dependent routes
-    `fiber` holds the route flows that share f_hat's link flow.  `seed` is
-    not read.
+    One route gradient at q, its diagonal on a separable network, gives
+    both the operator and the certificate's positive-definiteness test
+    (Network.feasible_direction_pd), which on a separable network mostly
+    passes without an eigendecomposition, leaving min_rayleigh to be
+    computed when read.  When the uniqueness certificate fails,
+    `solutions` lists every face solution, f_hat (the one of least norm,
+    see _recover) first; above config.vertex_cap partitions it raises
+    FleetModelError.  On linearly dependent routes `fiber` holds the route
+    flows that share f_hat's link flow.  `seed` is not read.
     """
     q = _observed(q, network.n_routes, "route", "observed flows")
     feasible = FeasibleSet.from_network(network, sizes, q)
-    pd = network.feasible_direction_pd(q, config.pd_rtol)
-    if network.separable:
-        t, a0, b = _separable_operator(strategy, q, network)
-    else:
-        # one route gradient and one t(q) give the operator and the gap scale
-        t = network.route_times(q)
-        a0, b = _route_operator(strategy, q, t, network.route_gradient(q))
+    x, t = network._link_flows_and_times(q)
+    grad = network._route_gradient_diagonal_at(x) if network.separable else network._route_gradient_at(x)
+    pd = network._feasible_direction_pd_at(q, grad, config.pd_rtol)
+    a0, b = _route_operator(strategy, q, t, grad)
 
     def fiber(f_hat: np.ndarray) -> FiberResult | None:
         if network.routes_linearly_independent(config.rank_rtol).independent:

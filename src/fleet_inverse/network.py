@@ -577,9 +577,9 @@ class Network:
     A network is separable (`separable`) when it is link-additive and no
     link lies on two routes.  Its route gradient is then diagonal, and so
     are the fleet objective's Hessian and the inverse operator: the forward
-    descent runs on the gradient's diagonal (`route_gradient_diagonal`) and
-    the inverse's face solves on the operator's, in O(R), instead of on
-    (R, R) matrices.
+    descent and the inverse (its certificate, operator and face solves) run
+    on the gradient's diagonal (`route_gradient_diagonal`), in O(R),
+    instead of on (R, R) matrices.
 
     Parameters
     ----------
@@ -843,19 +843,28 @@ class Network:
         R eps max|g|.
         """
         q = self._check_route_dim(q)
+        a = self._route_to_link_at(q)
+        grad = self._route_gradient_diagonal_at(a) if self.separable else self._route_gradient_at(a)
+        return self._feasible_direction_pd_at(q, grad, pd_rtol)
+
+    def _feasible_direction_pd_at(self, q: np.ndarray, grad: np.ndarray, pd_rtol: float) -> PDCertificate:
+        """feasible_direction_pd at the route flow q of the right shape from
+        its route gradient grad: the slopes (R,) on a separable network, the
+        matrix otherwise."""
         multi = [block for block in self.unit_blocks() if len(block) > 1]
-        if self.separable and multi:
-            slopes = self._route_gradient_diagonal_at(self._route_to_link_at(q))
-            least = min(float(slopes[block].min()) for block in multi)
-            slack = 16.0 * self.n_routes * np.finfo(float).eps * float(np.max(np.abs(slopes)))
-            threshold = float(pd_rtol * abs(np.sum(slopes)) / self.n_routes)
+        if grad.ndim == 1 and multi:
+            least = min(float(grad[block].min()) for block in multi)
+            slack = 16.0 * self.n_routes * np.finfo(float).eps * float(np.max(np.abs(grad)))
+            threshold = float(pd_rtol * abs(np.sum(grad)) / self.n_routes)
             if 2.0 * (least - slack) > threshold:
                 q = q.copy()  # a caller may change its array before the first read
                 # the dense test's arithmetic (see _pd_certificate)
                 return PDCertificate(
                     passes=True, threshold=threshold, rayleigh=lambda: 2.0 * self.restricted_min_eigenvalue(q)
                 )
-        return _pd_certificate(self.feasible_direction_basis(), self.route_gradient(q), pd_rtol)
+            grad = self.route_gradient(q)
+        # without a unit of two routes the basis is empty and grad unread
+        return _pd_certificate(self.feasible_direction_basis(), grad, pd_rtol)
 
 
 def single_od_network(

@@ -31,7 +31,7 @@ from fleet_inverse import (
     solve_general,
     solve_inverse,
 )
-from fleet_inverse import forward, network
+from fleet_inverse import forward, inverse, network
 from fleet_inverse.objective import objective_gradient_in_f, objective_hessian_in_f
 from fleet_inverse.scenario import fixture_path, parse_scenario
 from conftest import (
@@ -573,25 +573,44 @@ class TestWorkCounters:
         # the ladder networks are separable and every observed route flows,
         # so the interlacing bound certifies each inverse: no dense gradient,
         # basis or eigendecomposition (12 of each when every inverse ran the
-        # dense test).  min_rayleigh is computed when first read, once.
+        # dense test).  Each inverse forms the route slopes once, for its
+        # certificate and its operator, and takes f_hat's VI gap from the
+        # pivot (24 slope evaluations and 24 gaps when the operator formed
+        # the slopes again and _recover the gap).  min_rayleigh is computed
+        # when first read, once.
+        observed = [(h + fleet_assign(SELFISH, h, net, certify=False).f, net) for h, net in route_ladder()]
         calls = collections.Counter()
         for owner, name in (
-            (np.linalg, "eigvalsh"), (Network, "route_gradient"), (Network, "feasible_direction_basis")
+            (np.linalg, "eigvalsh"), (Network, "route_gradient"), (Network, "feasible_direction_basis"),
+            (Network, "_route_gradient_diagonal_at"), (inverse, "_vi_gap"),
         ):
             method = getattr(owner, name)
             monkeypatch.setattr(
                 owner, name, lambda *args, name=name, method=method: calls.update([name]) or method(*args)
             )
-        inverses = []
-        for h, net in route_ladder():
-            f = fleet_assign(SELFISH, h, net, certify=False).f
-            inverses.append(solve_inverse(SELFISH, h + f, net))
+        inverses = [solve_inverse(SELFISH, q, net) for q, net in observed]
         assert all(inv.certificate.theorem_applies for inv in inverses)
-        assert calls == {}
+        per_inverse = {"_route_gradient_diagonal_at": 12, "_vi_gap": 12}
+        assert calls == per_inverse
         certificate = inverses[-1].certificate
         first = certificate.min_rayleigh
-        assert calls == {"eigvalsh": 1, "route_gradient": 1, "feasible_direction_basis": 1}
+        assert calls == {**per_inverse, "eigvalsh": 1, "route_gradient": 1, "feasible_direction_basis": 1}
         assert certificate.min_rayleigh is first and calls["eigvalsh"] == 1
+
+    def test_dense_inverses_form_one_route_gradient(self, monkeypatch):
+        # on the seven fixtures that are not separable, one route gradient
+        # matrix gives each inverse its certificate and its operator (14
+        # when the certificate formed its own)
+        names = ["two_od", "two_unit", "two_stage_overlap", "two_stage_overlap_concentrated",
+                 "two_route_common_links", "cross_dependent_stable", "cross_dependent_unstable"]
+        scenarios = [parse_scenario(fixture_path(name)) for name in names]
+        assert not any(scenario.network.separable for scenario in scenarios)
+        made = []
+        method = Network._route_gradient_at
+        monkeypatch.setattr(Network, "_route_gradient_at", lambda self, a: made.append(a) or method(self, a))
+        for scenario in scenarios:
+            solve_inverse(scenario.strategy, scenario.observed_route_flows, scenario.network)
+        assert len(made) == 7
 
     def test_one_route_gradient_per_descent_iteration(self, monkeypatch):
         # the descent's objective gradient and Hessian share one travel-time

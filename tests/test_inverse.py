@@ -587,6 +587,12 @@ class TestNonFiniteObservations:
         with pytest.raises(InfeasibleProblemError, match="finite"):
             inverse_link_flows(SELFISH, a, net_overlap, sizes=[bad])
 
+    @pytest.mark.parametrize("f", [[math.nan, 5.0], [math.inf, 0.0], [5.0, -math.inf]])
+    def test_stationarity_map_fleet_flow(self, fig_two_route, f):
+        # these used to return [nan nan] or [inf nan] with a RuntimeWarning
+        with pytest.raises(InfeasibleProblemError, match="fleet flows must be finite"):
+            stationarity_map(SELFISH, np.array([60.0, 40.0]), np.array(f), fig_two_route)
+
 
     @pytest.mark.parametrize(
         "level,observed,error,match",
@@ -769,7 +775,7 @@ def _reference_vi(a0, b, feasible, t_norm):
         f = feasible.project(f - step * (a0 + b @ y))
     gap = inverse._vi_gap(a0, b, f, feasible)
     active = inverse._active_partition(f, feasible)
-    point = inverse._face_point(a0, b, feasible, active, inverse._diagonal_of(b))
+    point = inverse._face_point(a0, inverse._diagonal_of(b), feasible, active)
     polished = None if point is None else inverse._validated(a0, b, feasible, active, point)
     on_face = False
     if polished is not None:
@@ -823,8 +829,8 @@ def _certified_instances(count, seed):
 
 
 @pytest.fixture
-def walk_calls(monkeypatch):
-    """Every (solution, rounds) the pivot (_pivot) returns."""
+def pivot_calls(monkeypatch):
+    """Every (solution, rounds, gap) the pivot (_pivot) returns."""
     calls = []
     pivot = inverse._pivot
 
@@ -838,14 +844,14 @@ def walk_calls(monkeypatch):
 
 
 def _pivot_from_greedy(a0, b, feasible, tol_gap):
-    """_pivot from the partition of the greedy vertex of a0, where certified
-    solves start it."""
+    """The solution of _pivot from the partition of the greedy vertex of a0,
+    where certified solves start it."""
     start = inverse._active_partition(inverse._linear_minimum(a0, feasible)[0], feasible)
-    return inverse._pivot(a0, b, feasible, start, tol_gap, DEFAULT_CONFIG, inverse._diagonal_of(b))
+    return inverse._pivot(a0, b, feasible, start, tol_gap, DEFAULT_CONFIG)[0]
 
 
 class TestFaceExit:
-    def test_certified_solutions_match_full_run(self, walk_calls):
+    def test_certified_solutions_match_full_run(self, pivot_calls):
         # the certified VI has one solution and a face point depends only on
         # its partition, so where the full run's polished point keeps the
         # partition it was solved on, the pivot ends on the same face and
@@ -867,22 +873,25 @@ class TestFaceExit:
             capped += bool(np.any((result.f_hat == q) & (q > 0)))
         assert capped >= 10
         assert on_face >= 35
-        assert len(walk_calls) == 50 and all(f is not None for f, _ in walk_calls)
+        assert len(pivot_calls) == 50 and all(f is not None for f, *_ in pivot_calls)
 
-    def test_route_ladder_iteration_gate(self, walk_calls):
+    def test_route_ladder_iteration_gate(self, pivot_calls):
         # selfish round trips over R single-link BPR routes, R = 5, 20, 50, 100
+        residuals = []
         for h, net in route_ladder():
             f = fleet_assign(SELFISH, h, net, certify=False).f
             result = solve_inverse(SELFISH, h + f, net)
             assert result.certificate.theorem_applies
             assert float(np.max(np.abs(result.f_hat - f))) <= 1e-6 * net.fleet_sizes()[0]
+            residuals.append((result.residual, max(1.0, float(net.fleet_sizes()[0]))))
         # each certified solve is one pivot from the partition that the
         # breakpoint sweep finds, and its first round confirms it (171
-        # rounds from the greedy vertex)
-        assert len(walk_calls) == 12 and all(f is not None for f, _ in walk_calls)
-        assert [rounds for _, rounds in walk_calls] == [1] * 12
+        # rounds from the greedy vertex); the gap it checked is the residual's
+        assert len(pivot_calls) == 12 and all(f is not None for f, *_ in pivot_calls)
+        assert [rounds for _, rounds, _ in pivot_calls] == [1] * 12
+        assert [gap / scale for (_, _, gap), (_, scale) in zip(pivot_calls, residuals)] == [r for r, _ in residuals]
 
-    def test_walk_frees_a_route_the_kkt_tolerance_would_keep_at_zero(self, walk_calls):
+    def test_walk_frees_a_route_the_kkt_tolerance_would_keep_at_zero(self, pivot_calls):
         # route 41 carries 0.0031 fleet vehicles, yet the face with it at 0
         # passes _validated (its multiplier is 8e-6 off, inside the 1e-6
         # relative KKT tolerance) and the gap tolerance; a pivot that stopped
@@ -890,11 +899,11 @@ class TestFaceExit:
         h, net = route_ladder(instance_seed=2)[6]
         f = fleet_assign(SELFISH, h, net, certify=False).f
         result = solve_inverse(SELFISH, h + f, net)
-        assert walk_calls[0][0] is not None
+        assert pivot_calls[0][0] is not None
         assert float(np.max(np.abs(result.f_hat - f))) <= 1e-9 * net.fleet_sizes()[0]
         assert result.residual <= 1e-12
 
-    def test_pivot_cap_reports_unconverged(self, walk_calls):
+    def test_pivot_cap_reports_unconverged(self, pivot_calls):
         # a certified solve has no fallback: a pivot cut at one round returns
         # the greedy vertex, flagged unconverged.  A connector link on every
         # route of an R = 20 ladder draw makes b non-diagonal, so the pivot
@@ -908,13 +917,13 @@ class TestFaceExit:
         capped = solve_inverse(SELFISH, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=1))
         assert not net.separable
         assert pivoted.converged and pivoted.certificate.theorem_applies
-        assert walk_calls[0][1] > 1 and walk_calls[1] == (None, 1)
+        assert pivot_calls[0][1] > 1 and pivot_calls[1] == (None, 1, None)
         assert not capped.converged and capped.residual > 1e-6
         feasible = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q)
         a0, _ = inverse._affine_operator(SELFISH, q, net)
         assert capped.f_hat.tobytes() == inverse._linear_minimum(a0, feasible)[0].tobytes()
 
-    def test_uncertified_f_hat_is_the_least_norm_solution(self, walk_calls):
+    def test_uncertified_f_hat_is_the_least_norm_solution(self, pivot_calls):
         # every bundled fixture network at its observed (or forward) flow,
         # under seven strategies, at the route and the link level: an
         # uncertified inverse lists its face solutions, the one of least norm
@@ -943,7 +952,7 @@ class TestFaceExit:
                     assert norms[0] == min(norms)
         assert (uncertified, multi) == (103, 54)
         # the pivot ran only in the certified solves
-        assert len(walk_calls) == 154 - 103
+        assert len(pivot_calls) == 154 - 103
 
     def test_least_norm_prefers_a_solution_within_the_gap_tolerance(self, monkeypatch):
         # A(f) = -1e-4 f over {f1 + f2 = 1}: the vertex (1, 0) solves the VI,
@@ -974,7 +983,7 @@ class TestFaceExit:
         assert sorted(f.tolist() for f in result.solutions) == sorted(expected)
         np.testing.assert_allclose(result.f_hat, expected[0], rtol=0.0, atol=1e-12)
 
-    def test_uncertified_inverse_runs_to_gap(self, walk_calls):
+    def test_uncertified_inverse_runs_to_gap(self, pivot_calls):
         # the whole solution set, within the gap tolerance, or none: above
         # the face cap the uncertified inverse raises, and no pivot runs
         net = three_affine_routes(q_hdv=70.0, q_crv=30.0)
@@ -984,9 +993,9 @@ class TestFaceExit:
         assert len(full.solutions) > 1
         with pytest.raises(FleetModelError, match="face enumeration exceeded the cap of 1"):
             solve_inverse(ALTRUISTIC, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=1))
-        assert walk_calls == []
+        assert pivot_calls == []
 
-    def test_above_the_default_cap_answers(self, walk_calls):
+    def test_above_the_default_cap_answers(self, pivot_calls):
         # one unit of 10 BPR routes has 28,311 lower/free/cap labelings,
         # above vertex_cap = 20,000; the multiplier windows leave 9, so the
         # uncertified inverse lists its whole solution set, the forward flow
@@ -999,18 +1008,18 @@ class TestFaceExit:
         f = fleet_assign(strategy, h, net, certify=False).f
         result = solve_inverse(strategy, h + f, net)
         assert not result.certificate.theorem_applies and result.converged
-        assert len(result.solutions) == 3 and walk_calls == []
+        assert len(result.solutions) == 3 and pivot_calls == []
         assert min(float(np.max(np.abs(g - f))) for g in result.solutions) <= 1e-9 * 50.0
         for g in result.solutions:
             assert float(np.sum(g)) == pytest.approx(50.0)
             assert np.all(g >= 0.0) and np.all(g <= h + f)
 
-    def test_link_inverse_face_exit(self, walk_calls):
+    def test_link_inverse_face_exit(self, pivot_calls):
         net = two_od_overlap()
         a = net.route_to_link(np.array([30.0, 20.0, 25.0, 25.0]))
         result = inverse_link_flows(SELFISH, a, net)
         assert result.certificate.theorem_applies
-        assert walk_calls[0][0] is not None
+        assert pivot_calls[0][0] is not None
         phi_ref, residual_ref = _reference_link_solve(SELFISH, a, net)
         assert float(np.max(np.abs(result.f_hat - phi_ref))) <= 1e-12 * float(np.max(phi_ref))
         assert abs(result.residual) <= 1e-12 and abs(residual_ref) <= 1e-12
@@ -1041,7 +1050,7 @@ def _dense_monotone_vi(rng):
 
 
 def _separable_vi(rng):
-    """An affine VI a0 + diag(b) f with b > 0 over 1-4 units of 1-6 routes,
+    """An affine VI a0 + b f, b > 0 an (R,) diagonal, over 1-4 units of 1-6 routes,
     drawn on coarse grids so that breakpoints a0_r and a0_r + b_rr u_r tie
     across routes: caps of 0, finite or infinite, and fleets that are
     sometimes exactly a sum of caps (the multiplier on a breakpoint)."""
@@ -1062,7 +1071,7 @@ def _separable_vi(rng):
             totals.append(float(rng.uniform(0.0, min(float(np.sum(upper[block])), 10.0))))
     feasible = FeasibleSet(blocks=blocks, totals=np.array(totals), n_routes=n, upper=upper)
     tol_gap = 1e-8 * (1.0 + float(np.linalg.norm(a0))) * max(1.0, feasible.total_mass)
-    return a0, np.diag(diagonal), feasible, tol_gap
+    return a0, diagonal, feasible, tol_gap
 
 
 class TestPivot:
@@ -1072,10 +1081,9 @@ class TestPivot:
         # the breakpoint sweep only picks where the pivot starts: from its
         # partition the pivot ends on the greedy-started answer
         a0, b, feasible, tol_gap = _separable_vi(np.random.default_rng(seed))
-        diagonal = inverse._diagonal_of(b)
-        greedy, _ = _pivot_from_greedy(a0, b, feasible, tol_gap)
-        start = inverse._swept_partition(a0, diagonal, feasible)
-        swept, _ = inverse._pivot(a0, b, feasible, start, tol_gap, DEFAULT_CONFIG, diagonal)
+        greedy = _pivot_from_greedy(a0, b, feasible, tol_gap)
+        start = inverse._swept_partition(a0, b, feasible)
+        swept, _, _ = inverse._pivot(a0, b, feasible, start, tol_gap, DEFAULT_CONFIG)
         assert greedy is not None and swept is not None
         np.testing.assert_allclose(swept, greedy, rtol=0.0, atol=1e-12 * (1.0 + feasible.total_mass))
 
@@ -1095,7 +1103,7 @@ class TestPivot:
         # round; the pivot still ends on the solution, the one feasible
         # point whose VI gap is within the tolerance
         a0, b, feasible, tol_gap = _dense_monotone_vi(np.random.default_rng(seed))
-        f, _ = _pivot_from_greedy(a0, b, feasible, tol_gap)
+        f = _pivot_from_greedy(a0, b, feasible, tol_gap)
         assert f is not None
         assert feasible.contains(f, tol=1e-9)
         assert inverse._vi_gap(a0, b, f, feasible) <= tol_gap
@@ -1145,7 +1153,7 @@ class TestFaceEnumeration:
                                upper=np.array([10.0, 10.0, 1.0]))
         a0, b = np.array([1.0, 1.0, 1.0 - 5e-3 - 1.5e-6]), -1e-3 * np.eye(3)
         assert inverse._vi_gap(a0, b, np.array([5.0, 5.0, 0.0]), feasible) == pytest.approx(1.5e-6)
-        found = inverse._face_solutions(a0, b, feasible, 1e-7, DEFAULT_CONFIG, inverse._diagonal_of(b))
+        found = inverse._face_solutions(a0, inverse._diagonal_of(b), feasible, 1e-7, DEFAULT_CONFIG)
         assert sorted(f.tolist() for f in found) == [[0.0, 10.0, 0.0], [4.5, 4.5, 1.0], [10.0, 0.0, 0.0]]
         assert all(inverse._vi_gap(a0, b, f, feasible) == 0.0 for f in found)
 
@@ -1227,9 +1235,10 @@ class TestFaceEnumeration:
             blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q
         )
         a0, b = inverse._affine_operator(strategy, q, net)
+        b = inverse._diagonal_of(b)
         scale = max(1.0, feasible.total_mass)
         tol_gap = DEFAULT_CONFIG.tol_vi * (1.0 + float(np.linalg.norm(net.route_times(q)))) * scale
-        f, _ = _pivot_from_greedy(a0, b, feasible, tol_gap)
+        f = _pivot_from_greedy(a0, b, feasible, tol_gap)
         assert f is not None
         active = inverse._active_partition(f, feasible)
         assert inverse._validated(a0, b, feasible, active, f).tobytes() == f.tobytes()
@@ -1308,11 +1317,11 @@ class TestFaceEnumeration:
         link_set = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes)
         for a0, b, feasible in ((a0, b, route_set), (link_a0, link_b, link_set)):
             diagonal = inverse._diagonal_of(b)
-            assert diagonal is not None
+            assert diagonal.ndim == 1
             tol_gap = DEFAULT_CONFIG.tol_vi * max(1.0, feasible.total_mass)
-            pruned = inverse._face_solutions(a0, b, feasible, tol_gap, DEFAULT_CONFIG, diagonal)
+            pruned = inverse._face_solutions(a0, diagonal, feasible, tol_gap, DEFAULT_CONFIG)
             with mock.patch.object(inverse, "_multiplier_windows", return_value=None):
-                walked = inverse._face_solutions(a0, b, feasible, tol_gap, DEFAULT_CONFIG, diagonal)
+                walked = inverse._face_solutions(a0, diagonal, feasible, tol_gap, DEFAULT_CONFIG)
             assert [f.tobytes() for f in pruned] == [f.tobytes() for f in walked]
 
 

@@ -94,7 +94,7 @@ def _separable_instance(rng, sizes, signalized: bool, capped: bool):
 def _inverse_operator_is_diagonal(net: Network) -> bool:
     q = np.random.default_rng(0).uniform(0.05, 0.45, size=net.n_routes)
     _, b = inverse._affine_operator(FleetStrategy(0.0, 1.0), q, net)
-    return inverse._diagonal_of(b) is not None
+    return inverse._diagonal_of(b).ndim == 1
 
 
 class TestSeparableFlag:
@@ -223,7 +223,7 @@ class TestClosedForms:
         feasible = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q)
         a0, b = inverse._affine_operator(strategy, q, net)
         diagonal = inverse._diagonal_of(b)
-        assert diagonal is not None
+        assert diagonal.ndim == 1
         tol = 1e-7 * (1.0 + feasible.total_mass)
         per_unit = [list(feasible.labelings(s, tol)) for s in range(len(feasible.blocks))]
         active = np.zeros(net.n_routes, dtype=int)
@@ -231,7 +231,7 @@ class TestClosedForms:
             for block, labels in zip(feasible.blocks, combo):
                 active[block] = labels
             with mock.patch.object(np.linalg, "lstsq", side_effect=AssertionError("closed form skipped")):
-                closed = inverse._face_point(a0, b, feasible, active, diagonal)
+                closed = inverse._face_point(a0, diagonal, feasible, active)
             dense = inverse._face_point(a0, b, feasible, active)
             scale = 1.0 + float(np.max(np.abs(dense)))
             np.testing.assert_allclose(closed, dense, rtol=0.0, atol=1e-10 * scale)
@@ -285,11 +285,13 @@ def _bits(x) -> bytes:
 
 
 def _assert_same_operator(strategy, q, net):
-    """The separable operator has every byte of the dense one, the signs of
-    its zeros included."""
+    """The operator from the route slopes has every byte of the dense one's
+    a0 and B's diagonal, the signs of their zeros included."""
     t = net.route_times(q)
-    dense = (t,) + inverse._route_operator(strategy, q, t, net.route_gradient(q))
-    assert [x.tobytes() for x in inverse._separable_operator(strategy, q, net)] == [x.tobytes() for x in dense]
+    a0, b = inverse._route_operator(strategy, q, t, net.route_gradient_diagonal(q))
+    dense_a0, dense_b = inverse._route_operator(strategy, q, t, net.route_gradient(q))
+    assert a0.tobytes() == dense_a0.tobytes()
+    assert b.tobytes() == np.diagonal(dense_b).tobytes()
 
 
 def _assert_same_inverse(result, reference):
@@ -368,8 +370,8 @@ class TestSeparableCertificate:
     @pytest.mark.parametrize("lam_hdv, lam_crv", [(-2.0, -1.0), (-1.0, -2.0), (0.5, -0.5)])
     def test_operator_keeps_the_dense_zeros(self, lam_hdv, lam_crv):
         # zero intercepts and an empty route make lam_crv t and g (lam_hdv q)
-        # signed zeros there, and a negative margin signs B's off-diagonal
-        # zeros: the separable operator keeps each one's sign
+        # signed zeros there, and a negative margin signs B's: the operator
+        # from the slopes keeps each one's sign
         delays = [AffineDelay(0.0, 0.5), QuadraticDelay(0.0, 0.01), BPRDelay(1.0, 1.0, 30.0, 4.0)]
         net = single_od_network(delays, q_hdv=20.0, q_crv=10.0)
         for q in (np.array([0.0, 12.0, 18.0]), np.array([6.0, 0.0, 24.0]), np.array([10.0, 20.0, 0.0])):
@@ -427,3 +429,49 @@ class TestSeparableCertificate:
             mine, dense = result.certificate, reference.certificate
             assert (mine.theorem_applies, mine.reason) == (dense.theorem_applies, dense.reason)
             assert _bits(mine.min_rayleigh) == _bits(dense.min_rayleigh)
+
+
+@st.composite
+def _diagonal_operator(draw, n):
+    """(margin, g, f): a margin of either sign, zero included, n route
+    slopes g >= 0 and n flows f of either sign, each often exactly 0."""
+    margin = draw(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0))
+    slopes = draw(st.lists(st.just(0.0) | st.floats(0.0, 10.0), min_size=n, max_size=n))
+    flows = draw(st.lists(st.just(0.0) | st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    return margin, np.array(slopes), np.array(flows)
+
+
+class TestDiagonalOperator:
+    """An operator B = margin * diag(g) given as its diagonal (R,) keeps
+    every byte of the arithmetic on the dense matrix, whose off-diagonal
+    zeros carry the margin's sign."""
+
+    @given(data=st.data(), n=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_the_dense_product(self, data, n):
+        margin, slopes, f = data.draw(_diagonal_operator(n))
+        assert inverse._times(margin * slopes, f).tobytes() == ((margin * np.diag(slopes)) @ f).tobytes()
+
+    @given(data=st.data(), sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_least_squares_face_matches_the_dense_face(self, data, sizes, seed):
+        # a free route with a zero slope sends both forms to the
+        # least-squares solve of the face's KKT system
+        n = sum(sizes)
+        margin, slopes, a0 = data.draw(_diagonal_operator(n))
+        rng = np.random.default_rng(seed)
+        bounds = np.cumsum([0] + sizes)
+        blocks = tuple(np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+        upper = rng.choice([0.0, 1.0, 2.5, 4.0], size=n)
+        totals = np.array([float(rng.uniform(0.0, np.sum(upper[block]))) for block in blocks])
+        feasible = FeasibleSet(blocks=blocks, totals=totals, n_routes=n, upper=upper)
+        active = rng.integers(-1, 2, size=n)
+        zero = int(rng.integers(n))
+        active[zero], slopes[zero] = 0, 0.0
+        with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+            diagonal = inverse._face_point(a0, margin * slopes, feasible, active)
+        dense = inverse._face_point(a0, margin * np.diag(slopes), feasible, active)
+        assert lstsq.call_count == 1
+        assert (diagonal is None) == (dense is None)
+        if dense is not None:
+            assert diagonal.tobytes() == dense.tobytes()
