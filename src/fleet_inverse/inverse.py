@@ -256,7 +256,8 @@ def _active_partition(f: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
 def _diagonal_of(b: np.ndarray) -> np.ndarray:
     """The (R, R) operator b as its diagonal (R,) when b is diagonal (the
     link level of a separable network, or a zero margin), b itself
-    otherwise."""
+    otherwise.  _face_point rebuilds its off-diagonal zeros' signs, but
+    for a zero margin on cross slopes below zero, which gives both."""
     diagonal = np.diagonal(b)
     return diagonal if np.count_nonzero(b) == np.count_nonzero(diagonal) else b
 
@@ -305,9 +306,14 @@ def _face_point(a0: np.ndarray, b: np.ndarray, feasible: FeasibleSet, active: np
     lhs[n_free + unit_row, rows] = 1.0
     rhs = np.zeros(m)
     if b.ndim == 1:
-        # zeros of b's sign off the diagonal, as margin * diag(g), g >= 0,
-        # has them; b couples no free route to a fixed one
-        lhs[:n_free, :n_free] = b[free_idx, None] * np.eye(n_free)
+        # LAPACK reads zero signs.  A diagonal b of one sign comes here only
+        # with a zero free entry, and the matrices it stands for, margin *
+        # diag(g) and the link level's product, give their off-diagonal
+        # zeros that entry's sign.  b couples no free route to a fixed one
+        b_free = b[free_idx]
+        zeros = b_free[b_free == 0.0]
+        lhs[:n_free, :n_free] = zeros[0] if len(zeros) else 0.0
+        lhs[rows, rows] = b_free
         rhs[:n_free] = -a0[free_idx]
     else:
         lhs[:n_free, :n_free] = b[np.ix_(free_idx, free_idx)]
@@ -731,7 +737,7 @@ def solve_inverse(
     q = _observed(q, network.n_routes, "route", "observed flows")
     feasible = FeasibleSet.from_network(network, sizes, q)
     x, t = network._link_flows_and_times(q)
-    grad = network._route_gradient_diagonal_at(x) if network.separable else network._route_gradient_at(x)
+    grad = network._route_gradient_form_at(x)
     pd = network._feasible_direction_pd_at(q, grad, config.pd_rtol)
     a0, b = _route_operator(strategy, q, t, grad)
 

@@ -764,6 +764,12 @@ class Network:
         """route_gradient_diagonal at the route flows whose link flows are a."""
         return _rowwise(self.incidence, self.delay_table.derivatives(a))
 
+    def _route_gradient_form_at(self, a: np.ndarray) -> np.ndarray:
+        """The route gradient at the route flows whose link flows are a, in
+        the form the inverse carries it: the slopes (R,) on a separable
+        network, where they are the whole gradient, the matrix otherwise."""
+        return self._route_gradient_diagonal_at(a) if self.separable else self._route_gradient_at(a)
+
     # -- structure certificates ------------------------------------------------
 
     def routes_linearly_independent(self, rank_rtol: float = 1e-9) -> LinearIndependence:
@@ -844,13 +850,11 @@ class Network:
         """
         q = self._check_route_dim(q)
         a = self._route_to_link_at(q)
-        grad = self._route_gradient_diagonal_at(a) if self.separable else self._route_gradient_at(a)
-        return self._feasible_direction_pd_at(q, grad, pd_rtol)
+        return self._feasible_direction_pd_at(q, self._route_gradient_form_at(a), pd_rtol)
 
     def _feasible_direction_pd_at(self, q: np.ndarray, grad: np.ndarray, pd_rtol: float) -> PDCertificate:
         """feasible_direction_pd at the route flow q of the right shape from
-        its route gradient grad: the slopes (R,) on a separable network, the
-        matrix otherwise."""
+        its route gradient grad, as _route_gradient_form_at gives it."""
         multi = [block for block in self.unit_blocks() if len(block) > 1]
         if grad.ndim == 1 and multi:
             least = min(float(grad[block].min()) for block in multi)

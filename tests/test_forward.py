@@ -573,12 +573,11 @@ class TestWorkCounters:
         # the ladder networks are separable and every observed route flows,
         # so the interlacing bound certifies each inverse: no dense gradient,
         # basis or eigendecomposition (12 of each when every inverse ran the
-        # dense test).  Each inverse forms the route slopes once, for its
-        # certificate and its operator, and takes f_hat's VI gap from the
-        # pivot (24 slope evaluations and 24 gaps when the operator formed
-        # the slopes again and _recover the gap).  min_rayleigh is computed
-        # when first read, once.
-        observed = [(h + fleet_assign(SELFISH, h, net, certify=False).f, net) for h, net in route_ladder()]
+        # dense test), nor in the forwards.  Each inverse forms the route
+        # slopes once, for its certificate and its operator, and takes
+        # f_hat's VI gap from the pivot (24 slope evaluations and 24 gaps
+        # when the operator formed the slopes again and _recover the gap).
+        # min_rayleigh is computed when first read, once.
         calls = collections.Counter()
         for owner, name in (
             (np.linalg, "eigvalsh"), (Network, "route_gradient"), (Network, "feasible_direction_basis"),
@@ -588,6 +587,10 @@ class TestWorkCounters:
             monkeypatch.setattr(
                 owner, name, lambda *args, name=name, method=method: calls.update([name]) or method(*args)
             )
+        observed = [(h + fleet_assign(SELFISH, h, net, certify=False).f, net) for h, net in route_ladder()]
+        # the forwards' descents take the slopes at each iteration
+        assert set(calls) == {"_route_gradient_diagonal_at"}
+        calls.clear()
         inverses = [solve_inverse(SELFISH, q, net) for q, net in observed]
         assert all(inv.certificate.theorem_applies for inv in inverses)
         per_inverse = {"_route_gradient_diagonal_at": 12, "_vi_gap": 12}
