@@ -87,23 +87,27 @@ def _project_block_simplex(v: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _project_block_capped(v: np.ndarray, total: float, upper: np.ndarray) -> np.ndarray:
-    """Projection onto {0 <= x <= upper, sum(x) = total}, clip(v - theta, 0,
-    upper), by rounds of the simplex projection (Kiwiel 2008): the capped
-    mass is at most the uncapped one on any shift, so a route the simplex
-    projection of the routes not yet capped puts above its cap is on its cap
-    in the answer.  Each round caps at least one route: at most k rounds."""
-    if total >= float(np.sum(upper)):
-        return upper.copy()
-    x = upper.copy()
-    free = np.ones(len(v), dtype=bool)
-    while True:
-        x[free] = _project_block_simplex(v[free], total - float(np.sum(upper[~free])))
-        over = x > upper
-        if not over.any():
-            return x
-        x[over] = upper[over]
-        free &= ~over
+def _breakpoint_search(lo: np.ndarray, slope: np.ndarray, upper: np.ndarray, total: float) -> np.ndarray:
+    """The point x(mu) = clip((mu - lo) / slope, 0, upper) whose sum is
+    total, for positive slopes and positive (possibly infinite) caps, by one
+    sorted breakpoint search (Pardalos and Kovoor 1990), O(k log k): the
+    mass of x(mu) is piecewise linear and nondecreasing in mu, with
+    breakpoints lo_r and lo_r + slope_r upper_r, where route r leaves 0 and
+    reaches its cap.  Sorted, they give the mass at each breakpoint from the
+    running sum of 1 / slope; mu solves the linear piece that reaches
+    total, or is the last breakpoint when the caps hold less."""
+    hi = lo + slope * upper
+    finite = np.isfinite(hi)
+    points = np.concatenate([lo, hi[finite]])
+    order = np.argsort(points, kind="stable")
+    points = points[order]
+    # the mass's slope right of each breakpoint, and the mass at each
+    rate = np.cumsum(np.concatenate([1.0 / slope, -1.0 / slope[finite]])[order])
+    mass = np.concatenate([[0.0], np.cumsum(rate[:-1] * np.diff(points))])
+    # the last breakpoint whose mass is below total
+    j = int(np.searchsorted(mass, total)) - 1
+    mu = points[j] + (total - mass[j]) / rate[j] if rate[j] > 0.0 else points[j]
+    return np.clip((mu - lo) / slope, 0.0, upper)
 
 
 @dataclass(frozen=True)
@@ -174,13 +178,27 @@ class FeasibleSet:
             # one uncapped unit over every route: v's own simplex projection,
             # which does not depend on the order the unit lists its routes in
             return _project_block_simplex(v, float(self.totals[0]))
+        if self.upper is not None:
+            # clip(v - theta, 0, upper) per unit, theta = -mu
+            return self._multiplier_point(-v, np.ones(self.n_routes))
         out = np.zeros(self.n_routes)
         for block, total in zip(self.blocks, self.totals):
-            if self.upper is None:
-                out[block] = _project_block_simplex(v[block], float(total))
-            else:
-                out[block] = _project_block_capped(v[block], float(total), self.upper[block])
+            out[block] = _project_block_simplex(v[block], float(total))
         return out
+
+    def _multiplier_point(self, lo: np.ndarray, slope: np.ndarray) -> np.ndarray:
+        """Per unit, the point clip((mu - lo) / slope, 0, upper) that holds
+        its total on its routes with a positive cap, where slope must be
+        positive (_breakpoint_search); routes with cap 0 stay at 0.  At lo =
+        -v and unit slopes it is v's projection; at the affine VI's a0 and
+        diagonal b, the VI's solution, mu the units' multipliers."""
+        caps = np.full(self.n_routes, math.inf) if self.upper is None else self.upper
+        x = np.zeros(self.n_routes)
+        for block, total in zip(self.blocks, self.totals):
+            routes = block[caps[block] > 0.0]
+            if total > 0.0 and len(routes):
+                x[routes] = _breakpoint_search(lo[routes], slope[routes], caps[routes], float(total))
+        return x
 
     def contains(self, f, tol: float = 1e-8) -> bool:
         """Whether f is finite and within tol * (1 + fleet mass) of its

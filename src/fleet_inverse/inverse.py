@@ -28,10 +28,11 @@ B is an (R,) diagonal where it is diagonal (a separable network) and an
 A certified VI is solved by one least-index pivot (_pivot): each round
 solves the KKT system of one lower/free/cap face and flips the
 lowest-index route that breaks complementarity there, until the face point
-is the solution.  Where b is a positive diagonal, one sorted search over
-each unit's breakpoints finds its multiplier and with it the solution's
-face (_swept_partition), so the pivot's first round confirms it; elsewhere
-the pivot starts from the greedy vertex.
+is the solution.  Where b is a positive diagonal, the solution is
+clip((mu - a0) / b, 0, u) at each unit's multiplier mu, which the forward's
+breakpoint search (FeasibleSet._multiplier_point) finds, and with it the
+solution's face, so the pivot's first round confirms it; elsewhere the
+pivot starts from the greedy vertex.
 
 When the certificate fails, the solution set is enumerated: every
 solution solves the KKT system of its face, so that system is solved on
@@ -255,7 +256,9 @@ def _active_partition(f: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
 
 def _diagonal_of(b: np.ndarray) -> np.ndarray:
     """The (R, R) operator b as its diagonal (R,) when b is diagonal (the
-    link level of a separable network, or a zero margin), b itself
+    link level of a separable network, a zero margin, or shared links
+    with no flow and zero slope there, such as an unused connector, which
+    test_unused_connector_leaves_the_operator_diagonal pins), b itself
     otherwise.  _face_point rebuilds its off-diagonal zeros' signs, but
     for a zero margin on cross slopes below zero, which gives both."""
     diagonal = np.diagonal(b)
@@ -423,9 +426,10 @@ def _pivot(
     """Least-index principal pivoting (Murty 1974; Cottle, Pang and Stone
     1992, section 4.2) on the KKT system of the affine VI, from the
     lower/free/cap partition `active`: the greedy vertex's, or on a
-    separable VI the breakpoint sweep's (_swept_partition), where the first
-    round finds no broken route, barring ties that rounding decides, and
-    only confirms the solution.
+    separable VI that of the units' multiplier point
+    (FeasibleSet._multiplier_point), where the first round finds no broken
+    route, barring ties that rounding decides, and only confirms the
+    solution.
 
     Each round solves the face of the working partition (_face_point, in
     closed form when b is a diagonal) and flips the lowest-index
@@ -479,42 +483,6 @@ def _pivot(
     return None, rounds, None
 
 
-def _swept_partition(a0: np.ndarray, b: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
-    """The partition (see _active_partition) of the solution of the VI a0 +
-    b f when b is a diagonal (R,) positive on every route whose cap is
-    positive, by one breakpoint search per unit (Pardalos and Kovoor 1990),
-    O(R log R).
-
-    At its unit's multiplier mu, route r carries x_r(mu) = clip((mu - a0_r)
-    / b_rr, 0, u_r), so the unit's mass is piecewise linear and
-    nondecreasing in mu, with the breakpoints a0_r and a0_r + b_rr u_r of
-    _multiplier_windows.  Sorted, they give the mass at each breakpoint
-    from the running sum of the slopes; mu solves the linear piece that
-    reaches the unit's fleet.  Routes with cap 0 stay at 0.  The labels are
-    those of x(mu); rounding may mislabel a route that ties inside the
-    tolerances, which the pivot (_pivot) then repairs."""
-    caps = np.full(feasible.n_routes, math.inf) if feasible.upper is None else feasible.upper
-    x = np.zeros(feasible.n_routes)
-    for block, total in zip(feasible.blocks, feasible.totals):
-        routes = block[caps[block] > 0.0]
-        if total <= 0.0 or not len(routes):
-            continue
-        lo, b_r, u = a0[routes], b[routes], caps[routes]
-        hi = lo + b_r * u
-        finite = np.isfinite(hi)
-        points = np.concatenate([lo, hi[finite]])
-        order = np.argsort(points, kind="stable")
-        points = points[order]
-        # the mass's slope right of each breakpoint, and the mass at each
-        rate = np.cumsum(np.concatenate([1.0 / b_r, -1.0 / b_r[finite]])[order])
-        mass = np.concatenate([[0.0], np.cumsum(rate[:-1] * np.diff(points))])
-        # the last breakpoint whose mass is below the fleet
-        j = int(np.searchsorted(mass, total)) - 1
-        mu = points[j] + (total - mass[j]) / rate[j] if rate[j] > 0.0 else points[j]
-        x[routes] = np.clip((mu - lo) / b_r, 0.0, u)
-    return _active_partition(x, feasible)
-
-
 # -- face enumeration ----------------------------------------------------------------
 
 
@@ -523,7 +491,7 @@ def _multiplier_windows(a0: np.ndarray, b: np.ndarray, feasible: FeasibleSet) ->
     A_r = a0_r + b_rr f_r, so its unit's multiplier is at most a0_r when r
     is at 0 (unless its cap is 0: then it bounds none), at least a0_r +
     b_rr u_r when r is at its cap u_r, and between the two when r is free
-    (the breakpoints of Pardalos and Kovoor 1990).
+    (the breakpoints that forward._breakpoint_search sorts).
 
     The windows are widened by _validated's tolerances, so a labeling whose
     windows do not meet has no face point that _validated accepts: by
@@ -551,8 +519,9 @@ def _face_solutions(
     feasible: FeasibleSet,
     tol_gap: float,
     config: SolverConfig,
-) -> list[np.ndarray]:
-    """Every solution of the affine VI that solves the KKT system of a face.
+) -> list[tuple[np.ndarray, float]]:
+    """Every solution of the affine VI that solves the KKT system of a face,
+    with its VI gap.
 
     Solves the face of every product of the units' labelings (see
     FeasibleSet.labelings; where b is a diagonal (R,), only those whose
@@ -575,8 +544,9 @@ def _face_solutions(
             active[block] = labels
         point = _face_point(a0, b, feasible, active)
         f = None if point is None else _validated(a0, b, feasible, active, point)
-        if f is not None and _vi_gap(a0, b, f, feasible) <= gate:
-            found.append(f)
+        gap = math.inf if f is None else _vi_gap(a0, b, f, feasible)
+        if gap <= gate:
+            found.append((f, gap))
     return found
 
 
@@ -644,10 +614,12 @@ def _recover(
     for each class of VI:
 
     - certified (at most one solution): the least-index pivot (_pivot)
-      from the partition of the breakpoint sweep (_swept_partition) when
-      b is a diagonal positive on every route with a positive cap, and
-      from the partition of the greedy vertex of a0 otherwise; that
-      vertex, unconverged, when the pivot stops without a solution;
+      from the partition (_active_partition) of the units' multiplier
+      point (FeasibleSet._multiplier_point(a0, b), the solution up to
+      rounding) when b is a diagonal positive on every route with a
+      positive cap, and from the partition of the greedy vertex of a0
+      otherwise; that vertex, unconverged, when the pivot stops without a
+      solution;
     - any other: the face solutions alone (_face_solutions), first the one
       of least Euclidean norm in the level's flows among those whose gap
       is within the tolerance (among all, if none is; the first such in
@@ -679,26 +651,26 @@ def _recover(
 
     if b.ndim == 2:
         b = _diagonal_of(b)
-    gap = None  # f_hat's VI gap, where the pivot has checked it
+    # each point with its VI gap, None where no solve has checked it
     if unique:
         movable = np.ones(feasible.n_routes, dtype=bool) if feasible.upper is None else feasible.upper > 0.0
         if b.ndim == 1 and np.all(b[movable] > 0.0):
-            start = _swept_partition(a0, b, feasible)
+            start = _active_partition(feasible._multiplier_point(a0, b), feasible)
         else:
             start = _active_partition(greedy(), feasible)
         solution, _, gap = _pivot(a0, b, feasible, start, tol_gap, config)
-        points = [greedy() if solution is None else solution]
+        found = [(greedy(), None) if solution is None else (solution, gap)]
     else:
-        points = _face_solutions(a0, b, feasible, tol_gap, config) or [greedy()]
+        found = _face_solutions(a0, b, feasible, tol_gap, config) or [(greedy(), None)]
+    points, gaps = zip(*found)
     images = [image(g) for g in points]
     kept = _distinct(images, scale, config.tol_distinct)
     if not unique and len(kept) > 1:
         # least norm among the solutions within tol_gap, if any is
-        first = min(kept, key=lambda i: (
-            _vi_gap(a0, b, points[i], feasible) > tol_gap, float(np.linalg.norm(images[i]))
-        ))
+        first = min(kept, key=lambda i: (gaps[i] > tol_gap, float(np.linalg.norm(images[i]))))
         kept = [first] + [i for i in kept if i != first]
     f_hat = images[kept[0]]
+    gap = gaps[kept[0]]
     if gap is None:
         gap = _vi_gap(a0, b, points[kept[0]], feasible)
     return InverseResult(
@@ -786,6 +758,11 @@ def inverse_link_flows(
     link images of the face solutions, as in solve_inverse (FleetModelError
     above config.vertex_cap partitions).  It draws no random numbers, so
     it takes no seed.
+
+    The route variables are not capped by the observation, so where a is
+    off the forward's image f_hat may exceed it on a link and h_hat go
+    negative, the certificate applying.  Where a is the link image of a
+    forward equilibrium, f_hat is the link image of solve_inverse's.
     """
     a = _observed(a, network.n_links, "link", "observed link flows")
     units = network.units_or_raise()
@@ -1086,15 +1063,13 @@ def discrete_recover(
 
     h_set = FeasibleSet(blocks=blocks, totals=hdv_totals, n_routes=network.n_routes)
 
-    def forward(h: np.ndarray) -> np.ndarray:
-        return fleet_assign(
-            strategy, h, network, feasible=forward_set, config=config, certify=False
-        ).f
-
     norm_order = IMAGE_DISTANCE_NORMS[config.image_distance_norm]
 
-    def distance(h: np.ndarray) -> float:
-        return float(np.linalg.norm(h + forward(h) - q, ord=norm_order))
+    def image(h: np.ndarray) -> tuple[float, np.ndarray]:
+        """The distance from q of the total flow h + (the forward's f at h),
+        and that flow."""
+        total = h + fleet_assign(strategy, h, network, feasible=forward_set, config=config, certify=False).f
+        return float(np.linalg.norm(total - q, ord=norm_order)), total
 
     scale = max(1.0, float(np.sum(hdv_totals)))
     # each group of starts is optional: the search runs without it
@@ -1105,36 +1080,36 @@ def discrete_recover(
         starts += h_set.vertices(min(64, config.vertex_cap))
     starts += [h_set.random_point(rng) for _ in range(config.discrete_starts)]
 
-    best_h, best_val = None, math.inf
+    best_h, best_val, best_total = None, math.inf, None
     for h0 in starts:
         h = h_set.project(h0)
-        val = distance(h)
+        val, total = image(h)
         step = 1.0
         for _ in range(config.max_outer_iter):
             if val <= 1e-10 * scale:
                 break
             # follow the image residual: it is per-unit zero-sum, so only the
             # non-negativity clip of the projection can bend it
-            residual = q - (h + forward(h))
+            residual = q - total
             improved = False
             trial = step
             while trial > 1e-12:
                 h_new = h_set.project(h + trial * residual)
-                val_new = distance(h_new)
+                val_new, total_new = image(h_new)
                 if val_new < val - 1e-14 * scale:
-                    h, val, improved = h_new, val_new, True
+                    h, val, total, improved = h_new, val_new, total_new, True
                     step = min(2.0 * trial, 4.0)
                     break
                 trial *= 0.5
             if not improved:
                 break
         if val < best_val:
-            best_h, best_val = h, val
+            best_h, best_val, best_total = h, val, total
         if best_val <= 1e-10 * scale:
             break
 
     h_star = best_h if best_h is not None else h_set.project(np.zeros(network.n_routes))
-    q_city = h_star + forward(h_star)
+    q_city = best_total if best_h is not None else image(h_star)[1]
     inverse = solve_inverse(strategy, q_city, network, sizes=sizes, config=config)
 
     lip = lipschitz_bound(strategy, network, samples=100, seed=seed)

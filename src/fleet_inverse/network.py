@@ -766,8 +766,9 @@ class Network:
 
     def _route_gradient_form_at(self, a: np.ndarray) -> np.ndarray:
         """The route gradient at the route flows whose link flows are a, in
-        the form the inverse carries it: the slopes (R,) on a separable
-        network, where they are the whole gradient, the matrix otherwise."""
+        the form the objective and the inverse carry it: the slopes (R,) on
+        a separable network, where they are the whole gradient, the matrix
+        otherwise."""
         return self._route_gradient_diagonal_at(a) if self.separable else self._route_gradient_at(a)
 
     # -- structure certificates ------------------------------------------------

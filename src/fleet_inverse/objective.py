@@ -180,15 +180,11 @@ def objective_gradient_in_f(strategy: FleetStrategy, h, f, network: Network) -> 
 
 def _gradient_in_f(strategy: FleetStrategy, point: _Point, network: Network) -> tuple[np.ndarray, np.ndarray]:
     """objective_gradient_in_f at the evaluated point, and the route
-    gradient it is built from, which _hessian_in_f takes: the (R, R)
-    matrix, or on a separable network its diagonal (R,), the whole gradient
-    there.  Both come from the point's link flows, and the gradient from
-    its weights and travel times."""
-    if network.separable:
-        slopes = network._route_gradient_diagonal_at(point.x)
-        return strategy.lam_crv * point.t + slopes * point.w, slopes
-    grad = network._route_gradient_at(point.x)
-    return strategy.lam_crv * point.t + grad.T @ point.w, grad
+    gradient it is built from, which _hessian_in_f takes, in the form of
+    Network._route_gradient_form_at.  Both come from the point's link
+    flows, and the gradient from its weights and travel times."""
+    grad = network._route_gradient_form_at(point.x)
+    return strategy.lam_crv * point.t + (grad * point.w if grad.ndim == 1 else grad.T @ point.w), grad
 
 
 def objective_hessian_in_f(strategy: FleetStrategy, h, f, network: Network) -> np.ndarray:

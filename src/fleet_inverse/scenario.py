@@ -184,7 +184,7 @@ def _flow_vector(values, path: str, length: int, name: str) -> np.ndarray:
     return np.array([_number(v, f"{path}[{i}]", nonnegative=True) for i, v in enumerate(values)])
 
 
-def parse_scenario_dict(doc: dict, source: str = "<memory>") -> Scenario:
+def parse_scenario_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         _fail("malformed", "$", "scenario must be a JSON object")
     schema = doc.get("schema")
@@ -361,7 +361,7 @@ def parse_scenario(path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError("malformed", "$", f"invalid JSON: {exc}") from exc
-    return parse_scenario_dict(doc, source=str(path))
+    return parse_scenario_dict(doc)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

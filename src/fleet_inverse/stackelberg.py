@@ -193,6 +193,8 @@ def induced_ue(
 ) -> np.ndarray:
     """HDV flows equilibrating expected costs under the announced mixture
     (the one-row case of the batched Illinois solve)."""
+    if network is None:
+        raise TypeError("induced_ue() missing the network argument")
     _require_two_routes(network)
     q_hdv, q_crv = _demands(network, q_hdv, q_crv)
     alphas, weights = _mixture_arrays([mixture])

@@ -33,7 +33,7 @@ from fleet_inverse import (
 )
 from fleet_inverse import forward, inverse, network
 from fleet_inverse.objective import objective_gradient_in_f, objective_hessian_in_f
-from fleet_inverse.scenario import fixture_path, parse_scenario
+from fleet_inverse.scenario import fixture_path, list_fixtures, parse_scenario
 from conftest import (
     asymmetric_two_route,
     overlap_network,
@@ -126,11 +126,33 @@ class TestProjection:
         room = float(np.sum(upper)) if math.isfinite(np.sum(upper)) else 100.0
         total = {"zero": 0.0, "full": room, "share": share * room}[how]
         simplex = forward._project_block_simplex
-        with mock.patch.object(forward, "_project_block_simplex", wraps=simplex) as rounds:
+        with mock.patch.object(forward, "_project_block_simplex", wraps=simplex) as uncapped:
             got = simple_set(total, n=len(v), upper=upper).project(v)
-        assert rounds.call_count <= len(v)
-        expected = bisection_capped_oracle(v, total, upper)
+        # a capped set is projected by the breakpoint search alone
+        assert uncapped.call_count == 0
+        # the projection is clip(v - theta, 0, upper), theta = -mu
+        expected = bisection_oracle(-v, np.ones(len(v)), total, upper)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * (1.0 + total + np.max(np.abs(v))))
+
+    @given(
+        lo=st.lists(st.floats(-50, 50), min_size=1, max_size=12),
+        slopes=st.lists(st.floats(0.1, 10.0), min_size=12, max_size=12),
+        caps=st.lists(st.sampled_from([0.0, math.inf]) | st.floats(0.0, 20.0), min_size=12, max_size=12),
+        how=st.sampled_from(["zero", "full", "share"]),
+        share=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_multiplier_point_against_bisection(self, lo, slopes, caps, how, share):
+        # the one breakpoint search behind the capped projection and the
+        # inverse's separable start, at slopes other than the projection's 1
+        lo, slope, upper = np.array(lo), np.array(slopes[: len(lo)]), np.array(caps[: len(lo)])
+        room = float(np.sum(upper)) if math.isfinite(np.sum(upper)) else 100.0
+        total = {"zero": 0.0, "full": room, "share": share * room}[how]
+        got = simple_set(total, n=len(lo), upper=upper)._multiplier_point(lo, slope)
+        expected = bisection_oracle(lo, slope, total, upper)
+        assert np.all(got[upper == 0.0] == 0.0)
+        atol = 1e-12 * (1.0 + total + np.max(np.abs(lo))) / np.min(slope)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=atol)
 
     @given(v=st.lists(st.floats(-50, 50), min_size=3, max_size=3))
     @settings(max_examples=100, deadline=None)
@@ -142,19 +164,20 @@ class TestProjection:
         assert abs(once.sum() - 30.0) < 1e-9 and np.all(once >= -1e-12)
 
 
-def bisection_capped_oracle(v, total, upper):
-    """clip(v - theta, 0, upper) holding total: the mass is continuous and
-    non-increasing in theta, at least total at min(v) - total and 0 at
-    max(v), so theta is bisected until its bracket is 1e-13 wide."""
+def bisection_oracle(lo, slope, total, upper):
+    """clip((mu - lo) / slope, 0, upper) holding total, slopes positive: the
+    mass is continuous and nondecreasing in mu, 0 at min(lo) and at least
+    total at max(lo) + max(slope) * total, so mu is bisected until its
+    bracket is 1e-13 wide."""
     if total >= np.sum(upper):
         return upper.copy()
-    lo, hi = float(np.min(v)) - total, float(np.max(v))
-    while hi - lo > 1e-13 * (1.0 + abs(lo) + abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
+    left, right = float(np.min(lo)), float(np.max(lo) + np.max(slope) * total)
+    while right - left > 1e-13 * (1.0 + abs(left) + abs(right)):
+        mid = 0.5 * (left + right)
+        if mid in (left, right):
             break
-        lo, hi = (mid, hi) if np.sum(np.clip(v - mid, 0.0, upper)) >= total else (lo, mid)
-    return np.clip(v - 0.5 * (lo + hi), 0.0, upper)
+        left, right = (left, mid) if np.sum(np.clip((mid - lo) / slope, 0.0, upper)) >= total else (mid, right)
+    return np.clip((0.5 * (left + right) - lo) / slope, 0.0, upper)
 
 
 def vertex_oracle(caps, total):
@@ -599,6 +622,36 @@ class TestWorkCounters:
         first = certificate.min_rayleigh
         assert calls == {**per_inverse, "eigvalsh": 1, "route_gradient": 1, "feasible_direction_basis": 1}
         assert certificate.min_rayleigh is first and calls["eigvalsh"] == 1
+
+    def test_uncertified_inverses_take_one_gap_per_validated_face(self, monkeypatch):
+        # the 33 route-level inverses of the fixtures under three strategies
+        # that the certificate refuses list 103 solutions.  Each face point
+        # that validates has its VI gap taken once, by the enumeration, and
+        # _recover reads it for the least-norm key and f_hat's residual (251
+        # gaps when it took them again)
+        calls = collections.Counter()
+        gap, validated = inverse._vi_gap, inverse._validated
+        monkeypatch.setattr(inverse, "_vi_gap", lambda *args: calls.update(["gap"]) or gap(*args))
+
+        def counting_validated(*args):
+            f = validated(*args)
+            calls["validated"] += f is not None
+            return f
+
+        monkeypatch.setattr(inverse, "_validated", counting_validated)
+        solutions = 0
+        for name in list_fixtures():
+            scenario = parse_scenario(fixture_path(name))
+            q, net = scenario.observed_route_flows, scenario.network
+            if q is None:
+                h = scenario.hdv_route_flows
+                q = h + fleet_assign(scenario.strategy, h, net, certify=False).f
+            for strategy in (ALTRUISTIC, FleetStrategy(0.5, 0.2), FleetStrategy(1.0, 0.5)):
+                result = solve_inverse(strategy, q, net)
+                assert not result.certificate.theorem_applies
+                solutions += len(result.solutions)
+        assert solutions == 103
+        assert calls == {"gap": 128, "validated": 128}
 
     def test_dense_inverses_form_one_route_gradient(self, monkeypatch):
         # on the seven fixtures that are not separable, one route gradient

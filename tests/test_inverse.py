@@ -208,6 +208,19 @@ class TestLinkInverse:
         result = inverse_link_flows(SELFISH, a, fig_two_route)
         assert result.certificate.theorem_applies
 
+    def test_ladder_link_inverses_agree_with_the_route_inverses(self):
+        # on forward equilibria the uncapped link level gives the link image
+        # of the route level's f_hat and h_hat, byte for byte, and so no
+        # negative HDV flow (off the forward's image it can: the route
+        # variables are not capped by the observation)
+        for h, net in route_ladder():
+            q = h + fleet_assign(SELFISH, h, net, certify=False).f
+            route, link = solve_inverse(SELFISH, q, net), inverse_link_flows(SELFISH, net.route_to_link(q), net)
+            assert route.certificate.theorem_applies and link.certificate.theorem_applies
+            assert link.f_hat.tobytes() == net.route_to_link(route.f_hat).tobytes()
+            assert link.h_hat.tobytes() == net.route_to_link(route.h_hat).tobytes()
+            assert np.all(link.h_hat >= 0.0)
+
     def test_not_realisable(self, net_overlap):
         # upstream links carry 400 but downstream only 100: no route flow fits
         with pytest.raises(NotRealisableError):
@@ -445,14 +458,14 @@ class TestDiscreteRecover:
     @pytest.mark.parametrize("strategy,h", [(SELFISH, [40.5, 40.5]), (MALICIOUS, [31.0, 50.0])])
     def test_observation_in_image_stops_at_the_inverse_start(self, strategy, h):
         # q - f for the inverse's solution f is already in the image: one
-        # forward solve measures that start and one gives q_city, so no
-        # Armijo trial runs
+        # forward solve measures that start and its total flow is q_city, so
+        # no Armijo trial runs (2 solves when q_city took its own)
         net = symmetric_quadratic(q_hdv=81.0, q_crv=19.0)
         q = np.asarray(h) + fleet_assign(strategy, np.asarray(h), net).f
         assert np.allclose(q, np.round(q))
         with mock.patch.object(inverse, "fleet_assign", wraps=fleet_assign) as forward_calls:
             result = discrete_recover(strategy, np.round(q), net)
-        assert forward_calls.call_count == 2 <= len(result.inverse.solutions) + 1
+        assert forward_calls.call_count == 1 <= len(result.inverse.solutions)
         assert result.image_distance <= 1e-10
 
     @pytest.mark.parametrize("q,distance", [([100.0, 0.0], 26.870057685088806), ([95.0, 5.0], 19.79898987322333)])
@@ -463,6 +476,24 @@ class TestDiscreteRecover:
         result = discrete_recover(SELFISH, np.array(q), net)
         np.testing.assert_allclose(result.q_city, [81.0, 19.0], atol=1e-9)
         assert result.image_distance == pytest.approx(distance, rel=1e-9)
+
+    def test_each_search_point_is_solved_once(self):
+        # nine integer observations, most off the forward image: the search
+        # takes each point's residual and q_city from the total flow its
+        # distance was measured with (6,014 forward solves when both solved
+        # the forward again)
+        rng = np.random.default_rng(1)
+        with mock.patch.object(inverse, "fleet_assign", wraps=fleet_assign) as forward_calls:
+            for strategy in (SELFISH, MALICIOUS, FleetStrategy.preset("disruptive")):
+                for _ in range(3):
+                    net = single_od_network(
+                        [BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(20, 80)), 2.0) for _ in range(3)],
+                        q_hdv=60.0, q_crv=20.0,
+                    )
+                    q = np.round(rng.dirichlet(np.ones(3)) * 80.0)
+                    q[-1] = 80.0 - q[:-1].sum()
+                    discrete_recover(strategy, q, net)
+        assert forward_calls.call_count == 5253
 
     def test_rejects_fractional_observation(self):
         net = symmetric_quadratic(q_hdv=81.0, q_crv=19.0)
@@ -962,9 +993,10 @@ class TestFaceExit:
         feasible = FeasibleSet(blocks=(np.array([0, 1]),), totals=np.array([1.0]), n_routes=2, upper=np.ones(2))
         a0, b = np.zeros(2), -1e-4 * np.eye(2)
         near, vertex = np.array([0.501, 0.499]), np.array([1.0, 0.0])
-        assert 1e-8 < inverse._vi_gap(a0, b, near, feasible) <= 1e-6
-        assert inverse._vi_gap(a0, b, vertex, feasible) == 0.0
-        monkeypatch.setattr(inverse, "_face_solutions", lambda *args: [near, vertex])
+        found = [(f, inverse._vi_gap(a0, b, f, feasible)) for f in (near, vertex)]
+        assert 1e-8 < found[0][1] <= 1e-6
+        assert found[1][1] == 0.0
+        monkeypatch.setattr(inverse, "_face_solutions", lambda *args: found)
         pd = PDCertificate(passes=False, threshold=0.0, rayleigh=lambda: -1e-4)
         certificate = inverse.UniquenessCertificate(False, "not certified", pd, -1.0)
         result = inverse._recover("route", np.ones(2), a0, b, feasible, 0.0, certificate, DEFAULT_CONFIG)
@@ -1082,7 +1114,7 @@ class TestPivot:
         # partition the pivot ends on the greedy-started answer
         a0, b, feasible, tol_gap = _separable_vi(np.random.default_rng(seed))
         greedy = _pivot_from_greedy(a0, b, feasible, tol_gap)
-        start = inverse._swept_partition(a0, b, feasible)
+        start = inverse._active_partition(feasible._multiplier_point(a0, b), feasible)
         swept, _, _ = inverse._pivot(a0, b, feasible, start, tol_gap, DEFAULT_CONFIG)
         assert greedy is not None and swept is not None
         np.testing.assert_allclose(swept, greedy, rtol=0.0, atol=1e-12 * (1.0 + feasible.total_mass))
@@ -1154,8 +1186,8 @@ class TestFaceEnumeration:
         a0, b = np.array([1.0, 1.0, 1.0 - 5e-3 - 1.5e-6]), -1e-3 * np.eye(3)
         assert inverse._vi_gap(a0, b, np.array([5.0, 5.0, 0.0]), feasible) == pytest.approx(1.5e-6)
         found = inverse._face_solutions(a0, inverse._diagonal_of(b), feasible, 1e-7, DEFAULT_CONFIG)
-        assert sorted(f.tolist() for f in found) == [[0.0, 10.0, 0.0], [4.5, 4.5, 1.0], [10.0, 0.0, 0.0]]
-        assert all(inverse._vi_gap(a0, b, f, feasible) == 0.0 for f in found)
+        assert sorted(f.tolist() for f, _ in found) == [[0.0, 10.0, 0.0], [4.5, 4.5, 1.0], [10.0, 0.0, 0.0]]
+        assert all(gap == inverse._vi_gap(a0, b, f, feasible) == 0.0 for f, gap in found)
 
     def test_defect_instance_without_forward_solves(self, monkeypatch):
         strategy, h, net = _defect_instance()
@@ -1322,7 +1354,7 @@ class TestFaceEnumeration:
             pruned = inverse._face_solutions(a0, diagonal, feasible, tol_gap, DEFAULT_CONFIG)
             with mock.patch.object(inverse, "_multiplier_windows", return_value=None):
                 walked = inverse._face_solutions(a0, diagonal, feasible, tol_gap, DEFAULT_CONFIG)
-            assert [f.tobytes() for f in pruned] == [f.tobytes() for f in walked]
+            assert [(f.tobytes(), gap) for f, gap in pruned] == [(f.tobytes(), gap) for f, gap in walked]
 
 
 class TestValidated:

@@ -119,6 +119,28 @@ class TestSeparableFlag:
     def test_ladder_networks_are_separable(self):
         assert all(net.separable for _, net in route_ladder())
 
+    def test_unused_connector_leaves_the_operator_diagonal(self):
+        # ten private BPR routes and two routes (s, x1), (s, x2) through a
+        # shared connector s that carries no observed flow: the network is
+        # not separable, but the BPR slopes vanish at zero flow, so the
+        # dense route gradient is diagonal.  _diagonal_of reduces it, and the
+        # enumeration prunes by the multiplier windows; on the dense
+        # operator it raises FleetModelError above the labeling cap
+        rng = np.random.default_rng(0)
+        links = [Link(f"l{j}", BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(20, 80)), 2.0))
+                 for j in range(10)]
+        links += [Link(x, BPRDelay(1.0, 1.0, 50.0, 2.0)) for x in ("s", "x1", "x2")]
+        routes = [Route(f"r{j}", (f"l{j}",)) for j in range(10)] + [Route("d1", ("s", "x1")), Route("d2", ("s", "x2"))]
+        unit = ODUnit("O", "D", q_hdv=100.0, q_crv=50.0, route_ids=tuple(route.id for route in routes))
+        net = Network(links, routes, units=[unit])
+        q = np.concatenate([rng.dirichlet(np.ones(10)) * 150.0, [0.0, 0.0]])
+        strategy = FleetStrategy(0.5, 0.2)
+        _, b = inverse._affine_operator(strategy, q, net)
+        assert not net.separable and inverse._diagonal_of(b).ndim == 1
+        result = solve_inverse(strategy, q, net)
+        assert not result.certificate.theorem_applies
+        assert result.converged and len(result.solutions) == 3
+
 
 class TestIndependence:
     @pytest.mark.parametrize("rank_rtol", [1e-9, 0.5, 0.6, 1.0])

@@ -41,6 +41,10 @@ class TestInducedUE:
         h = induced_ue(MixedCornerStrategy(1.0).as_mixture(), network=net)
         np.testing.assert_array_equal(h, [0.0, 50.0])
 
+    def test_without_a_network(self):
+        with pytest.raises(TypeError, match="network"):
+            induced_ue(MixedCornerStrategy(0.5).as_mixture(), 25.0, 25.0)
+
     def test_no_fleet_even_split(self):
         net = symmetric_quadratic(q_crv=0.0)
         h = induced_ue(GeneralMixture(points=((0.5, 1.0),)), network=net)
