@@ -6,6 +6,14 @@ Subcommands: forward, inverse, classify, certify, simulate, stackelberg,
 lipschitz, fiber.  Each takes only the flags its solvers read: --seed on
 forward, simulate, stackelberg and lipschitz, --days and --mu on simulate
 and stackelberg, --resolution on stackelberg, --samples on lipschitz.
+OPTIONS, the option table, is the one declaration of the flags (type,
+accepted range and the message refusing a value outside it, default,
+subcommands); the parser, the usage and help texts and the README's usage
+block read it.  A flag is given as `--flag value` or `--flag=value`, the
+last of a repeated flag wins, and prefix abbreviations such as `--scen`
+are not flags.  A parse error prints a usage line and argparse's wording
+of the error to stderr and exits 2.
+
 Reports are CSV (header row from the report's fields, comma delimiter, LF
 line endings, full-precision numbers, certificates as 0/1) plus a short
 summary on standard output.  Runs are deterministic given the scenario and
@@ -18,10 +26,12 @@ samples) run as vectorized batches.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import math
 import sys
+from collections.abc import Callable
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -350,53 +360,125 @@ HANDLERS = {
 SUBCOMMANDS = tuple(HANDLERS)
 
 
-def _ranged(kind, accepts, what: str):
-    """An argparse type: `kind` of the text, rejected (exit 2) unless
-    `accepts` holds for it."""
+class _Option(NamedTuple):
+    """One flag: its metavar, the type its text is read as, the values it
+    accepts and the rule it names when it refuses one, its default
+    (_REQUIRED when it must be given), the subcommands that take it and its
+    help line."""
 
-    def parse(text: str):
-        value = kind(text)
-        if not accepts(value):
-            raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
-        return value
+    metavar: str
+    kind: type
+    accepts: Callable[[object], bool]
+    rule: str
+    default: object
+    subcommands: tuple[str, ...]
+    help: str
 
-    parse.__name__ = kind.__name__  # argparse names it in "invalid <type> value"
-    return parse
+
+_REQUIRED = object()
+
+# The one declaration of the flags, in the order the usage text lists them.
+# The parser (_parse_args), the usage and help texts and the README's usage
+# block all follow it.
+OPTIONS = {
+    "scenario": _Option("<path>", str, lambda v: True, "", _REQUIRED, SUBCOMMANDS,
+                        "path to the scenario JSON file"),
+    "out": _Option("<path>", str, lambda v: True, "", "-", SUBCOMMANDS,
+                   "CSV output path, '-' (the default) for stdout"),
+    "days": _Option("D", int, lambda v: v >= 1, "must be at least 1", None, ("simulate", "stackelberg"),
+                    "override simulation days"),
+    "mu": _Option("X", float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]", None,
+                  ("simulate", "stackelberg"), "override HDV adaptation rate"),
+    "resolution": _Option("R", float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]", 0.1, ("stackelberg",),
+                          "corner-support grid resolution, default 0.1"),
+    "samples": _Option("N", int, lambda v: v >= 1, "must be at least 1", 200, ("lipschitz",),
+                       "stability bound sample count, default 200"),
+    "seed": _Option("N", int, _valid_seed, "must lie in [0, 2**63)", None,
+                    ("forward", "simulate", "stackelberg", "lipschitz"), "override the scenario seed"),
+}
+_COMMON = tuple(name for name, option in OPTIONS.items() if option.subcommands == SUBCOMMANDS)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fleet-inverse",
-        description="forward and inverse fleet route assignment, batch reports",
+def _synopsis(names) -> str:
+    """The named flags as usage lists them, bracketed unless every
+    subcommand takes them."""
+    flags = {name: f"--{name} {OPTIONS[name].metavar}" for name in names}
+    return " ".join(flag if name in _COMMON else f"[{flag}]" for name, flag in flags.items())
+
+
+def _usage() -> str:
+    """The usage block, which the README shows: the flags every subcommand
+    takes, then a line for each subcommand that takes more."""
+    extra = {
+        sub: [name for name, option in OPTIONS.items() if sub in option.subcommands and name not in _COMMON]
+        for sub in SUBCOMMANDS
+    }
+    width = max(len(sub) for sub, names in extra.items() if names)
+    return "\n".join(
+        [f"fleet-inverse <subcommand> {_synopsis(_COMMON)}"]
+        + [f"fleet-inverse {sub:<{width}} ... {_synopsis(names)}" for sub, names in extra.items() if names]
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--scenario", required=True, help="path to the scenario JSON file")
-        p.add_argument("--out", default="-", help="CSV output path ('-' for stdout)")
-        if name in ("forward", "simulate", "stackelberg", "lipschitz"):
-            p.add_argument("--seed", type=_ranged(int, _valid_seed, "must lie in [0, 2**63)"), default=None,
-                           help="override the scenario seed")
-        if name in ("simulate", "stackelberg"):
-            p.add_argument(
-                "--days", type=_ranged(int, lambda v: v >= 1, "must be at least 1"),
-                default=None, help="override simulation days",
-            )
-            p.add_argument(
-                "--mu", type=_ranged(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-                default=None, help="override HDV adaptation rate",
-            )
-        if name == "stackelberg":
-            p.add_argument(
-                "--resolution", type=_ranged(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-                default=0.1, help="corner-support grid resolution",
-            )
-        if name == "lipschitz":
-            p.add_argument(
-                "--samples", type=_ranged(int, lambda v: v >= 1, "must be at least 1"),
-                default=200, help="stability bound sample count",
-            )
-    return parser
+
+
+def _help() -> str:
+    lines = ["usage: " + _usage().replace("\n", "\n       "), "",
+             "subcommands: " + ", ".join(SUBCOMMANDS), "", "options:"]
+    for name, option in OPTIONS.items():
+        only = "" if name in _COMMON else f" ({', '.join(option.subcommands)})"
+        lines.append(f"  {f'--{name} {option.metavar}':<18} {option.help}{only}")
+    return "\n".join(lines)
+
+
+def _parse_args(argv: list[str]) -> tuple[str, SimpleNamespace]:
+    """The subcommand and the values of the flags it takes, defaults where
+    not given, from `--flag value` or `--flag=value`; the last of a repeated
+    flag wins, and a prefix of a flag is not that flag.  -h or --help
+    prints the help and exits 0.  A parse error prints a usage line and
+    argparse's wording of the error to stderr and exits 2."""
+    if "-h" in argv or "--help" in argv:
+        print(_help())
+        raise SystemExit(EXIT_OK)
+    subcommand = argv[0] if argv else None
+    taken = [name for name, option in OPTIONS.items() if subcommand in option.subcommands]
+
+    def fail(message: str):
+        if subcommand in HANDLERS:
+            usage, prog = f"fleet-inverse {subcommand} {_synopsis(taken)}", f"fleet-inverse {subcommand}"
+        else:
+            usage, prog = _usage().split("\n")[0], "fleet-inverse"
+        print(f"usage: {usage}\n{prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+
+    if subcommand is None:
+        fail("the following arguments are required: subcommand")
+    if subcommand not in HANDLERS:
+        choices = ", ".join(map(repr, SUBCOMMANDS))
+        fail(f"argument subcommand: invalid choice: {subcommand!r} (choose from {choices})")
+    values = {name: OPTIONS[name].default for name in taken}
+    tokens, unrecognized = iter(argv[1:]), []
+    for token in tokens:
+        flag, given, text = token.partition("=")
+        name = flag[2:] if flag.startswith("--") else None
+        if name not in values:
+            unrecognized.append(token)
+            continue
+        if not given:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                fail(f"argument {flag}: expected one argument")
+        option = OPTIONS[name]
+        try:
+            values[name] = option.kind(text)
+        except ValueError:
+            fail(f"argument {flag}: invalid {option.kind.__name__} value: {text!r}")
+        if not option.accepts(values[name]):
+            fail(f"argument {flag}: {option.rule}, got {text!r}")
+    missing = [f"--{name}" for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        fail(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return subcommand, SimpleNamespace(**values)
 
 
 def run(subcommand: str, scenario: Scenario, out_path: str, args) -> int:
@@ -408,11 +490,10 @@ def run(subcommand: str, scenario: Scenario, out_path: str, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    subcommand, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         scenario = parse_scenario(args.scenario)
-        return run(args.subcommand, scenario, args.out, args)
+        return run(subcommand, scenario, args.out, args)
     except ScenarioError as exc:
         print(f"error[parse]: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -556,8 +556,9 @@ def _descend(
     feasible: FeasibleSet,
     f0: np.ndarray,
     config: SolverConfig,
-) -> tuple[np.ndarray, int, bool]:
-    """Projected Newton descent from f0; returns (f, iterations, converged).
+) -> tuple[np.ndarray, int, bool, float]:
+    """Projected Newton descent from f0; returns (f, iterations, converged,
+    F(h, f)).
 
     Each iteration takes the Newton direction on the free face (see
     _newton_direction) and backtracks along the projection arc P(f + a d).
@@ -576,7 +577,8 @@ def _descend(
     only when a face needs it.  It stops when max|f - P(f - grad)| <=
     tol_pg * (1 + max|grad|) and the Newton step is at rounding level; that
     last step is taken, so eps-active coordinates end exactly on their
-    bounds.
+    bounds.  F(h, f) is the last evaluated point's value, evaluated once
+    more only when that last step moved f.
     """
     scale = 1.0 + feasible.total_mass
     rounding = 16.0 * np.finfo(float).eps
@@ -616,7 +618,9 @@ def _descend(
         )
         if d is not None and float(np.abs(d).max()) <= 1e-13 * scale:
             # at rounding level: taken whole only at a stationary point
-            f, d = (arc(f + d) if stationary else f), None
+            if stationary:
+                f, here = arc(f + d), None
+            d = None
         if d is None and stationary:
             converged = True
             break
@@ -633,7 +637,8 @@ def _descend(
             break
         previous = (f, grad)
         f, here = accepted
-    return f, iterations, converged
+    value = eval_objective(strategy, h, f, network) if here is None else here.value
+    return f, iterations, converged, value
 
 
 def solve_convex(
@@ -648,23 +653,23 @@ def solve_convex(
     minimizer is unique when the objective is strictly convex."""
     h = np.asarray(h, dtype=float)
     f0 = feasible.project(np.full(feasible.n_routes, feasible.total_mass / max(1, feasible.n_routes)))
-    f, iterations, converged = _descend(strategy, h, network, feasible, f0, config)
+    f, iterations, converged, value = _descend(strategy, h, network, feasible, f0, config)
     cert = certify_local_min(strategy, h, f, network, feasible, config) if certify else None
     return AssignmentResult(
         f=f,
-        objective=eval_objective(strategy, h, f, network),
+        objective=value,
         certificate=cert,
         trace=SolverTrace("projected_gradient", iterations, 1, converged),
         minimizer_set=(f,),
     )
 
 
-def _ties(points: list[np.ndarray], values: list[float], config: SolverConfig) -> list[np.ndarray]:
-    """The points whose objective value lies within config.tol_tie * (1 +
-    |best|) of the best one, in their given order: the tie set."""
+def _ties(values: list[float], config: SolverConfig) -> list[int]:
+    """The indices of the values within config.tol_tie * (1 + |best|) of
+    the best one, ascending: the tie set."""
     best = min(values)
     window = config.tol_tie * (1.0 + abs(best))
-    return [f for f, value in zip(points, values) if value <= best + window]
+    return [i for i, value in enumerate(values) if value <= best + window]
 
 
 def _distinct(points: Sequence[np.ndarray], scale: float, tol: float) -> list[int]:
@@ -693,19 +698,35 @@ def solve_concave(
 ) -> AssignmentResult:
     """Corner enumeration for concave objectives: minimizers sit at vertices
     of the feasible polytope.  Returns the full tie set."""
-    h = np.asarray(h, dtype=float)
-    vertices = feasible.vertices(config.vertex_cap)
-    values = [eval_objective(strategy, h, v, network) for v in vertices]
-    ties = _canonical_order(_ties(vertices, values, config))
-    f = ties[0]
-    cert = certify_local_min(strategy, h, f, network, feasible, config) if certify else None
-    return AssignmentResult(
-        f=f,
-        objective=eval_objective(strategy, h, f, network),
-        certificate=cert,
-        trace=SolverTrace("corner_enumeration", len(vertices), len(vertices), True),
-        minimizer_set=tuple(ties),
-    )
+    return _corner_solver(strategy, network, feasible, config)(np.asarray(h, dtype=float), certify)
+
+
+def _corner_solver(
+    strategy: FleetStrategy, network: Network, feasible: FeasibleSet, config: SolverConfig
+) -> Callable[[np.ndarray, bool], AssignmentResult]:
+    """solve_concave with the set's vertices enumerated once, as a function
+    of (h, certify): each call evaluates every vertex in one batched
+    eval_objective call, whose rows are bit-identical to one call each, and
+    reports the chosen vertex's value from it.  Of the tie set, the vertex
+    first in canonical order is f."""
+    vertices = np.array(feasible.vertices(config.vertex_cap))
+
+    def solve(h: np.ndarray, certify: bool) -> AssignmentResult:
+        batch = np.broadcast_to(h, (len(vertices),) + h.shape)
+        values = eval_objective(strategy, batch, vertices, network).tolist()
+        # the tied rows in the canonical order of _canonical_order, copied
+        ties = sorted(_ties(values, config), key=lambda i: tuple(-vertices[i]))
+        tied = tuple(vertices[ties])
+        cert = certify_local_min(strategy, h, tied[0], network, feasible, config) if certify else None
+        return AssignmentResult(
+            f=tied[0],
+            objective=values[ties[0]],
+            certificate=cert,
+            trace=SolverTrace("corner_enumeration", len(vertices), len(vertices), True),
+            minimizer_set=tied,
+        )
+
+    return solve
 
 
 def solve_general(
@@ -733,11 +754,9 @@ def solve_general(
         starts = []
     starts = starts + [feasible.random_point(rng) for _ in range(config.n_starts)]
 
-    def run_start(f0):
-        f, iterations, converged = _descend(strategy, h, network, feasible, f0, config)
-        return f, iterations, converged, eval_objective(strategy, h, f, network)
-
-    points, iterations, converged, values = zip(*ordered_map(run_start, starts))
+    points, iterations, converged, values = zip(
+        *ordered_map(lambda f0: _descend(strategy, h, network, feasible, f0, config), starts)
+    )
     kept = sorted(_distinct(points, 1.0 + feasible.total_mass, config.tol_distinct), key=lambda i: values[i])
     best = kept[0]
     best_f, best_val = points[best], values[best]
@@ -747,7 +766,7 @@ def solve_general(
         objective=best_val,
         certificate=cert,
         trace=SolverTrace("multistart_projected_gradient", sum(iterations), len(starts), converged[best]),
-        minimizer_set=tuple(_ties([points[i] for i in kept], [values[i] for i in kept], config)),
+        minimizer_set=tuple(points[kept[i]] for i in _ties([values[i] for i in kept], config)),
     )
 
 
@@ -780,7 +799,8 @@ def _assigner(
     if kind is ConvexityKind.CONVEX_EVERYWHERE:
         return lambda h, seed, certify: solve_convex(strategy, h, network, feasible, config, certify=certify)
     if kind is ConvexityKind.CONCAVE_EVERYWHERE:
-        return lambda h, seed, certify: solve_concave(strategy, h, network, feasible, config, certify=certify)
+        corners = _corner_solver(strategy, network, feasible, config)
+        return lambda h, seed, certify: corners(h, certify)
     return lambda h, seed, certify: solve_general(
         strategy, h, network, feasible, seed=seed, config=config, certify=certify
     )

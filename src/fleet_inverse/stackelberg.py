@@ -25,7 +25,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, SolverConfig
 from .dynamics import SimulationConfig, simulate
 from .errors import FleetModelError
-from .forward import FeasibleSet, solve_concave
+from .forward import FeasibleSet, _corner_solver
 from .network import Network
 from .objective import FleetStrategy, eval_objective
 
@@ -414,20 +414,15 @@ class RoutingComparison:
     trivial: bool                 # no fleet mass, both routings coincide
 
 
-def _fleet_corner_best_response(
-    h: np.ndarray, q_crv: float, network: Network, config: SolverConfig
-) -> int:
-    """Index of the corner assignment minimizing the malicious objective."""
-    feasible = FeasibleSet.from_network(network, totals=[q_crv])
-    result = solve_concave(MALICIOUS, h, network, feasible, config, certify=False)
-    return int(np.argmax(result.f))
-
-
 def _nash_cycle(
     q_hdv: float, q_crv: float, network: Network, config: SolverConfig
 ) -> tuple[bool, tuple[int, ...]]:
     """Iterate fleet corner -> HDV equilibrium -> fleet corner; a repeated
-    state with period > 1 rules out a pure-strategy Nash point."""
+    state with period > 1 rules out a pure-strategy Nash point.  The fleet's
+    corner is the one that minimizes the malicious objective, among the
+    corners enumerated once for the call."""
+    feasible = FeasibleSet.from_network(network, totals=[q_crv])
+    best_corner = _corner_solver(MALICIOUS, network, feasible, config)
     for start in (0, 1):
         corner = start
         seen: dict[int, int] = {}
@@ -444,7 +439,7 @@ def _nash_cycle(
             alpha = 1.0 if corner == 0 else 0.0
             mixture = GeneralMixture(points=((alpha, 1.0),))
             h = induced_ue(mixture, q_hdv, q_crv, network, config)
-            corner = _fleet_corner_best_response(h, q_crv, network, config)
+            corner = int(np.argmax(best_corner(h, False).f))
     return False, tuple(path)
 
 

@@ -1,11 +1,13 @@
 """Scenario parsing, CSV reports, determinism, error categories."""
 
-import argparse
 import collections
 import hashlib
 import json
+import os
 import re
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,10 @@ from fleet_inverse.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNSUPPORTED,
+    OPTIONS,
     SUBCOMMANDS,
-    _build_parser,
+    _parse_args,
+    _usage,
     main,
 )
 from fleet_inverse.config import DEFAULT_CONFIG
@@ -507,6 +511,114 @@ def run_cli(args) -> int:
     return main(args)
 
 
+def usage_error(args, capsys) -> list[str]:
+    """The stderr lines of a run that must exit 2 on a parse error."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == EXIT_PARSE
+    return capsys.readouterr().err.splitlines()
+
+
+class TestParser:
+    SCENARIO = str(fixture_path("stackelberg_symmetric"))
+
+    def test_flags_take_their_values_and_defaults(self):
+        subcommand, args = _parse_args(["stackelberg", "--scenario", self.SCENARIO, "--seed=3", "--mu", "0.5"])
+        assert subcommand == "stackelberg"
+        assert vars(args) == {"scenario": self.SCENARIO, "out": "-", "days": None, "mu": 0.5,
+                              "resolution": 0.1, "seed": 3}
+        assert vars(_parse_args(["lipschitz", "--scenario=x"])[1]) == {
+            "scenario": "x", "out": "-", "samples": 200, "seed": None}
+
+    def test_seed_given_with_an_equals_sign(self, tmp_path, capsys):
+        reports = []
+        for seed in (["--seed", "3"], ["--seed=3"]):
+            out = tmp_path / "report.csv"
+            assert run_cli(["simulate", "--scenario", self.SCENARIO, "--out", str(out), "--days", "5"] + seed) == EXIT_OK
+            reports.append((out.read_bytes(), capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        assert "seed=3)" in reports[1][1]
+
+    def test_repeated_flag_last_wins(self, tmp_path, capsys):
+        out = tmp_path / "days.csv"
+        args = ["simulate", "--scenario", self.SCENARIO, "--out", str(out), "--days", "2", "--days", "3"]
+        assert run_cli(args) == EXIT_OK
+        assert "simulated 3 days" in capsys.readouterr().out
+        assert _parse_args(args)[1].days == 3
+
+    @pytest.mark.parametrize("tail", [["--seed"], ["--seed", "--out", "-"]])
+    def test_flag_without_a_value(self, tail, capsys):
+        err = usage_error(["forward", "--scenario", self.SCENARIO] + tail, capsys)
+        assert err == [
+            "usage: fleet-inverse forward --scenario <path> --out <path> [--seed N]",
+            "fleet-inverse forward: error: argument --seed: expected one argument",
+        ]
+
+    def test_negative_number_is_a_value(self, capsys):
+        err = usage_error(["forward", "--scenario", self.SCENARIO, "--seed", "-1"], capsys)
+        assert err[1] == "fleet-inverse forward: error: argument --seed: must lie in [0, 2**63), got '-1'"
+
+    def test_value_of_the_wrong_type(self, capsys):
+        err = usage_error(["simulate", "--scenario", self.SCENARIO, "--days", "two"], capsys)
+        assert err[1] == "fleet-inverse simulate: error: argument --days: invalid int value: 'two'"
+
+    def test_unknown_subcommand(self, capsys):
+        err = usage_error(["frobnicate", "--scenario", self.SCENARIO], capsys)
+        assert err == [
+            "usage: fleet-inverse <subcommand> --scenario <path> --out <path>",
+            "fleet-inverse: error: argument subcommand: invalid choice: 'frobnicate' (choose from "
+            + ", ".join(repr(name) for name in SUBCOMMANDS) + ")",
+        ]
+
+    def test_missing_subcommand(self, capsys):
+        assert usage_error([], capsys) == [
+            "usage: fleet-inverse <subcommand> --scenario <path> --out <path>",
+            "fleet-inverse: error: the following arguments are required: subcommand",
+        ]
+
+    def test_missing_scenario(self, capsys):
+        # a missing flag is named before an unrecognized one
+        assert usage_error(["simulate", "--out", "-", "--bogus"], capsys) == [
+            "usage: fleet-inverse simulate --scenario <path> --out <path> [--days D] [--mu X] [--seed N]",
+            "fleet-inverse simulate: error: the following arguments are required: --scenario",
+        ]
+
+    def test_prefix_abbreviations_are_not_flags(self, capsys):
+        err = usage_error(["forward", "--scenario", self.SCENARIO, "--se", "3", "--out=-"], capsys)
+        assert err[1] == "fleet-inverse forward: error: unrecognized arguments: --se 3"
+
+    @pytest.mark.parametrize("args", [["--help"], ["forward", "-h"], ["simulate", "--scenario", "x", "--help"]])
+    def test_help(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("usage: " + _usage().replace("\n", "\n       ") + "\n")
+        for flag in OPTIONS:
+            assert f"--{flag} " in out
+
+    def test_a_run_imports_no_argparse(self, tmp_path):
+        # the option table's parser needs neither argparse nor the gettext
+        # and locale modules argparse loads; a run of one fixture in a fresh
+        # interpreter imports none of them
+        out = tmp_path / "forward.csv"
+        code = (
+            "import sys\n"
+            "from fleet_inverse.cli import main\n"
+            f"code = main(['forward', '--scenario', {self.SCENARIO!r}, '--out', {str(out)!r}])\n"
+            "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(forward.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert out.read_text().startswith("route,")
+
+
 class TestCLI:
     def test_inverse_discrete_fixture(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -609,27 +721,22 @@ class TestCLI:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_readme_usage_matches_the_parser(self):
-        # the README's usage block lists, for each subcommand, exactly the
-        # options its parser takes: the "<subcommand>" line those of every
-        # subcommand, a named line the ones only that subcommand adds
+        # the README's usage block is the usage text the option table gives,
+        # and lists for each subcommand exactly the flags the table gives it:
+        # the "<subcommand>" line those of every subcommand, a named line the
+        # ones only that subcommand adds
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("## Command-line interface", 1)[1].split("```")[1]
+        assert block.strip("\n") == _usage()
         listed = {}
-        for line in block.splitlines():
-            if line.startswith("fleet-inverse "):
-                name = line.split()[1]
-                assert name not in listed, f"{name} listed twice"
-                listed[name] = set(re.findall(r"--[a-z]+", line))
+        for line in _usage().splitlines():
+            name = line.split()[1]
+            assert name not in listed, f"{name} listed twice"
+            listed[name] = set(re.findall(r"--[a-z]+", line))
         common = listed.pop("<subcommand>")
         assert set(listed) <= set(SUBCOMMANDS)
-        subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         for name in SUBCOMMANDS:
-            taken = {
-                option
-                for action in subparsers.choices[name]._actions
-                for option in action.option_strings
-                if option.startswith("--") and option != "--help"
-            }
+            taken = {f"--{flag}" for flag, option in OPTIONS.items() if name in option.subcommands}
             assert common | listed.get(name, set()) == taken, name
 
     def test_inverse_above_vertex_cap(self, tmp_path, capsys):

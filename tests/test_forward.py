@@ -32,6 +32,7 @@ from fleet_inverse import (
     solve_inverse,
 )
 from fleet_inverse import forward, inverse, network
+from fleet_inverse.dynamics import SimulationConfig, simulate
 from fleet_inverse.objective import objective_gradient_in_f, objective_hessian_in_f
 from fleet_inverse.scenario import fixture_path, list_fixtures, parse_scenario
 from conftest import (
@@ -386,8 +387,8 @@ class TestSolveGeneral:
                 DISRUPTIVE, h, net, FeasibleSet.from_network(net),
                 config=DEFAULT_CONFIG.replace(max_pg_iter=5), certify=False,
             )
-        best = next(i for i, (f, _, _) in enumerate(runs) if f is result.f)
-        assert (len(runs), best, sum(converged for _, _, converged in runs)) == (25, 9, 1)
+        best = next(i for i, (f, *_) in enumerate(runs) if f is result.f)
+        assert (len(runs), best, sum(converged for _, _, converged, _ in runs)) == (25, 9, 1)
         assert not result.trace.converged
 
     def test_no_start_raises_the_vertex_cap(self):
@@ -490,7 +491,9 @@ class TestWorkCounters:
         # each Armijo trial evaluates the objective and the travel times once,
         # and the accepted trial's times give the next gradient: the 12
         # ladder forwards make 249 of each (457 objective and 609 travel-time
-        # evaluations with blind halving and the times evaluated again)
+        # evaluations with blind halving and the times evaluated again).
+        # Each of them ends on the rounding-level Newton step, which moves f,
+        # so each still evaluates its final point once.
         calls = collections.Counter()
         for owner, name in ((forward, "eval_objective"), (network.DelayTable, "values")):
             method = getattr(owner, name)
@@ -500,8 +503,49 @@ class TestWorkCounters:
             )
         for h, net in route_ladder():
             fleet_assign(SELFISH, h, net, certify=False)
-        assert calls["eval_objective"] <= 275
-        assert calls["values"] <= 270
+        assert calls["eval_objective"] <= 249
+        assert calls["values"] <= 249
+
+    def test_descents_report_their_last_evaluated_point(self, monkeypatch):
+        # a descent that stops anywhere but on the rounding-level Newton step
+        # reports the value of the point it evaluated last: stopped by
+        # max_pg_iter = 5, the 12 ladder forwards make 154 objective
+        # evaluations and the 25 disruptive starts at R = 5 make 184 (166
+        # and 208 when each evaluated its final point again)
+        calls = collections.Counter()
+        method = forward.eval_objective
+        monkeypatch.setattr(forward, "eval_objective", lambda *args, **kwargs:
+                            calls.update(["points"]) or method(*args, **kwargs))
+        config = DEFAULT_CONFIG.replace(max_pg_iter=5)
+        ladder = route_ladder()
+        for h, net in ladder:
+            result = solve_convex(SELFISH, h, net, FeasibleSet.from_network(net), config, certify=False)
+            assert result.objective == method(SELFISH, h, result.f, net)
+        assert calls["points"] == 154
+        calls.clear()
+        h, net = ladder[0]
+        result = solve_general(DISRUPTIVE, h, net, FeasibleSet.from_network(net), config=config, certify=False)
+        assert result.objective == method(DISRUPTIVE, h, result.f, net)
+        assert calls["points"] == 184
+
+    def test_malicious_simulation_enumerates_its_corners_once(self, monkeypatch):
+        # the malicious objective is concave on stackelberg_symmetric, so each
+        # day's fleet takes the best corner: the dispatch enumerates the
+        # vertices once for the run, and each day evaluates every vertex in
+        # one batched call and reports the chosen one's value from it (50
+        # enumerations and 3 evaluations a day when each day enumerated the
+        # vertices again, evaluated them one by one and the chosen one twice)
+        calls = collections.Counter()
+        for owner, name in ((FeasibleSet, "vertices"), (forward, "eval_objective")):
+            method = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *args, name=name, method=method, **kwargs:
+                calls.update([name]) or method(*args, **kwargs)
+            )
+        sc = parse_scenario(fixture_path("stackelberg_symmetric"))
+        states = simulate(SimulationConfig(days=50, strategy=MALICIOUS), sc.hdv_route_flows, sc.network, sc.config)
+        assert len(states) == 50
+        assert calls == {"vertices": 1, "eval_objective": 50}
 
     def test_route_ladder_forms_each_point_once(self, monkeypatch):
         # one evaluation per point: its link flows N^T (h + f), delays and
@@ -684,9 +728,9 @@ class TestWorkCounters:
 
         def counting(*args):
             before = len(calls)
-            f, iterations, converged = descend(*args)
-            descents.append((args[2].separable, calls[before:], iterations))
-            return f, iterations, converged
+            out = descend(*args)
+            descents.append((args[2].separable, calls[before:], out[1]))
+            return out
 
         monkeypatch.setattr(forward, "_descend", counting)
         ladder = route_ladder()
@@ -853,7 +897,7 @@ class TestInvariants:
         solutions = []
         for _ in range(10):
             f0 = fset.random_point(rng)
-            f, _, _ = _descend(SELFISH, h, fig_two_route, fset, f0, DEFAULT_CONFIG)
+            f, *_ = _descend(SELFISH, h, fig_two_route, fset, f0, DEFAULT_CONFIG)
             solutions.append(f)
         for f in solutions[1:]:
             np.testing.assert_allclose(f, solutions[0], atol=1e-6)

@@ -6,6 +6,7 @@ import pytest
 
 from fleet_inverse import (
     DEFAULT_CONFIG,
+    FeasibleSet,
     FleetModelError,
     FleetStrategy,
     GeneralMixture,
@@ -191,6 +192,27 @@ class TestCompareRoutings:
         net = symmetric_quadratic()
         result = compare_routings(net, days=200, mu=0.2, seed=0, burn_in=50)
         assert result.myopic_mean_hdv_time >= result.stackelberg_hdv_time
+
+    def test_corners_enumerated_once_per_search(self, monkeypatch):
+        # the myopic simulation and the Nash search each enumerate the fleet's
+        # corners once (22 enumerations over 20 days and the search when each
+        # day and each search step enumerated them), with the same cycles
+        calls = []
+        vertices = FeasibleSet.vertices
+        monkeypatch.setattr(FeasibleSet, "vertices", lambda *args: calls.append(1) or vertices(*args))
+        cycles = {}
+        for name, net in two_route_networks().items():
+            calls.clear()
+            result = compare_routings(net, days=20, mu=0.2, seed=0)
+            assert len(calls) == 2, name
+            cycles[name] = (result.nash_exists, result.nash_cycle)
+        assert cycles == {
+            "symmetric_quadratic": (False, (0, 1)),
+            "asymmetric_bpr": (False, (0, 1)),
+            "cross_affine": (True, (1,)),
+            "two_route_common_links": (False, (0, 1)),
+            "signalized_link": (False, (0, 1)),
+        }
 
 
 def two_route_networks() -> dict[str, Network]:
