@@ -307,20 +307,16 @@ def _run_lipschitz(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
 
 def _run_fiber(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     net = scenario.network
-    if scenario.observed_route_flows is not None:
-        q = scenario.observed_route_flows
-        link_result = inverse.inverse_link_flows(
-            scenario.strategy, net.route_to_link(q), net, config=scenario.config
-        )
-        phi = link_result.f_hat
-        fiber = inverse.route_fiber(net, phi, upper=q, config=scenario.config)
-        origin = "fleet link flow recovered from observed route flows"
+    q = scenario.observed_route_flows  # caps the fiber's route flows where given
+    if q is not None:
+        observed, kind = net.route_to_link(q), "route"
     elif scenario.observed_link_flows is not None:
-        phi = scenario.observed_link_flows
-        fiber = inverse.route_fiber(net, phi, config=scenario.config)
-        origin = "fleet link flow taken from observed.link_flows"
+        observed, kind = scenario.observed_link_flows, "link"
     else:
         raise ScenarioError("missing-field", "$.observed", "fiber needs observed flows")
+    phi = inverse.inverse_link_flows(scenario.strategy, observed, net, config=scenario.config).f_hat
+    fiber = inverse.route_fiber(net, phi, upper=q, config=scenario.config)
+    origin = f"fleet link flow recovered from observed {kind} flows"
     dim = fiber.dimension
     rows = []
     for r in range(net.n_routes):

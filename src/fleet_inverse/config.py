@@ -1,8 +1,11 @@
 """Numerical knobs with scale-aware defaults.
 
-Every tolerance lives here so that scenario files can override them
-uniformly.  Thresholds marked "relative" are multiplied by a problem
-scale at the point of use (documented next to each consumer).
+SolverConfig holds the tolerances, caps and counts that scenario files may
+override (their `tolerances` section).  Others are fixed in code and
+documented where used: the inverse's 1e-6 active band, its 1e-9 and 1e-10
+KKT tolerances and its 1e-7 labeling tolerance, and the 1e-9 window of the
+Stackelberg optima.  Thresholds marked "relative" are multiplied by a
+problem scale at the point of use (documented next to each consumer).
 """
 
 from __future__ import annotations

@@ -487,7 +487,7 @@ def _newton_direction(
     the route gradient route_grad there.  None when the reduced Hessian is
     not positive semidefinite.
 
-    A diagonal route_grad (a separable network, see _gradient_in_f) gives
+    A diagonal route_grad (see Network._route_gradient_form_at) gives
     a diagonal H.  When every free entry of a unit with two or more free
     routes exceeds pd_rtol times the largest, H and b = grad + H d are
     scaled by one power of 2 and each unit's free coordinates move by

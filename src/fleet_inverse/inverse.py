@@ -23,8 +23,9 @@ observation and assembles its feasible set, its operator and its
 positive-definiteness test (Network.feasible_direction_pd at the route
 level, network._pd_certificate on the link level's basis and jacobian);
 the driver does the rest, with one method for each class of VI.
-B is an (R,) diagonal where it is diagonal (a separable network) and an
-(R, R) matrix otherwise, and every step reads its form from b itself.
+Both levels build B = L G^T (_slope_operator) in the form of the route
+gradient G that Network._route_gradient_form_at decides at the observed
+flow, (R,) or (R, R), and (R,) at L = 0; every step reads it from b.
 A certified VI is solved by one least-index pivot (_pivot): each round
 solves the KKT system of one lower/free/cap face and flips the
 lowest-index route that breaks complementarity there, until the face point
@@ -39,8 +40,8 @@ solution solves the KKT system of its face, so that system is solved on
 each lower/free/cap labeling that can hold every unit's fleet
 (FeasibleSet.labelings, the walk whose one-free-route labelings are the
 forward corners), and its point is kept when the pivot's complementarity
-test (_complementarity) finds no broken route there.  On a separable
-network each label of a route allows its unit's multiplier only one
+test (_complementarity) finds no broken route there.  Where b is
+diagonal each label of a route allows its unit's multiplier only one
 interval (_multiplier_windows), so the walk drops every labeling whose
 intervals do not meet.  A face whose KKT system is singular (L = 0,
 dependent routes) gives its minimum-norm solution.  The listed solution of
@@ -182,11 +183,17 @@ def _route_operator(
     strategy: FleetStrategy, q: np.ndarray, t: np.ndarray, grad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(a0, B) of _affine_operator from the route times t and the route
-    gradient grad at q: the matrix, or on a separable network its diagonal
-    g (R,), which gives B's diagonal (R,), margin g.  Bit for bit the dense
-    operator's a0 and B's diagonal wherever each route has one or two
-    links (see _times)."""
-    return strategy.lam_crv * t + _times(grad.T, strategy.lam_hdv * q), strategy.margin * grad.T
+    gradient grad at q, in the form of Network._route_gradient_form_at:
+    the matrix, or its diagonal g (R,), which gives B's diagonal (R,),
+    margin g.  Bit for bit the dense operator's a0 and B's diagonal
+    wherever each route has one or two links (see _times)."""
+    return strategy.lam_crv * t + _times(grad.T, strategy.lam_hdv * q), _slope_operator(strategy.margin, grad)
+
+
+def _slope_operator(margin: float, grad: np.ndarray) -> np.ndarray:
+    """B = margin grad^T at either level, in the form of the route gradient
+    grad; a zero margin gives the diagonal (R,) whatever that form."""
+    return margin * (np.diagonal(grad) if margin == 0.0 and grad.ndim == 2 else grad.T)
 
 
 def _times(b: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -206,7 +213,7 @@ def stationarity_map(strategy: FleetStrategy, q, f, network: Network) -> np.ndar
     if not np.all(np.isfinite(f)):
         raise InfeasibleProblemError("fleet flows must be finite")
     a0, b = _affine_operator(strategy, q, network)
-    return a0 + b @ f
+    return a0 + _times(b, f)
 
 
 def _linear_minimum(c: np.ndarray, feasible: FeasibleSet) -> tuple[np.ndarray, float]:
@@ -254,17 +261,6 @@ def _active_partition(f: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
     return active
 
 
-def _diagonal_of(b: np.ndarray) -> np.ndarray:
-    """The (R, R) operator b as its diagonal (R,) when b is diagonal (the
-    link level of a separable network, a zero margin, or shared links
-    with no flow and zero slope there, such as an unused connector, which
-    test_unused_connector_leaves_the_operator_diagonal pins), b itself
-    otherwise.  _face_point rebuilds its off-diagonal zeros' signs, but
-    for a zero margin on cross slopes below zero, which gives both."""
-    diagonal = np.diagonal(b)
-    return diagonal if np.count_nonzero(b) == np.count_nonzero(diagonal) else b
-
-
 def _face_point(a0: np.ndarray, b: np.ndarray, feasible: FeasibleSet, active: np.ndarray) -> np.ndarray | None:
     """Solve the KKT system on an active partition (see _active_partition):
     free coordinates satisfy A(f)_r = mu_s inside their unit, the others sit
@@ -310,9 +306,9 @@ def _face_point(a0: np.ndarray, b: np.ndarray, feasible: FeasibleSet, active: np
     rhs = np.zeros(m)
     if b.ndim == 1:
         # LAPACK reads zero signs.  A diagonal b of one sign comes here only
-        # with a zero free entry, and the matrices it stands for, margin *
-        # diag(g) and the link level's product, give their off-diagonal
-        # zeros that entry's sign.  b couples no free route to a fixed one
+        # with a zero free entry, and margin * diag(g), the matrix b stands
+        # for at either level, gives its off-diagonal zeros that entry's
+        # sign.  b couples no free route to a fixed one
         b_free = b[free_idx]
         zeros = b_free[b_free == 0.0]
         lhs[:n_free, :n_free] = zeros[0] if len(zeros) else 0.0
@@ -425,8 +421,8 @@ def _pivot(
 ) -> tuple[np.ndarray | None, int, float | None]:
     """Least-index principal pivoting (Murty 1974; Cottle, Pang and Stone
     1992, section 4.2) on the KKT system of the affine VI, from the
-    lower/free/cap partition `active`: the greedy vertex's, or on a
-    separable VI that of the units' multiplier point
+    lower/free/cap partition `active`: the greedy vertex's, or where b is
+    a positive diagonal that of the units' multiplier point
     (FeasibleSet._multiplier_point), where the first round finds no broken
     route, barring ties that rounding decides, and only confirms the
     solution.
@@ -627,8 +623,7 @@ def _recover(
       greedy vertex of a0, unconverged, when no face validates.
 
     Above config.vertex_cap partitions the enumeration raises
-    FleetModelError.  A matrix b that is diagonal is taken as its diagonal
-    (see _diagonal_of) first; the greedy vertex only where one of the
+    FleetModelError.  The greedy vertex is formed only where one of the
     methods above uses it.
 
     Each solution is mapped by `image` to the level's flows and listed
@@ -649,8 +644,6 @@ def _recover(
     def greedy() -> np.ndarray:
         return _linear_minimum(a0, feasible)[0]
 
-    if b.ndim == 2:
-        b = _diagonal_of(b)
     # each point with its VI gap, None where no solve has checked it
     if unique:
         movable = np.ones(feasible.n_routes, dtype=bool) if feasible.upper is None else feasible.upper > 0.0
@@ -696,9 +689,9 @@ def solve_inverse(
     """Recover the fleet route flow from the observed total flow q.
 
     Solves the stationarity VI over {0 <= f <= q, per-unit sums = sizes}.
-    One route gradient at q, its diagonal on a separable network, gives
+    One route gradient at q, in Network._route_gradient_form_at's form, gives
     both the operator and the certificate's positive-definiteness test
-    (Network.feasible_direction_pd), which on a separable network mostly
+    (Network.feasible_direction_pd), which on a diagonal gradient mostly
     passes without an eigendecomposition, leaving min_rayleigh to be
     computed when read.  When the uniqueness certificate fails,
     `solutions` lists every face solution, f_hat (the one of least norm,
@@ -778,9 +771,8 @@ def inverse_link_flows(
 
     tau = network.link_travel_times(a)
     jac = network.link_time_jacobian(a)
-    incidence = network.incidence
-    a0 = incidence @ (strategy.lam_crv * tau + jac.T @ (strategy.lam_hdv * a))
-    b = strategy.margin * incidence @ jac.T @ incidence.T
+    a0 = network.incidence @ (strategy.lam_crv * tau + jac.T @ (strategy.lam_hdv * a))
+    b = _slope_operator(strategy.margin, network._route_gradient_form_at(a))
     pd = _pd_certificate(_link_feasible_basis(network), jac, config.pd_rtol)
     return _recover(
         "link", a, a0, b, feasible, float(np.linalg.norm(tau)),
@@ -965,9 +957,13 @@ def lipschitz_bound(
     demand_mass = float(np.sum(unit_totals))
 
     q = np.zeros((samples, network.n_routes))
+    # sample i's own counter-based substream: Philox at key (seed, i), set as
+    # Philox(key=...) starts it but without drawing OS entropy
+    rng = np.random.Generator(np.random.Philox(0))
+    start = rng.bit_generator.state
     for i in range(samples):
-        # independent counter-based substream per sample
-        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+        key = {"counter": np.zeros(4, np.uint64), "key": np.array([seed, i], np.uint64)}
+        rng.bit_generator.state = {**start, "state": key}
         for block, total in zip(blocks, unit_totals):
             q[i, block] = rng.dirichlet(np.ones(len(block))) * total
     grad_norm = max(np.linalg.norm(network.route_gradient(q), 2, axis=(1, 2)).tolist())

@@ -574,12 +574,12 @@ def _require_flows(x: np.ndarray, what: str) -> None:
 class Network:
     """Immutable network with delay functions, routes, and OD units.
 
-    A network is separable (`separable`) when it is link-additive and no
-    link lies on two routes.  Its route gradient is then diagonal, and so
-    are the fleet objective's Hessian and the inverse operator: the forward
-    descent and the inverse (its certificate, operator and face solves) run
-    on the gradient's diagonal (`route_gradient_diagonal`), in O(R),
-    instead of on (R, R) matrices.
+    Where it is link-additive and no shared link (on two or more routes)
+    has slope, the route gradient is diagonal, and so are the objective's
+    Hessian and the inverse operator: the forward descent and the inverse
+    then run on the gradient's diagonal, in O(R), instead of on (R, R)
+    matrices (_route_gradient_form_at decides).  A separable network
+    (`separable`: link-additive, no shared link) is so at every flow.
 
     Parameters
     ----------
@@ -619,7 +619,8 @@ class Network:
         self.incidence = incidence
 
         self.delay_table = DelayTable(self.links, self._link_index)
-        self.separable = self.delay_table.link_additive and bool(np.all(incidence.sum(axis=0) <= 1.0))
+        self._shared = incidence.sum(axis=0) > 1.0
+        self.separable = self.delay_table.link_additive and not self._shared.any()
 
         self.units: tuple[ODUnit, ...] | None = None
         self._unit_blocks: tuple[np.ndarray, ...] | None = None
@@ -766,10 +767,12 @@ class Network:
 
     def _route_gradient_form_at(self, a: np.ndarray) -> np.ndarray:
         """The route gradient at the route flows whose link flows are a, in
-        the form the objective and the inverse carry it: the slopes (R,) on
-        a separable network, where they are the whole gradient, the matrix
-        otherwise."""
-        return self._route_gradient_diagonal_at(a) if self.separable else self._route_gradient_at(a)
+        the one form the objective and both inverse levels carry it: the
+        slopes (R,) where no shared link has slope at a, the matrix
+        otherwise.  A separable network skips the test."""
+        if self.separable or (self.link_additive and not np.count_nonzero(self.delay_table.derivatives(a)[self._shared])):
+            return self._route_gradient_diagonal_at(a)
+        return self._route_gradient_at(a)
 
     # -- structure certificates ------------------------------------------------
 
@@ -827,15 +830,15 @@ class Network:
         directions, the gate for inverse uniqueness: twice its least
         eigenvalue there (min_rayleigh) against pd_rtol * |trace| / R.
 
-        On a separable network the gradient is diag(g), g the route slopes
-        (see route_gradient_diagonal), so its restriction is block diagonal
+        Where the gradient is diag(g), g the route slopes (see
+        _route_gradient_form_at), its restriction is block diagonal
         by unit, and by Cauchy interlacing (Horn and Johnson, Matrix
         Analysis, ch. 4) each unit's least eigenvalue lies between its
         smallest and second-smallest slope.  When twice the least slope
         over the units of two or more routes, less the dense test's
         rounding, exceeds the threshold, the test passes without an
         eigendecomposition.  Every other case (an inconclusive bound, a
-        failing test, a network that is not separable) runs the dense test,
+        failing test, a gradient that is not diagonal) runs the dense test,
         the eigenvalues of the restricted gradient.  Either way the
         decision is the dense test's, and min_rayleigh, computed when first
         read (see PDCertificate), has its bits.

@@ -16,6 +16,7 @@ import pytest
 from fleet_inverse import forward
 from fleet_inverse.cli import (
     EXIT_INFEASIBLE,
+    EXIT_NONCONVERGED,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNSUPPORTED,
@@ -339,6 +340,21 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             parse_scenario_dict(doc)
 
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(tmp_path / "missing.json")
+        assert (err.value.code, err.value.field_path) == ("malformed", "$")
+
+    def test_lambda_pair_round_trip(self):
+        doc = load_doc("two_od")
+        doc["strategy"] = {"lambda_hdv": 0.25, "lambda_crv": 1.5}
+        scenario = parse_scenario_dict(doc)
+        assert scenario.strategy_name is None
+        assert (scenario.strategy.lam_hdv, scenario.strategy.lam_crv) == (0.25, 1.5)
+        again = scenario_to_dict(scenario)
+        assert again["strategy"] == {"lambda_hdv": 0.25, "lambda_crv": 1.5}
+        assert scenario_to_dict(parse_scenario_dict(again)) == again
+
 
 # a valid spec of every delay kind for links[1] of two_od, parameters in
 # documented order
@@ -358,6 +374,52 @@ def parse_error(doc) -> tuple[str, str]:
     with pytest.raises(ScenarioError) as err:
         parse_scenario_dict(doc)
     return err.value.code, err.value.field_path
+
+
+def _with(*keys, value):
+    """A mutation of a scenario document: the field at keys set to value."""
+    def mutate(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return doc
+    return mutate
+
+
+# one document mutation of two_route_asymmetric per validation failure, with
+# the code and the field path it reports
+VALIDATION_BRANCHES = [
+    (lambda doc: [doc], "malformed", "$"),
+    (_with("links", value=[]), "malformed", "$.links"),
+    (_with("links", 0, value="l1"), "malformed", "$.links[0]"),
+    (_with("links", 0, "id", value=""), "bad-value", "$.links[0].id"),
+    (_with("links", 0, "delay", value=5.0), "malformed", "$.links[0].delay"),
+    (_with("links", 1, "id", value="l1"), "bad-value", "$.links"),
+    (_with("routes", value={}), "malformed", "$.routes"),
+    (_with("routes", 0, value=["l1"]), "malformed", "$.routes[0]"),
+    (_with("routes", 0, "links", value=[]), "malformed", "$.routes[0].links"),
+    (_with("routes", 1, "id", value="r1"), "bad-value", "$.routes"),
+    (_with("units", value=[]), "malformed", "$.units"),
+    (_with("units", 0, value="O"), "malformed", "$.units[0]"),
+    (_with("units", 0, "routes", value=[]), "malformed", "$.units[0].routes"),
+    (_with("units", 0, "routes", value=["r1", "r3"]), "dangling-id", "$.units[0].routes[1]"),
+    # the network refuses a route that no unit covers
+    (_with("units", 0, "routes", value=["r1"]), "bad-value", "$"),
+    (_with("strategy", value="greedy"), "bad-value", "$.strategy"),
+    (_with("strategy", value=1.0), "malformed", "$.strategy"),
+    (_with("hdv_route_flows", value="10, 40"), "malformed", "$.hdv_route_flows"),
+    (_with("hdv_route_flows", value=[10.0]), "bad-value", "$.hdv_route_flows"),
+    (_with("observed", value=[50.0, 50.0]), "malformed", "$.observed"),
+    (_with("simulation", value=[]), "malformed", "$.simulation"),
+    (_with("tolerances", value=[]), "malformed", "$.tolerances"),
+]
+
+
+@pytest.mark.parametrize("mutate, code, path", VALIDATION_BRANCHES,
+                         ids=[f"{code} at {path}" for _, code, path in VALIDATION_BRANCHES])
+def test_each_validation_branch_names_its_field(mutate, code, path):
+    assert parse_error(mutate(load_doc("two_route_asymmetric"))) == (code, path)
 
 
 def with_delay(spec) -> dict:
@@ -903,6 +965,49 @@ class TestCLI:
         code = run_cli(["certify", "--scenario", str(path), "--out", str(tmp_path / "certify.csv")])
         assert code == EXIT_INFEASIBLE
         assert "error[infeasible]: fleet flows must be finite and lie in the feasible set" in capsys.readouterr().err
+
+    def test_inverse_on_a_lambda_pair(self, tmp_path, capsys):
+        # the pair of the selfish preset gives the preset's report, byte for
+        # byte; another pair gives its own margin
+        doc = load_doc("two_od")
+        for pair, margin in (((0.0, 1.0), 1.0), ((0.25, 1.5), 1.25)):
+            doc["strategy"] = {"lambda_hdv": pair[0], "lambda_crv": pair[1]}
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / "report.csv"
+            assert run_cli(["inverse", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+            stdout = capsys.readouterr().out
+            if pair == (0.0, 1.0):
+                digests = (hashlib.sha256(out.read_bytes()).hexdigest(), hashlib.sha256(stdout.encode()).hexdigest())
+                assert digests == REPORT_SHA256["inverse", "two_od"]
+            lines = out.read_text().splitlines()
+            assert {float(dict(zip(lines[0].split(","), line.split(",")))["margin"]) for line in lines[1:]} == {margin}
+
+    def test_forward_at_its_iteration_cap_exits_nonconverged(self, tmp_path, capsys):
+        doc = load_doc("two_route_asymmetric")
+        doc["tolerances"] = {"max_pg_iter": 1}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["forward", "--scenario", str(path), "--out", str(tmp_path / "out.csv")]) == EXIT_NONCONVERGED
+        assert "error[nonconverged]: forward solver hit its iteration cap" in capsys.readouterr().err
+
+    def test_fiber_with_observed_link_flows(self, tmp_path, capsys):
+        # the observation given as link flows is the observed total, as
+        # inverse reads it: fiber recovers the same fleet link flow from it
+        # as from the route flows it is the image of
+        scenario = parse_scenario(fixture_path("two_od"))
+        doc = load_doc("two_od")
+        doc["observed"] = {"link_flows": scenario.network.route_to_link(scenario.observed_route_flows).tolist()}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        fleet_link_flows = []
+        for scenario_path in (fixture_path("two_od"), path):
+            out = tmp_path / "fiber.csv"
+            assert run_cli(["fiber", "--scenario", str(scenario_path), "--out", str(out)]) == EXIT_OK
+            summary = capsys.readouterr().out.splitlines()
+            fleet_link_flows.append(summary[1])
+        assert summary[0] == "fleet link flow recovered from observed link flows"
+        assert fleet_link_flows[0] == fleet_link_flows[1] == "fleet link flow: a=20, b=20, c=20, d=20"
 
     def test_inverse_with_observed_link_flows(self, tmp_path):
         doc = load_doc("two_stage_overlap")

@@ -25,6 +25,7 @@ from fleet_inverse import (
     certify_local_min,
     eval_objective,
     fleet_assign,
+    inverse_link_flows,
     single_od_network,
     solve_concave,
     solve_convex,
@@ -666,6 +667,23 @@ class TestWorkCounters:
         first = certificate.min_rayleigh
         assert calls == {**per_inverse, "eigvalsh": 1, "route_gradient": 1, "feasible_direction_basis": 1}
         assert certificate.min_rayleigh is first and calls["eigvalsh"] == 1
+
+    def test_ladder_link_inverses_take_the_route_slopes(self, monkeypatch):
+        # the ladder networks are separable, so the link level builds its
+        # operator from the route slopes at the observed link flow, as the
+        # route level does: each hands _recover an (R,) operator, and no
+        # route gradient matrix is formed (each formed (margin N) J^T N^T,
+        # (R, R), and handed it on when _recover reduced it)
+        shapes, matrices = [], []
+        recover, matrix = inverse._recover, Network._route_gradient_at
+        monkeypatch.setattr(inverse, "_recover", lambda *args, **kwargs: shapes.append(args[3].shape)
+                            or recover(*args, **kwargs))
+        monkeypatch.setattr(Network, "_route_gradient_at", lambda self, a: matrices.append(a) or matrix(self, a))
+        for h, net in route_ladder():
+            a = net.route_to_link(h + fleet_assign(SELFISH, h, net, certify=False).f)
+            assert inverse_link_flows(SELFISH, a, net).certificate.theorem_applies
+        assert shapes == [(net.n_routes,) for _, net in route_ladder()]
+        assert matrices == []
 
     def test_uncertified_inverses_take_one_gap_per_validated_face(self, monkeypatch):
         # the 33 route-level inverses of the fixtures under three strategies

@@ -428,6 +428,22 @@ class TestLipschitzBound:
         undefined = lipschitz_bound(SOCIAL, fig_two_route, samples=20, seed=0)
         assert not undefined.defined and math.isinf(undefined.bound)
 
+    def test_substreams_draw_no_os_entropy(self, fig_two_route):
+        # sample i is drawn from Philox at key (seed, i), counter 0, as a
+        # fresh Philox(key=[seed, i]) would draw it; constructing one per
+        # sample drew 128 bits of OS entropy each and discarded them
+        seed, samples = 2**40 + 3, 30
+        with (
+            mock.patch.object(np.random.bit_generator, "randbits", side_effect=AssertionError("OS entropy")),
+            mock.patch.object(inverse, "_hessian_norm_bound", wraps=inverse._hessian_norm_bound) as hessian,
+        ):
+            bound = lipschitz_bound(SELFISH, fig_two_route, samples=samples, seed=seed)
+        assert bound.defined and bound.samples == samples
+        total = fig_two_route.units[0].q_hdv + fig_two_route.units[0].q_crv
+        expected = [np.random.Generator(np.random.Philox(key=[seed, i])).dirichlet(np.ones(2)) * total
+                    for i in range(samples)]
+        assert hessian.call_args.args[1].tobytes() == np.array(expected).tobytes()
+
 
 class TestDiscreteRecover:
     def test_symmetric_selfish(self):
@@ -768,7 +784,7 @@ def _reference_solve(strategy, q, network):
     grad = network.route_gradient(q)
     a0 = strategy.lam_crv * network.route_times(q) + grad.T @ (strategy.lam_hdv * q)
     b = strategy.margin * grad.T
-    return _reference_vi(a0, b, feasible, float(np.linalg.norm(network.route_times(q))))
+    return _reference_vi(a0, b, feasible, float(np.linalg.norm(network.route_times(q))), _diagonal_at(network, q))
 
 
 def _reference_link_solve(strategy, a, network):
@@ -779,18 +795,25 @@ def _reference_link_solve(strategy, a, network):
     tau = network.link_travel_times(a)
     jac = network.link_time_jacobian(a)
     a0 = network.incidence @ (strategy.lam_crv * tau + jac.T @ (strategy.lam_hdv * a))
-    b = strategy.margin * network.incidence @ jac.T @ network.incidence.T
-    f, residual, _ = _reference_vi(a0, b, feasible, float(np.linalg.norm(tau)))
+    b = strategy.margin * (network.incidence @ jac @ network.incidence.T).T
+    diagonal = network._route_gradient_form_at(a).ndim == 1
+    f, residual, _ = _reference_vi(a0, b, feasible, float(np.linalg.norm(tau)), diagonal)
     return network.route_to_link(f), residual
 
 
-def _reference_vi(a0, b, feasible, t_norm):
+def _diagonal_at(network, q) -> bool:
+    """Whether the route gradient at q is diagonal, as Network decides."""
+    return network._route_gradient_form_at(network.route_to_link(q)).ndim == 1
+
+
+def _reference_vi(a0, b, feasible, t_norm, diagonal):
     """A certified affine VI solved by the extragradient alone (Korpelevich
     1976, step 0.9 / ||b||, at most 20,000 iterations), from the uniform
     split: iterates until the gap is within tolerance, then one active-set
     polish.  Also reports whether it returns the polished face point and
     that point keeps the partition it was solved on.  The polish solves the
-    face in closed form where b is diagonal, as the library's pivot does."""
+    face in closed form where the route gradient is `diagonal`, as the
+    library's pivot does."""
     scale = max(1.0, feasible.total_mass)
     tol_gap = DEFAULT_CONFIG.tol_vi * (1.0 + t_norm) * scale
     step = 0.9 / float(np.linalg.norm(b, 2))
@@ -806,7 +829,7 @@ def _reference_vi(a0, b, feasible, t_norm):
         f = feasible.project(f - step * (a0 + b @ y))
     gap = inverse._vi_gap(a0, b, f, feasible)
     active = inverse._active_partition(f, feasible)
-    point = inverse._face_point(a0, inverse._diagonal_of(b), feasible, active)
+    point = inverse._face_point(a0, np.diagonal(b) if diagonal else b, feasible, active)
     polished = None if point is None else inverse._validated(a0, b, feasible, active, point)
     on_face = False
     if polished is not None:
@@ -1185,7 +1208,7 @@ class TestFaceEnumeration:
                                upper=np.array([10.0, 10.0, 1.0]))
         a0, b = np.array([1.0, 1.0, 1.0 - 5e-3 - 1.5e-6]), -1e-3 * np.eye(3)
         assert inverse._vi_gap(a0, b, np.array([5.0, 5.0, 0.0]), feasible) == pytest.approx(1.5e-6)
-        found = inverse._face_solutions(a0, inverse._diagonal_of(b), feasible, 1e-7, DEFAULT_CONFIG)
+        found = inverse._face_solutions(a0, np.diagonal(b), feasible, 1e-7, DEFAULT_CONFIG)
         assert sorted(f.tolist() for f, _ in found) == [[0.0, 10.0, 0.0], [4.5, 4.5, 1.0], [10.0, 0.0, 0.0]]
         assert all(gap == inverse._vi_gap(a0, b, f, feasible) == 0.0 for f, gap in found)
 
@@ -1267,7 +1290,7 @@ class TestFaceEnumeration:
             blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q
         )
         a0, b = inverse._affine_operator(strategy, q, net)
-        b = inverse._diagonal_of(b)
+        b = np.diagonal(b)
         scale = max(1.0, feasible.total_mass)
         tol_gap = DEFAULT_CONFIG.tol_vi * (1.0 + float(np.linalg.norm(net.route_times(q)))) * scale
         f = _pivot_from_greedy(a0, b, feasible, tol_gap)
@@ -1341,14 +1364,13 @@ class TestFaceEnumeration:
         strategy = FleetStrategy(lam_hdv, lam_hdv + margin)
         q = h + fleet_assign(strategy, h, net, seed=0, config=DEFAULT_CONFIG.replace(n_starts=4), certify=False).f
         route_set = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q)
-        a0, b = inverse._affine_operator(strategy, q, net)
         a = net.route_to_link(q)
+        a0, b = inverse._route_operator(strategy, q, net.route_times(q), net._route_gradient_form_at(a))
         tau, jac = net.link_travel_times(a), net.link_time_jacobian(a)
         link_a0 = net.incidence @ (strategy.lam_crv * tau + jac.T @ (strategy.lam_hdv * a))
-        link_b = strategy.margin * net.incidence @ jac.T @ net.incidence.T
+        link_b = inverse._slope_operator(strategy.margin, net._route_gradient_form_at(a))
         link_set = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes)
-        for a0, b, feasible in ((a0, b, route_set), (link_a0, link_b, link_set)):
-            diagonal = inverse._diagonal_of(b)
+        for a0, diagonal, feasible in ((a0, b, route_set), (link_a0, link_b, link_set)):
             assert diagonal.ndim == 1
             tol_gap = DEFAULT_CONFIG.tol_vi * max(1.0, feasible.total_mass)
             pruned = inverse._face_solutions(a0, diagonal, feasible, tol_gap, DEFAULT_CONFIG)

@@ -92,9 +92,31 @@ def _separable_instance(rng, sizes, signalized: bool, capped: bool):
 
 
 def _inverse_operator_is_diagonal(net: Network) -> bool:
+    # the operator solve_inverse builds at a flow on every route
     q = np.random.default_rng(0).uniform(0.05, 0.45, size=net.n_routes)
-    _, b = inverse._affine_operator(FleetStrategy(0.0, 1.0), q, net)
-    return inverse._diagonal_of(b).ndim == 1
+    grad = net._route_gradient_form_at(net.route_to_link(q))
+    _, b = inverse._route_operator(FleetStrategy(0.0, 1.0), q, net.route_times(q), grad)
+    return b.ndim == 1
+
+
+def _unused_connector(exit_t0: float = 1.0):
+    """Ten private BPR routes and two routes (s, x1), (s, x2) through a
+    shared connector s, x1 and x2 of free-flow time exit_t0, and an
+    observed route flow that leaves s empty."""
+    rng = np.random.default_rng(0)
+    links = [Link(f"l{j}", BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(20, 80)), 2.0))
+             for j in range(10)]
+    links += [Link("s", BPRDelay(1.0, 1.0, 50.0, 2.0))]
+    links += [Link(x, BPRDelay(exit_t0, 1.0, 50.0, 2.0)) for x in ("x1", "x2")]
+    routes = [Route(f"r{j}", (f"l{j}",)) for j in range(10)] + [Route("d1", ("s", "x1")), Route("d2", ("s", "x2"))]
+    unit = ODUnit("O", "D", q_hdv=100.0, q_crv=50.0, route_ids=tuple(route.id for route in routes))
+    net = Network(links, routes, units=[unit])
+    return net, np.concatenate([rng.dirichlet(np.ones(10)) * 150.0, [0.0, 0.0]])
+
+
+def _form(net: Network, q) -> np.ndarray:
+    """The route gradient at q in the form Network decides."""
+    return net._route_gradient_form_at(net.route_to_link(q))
 
 
 class TestSeparableFlag:
@@ -120,26 +142,44 @@ class TestSeparableFlag:
         assert all(net.separable for _, net in route_ladder())
 
     def test_unused_connector_leaves_the_operator_diagonal(self):
-        # ten private BPR routes and two routes (s, x1), (s, x2) through a
-        # shared connector s that carries no observed flow: the network is
-        # not separable, but the BPR slopes vanish at zero flow, so the
-        # dense route gradient is diagonal.  _diagonal_of reduces it, and the
-        # enumeration prunes by the multiplier windows; on the dense
-        # operator it raises FleetModelError above the labeling cap
-        rng = np.random.default_rng(0)
-        links = [Link(f"l{j}", BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(20, 80)), 2.0))
-                 for j in range(10)]
-        links += [Link(x, BPRDelay(1.0, 1.0, 50.0, 2.0)) for x in ("s", "x1", "x2")]
-        routes = [Route(f"r{j}", (f"l{j}",)) for j in range(10)] + [Route("d1", ("s", "x1")), Route("d2", ("s", "x2"))]
-        unit = ODUnit("O", "D", q_hdv=100.0, q_crv=50.0, route_ids=tuple(route.id for route in routes))
-        net = Network(links, routes, units=[unit])
-        q = np.concatenate([rng.dirichlet(np.ones(10)) * 150.0, [0.0, 0.0]])
+        # the connector s carries no observed flow: the network is not
+        # separable, but the BPR slopes vanish at zero flow, so the route
+        # gradient is diagonal there, and the enumeration prunes by the
+        # multiplier windows; on the dense operator it raises
+        # FleetModelError above the labeling cap
+        net, q = _unused_connector()
         strategy = FleetStrategy(0.5, 0.2)
-        _, b = inverse._affine_operator(strategy, q, net)
-        assert not net.separable and inverse._diagonal_of(b).ndim == 1
+        assert not net.separable and _form(net, q).shape == (net.n_routes,)
         result = solve_inverse(strategy, q, net)
         assert not result.certificate.theorem_applies
         assert result.converged and len(result.solutions) == 3
+
+    def test_connector_with_flow_makes_the_gradient_dense(self):
+        # once the connector carries flow its slope couples d1 and d2
+        net, q = _unused_connector()
+        q[-1] = 1.0
+        grad = _form(net, q)
+        assert grad.shape == (net.n_routes, net.n_routes)
+        assert grad.tobytes() == net.route_gradient(q).tobytes() and grad[-1, -2] > 0.0
+
+    @pytest.mark.parametrize("strategy", [FleetStrategy.preset("selfish"), FleetStrategy(0.5, 0.2),
+                                          FleetStrategy.preset("disruptive")])
+    def test_forward_at_an_unused_connector_matches_the_dense_path(self, strategy, monkeypatch):
+        # slow exits keep the connector routes empty: the HDVs leave them
+        # so, and the fleet's descent leaves them after its first step, so
+        # its later iterations take the route slopes; forced onto the
+        # matrix at every point, the forward agrees
+        net, q = _unused_connector(exit_t0=10.0)
+        h = q * (100.0 / q.sum())
+        slopes = mock.patch.object(Network, "_route_gradient_diagonal_at", autospec=True,
+                                   side_effect=Network._route_gradient_diagonal_at)
+        with slopes as diagonal_steps:
+            diagonal = fleet_assign(strategy, h, net, certify=False)
+        assert diagonal_steps.call_count >= 5 and not np.any(diagonal.f[-2:])
+        monkeypatch.setattr(Network, "_route_gradient_form_at", Network._route_gradient_at)
+        dense = fleet_assign(strategy, h, net, certify=False)
+        mass = float(np.sum(net.fleet_sizes()))
+        np.testing.assert_allclose(diagonal.f, dense.f, rtol=0.0, atol=1e-9 * (1.0 + mass))
 
 
 class TestIndependence:
@@ -244,8 +284,7 @@ class TestClosedForms:
         q = h + f
         feasible = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q)
         a0, b = inverse._affine_operator(strategy, q, net)
-        diagonal = inverse._diagonal_of(b)
-        assert diagonal.ndim == 1
+        diagonal = np.diagonal(b)
         tol = 1e-7 * (1.0 + feasible.total_mass)
         per_unit = [list(feasible.labelings(s, tol)) for s in range(len(feasible.blocks))]
         active = np.zeros(net.n_routes, dtype=int)
@@ -285,11 +324,14 @@ def _observed_separable(rng, sizes, signalized: bool):
 
 def _dense_inverse(strategy, q, net, config=DEFAULT_CONFIG):
     """solve_inverse as the dense test and the dense operator give it: the
-    route gradient matrix, the feasible-direction basis and eigvalsh."""
+    route gradient matrix, the feasible-direction basis and eigvalsh, and
+    the diagonal of the operator margin * grad^T on these separable
+    networks."""
     feasible = FeasibleSet.from_network(net, None, q)
     grad, t = net.route_gradient(q), net.route_times(q)
     pd = _pd_certificate(net.feasible_direction_basis(), grad, config.pd_rtol)
-    a0, b = inverse._route_operator(strategy, q, t, grad)
+    a0, _ = inverse._route_operator(strategy, q, t, grad)
+    b = np.diagonal(strategy.margin * grad.T)
     certificate = inverse._certificate(strategy.margin, pd, inverse._ROUTE_REASONS)
     return inverse._recover("route", q, a0, b, feasible, float(np.linalg.norm(t)), certificate, config)
 
@@ -311,9 +353,10 @@ def _assert_same_operator(strategy, q, net):
     a0 and B's diagonal, the signs of their zeros included."""
     t = net.route_times(q)
     a0, b = inverse._route_operator(strategy, q, t, net.route_gradient_diagonal(q))
-    dense_a0, dense_b = inverse._route_operator(strategy, q, t, net.route_gradient(q))
+    grad = net.route_gradient(q)
+    dense_a0, _ = inverse._route_operator(strategy, q, t, grad)
     assert a0.tobytes() == dense_a0.tobytes()
-    assert b.tobytes() == np.diagonal(dense_b).tobytes()
+    assert b.tobytes() == np.diagonal(strategy.margin * grad.T).tobytes()
 
 
 def _assert_same_inverse(result, reference):
@@ -456,12 +499,13 @@ class TestSeparableCertificate:
 @st.composite
 def _diagonal_operator(draw, n, zero=None):
     """(B, b, f): a dense operator B that is diagonal, b its diagonal (R,)
-    as the inverse carries it, and n values f of either sign, often 0.  B
-    is one of the three the inverse meets: the separable route operator
-    margin * diag(g), b = margin * g; the link level's (margin N) J^T N^T,
-    N a separable incidence; and a zero margin times the gradient N J N^T
-    of routes that share links.  Margins take either sign, zero included;
-    the slopes g and J >= 0 are often 0, and all of route `zero`'s are."""
+    as the inverse carries it (_slope_operator), and n values f of either
+    sign, often 0.  B is margin G^T for one of the three route gradients
+    G that the inverse meets: diag(g), b = margin * g; N J N^T, N a
+    separable incidence, whose form is the slopes N J (at either level);
+    and, at a zero margin, the gradient N J N^T of routes that share
+    links.  Margins take either sign, zero included; the slopes g and J
+    >= 0 are often 0, and all of route `zero`'s are."""
     margin = draw(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, -0.1) | st.floats(0.1, 2.0))
     slope = st.just(0.0) | st.floats(0.1, 10.0)
     f = np.array(draw(st.lists(st.just(0.0) | st.floats(-10.0, 10.0), min_size=n, max_size=n)))
@@ -470,18 +514,22 @@ def _diagonal_operator(draw, n, zero=None):
         g = np.array(draw(st.lists(slope, min_size=n, max_size=n)))
         if zero is not None:
             g[zero] = 0.0
-        return margin * np.diag(g), margin * g, f
+        return margin * np.diag(g), inverse._slope_operator(margin, g), f
     if kind == "link":
         owners = np.repeat(np.arange(n), draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
         incidence = (np.arange(n)[:, None] == owners).astype(float)
     else:
         shared = draw(st.lists(st.lists(st.booleans(), min_size=2, max_size=2), min_size=n, max_size=n))
         incidence = np.hstack([np.eye(n), np.array(shared, dtype=float)])
-    jac = np.diag(draw(st.lists(slope, min_size=incidence.shape[1], max_size=incidence.shape[1])))
+        margin = 0.0
+    slopes = np.array(draw(st.lists(slope, min_size=incidence.shape[1], max_size=incidence.shape[1])))
     if zero is not None:
-        jac[incidence[zero] > 0.0] = 0.0
-    dense = margin * incidence @ jac.T @ incidence.T if kind == "link" else 0.0 * (incidence @ jac @ incidence.T).T
-    b = inverse._diagonal_of(dense)
+        slopes[incidence[zero] > 0.0] = 0.0
+    grad = incidence @ np.diag(slopes) @ incidence.T
+    dense = margin * grad.T
+    assert np.count_nonzero(dense) == np.count_nonzero(np.diagonal(dense))
+    # the form Network._route_gradient_form_at gives the gradient
+    b = inverse._slope_operator(margin, incidence @ slopes if kind == "link" else grad)
     assert b.ndim == 1
     return dense, b, f
 
@@ -489,10 +537,10 @@ def _diagonal_operator(draw, n, zero=None):
 class TestDiagonalOperator:
     """A diagonal operator B given as its diagonal (R,) keeps every byte of
     the arithmetic on the dense matrix, its off-diagonal zeros' signs
-    included: the margin's in margin * diag(g), +0 in the link level's
-    product and at a zero margin on link-additive delays.  (A zero margin
-    on cross slopes below zero gives zeros of both signs, which the
-    diagonal cannot keep.)"""
+    included: the margin's in margin * G^T at either level, which a zero
+    margin on link-additive delays makes +0.  (A zero margin on cross
+    slopes below zero gives zeros of both signs, which the diagonal cannot
+    keep.)"""
 
     @given(data=st.data(), n=st.integers(1, 6))
     @settings(max_examples=300, deadline=None)
