@@ -121,6 +121,26 @@ def route_ladder(instance_seed=2024) -> list:
     return out
 
 
+def overlapping_routes(r: int):
+    """(h, network): one OD pair over R routes that share links.  Route i
+    has its own link p<i>, BPR(U(1, 8), 1, U(20, 80), 4), and 2 of R shared
+    links s<j>, BPR(U(1, 4), 1, U(40, 160), 4), drawn without replacement;
+    q_hdv = 10R, q_crv = 5R, h ~ Dirichlet(1) * 10R, all from
+    default_rng(R).  Every route has a link of its own, so the routes are
+    linearly independent."""
+    rng = np.random.default_rng(r)
+    private = [BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(20, 80)), 4.0) for _ in range(r)]
+    shared = [BPRDelay(float(rng.uniform(1, 4)), 1.0, float(rng.uniform(40, 160)), 4.0) for _ in range(r)]
+    links = [Link(f"p{i}", d) for i, d in enumerate(private)] + [Link(f"s{j}", d) for j, d in enumerate(shared)]
+    routes = [
+        Route(f"r{i}", (f"p{i}",) + tuple(f"s{j}" for j in sorted(rng.choice(r, 2, replace=False))))
+        for i in range(r)
+    ]
+    unit = ODUnit("O", "D", q_hdv=10.0 * r, q_crv=5.0 * r, route_ids=tuple(route.id for route in routes))
+    h = rng.dirichlet(np.ones(r)) * 10.0 * r
+    return h, Network(links, routes, units=[unit])
+
+
 @pytest.fixture
 def fig_two_route():
     return asymmetric_two_route()
