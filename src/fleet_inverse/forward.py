@@ -407,13 +407,19 @@ def certify_local_min(
     Raises InfeasibleProblemError unless h is finite and non-negative and f
     is a finite point of the set (FeasibleSet.contains).
     """
+    return _certify(strategy, h, f, network, feasible, config)
+
+
+def _certify(strategy, h, f, network, feasible, config, point: _Point | None = None) -> Certificate:
+    """certify_local_min, its checks included, at f's point (evaluated here when None)."""
     h = _hdv_flows(h)
     f = np.asarray(f, dtype=float)
     if f.shape != (feasible.n_routes,):
         raise DimensionMismatchError(f"fleet flows must be a vector of length {feasible.n_routes}")
     if not feasible.contains(f):
         raise InfeasibleProblemError("fleet flows must be finite and lie in the feasible set")
-    point = _evaluate(strategy, h, f, network)
+    if point is None:
+        point = _evaluate(strategy, h, f, network)
     grad, route_grad = _gradient_in_f(strategy, point, network)
     tol_dd = config.tol_dd * (1.0 + float(np.max(np.abs(grad))))
     move_tol = 1e-12 * (1.0 + feasible.total_mass)
@@ -556,9 +562,9 @@ def _descend(
     feasible: FeasibleSet,
     f0: np.ndarray,
     config: SolverConfig,
-) -> tuple[np.ndarray, int, bool, float]:
+) -> tuple[np.ndarray, int, bool, _Point]:
     """Projected Newton descent from f0; returns (f, iterations, converged,
-    F(h, f)).
+    f's evaluated point), the point's value F(h, f).
 
     Each iteration takes the Newton direction on the free face (see
     _newton_direction) and backtracks along the projection arc P(f + a d).
@@ -577,8 +583,8 @@ def _descend(
     only when a face needs it.  It stops when max|f - P(f - grad)| <=
     tol_pg * (1 + max|grad|) and the Newton step is at rounding level; that
     last step is taken, so eps-active coordinates end exactly on their
-    bounds.  F(h, f) is the last evaluated point's value, evaluated once
-    more only when that last step moved f.
+    bounds.  f's point is the last evaluated one, evaluated once more only
+    when that last step moved f.
     """
     scale = 1.0 + feasible.total_mass
     rounding = 16.0 * np.finfo(float).eps
@@ -637,8 +643,9 @@ def _descend(
             break
         previous = (f, grad)
         f, here = accepted
-    value = eval_objective(strategy, h, f, network) if here is None else here.value
-    return f, iterations, converged, value
+    if here is None:
+        here = eval_objective(strategy, h, f, network, return_point=True)
+    return f, iterations, converged, here
 
 
 def solve_convex(
@@ -653,11 +660,11 @@ def solve_convex(
     minimizer is unique when the objective is strictly convex."""
     h = np.asarray(h, dtype=float)
     f0 = feasible.project(np.full(feasible.n_routes, feasible.total_mass / max(1, feasible.n_routes)))
-    f, iterations, converged, value = _descend(strategy, h, network, feasible, f0, config)
-    cert = certify_local_min(strategy, h, f, network, feasible, config) if certify else None
+    f, iterations, converged, point = _descend(strategy, h, network, feasible, f0, config)
+    cert = _certify(strategy, h, f, network, feasible, config, point) if certify else None
     return AssignmentResult(
         f=f,
-        objective=value,
+        objective=point.value,
         certificate=cert,
         trace=SolverTrace("projected_gradient", iterations, 1, converged),
         minimizer_set=(f,),
@@ -754,19 +761,18 @@ def solve_general(
         starts = []
     starts = starts + [feasible.random_point(rng) for _ in range(config.n_starts)]
 
-    points, iterations, converged, values = zip(
+    points, iterations, converged, finals = zip(
         *ordered_map(lambda f0: _descend(strategy, h, network, feasible, f0, config), starts)
     )
-    kept = sorted(_distinct(points, 1.0 + feasible.total_mass, config.tol_distinct), key=lambda i: values[i])
+    kept = sorted(_distinct(points, 1.0 + feasible.total_mass, config.tol_distinct), key=lambda i: finals[i].value)
     best = kept[0]
-    best_f, best_val = points[best], values[best]
-    cert = certify_local_min(strategy, h, best_f, network, feasible, config) if certify else None
+    cert = _certify(strategy, h, points[best], network, feasible, config, finals[best]) if certify else None
     return AssignmentResult(
-        f=best_f,
-        objective=best_val,
+        f=points[best],
+        objective=finals[best].value,
         certificate=cert,
         trace=SolverTrace("multistart_projected_gradient", sum(iterations), len(starts), converged[best]),
-        minimizer_set=tuple(points[kept[i]] for i in _ties([values[i] for i in kept], config)),
+        minimizer_set=tuple(points[kept[i]] for i in _ties([finals[i].value for i in kept], config)),
     )
 
 

@@ -465,7 +465,8 @@ class DelayTable:
     vector and one slope matrix whose rows hold the own slope on the
     diagonal.  Every method takes link flows of shape (L,) or a batch
     (S, L), one row per flow, evaluates each kind's kernels once on all of
-    its links, and returns one value per link (the jacobian one row per
+    its links, and returns one value per link (the jacobian, diag(tau') and
+    the cross-affine rows, formed for link_time_jacobian only, one row per
     link).  Cross-affine sums run one BLAS dot product per row, so each row
     of a batch is bit-identical to the unbatched call.  Flows are not
     validated here beyond the kernels' own domains.
@@ -574,12 +575,12 @@ def _require_flows(x: np.ndarray, what: str) -> None:
 class Network:
     """Immutable network with delay functions, routes, and OD units.
 
-    Where it is link-additive and no shared link (on two or more routes)
-    has slope, the route gradient is diagonal, and so are the objective's
-    Hessian and the inverse operator: the forward descent and the inverse
-    then run on the gradient's diagonal, in O(R), instead of on (R, R)
-    matrices (_route_gradient_form_at decides).  A separable network
-    (`separable`: link-additive, no shared link) is so at every flow.
+    The route gradient is N diag(tau') N^T from the link slopes tau', plus
+    N E N^T, E the jacobian's constant cross-affine rows.  Where the network
+    is link-additive and no shared link (on two or more routes) has slope,
+    it is diagonal, and so are the objective's Hessian and the inverse
+    operator, which then run on the route slopes N tau' in O(R)
+    (_route_gradient_form_at decides); on a separable network, at every flow.
 
     Parameters
     ----------
@@ -619,8 +620,17 @@ class Network:
         self.incidence = incidence
 
         self.delay_table = DelayTable(self.links, self._link_index)
-        self._shared = incidence.sum(axis=0) > 1.0
+        routes_on = incidence.sum(axis=0)
+        self._shared = routes_on > 1.0
         self.separable = self.delay_table.link_additive and not self._shared.any()
+        self._cross_term = None  # N E N^T (see _route_gradient_at), None where 0
+        if not self.delay_table.link_additive:
+            rows = np.zeros((len(self.links), len(self.links)))
+            rows[self.delay_table.cross_at] = self.delay_table.cross_slopes
+            self._cross_term = incidence @ rows @ incidence.T
+        # sqrt(|N|_1 |N|_inf), inf unless every route has a link of its own
+        own = incidence[:, routes_on == 1.0].any(axis=1).all()
+        self._singular_bound = math.sqrt(routes_on.max() * incidence.sum(axis=1).max()) if own else math.inf
 
         self.units: tuple[ODUnit, ...] | None = None
         self._unit_blocks: tuple[np.ndarray, ...] | None = None
@@ -673,23 +683,14 @@ class Network:
             raise FleetModelError("this operation needs OD units, but none were declared")
         return self.units
 
-    def _check_route_dim(self, q, batch: bool = False) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if q.shape[-1:] != (self.n_routes,) or q.ndim > (2 if batch else 1):
+    def _check_dim(self, x, kind: str, batch: bool = True) -> np.ndarray:
+        """x as a float "route" or "link" vector, or a batch of them."""
+        x = np.asarray(x, dtype=float)
+        n = self.n_routes if kind == "route" else self.n_links
+        if x.shape[-1:] != (n,) or x.ndim > (2 if batch else 1):
             batches = " (or a batch of them)" if batch else ""
-            raise DimensionMismatchError(
-                f"expected route vector of length {self.n_routes}{batches}, got shape {q.shape}"
-            )
-        return q
-
-    def _check_link_dim(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        if a.shape[-1:] != (self.n_links,) or a.ndim > 2:
-            raise DimensionMismatchError(
-                f"expected link vector of length {self.n_links} (or a batch of them), "
-                f"got shape {a.shape}"
-            )
-        return a
+            raise DimensionMismatchError(f"expected {kind} vector of length {n}{batches}, got shape {x.shape}")
+        return x
 
     # -- flow conversion and travel times -------------------------------------
     #
@@ -699,21 +700,21 @@ class Network:
 
     def route_to_link(self, q) -> np.ndarray:
         """Aggregate a route flow into the induced link flow (linear)."""
-        return self._route_to_link_at(self._check_route_dim(q, batch=True))
+        return self._route_to_link_at(self._check_dim(q, "route"))
 
     def _route_to_link_at(self, q: np.ndarray) -> np.ndarray:
         """route_to_link at route flows q of the right shape."""
         return _rowwise(self.incidence.T, q)
 
     def link_travel_times(self, a) -> np.ndarray:
-        a = self._check_link_dim(a)
+        a = self._check_dim(a, "link")
         _require_flows(a, "link")
         return self.delay_table.values(a)
 
     def link_time_jacobian(self, a) -> np.ndarray:
         """d tau / d a, an (A, A) matrix per flow; diagonal unless
         cross-dependence."""
-        return self.delay_table.jacobian(self._check_link_dim(a))
+        return self.delay_table.jacobian(self._check_dim(a, "link"))
 
     def link_second_derivatives(self, a) -> np.ndarray:
         """d^2 tau_a / d a_a^2 on every link carrying flow; 0 on cross-affine
@@ -723,7 +724,7 @@ class Network:
         (BPR powers below 2), and the objective weights it by a link flow
         that vanishes with it.
         """
-        return self._link_second_derivatives_at(self._check_link_dim(a))
+        return self._link_second_derivatives_at(self._check_dim(a, "link"))
 
     def _link_second_derivatives_at(self, a: np.ndarray) -> np.ndarray:
         """link_second_derivatives at link flows a of the right shape."""
@@ -735,7 +736,7 @@ class Network:
     def route_times(self, q) -> np.ndarray:
         """Travel time on every route at total flow q (route travel times are
         sums of the member links' delays)."""
-        return self._link_flows_and_times(self._check_route_dim(q, batch=True))[1]
+        return self._link_flows_and_times(self._check_dim(q, "route"))[1]
 
     def _link_flows_and_times(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(link flows, route times) at route flows q of the right shape:
@@ -745,34 +746,26 @@ class Network:
         return a, _rowwise(self.incidence, self.delay_table.values(a))
 
     def route_gradient(self, q) -> np.ndarray:
-        """Gradient matrix of route travel times with respect to route flows:
-        the incidence matrix composed with the link-time jacobian."""
-        return self._route_gradient_at(self.route_to_link(q))
+        """Gradient matrix of route travel times with respect to route flows,
+        N J N^T with J the link-time jacobian (see _route_gradient_at)."""
+        return self._route_gradient_at(self.delay_table.derivatives(self.route_to_link(q)))
 
-    def _route_gradient_at(self, a: np.ndarray) -> np.ndarray:
-        """route_gradient at the route flows whose link flows are a."""
-        return self.incidence @ self.link_time_jacobian(a) @ self.incidence.T
-
-    def route_gradient_diagonal(self, q) -> np.ndarray:
-        """The diagonal of route_gradient on a link-additive network: each
-        route's summed link slopes, N tau'.  On a separable network it is
-        the whole gradient."""
-        if not self.link_additive:
-            raise UnsupportedDelayError("the route gradient's diagonal needs link-additive delays")
-        return self._route_gradient_diagonal_at(self.route_to_link(q))
-
-    def _route_gradient_diagonal_at(self, a: np.ndarray) -> np.ndarray:
-        """route_gradient_diagonal at the route flows whose link flows are a."""
-        return _rowwise(self.incidence, self.delay_table.derivatives(a))
+    def _route_gradient_at(self, slopes: np.ndarray) -> np.ndarray:
+        """The route gradient from the link slopes tau' (DelayTable.derivatives)
+        at its link flows, one vector or a batch (S, L): N diag(tau') N^T,
+        plus N E N^T, E the jacobian's constant cross-affine rows."""
+        grad = (self.incidence * slopes[..., None, :]) @ self.incidence.T
+        return grad if self._cross_term is None else grad + self._cross_term
 
     def _route_gradient_form_at(self, a: np.ndarray) -> np.ndarray:
         """The route gradient at the route flows whose link flows are a, in
-        the one form the objective and both inverse levels carry it: the
-        slopes (R,) where no shared link has slope at a, the matrix
-        otherwise.  A separable network skips the test."""
-        if self.separable or (self.link_additive and not np.count_nonzero(self.delay_table.derivatives(a)[self._shared])):
-            return self._route_gradient_diagonal_at(a)
-        return self._route_gradient_at(a)
+        the one form the objective and both inverse levels carry it, from one
+        slope evaluation: the route slopes N tau' (R,) where no shared link
+        has slope at a, the matrix otherwise.  A separable network skips the test."""
+        slopes = self.delay_table.derivatives(a)
+        if self.separable or (self.link_additive and not np.count_nonzero(slopes[self._shared])):
+            return _rowwise(self.incidence, slopes)
+        return self._route_gradient_at(slopes)
 
     # -- structure certificates ------------------------------------------------
 
@@ -782,17 +775,15 @@ class Network:
         largest.
 
         When dependent, returns an orthonormal basis of route-space vectors
-        whose induced link flows vanish.  On a separable network the routes'
-        links are disjoint and non-empty, so the singular values are the
-        square roots of the route lengths and no SVD runs unless they fail
-        the test.
+        whose induced link flows vanish.  Where every route has a link no
+        other route uses, the least singular value is at least 1 and the
+        largest at most sqrt(|N|_1 |N|_inf) (Golub and Van Loan, section
+        2.3): when rank_rtol times that bound is below 1, no SVD runs.
         """
-        if self.separable:
-            singular = np.sqrt(self.incidence.sum(axis=1))
-            if np.all(singular > rank_rtol * np.max(singular)):
-                basis = np.zeros((self.n_routes, 0))
-                basis.setflags(write=False)
-                return LinearIndependence(independent=True, null_basis=basis)
+        if rank_rtol * self._singular_bound < 1.0:
+            basis = np.zeros((self.n_routes, 0))
+            basis.setflags(write=False)
+            return LinearIndependence(independent=True, null_basis=basis)
         u, s, _ = np.linalg.svd(self.incidence, full_matrices=True)
         threshold = rank_rtol * (s[0] if s.size else 0.0)
         rank = int(np.sum(s > threshold))
@@ -852,7 +843,7 @@ class Network:
         single units of up to 500 routes, the whole error stays below 0.31
         R eps max|g|.
         """
-        q = self._check_route_dim(q)
+        q = self._check_dim(q, "route", batch=False)
         a = self._route_to_link_at(q)
         return self._feasible_direction_pd_at(q, self._route_gradient_form_at(a), pd_rtol)
 

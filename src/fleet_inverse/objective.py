@@ -192,12 +192,14 @@ def objective_hessian_in_f(strategy: FleetStrategy, h, f, network: Network) -> n
 
         lam_crv * (G + G^T) + sum_a (N^T w)_a * tau_a''(x_a) * n_a n_a^T
 
-    with G the route gradient at q = h + f, w = lam_hdv*h + lam_crv*f, x the
-    link flows, N the incidence matrix and n_a its column a.  Cross-affine
-    delays are linear, so only scalar delays contribute curvature."""
+    with G the route gradient at q = h + f (Network._route_gradient_at from
+    the link slopes), w = lam_hdv*h + lam_crv*f, x the link flows, N the
+    incidence matrix and n_a its column a.  Cross-affine delays are linear,
+    so only scalar delays contribute curvature."""
     h, f = _check_pair(h, f, network.n_routes)
     point = _evaluate(strategy, h, f, network)
-    return _hessian_in_f(strategy, point, network, network._route_gradient_at(point.x))
+    grad = network._route_gradient_at(network.delay_table.derivatives(point.x))
+    return _hessian_in_f(strategy, point, network, grad)
 
 
 def _hessian_in_f(strategy: FleetStrategy, point: _Point, network: Network, grad: np.ndarray) -> np.ndarray:

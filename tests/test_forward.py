@@ -32,7 +32,7 @@ from fleet_inverse import (
     solve_general,
     solve_inverse,
 )
-from fleet_inverse import forward, inverse, network
+from fleet_inverse import forward, inverse, network, objective
 from fleet_inverse.dynamics import SimulationConfig, simulate
 from fleet_inverse.objective import objective_gradient_in_f, objective_hessian_in_f
 from fleet_inverse.scenario import fixture_path, list_fixtures, parse_scenario
@@ -529,6 +529,27 @@ class TestWorkCounters:
         assert result.objective == method(DISRUPTIVE, h, result.f, net)
         assert calls["points"] == 184
 
+    def test_certified_forward_evaluates_its_last_point_once(self, monkeypatch):
+        # the certificate reads the descent's last evaluated point: the
+        # two_route_asymmetric forward evaluates 6 points (7 when the
+        # certificate formed f's flows, weights and times again), and the
+        # verdict is certify_local_min's, as it is for the best multistart
+        # descent
+        calls = []
+        method = objective._evaluate
+        for owner in (objective, forward):
+            monkeypatch.setattr(owner, "_evaluate", lambda *args: calls.append(args) or method(*args))
+        sc = parse_scenario(fixture_path("two_route_asymmetric"))
+        h, net = sc.hdv_route_flows, sc.network
+        result = fleet_assign(sc.strategy, h, net, config=sc.config)
+        assert result.trace.method == "projected_gradient" and len(calls) == 6
+        feasible = FeasibleSet.from_network(net)
+        assert result.certificate == certify_local_min(sc.strategy, h, result.f, net, feasible, sc.config)
+        h, net = route_ladder()[0]
+        result = fleet_assign(DISRUPTIVE, h, net)
+        assert result.trace.method == "multistart_projected_gradient"
+        assert result.certificate == certify_local_min(DISRUPTIVE, h, result.f, net, FeasibleSet.from_network(net))
+
     def test_malicious_simulation_enumerates_its_corners_once(self, monkeypatch):
         # the malicious objective is concave on stackelberg_symmetric, so each
         # day's fleet takes the best corner: the dispatch enumerates the
@@ -641,15 +662,16 @@ class TestWorkCounters:
         # the ladder networks are separable and every observed route flows,
         # so the interlacing bound certifies each inverse: no dense gradient,
         # basis or eigendecomposition (12 of each when every inverse ran the
-        # dense test), nor in the forwards.  Each inverse forms the route
+        # dense test), nor in the forwards.  Each inverse evaluates the link
         # slopes once, for its certificate and its operator, and takes
         # f_hat's VI gap from the pivot (24 slope evaluations and 24 gaps
         # when the operator formed the slopes again and _recover the gap).
-        # min_rayleigh is computed when first read, once.
+        # min_rayleigh is computed when first read, once, from the matrix
+        # and its own slope evaluation.
         calls = collections.Counter()
         for owner, name in (
             (np.linalg, "eigvalsh"), (Network, "route_gradient"), (Network, "feasible_direction_basis"),
-            (Network, "_route_gradient_diagonal_at"), (inverse, "_vi_gap"),
+            (network.DelayTable, "derivatives"), (inverse, "_vi_gap"),
         ):
             method = getattr(owner, name)
             monkeypatch.setattr(
@@ -657,15 +679,17 @@ class TestWorkCounters:
             )
         observed = [(h + fleet_assign(SELFISH, h, net, certify=False).f, net) for h, net in route_ladder()]
         # the forwards' descents take the slopes at each iteration
-        assert set(calls) == {"_route_gradient_diagonal_at"}
+        assert set(calls) == {"derivatives"}
         calls.clear()
         inverses = [solve_inverse(SELFISH, q, net) for q, net in observed]
         assert all(inv.certificate.theorem_applies for inv in inverses)
-        per_inverse = {"_route_gradient_diagonal_at": 12, "_vi_gap": 12}
+        per_inverse = {"derivatives": 12, "_vi_gap": 12}
         assert calls == per_inverse
         certificate = inverses[-1].certificate
         first = certificate.min_rayleigh
-        assert calls == {**per_inverse, "eigvalsh": 1, "route_gradient": 1, "feasible_direction_basis": 1}
+        assert calls == {
+            **per_inverse, "derivatives": 13, "eigvalsh": 1, "route_gradient": 1, "feasible_direction_basis": 1,
+        }
         assert certificate.min_rayleigh is first and calls["eigvalsh"] == 1
 
     def test_ladder_link_inverses_take_the_route_slopes(self, monkeypatch):
@@ -678,7 +702,8 @@ class TestWorkCounters:
         recover, matrix = inverse._recover, Network._route_gradient_at
         monkeypatch.setattr(inverse, "_recover", lambda *args, **kwargs: shapes.append(args[3].shape)
                             or recover(*args, **kwargs))
-        monkeypatch.setattr(Network, "_route_gradient_at", lambda self, a: matrices.append(a) or matrix(self, a))
+        monkeypatch.setattr(Network, "_route_gradient_at",
+                            lambda self, slopes: matrices.append(slopes) or matrix(self, slopes))
         for h, net in route_ladder():
             a = net.route_to_link(h + fleet_assign(SELFISH, h, net, certify=False).f)
             assert inverse_link_flows(SELFISH, a, net).certificate.theorem_applies
@@ -717,36 +742,50 @@ class TestWorkCounters:
 
     def test_dense_inverses_form_one_route_gradient(self, monkeypatch):
         # on the seven fixtures that are not separable, one route gradient
-        # matrix gives each inverse its certificate and its operator (14
-        # when the certificate formed its own)
+        # matrix, from one evaluation of the link slopes, gives each inverse
+        # its certificate and its operator (14 matrices when the
+        # certificate formed its own, 14 slope evaluations when the form's
+        # test for shared slopes took its own)
         names = ["two_od", "two_unit", "two_stage_overlap", "two_stage_overlap_concentrated",
                  "two_route_common_links", "cross_dependent_stable", "cross_dependent_unstable"]
         scenarios = [parse_scenario(fixture_path(name)) for name in names]
         assert not any(scenario.network.separable for scenario in scenarios)
-        made = []
-        method = Network._route_gradient_at
-        monkeypatch.setattr(Network, "_route_gradient_at", lambda self, a: made.append(a) or method(self, a))
+        made = collections.Counter()
+        for owner, name in ((Network, "_route_gradient_at"), (network.DelayTable, "derivatives")):
+            method = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda self, a, name=name, method=method: made.update([name]) or method(self, a)
+            )
         for scenario in scenarios:
             solve_inverse(scenario.strategy, scenario.observed_route_flows, scenario.network)
-        assert len(made) == 7
+        assert made == {"_route_gradient_at": 7, "derivatives": 7}
 
     def test_one_route_gradient_per_descent_iteration(self, monkeypatch):
         # the descent's objective gradient and Hessian share one travel-time
-        # gradient per iteration, built from the point's link flows: the
-        # matrix, or on the separable ladder and two-route networks its
-        # diagonal, and there no matrix at all
+        # gradient per iteration, built from one evaluation of the link
+        # slopes at the point's link flows: the matrix, or on the separable
+        # ladder and two-route networks its diagonal, and there no matrix at
+        # all
         calls = []
-        for name in ("_route_gradient_at", "_route_gradient_diagonal_at"):
-            method = getattr(Network, name)
-            monkeypatch.setattr(
-                Network, name, lambda self, a, name=name, method=method: calls.append(name) or method(self, a)
-            )
+        form = Network._route_gradient_form_at
+
+        def recording(self, a):
+            grad = form(self, a)
+            calls.append(grad.ndim)
+            return grad
+
+        monkeypatch.setattr(Network, "_route_gradient_form_at", recording)
+        slopes = network.DelayTable.derivatives
+        evaluations = []
+        monkeypatch.setattr(network.DelayTable, "derivatives",
+                            lambda self, a: evaluations.append(a) or slopes(self, a))
         descend = forward._descend
         descents = []
 
         def counting(*args):
-            before = len(calls)
+            before, evaluated = len(calls), len(evaluations)
             out = descend(*args)
+            assert len(evaluations) - evaluated == len(calls) - before
             descents.append((args[2].separable, calls[before:], out[1]))
             return out
 
@@ -760,7 +799,7 @@ class TestWorkCounters:
         assert [separable for separable, *_ in descents].count(False) >= 1
         for separable, made, iterations in descents:
             assert 1 <= len(made) <= iterations + 1
-            assert set(made) == {"_route_gradient_diagonal_at" if separable else "_route_gradient_at"}
+            assert set(made) == {1 if separable else 2}
 
 
 class TestCertify:

@@ -288,6 +288,75 @@ class TestRouteGradient:
         expected = np.array([[1.0, delta1], [delta2, 1.0]]) + 2.0 * np.ones((2, 2))
         np.testing.assert_allclose(grad, expected)
 
+    @given(
+        n_links=st.integers(1, 7),
+        n_routes=st.integers(1, 6),
+        cross=st.booleans(),
+        batch=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_slopes_formula_matches_the_dense_triple_product(self, n_links, n_routes, cross, batch, seed):
+        # N diag(tau') N^T (+ the constant N E N^T) against N J N^T with J
+        # the link-time jacobian.  Routes draw random link sets, so links
+        # are shared or unused, and flows are often 0, so links carry none.
+        # On link-additive delays J's off-diagonal products are exact zeros
+        # and the two sum the same terms in the same order: every byte
+        # agrees, zero signs included.  Cross-affine rows reassociate the
+        # sum N (D + E) N^T as N D N^T + N E N^T: the same products in
+        # another order, so each entry is within 2 gamma_{2L} of
+        # (N |J| N^T) (Higham 2002, section 3.5), taken as 4 L eps.
+        rng = np.random.default_rng(seed)
+        ids = [f"l{i}" for i in range(n_links)]
+        kinds = [
+            lambda: BPRDelay(float(rng.uniform(1, 8)), 1.0, float(rng.uniform(0.5, 2.0)), float(rng.choice([1.0, 2.0, 4.0]))),
+            lambda: AffineDelay(float(rng.uniform(0, 2)), float(rng.uniform(0.1, 2.0))),
+            lambda: QuadraticDelay(float(rng.uniform(0, 2)), float(rng.uniform(0.1, 2.0))),
+        ]
+        delays = [kinds[int(rng.integers(3))]() for _ in ids]
+        if cross:
+            for i in rng.choice(n_links, size=int(rng.integers(1, n_links + 1)), replace=False):
+                others = {j: float(rng.uniform(-2.0, 2.0)) for j in ids if j != ids[i] and rng.random() < 0.5}
+                delays[i] = CrossAffineDelay(float(rng.uniform(0, 2)), float(rng.uniform(-1.0, 2.0)), others)
+        routes = [
+            Route(f"r{r}", tuple(ids[j] for j in sorted(rng.choice(n_links, size=int(rng.integers(1, n_links + 1)), replace=False))))
+            for r in range(n_routes)
+        ]
+        net = Network([Link(i, d) for i, d in zip(ids, delays)], routes)
+        q = rng.uniform(0.0, 1.0, (3, n_routes) if batch else n_routes) * (rng.random(n_routes) < 0.6)
+        n = net.incidence
+        jac = net.link_time_jacobian(net.route_to_link(q))
+        dense = n @ jac @ n.T
+        grad = net.route_gradient(q)
+        assert grad.shape == dense.shape
+        if net.link_additive:
+            assert grad.tobytes() == dense.tobytes()
+        else:
+            tolerance = 4.0 * n_links * np.finfo(float).eps * (n @ np.abs(jac) @ n.T)
+            assert np.all(np.abs(grad - dense) <= tolerance)
+        for row in (q if batch else [q]):
+            form = net._route_gradient_form_at(net.route_to_link(row))
+            if form.ndim == 2:
+                assert form.tobytes() == net.route_gradient(row).tobytes()
+            else:
+                # the diagonal form only where no shared link has slope: the
+                # matrix is then diag(N tau')
+                matrix = net.route_gradient(row)
+                assert net.link_additive and np.count_nonzero(matrix - np.diag(np.diagonal(matrix))) == 0
+                np.testing.assert_allclose(form, np.diagonal(matrix), rtol=1e-15, atol=0.0)
+
+    def test_gradient_form_evaluates_the_slopes_once(self, monkeypatch):
+        # two_od's routes share links with slope at its observation: the
+        # form is the matrix, from one evaluation of the link slopes (two
+        # when the test for shared slopes and the matrix each took them)
+        sc = parse_scenario(fixture_path("two_od"))
+        net = sc.network
+        calls = []
+        method = type(net.delay_table).derivatives
+        monkeypatch.setattr(type(net.delay_table), "derivatives", lambda self, a: calls.append(a) or method(self, a))
+        form = net._route_gradient_form_at(net.route_to_link(sc.observed_route_flows))
+        assert form.shape == (net.n_routes, net.n_routes) and len(calls) == 1
+
     def test_webster_derivative_analytic(self):
         delay = WebsterDelay(green_ratio=0.5, saturation_flow=1.0, cycle=60.0)
         eps = 1e-7

@@ -201,7 +201,7 @@ class TestSharedEvaluation:
         n, matrix = net.incidence, net.route_gradient(q)
         dense = lam_crv * (matrix + matrix.T) + (n * curvature) @ n.T
         if net.separable:
-            slopes = net.route_gradient_diagonal(q)
+            slopes = n @ net.delay_table.derivatives(net.route_to_link(q))
             grad, hess = lam_crv * t + slopes * w, 2.0 * lam_crv * slopes + n @ curvature
         else:
             grad, hess = lam_crv * t + matrix.T @ w, dense

@@ -21,7 +21,6 @@ from fleet_inverse import (
     ODUnit,
     QuadraticDelay,
     Route,
-    UnsupportedDelayError,
     WebsterDelay,
     fleet_assign,
     single_od_network,
@@ -32,7 +31,7 @@ from fleet_inverse.config import DEFAULT_CONFIG
 from fleet_inverse.network import _pd_certificate
 from fleet_inverse.objective import _evaluate, _gradient_in_f, _hessian_in_f
 from fleet_inverse.scenario import fixture_path, parse_scenario
-from conftest import route_ladder
+from conftest import overlapping_routes, route_ladder
 
 SEPARABLE_FIXTURES = ["two_route_asymmetric", "signalized_link", "stackelberg_symmetric", "discrete_two_route"]
 # link-additive with shared links, then cross-affine
@@ -171,12 +170,14 @@ class TestSeparableFlag:
         # matrix at every point, the forward agrees
         net, q = _unused_connector(exit_t0=10.0)
         h = q * (100.0 / q.sum())
-        slopes = mock.patch.object(Network, "_route_gradient_diagonal_at", autospec=True,
-                                   side_effect=Network._route_gradient_diagonal_at)
-        with slopes as diagonal_steps:
-            diagonal = fleet_assign(strategy, h, net, certify=False)
-        assert diagonal_steps.call_count >= 5 and not np.any(diagonal.f[-2:])
-        monkeypatch.setattr(Network, "_route_gradient_form_at", Network._route_gradient_at)
+        forms = []
+        method = Network._route_gradient_form_at
+        monkeypatch.setattr(Network, "_route_gradient_form_at",
+                            lambda self, a: forms.append(method(self, a)) or forms[-1])
+        diagonal = fleet_assign(strategy, h, net, certify=False)
+        assert sum(form.ndim == 1 for form in forms) >= 5 and not np.any(diagonal.f[-2:])
+        monkeypatch.setattr(Network, "_route_gradient_form_at",
+                            lambda self, a: self._route_gradient_at(self.delay_table.derivatives(a)))
         dense = fleet_assign(strategy, h, net, certify=False)
         mass = float(np.sum(net.fleet_sizes()))
         np.testing.assert_allclose(diagonal.f, dense.f, rtol=0.0, atol=1e-9 * (1.0 + mass))
@@ -184,42 +185,66 @@ class TestSeparableFlag:
 
 class TestIndependence:
     @pytest.mark.parametrize("rank_rtol", [1e-9, 0.5, 0.6, 1.0])
-    def test_separable_flag_and_basis_match_the_svd(self, rank_rtol):
-        # disjoint non-empty routes: the singular values are the square roots
-        # of the route lengths, so the flag needs no SVD; where they fail
-        # the test the SVD still gives the null basis
-        networks = [parse_scenario(fixture_path(name)).network for name in SEPARABLE_FIXTURES]
-        networks += [net for _, net in route_ladder()]
+    def test_flag_and_basis_match_the_svd(self, rank_rtol):
+        # where every route has a link of its own the flag needs no SVD
+        # below the structural bound; where the bound does not decide, the
+        # SVD still does and gives the null basis.  Every fixture, every
+        # ladder draw (instance seeds 2024, 77, 2), the overlapping draws and
+        # separable instances with multi-link routes
+        networks = [parse_scenario(fixture_path(name)).network for name in SEPARABLE_FIXTURES + DENSE_FIXTURES]
+        networks += [net for seed in (2024, 77, 2) for _, net in route_ladder(seed)]
+        networks += [overlapping_routes(r)[1] for r in (20, 50, 100)]
         rng = np.random.default_rng(3)
         networks += [_separable_instance(rng, [3, 2], False, False)[0] for _ in range(5)]
         for net in networks:
-            assert net.separable
             s = np.linalg.svd(net.incidence, compute_uv=False)
             rank = int(np.sum(s > rank_rtol * s[0]))
             result = net.routes_linearly_independent(rank_rtol)
             assert result.independent == (rank == net.n_routes)
             assert result.null_basis.shape == (net.n_routes, net.n_routes - rank)
 
-    def test_separable_independence_runs_no_svd(self):
+    def test_routes_with_links_of_their_own_run_no_svd(self):
+        # every ladder route is one link of its own, and every overlapping
+        # route has one: the flag takes no SVD, nor does solve_inverse's
+        # fiber on the overlapping draws' selfish round trips (one SVD of
+        # the incidence each, 3, when only separable networks skipped it)
+        selfish = FleetStrategy.preset("selfish")
+        observed = []
+        for r in (20, 50, 100):
+            h, net = overlapping_routes(r)
+            observed.append((h + fleet_assign(selfish, h, net, certify=False).f, net))
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
             assert all(net.routes_linearly_independent().independent for _, net in route_ladder())
-        assert svd.call_count == 0
+            assert all(net.routes_linearly_independent().independent for _, net in observed)
+            assert svd.call_count == 0
+            for q, net in observed:
+                assert solve_inverse(selfish, q, net).fiber is None
+        assert not any(call.args[0] is net.incidence for call in svd.call_args_list for _, net in observed)
 
 
 class TestRouteGradient:
     @pytest.mark.parametrize("name", SEPARABLE_FIXTURES + LINK_ADDITIVE_DENSE)
-    def test_diagonal_matches_the_gradient_matrix(self, name):
+    def test_route_slopes_are_the_gradient_matrix_diagonal(self, name):
+        # on link-additive delays each route's summed link slopes N tau'
+        # are np.diagonal(route_gradient(q)); on a separable network they
+        # are the form the network gives, and the matrix is diagonal
         net = parse_scenario(fixture_path(name)).network
         q = np.random.default_rng(0).uniform(0.05, 0.45, size=(4, net.n_routes))
         grads = net.route_gradient(q)
-        np.testing.assert_allclose(net.route_gradient_diagonal(q), np.diagonal(grads, axis1=-2, axis2=-1), rtol=1e-15)
+        slopes = net.delay_table.derivatives(net.route_to_link(q)) @ net.incidence.T
+        np.testing.assert_allclose(slopes, np.diagonal(grads, axis1=-2, axis2=-1), rtol=1e-15)
         if net.separable:
             assert all(np.count_nonzero(g - np.diag(np.diagonal(g))) == 0 for g in grads)
+            assert all(_form(net, row).tobytes() == row_slopes.tobytes() for row, row_slopes in zip(q, slopes))
 
-    def test_cross_affine_network_has_no_diagonal_shortcut(self):
-        net = parse_scenario(fixture_path("cross_dependent_stable")).network
-        with pytest.raises(UnsupportedDelayError):
-            net.route_gradient_diagonal(np.ones(net.n_routes))
+    @pytest.mark.parametrize("name", ["cross_dependent_stable", "cross_dependent_unstable"])
+    def test_cross_affine_network_takes_the_matrix(self, name):
+        # a cross-affine link reads other links' flows: the form is the
+        # matrix at every flow
+        net = parse_scenario(fixture_path(name)).network
+        q = np.random.default_rng(0).uniform(0.0, 0.45, size=net.n_routes)
+        assert _form(net, q).tobytes() == net.route_gradient(q).tobytes()
+        assert _form(net, np.zeros(net.n_routes)).shape == (net.n_routes, net.n_routes)
 
 
 class TestClosedForms:
@@ -352,7 +377,7 @@ def _assert_same_operator(strategy, q, net):
     """The operator from the route slopes has every byte of the dense one's
     a0 and B's diagonal, the signs of their zeros included."""
     t = net.route_times(q)
-    a0, b = inverse._route_operator(strategy, q, t, net.route_gradient_diagonal(q))
+    a0, b = inverse._route_operator(strategy, q, t, _form(net, q))
     grad = net.route_gradient(q)
     dense_a0, _ = inverse._route_operator(strategy, q, t, grad)
     assert a0.tobytes() == dense_a0.tobytes()
