@@ -564,7 +564,7 @@ def _descend(
     config: SolverConfig,
 ) -> tuple[np.ndarray, int, bool, _Point]:
     """Projected Newton descent from f0; returns (f, iterations, converged,
-    f's evaluated point), the point's value F(h, f).
+    point), point f's evaluation (objective._evaluate), of value F(h, f).
 
     Each iteration takes the Newton direction on the free face (see
     _newton_direction) and backtracks along the projection arc P(f + a d).

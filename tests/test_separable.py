@@ -231,7 +231,7 @@ class TestRouteGradient:
         net = parse_scenario(fixture_path(name)).network
         q = np.random.default_rng(0).uniform(0.05, 0.45, size=(4, net.n_routes))
         grads = net.route_gradient(q)
-        slopes = net.delay_table.derivatives(net.route_to_link(q)) @ net.incidence.T
+        slopes = np.array([net.incidence @ net.delay_table.derivatives(a) for a in net.route_to_link(q)])
         np.testing.assert_allclose(slopes, np.diagonal(grads, axis1=-2, axis2=-1), rtol=1e-15)
         if net.separable:
             assert all(np.count_nonzero(g - np.diag(np.diagonal(g))) == 0 for g in grads)
