@@ -71,7 +71,7 @@ from .errors import (
     NotRealisableError,
 )
 from .forward import FeasibleSet, _distinct, _separable_minimum, bounded_factors, fleet_assign
-from .network import Network, PDCertificate, _pd_certificate
+from .network import Network, PDCertificate, _pd_certificate, _restricted_min_eigenvalue
 from .objective import FleetStrategy
 
 __all__ = [
@@ -966,9 +966,11 @@ def lipschitz_bound(
         rng.bit_generator.state = {**start, "state": key}
         for block, total in zip(blocks, unit_totals):
             q[i, block] = rng.dirichlet(np.ones(len(block))) * total
-    grad_norm = max(np.linalg.norm(network.route_gradient(q), 2, axis=(1, 2)).tolist())
+    grad = network.route_gradient(q)
+    grad_norm = max(np.linalg.norm(grad, 2, axis=(1, 2)).tolist())
     hess_norm = max(_hessian_norm_bound(network, q).tolist())
-    rho = min(np.broadcast_to(network.restricted_min_eigenvalue(q), samples).tolist())
+    basis = network.feasible_direction_basis()
+    rho = min(_restricted_min_eigenvalue(basis, grad).tolist()) if basis.shape[1] else math.inf
 
     margin = strategy.margin
     constant = (

@@ -332,7 +332,7 @@ def parse_scenario_dict(doc: dict) -> Scenario:
         _fail("bad-value", "$.tolerances", f"unknown tolerance fields: {unknown}")
     overrides = _read_fields(SolverConfig, tolerances, "$.tolerances")
     try:
-        config = DEFAULT_CONFIG.replace(**overrides)
+        config = DEFAULT_CONFIG.replace(**overrides) if overrides else DEFAULT_CONFIG
     except ValueError as exc:
         _fail("bad-value", "$.tolerances", str(exc))
 

@@ -6,8 +6,10 @@ knowing the commitment.  For the malicious objective (maximize expected
 total HDV travel time) the optimum is supported on the two corner
 assignments, which this module verifies by brute force, and the optimal
 mixing probability is found by golden-section search plus a verification
-grid.  A best-response cycle check shows when no pure-HDV Nash point
-exists, and a day-to-day simulation supplies the myopic comparison.
+grid.  A best-response check on the two corners shows when no
+pure-strategy Nash point exists: corner 0 or 1 answers itself, or the
+two answer each other.  A day-to-day simulation supplies the myopic
+comparison.
 
 Grids of mixtures are solved as one batch: each mixture is a row of split
 fractions and weights, and one vectorized Illinois iterate finds every
@@ -27,7 +29,7 @@ from .dynamics import SimulationConfig, simulate
 from .errors import FleetModelError
 from .forward import FeasibleSet, _corner_solver
 from .network import Network
-from .objective import FleetStrategy, eval_objective
+from .objective import PRESETS, FleetStrategy, eval_objective
 
 __all__ = [
     "MixedCornerStrategy",
@@ -43,7 +45,7 @@ __all__ = [
     "RoutingComparison",
 ]
 
-MALICIOUS = FleetStrategy(-1.0, 0.0)
+MALICIOUS = PRESETS["malicious"]
 
 
 @dataclass(frozen=True)
@@ -102,25 +104,17 @@ def _demands(network: Network, q_hdv, q_crv) -> tuple[float, float]:
     return float(q_hdv), float(q_crv)
 
 
-def _accumulate(weights: np.ndarray, rows, points, terms: np.ndarray) -> np.ndarray:
-    """Per-row sums of the weighted terms of the (row, point) pairs of
-    nonzero weight, added over the mixture points in their order."""
-    total = np.zeros(weights.shape[:1] + terms.shape[1:])
-    for k in range(weights.shape[1]):
-        at = points == k
-        total[rows[at]] += terms[at]
-    return total
-
-
 def _expected_cost_gap(alphas, weights, h1, q_hdv, q_crv, network) -> np.ndarray:
     """Expected route-1 minus route-2 cost of each row's mixture when HDVs
-    put h1 on route 1, from one batched route_times call."""
+    put h1 on route 1, from one batched route_times call.  Each row's
+    points are summed in their order (np.nonzero is row-major and
+    np.add.at adds in index order)."""
     h2 = q_hdv - h1
     rows, points = np.nonzero(weights)  # zero-weight points are never evaluated
     alpha = alphas[rows, points]
     q = np.column_stack((h1[rows] + alpha * q_crv, h2[rows] + (1.0 - alpha) * q_crv))
-    weighted = weights[rows, points][:, None] * network.route_times(q)
-    costs = _accumulate(weights, rows, points, weighted)
+    costs = np.zeros((len(weights), 2))
+    np.add.at(costs, rows, weights[rows, points][:, None] * network.route_times(q))
     return costs[:, 0] - costs[:, 1]
 
 
@@ -205,12 +199,13 @@ def _expected_objectives(
     strategy: FleetStrategy, alphas, weights, h: np.ndarray, network: Network, q_crv: float
 ) -> np.ndarray:
     """Each row's expected fleet objective over its mixture points, at the
-    row's HDV flows h (S, 2)."""
+    row's HDV flows h (S, 2), summed in point order as in _expected_cost_gap."""
     rows, points = np.nonzero(weights)
     alpha = alphas[rows, points]
     f = np.column_stack((alpha * q_crv, (1.0 - alpha) * q_crv))
-    terms = weights[rows, points] * eval_objective(strategy, h[rows], f, network)
-    return _accumulate(weights, rows, points, terms)
+    total = np.zeros(len(weights))
+    np.add.at(total, rows, weights[rows, points] * eval_objective(strategy, h[rows], f, network))
+    return total
 
 
 def expected_fleet_objective(
@@ -269,18 +264,6 @@ class MixtureOptimum:
     degenerate: bool             # objective independent of p (no fleet mass)
 
 
-def _corner_value(
-    strategy: FleetStrategy,
-    p: float,
-    q_hdv: float,
-    q_crv: float,
-    network: Network,
-    config: SolverConfig,
-) -> float:
-    alphas, weights = _mixture_arrays([MixedCornerStrategy(p).as_mixture()])
-    return float(_mixture_values(strategy, alphas, weights, q_hdv, q_crv, network, config)[0])
-
-
 def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -317,7 +300,8 @@ def optimize_corner_mixture(
     q_hdv, q_crv = _demands(network, q_hdv, q_crv)
 
     def value(p: float) -> float:
-        return _corner_value(strategy, p, q_hdv, q_crv, network, config)
+        corner = _corner_mixtures(np.array([p]))
+        return float(_mixture_values(strategy, *corner, q_hdv, q_crv, network, config)[0])
 
     if q_crv == 0.0:
         v = value(0.5)
@@ -385,7 +369,8 @@ def verify_corner_support(
     corner_times = -_mixture_values(MALICIOUS, *_corner_mixtures(ps), q_hdv, q_crv, network, config)
     best_corner = max(corner_times.tolist())
 
-    grid = np.arange(0.0, 1.0 + resolution / 2.0, resolution)
+    # a step that does not divide 1 may end past it (0.15 ends at 1.05)
+    grid = np.minimum(np.arange(0.0, 1.0 + resolution / 2.0, resolution), 1.0)
     # cells (alpha1, alpha2, weight) in nested-loop order
     a1, a2, w = (c.ravel() for c in np.meshgrid(grid, grid, grid, indexing="ij"))
     alphas = np.column_stack((a1, a2))
@@ -417,30 +402,24 @@ class RoutingComparison:
 def _nash_cycle(
     q_hdv: float, q_crv: float, network: Network, config: SolverConfig
 ) -> tuple[bool, tuple[int, ...]]:
-    """Iterate fleet corner -> HDV equilibrium -> fleet corner; a repeated
-    state with period > 1 rules out a pure-strategy Nash point.  The fleet's
-    corner is the one that minimizes the malicious objective, among the
-    corners enumerated once for the call."""
+    """The fleet's best corner against the HDV equilibrium of each pure
+    corner: a corner that answers itself is a pure-strategy Nash point,
+    and corners that answer each other form the cycle (0, 1) that rules
+    one out.  The fleet's corner is the one that minimizes the malicious
+    objective, among the corners enumerated once for the call."""
     feasible = FeasibleSet.from_network(network, totals=[q_crv])
     best_corner = _corner_solver(MALICIOUS, network, feasible, config)
-    for start in (0, 1):
-        corner = start
-        seen: dict[int, int] = {}
-        path: list[int] = []
-        for step in range(32):
-            if corner in seen:
-                period = step - seen[corner]
-                cycle = tuple(path[seen[corner]:])
-                if period == 1:
-                    return True, cycle
-                return False, cycle
-            seen[corner] = step
-            path.append(corner)
-            alpha = 1.0 if corner == 0 else 0.0
-            mixture = GeneralMixture(points=((alpha, 1.0),))
-            h = induced_ue(mixture, q_hdv, q_crv, network, config)
-            corner = int(np.argmax(best_corner(h, False).f))
-    return False, tuple(path)
+
+    def respond(corner: int) -> int:
+        mixture = GeneralMixture(points=((1.0 if corner == 0 else 0.0, 1.0),))
+        h = induced_ue(mixture, q_hdv, q_crv, network, config)
+        return int(np.argmax(best_corner(h, False).f))
+
+    if respond(0) == 0:
+        return True, (0,)
+    if respond(1) == 1:
+        return True, (1,)
+    return False, (0, 1)
 
 
 def compare_routings(

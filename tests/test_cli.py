@@ -751,6 +751,13 @@ class TestCLI:
         assert run_cli(["forward", "--scenario", str(path), "--out", "-"]) == EXIT_INFEASIBLE
         assert "error[infeasible]" in capsys.readouterr().err
 
+    def test_resolution_whose_grid_overshoots_one(self, capsys):
+        # np.arange(0, 1.075, 0.15) ends at 1.05; the unclipped sweep raised
+        # a ValueError on that split fraction (exit 1, a code not documented)
+        args = ["stackelberg", "--scenario", str(fixture_path("stackelberg_symmetric")), "--out", "-"]
+        assert run_cli(args + ["--resolution", "0.15"]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unsupported_exit_code(self, tmp_path, capsys):
         # the Stackelberg analysis is limited to two-route networks
         assert (

@@ -48,6 +48,7 @@ from conftest import (
     two_od_overlap,
 )
 from fleet_inverse import inverse
+from fleet_inverse.network import DelayTable
 from fleet_inverse.scenario import fixture_path, list_fixtures, parse_scenario
 
 SELFISH = FleetStrategy.preset("selfish")
@@ -443,6 +444,25 @@ class TestLipschitzBound:
         expected = [np.random.Generator(np.random.Philox(key=[seed, i])).dirichlet(np.ones(2)) * total
                     for i in range(samples)]
         assert hessian.call_args.args[1].tobytes() == np.array(expected).tobytes()
+
+    def test_one_slope_evaluation_per_bound(self, fig_two_route):
+        # rho is read off the batch of route gradients formed for grad_norm,
+        # with the bits of restricted_min_eigenvalue; that method formed the
+        # batch again from a second slope evaluation
+        with (
+            mock.patch.object(DelayTable, "derivatives", autospec=True,
+                              side_effect=DelayTable.derivatives) as derivatives,
+            mock.patch.object(inverse, "_hessian_norm_bound", wraps=inverse._hessian_norm_bound) as hessian,
+        ):
+            bound = lipschitz_bound(SELFISH, fig_two_route, samples=40, seed=1)
+        assert derivatives.call_count == 1
+        q = hessian.call_args.args[1]
+        assert bound.rho == min(fig_two_route.restricted_min_eigenvalue(q).tolist())
+
+    def test_no_feasible_direction_leaves_rho_infinite(self):
+        net = single_od_network([AffineDelay(1.0, 2.0)], q_hdv=30.0, q_crv=10.0)
+        bound = lipschitz_bound(SELFISH, net, samples=5, seed=0)
+        assert math.isinf(bound.rho) and not bound.defined and math.isinf(bound.bound)
 
 
 class TestDiscreteRecover:

@@ -6,6 +6,7 @@ import pytest
 
 from fleet_inverse import (
     DEFAULT_CONFIG,
+    BPRDelay,
     FeasibleSet,
     FleetModelError,
     FleetStrategy,
@@ -16,10 +17,12 @@ from fleet_inverse import (
     expected_hdv_time,
     induced_ue,
     optimize_corner_mixture,
+    single_od_network,
     verify_corner_support,
 )
 from fleet_inverse.network import Network
 from fleet_inverse.scenario import fixture_path, parse_scenario
+from fleet_inverse import stackelberg
 from fleet_inverse.stackelberg import _expected_objectives, _induced_ue_batch
 from conftest import (
     asymmetric_two_route,
@@ -29,6 +32,10 @@ from conftest import (
 )
 
 MALICIOUS = FleetStrategy.preset("malicious")
+# the two-decimal grid steps whose last np.arange point lies above 1
+OVERSHOOTING_RESOLUTIONS = [
+    k / 100 for k in range(1, 101) if np.arange(0.0, 1.0 + k / 200, k / 100)[-1] > 1.0
+]
 
 
 class TestInducedUE:
@@ -175,6 +182,16 @@ class TestCornerSupport:
         report = verify_corner_support(net, resolution=0.25)
         assert report.worst_margin == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("resolution", OVERSHOOTING_RESOLUTIONS)
+    def test_overshooting_grid_is_clipped_to_one(self, resolution):
+        # np.arange's last step lands above 1 for these steps (1.05 at 0.15),
+        # and the sweep stopped on a split fraction outside [0, 1]
+        n = len(np.arange(0.0, 1.0 + resolution / 2.0, resolution))
+        report = verify_corner_support(symmetric_quadratic(), resolution=resolution)
+        assert report.worst_margin >= -1e-9
+        assert report.mixtures_checked == n**3
+        assert all(0.0 <= c <= 1.0 for c in report.worst_mixture)
+
 
 class TestCompareRoutings:
     def test_nash_cycle_detected(self):
@@ -192,6 +209,29 @@ class TestCompareRoutings:
         net = symmetric_quadratic()
         result = compare_routings(net, days=200, mu=0.2, seed=0, burn_in=50)
         assert result.myopic_mean_hdv_time >= result.stackelberg_hdv_time
+
+    def test_corner_zero_answers_itself(self, monkeypatch):
+        # the fleet's best answer to the HDV equilibrium of corner 0 is corner
+        # 0 again, a branch none of the pinned cycles below reaches; the
+        # check then solves one induced equilibrium
+        net = single_od_network(
+            [BPRDelay(6.2284, 1.0, 59.23, 2.0), BPRDelay(7.5928, 1.0, 24.383, 1.0)],
+            q_hdv=70.46,
+            q_crv=30.54,
+        )
+        calls = []
+        monkeypatch.setattr(stackelberg, "induced_ue", lambda *args: calls.append(1) or induced_ue(*args))
+        result = compare_routings(net, days=20, mu=0.2, seed=0)
+        assert (result.nash_exists, result.nash_cycle) == (True, (0,))
+        assert len(calls) == 1
+
+    def test_nash_check_solves_one_equilibrium_per_corner(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(stackelberg, "induced_ue", lambda *args: calls.append(1) or induced_ue(*args))
+        for name, net in two_route_networks().items():
+            calls.clear()
+            compare_routings(net, days=5, mu=0.2, seed=0)
+            assert 1 <= len(calls) <= 2, name
 
     def test_corners_enumerated_once_per_search(self, monkeypatch):
         # the myopic simulation and the Nash search each enumerate the fleet's
