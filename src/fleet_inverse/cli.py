@@ -249,9 +249,7 @@ def _run_stackelberg(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     comparison = stackelberg.compare_routings(
         net, days=sim.days, mu=sim.mu, seed=sim.seed, config=scenario.config
     )
-    support = stackelberg.verify_corner_support(
-        net, resolution=args.resolution, config=scenario.config
-    )
+    support = stackelberg.verify_corner_support(net, resolution=args.resolution)
     rows = [
         {
             "p_best": comparison.stackelberg.p_best,

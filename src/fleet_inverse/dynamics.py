@@ -99,7 +99,7 @@ def simulate(
     once for the run.  Deterministic given the seed: the fleet side uses
     the canonical representative when its minimizer is a tie set.
     """
-    h = _hdv_flows(initial_h)  # each later day's flows are a mix of valid ones
+    h = _hdv_flows(initial_h, network.n_routes)  # each later day's flows are a mix of valid ones
     # one convexity class and one feasible set serve every day
     assign = _assigner(config.strategy, network, solver_config)
     states: list[DayState] = []

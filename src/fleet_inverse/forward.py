@@ -38,7 +38,6 @@ from .objective import (
     _hessian_in_f,
     _convexity_kind,
     _Point,
-    eval_objective,
 )
 from .parallel import ordered_map
 
@@ -53,6 +52,16 @@ __all__ = [
     "fleet_assign",
     "certify_local_min",
 ]
+
+# method constants (relative thresholds, scaled where used)
+_TOL_PG = 1e-9         # max|f - P(f - grad F)| target, x (1 + max|grad F|)
+_TOL_TIE = 1e-9        # tie window for minima, x (1 + |best|)
+_TOL_DD = 1e-8         # directional-derivative slack in certificates, x (1 + max|grad F|)
+_TOL_DISTINCT = 1e-6   # minimizers distinct if max|df| exceeds this x (1 + fleet mass)
+# Armijo sufficient-decrease constant and backtracking factor (Nocedal and
+# Wright 2006, section 3.1)
+_ARMIJO_C1 = 1e-4
+_ARMIJO_FACTOR = 0.5
 
 
 # -- feasible set -------------------------------------------------------------
@@ -369,9 +378,11 @@ def _zero_sum_basis(faces: list[np.ndarray], n_routes: int) -> np.ndarray:
     return np.hstack(columns)
 
 
-def _hdv_flows(h) -> np.ndarray:
-    """The HDV flows as a float vector, finite and non-negative."""
+def _hdv_flows(h, n: int) -> np.ndarray:
+    """The HDV flows as a float vector of length n, finite and non-negative."""
     h = np.asarray(h, dtype=float)
+    if h.shape != (n,):
+        raise DimensionMismatchError(f"HDV flows must be a vector of length {n}, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise InfeasibleProblemError("HDV flows must be finite")
     if np.any(h < 0):
@@ -404,15 +415,16 @@ def certify_local_min(
     negative curvature along a critical direction.  It checks these
     necessary conditions and is no proof of strict minimality.
 
-    Raises InfeasibleProblemError unless h is finite and non-negative and f
-    is a finite point of the set (FeasibleSet.contains).
+    Raises DimensionMismatchError unless h and f are vectors of the set's
+    length, and InfeasibleProblemError unless h is finite and non-negative
+    and f is a finite point of the set (FeasibleSet.contains).
     """
-    return _certify(strategy, h, f, network, feasible, config)
+    return _certify(strategy, _hdv_flows(h, feasible.n_routes), f, network, feasible, config)
 
 
 def _certify(strategy, h, f, network, feasible, config, point: _Point | None = None) -> Certificate:
-    """certify_local_min, its checks included, at f's point (evaluated here when None)."""
-    h = _hdv_flows(h)
+    """certify_local_min at checked HDV flows h, its checks of f included,
+    at f's point (evaluated here when None)."""
     f = np.asarray(f, dtype=float)
     if f.shape != (feasible.n_routes,):
         raise DimensionMismatchError(f"fleet flows must be a vector of length {feasible.n_routes}")
@@ -421,7 +433,7 @@ def _certify(strategy, h, f, network, feasible, config, point: _Point | None = N
     if point is None:
         point = _evaluate(strategy, h, f, network)
     grad, route_grad = _gradient_in_f(strategy, point, network)
-    tol_dd = config.tol_dd * (1.0 + float(np.max(np.abs(grad))))
+    tol_dd = _TOL_DD * (1.0 + float(np.max(np.abs(grad))))
     move_tol = 1e-12 * (1.0 + feasible.total_mass)
     centred = _centred(grad, feasible)
     min_dd = math.inf
@@ -576,12 +588,12 @@ def _descend(
     only when this arc is tried.  Each arc first tries a = 1; after a
     rejected trial the next a interpolates (see _backtrack), and an arc
     fails once a falls to 1e-16 (each rejection multiplies a by at most
-    armijo_factor: within 54 trials at 0.5).  Each point is evaluated once
-    (eval_objective's point, see objective._evaluate): the accepted
+    _ARMIJO_FACTOR = 0.5: within 54 trials).  Each point is evaluated once
+    (objective._evaluate, at checked HDV flows h): the accepted
     trial's link flows, weights and travel times give the next iteration's
     gradient, and its link flows and weights the Hessian, which is built
     only when a face needs it.  It stops when max|f - P(f - grad)| <=
-    tol_pg * (1 + max|grad|) and the Newton step is at rounding level; that
+    _TOL_PG * (1 + max|grad|) and the Newton step is at rounding level; that
     last step is taken, so eps-active coordinates end exactly on their
     bounds.  f's point is the last evaluated one, evaluated once more only
     when that last step moved f.
@@ -601,15 +613,15 @@ def _descend(
         a = 1.0
         while a > 1e-16:
             x = path(a)
-            trial = eval_objective(strategy, h, x, network, return_point=True)
+            trial = _evaluate(strategy, h, x, network)
             slope = float(grad @ (x - f))
-            if trial.value <= f_ref + config.armijo_c1 * slope:
+            if trial.value <= f_ref + _ARMIJO_C1 * slope:
                 return x, trial
-            a = _backtrack(a, here.value, slope, trial.value, config.armijo_factor)
+            a = _backtrack(a, here.value, slope, trial.value, _ARMIJO_FACTOR)
         return None
 
     f = feasible.project(f0)
-    here = eval_objective(strategy, h, f, network, return_point=True)
+    here = _evaluate(strategy, h, f, network)
     previous = None
     converged = False
     iterations = 0
@@ -617,7 +629,7 @@ def _descend(
         grad, route_grad = _gradient_in_f(strategy, here, network)
         p = feasible.project(f - grad)
         residual = float(np.abs(f - p).max())
-        stationary = residual <= config.tol_pg * (1.0 + float(np.abs(grad).max()))
+        stationary = residual <= _TOL_PG * (1.0 + float(np.abs(grad).max()))
         d = _newton_direction(
             strategy, here, network, feasible, f, grad, route_grad, p,
             min(1e-7 * scale, residual), config.pd_rtol,
@@ -644,7 +656,7 @@ def _descend(
         previous = (f, grad)
         f, here = accepted
     if here is None:
-        here = eval_objective(strategy, h, f, network, return_point=True)
+        here = _evaluate(strategy, h, f, network)
     return f, iterations, converged, here
 
 
@@ -658,7 +670,7 @@ def solve_convex(
 ) -> AssignmentResult:
     """Projected Newton descent (see _descend) for convex objectives; the
     minimizer is unique when the objective is strictly convex."""
-    h = np.asarray(h, dtype=float)
+    h = _hdv_flows(h, network.n_routes)
     f0 = feasible.project(np.full(feasible.n_routes, feasible.total_mass / max(1, feasible.n_routes)))
     f, iterations, converged, point = _descend(strategy, h, network, feasible, f0, config)
     cert = _certify(strategy, h, f, network, feasible, config, point) if certify else None
@@ -671,20 +683,20 @@ def solve_convex(
     )
 
 
-def _ties(values: list[float], config: SolverConfig) -> list[int]:
-    """The indices of the values within config.tol_tie * (1 + |best|) of
-    the best one, ascending: the tie set."""
+def _ties(values: list[float]) -> list[int]:
+    """The indices of the values within _TOL_TIE * (1 + |best|) of the best
+    one, ascending: the tie set."""
     best = min(values)
-    window = config.tol_tie * (1.0 + abs(best))
+    window = _TOL_TIE * (1.0 + abs(best))
     return [i for i, value in enumerate(values) if value <= best + window]
 
 
-def _distinct(points: Sequence[np.ndarray], scale: float, tol: float) -> list[int]:
-    """The indices of the points more than tol * scale (max norm) from
-    every earlier point kept, ascending."""
+def _distinct(points: Sequence[np.ndarray], scale: float) -> list[int]:
+    """The indices of the points more than _TOL_DISTINCT * scale (max norm)
+    from every earlier point kept, ascending."""
     kept: list[int] = []
     for i, f in enumerate(points):
-        if not any(float(np.max(np.abs(f - points[j]))) <= tol * scale for j in kept):
+        if not any(float(np.max(np.abs(f - points[j]))) <= _TOL_DISTINCT * scale for j in kept):
             kept.append(i)
     return kept
 
@@ -705,24 +717,24 @@ def solve_concave(
 ) -> AssignmentResult:
     """Corner enumeration for concave objectives: minimizers sit at vertices
     of the feasible polytope.  Returns the full tie set."""
-    return _corner_solver(strategy, network, feasible, config)(np.asarray(h, dtype=float), certify)
+    return _corner_solver(strategy, network, feasible, config)(_hdv_flows(h, network.n_routes), certify)
 
 
 def _corner_solver(
     strategy: FleetStrategy, network: Network, feasible: FeasibleSet, config: SolverConfig
 ) -> Callable[[np.ndarray, bool], AssignmentResult]:
     """solve_concave with the set's vertices enumerated once, as a function
-    of (h, certify): each call evaluates every vertex in one batched
-    eval_objective call, whose rows are bit-identical to one call each, and
-    reports the chosen vertex's value from it.  Of the tie set, the vertex
-    first in canonical order is f."""
+    of (h, certify) for checked HDV flows h: each call evaluates every
+    vertex in one batched objective._evaluate, whose rows are bit-identical
+    to one evaluation each, and reports the chosen vertex's value from it.
+    Of the tie set, the vertex first in canonical order is f."""
     vertices = np.array(feasible.vertices(config.vertex_cap))
 
     def solve(h: np.ndarray, certify: bool) -> AssignmentResult:
         batch = np.broadcast_to(h, (len(vertices),) + h.shape)
-        values = eval_objective(strategy, batch, vertices, network).tolist()
+        values = _evaluate(strategy, batch, vertices, network).value.tolist()
         # the tied rows in the canonical order of _canonical_order, copied
-        ties = sorted(_ties(values, config), key=lambda i: tuple(-vertices[i]))
+        ties = sorted(_ties(values), key=lambda i: tuple(-vertices[i]))
         tied = tuple(vertices[ties])
         cert = certify_local_min(strategy, h, tied[0], network, feasible, config) if certify else None
         return AssignmentResult(
@@ -751,7 +763,7 @@ def solve_general(
     converged flag of the start that found it, and all distinct ones.
     Above config.vertex_cap vertices only the random points start, and
     with n_starts = 0 the vertex enumeration's FleetModelError is raised."""
-    h = np.asarray(h, dtype=float)
+    h = _hdv_flows(h, network.n_routes)
     rng = np.random.default_rng(config.seed if seed is None else seed)
     try:
         starts = feasible.vertices(config.vertex_cap)
@@ -764,7 +776,7 @@ def solve_general(
     points, iterations, converged, finals = zip(
         *ordered_map(lambda f0: _descend(strategy, h, network, feasible, f0, config), starts)
     )
-    kept = sorted(_distinct(points, 1.0 + feasible.total_mass, config.tol_distinct), key=lambda i: finals[i].value)
+    kept = sorted(_distinct(points, 1.0 + feasible.total_mass), key=lambda i: finals[i].value)
     best = kept[0]
     cert = _certify(strategy, h, points[best], network, feasible, config, finals[best]) if certify else None
     return AssignmentResult(
@@ -772,7 +784,7 @@ def solve_general(
         objective=finals[best].value,
         certificate=cert,
         trace=SolverTrace("multistart_projected_gradient", sum(iterations), len(starts), converged[best]),
-        minimizer_set=tuple(points[kept[i]] for i in _ties([finals[i].value for i in kept], config)),
+        minimizer_set=tuple(points[kept[i]] for i in _ties([finals[i].value for i in kept])),
     )
 
 
@@ -794,7 +806,7 @@ def _assigner(
             f = np.zeros(feasible.n_routes)
             return AssignmentResult(
                 f=f,
-                objective=eval_objective(strategy, h, f, network),
+                objective=_evaluate(strategy, h, f, network).value,
                 certificate=Certificate(True, math.inf),
                 trace=SolverTrace("empty_fleet", 0, 0, True),
                 minimizer_set=(f,),
@@ -826,5 +838,5 @@ def fleet_assign(
 
     The total-flow operator is h + fleet_assign(...).f.
     """
-    h = _hdv_flows(h)
+    h = _hdv_flows(h, network.n_routes)
     return _assigner(strategy, network, config, feasible)(h, seed, certify)

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, IMAGE_DISTANCE_NORMS, SolverConfig, _valid_seed
+from .config import DEFAULT_CONFIG, SolverConfig, _valid_seed
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -70,7 +70,7 @@ from .errors import (
     InfeasibleProblemError,
     NotRealisableError,
 )
-from .forward import FeasibleSet, _distinct, _separable_minimum, bounded_factors, fleet_assign
+from .forward import FeasibleSet, _assigner, _distinct, _separable_minimum, bounded_factors
 from .network import Network, PDCertificate, _pd_certificate, _restricted_min_eigenvalue
 from .objective import FleetStrategy
 
@@ -89,6 +89,9 @@ __all__ = [
 ]
 
 MARGIN_EPS = 1e-12  # margins at or below this are not certified
+# discrete recovery's random starts, and its search steps per start
+_DISCRETE_STARTS = 20
+_MAX_OUTER_ITER = 300
 
 
 # -- result types ---------------------------------------------------------------
@@ -657,7 +660,7 @@ def _recover(
         found = _face_solutions(a0, b, feasible, tol_gap, config) or [(greedy(), None)]
     points, gaps = zip(*found)
     images = [image(g) for g in points]
-    kept = _distinct(images, scale, config.tol_distinct)
+    kept = _distinct(images, scale)
     if not unique and len(kept) > 1:
         # least norm among the solutions within tol_gap, if any is
         first = min(kept, key=lambda i: (gaps[i] > tol_gap, float(np.linalg.norm(images[i]))))
@@ -1044,7 +1047,8 @@ def discrete_recover(
     from q - f for each solution f of solve_inverse(q), so an observation in
     the image stops at its first start, then from the vertices and random
     points.  Reports the achieved distance and the theoretical closeness radius
-    2 * Lip(inverse) * rounding radius.
+    2 * Lip(inverse) * rounding radius; the rounding radius sqrt(R)/2 is an
+    l2 radius, so the distance is l2 too.
     """
     q = _observed(q, network.n_routes, "route", "observed flows")
     if not np.allclose(q, np.round(q)):
@@ -1061,13 +1065,11 @@ def discrete_recover(
 
     h_set = FeasibleSet(blocks=blocks, totals=hdv_totals, n_routes=network.n_routes)
 
-    norm_order = IMAGE_DISTANCE_NORMS[config.image_distance_norm]
-
     def image(h: np.ndarray) -> tuple[float, np.ndarray]:
-        """The distance from q of the total flow h + (the forward's f at h),
-        and that flow."""
-        total = h + fleet_assign(strategy, h, network, feasible=forward_set, config=config, certify=False).f
-        return float(np.linalg.norm(total - q, ord=norm_order)), total
+        """The l2 distance from q of the total flow h + (the forward's f at
+        h), and that flow."""
+        total = h + assign(h, None, False).f
+        return float(np.linalg.norm(total - q)), total
 
     scale = max(1.0, float(np.sum(hdv_totals)))
     # each group of starts is optional: the search runs without it
@@ -1076,14 +1078,17 @@ def discrete_recover(
         starts += [q - f for f in solve_inverse(strategy, q, network, sizes=sizes, config=config).solutions]
     with contextlib.suppress(FleetModelError):
         starts += h_set.vertices(min(64, config.vertex_cap))
-    starts += [h_set.random_point(rng) for _ in range(config.discrete_starts)]
+    starts += [h_set.random_point(rng) for _ in range(_DISCRETE_STARTS)]
 
+    # the forward's dispatch, decided once for the search (the points of
+    # h_set are checked HDV flows)
+    assign = _assigner(strategy, network, config, forward_set)
     best_h, best_val, best_total = None, math.inf, None
     for h0 in starts:
         h = h_set.project(h0)
         val, total = image(h)
         step = 1.0
-        for _ in range(config.max_outer_iter):
+        for _ in range(_MAX_OUTER_ITER):
             if val <= 1e-10 * scale:
                 break
             # follow the image residual: it is per-unit zero-sum, so only the

@@ -25,6 +25,7 @@ from typing import Callable, ClassVar, Mapping, Sequence, Union
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .errors import (
     DelayDomainError,
     DimensionMismatchError,
@@ -769,7 +770,7 @@ class Network:
 
     # -- structure certificates ------------------------------------------------
 
-    def routes_linearly_independent(self, rank_rtol: float = 1e-9) -> LinearIndependence:
+    def routes_linearly_independent(self, rank_rtol: float = DEFAULT_CONFIG.rank_rtol) -> LinearIndependence:
         """Rank test of the incidence matrix via singular values: routes are
         independent when every singular value exceeds rank_rtol times the
         largest.
@@ -816,7 +817,7 @@ class Network:
             return math.inf
         return _restricted_min_eigenvalue(basis, self.route_gradient(q))
 
-    def feasible_direction_pd(self, q, pd_rtol: float = 1e-9) -> PDCertificate:
+    def feasible_direction_pd(self, q, pd_rtol: float = DEFAULT_CONFIG.pd_rtol) -> PDCertificate:
         """Positive definiteness of the travel-time gradient on feasible
         directions, the gate for inverse uniqueness: twice its least
         eigenvalue there (min_rayleigh) against pd_rtol * |trace| / R.

@@ -147,17 +147,14 @@ def _evaluate(strategy: FleetStrategy, h: np.ndarray, f: np.ndarray, network: Ne
     return _Point(float(value) if h.ndim == 1 else value, x, w, t)
 
 
-def eval_objective(strategy: FleetStrategy, h, f, network: Network, return_point: bool = False):
+def eval_objective(strategy: FleetStrategy, h, f, network: Network):
     """Fleet objective in route form, (lam_hdv*h + lam_crv*f) . t(h + f).
 
     h and f may also be batches (S, R); the result is then one objective
     per row, each bit-identical to the unbatched call (one BLAS dot product
-    per row).  With return_point, the whole evaluation (see _evaluate),
-    from which the gradient and Hessian at f are built without forming
-    its link flows, weights or travel times again."""
+    per row)."""
     h, f = _check_pair(h, f, network.n_routes, batch=True)
-    point = _evaluate(strategy, h, f, network)
-    return point if return_point else point.value
+    return _evaluate(strategy, h, f, network).value
 
 
 def eval_objective_link_form(strategy: FleetStrategy, h, f, network: Network) -> float:

@@ -47,6 +47,11 @@ __all__ = [
 
 MALICIOUS = PRESETS["malicious"]
 
+# method constants
+_UE_TOL = 1e-10        # Illinois residual target on equal expected costs
+_TOL_P = 1e-6          # golden-section tolerance on the mixing probability
+_MIXTURE_GRID = 1001   # verification grid for global optima in p
+
 
 @dataclass(frozen=True)
 class MixedCornerStrategy:
@@ -124,7 +129,6 @@ def _induced_ue_batch(
     q_hdv: float,
     q_crv: float,
     network: Network,
-    config: SolverConfig,
 ) -> np.ndarray:
     """HDV flows (S, 2) equilibrating each row's expected costs.
 
@@ -161,7 +165,7 @@ def _induced_ue_batch(
         outside = ~np.isfinite(xr) | ~((a <= xr) & (xr <= b))
         xr = np.where(outside, 0.5 * (a + b), xr)
         fx = gap(rows, xr)
-        done = (np.abs(fx) <= config.ue_tol) | ((b - a) <= 1e-15 * q_hdv)
+        done = (np.abs(fx) <= _UE_TOL) | ((b - a) <= 1e-15 * q_hdv)
         x[rows[done]] = xr[done]
         go = ~done
         rows, a, b, fa, fb, xr, fx, side = (
@@ -183,7 +187,6 @@ def induced_ue(
     q_hdv: float | None = None,
     q_crv: float | None = None,
     network: Network | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
     """HDV flows equilibrating expected costs under the announced mixture
     (the one-row case of the batched Illinois solve)."""
@@ -192,7 +195,7 @@ def induced_ue(
     _require_two_routes(network)
     q_hdv, q_crv = _demands(network, q_hdv, q_crv)
     alphas, weights = _mixture_arrays([mixture])
-    return _induced_ue_batch(alphas, weights, q_hdv, q_crv, network, config)[0]
+    return _induced_ue_batch(alphas, weights, q_hdv, q_crv, network)[0]
 
 
 def _expected_objectives(
@@ -242,11 +245,10 @@ def _mixture_values(
     q_hdv: float,
     q_crv: float,
     network: Network,
-    config: SolverConfig,
 ) -> np.ndarray:
     """Expected fleet objective of each row's mixture at its induced
     equilibrium."""
-    h = _induced_ue_batch(alphas, weights, q_hdv, q_crv, network, config)
+    h = _induced_ue_batch(alphas, weights, q_hdv, q_crv, network)
     return _expected_objectives(strategy, alphas, weights, h, network, q_crv)
 
 
@@ -287,7 +289,6 @@ def optimize_corner_mixture(
     network: Network,
     q_hdv: float | None = None,
     q_crv: float | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> MixtureOptimum:
     """Best corner mixture for the fleet: minimize the expected objective
     over the mixing probability p.
@@ -301,14 +302,14 @@ def optimize_corner_mixture(
 
     def value(p: float) -> float:
         corner = _corner_mixtures(np.array([p]))
-        return float(_mixture_values(strategy, *corner, q_hdv, q_crv, network, config)[0])
+        return float(_mixture_values(strategy, *corner, q_hdv, q_crv, network)[0])
 
     if q_crv == 0.0:
         v = value(0.5)
         return MixtureOptimum(p_best=0.5, objective_best=v, optima=(0.5,), degenerate=True)
 
-    grid = np.linspace(0.0, 1.0, config.mixture_grid)
-    values = _mixture_values(strategy, *_corner_mixtures(grid), q_hdv, q_crv, network, config)
+    grid = np.linspace(0.0, 1.0, _MIXTURE_GRID)
+    values = _mixture_values(strategy, *_corner_mixtures(grid), q_hdv, q_crv, network)
     v_min = float(np.min(values))
     window = 1e-9 * (1.0 + abs(v_min))
     near = values <= v_min + window
@@ -326,7 +327,7 @@ def optimize_corner_mixture(
             j += 1
         lo = grid[max(0, i - 1)]
         hi = grid[min(n - 1, j + 1)]
-        optima.append(_golden_section(value, lo, hi, config.tol_p))
+        optima.append(_golden_section(value, lo, hi, _TOL_P))
         i = j + 1
 
     refined = [(p, value(p)) for p in optima]
@@ -350,7 +351,6 @@ def verify_corner_support(
     q_hdv: float | None = None,
     q_crv: float | None = None,
     resolution: float = 0.05,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> CornerSupportReport:
     """Brute-force check that some corner mixture weakly dominates every
     two-point mixture for expected HDV travel time.
@@ -365,8 +365,8 @@ def verify_corner_support(
     _require_two_routes(network)
     q_hdv, q_crv = _demands(network, q_hdv, q_crv)
 
-    ps = np.linspace(0.0, 1.0, config.mixture_grid)
-    corner_times = -_mixture_values(MALICIOUS, *_corner_mixtures(ps), q_hdv, q_crv, network, config)
+    ps = np.linspace(0.0, 1.0, _MIXTURE_GRID)
+    corner_times = -_mixture_values(MALICIOUS, *_corner_mixtures(ps), q_hdv, q_crv, network)
     best_corner = max(corner_times.tolist())
 
     # a step that does not divide 1 may end past it (0.15 ends at 1.05)
@@ -376,7 +376,7 @@ def verify_corner_support(
     alphas = np.column_stack((a1, a2))
     weights = np.column_stack((w, 1.0 - w))
     _check_mixtures(alphas, weights)
-    hdv_times = -_mixture_values(MALICIOUS, alphas, weights, q_hdv, q_crv, network, config)
+    hdv_times = -_mixture_values(MALICIOUS, alphas, weights, q_hdv, q_crv, network)
     margins = best_corner - hdv_times
     i = int(np.argmin(margins))  # the first worst cell
     return CornerSupportReport(
@@ -412,7 +412,7 @@ def _nash_cycle(
 
     def respond(corner: int) -> int:
         mixture = GeneralMixture(points=((1.0 if corner == 0 else 0.0, 1.0),))
-        h = induced_ue(mixture, q_hdv, q_crv, network, config)
+        h = induced_ue(mixture, q_hdv, q_crv, network)
         return int(np.argmax(best_corner(h, False).f))
 
     if respond(0) == 0:
@@ -444,7 +444,7 @@ def compare_routings(
     if not 0 <= burn_in < days:
         raise ValueError(f"burn_in must lie in [0, days), got {burn_in!r}")
 
-    optimum = optimize_corner_mixture(MALICIOUS, network, q_hdv, q_crv, config)
+    optimum = optimize_corner_mixture(MALICIOUS, network, q_hdv, q_crv)
     # with no fleet the game is trivial: HDVs start on route 0 and no Nash
     # search runs
     trivial = q_crv == 0.0

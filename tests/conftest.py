@@ -1,5 +1,8 @@
 """Shared instance builders for the test suite."""
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,24 @@ from fleet_inverse import (
     Route,
     single_od_network,
 )
+
+
+def _openblas_core() -> str:
+    """The kernel that numpy's bundled OpenBLAS selected on this CPU, or
+    "unknown" when numpy bundles no library that names it."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def pytest_report_header(config):
+    # the byte pins (REPORT_SHA256, LADDER_SHA256, SWEEP_SHA256, the
+    # in-process digests) hold under the kernel they were recorded with
+    return f"numpy {np.__version__}, OpenBLAS core: {_openblas_core()}"
 
 
 def fd_route_gradient(network: Network, q, step_scale: float = 1e-6) -> np.ndarray:

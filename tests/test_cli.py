@@ -438,7 +438,7 @@ class TestDelayDocuments:
     def test_every_kind_round_trips(self, kind):
         doc = with_delay(DELAY_SPECS[kind])
         doc["simulation"] = {"days": 7, "mu": 0.5, "model": "logit", "theta": 2.0, "seed": 3}
-        doc["tolerances"] = {"tol_vi": 1e-6, "vertex_cap": 8, "image_distance_norm": "l1"}
+        doc["tolerances"] = {"tol_vi": 1e-6, "vertex_cap": 8, "seed": 3}
         assert scenario_to_dict(parse_scenario_dict(doc)) == doc
 
     @pytest.mark.parametrize("kind,key", DELAY_PARAMETERS)
@@ -523,8 +523,10 @@ class TestTypedSections:
     def test_out_of_range_tolerance(self, key, value):
         # well-typed values outside a field's range: a negative tol_p used to
         # hang stackelberg, mixture_grid 0 crashed it (exit 1), and the rest
-        # were accepted silently; max_vi_iter and extragradient_safety are
-        # deleted fields now, refused at the same path as unknown ones
+        # were accepted silently; max_vi_iter, extragradient_safety and the
+        # fields that became method constants (tol_p, ue_tol, mixture_grid,
+        # discrete_starts, max_outer_iter and armijo_*) are deleted fields
+        # now, refused at the same path as unknown ones
         doc = load_doc("stackelberg_symmetric")
         doc["tolerances"] = {key: value}
         assert parse_error(doc) == ("bad-value", "$.tolerances")
@@ -553,6 +555,26 @@ class TestTypedSections:
         err = capsys.readouterr().err
         assert "error[parse]: bad-value at $.tolerances:" in err
         assert "unknown tolerance fields: ['n_dirs', 'tol_curv']" in err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("tol_pg", 1e-9), ("tol_tie", 1e-9), ("tol_dd", 1e-8), ("tol_distinct", 1e-6),
+         ("armijo_factor", 0.5), ("armijo_c1", 1e-4), ("discrete_starts", 20), ("max_outer_iter", 300),
+         ("image_distance_norm", "l2"), ("ue_tol", 1e-10), ("tol_p", 1e-6), ("mixture_grid", 1001)],
+    )
+    def test_fixed_method_constants_exit_parse(self, key, value, tmp_path, capsys):
+        # the line-search constants, the tie and distinct windows, the
+        # discrete search's budget and the Stackelberg tolerances and grid
+        # are fixed in code: a scenario still setting one, even to its
+        # value, exits 2
+        doc = load_doc("stackelberg_symmetric")
+        doc["tolerances"] = {key: value}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["stackelberg", "--scenario", str(path), "--out", "-"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "error[parse]: bad-value at $.tolerances:" in err
+        assert f"unknown tolerance fields: ['{key}']" in err
 
     def test_deleted_inverse_knobs_exit_parse(self, tmp_path, capsys):
         # no inverse runs an extragradient: a scenario still setting its

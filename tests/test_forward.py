@@ -446,6 +446,28 @@ class TestFleetAssign:
             assert float(result.f[block].sum()) == pytest.approx(unit.q_crv, abs=1e-9)
 
 
+    @pytest.mark.parametrize("length", [1, 3])
+    @pytest.mark.parametrize(
+        "entry", ["fleet_assign", "certify_local_min", "solve_convex", "solve_concave", "solve_general", "simulate"]
+    )
+    def test_hdv_flows_of_the_wrong_length(self, fig_two_route, entry, length):
+        # each entry that takes HDV flows checks their length once: on two
+        # routes a length-1 vector used to broadcast (certify_local_min
+        # returned a verdict) and a length-3 one to raise numpy's ValueError
+        net, h = fig_two_route, np.full(length, 10.0)
+        fset = FeasibleSet.from_network(net)
+        calls = {
+            "fleet_assign": lambda: fleet_assign(SELFISH, h, net),
+            "certify_local_min": lambda: certify_local_min(SELFISH, h, np.array([25.0, 25.0]), net, fset),
+            "solve_convex": lambda: solve_convex(SELFISH, h, net, fset),
+            "solve_concave": lambda: solve_concave(MALICIOUS, h, net, fset),
+            "solve_general": lambda: solve_general(DISRUPTIVE, h, net, fset),
+            "simulate": lambda: simulate(SimulationConfig(days=2), h, net),
+        }
+        with pytest.raises(DimensionMismatchError, match=rf"HDV flows must be a vector of length 2, got shape \({length},\)"):
+            calls[entry]()
+
+
 class TestDispatchByStructure:
     @pytest.mark.parametrize("name", ["cross_dependent_stable", "cross_dependent_unstable"])
     def test_malicious_on_cross_affine_enumerates_corners(self, name):
@@ -496,7 +518,7 @@ class TestWorkCounters:
         # Each of them ends on the rounding-level Newton step, which moves f,
         # so each still evaluates its final point once.
         calls = collections.Counter()
-        for owner, name in ((forward, "eval_objective"), (network.DelayTable, "values")):
+        for owner, name in ((forward, "_evaluate"), (network.DelayTable, "values")):
             method = getattr(owner, name)
             monkeypatch.setattr(
                 owner, name, lambda *args, name=name, method=method, **kwargs:
@@ -504,8 +526,8 @@ class TestWorkCounters:
             )
         for h, net in route_ladder():
             fleet_assign(SELFISH, h, net, certify=False)
-        assert calls["eval_objective"] <= 249
-        assert calls["values"] <= 249
+        assert calls["_evaluate"] == 249
+        assert calls["values"] == 249
 
     def test_descents_report_their_last_evaluated_point(self, monkeypatch):
         # a descent that stops anywhere but on the rounding-level Newton step
@@ -514,19 +536,18 @@ class TestWorkCounters:
         # evaluations and the 25 disruptive starts at R = 5 make 184 (166
         # and 208 when each evaluated its final point again)
         calls = collections.Counter()
-        method = forward.eval_objective
-        monkeypatch.setattr(forward, "eval_objective", lambda *args, **kwargs:
-                            calls.update(["points"]) or method(*args, **kwargs))
+        method = forward._evaluate
+        monkeypatch.setattr(forward, "_evaluate", lambda *args: calls.update(["points"]) or method(*args))
         config = DEFAULT_CONFIG.replace(max_pg_iter=5)
         ladder = route_ladder()
         for h, net in ladder:
             result = solve_convex(SELFISH, h, net, FeasibleSet.from_network(net), config, certify=False)
-            assert result.objective == method(SELFISH, h, result.f, net)
+            assert result.objective == eval_objective(SELFISH, h, result.f, net)
         assert calls["points"] == 154
         calls.clear()
         h, net = ladder[0]
         result = solve_general(DISRUPTIVE, h, net, FeasibleSet.from_network(net), config=config, certify=False)
-        assert result.objective == method(DISRUPTIVE, h, result.f, net)
+        assert result.objective == eval_objective(DISRUPTIVE, h, result.f, net)
         assert calls["points"] == 184
 
     def test_certified_forward_evaluates_its_last_point_once(self, monkeypatch):
@@ -558,7 +579,7 @@ class TestWorkCounters:
         # enumerations and 3 evaluations a day when each day enumerated the
         # vertices again, evaluated them one by one and the chosen one twice)
         calls = collections.Counter()
-        for owner, name in ((FeasibleSet, "vertices"), (forward, "eval_objective")):
+        for owner, name in ((FeasibleSet, "vertices"), (forward, "_evaluate")):
             method = getattr(owner, name)
             monkeypatch.setattr(
                 owner, name, lambda *args, name=name, method=method, **kwargs:
@@ -567,7 +588,7 @@ class TestWorkCounters:
         sc = parse_scenario(fixture_path("stackelberg_symmetric"))
         states = simulate(SimulationConfig(days=50, strategy=MALICIOUS), sc.hdv_route_flows, sc.network, sc.config)
         assert len(states) == 50
-        assert calls == {"vertices": 1, "eval_objective": 50}
+        assert calls == {"vertices": 1, "_evaluate": 50}
 
     def test_route_ladder_forms_each_point_once(self, monkeypatch):
         # one evaluation per point: its link flows N^T (h + f), delays and
@@ -589,10 +610,10 @@ class TestWorkCounters:
             monkeypatch.setattr(
                 owner, name, lambda self, a, key=key, method=method: calls.update([key]) or method(self, a)
             )
-        monkeypatch.setattr(forward, "eval_objective", lambda *args, method=forward.eval_objective, **kwargs:
-                            calls.update(["points"]) or method(*args, **kwargs))
+        monkeypatch.setattr(forward, "_evaluate", lambda *args, method=forward._evaluate:
+                            calls.update(["points"]) or method(*args))
         iterations = sum(fleet_assign(SELFISH, h, net, certify=False).trace.iterations for h, net in route_ladder())
-        assert iterations <= 150 and calls["points"] <= 275
+        assert iterations <= 150 and calls["points"] == 249
         assert calls["values"] == calls["points"]
         assert calls["derivatives"] == calls["second_derivatives"] == iterations
         # every Hessian forms its link weights once; every other product is a
@@ -908,13 +929,13 @@ class TestCertify:
         assert not cert.is_local_min
 
     def test_work_counters(self, monkeypatch):
-        # one gradient, at most one Hessian, and neither an objective
-        # evaluation nor a sampled point: no finite differences, no random
-        # directions
+        # one evaluation of f's point, one gradient, at most one Hessian,
+        # and no other point evaluated or sampled: no finite differences,
+        # no random directions
         h, net = route_ladder()[3]
         f = fleet_assign(SELFISH, h, net, certify=False).f
         counts = collections.Counter()
-        for name in ("eval_objective", "_gradient_in_f", "_hessian_in_f"):
+        for name in ("_evaluate", "_gradient_in_f", "_hessian_in_f"):
             def counting(*args, _name=name, _original=getattr(forward, name)):
                 counts[_name] += 1
                 return _original(*args)
@@ -923,7 +944,7 @@ class TestCertify:
         monkeypatch.setattr(FeasibleSet, "random_point", None)
         cert = certify_local_min(SELFISH, h, f, net, FeasibleSet.from_network(net))
         assert cert.is_local_min
-        assert counts["eval_objective"] == 0
+        assert counts["_evaluate"] == 1
         assert counts["_gradient_in_f"] == 1
         assert counts["_hessian_in_f"] <= 1
 

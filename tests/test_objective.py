@@ -26,7 +26,9 @@ from fleet_inverse import (
     objective_hessian_in_f,
     single_od_network,
 )
-from fleet_inverse.objective import PRESETS, _curvature_data, _gradient_in_f, _hessian_in_f, link_curvature_sign
+from fleet_inverse.objective import (
+    PRESETS, _curvature_data, _evaluate, _gradient_in_f, _hessian_in_f, link_curvature_sign,
+)
 from conftest import (
     asymmetric_two_route,
     cross_dependent_two_route,
@@ -186,7 +188,7 @@ class TestSharedEvaluation:
     )
     @settings(max_examples=200, deadline=None)
     def test_one_evaluation_reproduces_every_formula(self, topology, lam_hdv, lam_crv, seed):
-        # the descent's evaluated point (eval_objective's point, then the
+        # the descent's evaluated point (_evaluate's point, then the
         # gradient and the Hessian built from its link flows, weights and
         # times) and the public calls all give, bit for bit, the objective,
         # gradient and Hessian formed from the network's own layer at q =
@@ -206,7 +208,7 @@ class TestSharedEvaluation:
         else:
             grad, hess = lam_crv * t + matrix.T @ w, dense
 
-        point = eval_objective(strategy, h, f, net, return_point=True)
+        point = _evaluate(strategy, h, f, net)
         descent_grad, route_grad = _gradient_in_f(strategy, point, net)
         got = [
             point.value, point.t, descent_grad, _hessian_in_f(strategy, point, net, route_grad),

@@ -2,6 +2,7 @@
 delay declarations, and seed determinism."""
 
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from fleet_inverse import (
     single_od_network,
     verify_corner_support,
 )
+from fleet_inverse import dynamics, forward, inverse, network, objective, scenario, stackelberg
 from fleet_inverse.config import SolverConfig
 from conftest import fd_route_gradient, symmetric_quadratic
 
@@ -215,16 +217,42 @@ class TestLibraryRanges:
                 lipschitz_bound(FleetStrategy.preset("selfish"), net, samples=value)
 
 
-class TestConfigValidation:
-    def test_bad_norm_rejected(self):
-        with pytest.raises(ValueError):
-            DEFAULT_CONFIG.replace(image_distance_norm="l3")
+# the SolverConfig fields that became method constants (see config.py)
+FIXED_CONSTANTS = (
+    "tol_pg", "tol_tie", "tol_dd", "tol_distinct", "armijo_factor", "armijo_c1",
+    "discrete_starts", "max_outer_iter", "image_distance_norm", "ue_tol", "tol_p", "mixture_grid",
+)
 
+
+class TestConfigValidation:
     def test_unknown_field_rejected(self):
-        # the deleted thread and certificate knobs included
-        for name in ("no_such_field", "max_threads", "n_dirs", "tol_curv"):
+        # the deleted thread and certificate knobs and the fixed method
+        # constants included
+        for name in ("no_such_field", "max_threads", "n_dirs", "tol_curv") + FIXED_CONSTANTS:
             with pytest.raises(ValueError, match="unknown tolerance fields"):
                 DEFAULT_CONFIG.replace(**{name: 1})
+
+    def test_the_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "rank_rtol", "pd_rtol", "n_starts", "vertex_cap", "max_pg_iter", "tol_vi", "seed",
+        ]
+
+    def test_signature_defaults_are_the_config_defaults(self):
+        # a parameter named after a SolverConfig field defaults to
+        # DEFAULT_CONFIG's value (or to None, for "the config's"), so no
+        # default is written twice
+        fields = {f.name for f in dataclasses.fields(SolverConfig)}
+        seen = []
+        for module in (network, objective, forward, inverse, stackelberg, dynamics, scenario):
+            callables = [v for v in vars(module).values() if inspect.isfunction(v) and v.__module__ == module.__name__]
+            for cls in (v for v in vars(module).values() if inspect.isclass(v) and v.__module__ == module.__name__):
+                callables += [v for v in vars(cls).values() if inspect.isfunction(v)]
+            for fn in callables:
+                for name, param in inspect.signature(fn).parameters.items():
+                    if name in fields and param.default not in (inspect.Parameter.empty, None):
+                        seen.append(fn.__qualname__)
+                        assert param.default == getattr(DEFAULT_CONFIG, name), (fn.__qualname__, name)
+        assert {"Network.routes_linearly_independent", "Network.feasible_direction_pd", "classify_convexity"} <= set(seen)
 
     def test_every_field_is_read(self):
         # a SolverConfig field that no module outside config.py reads is a

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fleet_inverse import (
-    DEFAULT_CONFIG,
     BPRDelay,
     FeasibleSet,
     FleetModelError,
@@ -266,7 +265,7 @@ def two_route_networks() -> dict[str, Network]:
     return nets
 
 
-def scalar_induced_ue(mixture, network, ue_tol=DEFAULT_CONFIG.ue_tol) -> np.ndarray:
+def scalar_induced_ue(mixture, network, ue_tol=stackelberg._UE_TOL) -> np.ndarray:
     """One mixture's Illinois solve with scalar arithmetic, point by point:
     the reference the batched solve must match bit for bit."""
     unit = network.units[0]
@@ -325,7 +324,7 @@ class TestBatchedIllinois:
         w[:8] = [0.5, 0.5, 0.3, 0.7, 1.0, 0.0, 1.0, 0.25]  # zero weights are never evaluated
         weights = np.column_stack((w, 1.0 - w))
         unit = net.units[0]
-        h = _induced_ue_batch(alphas, weights, unit.q_hdv, unit.q_crv, net, DEFAULT_CONFIG)
+        h = _induced_ue_batch(alphas, weights, unit.q_hdv, unit.q_crv, net)
         values = _expected_objectives(MALICIOUS, alphas, weights, h, net, unit.q_crv)
         for i in range(len(alphas)):
             mixture = GeneralMixture(points=((alphas[i, 0], w[i]), (alphas[i, 1], 1.0 - w[i])))
@@ -344,7 +343,7 @@ class TestBatchedIllinois:
         weights[0, 1] = 0.0
         weights[0] /= weights[0].sum()
         unit = net.units[0]
-        h = _induced_ue_batch(alphas, weights, unit.q_hdv, unit.q_crv, net, DEFAULT_CONFIG)
+        h = _induced_ue_batch(alphas, weights, unit.q_hdv, unit.q_crv, net)
         for i in range(len(alphas)):
             mixture = GeneralMixture(points=tuple(zip(alphas[i].tolist(), weights[i].tolist())))
             assert h[i].tobytes() == scalar_induced_ue(mixture, net).tobytes()
@@ -352,7 +351,7 @@ class TestBatchedIllinois:
     def test_no_hdv_demand(self):
         net = symmetric_quadratic(q_hdv=0.0)
         alphas, weights = np.array([[1.0, 0.0]] * 3), np.array([[0.2, 0.8]] * 3)
-        h = _induced_ue_batch(alphas, weights, 0.0, 50.0, net, DEFAULT_CONFIG)
+        h = _induced_ue_batch(alphas, weights, 0.0, 50.0, net)
         np.testing.assert_array_equal(h, np.zeros((3, 2)))
 
     def test_corner_support_work_gate(self, monkeypatch):
