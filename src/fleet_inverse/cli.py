@@ -99,7 +99,7 @@ def _simulation(scenario: Scenario, args) -> dynamics.SimulationConfig:
 def _run_forward(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     net = scenario.network
     h = _need(scenario, "hdv_route_flows", "hdv_route_flows")
-    result = fleet_assign(scenario.strategy, h, net, seed=args.seed, config=scenario.config)
+    result = fleet_assign(scenario.strategy, h, net, seed=_simulation(scenario, args).seed, config=scenario.config)
     if not result.trace.converged:
         raise ConvergenceError("forward solver hit its iteration cap")
     times = net.route_times(h + result.f)

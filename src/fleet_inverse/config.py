@@ -1,8 +1,10 @@
 """Numerical knobs with scale-aware defaults.
 
 SolverConfig holds the tolerances, caps and counts that scenario files may
-override (their `tolerances` section).  Others are method constants, fixed
-in code and documented where used:
+override (their `tolerances` section).  It holds no seed: a scenario's one
+seed is its `simulation` section's (dynamics.SimulationConfig.seed), and the
+library's seeded functions take theirs as an argument, 0 by default.  Others
+are method constants, fixed in code and documented where used:
 
 * forward.py: the projected-gradient target _TOL_PG = 1e-9, the tie window
   _TOL_TIE = 1e-9, the certificate's directional-derivative slack
@@ -50,8 +52,6 @@ class SolverConfig:
     max_pg_iter: int = 5000        # descent iterations per start
     # inverse solver
     tol_vi: float = 1e-8           # VI gap target, x (1 + ||t(q)||_2)
-    # misc
-    seed: int = 0
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -61,8 +61,6 @@ class SolverConfig:
                     raise ValueError(f"{name} must be finite and positive, got {value!r}")
             elif name in _MINIMUM and value < _MINIMUM[name]:
                 raise ValueError(f"{name} must be at least {_MINIMUM[name]}, got {value!r}")
-        if not _valid_seed(self.seed):
-            raise ValueError(f"seed must lie in [0, 2**63), got {self.seed!r}")
 
     def replace(self, **overrides) -> "SolverConfig":
         unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}

@@ -124,8 +124,9 @@ class FeasibleSet:
     """Per-unit simplex constraints with optional upper bounds.
 
     blocks[s] holds the route indices of unit s; totals[s] the fleet mass
-    that must be placed on them.  upper is a full-length cap vector or None.
-    total_mass, the sum of the totals, is taken once, at construction.
+    that must be placed on them.  upper is None or a cap vector of length
+    n_routes, with no NaN or negative cap.  total_mass, the sum of the
+    totals, is taken once, at construction.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -135,6 +136,10 @@ class FeasibleSet:
     total_mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.upper is not None and np.shape(self.upper) != (self.n_routes,):
+            raise DimensionMismatchError(
+                f"upper bound vector has wrong length: expected {self.n_routes}, got shape {np.shape(self.upper)}"
+            )
         if np.shape(self.totals) != (len(self.blocks),):
             raise DimensionMismatchError(
                 f"expected one fleet total per unit ({len(self.blocks)}), got {np.shape(self.totals)}"
@@ -145,8 +150,9 @@ class FeasibleSet:
             raise InfeasibleProblemError("negative fleet mass")
         object.__setattr__(self, "total_mass", float(np.sum(self.totals)))
         if self.upper is not None:
-            if np.any(np.isnan(self.upper)):
-                raise InfeasibleProblemError("upper bounds must not be NaN")
+            if not np.all(self.upper >= 0.0):  # NaN fails the test too
+                nan = np.any(np.isnan(self.upper))
+                raise InfeasibleProblemError(f"upper bounds must {'not be NaN' if nan else 'be non-negative'}")
             for s, (block, total) in enumerate(zip(self.blocks, self.totals)):
                 capacity = float(np.sum(self.upper[block]))
                 if capacity < total - 1e-9 * (1.0 + total):
@@ -156,25 +162,12 @@ class FeasibleSet:
                     )
 
     @classmethod
-    def from_network(
-        cls,
-        network: Network,
-        totals=None,
-        upper=None,
-    ) -> "FeasibleSet":
-        blocks = network.unit_blocks()
-        if totals is None:
-            totals = network.fleet_sizes()
-        totals = np.asarray(totals, dtype=float)
-        if upper is not None:
-            upper = np.asarray(upper, dtype=float)
-            if upper.shape != (network.n_routes,):
-                raise DimensionMismatchError("upper bound vector has wrong length")
+    def from_network(cls, network: Network, totals=None, upper=None) -> "FeasibleSet":
         return cls(
-            blocks=blocks,
-            totals=totals,
+            blocks=network.unit_blocks(),
+            totals=np.asarray(network.fleet_sizes() if totals is None else totals, dtype=float),
             n_routes=network.n_routes,
-            upper=upper,
+            upper=None if upper is None else np.asarray(upper, dtype=float),
         )
 
     def project(self, v) -> np.ndarray:
@@ -225,7 +218,7 @@ class FeasibleSet:
         return self.upper[self.blocks[s]].tolist()
 
     def labelings(
-        self, s: int, tol: float, max_free: float = math.inf, windows: np.ndarray | None = None
+        self, s: int, tol: float, cap: int, max_free: float = math.inf, windows: np.ndarray | None = None
     ) -> Iterator[tuple[int, ...]]:
         """Lower (-1) / free (0) / cap (+1) labelings of unit s's routes, at
         most max_free of them free, that can hold its fleet mass within tol:
@@ -236,15 +229,23 @@ class FeasibleSet:
         [lo, hi] of the unit's multiplier that each route's label (-1, 0,
         +1) allows, a branch ends once its labels' intervals do not meet.
         Depth first, lower before free before cap at each route, and
-        lazily, so a caller may stop early."""
+        lazily, so a caller may stop early.
+
+        The walk pops at most 3 (routes + 1) (cap + 1) nodes, room for cap
+        + 1 root-to-leaf paths of routes + 1 nodes and the up to three
+        children each node pushes; past that it raises FleetModelError,
+        naming the walk, however few labelings it has yielded."""
         total = float(self.totals[s])
         caps = self._caps(s)
+        budget = 3 * (len(caps) + 1) * (cap + 1)
         # the largest mass routes i.. can hold
         reach = list(itertools.accumulate(caps[::-1]))[::-1] + [0.0]
         allowed = None if windows is None else windows[self.blocks[s]].tolist()
         # (labels, capped mass, free routes' cap sum, multiplier interval)
         stack = [((), 0.0, 0.0, (-math.inf, math.inf))]
-        while stack:
+        for _ in range(budget):
+            if not stack:
+                return
             labels, fixed, room, mu = stack.pop()
             i = len(labels)
             if fixed > total + tol or fixed + room + reach[i] < total - tol or mu[0] > mu[1]:
@@ -257,16 +258,21 @@ class FeasibleSet:
                 if keep:
                     yield labels
                 continue
-            cap = caps[i]
+            route_cap = caps[i]
             lower = free = capped = mu
             if allowed is not None:
                 lower, free, capped = ((max(mu[0], lo), min(mu[1], hi)) for lo, hi in allowed[i])
-            if cap > 0.0:
-                if math.isfinite(cap):
-                    stack.append((labels + (1,), fixed + cap, room, capped))
+            if route_cap > 0.0:
+                if math.isfinite(route_cap):
+                    stack.append((labels + (1,), fixed + route_cap, room, capped))
                 if labels.count(0) < max_free:
-                    stack.append((labels + (0,), fixed, room + cap, free))
+                    stack.append((labels + (0,), fixed, room + route_cap, free))
             stack.append((labels + (-1,), fixed, room, lower))
+        if stack:
+            raise FleetModelError(
+                f"the labeling walk of unit {s} passed its budget of {budget} nodes, "
+                f"3 (routes + 1) (cap + 1) at the cap of {cap}; raise vertex_cap"
+            )
 
     def vertices(self, cap: int) -> list[np.ndarray]:
         """Every vertex of the set.  A unit's vertices are its labelings with
@@ -274,7 +280,8 @@ class FeasibleSet:
         mass its capped routes leave; each unit's are in canonical order
         (mass on the lowest route index first, so e_0 first on an uncapped
         unit), and the units combine in itertools.product order.  Raises
-        FleetModelError above cap vertices."""
+        FleetModelError above cap vertices, or when a capped unit's walk
+        passes its node budget at cap (see labelings)."""
         totals = self.totals.tolist()
         tols = [1e-12 * (1.0 + total) for total in totals]
         if self.upper is None:
@@ -289,7 +296,7 @@ class FeasibleSet:
             )
         else:
             per_unit = bounded_factors(
-                (self.labelings(s, tol, max_free=1) for s, tol in enumerate(tols)), cap, "vertex"
+                (self.labelings(s, tol, cap, max_free=1) for s, tol in enumerate(tols)), cap, "vertex"
             )
             points = []
             for s, labelings in enumerate(per_unit):
@@ -693,12 +700,19 @@ def _ties(values: list[float]) -> list[int]:
 
 def _distinct(points: Sequence[np.ndarray], scale: float) -> list[int]:
     """The indices of the points more than _TOL_DISTINCT * scale (max norm)
-    from every earlier point kept, ascending."""
-    kept: list[int] = []
+    from every earlier point kept, ascending.  Each point is compared with
+    all kept ones in one array operation (|a - b| = |b - a| exactly, and a
+    NaN entry is never within the window)."""
+    window = _TOL_DISTINCT * scale
+    indices: list[int] = []
     for i, f in enumerate(points):
-        if not any(float(np.max(np.abs(f - points[j]))) <= _TOL_DISTINCT * scale for j in kept):
-            kept.append(i)
-    return kept
+        if not indices:
+            kept = np.empty((len(points), len(f)))  # the first point is always kept
+        elif (np.abs(kept[: len(indices)] - f).max(axis=1) <= window).any():
+            continue
+        kept[len(indices)] = f
+        indices.append(i)
+    return indices
 
 
 def _canonical_order(candidates: list[np.ndarray]) -> list[np.ndarray]:
@@ -748,23 +762,32 @@ def _corner_solver(
     return solve
 
 
+def _seeded(seed: int) -> int:
+    """The seed, refused when None: numpy would draw fresh OS entropy for
+    it, and the run would not repeat."""
+    if seed is None:
+        raise ValueError("seed must lie in [0, 2**63), got None")
+    return seed
+
+
 def solve_general(
     strategy: FleetStrategy,
     h,
     network: Network,
     feasible: FeasibleSet,
-    seed: int | None = None,
+    seed: int = 0,
     config: SolverConfig = DEFAULT_CONFIG,
     certify: bool = True,
 ) -> AssignmentResult:
     """Multistart descent (see _descend) for objectives that are neither
     convex nor concave.  Starts from every vertex plus n_starts random
-    interior points; returns the best local minimizer found, with the
-    converged flag of the start that found it, and all distinct ones.
-    Above config.vertex_cap vertices only the random points start, and
-    with n_starts = 0 the vertex enumeration's FleetModelError is raised."""
+    interior points drawn from `seed`; returns the best local minimizer
+    found, with the converged flag of the start that found it, and all
+    distinct ones.  Above config.vertex_cap vertices only the random points
+    start, and with n_starts = 0 the vertex enumeration's FleetModelError
+    is raised."""
     h = _hdv_flows(h, network.n_routes)
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(_seeded(seed))
     try:
         starts = feasible.vertices(config.vertex_cap)
     except FleetModelError:
@@ -793,7 +816,7 @@ def _assigner(
     network: Network,
     config: SolverConfig,
     feasible: FeasibleSet | None = None,
-) -> Callable[[np.ndarray, int | None, bool], AssignmentResult]:
+) -> Callable[[np.ndarray, int, bool], AssignmentResult]:
     """fleet_assign's dispatch, decided once for a strategy and a network:
     the solver of its convexity class on the feasible set, as a function of
     (h, seed, certify) for checked HDV flows h.  The set defaults to the
@@ -828,15 +851,16 @@ def fleet_assign(
     strategy: FleetStrategy,
     h,
     network: Network,
-    seed: int | None = None,
+    seed: int = 0,
     config: SolverConfig = DEFAULT_CONFIG,
-    feasible: FeasibleSet | None = None,
     certify: bool = True,
 ) -> AssignmentResult:
     """The forward assignment operator: best response of the fleet to HDV
-    flows h, dispatched on the objective's convexity class.
+    flows h, dispatched on the objective's convexity class, on the
+    network's feasible set.  `seed` draws the random starts of an
+    indefinite objective.
 
     The total-flow operator is h + fleet_assign(...).f.
     """
     h = _hdv_flows(h, network.n_routes)
-    return _assigner(strategy, network, config, feasible)(h, seed, certify)
+    return _assigner(strategy, network, config)(h, _seeded(seed), certify)

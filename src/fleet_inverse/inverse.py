@@ -45,9 +45,10 @@ diagonal each label of a route allows its unit's multiplier only one
 interval (_multiplier_windows), so the walk drops every labeling whose
 intervals do not meet.  A face whose KKT system is singular (L = 0,
 dependent routes) gives its minimum-norm solution.  The listed solution of
-least norm is the estimate.  Above SolverConfig.vertex_cap labelings the
-enumeration raises FleetModelError: the solution set is complete or not
-given.
+least norm is the estimate.  Above SolverConfig.vertex_cap labelings, or
+once a unit's walk passes its node budget (3 (routes + 1) (vertex_cap +
+1) nodes), the enumeration raises FleetModelError: the solution set is
+complete or not given.
 
 Residuals are reported as VI gap per vehicle of fleet mass,
 max_x A(f).(f - x) / max(1, fleet mass), in time units.
@@ -70,7 +71,7 @@ from .errors import (
     InfeasibleProblemError,
     NotRealisableError,
 )
-from .forward import FeasibleSet, _assigner, _distinct, _separable_minimum, bounded_factors
+from .forward import FeasibleSet, _assigner, _distinct, _seeded, _separable_minimum, bounded_factors
 from .network import Network, PDCertificate, _pd_certificate, _restricted_min_eigenvalue
 from .objective import FleetStrategy
 
@@ -527,12 +528,13 @@ def _face_solutions(
     multiplier windows meet, see _multiplier_windows) and keeps the points
     that _validated accepts, by the pivot's complementarity test, and whose
     VI gap is within max(tol_gap, 1e-6 * scale), in enumeration order.
-    Raises FleetModelError above config.vertex_cap partitions.
+    Raises FleetModelError above config.vertex_cap partitions, or when a
+    unit's walk passes its node budget at that cap.
     """
     tol = 1e-7 * (1.0 + feasible.total_mass)
     windows = _multiplier_windows(a0, b, feasible) if b.ndim == 1 else None
     per_unit = bounded_factors(
-        (feasible.labelings(s, tol, windows=windows) for s in range(len(feasible.blocks))),
+        (feasible.labelings(s, tol, config.vertex_cap, windows=windows) for s in range(len(feasible.blocks))),
         config.vertex_cap, "face",
     )
     gate = max(tol_gap, 1e-6 * _residual_scale(feasible))
@@ -1037,7 +1039,7 @@ def discrete_recover(
     network: Network,
     sizes=None,
     config: SolverConfig = DEFAULT_CONFIG,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> DiscreteRecovery:
     """Recover HDV flows from an integer observation.
 
@@ -1060,15 +1062,14 @@ def discrete_recover(
     if np.any(hdv_totals < -1e-9):
         raise InfeasibleProblemError("fleet sizes exceed the observed unit totals")
     hdv_totals = np.maximum(hdv_totals, 0.0)
-    seed = config.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seeded(seed))
 
     h_set = FeasibleSet(blocks=blocks, totals=hdv_totals, n_routes=network.n_routes)
 
     def image(h: np.ndarray) -> tuple[float, np.ndarray]:
         """The l2 distance from q of the total flow h + (the forward's f at
         h), and that flow."""
-        total = h + assign(h, None, False).f
+        total = h + assign(h, 0, False).f  # fleet_assign's default seed
         return float(np.linalg.norm(total - q)), total
 
     scale = max(1.0, float(np.sum(hdv_totals)))

@@ -1,15 +1,16 @@
 """Two-route Stackelberg analysis for a fleet committing to a mixed strategy.
 
-The fleet announces a probability mixture over assignments (alpha*Q_c on
-route 1, the rest on route 2); HDVs equilibrate their *expected* costs
-knowing the commitment.  For the malicious objective (maximize expected
-total HDV travel time) the optimum is supported on the two corner
-assignments, which this module verifies by brute force, and the optimal
-mixing probability is found by golden-section search plus a verification
-grid.  A best-response check on the two corners shows when no
+The game is played on a two-route network's OD unit, whose HDV demand and
+fleet size Q_c every function reads.  The fleet announces a probability
+mixture over assignments (alpha*Q_c on route 1, the rest on route 2); HDVs
+equilibrate their *expected* costs knowing the commitment.  For the
+malicious objective (maximize expected total HDV travel time) the optimum
+is supported on the two corner assignments, which this module verifies by
+brute force, and the optimal mixing probability is found by golden-section
+search plus a verification grid.  A best-response check on the two corners shows when no
 pure-strategy Nash point exists: corner 0 or 1 answers itself, or the
 two answer each other.  A day-to-day simulation supplies the myopic
-comparison.
+comparison, averaged over its days after the first quarter.
 
 Grids of mixtures are solved as one batch: each mixture is a row of split
 fractions and weights, and one vectorized Illinois iterate finds every
@@ -94,19 +95,15 @@ def _check_mixtures(alphas: np.ndarray, weights: np.ndarray) -> None:
         raise ValueError("split fractions must lie in [0, 1]")
 
 
-def _require_two_routes(network: Network) -> None:
+def _demands(network: Network) -> tuple[float, float]:
+    """The HDV demand and the fleet size of the network's OD unit; raises
+    FleetModelError unless the network has two routes."""
     if network.n_routes != 2:
         raise FleetModelError(
             f"Stackelberg analysis covers two-route networks, got {network.n_routes}"
         )
-
-
-def _demands(network: Network, q_hdv, q_crv) -> tuple[float, float]:
-    if q_hdv is None or q_crv is None:
-        unit = network.units_or_raise()[0]
-        q_hdv = unit.q_hdv if q_hdv is None else q_hdv
-        q_crv = unit.q_crv if q_crv is None else q_crv
-    return float(q_hdv), float(q_crv)
+    unit = network.units_or_raise()[0]
+    return float(unit.q_hdv), float(unit.q_crv)
 
 
 def _expected_cost_gap(alphas, weights, h1, q_hdv, q_crv, network) -> np.ndarray:
@@ -182,18 +179,10 @@ def _induced_ue_batch(
     return np.column_stack((x, q_hdv - x))
 
 
-def induced_ue(
-    mixture: GeneralMixture,
-    q_hdv: float | None = None,
-    q_crv: float | None = None,
-    network: Network | None = None,
-) -> np.ndarray:
+def induced_ue(mixture: GeneralMixture, network: Network) -> np.ndarray:
     """HDV flows equilibrating expected costs under the announced mixture
     (the one-row case of the batched Illinois solve)."""
-    if network is None:
-        raise TypeError("induced_ue() missing the network argument")
-    _require_two_routes(network)
-    q_hdv, q_crv = _demands(network, q_hdv, q_crv)
+    q_hdv, q_crv = _demands(network)
     alphas, weights = _mixture_arrays([mixture])
     return _induced_ue_batch(alphas, weights, q_hdv, q_crv, network)[0]
 
@@ -211,31 +200,19 @@ def _expected_objectives(
     return total
 
 
-def expected_fleet_objective(
-    strategy: FleetStrategy,
-    mixture: GeneralMixture,
-    h,
-    network: Network,
-    q_crv: float | None = None,
-) -> float:
+def expected_fleet_objective(strategy: FleetStrategy, mixture: GeneralMixture, h, network: Network) -> float:
     """Expectation of the fleet objective over the mixture support, at the
     induced HDV flows h."""
-    _require_two_routes(network)
-    _, q_crv = _demands(network, 0.0, q_crv)
+    _, q_crv = _demands(network)
     alphas, weights = _mixture_arrays([mixture])
     h = np.asarray(h, dtype=float)[None]
     return float(_expected_objectives(strategy, alphas, weights, h, network, q_crv)[0])
 
 
-def expected_hdv_time(
-    mixture: GeneralMixture,
-    h,
-    network: Network,
-    q_crv: float | None = None,
-) -> float:
+def expected_hdv_time(mixture: GeneralMixture, h, network: Network) -> float:
     """Expected total HDV travel time under the mixture; the malicious
     fleet maximizes this quantity."""
-    return -expected_fleet_objective(MALICIOUS, mixture, h, network, q_crv=q_crv)
+    return -expected_fleet_objective(MALICIOUS, mixture, h, network)
 
 
 def _mixture_values(
@@ -284,12 +261,7 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def optimize_corner_mixture(
-    strategy: FleetStrategy,
-    network: Network,
-    q_hdv: float | None = None,
-    q_crv: float | None = None,
-) -> MixtureOptimum:
+def optimize_corner_mixture(strategy: FleetStrategy, network: Network) -> MixtureOptimum:
     """Best corner mixture for the fleet: minimize the expected objective
     over the mixing probability p.
 
@@ -297,8 +269,7 @@ def optimize_corner_mixture(
     the verification grid are reported, which exposes symmetric pairs
     {p, 1-p} when they occur.
     """
-    _require_two_routes(network)
-    q_hdv, q_crv = _demands(network, q_hdv, q_crv)
+    q_hdv, q_crv = _demands(network)
 
     def value(p: float) -> float:
         corner = _corner_mixtures(np.array([p]))
@@ -346,12 +317,7 @@ class CornerSupportReport:
     mixtures_checked: int
 
 
-def verify_corner_support(
-    network: Network,
-    q_hdv: float | None = None,
-    q_crv: float | None = None,
-    resolution: float = 0.05,
-) -> CornerSupportReport:
+def verify_corner_support(network: Network, resolution: float = 0.05) -> CornerSupportReport:
     """Brute-force check that some corner mixture weakly dominates every
     two-point mixture for expected HDV travel time.
 
@@ -362,8 +328,7 @@ def verify_corner_support(
     """
     if not 0.0 < resolution <= 1.0:
         raise ValueError(f"resolution must lie in (0, 1], got {resolution!r}")
-    _require_two_routes(network)
-    q_hdv, q_crv = _demands(network, q_hdv, q_crv)
+    q_hdv, q_crv = _demands(network)
 
     ps = np.linspace(0.0, 1.0, _MIXTURE_GRID)
     corner_times = -_mixture_values(MALICIOUS, *_corner_mixtures(ps), q_hdv, q_crv, network)
@@ -399,20 +364,18 @@ class RoutingComparison:
     trivial: bool                 # no fleet mass, both routings coincide
 
 
-def _nash_cycle(
-    q_hdv: float, q_crv: float, network: Network, config: SolverConfig
-) -> tuple[bool, tuple[int, ...]]:
+def _nash_cycle(network: Network, config: SolverConfig) -> tuple[bool, tuple[int, ...]]:
     """The fleet's best corner against the HDV equilibrium of each pure
     corner: a corner that answers itself is a pure-strategy Nash point,
     and corners that answer each other form the cycle (0, 1) that rules
     one out.  The fleet's corner is the one that minimizes the malicious
     objective, among the corners enumerated once for the call."""
-    feasible = FeasibleSet.from_network(network, totals=[q_crv])
+    feasible = FeasibleSet.from_network(network)
     best_corner = _corner_solver(MALICIOUS, network, feasible, config)
 
     def respond(corner: int) -> int:
         mixture = GeneralMixture(points=((1.0 if corner == 0 else 0.0, 1.0),))
-        h = induced_ue(mixture, q_hdv, q_crv, network)
+        h = induced_ue(mixture, network)
         return int(np.argmax(best_corner(h, False).f))
 
     if respond(0) == 0:
@@ -424,34 +387,29 @@ def _nash_cycle(
 
 def compare_routings(
     network: Network,
-    q_hdv: float | None = None,
-    q_crv: float | None = None,
     days: int = 200,
     mu: float = 0.2,
     seed: int = 0,
-    burn_in: int | None = None,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> RoutingComparison:
     """Stackelberg corner mixture versus myopic day-to-day routing for the
     malicious objective, plus pure-strategy Nash existence.
 
-    Reports both objectives side by side; which routing is better on
-    average is left to the reader of the report.
+    The myopic time average discards the first days // 4 days.  Reports
+    both objectives side by side; which routing is better on average is
+    left to the reader of the report.
     """
-    _require_two_routes(network)
-    q_hdv, q_crv = _demands(network, q_hdv, q_crv)
-    burn_in = days // 4 if burn_in is None else burn_in
-    if not 0 <= burn_in < days:
-        raise ValueError(f"burn_in must lie in [0, days), got {burn_in!r}")
+    q_hdv, q_crv = _demands(network)
+    burn_in = days // 4
 
-    optimum = optimize_corner_mixture(MALICIOUS, network, q_hdv, q_crv)
+    optimum = optimize_corner_mixture(MALICIOUS, network)
     # with no fleet the game is trivial: HDVs start on route 0 and no Nash
     # search runs
     trivial = q_crv == 0.0
     sim_config = SimulationConfig(days=days, mu=mu, seed=seed, strategy=MALICIOUS)
     initial = np.array([q_hdv, 0.0] if trivial else [0.6 * q_hdv, 0.4 * q_hdv])
     states = simulate(sim_config, initial, network, config)
-    nash_exists, cycle = (True, ()) if trivial else _nash_cycle(q_hdv, q_crv, network, config)
+    nash_exists, cycle = (True, ()) if trivial else _nash_cycle(network, config)
     return RoutingComparison(
         stackelberg=optimum,
         stackelberg_hdv_time=-optimum.objective_best,

@@ -43,3 +43,17 @@ def test_one_pass_keeps_its_digest(run, workload, instance_seed, expected):
     wl = run.make_workload(workload)
     wl.setup(0, instance_seed)
     assert run.digest(wl.run_pass()) == expected
+
+
+def test_the_cli_matrix_keeps_its_digest(run, tmp_path):
+    # every fixture x subcommand cell, one forked cli.main each: the digest
+    # holds each cell's exit code with its CSV bytes, so it pins the cells
+    # that exit 2 or 5 as well as the exit-0 reports REPORT_SHA256 pins
+    import workloads
+
+    wl = workloads.CliFixtures(tmp_path / "cells")
+    try:
+        wl.setup(0, 2024)
+        assert run.digest(wl.run_pass()) == "aa1d663cbe785cd0"
+    finally:
+        wl.cleanup()

@@ -438,7 +438,7 @@ class TestDelayDocuments:
     def test_every_kind_round_trips(self, kind):
         doc = with_delay(DELAY_SPECS[kind])
         doc["simulation"] = {"days": 7, "mu": 0.5, "model": "logit", "theta": 2.0, "seed": 3}
-        doc["tolerances"] = {"tol_vi": 1e-6, "vertex_cap": 8, "seed": 3}
+        doc["tolerances"] = {"tol_vi": 1e-6, "vertex_cap": 8}
         assert scenario_to_dict(parse_scenario_dict(doc)) == doc
 
     @pytest.mark.parametrize("kind,key", DELAY_PARAMETERS)
@@ -523,8 +523,9 @@ class TestTypedSections:
     def test_out_of_range_tolerance(self, key, value):
         # well-typed values outside a field's range: a negative tol_p used to
         # hang stackelberg, mixture_grid 0 crashed it (exit 1), and the rest
-        # were accepted silently; max_vi_iter, extragradient_safety and the
-        # fields that became method constants (tol_p, ue_tol, mixture_grid,
+        # were accepted silently; max_vi_iter, extragradient_safety, seed
+        # (the scenario's seed is simulation.seed) and the fields that
+        # became method constants (tol_p, ue_tol, mixture_grid,
         # discrete_starts, max_outer_iter and armijo_*) are deleted fields
         # now, refused at the same path as unknown ones
         doc = load_doc("stackelberg_symmetric")
@@ -543,6 +544,39 @@ class TestTypedSections:
         path.write_text(json.dumps(doc))
         assert main([subcommand, "--scenario", str(path), "--out", "-"]) == EXIT_PARSE
         assert "error[parse]: bad-value at $.simulation: seed must lie in [0, 2**63)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["forward", "simulate", "stackelberg", "lipschitz"])
+    def test_a_tolerances_seed_exits_parse(self, subcommand, tmp_path, capsys):
+        # the scenario has one seed, simulation.seed: the solver's own seed
+        # field is gone, in range or not
+        doc = load_doc("stackelberg_symmetric")
+        doc["tolerances"] = {"seed": 0}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main([subcommand, "--scenario", str(path), "--out", "-"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "error[parse]: bad-value at $.tolerances:" in err
+        assert "unknown tolerance fields: ['seed']" in err
+
+    @pytest.mark.parametrize("flags,seed", [([], 7), (["--seed", "11"], 11)])
+    def test_the_simulation_seed_reaches_the_forward_solve(self, flags, seed, tmp_path, monkeypatch):
+        # the disruptive strategy is indefinite on this fixture, so forward
+        # draws random starts from simulation.seed, or from --seed
+        doc = load_doc("signalized_link")
+        doc["strategy"] = "disruptive"
+        doc["simulation"] = {"seed": 7}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        seeds = []
+        solve_general = forward.solve_general
+
+        def spy(*args, seed, **kwargs):
+            seeds.append(seed)
+            return solve_general(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(forward, "solve_general", spy)
+        assert main(["forward", "--scenario", str(path), "--out", str(tmp_path / "out.csv")] + flags) == EXIT_OK
+        assert seeds == [seed]
 
     def test_deleted_certificate_knobs_exit_parse(self, tmp_path, capsys):
         # the certificate samples no directions and takes no finite

@@ -26,6 +26,7 @@ from fleet_inverse import (
     eval_objective,
     fleet_assign,
     inverse_link_flows,
+    route_fiber,
     single_od_network,
     solve_concave,
     solve_convex,
@@ -1006,3 +1007,69 @@ class TestInvariants:
         np.testing.assert_allclose(
             fig_two_route.route_to_link(r1.f), fig_two_route.route_to_link(r2.f), atol=1e-6
         )
+
+
+class TestCapValidation:
+    # a cap vector of the wrong length used to be accepted (length 4 for 3
+    # routes) or to raise numpy's IndexError (length 2), and a negative cap
+    # to be accepted until solve_convex refused its own answer
+    @pytest.mark.parametrize(
+        "upper,error,match",
+        [
+            ([60.0, 60.0, 60.0, 60.0], DimensionMismatchError, "upper bound vector has wrong length"),
+            ([60.0, 60.0], DimensionMismatchError, "upper bound vector has wrong length"),
+            ([[60.0, 60.0, 60.0]], DimensionMismatchError, "upper bound vector has wrong length"),
+            ([60.0, -1.0, 60.0], InfeasibleProblemError, "upper bounds must be non-negative"),
+            ([60.0, -math.inf, 60.0], InfeasibleProblemError, "upper bounds must be non-negative"),
+        ],
+    )
+    def test_both_constructors_refuse_the_cap(self, upper, error, match):
+        net = three_affine_routes()
+        with pytest.raises(error, match=match):
+            FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=3, upper=np.array(upper))
+        with pytest.raises(error, match=match):
+            route_fiber(net, net.route_to_link(np.array([10.0, 10.0, 10.0])), upper=upper)
+
+
+def _distinct_pairwise(points, scale):
+    """_distinct as a pairwise loop, the reference its array form keeps."""
+    kept = []
+    for i, f in enumerate(points):
+        if not any(float(np.max(np.abs(f - points[j]))) <= forward._TOL_DISTINCT * scale for j in kept):
+            kept.append(i)
+    return kept
+
+
+class TestDistinct:
+    @given(data=st.data(), scale=st.sampled_from([1.0, 3.0, 51.0, 1e6]), n_routes=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_keeps_the_pairwise_decisions(self, data, scale, n_routes):
+        # entries on a grid of the window w, so that many differences are
+        # exactly w (kept apart only above it), plus the floats beside w,
+        # NaN and inf (never within the window of anything)
+        w = forward._TOL_DISTINCT * scale
+        values = [0.0, w, 2.0 * w, -w, np.nextafter(w, math.inf), np.nextafter(w, 0.0), 1.0, math.nan, math.inf]
+        rows = data.draw(st.lists(st.lists(st.sampled_from(values), min_size=n_routes, max_size=n_routes), max_size=12))
+        points = [np.array(row) for row in rows]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert forward._distinct(points, scale) == _distinct_pairwise(points, scale)
+
+    def test_a_difference_of_exactly_the_window_is_not_distinct(self):
+        w = forward._TOL_DISTINCT * 2.0
+        points = [np.zeros(2), np.array([w, 0.0]), np.array([np.nextafter(w, math.inf), 0.0])]
+        assert forward._distinct(points, 2.0) == [0, 2]
+
+
+class TestExplicitSeed:
+    # None used to mean the solver config's seed; no config holds one now,
+    # and numpy would take None as a request for fresh OS entropy
+    def test_none_is_refused(self):
+        sc = parse_scenario(fixture_path("signalized_link"))
+        h, net = sc.hdv_route_flows, sc.network
+        fset = FeasibleSet.from_network(net)
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew a generator")):
+            for call in (lambda: fleet_assign(DISRUPTIVE, h, net, seed=None),
+                         lambda: fleet_assign(SELFISH, h, net, seed=None),
+                         lambda: solve_general(DISRUPTIVE, h, net, fset, seed=None)):
+                with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*63\), got None"):
+                    call()

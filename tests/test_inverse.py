@@ -1,8 +1,10 @@
 """Inverse assignment: VI solver, certificates, fibers, stability, discrete."""
 
 import contextlib
+import inspect
 import itertools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -15,8 +17,6 @@ from fleet_inverse import (
     DEFAULT_CONFIG,
     AffineDelay,
     SimulationConfig,
-    SolverConfig,
-    compare_routings,
     DimensionMismatchError,
     BPRDelay,
     FeasibleSet,
@@ -552,6 +552,13 @@ class TestDiscreteRecover:
         with pytest.raises(ValueError):
             discrete_recover(SELFISH, np.array([50.5, 49.5]), net)
 
+    def test_none_seed_is_refused(self):
+        # None used to mean the solver config's seed; numpy would take it as
+        # a request for fresh OS entropy
+        net = symmetric_quadratic(q_hdv=81.0, q_crv=19.0)
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*63\), got None"):
+            discrete_recover(SELFISH, np.array([50.0, 50.0]), net, seed=None)
+
 
 def _brute_force_roundings(f_hat, blocks, sizes, radius):
     """Every floor/ceil pattern of f_hat that is nonnegative, keeps the unit
@@ -700,9 +707,8 @@ class TestNonFiniteObservations:
 class TestTypedInputErrors:
     # each of these used to escape the typed errors: numpy's LinAlgError
     # (totals of the wrong length), an all-NaN fiber (non-finite totals or
-    # NaN caps), a NotRealisableError (caps of the wrong length), a NaN
-    # mean HDV time (burn_in past the simulated days), or a silent accept
-    # (NaN fleet totals, theta, a negative burn_in) or a crash inside numpy's
+    # NaN caps), a NotRealisableError (caps of the wrong length), or a
+    # silent accept (NaN fleet totals, theta) or a crash inside numpy's
     # generators (seeds out of range)
     @pytest.mark.parametrize(
         "call,error,match",
@@ -721,11 +727,8 @@ class TestTypedInputErrors:
              InfeasibleProblemError, "fleet sizes must be finite"),
             (lambda net: SimulationConfig(theta=math.nan), ValueError, "theta must be finite and positive"),
             (lambda net: SimulationConfig(seed=-2), ValueError, r"seed must lie in \[0, 2\*\*63\)"),
-            (lambda net: SolverConfig(seed=2**63), ValueError, r"seed must lie in \[0, 2\*\*63\)"),
             (lambda net: lipschitz_bound(SELFISH, net, samples=2, seed=-1), ValueError, "seed must lie"),
             (lambda net: lipschitz_bound(SELFISH, net, samples=2, seed=10**23), ValueError, "seed must lie"),
-            (lambda net: compare_routings(net, days=10, burn_in=20), ValueError, r"burn_in must lie in \[0, days\)"),
-            (lambda net: compare_routings(net, days=10, burn_in=-1), ValueError, r"burn_in must lie in \[0, days\)"),
         ],
     )
     def test_raises_typed_error(self, fig_two_route, call, error, match):
@@ -1114,6 +1117,55 @@ class TestFaceExit:
         phi_ref, residual_ref = _reference_link_solve(SELFISH, a, net)
         assert float(np.max(np.abs(result.f_hat - phi_ref))) <= 1e-12 * float(np.max(phi_ref))
         assert abs(result.residual) <= 1e-12 and abs(residual_ref) <= 1e-12
+
+
+@contextlib.contextmanager
+def counting_walk_nodes():
+    """A one-entry list counting the nodes FeasibleSet.labelings pops (runs
+    of its `stack.pop()` line), traced by sys.settrace while the block runs."""
+    lines, first = inspect.getsourcelines(FeasibleSet.labelings)
+    pop_line = first + next(i for i, line in enumerate(lines) if "stack.pop()" in line)
+    code = FeasibleSet.labelings.__code__
+    nodes = [0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == pop_line:
+            nodes[0] += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        yield nodes
+    finally:
+        sys.settrace(previous)
+
+
+class TestLabelingBudget:
+    def test_the_walk_stops_at_its_node_budget(self):
+        # the malicious inverse on ladder draw #7 (R = 50) is not certified,
+        # and its face walk used to visit nodes without bound (no answer
+        # within 15 s at the default cap); at vertex_cap = 50 it raises
+        # after at most 3 (routes + 1) (cap + 1) = 3 x 51 x 51 nodes
+        h, net = route_ladder()[7]
+        q = h + fleet_assign(MALICIOUS, h, net, certify=False).f
+        with counting_walk_nodes() as nodes:
+            with pytest.raises(FleetModelError, match="labeling walk of unit 0 passed its budget of 7803 nodes"):
+                solve_inverse(MALICIOUS, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=50))
+        assert 0 < nodes[0] <= 3 * 51 * 51
+
+    def test_a_walk_within_its_budget_lists_every_labeling(self):
+        # three routes capped at 1 holding a mass of 1.5: the whole walk pops
+        # 34 nodes and lists 13 labelings, so at a cap of 2 (a budget of
+        # 3 x 4 x 3 = 36 nodes) it ends as at the default cap, and at a cap
+        # of 1 (24 nodes) it raises
+        fset = FeasibleSet(blocks=(np.arange(3),), totals=np.array([1.5]), n_routes=3, upper=np.ones(3))
+        with counting_walk_nodes() as nodes:
+            labelings = list(fset.labelings(0, 1e-9, 2))
+        assert nodes[0] == 34
+        assert labelings == list(fset.labelings(0, 1e-9, DEFAULT_CONFIG.vertex_cap)) and len(labelings) == 13
+        with pytest.raises(FleetModelError, match="labeling walk of unit 0 passed its budget of 24 nodes"):
+            list(fset.labelings(0, 1e-9, 1))
 
 
 def _dense_monotone_vi(rng):

@@ -234,7 +234,7 @@ class TestConfigValidation:
 
     def test_the_settable_fields(self):
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "rank_rtol", "pd_rtol", "n_starts", "vertex_cap", "max_pg_iter", "tol_vi", "seed",
+            "rank_rtol", "pd_rtol", "n_starts", "vertex_cap", "max_pg_iter", "tol_vi",
         ]
 
     def test_signature_defaults_are_the_config_defaults(self):

@@ -311,7 +311,7 @@ class TestClosedForms:
         a0, b = inverse._affine_operator(strategy, q, net)
         diagonal = np.diagonal(b)
         tol = 1e-7 * (1.0 + feasible.total_mass)
-        per_unit = [list(feasible.labelings(s, tol)) for s in range(len(feasible.blocks))]
+        per_unit = [list(feasible.labelings(s, tol, DEFAULT_CONFIG.vertex_cap)) for s in range(len(feasible.blocks))]
         active = np.zeros(net.n_routes, dtype=int)
         for combo in itertools.product(*per_unit):
             for block, labels in zip(feasible.blocks, combo):

@@ -1,6 +1,8 @@
 """Two-route Stackelberg analysis: induced equilibria, corner mixtures,
 support verification, and the myopic/Nash comparison."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from fleet_inverse import (
     single_od_network,
     verify_corner_support,
 )
+from fleet_inverse.dynamics import SimulationConfig, simulate
 from fleet_inverse.network import Network
 from fleet_inverse.scenario import fixture_path, parse_scenario
 from fleet_inverse import stackelberg
@@ -50,7 +53,7 @@ class TestInducedUE:
 
     def test_without_a_network(self):
         with pytest.raises(TypeError, match="network"):
-            induced_ue(MixedCornerStrategy(0.5).as_mixture(), 25.0, 25.0)
+            induced_ue(MixedCornerStrategy(0.5).as_mixture())
 
     def test_no_fleet_even_split(self):
         net = symmetric_quadratic(q_crv=0.0)
@@ -206,7 +209,7 @@ class TestCompareRoutings:
 
     def test_myopic_average_at_least_stackelberg(self):
         net = symmetric_quadratic()
-        result = compare_routings(net, days=200, mu=0.2, seed=0, burn_in=50)
+        result = compare_routings(net, days=200, mu=0.2, seed=0)
         assert result.myopic_mean_hdv_time >= result.stackelberg_hdv_time
 
     def test_corner_zero_answers_itself(self, monkeypatch):
@@ -252,6 +255,33 @@ class TestCompareRoutings:
             "two_route_common_links": (False, (0, 1)),
             "signalized_link": (False, (0, 1)),
         }
+
+    @pytest.mark.parametrize("days,burn_in", [(1, 0), (3, 0), (4, 1), (30, 7), (200, 50)])
+    def test_the_first_quarter_of_the_days_is_discarded(self, days, burn_in):
+        net = symmetric_quadratic()
+        result = compare_routings(net, days=days, mu=0.2, seed=0)
+        states = simulate(
+            SimulationConfig(days=days, mu=0.2, seed=0, strategy=MALICIOUS), [30.0, 20.0], net
+        )
+        assert (result.myopic_days, result.burn_in) == (days, burn_in)
+        assert result.myopic_mean_hdv_time == float(np.mean([s.t_hdv for s in states[burn_in:]]))
+
+
+class TestSignatures:
+    # the demands are the network's OD unit's, never per-call overrides
+    @pytest.mark.parametrize(
+        "fn,parameters",
+        [
+            (induced_ue, ["mixture", "network"]),
+            (expected_fleet_objective, ["strategy", "mixture", "h", "network"]),
+            (expected_hdv_time, ["mixture", "h", "network"]),
+            (optimize_corner_mixture, ["strategy", "network"]),
+            (verify_corner_support, ["network", "resolution"]),
+            (compare_routings, ["network", "days", "mu", "seed", "config"]),
+        ],
+    )
+    def test_no_demand_parameters(self, fn, parameters):
+        assert list(inspect.signature(fn).parameters) == parameters
 
 
 def two_route_networks() -> dict[str, Network]:
