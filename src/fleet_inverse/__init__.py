@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatchError,
     FleetModelError,
     InfeasibleProblemError,
+    ModelInputError,
     NotRealisableError,
     UnsupportedDelayError,
 )

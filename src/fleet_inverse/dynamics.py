@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig, _valid_seed
-from .forward import _assigner, _hdv_flows
+from .forward import _assigner, _flows
 from .network import Network
 from .objective import FleetStrategy
 
@@ -99,7 +99,7 @@ def simulate(
     once for the run.  Deterministic given the seed: the fleet side uses
     the canonical representative when its minimizer is a tie set.
     """
-    h = _hdv_flows(initial_h, network.n_routes)  # each later day's flows are a mix of valid ones
+    h = _flows(initial_h, network.n_routes)  # each later day's flows are a mix of valid ones
     # one convexity class and one feasible set serve every day
     assign = _assigner(config.strategy, network, solver_config)
     states: list[DayState] = []

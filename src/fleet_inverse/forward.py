@@ -125,8 +125,9 @@ class FeasibleSet:
 
     blocks[s] holds the route indices of unit s; totals[s] the fleet mass
     that must be placed on them.  upper is None or a cap vector of length
-    n_routes, with no NaN or negative cap.  total_mass, the sum of the
-    totals, is taken once, at construction.
+    n_routes, with no NaN or negative cap.  totals and upper are taken as
+    float arrays, and total_mass, the sum of the totals, once, at
+    construction.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -136,13 +137,17 @@ class FeasibleSet:
     total_mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.upper is not None and np.shape(self.upper) != (self.n_routes,):
+        object.__setattr__(self, "totals", np.asarray(self.totals, dtype=float))
+        if self.upper is not None:
+            object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
+            if self.upper.shape != (self.n_routes,):
+                raise DimensionMismatchError(
+                    f"upper bound vector has wrong length: expected {self.n_routes}, "
+                    f"got shape {self.upper.shape}"
+                )
+        if self.totals.shape != (len(self.blocks),):
             raise DimensionMismatchError(
-                f"upper bound vector has wrong length: expected {self.n_routes}, got shape {np.shape(self.upper)}"
-            )
-        if np.shape(self.totals) != (len(self.blocks),):
-            raise DimensionMismatchError(
-                f"expected one fleet total per unit ({len(self.blocks)}), got {np.shape(self.totals)}"
+                f"expected one fleet total per unit ({len(self.blocks)}), got {self.totals.shape}"
             )
         if not np.all(np.isfinite(self.totals)):
             raise InfeasibleProblemError("fleet sizes must be finite")
@@ -165,9 +170,9 @@ class FeasibleSet:
     def from_network(cls, network: Network, totals=None, upper=None) -> "FeasibleSet":
         return cls(
             blocks=network.unit_blocks(),
-            totals=np.asarray(network.fleet_sizes() if totals is None else totals, dtype=float),
+            totals=network.fleet_sizes() if totals is None else totals,
             n_routes=network.n_routes,
-            upper=None if upper is None else np.asarray(upper, dtype=float),
+            upper=upper,
         )
 
     def project(self, v) -> np.ndarray:
@@ -385,16 +390,17 @@ def _zero_sum_basis(faces: list[np.ndarray], n_routes: int) -> np.ndarray:
     return np.hstack(columns)
 
 
-def _hdv_flows(h, n: int) -> np.ndarray:
-    """The HDV flows as a float vector of length n, finite and non-negative."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (n,):
-        raise DimensionMismatchError(f"HDV flows must be a vector of length {n}, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise InfeasibleProblemError("HDV flows must be finite")
-    if np.any(h < 0):
-        raise InfeasibleProblemError("HDV flows must be non-negative")
-    return h
+def _flows(x, n: int, what: str = "HDV flows") -> np.ndarray:
+    """The flows x (what names them) as a float vector of length n, finite
+    and non-negative."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise DimensionMismatchError(f"{what} must be a vector of length {n}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InfeasibleProblemError(f"{what} must be finite")
+    if np.any(x < 0):
+        raise InfeasibleProblemError(f"{what} must be non-negative")
+    return x
 
 
 def certify_local_min(
@@ -426,7 +432,7 @@ def certify_local_min(
     length, and InfeasibleProblemError unless h is finite and non-negative
     and f is a finite point of the set (FeasibleSet.contains).
     """
-    return _certify(strategy, _hdv_flows(h, feasible.n_routes), f, network, feasible, config)
+    return _certify(strategy, _flows(h, feasible.n_routes), f, network, feasible, config)
 
 
 def _certify(strategy, h, f, network, feasible, config, point: _Point | None = None) -> Certificate:
@@ -677,7 +683,7 @@ def solve_convex(
 ) -> AssignmentResult:
     """Projected Newton descent (see _descend) for convex objectives; the
     minimizer is unique when the objective is strictly convex."""
-    h = _hdv_flows(h, network.n_routes)
+    h = _flows(h, network.n_routes)
     f0 = feasible.project(np.full(feasible.n_routes, feasible.total_mass / max(1, feasible.n_routes)))
     f, iterations, converged, point = _descend(strategy, h, network, feasible, f0, config)
     cert = _certify(strategy, h, f, network, feasible, config, point) if certify else None
@@ -731,7 +737,7 @@ def solve_concave(
 ) -> AssignmentResult:
     """Corner enumeration for concave objectives: minimizers sit at vertices
     of the feasible polytope.  Returns the full tie set."""
-    return _corner_solver(strategy, network, feasible, config)(_hdv_flows(h, network.n_routes), certify)
+    return _corner_solver(strategy, network, feasible, config)(_flows(h, network.n_routes), certify)
 
 
 def _corner_solver(
@@ -786,7 +792,7 @@ def solve_general(
     distinct ones.  Above config.vertex_cap vertices only the random points
     start, and with n_starts = 0 the vertex enumeration's FleetModelError
     is raised."""
-    h = _hdv_flows(h, network.n_routes)
+    h = _flows(h, network.n_routes)
     rng = np.random.default_rng(_seeded(seed))
     try:
         starts = feasible.vertices(config.vertex_cap)
@@ -862,5 +868,5 @@ def fleet_assign(
 
     The total-flow operator is h + fleet_assign(...).f.
     """
-    h = _hdv_flows(h, network.n_routes)
+    h = _flows(h, network.n_routes)
     return _assigner(strategy, network, config)(h, _seeded(seed), certify)

@@ -71,7 +71,7 @@ from .errors import (
     InfeasibleProblemError,
     NotRealisableError,
 )
-from .forward import FeasibleSet, _assigner, _distinct, _seeded, _separable_minimum, bounded_factors
+from .forward import FeasibleSet, _assigner, _distinct, _flows, _seeded, _separable_minimum, bounded_factors
 from .network import Network, PDCertificate, _pd_certificate, _restricted_min_eigenvalue
 from .objective import FleetStrategy
 
@@ -585,19 +585,6 @@ def _certificate(
     return UniquenessCertificate(theorem_applies=applies, reason=reason, pd=pd, margin=margin)
 
 
-def _observed(x, n: int, vector: str, flows: str) -> np.ndarray:
-    """The observed flow as a float vector of length n, finite and
-    non-negative."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise DimensionMismatchError(f"observed flow must be a {vector} vector")
-    if not np.all(np.isfinite(x)):
-        raise InfeasibleProblemError(f"{flows} must be finite")
-    if np.any(x < 0):
-        raise InfeasibleProblemError(f"{flows} must be non-negative")
-    return x
-
-
 def _recover(
     level: str,
     observed: np.ndarray,
@@ -704,7 +691,7 @@ def solve_inverse(
     FleetModelError.  On linearly dependent routes `fiber` holds the route
     flows that share f_hat's link flow.  `seed` is not read.
     """
-    q = _observed(q, network.n_routes, "route", "observed flows")
+    q = _flows(q, network.n_routes, "observed flows")
     feasible = FeasibleSet.from_network(network, sizes, q)
     x, t = network._link_flows_and_times(q)
     grad = network._route_gradient_form_at(x)
@@ -762,7 +749,7 @@ def inverse_link_flows(
     negative, the certificate applying.  Where a is the link image of a
     forward equilibrium, f_hat is the link image of solve_inverse's.
     """
-    a = _observed(a, network.n_links, "link", "observed link flows")
+    a = _flows(a, network.n_links, "observed link flows")
     units = network.units_or_raise()
     feasible = FeasibleSet.from_network(network, sizes)
     # a must be the link image of some route flow holding each unit's demand
@@ -1052,7 +1039,7 @@ def discrete_recover(
     2 * Lip(inverse) * rounding radius; the rounding radius sqrt(R)/2 is an
     l2 radius, so the distance is l2 too.
     """
-    q = _observed(q, network.n_routes, "route", "observed flows")
+    q = _flows(q, network.n_routes, "observed flows")
     if not np.allclose(q, np.round(q)):
         raise ValueError("observed flow must be integer-valued for discrete recovery")
     blocks = network.unit_blocks()

@@ -30,6 +30,7 @@ from .errors import (
     DelayDomainError,
     DimensionMismatchError,
     FleetModelError,
+    ModelInputError,
     UnsupportedDelayError,
 )
 
@@ -50,9 +51,10 @@ __all__ = [
 ]
 
 
-def _require_finite(name: str, value: float) -> None:
+def _require_finite(value: float, *position) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        name = ".".join(map(str, position))
+        raise ModelInputError("bad-value", position, f"{name} must be finite, got {value!r}")
 
 
 def _first(mask, values) -> float:
@@ -198,13 +200,22 @@ class _KernelDelay:
     scenario files (whose parameters are its fields, in order); `gamma`,
     its power-family exponent, None outside the power family;
     `convex_nondecreasing`; and `affine_in_flows`, whether it is affine in
-    the link flows."""
+    the link flows.  Construction refuses a parameter that is not finite,
+    or not positive where the kind names it in `positive`."""
 
     kernels: ClassVar[type]
     kind: ClassVar[str]
+    positive: ClassVar[tuple[str, ...]]
     gamma: ClassVar[float | None] = None
     convex_nondecreasing: ClassVar[bool] = True
     affine_in_flows: ClassVar[bool] = False
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            _require_finite(value, f.name)
+            if f.name in self.positive and value <= 0:
+                raise ModelInputError("bad-value", (f.name,), f"{f.name} must be positive, got {value!r}")
 
     def _kernels(self):
         return self.kernels(*(np.float64(getattr(self, f.name)) for f in fields(self)))
@@ -225,6 +236,7 @@ class BPRDelay(_KernelDelay):
 
     kernels = _BPRKernels
     kind = "bpr"
+    positive = ("t0", "d", "capacity", "power")
 
     t0: float
     d: float
@@ -239,12 +251,6 @@ class BPRDelay(_KernelDelay):
     def convex_nondecreasing(self) -> bool:
         return self.power >= 1.0
 
-    def __post_init__(self):
-        for name in ("t0", "d", "capacity", "power"):
-            _require_finite(name, getattr(self, name))
-        if self.t0 <= 0 or self.d <= 0 or self.capacity <= 0 or self.power <= 0:
-            raise ValueError("BPR parameters t0, d, capacity, power must be positive")
-
 
 @dataclass(frozen=True)
 class AffineDelay(_KernelDelay):
@@ -252,17 +258,12 @@ class AffineDelay(_KernelDelay):
 
     kernels = _AffineKernels
     kind = "affine"
+    positive = ("slope",)
     gamma = 1.0
     affine_in_flows = True
 
     intercept: float
     slope: float
-
-    def __post_init__(self):
-        _require_finite("intercept", self.intercept)
-        _require_finite("slope", self.slope)
-        if self.slope <= 0:
-            raise ValueError("affine delay slope must be positive")
 
 
 @dataclass(frozen=True)
@@ -271,16 +272,11 @@ class QuadraticDelay(_KernelDelay):
 
     kernels = _QuadraticKernels
     kind = "quadratic"
+    positive = ("coefficient",)
     gamma = 2.0
 
     intercept: float
     coefficient: float
-
-    def __post_init__(self):
-        _require_finite("intercept", self.intercept)
-        _require_finite("coefficient", self.coefficient)
-        if self.coefficient <= 0:
-            raise ValueError("quadratic delay coefficient must be positive")
 
 
 @dataclass(frozen=True)
@@ -297,18 +293,17 @@ class WebsterDelay(_KernelDelay):
 
     kernels = _WebsterKernels
     kind = "webster"
+    positive = ("green_ratio", "saturation_flow", "cycle")
 
     green_ratio: float
     saturation_flow: float
     cycle: float
 
     def __post_init__(self):
-        for name in ("green_ratio", "saturation_flow", "cycle"):
-            _require_finite(name, getattr(self, name))
-        if not 0.0 < self.green_ratio < 1.0:
-            raise ValueError("green_ratio must lie strictly between 0 and 1")
-        if self.saturation_flow <= 0 or self.cycle <= 0:
-            raise ValueError("saturation_flow and cycle must be positive")
+        super().__post_init__()
+        if self.green_ratio >= 1.0:
+            message = f"green_ratio must be below 1, got {self.green_ratio!r}"
+            raise ModelInputError("bad-value", ("green_ratio",), message)
 
 
 @dataclass(frozen=True)
@@ -331,10 +326,10 @@ class CrossAffineDelay:
     cross: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        _require_finite("intercept", self.intercept)
-        _require_finite("own_slope", self.own_slope)
+        _require_finite(self.intercept, "intercept")
+        _require_finite(self.own_slope, "own_slope")
         for key, coef in self.cross.items():
-            _require_finite(f"cross[{key}]", coef)
+            _require_finite(coef, "cross", key)
         object.__setattr__(self, "cross", dict(self.cross))
 
     def __hash__(self):
@@ -358,7 +353,7 @@ class Route:
     def __post_init__(self):
         object.__setattr__(self, "link_ids", tuple(self.link_ids))
         if not self.link_ids:
-            raise ValueError(f"route {self.id!r} has no links")
+            raise ModelInputError("malformed", ("links",), f"route {self.id!r} has no links")
 
 
 @dataclass(frozen=True)
@@ -374,12 +369,12 @@ class ODUnit:
     def __post_init__(self):
         object.__setattr__(self, "route_ids", tuple(self.route_ids))
         if not self.route_ids:
-            raise ValueError("OD unit must reference at least one route")
+            raise ModelInputError("malformed", ("routes",), "OD unit must reference at least one route")
         for name in ("q_hdv", "q_crv"):
             value = getattr(self, name)
-            _require_finite(name, value)
+            _require_finite(value, name)
             if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
+                raise ModelInputError("negative-flow", (name,), f"{name} must be non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -504,12 +499,12 @@ class DelayTable:
             link = links[i]
             slopes[row, i] = link.delay.own_slope
             for other_id, coef in link.delay.cross.items():
+                position = ("links", i, "delay", "cross", other_id)
                 if other_id not in link_index:
-                    raise ValueError(
-                        f"link {link.id!r} cross-references unknown link {other_id!r}"
-                    )
+                    message = f"link {link.id!r} cross-references unknown link {other_id!r}"
+                    raise ModelInputError("dangling-id", position, message)
                 if other_id == link.id:
-                    raise ValueError(f"link {link.id!r} cross-references itself")
+                    raise ModelInputError("bad-value", position, f"link {link.id!r} cross-references itself")
                 slopes[row, link_index[other_id]] = coef
         slopes.setflags(write=False)
         self.cross_slopes = slopes
@@ -567,6 +562,29 @@ class DelayTable:
         return second
 
 
+def _index_by_id(items: Sequence[Link] | Sequence[Route], what: str) -> dict[str, int]:
+    """Each link's or route's position by its id; ModelInputError for an
+    empty list or an id given twice."""
+    if not items:
+        raise ModelInputError("malformed", (what,), f"network needs at least one {what[:-1]}")
+    index: dict[str, int] = {}
+    for i, item in enumerate(items):
+        if index.setdefault(item.id, i) != i:
+            raise ModelInputError("bad-value", (what, i, "id"), f"duplicate {what[:-1]} id {item.id!r}")
+    return index
+
+
+def _resolve(ids: Sequence[str], index: Mapping[str, int], owner: str, position: tuple) -> list[int]:
+    """The positions in index of the ids that owner lists at position,
+    whose last entry names the list; ModelInputError at the first missing."""
+    for j, key in enumerate(ids):
+        if key not in index:
+            raise ModelInputError(
+                "dangling-id", position + (j,), f"{owner} references unknown {position[-1][:-1]} {key!r}"
+            )
+    return [index[key] for key in ids]
+
+
 def _require_flows(x: np.ndarray, what: str) -> None:
     # NaN fails both comparisons, inf the second
     if x.size and not (x.min() >= 0 and x.max() < np.inf):
@@ -589,6 +607,10 @@ class Network:
         existing links.
     units : OD units partitioning the route list.  Optional; operations that
         need demand data raise if units are missing.
+
+    Construction raises ModelInputError at the first failing fact of the
+    links (one at least, unique ids, cross slopes on other links), routes
+    (the same, existing links), units (existing routes), then the partition.
     """
 
     def __init__(
@@ -599,28 +621,16 @@ class Network:
     ):
         self.links = tuple(links)
         self.routes = tuple(routes)
-        if not self.links:
-            raise ValueError("network needs at least one link")
-        if not self.routes:
-            raise ValueError("network needs at least one route")
-
-        self._link_index = {link.id: i for i, link in enumerate(self.links)}
-        if len(self._link_index) != len(self.links):
-            raise ValueError("duplicate link ids")
-        self._route_index = {route.id: i for i, route in enumerate(self.routes)}
-        if len(self._route_index) != len(self.routes):
-            raise ValueError("duplicate route ids")
-
+        self._link_index = _index_by_id(self.links, "links")
+        self.delay_table = DelayTable(self.links, self._link_index)
+        self._route_index = _index_by_id(self.routes, "routes")
         incidence = np.zeros((len(self.routes), len(self.links)))
         for r, route in enumerate(self.routes):
-            for link_id in route.link_ids:
-                if link_id not in self._link_index:
-                    raise ValueError(f"route {route.id!r} references unknown link {link_id!r}")
-                incidence[r, self._link_index[link_id]] = 1.0
+            at = _resolve(route.link_ids, self._link_index, f"route {route.id!r}", ("routes", r, "links"))
+            incidence[r, at] = 1.0
         incidence.setflags(write=False)
         self.incidence = incidence
 
-        self.delay_table = DelayTable(self.links, self._link_index)
         routes_on = incidence.sum(axis=0)
         self._shared = routes_on > 1.0
         self.separable = self.delay_table.link_additive and not self._shared.any()
@@ -637,22 +647,22 @@ class Network:
         self._unit_blocks: tuple[np.ndarray, ...] | None = None
         if units is not None:
             units = tuple(units)
+            if not units:
+                raise ModelInputError("malformed", ("units",), "network needs at least one unit")
             blocks = []
-            seen: set[int] = set()
             for u, unit in enumerate(units):
-                idx = []
-                for rid in unit.route_ids:
-                    if rid not in self._route_index:
-                        raise ValueError(f"unit {u} references unknown route {rid!r}")
-                    idx.append(self._route_index[rid])
-                if set(idx) & seen:
-                    raise ValueError("units must not share routes")
-                seen.update(idx)
-                blocks.append(np.asarray(idx, dtype=int))
-            if seen != set(range(len(self.routes))):
-                missing = sorted(set(range(len(self.routes))) - seen)
-                names = [self.routes[i].id for i in missing]
-                raise ValueError(f"routes not covered by any unit: {names}")
+                at = _resolve(unit.route_ids, self._route_index, f"unit {u}", ("units", u, "routes"))
+                blocks.append(np.asarray(at, dtype=int))
+            covered: set[int] = set()
+            for u, block in enumerate(blocks):
+                for j, r in enumerate(block.tolist()):
+                    if r in covered:
+                        message = f"units must not share routes: {self.routes[r].id!r} is listed twice"
+                        raise ModelInputError("bad-value", ("units", u, "routes", j), message)
+                    covered.add(r)
+            if len(covered) != len(self.routes):
+                names = [route.id for r, route in enumerate(self.routes) if r not in covered]
+                raise ModelInputError("bad-value", (), f"routes not covered by any unit: {names}")
             self.units = units
             self._unit_blocks = tuple(blocks)
 

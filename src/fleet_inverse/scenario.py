@@ -5,6 +5,13 @@ Every validation failure raises ScenarioError carrying a machine-readable
 code and the path of the offending field.  parse -> serialize -> parse is
 the identity on the validated model.
 
+The parser checks only the document's shape: JSON types, required fields,
+finite numbers, the schema.  What the model assumes of its values (positive
+slopes, non-negative demands, unique ids that resolve, units that partition
+the routes) the model's constructors check, each fact once, and the
+ModelInputError they raise becomes a ScenarioError with the same code at
+the JSON path of the offending field.
+
 Delays and the `simulation` and `tolerances` sections are read and
 written from the model's own declarations: a delay by its class's `kind`
 (network.py) and its dataclass fields in order, the two sections by the
@@ -26,7 +33,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .dynamics import SimulationConfig
-from .network import CrossAffineDelay, Delay, Link, Network, ODUnit, Route
+from .errors import ModelInputError
+from .network import Delay, Link, Network, ODUnit, Route
 from .objective import PRESETS, FleetStrategy
 
 __all__ = [
@@ -104,6 +112,29 @@ def _number(value, path: str, nonnegative: bool = False) -> float:
     return value
 
 
+def _list(mapping: dict, key: str, path: str) -> list:
+    value = _require(mapping, key, path)
+    if not isinstance(value, list):
+        _fail("malformed", f"{path}.{key}", "expected a list")
+    return value
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        _fail("malformed", path, "expected an object")
+    return value
+
+
+def _construct(path: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs), a model constructor, with the ModelInputError
+    it raises reported at path followed by the error's position."""
+    try:
+        return cls(*args, **kwargs)
+    except ModelInputError as exc:
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in exc.position)
+        _fail(exc.code, path + where, str(exc))
+
+
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail("bad-value", path, f"expected an integer, got {value!r}")
@@ -163,20 +194,20 @@ def _fields_to_dict(obj) -> dict:
 
 
 def _parse_delay(spec, path: str) -> Delay:
-    if not isinstance(spec, dict):
-        _fail("malformed", path, "delay must be an object with a 'kind' field")
-    kind = _require(spec, "kind", path)
+    kind = _require(_object(spec, path), "kind", path)
     # a JSON array or object kind is unhashable
     cls = _DELAY_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         _fail("unknown-delay", f"{path}.kind", f"unknown delay variant {kind!r}")
-    try:
-        return cls(**_read_fields(cls, spec, path))
-    except ValueError as exc:
-        _fail("bad-value", path, str(exc))
+    return _construct(path, cls, **_read_fields(cls, spec, path))
 
 
-def _flow_vector(values, path: str, length: int, name: str) -> np.ndarray:
+def _flow_vector(section: dict, key: str, path: str, length: int, name: str) -> np.ndarray | None:
+    """section[key], a list of length non-negative numbers, as an array;
+    None when the section does not give it."""
+    if key not in section:
+        return None
+    values, path = section[key], f"{path}.{key}"
     if not isinstance(values, list):
         _fail("malformed", path, f"expected a list of {length} numbers")
     if len(values) != length:
@@ -191,82 +222,36 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     if schema != SCHEMA_VERSION:
         _fail("bad-value", "$.schema", f"expected schema {SCHEMA_VERSION}, got {schema!r}")
 
-    links_doc = _require(doc, "links", "$")
-    if not isinstance(links_doc, list) or not links_doc:
-        _fail("malformed", "$.links", "expected a non-empty list")
     links = []
-    for i, item in enumerate(links_doc):
+    for i, item in enumerate(_list(doc, "links", "$")):
         path = f"$.links[{i}]"
-        if not isinstance(item, dict):
-            _fail("malformed", path, "expected an object")
-        link_id = _require(item, "id", path)
+        link_id = _require(_object(item, path), "id", path)
         if not isinstance(link_id, str) or not link_id:
             _fail("bad-value", f"{path}.id", "link id must be a non-empty string")
         links.append(Link(id=link_id, delay=_parse_delay(_require(item, "delay", path), f"{path}.delay")))
 
-    link_ids = {link.id for link in links}
-    if len(link_ids) != len(links):
-        _fail("bad-value", "$.links", "duplicate link ids")
-
-    routes_doc = _require(doc, "routes", "$")
-    if not isinstance(routes_doc, list) or not routes_doc:
-        _fail("malformed", "$.routes", "expected a non-empty list")
     routes = []
-    for i, item in enumerate(routes_doc):
+    for i, item in enumerate(_list(doc, "routes", "$")):
         path = f"$.routes[{i}]"
-        if not isinstance(item, dict):
-            _fail("malformed", path, "expected an object")
-        route_id = _require(item, "id", path)
-        members = _require(item, "links", path)
-        if not isinstance(members, list) or not members:
-            _fail("malformed", f"{path}.links", "expected a non-empty list of link ids")
-        for j, lid in enumerate(members):
-            if lid not in link_ids:
-                _fail("dangling-id", f"{path}.links[{j}]", f"route references missing link {lid!r}")
-        routes.append(Route(id=route_id, link_ids=tuple(members)))
-    route_ids = {r.id for r in routes}
-    if len(route_ids) != len(routes):
-        _fail("bad-value", "$.routes", "duplicate route ids")
+        route_id = _require(_object(item, path), "id", path)
+        routes.append(_construct(path, Route, id=route_id, link_ids=tuple(_list(item, "links", path))))
 
-    # cross-affine references must resolve too
-    for i, link in enumerate(links):
-        if isinstance(link.delay, CrossAffineDelay):
-            for other in link.delay.cross:
-                if other not in link_ids:
-                    _fail(
-                        "dangling-id",
-                        f"$.links[{i}].delay.cross.{other}",
-                        f"cross slope references missing link {other!r}",
-                    )
-
-    units_doc = _require(doc, "units", "$")
-    if not isinstance(units_doc, list) or not units_doc:
-        _fail("malformed", "$.units", "expected a non-empty list")
     units = []
-    for i, item in enumerate(units_doc):
+    for i, item in enumerate(_list(doc, "units", "$")):
         path = f"$.units[{i}]"
-        if not isinstance(item, dict):
-            _fail("malformed", path, "expected an object")
-        unit_routes = _require(item, "routes", path)
-        if not isinstance(unit_routes, list) or not unit_routes:
-            _fail("malformed", f"{path}.routes", "expected a non-empty list of route ids")
-        for j, rid in enumerate(unit_routes):
-            if rid not in route_ids:
-                _fail("dangling-id", f"{path}.routes[{j}]", f"unit references missing route {rid!r}")
+        route_ids = tuple(_list(_object(item, path), "routes", path))
         units.append(
-            ODUnit(
+            _construct(
+                path,
+                ODUnit,
                 origin=str(item.get("origin", f"O{i}")),
                 destination=str(item.get("destination", f"D{i}")),
-                q_hdv=_number(_require(item, "q_hdv", path), f"{path}.q_hdv", nonnegative=True),
-                q_crv=_number(_require(item, "q_crv", path), f"{path}.q_crv", nonnegative=True),
-                route_ids=tuple(unit_routes),
+                q_hdv=_number(_require(item, "q_hdv", path), f"{path}.q_hdv"),
+                q_crv=_number(_require(item, "q_crv", path), f"{path}.q_crv"),
+                route_ids=route_ids,
             )
         )
-
-    try:
-        network = Network(links, routes, units=units)
-    except ValueError as exc:
-        _fail("bad-value", "$", str(exc))
+    network = _construct("$", Network, links, routes, units=units)
 
     strategy_doc = _require(doc, "strategy", "$")
     strategy_name = None
@@ -284,39 +269,16 @@ def parse_scenario_dict(doc: dict) -> Scenario:
         _fail("malformed", "$.strategy", "expected a preset name or a lambda pair")
 
     n_routes, n_links = network.n_routes, network.n_links
-    hdv_flows = None
-    if "hdv_route_flows" in doc:
-        hdv_flows = _flow_vector(doc["hdv_route_flows"], "$.hdv_route_flows", n_routes, "routes")
-    fleet_flows = None
-    if "fleet_route_flows" in doc:
-        fleet_flows = _flow_vector(doc["fleet_route_flows"], "$.fleet_route_flows", n_routes, "routes")
-
-    observed_routes = observed_links = None
-    if "observed" in doc:
-        observed = doc["observed"]
-        if not isinstance(observed, dict):
-            _fail("malformed", "$.observed", "expected an object")
-        has_route = "route_flows" in observed
-        has_link = "link_flows" in observed
-        if has_route == has_link:
-            _fail(
-                "bad-value",
-                "$.observed",
-                "exactly one of route_flows or link_flows must be present",
-            )
-        if has_route:
-            observed_routes = _flow_vector(
-                observed["route_flows"], "$.observed.route_flows", n_routes, "routes"
-            )
-        else:
-            observed_links = _flow_vector(
-                observed["link_flows"], "$.observed.link_flows", n_links, "links"
-            )
+    hdv_flows = _flow_vector(doc, "hdv_route_flows", "$", n_routes, "routes")
+    fleet_flows = _flow_vector(doc, "fleet_route_flows", "$", n_routes, "routes")
+    observed = _object(doc.get("observed", {}), "$.observed")
+    if "observed" in doc and ("route_flows" in observed) == ("link_flows" in observed):
+        _fail("bad-value", "$.observed", "exactly one of route_flows or link_flows must be present")
+    observed_routes = _flow_vector(observed, "route_flows", "$.observed", n_routes, "routes")
+    observed_links = _flow_vector(observed, "link_flows", "$.observed", n_links, "links")
 
     simulation_given = "simulation" in doc
-    sim_doc = doc.get("simulation", {})
-    if not isinstance(sim_doc, dict):
-        _fail("malformed", "$.simulation", "expected an object")
+    sim_doc = _object(doc.get("simulation", {}), "$.simulation")
     try:
         simulation = SimulationConfig(
             **_read_fields(SimulationConfig, sim_doc, "$.simulation"), strategy=strategy
@@ -324,9 +286,7 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     except ValueError as exc:
         _fail("bad-value", "$.simulation", str(exc))
 
-    tolerances = doc.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        _fail("malformed", "$.tolerances", "expected an object")
+    tolerances = _object(doc.get("tolerances", {}), "$.tolerances")
     unknown = sorted(set(tolerances) - set(_FIELDS[SolverConfig]))
     if unknown:
         _fail("bad-value", "$.tolerances", f"unknown tolerance fields: {unknown}")

@@ -345,6 +345,12 @@ class TestParsing:
             parse_scenario(tmp_path / "missing.json")
         assert (err.value.code, err.value.field_path) == ("malformed", "$")
 
+    def test_fleet_flows_and_observed_link_flows_round_trip(self):
+        doc = load_doc("two_od")
+        doc["fleet_route_flows"] = [5.0, 5.0, 5.0, 5.0]
+        doc["observed"] = {"link_flows": [20.0, 20.0, 20.0, 20.0]}
+        assert scenario_to_dict(parse_scenario_dict(doc)) == doc
+
     def test_lambda_pair_round_trip(self):
         doc = load_doc("two_od")
         doc["strategy"] = {"lambda_hdv": 0.25, "lambda_crv": 1.5}
@@ -387,29 +393,50 @@ def _with(*keys, value):
     return mutate
 
 
+CROSS_ON_L1 = {"kind": "cross_affine", "intercept": 1.0, "own_slope": 0.5}
+# the two facts only the network checks: a cross-affine link referencing
+# itself, and a route two units list (r1, in unit 0 and in a copy of it)
+SELF_CROSS = _with("links", 0, "delay", value={**CROSS_ON_L1, "cross": {"l1": 0.1}})
+
+
+def r1_in_two_units(doc):
+    return {**doc, "units": [{**doc["units"][0], "routes": ["r1"]}, doc["units"][0]]}
+
+
 # one document mutation of two_route_asymmetric per validation failure, with
-# the code and the field path it reports
+# the code and the field path it reports; the model's facts (an empty list,
+# a parameter out of range, a duplicate or dangling id, a negative demand, a
+# route shared or left out by the units) are the constructors' checks
 VALIDATION_BRANCHES = [
     (lambda doc: [doc], "malformed", "$"),
     (_with("links", value=[]), "malformed", "$.links"),
     (_with("links", 0, value="l1"), "malformed", "$.links[0]"),
     (_with("links", 0, "id", value=""), "bad-value", "$.links[0].id"),
     (_with("links", 0, "delay", value=5.0), "malformed", "$.links[0].delay"),
-    (_with("links", 1, "id", value="l1"), "bad-value", "$.links"),
-    (_with("routes", value={}), "malformed", "$.routes"),
+    (_with("links", 0, "delay", "capacity", value=0.0), "bad-value", "$.links[0].delay.capacity"),
+    (_with("links", 1, "id", value="l1"), "bad-value", "$.links[1].id"),
+    (_with("links", 0, "delay", value={**CROSS_ON_L1, "cross": {"z": 0.1}}),
+     "dangling-id", "$.links[0].delay.cross.z"),
+    (SELF_CROSS, "bad-value", "$.links[0].delay.cross.l1"),
+    (_with("routes", value=[]), "malformed", "$.routes"),
     (_with("routes", 0, value=["l1"]), "malformed", "$.routes[0]"),
     (_with("routes", 0, "links", value=[]), "malformed", "$.routes[0].links"),
-    (_with("routes", 1, "id", value="r1"), "bad-value", "$.routes"),
+    (_with("routes", 0, "links", value=["z"]), "dangling-id", "$.routes[0].links[0]"),
+    (_with("routes", 1, "id", value="r1"), "bad-value", "$.routes[1].id"),
     (_with("units", value=[]), "malformed", "$.units"),
     (_with("units", 0, value="O"), "malformed", "$.units[0]"),
     (_with("units", 0, "routes", value=[]), "malformed", "$.units[0].routes"),
+    (_with("units", 0, "q_hdv", value=-1.0), "negative-flow", "$.units[0].q_hdv"),
     (_with("units", 0, "routes", value=["r1", "r3"]), "dangling-id", "$.units[0].routes[1]"),
+    (_with("units", 0, "routes", value=["r1", "r1", "r2"]), "bad-value", "$.units[0].routes[1]"),
+    (r1_in_two_units, "bad-value", "$.units[1].routes[0]"),
     # the network refuses a route that no unit covers
     (_with("units", 0, "routes", value=["r1"]), "bad-value", "$"),
     (_with("strategy", value="greedy"), "bad-value", "$.strategy"),
     (_with("strategy", value=1.0), "malformed", "$.strategy"),
     (_with("hdv_route_flows", value="10, 40"), "malformed", "$.hdv_route_flows"),
     (_with("hdv_route_flows", value=[10.0]), "bad-value", "$.hdv_route_flows"),
+    (_with("hdv_route_flows", value=[-1.0, 51.0]), "negative-flow", "$.hdv_route_flows[0]"),
     (_with("observed", value=[50.0, 50.0]), "malformed", "$.observed"),
     (_with("simulation", value=[]), "malformed", "$.simulation"),
     (_with("tolerances", value=[]), "malformed", "$.tolerances"),
@@ -420,6 +447,57 @@ VALIDATION_BRANCHES = [
                          ids=[f"{code} at {path}" for _, code, path in VALIDATION_BRANCHES])
 def test_each_validation_branch_names_its_field(mutate, code, path):
     assert parse_error(mutate(load_doc("two_route_asymmetric"))) == (code, path)
+
+
+@pytest.mark.parametrize(
+    "keys", [("links",), ("routes",), ("units",), ("routes", 0, "links"), ("units", 0, "routes")]
+)
+@pytest.mark.parametrize("value", [{}, "r1", None])
+def test_a_list_field_that_is_not_a_list(keys, value):
+    path = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+    assert parse_error(_with(*keys, value=value)(load_doc("two_route_asymmetric"))) == ("malformed", path)
+
+
+def run_document(doc, subcommand, tmp_path, capsys) -> tuple[int, str, str]:
+    """The exit code, standard output and standard error of the subcommand
+    on the scenario document doc, the report written to stdout."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code = main([subcommand, "--scenario", str(path), "--out", "-"])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestModelFactsThroughTheCli:
+    @pytest.mark.parametrize(
+        "mutate, where",
+        [
+            (r1_in_two_units, "bad-value at $.units[1].routes[0]: units must not share routes: 'r1' is listed twice"),
+            (SELF_CROSS, "bad-value at $.links[0].delay.cross.l1: link 'l1' cross-references itself"),
+        ],
+    )
+    def test_network_only_facts_exit_parse(self, mutate, where, tmp_path, capsys):
+        code, _, err = run_document(mutate(load_doc("two_route_asymmetric")), "classify", tmp_path, capsys)
+        assert code == EXIT_PARSE
+        assert err == f"error[parse]: {where}\n"
+
+    def test_the_first_defect_is_reported(self, tmp_path, capsys):
+        # certify needs fleet_route_flows, which two_route_asymmetric lacks,
+        # and the document's routes and units are bad too: the model's facts
+        # come before a subcommand's fields, and a route's link before the
+        # units' partition of the routes
+        doc = r1_in_two_units(load_doc("two_route_asymmetric"))
+        doc["routes"][1]["links"] = ["l2", "z"]
+
+        def reported():
+            code, _, err = run_document(doc, "certify", tmp_path, capsys)
+            return code, err.split(": ")[1]
+
+        assert reported() == (EXIT_PARSE, "dangling-id at $.routes[1].links[1]")
+        doc["routes"][1]["links"] = ["l2"]
+        assert reported() == (EXIT_PARSE, "bad-value at $.units[1].routes[0]")
+        del doc["units"][0]
+        assert reported() == (EXIT_PARSE, "missing-field at $.fleet_route_flows")
 
 
 def with_delay(spec) -> dict:
@@ -473,7 +551,7 @@ class TestDelayDocuments:
 
     def test_out_of_domain_parameter_names_the_delay(self):
         spec = {**DELAY_SPECS["webster"], "green_ratio": 1.5}
-        assert parse_error(with_delay(spec)) == ("bad-value", "$.links[1].delay")
+        assert parse_error(with_delay(spec)) == ("bad-value", "$.links[1].delay.green_ratio")
 
 
 class TestTypedSections:
@@ -1053,6 +1131,25 @@ class TestCLI:
         path.write_text(json.dumps(doc))
         assert run_cli(["forward", "--scenario", str(path), "--out", str(tmp_path / "out.csv")]) == EXIT_NONCONVERGED
         assert "error[nonconverged]: forward solver hit its iteration cap" in capsys.readouterr().err
+
+    def test_inverse_short_of_its_residual_target_exits_nonconverged(self, tmp_path, capsys):
+        # no solution's VI gap meets a tolerance of 1e-300
+        doc = load_doc("cross_dependent_stable")
+        doc["tolerances"] = {"tol_vi": 1e-300}
+        code, out, err = run_document(doc, "inverse", tmp_path, capsys)
+        assert (code, out) == (EXIT_NONCONVERGED, "")
+        assert err == "error[nonconverged]: inverse solver did not reach its residual target\n"
+
+    def test_tied_minimizers_are_summarized(self, tmp_path, capsys):
+        # the malicious objective is concave, and with the HDVs split evenly
+        # over two equal routes, the fleet on either route is a minimizer
+        doc = load_doc("stackelberg_symmetric")
+        doc["hdv_route_flows"] = [25.0, 25.0]
+        code, out, _ = run_document(doc, "forward", tmp_path, capsys)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0].endswith(",n_minimizers") and lines[1].endswith(",2") and lines[2].endswith(",2")
+        assert lines[-1] == "2 tied minimizers found"
 
     def test_fiber_with_observed_link_flows(self, tmp_path, capsys):
         # the observation given as link flows is the observed total, as

@@ -72,7 +72,7 @@ def simple_set(total, n=2, upper=None):
         blocks=(np.arange(n),),
         totals=np.array([float(total)]),
         n_routes=n,
-        upper=None if upper is None else np.asarray(upper, dtype=float),
+        upper=upper,
     )
 
 
@@ -105,6 +105,14 @@ class TestProjection:
     def test_symmetric_negative(self):
         fset = simple_set(10.0)
         np.testing.assert_allclose(fset.project([-5.0, -5.0]), [5.0, 5.0])
+
+    def test_no_fleet_projects_to_zero(self):
+        np.testing.assert_array_equal(simple_set(0.0).project([3.0, -5.0]), [0.0, 0.0])
+
+    def test_random_point_respects_the_caps(self):
+        fset = simple_set(20.0, upper=[4.0, 30.0])
+        for seed in range(5):
+            assert fset.contains(fset.random_point(np.random.default_rng(seed)))
 
     def test_capped_projection_against_grid(self):
         fset = simple_set(20.0, upper=[12.0, 15.0])
@@ -1029,6 +1037,19 @@ class TestCapValidation:
             FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=3, upper=np.array(upper))
         with pytest.raises(error, match=match):
             route_fiber(net, net.route_to_link(np.array([10.0, 10.0, 10.0])), upper=upper)
+
+    def test_lists_are_taken_as_float_arrays(self):
+        # totals=[30] and upper as a list used to raise a bare TypeError
+        # from the checks; both are converted once, at construction
+        net = three_affine_routes()
+        feasible = FeasibleSet(blocks=net.unit_blocks(), totals=[30], n_routes=3, upper=[60, 5, 60])
+        assert feasible.totals.dtype == feasible.upper.dtype == np.float64
+        assert feasible.total_mass == 30.0
+        expected = FeasibleSet.from_network(net, totals=np.array([30.0]), upper=np.array([60.0, 5.0, 60.0]))
+        v = np.array([40.0, 10.0, -5.0])
+        np.testing.assert_array_equal(feasible.project(v), expected.project(v))
+        with pytest.raises(InfeasibleProblemError, match="negative fleet mass"):
+            FeasibleSet(blocks=net.unit_blocks(), totals=[-1.0], n_routes=3)
 
 
 def _distinct_pairwise(points, scale):

@@ -19,6 +19,7 @@ from fleet_inverse import (
     SimulationConfig,
     DimensionMismatchError,
     BPRDelay,
+    ConvergenceError,
     FeasibleSet,
     FleetModelError,
     FleetStrategy,
@@ -197,6 +198,13 @@ class TestVIMonotonicity:
 
 
 class TestLinkInverse:
+    def test_one_route_has_no_realisable_direction(self):
+        net = single_od_network([AffineDelay(1.0, 1.0)], q_hdv=10.0, q_crv=5.0)
+        result = inverse_link_flows(SELFISH, [15.0], net)
+        np.testing.assert_array_equal(result.f_hat, [5.0])
+        assert result.certificate.theorem_applies and result.certificate.pd.min_rayleigh == math.inf
+        assert net.restricted_min_eigenvalue([15.0]) == math.inf
+
     def test_overlap_uniform_case(self, net_overlap):
         q = np.array([100.0, 100.0, 100.0, 100.0])
         result = inverse_link_flows(SELFISH, net_overlap.route_to_link(q), net_overlap)
@@ -404,6 +412,13 @@ class TestLeastDistance:
         g = np.array([[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(inverse._least_distance(g, np.array([-1.0, 0.0])), [0.0, 0.0])
 
+    def test_rows_22_orders_apart_reach_the_step_cap(self):
+        # c >= 1e12 and c <= -1e-4 admit no c, but in floating point the
+        # active set takes and drops the first row at every step
+        g = np.array([[1e-12], [-1e10]])
+        with pytest.raises(ConvergenceError, match="least-distance solve exceeded 6 active-set steps"):
+            inverse._least_distance(g, np.array([1.0, 1e6]))
+
 
 class TestLipschitzBound:
     def test_affine_reduces_to_gradient_term(self):
@@ -604,6 +619,11 @@ class TestIntegerCandidates:
             seen += len(got)
         assert seen >= 200
 
+    def test_fractional_fleet_size_has_no_integer_candidates(self):
+        net = single_od_network([AffineDelay(1.0, 1.0), AffineDelay(2.0, 1.0)], q_hdv=10.0, q_crv=5.0)
+        result = discrete_recover(SELFISH, [8.0, 7.0], net, sizes=[2.5])
+        assert result.integer_candidates == ()
+
     def test_eighteen_routes(self):
         rng = np.random.default_rng(18)
         f_hat = rng.dirichlet(np.ones(18)) * 90.0
@@ -688,7 +708,7 @@ class TestNonFiniteObservations:
         "level,observed,error,match",
         [
             ("link", [math.nan, 1.0], InfeasibleProblemError, "link flow must be finite"),
-            ("route", [50.0, 50.0, 0.0], DimensionMismatchError, "route vector"),
+            ("route", [50.0, 50.0, 0.0], DimensionMismatchError, "observed flows must be a vector of length 2"),
             ("route", [math.nan, 50.0], InfeasibleProblemError, "observed flows must be finite"),
             ("route", [-10.0, 110.0], InfeasibleProblemError, "must be non-negative"),
         ],

@@ -16,12 +16,15 @@ from fleet_inverse import (
     CrossAffineDelay,
     DelayDomainError,
     DimensionMismatchError,
+    FleetModelError,
     Link,
+    ModelInputError,
     Network,
     ODUnit,
     FleetStrategy,
     QuadraticDelay,
     Route,
+    UnsupportedDelayError,
     WebsterDelay,
     fleet_assign,
     single_od_network,
@@ -49,6 +52,92 @@ def common_links_two_route():
     routes = [Route("r1", ("c", "a", "d")), Route("r2", ("c", "b", "d"))]
     unit = ODUnit("O", "D", q_hdv=8.0, q_crv=2.0, route_ids=("r1", "r2"))
     return Network(links, routes, units=[unit])
+
+
+LINKS = (Link("l1", AffineDelay(1.0, 1.0)), Link("l2", AffineDelay(2.0, 1.0)))
+ROUTES = (Route("r1", ("l1",)), Route("r2", ("l2",)))
+
+
+def unit(*route_ids, q_hdv=10.0, q_crv=5.0):
+    return ODUnit("O", "D", q_hdv=q_hdv, q_crv=q_crv, route_ids=route_ids)
+
+
+def cross_link(link_id, other_id):
+    return Link(link_id, CrossAffineDelay(1.0, 0.5, {other_id: 0.1}))
+
+
+# every fact a model constructor checks, once each: the constructor call,
+# and the code and position of the ModelInputError it raises
+MODEL_FACTS = [
+    (lambda: BPRDelay(math.nan, 1.0, 50.0, 2.0), "bad-value", ("t0",)),
+    (lambda: BPRDelay(1.0, 1.0, 50.0, -2.0), "bad-value", ("power",)),
+    (lambda: AffineDelay(1.0, 0.0), "bad-value", ("slope",)),
+    (lambda: QuadraticDelay(1.0, -1.0), "bad-value", ("coefficient",)),
+    (lambda: WebsterDelay(1.0, 100.0, 60.0), "bad-value", ("green_ratio",)),
+    (lambda: WebsterDelay(0.5, 100.0, 0.0), "bad-value", ("cycle",)),
+    (lambda: CrossAffineDelay(1.0, math.inf), "bad-value", ("own_slope",)),
+    (lambda: CrossAffineDelay(1.0, 0.5, {"l2": math.nan}), "bad-value", ("cross", "l2")),
+    (lambda: Route("r1", ()), "malformed", ("links",)),
+    (lambda: unit(), "malformed", ("routes",)),
+    (lambda: unit("r1", q_hdv=-1.0), "negative-flow", ("q_hdv",)),
+    (lambda: unit("r1", q_crv=math.inf), "bad-value", ("q_crv",)),
+    (lambda: Network([], ROUTES), "malformed", ("links",)),
+    (lambda: Network(LINKS + LINKS[:1], ROUTES), "bad-value", ("links", 2, "id")),
+    (lambda: Network((LINKS[0], cross_link("l2", "z")), ROUTES), "dangling-id", ("links", 1, "delay", "cross", "z")),
+    (lambda: Network((LINKS[0], cross_link("l2", "l2")), ROUTES), "bad-value", ("links", 1, "delay", "cross", "l2")),
+    (lambda: Network(LINKS, []), "malformed", ("routes",)),
+    (lambda: Network(LINKS, ROUTES[::-1] + ROUTES[1:]), "bad-value", ("routes", 2, "id")),
+    (lambda: Network(LINKS, (ROUTES[0], Route("r2", ("l2", "z")))), "dangling-id", ("routes", 1, "links", 1)),
+    (lambda: Network(LINKS, ROUTES, units=[]), "malformed", ("units",)),
+    (lambda: Network(LINKS, ROUTES, units=[unit("r1"), unit("r3")]), "dangling-id", ("units", 1, "routes", 0)),
+    (lambda: Network(LINKS, ROUTES, units=[unit("r1", "r2"), unit("r1")]), "bad-value", ("units", 1, "routes", 0)),
+    (lambda: Network(LINKS, ROUTES, units=[unit("r1", "r2", "r1")]), "bad-value", ("units", 0, "routes", 2)),
+    (lambda: Network(LINKS, ROUTES, units=[unit("r2")]), "bad-value", ()),
+]
+
+
+@pytest.mark.parametrize("build, code, position", MODEL_FACTS,
+                         ids=[f"{i} {code} at {position}" for i, (_, code, position) in enumerate(MODEL_FACTS)])
+def test_each_model_fact_raises_one_typed_error(build, code, position):
+    with pytest.raises(ModelInputError) as err:
+        build()
+    assert (err.value.code, err.value.position) == (code, position)
+    assert isinstance(err.value, ValueError)
+
+
+def test_model_facts_are_checked_links_routes_units_then_the_partition():
+    # each network has two defects, and the earlier in that order is reported
+    bad_cross = (LINKS[0], cross_link("l2", "z"))
+    dangling_route = (ROUTES[0], Route("r2", ("z",)))
+    cases = [
+        (Network, (bad_cross, dangling_route), ("links", 1, "delay", "cross", "z")),
+        (Network, (LINKS, dangling_route, [unit("r3")]), ("routes", 1, "links", 0)),
+        (Network, (LINKS, ROUTES, [unit("r1", "r1"), unit("r3")]), ("units", 1, "routes", 0)),
+    ]
+    for cls, args, position in cases:
+        with pytest.raises(ModelInputError) as err:
+            cls(*args)
+        assert err.value.position == position
+
+
+def test_a_link_without_a_delay_kind_is_unsupported():
+    with pytest.raises(UnsupportedDelayError, match="link 'l1' has unsupported delay type float"):
+        Network([Link("l1", 1.0)], [Route("r1", ("l1",))])
+
+
+def test_demand_data_needs_units():
+    net = Network(LINKS, ROUTES)
+    for operation in (net.unit_blocks, net.fleet_sizes):
+        with pytest.raises(FleetModelError, match="this operation needs OD units"):
+            operation()
+
+
+def test_a_cross_affine_delay_hashes_by_value():
+    # its slope mapping is a dict, so the dataclass hash would fail
+    a = CrossAffineDelay(1.0, 0.5, {"l1": 0.1, "l2": 0.2})
+    b = CrossAffineDelay(1.0, 0.5, {"l2": 0.2, "l1": 0.1})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, CrossAffineDelay(1.0, 0.5, {"l1": 0.1})}) == 2
 
 
 class TestRouteToLink:
@@ -514,9 +603,7 @@ class TestDelayDeclarations:
                     and node.func.id in ("isinstance", "issubclass")
                     and len(node.args) == 2
                 ):
-                    names = named(node.args[1])
-                    # the dangling-id check on cross-affine references
-                    if names and (path.name, names) != ("scenario.py", {"CrossAffineDelay"}):
+                    if named(node.args[1]):
                         type_tests.append(f"{path.name}:{node.lineno}")
         assert type_tests == []
 

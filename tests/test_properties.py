@@ -217,6 +217,44 @@ class TestLibraryRanges:
                 lipschitz_bound(FleetStrategy.preset("selfish"), net, samples=value)
 
 
+def _bpr_pair(power: float):
+    return single_od_network([BPRDelay(1.0, 1.0, 50.0, power)] * 2, q_hdv=30.0, q_crv=10.0)
+
+
+# input checks of the library that no other test reaches, one case each
+INPUT_CHECKS = [
+    (lambda: FleetStrategy(float("nan"), 1.0), ValueError, "strategy weights must be finite"),
+    (lambda: stackelberg.MixedCornerStrategy(1.5), ValueError, r"p must lie in \[0, 1\]"),
+    (lambda: stackelberg.GeneralMixture(((0.5,),)), ValueError, "must be .split fraction, weight. pairs"),
+    (lambda: stackelberg.GeneralMixture(((0.5, 0.7),)), ValueError, "weights must be non-negative and sum to one"),
+    (lambda: stackelberg.GeneralMixture(((1.5, 1.0),)), ValueError, r"split fractions must lie in \[0, 1\]"),
+    (lambda: eval_objective(FleetStrategy(0.0, 1.0), [1.0, 1.0], [1.0], _bpr_pair(2.0)),
+     fleet_inverse.DimensionMismatchError, "expected two route vectors of length 2"),
+    (lambda: objective.local_convexity_at(FleetStrategy(0.0, 1.0), [1.0], [1.0, 1.0], _bpr_pair(2.0)),
+     fleet_inverse.DimensionMismatchError, "expected two link vectors of length 2"),
+    (lambda: objective.local_convexity_at(FleetStrategy(0.0, 1.0), [1.0, 1.0], [1.0, 1.0], _bpr_pair(0.5)),
+     fleet_inverse.UnsupportedDelayError, "exponent 0.5 < 1"),
+    (lambda: objective.local_convexity_at(FleetStrategy(0.0, 1.0), [1.0, 1.0], [1.0, 1.0], _bpr_pair(1.0)),
+     fleet_inverse.UnsupportedDelayError, "local convexity test needs exponent > 1"),
+    (lambda: forward.FeasibleSet.from_network(_bpr_pair(2.0)).project([1.0]),
+     fleet_inverse.DimensionMismatchError, "expected vector of length 2"),
+    (lambda: inverse.stationarity_map(FleetStrategy(0.0, 1.0), [1.0, 1.0], [1.0], _bpr_pair(2.0)),
+     fleet_inverse.DimensionMismatchError, "q and f must both be route vectors"),
+    (lambda: inverse.route_fiber(_bpr_pair(2.0), [1.0]), fleet_inverse.DimensionMismatchError, "phi must be a link"),
+    (lambda: inverse.discrete_recover(FleetStrategy(0.0, 1.0), [4.0, 4.0], _bpr_pair(2.0)),
+     fleet_inverse.InfeasibleProblemError, "fleet sizes exceed the observed unit totals"),
+    (lambda: scenario.fixture_path("no_such_fixture"), FileNotFoundError, "no bundled scenario 'no_such_fixture.json'"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, match", INPUT_CHECKS, ids=[re.sub(r"[^\w ]", "", m) for _, _, m in INPUT_CHECKS]
+)
+def test_input_check(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 # the SolverConfig fields that became method constants (see config.py)
 FIXED_CONSTANTS = (
     "tol_pg", "tol_tie", "tol_dd", "tol_distinct", "armijo_factor", "armijo_c1",
