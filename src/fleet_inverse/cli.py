@@ -45,7 +45,7 @@ from .errors import (
     NotRealisableError,
     UnsupportedDelayError,
 )
-from .forward import FeasibleSet, certify_local_min, fleet_assign
+from .forward import certify_local_min, fleet_assign
 from .objective import classify_convexity
 from .scenario import Scenario, ScenarioError, parse_scenario
 
@@ -187,8 +187,7 @@ def _run_certify(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     net = scenario.network
     h = _need(scenario, "hdv_route_flows", "hdv_route_flows")
     f = _need(scenario, "fleet_route_flows", "fleet_route_flows")
-    feasible = FeasibleSet.from_network(net)
-    cert = certify_local_min(scenario.strategy, h, f, net, feasible, scenario.config)
+    cert = certify_local_min(scenario.strategy, h, f, net, scenario.config)
     q = np.asarray(h) + np.asarray(f)
     pd = net.feasible_direction_pd(q, scenario.config.pd_rtol)
     independence = net.routes_linearly_independent(scenario.config.rank_rtol)

@@ -100,7 +100,7 @@ def simulate(
     the canonical representative when its minimizer is a tie set.
     """
     h = _flows(initial_h, network.n_routes)  # each later day's flows are a mix of valid ones
-    # one convexity class and one feasible set serve every day
+    # one convexity class (and a concave class's one corner set) serves every day
     assign = _assigner(config.strategy, network, solver_config)
     states: list[DayState] = []
     for day in range(config.days):

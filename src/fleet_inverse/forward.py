@@ -1,17 +1,18 @@
 """Forward fleet assignment: minimize the fleet objective over the
 feasible polytope, with the solver picked by convexity class.
 
-The feasible set is a product of per-unit simplices (fleet mass of each OD
-unit distributed over its routes), optionally intersected with upper
-bounds.  The class is decided from the network's structure (the kind
-of `classify_convexity`), which covers power-family, Webster and
-affine/cross-affine networks.  Convex objectives are solved by one
-projected Newton descent: Newton steps on the analytic Hessian over the
-free face of each unit, with Barzilai-Borwein projected-gradient steps
-where the reduced Hessian is not positive semidefinite or the Newton arc
-fails.  Concave ones (linear ones included) are solved by corner
-enumeration.  Only indefinite objectives run the descent from many starts,
-the corners plus random interior points.
+Every entry point builds its feasible set from the network's OD units: a
+product of per-unit simplices, each unit's fleet size q_crv distributed
+over its routes.  (FeasibleSet also takes upper bounds, with which the
+inverse caps the set by the observation.)  The class is decided from the
+network's structure (the kind of `classify_convexity`), which covers
+power-family, Webster and affine/cross-affine networks.  Convex
+objectives are solved by one projected Newton descent: Newton steps on
+the analytic Hessian over the free face of each unit, with
+Barzilai-Borwein projected-gradient steps where the reduced Hessian is not
+positive semidefinite or the Newton arc fails.  Concave ones (linear ones
+included) are solved by corner enumeration.  Only indefinite objectives
+run the descent from many starts, the corners plus random interior points.
 """
 
 from __future__ import annotations
@@ -408,14 +409,14 @@ def certify_local_min(
     h,
     f,
     network: Network,
-    feasible: FeasibleSet,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> Certificate:
     """First- and second-order test that f is a local minimizer of F(h, .)
-    on the set, from one gradient and at most one Hessian.
+    on the network's feasible set, from one gradient and at most one
+    Hessian.
 
-    First order: the pair swaps e_i - e_j within a unit, with j above its
-    lower bound and i below its cap, generate the set's tangent cone at f,
+    First order: the pair swaps e_i - e_j within a unit, with route j above
+    zero, generate the set's tangent cone at f,
     so f is stationary exactly when the least pair derivative c_i - c_j
     (c the gradient centred per unit) is at least -tol_dd.  Second order:
     the pairs whose derivative lies within tol_dd of zero span the critical
@@ -432,7 +433,8 @@ def certify_local_min(
     length, and InfeasibleProblemError unless h is finite and non-negative
     and f is a finite point of the set (FeasibleSet.contains).
     """
-    return _certify(strategy, _flows(h, feasible.n_routes), f, network, feasible, config)
+    feasible = FeasibleSet.from_network(network)
+    return _certify(strategy, _flows(h, network.n_routes), f, network, feasible, config)
 
 
 def _certify(strategy, h, f, network, feasible, config, point: _Point | None = None) -> Certificate:
@@ -453,9 +455,8 @@ def _certify(strategy, h, f, network, feasible, config, point: _Point | None = N
     faces = []
     for block in feasible.blocks:
         c = centred[block]
-        rises = f[block] < (math.inf if feasible.upper is None else feasible.upper[block] - move_tol)
         # pairs[i, j]: mass may move from route j to route i
-        pairs = rises[:, None] & (f[block] > move_tol)[None, :]
+        pairs = np.tile(f[block] > move_tol, (len(block), 1))
         np.fill_diagonal(pairs, False)
         if not pairs.any():
             continue
@@ -507,9 +508,9 @@ def _newton_direction(
 ) -> np.ndarray | None:
     """Projected Newton direction on the free face (Bertsekas 1982).
 
-    A coordinate within eps of a bound that the unit gradient projection p
-    keeps on that bound is eps-active: the direction puts it exactly on the
-    bound and spreads the mass this frees over its unit's free coordinates.
+    A coordinate within eps of zero that the unit gradient projection p
+    keeps at zero is eps-active: the direction puts it exactly at zero and
+    spreads the mass this frees over its unit's free coordinates.
     On the free face it takes the minimum-norm minimizer of the quadratic
     model, with the reduced Hessian Q^T H Q on an orthonormal basis Q of
     each unit's zero-sum free directions, so it never moves along the flat
@@ -529,10 +530,6 @@ def _newton_direction(
     """
     active = (f <= eps) & (p <= 0.0)
     d = np.where(active, -f, 0.0)
-    if feasible.upper is not None:
-        at_cap = (f >= feasible.upper - eps) & (p >= feasible.upper) & ~active
-        d[at_cap] = feasible.upper[at_cap] - f[at_cap]
-        active |= at_cap
     faces = []
     for block in feasible.blocks:
         free = block[~active[block]]
@@ -616,8 +613,7 @@ def _descend(
 
     def arc(x: np.ndarray) -> np.ndarray:
         # x.min() is NaN when an entry is, and NaN fails the test
-        inside = x.min() >= 0.0 and (feasible.upper is None or (x <= feasible.upper).all())
-        return x if inside else feasible.project(x)
+        return x if x.min() >= 0.0 else feasible.project(x)
 
     def search(path) -> tuple[np.ndarray, _Point] | None:
         # Armijo backtracking along path(a), with slack for the objective's
@@ -677,13 +673,13 @@ def solve_convex(
     strategy: FleetStrategy,
     h,
     network: Network,
-    feasible: FeasibleSet,
     config: SolverConfig = DEFAULT_CONFIG,
     certify: bool = True,
 ) -> AssignmentResult:
     """Projected Newton descent (see _descend) for convex objectives; the
     minimizer is unique when the objective is strictly convex."""
     h = _flows(h, network.n_routes)
+    feasible = FeasibleSet.from_network(network)
     f0 = feasible.project(np.full(feasible.n_routes, feasible.total_mass / max(1, feasible.n_routes)))
     f, iterations, converged, point = _descend(strategy, h, network, feasible, f0, config)
     cert = _certify(strategy, h, f, network, feasible, config, point) if certify else None
@@ -731,24 +727,24 @@ def solve_concave(
     strategy: FleetStrategy,
     h,
     network: Network,
-    feasible: FeasibleSet,
     config: SolverConfig = DEFAULT_CONFIG,
     certify: bool = True,
 ) -> AssignmentResult:
     """Corner enumeration for concave objectives: minimizers sit at vertices
     of the feasible polytope.  Returns the full tie set."""
-    return _corner_solver(strategy, network, feasible, config)(_flows(h, network.n_routes), certify)
+    return _corner_solver(strategy, network, config)(_flows(h, network.n_routes), certify)
 
 
 def _corner_solver(
-    strategy: FleetStrategy, network: Network, feasible: FeasibleSet, config: SolverConfig
+    strategy: FleetStrategy, network: Network, config: SolverConfig
 ) -> Callable[[np.ndarray, bool], AssignmentResult]:
-    """solve_concave with the set's vertices enumerated once, as a function
-    of (h, certify) for checked HDV flows h: each call evaluates every
-    vertex in one batched objective._evaluate, whose rows are bit-identical
-    to one evaluation each, and reports the chosen vertex's value from it.
-    Of the tie set, the vertex first in canonical order is f."""
-    vertices = np.array(feasible.vertices(config.vertex_cap))
+    """solve_concave with the network's vertices enumerated once, as a
+    function of (h, certify) for checked HDV flows h: each call evaluates
+    every vertex in one batched objective._evaluate, whose rows are
+    bit-identical to one evaluation each, and reports the chosen vertex's
+    value from it.  Of the tie set, the vertex first in canonical order is
+    f."""
+    vertices = np.array(FeasibleSet.from_network(network).vertices(config.vertex_cap))
 
     def solve(h: np.ndarray, certify: bool) -> AssignmentResult:
         batch = np.broadcast_to(h, (len(vertices),) + h.shape)
@@ -756,7 +752,7 @@ def _corner_solver(
         # the tied rows in the canonical order of _canonical_order, copied
         ties = sorted(_ties(values), key=lambda i: tuple(-vertices[i]))
         tied = tuple(vertices[ties])
-        cert = certify_local_min(strategy, h, tied[0], network, feasible, config) if certify else None
+        cert = certify_local_min(strategy, h, tied[0], network, config) if certify else None
         return AssignmentResult(
             f=tied[0],
             objective=values[ties[0]],
@@ -780,7 +776,6 @@ def solve_general(
     strategy: FleetStrategy,
     h,
     network: Network,
-    feasible: FeasibleSet,
     seed: int = 0,
     config: SolverConfig = DEFAULT_CONFIG,
     certify: bool = True,
@@ -793,6 +788,7 @@ def solve_general(
     start, and with n_starts = 0 the vertex enumeration's FleetModelError
     is raised."""
     h = _flows(h, network.n_routes)
+    feasible = FeasibleSet.from_network(network)
     rng = np.random.default_rng(_seeded(seed))
     try:
         starts = feasible.vertices(config.vertex_cap)
@@ -818,21 +814,14 @@ def solve_general(
 
 
 def _assigner(
-    strategy: FleetStrategy,
-    network: Network,
-    config: SolverConfig,
-    feasible: FeasibleSet | None = None,
+    strategy: FleetStrategy, network: Network, config: SolverConfig
 ) -> Callable[[np.ndarray, int, bool], AssignmentResult]:
     """fleet_assign's dispatch, decided once for a strategy and a network:
-    the solver of its convexity class on the feasible set, as a function of
-    (h, seed, certify) for checked HDV flows h.  The set defaults to the
-    network's."""
-    if feasible is None:
-        feasible = FeasibleSet.from_network(network)
-
-    if feasible.total_mass == 0.0:
+    the solver of its convexity class, as a function of (h, seed, certify)
+    for checked HDV flows h."""
+    if not network.fleet_sizes().any():
         def empty(h, seed, certify):
-            f = np.zeros(feasible.n_routes)
+            f = np.zeros(network.n_routes)
             return AssignmentResult(
                 f=f,
                 objective=_evaluate(strategy, h, f, network).value,
@@ -844,13 +833,11 @@ def _assigner(
 
     kind = _convexity_kind(strategy, network, config.pd_rtol)
     if kind is ConvexityKind.CONVEX_EVERYWHERE:
-        return lambda h, seed, certify: solve_convex(strategy, h, network, feasible, config, certify=certify)
+        return lambda h, seed, certify: solve_convex(strategy, h, network, config, certify=certify)
     if kind is ConvexityKind.CONCAVE_EVERYWHERE:
-        corners = _corner_solver(strategy, network, feasible, config)
+        corners = _corner_solver(strategy, network, config)
         return lambda h, seed, certify: corners(h, certify)
-    return lambda h, seed, certify: solve_general(
-        strategy, h, network, feasible, seed=seed, config=config, certify=certify
-    )
+    return lambda h, seed, certify: solve_general(strategy, h, network, seed=seed, config=config, certify=certify)
 
 
 def fleet_assign(

@@ -1,8 +1,9 @@
 """Inverse fleet assignment: recover fleet flows from observed totals.
 
 Given the observed total route flow q, the strategy weights, and the fleet
-size, a fleet flow f consistent with the observation is exactly a solution
-of the variational inequality
+sizes (each OD unit's q_crv, read from the network by every entry point),
+a fleet flow f consistent with the observation is exactly a solution of
+the variational inequality
 
     A(f*) . (f - f*) >= 0  for all feasible f,
     A(f) = lam_crv * t(q) + grad_t(q)^T (lam_hdv * q + L * f),
@@ -674,13 +675,13 @@ def solve_inverse(
     strategy: FleetStrategy,
     q,
     network: Network,
-    sizes=None,
     config: SolverConfig = DEFAULT_CONFIG,
     seed: int | None = None,
 ) -> InverseResult:
     """Recover the fleet route flow from the observed total flow q.
 
-    Solves the stationarity VI over {0 <= f <= q, per-unit sums = sizes}.
+    Solves the stationarity VI over {0 <= f <= q, per-unit sums = the
+    units' fleet sizes q_crv}.
     One route gradient at q, in Network._route_gradient_form_at's form, gives
     both the operator and the certificate's positive-definiteness test
     (Network.feasible_direction_pd), which on a diagonal gradient mostly
@@ -692,7 +693,7 @@ def solve_inverse(
     flows that share f_hat's link flow.  `seed` is not read.
     """
     q = _flows(q, network.n_routes, "observed flows")
-    feasible = FeasibleSet.from_network(network, sizes, q)
+    feasible = FeasibleSet.from_network(network, upper=q)
     x, t = network._link_flows_and_times(q)
     grad = network._route_gradient_form_at(x)
     pd = network._feasible_direction_pd_at(q, grad, config.pd_rtol)
@@ -702,9 +703,7 @@ def solve_inverse(
         if network.routes_linearly_independent(config.rank_rtol).independent:
             return None
         try:
-            return route_fiber(
-                network, network.route_to_link(f_hat), totals=feasible.totals, upper=q, config=config
-            )
+            return route_fiber(network, network.route_to_link(f_hat), upper=q, config=config)
         except NotRealisableError:
             return None
 
@@ -730,7 +729,6 @@ def inverse_link_flows(
     strategy: FleetStrategy,
     a,
     network: Network,
-    sizes=None,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> InverseResult:
     """Recover the fleet link flow from an observed total link flow.
@@ -751,7 +749,7 @@ def inverse_link_flows(
     """
     a = _flows(a, network.n_links, "observed link flows")
     units = network.units_or_raise()
-    feasible = FeasibleSet.from_network(network, sizes)
+    feasible = FeasibleSet.from_network(network)
     # a must be the link image of some route flow holding each unit's demand
     demands = np.array([u.q_hdv + u.q_crv for u in units])
     nearest = route_fiber(network, a, totals=demands, config=config, _allow_any=True)
@@ -781,10 +779,13 @@ def _least_distance(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     and w >= 0 least in |m w - e|, c = -r[:k] / r[k] for r = m w - e, and
     r = 0 when no c is feasible.  w comes from the Lawson-Hanson active-set
     method, finite in exact arithmetic; ConvergenceError past 3 * len(h)
-    steps, SciPy's bound.  h is scaled to unit max norm first."""
+    steps, SciPy's bound.  Each row [g_i | h_i] is first scaled to unit max
+    norm, which keeps its half-space and keeps rows orders of magnitude
+    apart from making the active set add and drop one row at every step."""
     k, n = g.shape[1], len(h)
-    scale = float(np.max(np.abs(h), initial=0.0)) or 1.0
-    m = np.vstack([g.T, h / scale])
+    rows = np.column_stack([g, h])
+    norms = np.max(np.abs(rows), axis=1)
+    m = (rows / np.where(norms > 0.0, norms, 1.0)[:, None]).T
     e = np.eye(k + 1)[k]
     tol = 10.0 * max(k + 1, n) * np.finfo(float).eps
     w = np.zeros(n)
@@ -813,7 +814,7 @@ def _least_distance(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     # -r[k] = |r|^2 at the optimum, zero exactly when no c is feasible
     if -r[k] <= tol * (1.0 + float(np.sum(w))):
         return None
-    return -scale * r[:k] / r[k]
+    return -r[:k] / r[k]
 
 
 def route_fiber(
@@ -1024,7 +1025,6 @@ def discrete_recover(
     strategy: FleetStrategy,
     q,
     network: Network,
-    sizes=None,
     config: SolverConfig = DEFAULT_CONFIG,
     seed: int = 0,
 ) -> DiscreteRecovery:
@@ -1037,14 +1037,13 @@ def discrete_recover(
     the image stops at its first start, then from the vertices and random
     points.  Reports the achieved distance and the theoretical closeness radius
     2 * Lip(inverse) * rounding radius; the rounding radius sqrt(R)/2 is an
-    l2 radius, so the distance is l2 too.
+    l2 radius, so the distance is l2 too.  The units' fleet sizes q_crv
+    serve the search, the inverse and the Lipschitz bound alike.
     """
     q = _flows(q, network.n_routes, "observed flows")
     if not np.allclose(q, np.round(q)):
         raise ValueError("observed flow must be integer-valued for discrete recovery")
-    blocks = network.unit_blocks()
-    forward_set = FeasibleSet.from_network(network, sizes)
-    sizes = forward_set.totals
+    blocks, sizes = network.unit_blocks(), network.fleet_sizes()
     hdv_totals = np.array([float(np.sum(q[block])) - size for block, size in zip(blocks, sizes)])
     if np.any(hdv_totals < -1e-9):
         raise InfeasibleProblemError("fleet sizes exceed the observed unit totals")
@@ -1063,14 +1062,14 @@ def discrete_recover(
     # each group of starts is optional: the search runs without it
     starts = []
     with contextlib.suppress(FleetModelError):
-        starts += [q - f for f in solve_inverse(strategy, q, network, sizes=sizes, config=config).solutions]
+        starts += [q - f for f in solve_inverse(strategy, q, network, config=config).solutions]
     with contextlib.suppress(FleetModelError):
         starts += h_set.vertices(min(64, config.vertex_cap))
     starts += [h_set.random_point(rng) for _ in range(_DISCRETE_STARTS)]
 
     # the forward's dispatch, decided once for the search (the points of
     # h_set are checked HDV flows)
-    assign = _assigner(strategy, network, config, forward_set)
+    assign = _assigner(strategy, network, config)
     best_h, best_val, best_total = None, math.inf, None
     for h0 in starts:
         h = h_set.project(h0)
@@ -1101,7 +1100,7 @@ def discrete_recover(
 
     h_star = best_h if best_h is not None else h_set.project(np.zeros(network.n_routes))
     q_city = best_total if best_h is not None else image(h_star)[1]
-    inverse = solve_inverse(strategy, q_city, network, sizes=sizes, config=config)
+    inverse = solve_inverse(strategy, q_city, network, config=config)
 
     lip = lipschitz_bound(strategy, network, samples=100, seed=seed)
     lip_inverse = 1.0 + lip.bound if lip.defined else math.inf

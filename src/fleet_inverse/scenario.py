@@ -233,13 +233,16 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     routes = []
     for i, item in enumerate(_list(doc, "routes", "$")):
         path = f"$.routes[{i}]"
-        route_id = _require(_object(item, path), "id", path)
-        routes.append(_construct(path, Route, id=route_id, link_ids=tuple(_list(item, "links", path))))
+        route_id = _string(_require(_object(item, path), "id", path), f"{path}.id")
+        link_ids = tuple(_string(v, f"{path}.links[{j}]") for j, v in enumerate(_list(item, "links", path)))
+        routes.append(_construct(path, Route, id=route_id, link_ids=link_ids))
 
     units = []
     for i, item in enumerate(_list(doc, "units", "$")):
         path = f"$.units[{i}]"
-        route_ids = tuple(_list(_object(item, path), "routes", path))
+        route_ids = tuple(
+            _string(v, f"{path}.routes[{j}]") for j, v in enumerate(_list(_object(item, path), "routes", path))
+        )
         units.append(
             _construct(
                 path,

@@ -20,6 +20,7 @@ row is bit-identical to the single-mixture solve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, SolverConfig
 from .dynamics import SimulationConfig, simulate
 from .errors import FleetModelError
-from .forward import FeasibleSet, _corner_solver
+from .forward import _corner_solver
 from .network import Network
 from .objective import PRESETS, FleetStrategy, eval_objective
 
@@ -235,6 +236,18 @@ def _corner_mixtures(ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alphas, np.column_stack((ps, 1.0 - ps))
 
 
+@functools.lru_cache(maxsize=1)
+def _corner_grid(strategy: FleetStrategy, network: Network) -> np.ndarray:
+    """The expected objective of the corner mixture at each of the
+    _MIXTURE_GRID probabilities evenly spaced on [0, 1], read-only: one
+    evaluation for optimize_corner_mixture and verify_corner_support."""
+    q_hdv, q_crv = _demands(network)
+    grid = _corner_mixtures(np.linspace(0.0, 1.0, _MIXTURE_GRID))
+    values = _mixture_values(strategy, *grid, q_hdv, q_crv, network)
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class MixtureOptimum:
     p_best: float
@@ -280,7 +293,7 @@ def optimize_corner_mixture(strategy: FleetStrategy, network: Network) -> Mixtur
         return MixtureOptimum(p_best=0.5, objective_best=v, optima=(0.5,), degenerate=True)
 
     grid = np.linspace(0.0, 1.0, _MIXTURE_GRID)
-    values = _mixture_values(strategy, *_corner_mixtures(grid), q_hdv, q_crv, network)
+    values = _corner_grid(strategy, network)
     v_min = float(np.min(values))
     window = 1e-9 * (1.0 + abs(v_min))
     near = values <= v_min + window
@@ -329,10 +342,7 @@ def verify_corner_support(network: Network, resolution: float = 0.05) -> CornerS
     if not 0.0 < resolution <= 1.0:
         raise ValueError(f"resolution must lie in (0, 1], got {resolution!r}")
     q_hdv, q_crv = _demands(network)
-
-    ps = np.linspace(0.0, 1.0, _MIXTURE_GRID)
-    corner_times = -_mixture_values(MALICIOUS, *_corner_mixtures(ps), q_hdv, q_crv, network)
-    best_corner = max(corner_times.tolist())
+    best_corner = max((-_corner_grid(MALICIOUS, network)).tolist())
 
     # a step that does not divide 1 may end past it (0.15 ends at 1.05)
     grid = np.minimum(np.arange(0.0, 1.0 + resolution / 2.0, resolution), 1.0)
@@ -370,8 +380,7 @@ def _nash_cycle(network: Network, config: SolverConfig) -> tuple[bool, tuple[int
     and corners that answer each other form the cycle (0, 1) that rules
     one out.  The fleet's corner is the one that minimizes the malicious
     objective, among the corners enumerated once for the call."""
-    feasible = FeasibleSet.from_network(network)
-    best_corner = _corner_solver(MALICIOUS, network, feasible, config)
+    best_corner = _corner_solver(MALICIOUS, network, config)
 
     def respond(corner: int) -> int:
         mixture = GeneralMixture(points=((1.0 if corner == 0 else 0.0, 1.0),))

@@ -207,7 +207,6 @@ def test_criterion_3_nonuniqueness_witnesses():
     started = time.perf_counter()
     checks = []
     net = three_affine_routes(q_hdv=70.0, q_crv=30.0)
-    fset = FeasibleSet.from_network(net)
     q = np.array([30.0, 30.0, 40.0])
 
     # altruistic: both constructed pairs certify, inverse exhibits >= 2
@@ -217,7 +216,7 @@ def test_criterion_3_nonuniqueness_witnesses():
     ]
     both = all(
         np.allclose(h + f, q)
-        and certify_local_min(ALTRUISTIC, h, f, net, fset).is_local_min
+        and certify_local_min(ALTRUISTIC, h, f, net).is_local_min
         for h, f in pairs
     )
     checks.append(("altruistic witness pair certify", both))
@@ -236,7 +235,7 @@ def test_criterion_3_nonuniqueness_witnesses():
     ]
     both_social = all(
         np.allclose(h + f, q)
-        and certify_local_min(SOCIAL, h, f, net, fset).is_local_min
+        and certify_local_min(SOCIAL, h, f, net).is_local_min
         for h, f in social_pairs
     )
     checks.append(("social witness pair certify", both_social))

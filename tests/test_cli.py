@@ -481,6 +481,19 @@ class TestModelFactsThroughTheCli:
         assert code == EXIT_PARSE
         assert err == f"error[parse]: {where}\n"
 
+    @pytest.mark.parametrize("value", [["r1"], 1])
+    @pytest.mark.parametrize(
+        "keys, path", [(("routes", 0, "id"), "$.routes[0].id"), (("routes", 0, "links", 0), "$.routes[0].links[0]"),
+                       (("units", 0, "routes", 0), "$.units[0].routes[0]")],
+    )
+    def test_an_id_that_is_not_a_string_exits_parse(self, keys, path, value, tmp_path, capsys):
+        # a JSON array here used to crash classify with "unhashable type:
+        # 'list'" (exit 1); an integer id used to parse
+        doc = _with(*keys, value=value)(load_doc("two_route_asymmetric"))
+        code, _, err = run_document(doc, "classify", tmp_path, capsys)
+        assert code == EXIT_PARSE
+        assert err == f"error[parse]: bad-value at {path}: expected a string, got {value!r}\n"
+
     def test_the_first_defect_is_reported(self, tmp_path, capsys):
         # certify needs fleet_route_flows, which two_route_asymmetric lacks,
         # and the document's routes and units are bad too: the model's facts

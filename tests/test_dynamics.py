@@ -108,11 +108,9 @@ class TestSimulate:
             if final.h[r] > 1e-6:
                 assert final.route_times[r] <= t_min + 1e-6 * (1.0 + t_min)
         # and the fleet side is a best response too: certificate holds
-        from fleet_inverse import FeasibleSet, certify_local_min
+        from fleet_inverse import certify_local_min
 
-        cert = certify_local_min(
-            SELFISH, final.h, final.f, net, FeasibleSet.from_network(net)
-        )
+        cert = certify_local_min(SELFISH, final.h, final.f, net)
         assert cert.is_local_min
 
     def test_no_fleet_tie_state_is_one_step_fixed_point(self):

@@ -1,6 +1,7 @@
 """Forward assignment: projection, the three solvers, dispatch, certificates."""
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -286,14 +287,13 @@ class TestSolveConvex:
 
     def test_symmetric_split(self):
         net = single_od_network([AffineDelay(1, 1)] * 2, q_hdv=0.0, q_crv=10.0)
-        result = solve_convex(SELFISH, np.zeros(2), net, FeasibleSet.from_network(net))
+        result = solve_convex(SELFISH, np.zeros(2), net)
         np.testing.assert_allclose(result.f, [5.0, 5.0], atol=1e-7)
         assert result.certificate.is_local_min
 
     def test_matches_grid_oracle(self, fig_two_route):
         h = np.array([10.0, 40.0])
-        fset = FeasibleSet.from_network(fig_two_route)
-        result = solve_convex(SELFISH, h, fig_two_route, fset)
+        result = solve_convex(SELFISH, h, fig_two_route)
         grid = np.arange(0.0, 50.0005, 0.001)
         values = [
             eval_objective(SELFISH, h, np.array([f1, 50.0 - f1]), fig_two_route)
@@ -302,34 +302,30 @@ class TestSolveConvex:
         f1_star = grid[int(np.argmin(values))]
         assert result.f[0] == pytest.approx(f1_star, abs=0.01)
 
-    def test_social_completes_system_optimum(self, fig_two_route):
+    def test_social_completes_system_optimum(self):
         # with no HDVs the fleet problem is the total-time optimum; any HDV
         # split below it is topped up exactly to that optimum
-        fset_all = FeasibleSet.from_network(fig_two_route, totals=[100.0])
-        q_so = solve_convex(SOCIAL, np.zeros(2), fig_two_route, fset_all).f
+        q_so = solve_convex(SOCIAL, np.zeros(2), asymmetric_two_route(q_hdv=0.0, q_crv=100.0)).f
         h = np.array([0.6, 0.4]) * 40.0
         assert np.all(h <= q_so)
-        fset = FeasibleSet.from_network(fig_two_route, totals=[100.0 - h.sum()])
-        result = solve_convex(SOCIAL, h, fig_two_route, fset)
+        result = solve_convex(SOCIAL, h, asymmetric_two_route(q_hdv=h.sum(), q_crv=100.0 - h.sum()))
         np.testing.assert_allclose(result.f, q_so - h, atol=1e-5)
 
 
 class TestSolveConcave:
     def test_tie_set_on_symmetric_instance(self):
         net = symmetric_quadratic()
-        fset = FeasibleSet.from_network(net)
-        result = solve_concave(MALICIOUS, np.array([25.0, 25.0]), net, fset)
+        result = solve_concave(MALICIOUS, np.array([25.0, 25.0]), net)
         assert len(result.minimizer_set) == 2
         np.testing.assert_allclose(result.minimizer_set[0], [50.0, 0.0])
         np.testing.assert_allclose(result.minimizer_set[1], [0.0, 50.0])
 
     def test_perturbation_breaks_tie(self):
         net = symmetric_quadratic()
-        fset = FeasibleSet.from_network(net)
-        result = solve_concave(MALICIOUS, np.array([25.1, 24.9]), net, fset)
+        result = solve_concave(MALICIOUS, np.array([25.1, 24.9]), net)
         assert len(result.minimizer_set) == 1
         np.testing.assert_allclose(result.f, [50.0, 0.0])
-        result = solve_concave(MALICIOUS, np.array([24.9, 25.1]), net, fset)
+        result = solve_concave(MALICIOUS, np.array([24.9, 25.1]), net)
         np.testing.assert_allclose(result.f, [0.0, 50.0])
 
     def test_three_route_best_corner(self):
@@ -337,18 +333,16 @@ class TestSolveConcave:
         # route 1: -112070, route 2: -91070, route 3: -127070
         net = single_od_network([QuadraticDelay(1, 1)] * 3, q_hdv=70.0, q_crv=10.0)
         h = np.array([30.0, 0.0, 40.0])
-        fset = FeasibleSet.from_network(net)
-        result = solve_concave(MALICIOUS, h, net, fset)
+        result = solve_concave(MALICIOUS, h, net)
         np.testing.assert_allclose(result.f, [0.0, 0.0, 10.0])
         assert result.objective == pytest.approx(-127070.0)
 
     def test_vertex_cap(self):
         net = single_od_network([AffineDelay(1, 1)] * 3, q_hdv=10.0, q_crv=6.0)
-        fset = FeasibleSet.from_network(net)
         from fleet_inverse import DEFAULT_CONFIG
 
         with pytest.raises(FleetModelError):
-            solve_concave(MALICIOUS, np.ones(3), net, fset, DEFAULT_CONFIG.replace(vertex_cap=2))
+            solve_concave(MALICIOUS, np.ones(3), net, DEFAULT_CONFIG.replace(vertex_cap=2))
 
 
 class TestSolveGeneral:
@@ -364,8 +358,7 @@ class TestSolveGeneral:
 
     def test_disruptive_matches_grid(self, fig_two_route):
         h = np.array([10.0, 40.0])
-        fset = FeasibleSet.from_network(fig_two_route)
-        result = solve_general(DISRUPTIVE, h, fig_two_route, fset, seed=0)
+        result = solve_general(DISRUPTIVE, h, fig_two_route, seed=0)
         grid = np.arange(0.0, 50.0005, 0.001)
         values = [
             eval_objective(DISRUPTIVE, h, np.array([f1, 50.0 - f1]), fig_two_route)
@@ -376,9 +369,8 @@ class TestSolveGeneral:
 
     def test_agrees_with_convex_path(self, fig_two_route):
         h = np.array([10.0, 40.0])
-        fset = FeasibleSet.from_network(fig_two_route)
-        convex = solve_convex(SELFISH, h, fig_two_route, fset)
-        general = solve_general(SELFISH, h, fig_two_route, fset, seed=1)
+        convex = solve_convex(SELFISH, h, fig_two_route)
+        general = solve_general(SELFISH, h, fig_two_route, seed=1)
         np.testing.assert_allclose(general.f, convex.f, atol=1e-5)
 
     def test_converged_is_the_flag_of_the_returned_start(self):
@@ -394,7 +386,7 @@ class TestSolveGeneral:
 
         with mock.patch.object(forward, "_descend", spy):
             result = solve_general(
-                DISRUPTIVE, h, net, FeasibleSet.from_network(net),
+                DISRUPTIVE, h, net,
                 config=DEFAULT_CONFIG.replace(max_pg_iter=5), certify=False,
             )
         best = next(i for i, (f, *_) in enumerate(runs) if f is result.f)
@@ -410,7 +402,7 @@ class TestSolveGeneral:
         h = sc.hdv_route_flows
         config = DEFAULT_CONFIG.replace(n_starts=0, vertex_cap=1)
         with pytest.raises(FleetModelError, match="vertex enumeration exceeded the cap of 1"):
-            solve_general(DISRUPTIVE, h, sc.network, fset, seed=0, config=config)
+            solve_general(DISRUPTIVE, h, sc.network, seed=0, config=config)
         with pytest.raises(FleetModelError, match="vertex enumeration exceeded the cap of 1"):
             fleet_assign(DISRUPTIVE, h, sc.network, seed=0, config=config)
         # one random start is enough to answer
@@ -442,8 +434,7 @@ class TestFleetAssign:
         # pure-fleet problem: minimize f . t(f) regardless of lam_hdv weight
         for strategy in (SELFISH, SOCIAL, DISRUPTIVE):
             result = fleet_assign(strategy, np.zeros(2), fig_two_route)
-            fset = FeasibleSet.from_network(fig_two_route)
-            so = solve_convex(SOCIAL, np.zeros(2), fig_two_route, fset)
+            so = solve_convex(SOCIAL, np.zeros(2), fig_two_route)
             np.testing.assert_allclose(result.f, so.f, atol=1e-4)
 
     def test_multi_unit_dispatch(self):
@@ -453,6 +444,16 @@ class TestFleetAssign:
         blocks = net.unit_blocks()
         for block, unit in zip(blocks, net.units):
             assert float(result.f[block].sum()) == pytest.approx(unit.q_crv, abs=1e-9)
+
+    def test_a_unit_without_fleet_has_no_free_route(self):
+        # the second unit's fleet is 0: each Newton direction leaves its
+        # routes at zero and moves the first unit's fleet alone
+        base = two_od_overlap()
+        net = Network(base.links, base.routes, units=[base.units[0], dataclasses.replace(base.units[1], q_crv=0.0)])
+        result = fleet_assign(SELFISH, np.array([20.0, 10.0, 15.0, 15.0]), net)
+        np.testing.assert_array_equal(result.f[2:], [0.0, 0.0])
+        assert float(result.f[:2].sum()) == pytest.approx(20.0, abs=1e-9)
+        assert result.trace.converged and result.certificate.is_local_min
 
 
     @pytest.mark.parametrize("length", [1, 3])
@@ -464,17 +465,47 @@ class TestFleetAssign:
         # routes a length-1 vector used to broadcast (certify_local_min
         # returned a verdict) and a length-3 one to raise numpy's ValueError
         net, h = fig_two_route, np.full(length, 10.0)
-        fset = FeasibleSet.from_network(net)
         calls = {
             "fleet_assign": lambda: fleet_assign(SELFISH, h, net),
-            "certify_local_min": lambda: certify_local_min(SELFISH, h, np.array([25.0, 25.0]), net, fset),
-            "solve_convex": lambda: solve_convex(SELFISH, h, net, fset),
-            "solve_concave": lambda: solve_concave(MALICIOUS, h, net, fset),
-            "solve_general": lambda: solve_general(DISRUPTIVE, h, net, fset),
+            "certify_local_min": lambda: certify_local_min(SELFISH, h, np.array([25.0, 25.0]), net),
+            "solve_convex": lambda: solve_convex(SELFISH, h, net),
+            "solve_concave": lambda: solve_concave(MALICIOUS, h, net),
+            "solve_general": lambda: solve_general(DISRUPTIVE, h, net),
             "simulate": lambda: simulate(SimulationConfig(days=2), h, net),
         }
         with pytest.raises(DimensionMismatchError, match=rf"HDV flows must be a vector of length 2, got shape \({length},\)"):
             calls[entry]()
+
+
+class TestOneSourceOfFleetSizes:
+    @pytest.mark.parametrize(
+        "entry,keyword",
+        [
+            ("solve_convex", "feasible"),
+            ("solve_concave", "feasible"),
+            ("solve_general", "feasible"),
+            ("certify_local_min", "feasible"),
+            ("_assigner", "feasible"),
+            ("_corner_solver", "feasible"),
+            ("solve_inverse", "sizes"),
+            ("inverse_link_flows", "sizes"),
+            ("discrete_recover", "sizes"),
+        ],
+    )
+    def test_no_entry_takes_a_second_copy(self, fig_two_route, entry, keyword):
+        # the network's OD units are the one source of fleet sizes: no entry
+        # takes them again as a feasible set or a list of sizes
+        net = fig_two_route
+        value = FeasibleSet.from_network(net) if keyword == "feasible" else net.fleet_sizes()
+        args = {
+            "certify_local_min": (SELFISH, np.zeros(2), np.array([25.0, 25.0]), net),
+            "_assigner": (SELFISH, net, DEFAULT_CONFIG),
+            "_corner_solver": (MALICIOUS, net, DEFAULT_CONFIG),
+            "inverse_link_flows": (SELFISH, net.route_to_link(np.array([60.0, 40.0])), net),
+        }.get(entry, (SELFISH, np.array([60.0, 40.0]), net))
+        function = getattr(forward if keyword == "feasible" else inverse, entry)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            function(*args, **{keyword: value})
 
 
 class TestDispatchByStructure:
@@ -550,12 +581,12 @@ class TestWorkCounters:
         config = DEFAULT_CONFIG.replace(max_pg_iter=5)
         ladder = route_ladder()
         for h, net in ladder:
-            result = solve_convex(SELFISH, h, net, FeasibleSet.from_network(net), config, certify=False)
+            result = solve_convex(SELFISH, h, net, config, certify=False)
             assert result.objective == eval_objective(SELFISH, h, result.f, net)
         assert calls["points"] == 154
         calls.clear()
         h, net = ladder[0]
-        result = solve_general(DISRUPTIVE, h, net, FeasibleSet.from_network(net), config=config, certify=False)
+        result = solve_general(DISRUPTIVE, h, net, config=config, certify=False)
         assert result.objective == eval_objective(DISRUPTIVE, h, result.f, net)
         assert calls["points"] == 184
 
@@ -573,12 +604,11 @@ class TestWorkCounters:
         h, net = sc.hdv_route_flows, sc.network
         result = fleet_assign(sc.strategy, h, net, config=sc.config)
         assert result.trace.method == "projected_gradient" and len(calls) == 6
-        feasible = FeasibleSet.from_network(net)
-        assert result.certificate == certify_local_min(sc.strategy, h, result.f, net, feasible, sc.config)
+        assert result.certificate == certify_local_min(sc.strategy, h, result.f, net, sc.config)
         h, net = route_ladder()[0]
         result = fleet_assign(DISRUPTIVE, h, net)
         assert result.trace.method == "multistart_projected_gradient"
-        assert result.certificate == certify_local_min(DISRUPTIVE, h, result.f, net, FeasibleSet.from_network(net))
+        assert result.certificate == certify_local_min(DISRUPTIVE, h, result.f, net)
 
     def test_malicious_simulation_enumerates_its_corners_once(self, monkeypatch):
         # the malicious objective is concave on stackelberg_symmetric, so each
@@ -835,22 +865,19 @@ class TestWorkCounters:
 class TestCertify:
     def test_interior_stationary_point(self):
         net = single_od_network([AffineDelay(1, 1)] * 2, q_hdv=0.0, q_crv=10.0)
-        fset = FeasibleSet.from_network(net)
-        cert = certify_local_min(SELFISH, np.zeros(2), np.array([5.0, 5.0]), net, fset)
+        cert = certify_local_min(SELFISH, np.zeros(2), np.array([5.0, 5.0]), net)
         assert cert.is_local_min
         assert cert.min_directional_derivative == pytest.approx(0.0, abs=1e-8)
 
     def test_corner_minimum_passes(self):
         net = symmetric_quadratic()
-        fset = FeasibleSet.from_network(net)
-        cert = certify_local_min(MALICIOUS, np.array([25.0, 25.0]), np.array([50.0, 0.0]), net, fset)
+        cert = certify_local_min(MALICIOUS, np.array([25.0, 25.0]), np.array([50.0, 0.0]), net)
         assert cert.is_local_min
 
     def test_interior_maximum_fails(self):
         # first-order flat but strictly concave along the pair swap
         net = symmetric_quadratic()
-        fset = FeasibleSet.from_network(net)
-        cert = certify_local_min(MALICIOUS, np.array([25.0, 25.0]), np.array([25.0, 25.0]), net, fset)
+        cert = certify_local_min(MALICIOUS, np.array([25.0, 25.0]), np.array([25.0, 25.0]), net)
         assert not cert.is_local_min
 
     @pytest.mark.parametrize("name", ["two_route_asymmetric", "signalized_link"])
@@ -860,14 +887,13 @@ class TestCertify:
         sc = parse_scenario(fixture_path(name))
         h = sc.hdv_route_flows
         f = fleet_assign(sc.strategy, h, sc.network, config=sc.config).f
-        fset = FeasibleSet.from_network(sc.network)
-        base = certify_local_min(sc.strategy, h, f, sc.network, fset, sc.config)
+        base = certify_local_min(sc.strategy, h, f, sc.network, sc.config)
         assert abs(base.min_directional_derivative) <= 1e-12
         for r in range(len(f)):
             for toward in (-np.inf, np.inf):
                 g = f.copy()
                 g[r] = np.nextafter(g[r], toward)
-                cert = certify_local_min(sc.strategy, h, g, sc.network, fset, sc.config)
+                cert = certify_local_min(sc.strategy, h, g, sc.network, sc.config)
                 moved = abs(cert.min_directional_derivative - base.min_directional_derivative)
                 assert moved <= 1e-12
 
@@ -884,7 +910,7 @@ class TestCertify:
         assert curvature[0] < 0.0
         assert min(curvature[i] + curvature[j] for i, j in itertools.combinations(range(3), 2)) > 0.0
         assert curvature @ np.array([4.0, 1.0, 1.0]) < 0.0  # along (2, -1, -1)
-        cert = certify_local_min(DISRUPTIVE, h, f, net, FeasibleSet.from_network(net))
+        cert = certify_local_min(DISRUPTIVE, h, f, net)
         assert cert.min_directional_derivative == pytest.approx(0.0, abs=1e-12)
         assert not cert.is_local_min
 
@@ -896,7 +922,7 @@ class TestCertify:
         # and curves down (-2 (10 + 20)), at 1.5 it rises at first order
         net = single_od_network([BPRDelay(1.0, 1.0, 1.0, 2.0), BPRDelay(t0, 1.0, 1.0, 2.0)], q_hdv=20.0, q_crv=10.0)
         h, f = np.array([10.0, 10.0]), np.array([10.0, 0.0])
-        cert = certify_local_min(MALICIOUS, h, f, net, FeasibleSet.from_network(net))
+        cert = certify_local_min(MALICIOUS, h, f, net)
         assert cert.min_directional_derivative == pytest.approx(400.0 - 200.0 * t0, abs=1e-9)
         assert cert.is_local_min == local_min
 
@@ -915,24 +941,22 @@ class TestCertify:
         # the certificate used to pass with derivative inf
         net = symmetric_quadratic()
         with pytest.raises(InfeasibleProblemError, match=match):
-            certify_local_min(MALICIOUS, np.array(h), np.array(f), net, FeasibleSet.from_network(net))
+            certify_local_min(MALICIOUS, np.array(h), np.array(f), net)
 
     def test_wrong_length_rejected(self):
         net = symmetric_quadratic()
         with pytest.raises(DimensionMismatchError):
-            certify_local_min(SELFISH, np.zeros(2), np.array([50.0, 0.0, 0.0]), net, FeasibleSet.from_network(net))
+            certify_local_min(SELFISH, np.zeros(2), np.array([50.0, 0.0, 0.0]), net)
 
     def test_derivative_is_the_least_pair_derivative(self):
-        # a non-stationary point with one route at its cap and one at zero:
-        # the pairs move mass from a route above 0 into a route below its cap
+        # a non-stationary point with one route at zero: the pairs move mass
+        # from a route above 0 into any other route of its unit
         net = overlap_network()
-        upper = np.array([60.0, 30.0, 40.0, 50.0])
-        fset = FeasibleSet.from_network(net, upper=upper)
         h, f = np.array([100.0, 50.0, 80.0, 70.0]), np.array([60.0, 0.0, 25.0, 15.0])
         c = objective_gradient_in_f(DISRUPTIVE, h, f, net)
         c = c - np.mean(c)
-        least = min(c[i] - c[j] for i, j in itertools.permutations(range(4), 2) if f[j] > 0.0 and f[i] < upper[i])
-        cert = certify_local_min(DISRUPTIVE, h, f, net, fset)
+        least = min(c[i] - c[j] for i, j in itertools.permutations(range(4), 2) if f[j] > 0.0)
+        cert = certify_local_min(DISRUPTIVE, h, f, net)
         assert least < 0.0
         assert cert.min_directional_derivative == least
         assert not cert.is_local_min
@@ -951,7 +975,7 @@ class TestCertify:
 
             monkeypatch.setattr(forward, name, counting)
         monkeypatch.setattr(FeasibleSet, "random_point", None)
-        cert = certify_local_min(SELFISH, h, f, net, FeasibleSet.from_network(net))
+        cert = certify_local_min(SELFISH, h, f, net)
         assert cert.is_local_min
         assert counts["_evaluate"] == 1
         assert counts["_gradient_in_f"] == 1
@@ -998,11 +1022,10 @@ class TestInvariants:
 
     def test_concave_minimizers_are_vertices(self):
         net = symmetric_quadratic()
-        fset = FeasibleSet.from_network(net)
         rng = np.random.default_rng(13)
         for _ in range(10):
             h = rng.uniform(0, 50, 2)
-            result = solve_concave(MALICIOUS, h, net, fset)
+            result = solve_concave(MALICIOUS, h, net)
             for f in result.minimizer_set:
                 assert np.isclose(f, 0.0).sum() >= 1  # all mass on one route
 
@@ -1087,10 +1110,9 @@ class TestExplicitSeed:
     def test_none_is_refused(self):
         sc = parse_scenario(fixture_path("signalized_link"))
         h, net = sc.hdv_route_flows, sc.network
-        fset = FeasibleSet.from_network(net)
         with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew a generator")):
             for call in (lambda: fleet_assign(DISRUPTIVE, h, net, seed=None),
                          lambda: fleet_assign(SELFISH, h, net, seed=None),
-                         lambda: solve_general(DISRUPTIVE, h, net, fset, seed=None)):
+                         lambda: solve_general(DISRUPTIVE, h, net, seed=None)):
                 with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*63\), got None"):
                     call()

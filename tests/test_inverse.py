@@ -19,7 +19,6 @@ from fleet_inverse import (
     SimulationConfig,
     DimensionMismatchError,
     BPRDelay,
-    ConvergenceError,
     FeasibleSet,
     FleetModelError,
     FleetStrategy,
@@ -149,12 +148,11 @@ class TestNonuniqueness:
     def test_altruistic_witnesses(self):
         net = three_affine_routes(q_hdv=70.0, q_crv=30.0)
         q = np.array([30.0, 30.0, 40.0])
-        fset = FeasibleSet.from_network(net)
         pair_a = (np.array([30.0, 0.0, 40.0]), np.array([0.0, 30.0, 0.0]))
         pair_b = (np.array([0.0, 30.0, 40.0]), np.array([30.0, 0.0, 0.0]))
         for h, f in (pair_a, pair_b):
             np.testing.assert_allclose(h + f, q)
-            cert = certify_local_min(ALTRUISTIC, h, f, net, fset)
+            cert = certify_local_min(ALTRUISTIC, h, f, net)
             assert cert.is_local_min
         result = solve_inverse(ALTRUISTIC, q, net)
         assert not result.certificate.theorem_applies
@@ -425,12 +423,36 @@ class TestLeastDistance:
         g = np.array([[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(inverse._least_distance(g, np.array([-1.0, 0.0])), [0.0, 0.0])
 
-    def test_rows_22_orders_apart_reach_the_step_cap(self):
-        # c >= 1e12 and c <= -1e-4 admit no c, but in floating point the
-        # active set takes and drops the first row at every step
+    def test_rows_22_orders_apart_admit_no_point(self):
+        # c >= 1e12 and c <= -1e-4 admit no c; before each row was scaled to
+        # unit max norm the active set took and dropped the first row at
+        # every step and raised ConvergenceError at its cap of 6 steps
         g = np.array([[1e-12], [-1e10]])
-        with pytest.raises(ConvergenceError, match="least-distance solve exceeded 6 active-set steps"):
-            inverse._least_distance(g, np.array([1.0, 1e6]))
+        assert inverse._least_distance(g, np.array([1.0, 1e6])) is None
+
+    def test_a_row_of_scale_1e200(self):
+        # 1e200 c >= 1e200 and -c >= -5: c = 1, where c = 0 came back when
+        # only h was scaled
+        g = np.array([[1e200], [-1.0]])
+        np.testing.assert_allclose(inverse._least_distance(g, np.array([1e200, -5.0])), [1.0], rtol=1e-12)
+
+    @given(
+        k=st.integers(1, 3),
+        exponents=st.lists(st.floats(-12.0, 12.0), min_size=2, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_two_rows_of_any_scale(self, k, exponents, seed):
+        # a row scaled by s > 0 keeps its half-space, so the answer at row
+        # scales from 1e-12 to 1e12 is the answer at scale 1
+        rng = np.random.default_rng(seed)
+        g, h = rng.normal(size=(2, k)), rng.normal(size=2)
+        scales = 10.0 ** np.array(exponents)
+        got, expected = inverse._least_distance(scales[:, None] * g, scales * h), _least_distance_by_nnls(g, h)
+        if expected is None:
+            assert got is None
+        else:
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-9 * (1.0 + np.linalg.norm(expected)))
 
 
 class TestLipschitzBound:
@@ -633,8 +655,8 @@ class TestIntegerCandidates:
         assert seen >= 200
 
     def test_fractional_fleet_size_has_no_integer_candidates(self):
-        net = single_od_network([AffineDelay(1.0, 1.0), AffineDelay(2.0, 1.0)], q_hdv=10.0, q_crv=5.0)
-        result = discrete_recover(SELFISH, [8.0, 7.0], net, sizes=[2.5])
+        net = single_od_network([AffineDelay(1.0, 1.0), AffineDelay(2.0, 1.0)], q_hdv=12.5, q_crv=2.5)
+        result = discrete_recover(SELFISH, [8.0, 7.0], net)
         assert result.integer_candidates == ()
 
     def test_eighteen_routes(self):
@@ -701,15 +723,6 @@ class TestNonFiniteObservations:
         with pytest.raises(InfeasibleProblemError, match="finite"):
             inverse_link_flows(SELFISH, a, net_overlap)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_fleet_sizes(self, fig_two_route, net_overlap, bad):
-        # an infinite size used to pass the capacity check and return f = 0
-        with pytest.raises(InfeasibleProblemError, match="finite"):
-            solve_inverse(SELFISH, np.array([60.0, 40.0]), fig_two_route, sizes=[bad])
-        a = np.array([200.0, 200.0, 200.0, 200.0])
-        with pytest.raises(InfeasibleProblemError, match="finite"):
-            inverse_link_flows(SELFISH, a, net_overlap, sizes=[bad])
-
     @pytest.mark.parametrize("f", [[math.nan, 5.0], [math.inf, 0.0], [5.0, -math.inf]])
     def test_stationarity_map_fleet_flow(self, fig_two_route, f):
         # these used to return [nan nan] or [inf nan] with a RuntimeWarning
@@ -767,28 +780,6 @@ class TestTypedInputErrors:
     def test_raises_typed_error(self, fig_two_route, call, error, match):
         with pytest.raises(error, match=match):
             call(fig_two_route)
-
-
-class TestFleetSizeShape:
-    # one fleet size per OD unit: a longer list used to lose its extra sizes
-    # (yet count them in the residual scale), a shorter one to raise
-    # IndexError
-    @pytest.mark.parametrize("sizes", [[10.0, 1e6], []])
-    def test_route_inverse(self, fig_two_route, sizes):
-        with pytest.raises(DimensionMismatchError, match="one fleet total per unit"):
-            solve_inverse(SELFISH, np.array([60.0, 40.0]), fig_two_route, sizes=sizes)
-
-    @pytest.mark.parametrize("sizes", [[10.0], [10.0, 10.0, 10.0]])
-    def test_link_inverse(self, sizes):
-        net = two_od_overlap()
-        a = net.route_to_link(np.array([30.0, 20.0, 25.0, 25.0]))
-        with pytest.raises(DimensionMismatchError, match="one fleet total per unit"):
-            inverse_link_flows(SELFISH, a, net, sizes=sizes)
-
-    @pytest.mark.parametrize("sizes", [[10.0, 1e6], []])
-    def test_discrete_recover(self, fig_two_route, sizes):
-        with pytest.raises(DimensionMismatchError, match="one fleet total per unit"):
-            discrete_recover(SELFISH, np.array([60.0, 40.0]), fig_two_route, sizes=sizes)
 
 
 class TestRouteCertificate:

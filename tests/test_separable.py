@@ -57,11 +57,11 @@ def _random_delay(rng, signalized: bool):
     return WebsterDelay(float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.5, 2.0)), float(rng.uniform(30, 120)))
 
 
-def _separable_instance(rng, sizes, signalized: bool, capped: bool):
+def _separable_instance(rng, sizes, signalized: bool):
     """A separable network of len(sizes) OD units, sizes[u] routes in unit
     u, each route over 1-3 links of its own; positive HDV route flows h, a
     feasible fleet flow f with some routes empty, and the feasible set of
-    the units' fleets, capped (some caps binding) when `capped`."""
+    the units' fleets."""
     links, routes, units, h_parts, f_parts = [], [], [], [], []
     for u, k in enumerate(sizes):
         ids = []
@@ -82,12 +82,7 @@ def _separable_instance(rng, sizes, signalized: bool, capped: bool):
         f_parts.append(share / share.sum() * q_crv)
     net = Network(links, routes, units=units)
     h, f = np.concatenate(h_parts), np.concatenate(f_parts)
-    upper = None
-    if capped:
-        # about a third of the routes sit on their cap
-        upper = f + np.where(rng.random(len(f)) < 0.35, 0.0, rng.uniform(0.0, 1.0, len(f)) * f.max())
-    feasible = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=upper)
-    return net, h, f, feasible
+    return net, h, f, FeasibleSet.from_network(net)
 
 
 def _inverse_operator_is_diagonal(net: Network) -> bool:
@@ -195,7 +190,7 @@ class TestIndependence:
         networks += [net for seed in (2024, 77, 2) for _, net in route_ladder(seed)]
         networks += [overlapping_routes(r)[1] for r in (20, 50, 100)]
         rng = np.random.default_rng(3)
-        networks += [_separable_instance(rng, [3, 2], False, False)[0] for _ in range(5)]
+        networks += [_separable_instance(rng, [3, 2], False)[0] for _ in range(5)]
         for net in networks:
             s = np.linalg.svd(net.incidence, compute_uv=False)
             rank = int(np.sum(s > rank_rtol * s[0]))
@@ -251,19 +246,18 @@ class TestClosedForms:
     @given(
         sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
         signalized=st.booleans(),
-        capped=st.booleans(),
         convex=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
-    @example(sizes=[4, 3, 4], signalized=True, capped=True, convex=False, seed=2**32 - 2)  # an indefinite face
-    @example(sizes=[4], signalized=True, capped=False, convex=True, seed=18900478)  # a near-singular face
-    def test_newton_direction_matches_the_eigendecomposition(self, sizes, signalized, capped, convex, seed):
+    @example(sizes=[4, 3, 4], signalized=True, convex=False, seed=2**32 - 2)  # an indefinite face
+    @example(sizes=[4], signalized=True, convex=True, seed=18900478)  # a near-singular face
+    def test_newton_direction_matches_the_eigendecomposition(self, sizes, signalized, convex, seed):
         # convex weights give a positive diagonal Hessian; other weights may
         # give an indefinite face, which both paths hand to the
         # eigendecomposition, as they do a near-singular one
         rng = np.random.default_rng(seed)
-        net, h, f, feasible = _separable_instance(rng, sizes, signalized, capped)
+        net, h, f, feasible = _separable_instance(rng, sizes, signalized)
         if convex:
             strategy = FleetStrategy(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 1.5)))
         else:
@@ -304,7 +298,7 @@ class TestClosedForms:
         # with entries of the margin's sign, so every labeling's face point
         # takes the closed form
         rng = np.random.default_rng(seed)
-        net, h, f, _ = _separable_instance(rng, sizes, signalized, capped=False)
+        net, h, f, _ = _separable_instance(rng, sizes, signalized)
         strategy = FleetStrategy(lam_hdv, lam_hdv + margin)
         q = h + f
         feasible = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q)

@@ -184,6 +184,25 @@ class TestCornerSupport:
         report = verify_corner_support(net, resolution=0.25)
         assert report.worst_margin == pytest.approx(0.0, abs=1e-9)
 
+    def test_one_corner_grid_per_cli_cell(self, tmp_path, monkeypatch):
+        # optimize_corner_mixture and verify_corner_support read the same
+        # 1,001-point malicious corner grid: a stackelberg run evaluates it
+        # once (twice when each evaluated its own), and the grid is read-only
+        from fleet_inverse import cli
+
+        rows, grids = [], []
+        mixture_values = stackelberg._mixture_values
+        monkeypatch.setattr(
+            stackelberg, "_mixture_values",
+            lambda strategy, alphas, *args: rows.append(len(alphas)) or mixture_values(strategy, alphas, *args),
+        )
+        corner_grid = stackelberg._corner_grid
+        monkeypatch.setattr(stackelberg, "_corner_grid", lambda *args: grids.append(corner_grid(*args)) or grids[-1])
+        scenario = str(fixture_path("stackelberg_symmetric"))
+        assert cli.main(["stackelberg", "--scenario", scenario, "--out", str(tmp_path / "out.csv")]) == 0
+        assert rows.count(1001) == 1
+        assert len(grids) == 2 and grids[0] is grids[1] and not grids[0].flags.writeable
+
     @pytest.mark.parametrize("resolution", OVERSHOOTING_RESOLUTIONS)
     def test_overshooting_grid_is_clipped_to_one(self, resolution):
         # np.arange's last step lands above 1 for these steps (1.05 at 0.15),
