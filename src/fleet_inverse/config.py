@@ -14,7 +14,8 @@ are method constants, fixed in code and documented where used:
 * inverse.py: discrete recovery's _DISCRETE_STARTS = 20 random starts and
   _MAX_OUTER_ITER = 300 steps per start, with the l2 image distance (the
   closeness radius sqrt(R)/2 is an l2 radius); the 1e-6 active band, the
-  1e-9 and 1e-10 KKT tolerances and the 1e-7 labeling tolerance;
+  1e-9 and 1e-10 KKT tolerances, and the 1e-7 mass tolerance of the
+  labeling walk (_labelings), relative to 1 + fleet mass;
 * stackelberg.py: the equilibrium residual _UE_TOL = 1e-10, the
   golden-section tolerance _TOL_P = 1e-6 on the mixing probability, the
   _MIXTURE_GRID = 1001-point verification grid, and the 1e-9 window of the

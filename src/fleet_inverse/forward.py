@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,8 +126,10 @@ class FeasibleSet:
 
     blocks[s] holds the route indices of unit s; totals[s] the fleet mass
     that must be placed on them.  upper is None or a cap vector of length
-    n_routes, with no NaN or negative cap.  totals and upper are taken as
-    float arrays, and total_mass, the sum of the totals, once, at
+    n_routes, with no NaN or negative cap.  The forward's sets are never
+    capped: only the inverse caps its set, by the observation (0 <= f <=
+    q), and enumerates that set's faces itself.  totals and upper are taken
+    as float arrays, and total_mass, the sum of the totals, once, at
     construction.
     """
 
@@ -168,10 +170,12 @@ class FeasibleSet:
                     )
 
     @classmethod
-    def from_network(cls, network: Network, totals=None, upper=None) -> "FeasibleSet":
+    def from_network(cls, network: Network, upper=None) -> "FeasibleSet":
+        """The set of the network's OD units and fleet sizes q_crv, capped
+        by upper when it is given."""
         return cls(
             blocks=network.unit_blocks(),
-            totals=network.fleet_sizes() if totals is None else totals,
+            totals=network.fleet_sizes(),
             n_routes=network.n_routes,
             upper=upper,
         )
@@ -218,103 +222,22 @@ class FeasibleSet:
         inside = np.all((f >= -slack) & (f <= upper + slack))
         return bool(inside and np.all(np.abs(sums - self.totals) <= slack))
 
-    def _caps(self, s: int) -> list[float]:
-        if self.upper is None:
-            return [math.inf] * len(self.blocks[s])
-        return self.upper[self.blocks[s]].tolist()
-
-    def labelings(
-        self, s: int, tol: float, cap: int, max_free: float = math.inf, windows: np.ndarray | None = None
-    ) -> Iterator[tuple[int, ...]]:
-        """Lower (-1) / free (0) / cap (+1) labelings of unit s's routes, at
-        most max_free of them free, that can hold its fleet mass within tol:
-        capped mass equal to the total, or below it with free routes whose
-        caps reach above it (a free route that must sit at a bound names a
-        point another labeling names).  Free and cap labels need a positive
-        cap.  With `windows`, an (n_routes, 3, 2) array of the interval
-        [lo, hi] of the unit's multiplier that each route's label (-1, 0,
-        +1) allows, a branch ends once its labels' intervals do not meet.
-        Depth first, lower before free before cap at each route, and
-        lazily, so a caller may stop early.
-
-        The walk pops at most 3 (routes + 1) (cap + 1) nodes, room for cap
-        + 1 root-to-leaf paths of routes + 1 nodes and the up to three
-        children each node pushes; past that it raises FleetModelError,
-        naming the walk, however few labelings it has yielded."""
-        total = float(self.totals[s])
-        caps = self._caps(s)
-        budget = 3 * (len(caps) + 1) * (cap + 1)
-        # the largest mass routes i.. can hold
-        reach = list(itertools.accumulate(caps[::-1]))[::-1] + [0.0]
-        allowed = None if windows is None else windows[self.blocks[s]].tolist()
-        # (labels, capped mass, free routes' cap sum, multiplier interval)
-        stack = [((), 0.0, 0.0, (-math.inf, math.inf))]
-        for _ in range(budget):
-            if not stack:
-                return
-            labels, fixed, room, mu = stack.pop()
-            i = len(labels)
-            if fixed > total + tol or fixed + room + reach[i] < total - tol or mu[0] > mu[1]:
-                continue
-            if i == len(caps):
-                if room > 0.0:
-                    keep = fixed < total - tol and fixed + room > total + tol
-                else:
-                    keep = abs(fixed - total) <= tol
-                if keep:
-                    yield labels
-                continue
-            route_cap = caps[i]
-            lower = free = capped = mu
-            if allowed is not None:
-                lower, free, capped = ((max(mu[0], lo), min(mu[1], hi)) for lo, hi in allowed[i])
-            if route_cap > 0.0:
-                if math.isfinite(route_cap):
-                    stack.append((labels + (1,), fixed + route_cap, room, capped))
-                if labels.count(0) < max_free:
-                    stack.append((labels + (0,), fixed, room + route_cap, free))
-            stack.append((labels + (-1,), fixed, room, lower))
-        if stack:
-            raise FleetModelError(
-                f"the labeling walk of unit {s} passed its budget of {budget} nodes, "
-                f"3 (routes + 1) (cap + 1) at the cap of {cap}; raise vertex_cap"
-            )
-
     def vertices(self, cap: int) -> list[np.ndarray]:
-        """Every vertex of the set.  A unit's vertices are its labelings with
-        at most one free route (see labelings), the free route taking the
-        mass its capped routes leave; each unit's are in canonical order
-        (mass on the lowest route index first, so e_0 first on an uncapped
-        unit), and the units combine in itertools.product order.  Raises
-        FleetModelError above cap vertices, or when a capped unit's walk
-        passes its node budget at cap (see labelings)."""
-        totals = self.totals.tolist()
-        tols = [1e-12 * (1.0 + total) for total in totals]
-        if self.upper is None:
-            # every labeling has one free route: total * e_i in route order,
-            # or none and the origin alone when the total is within tol of 0
-            points = bounded_factors(
-                (
-                    [np.zeros(len(block))] if total <= tol else total * np.eye(len(block))
-                    for block, total, tol in zip(self.blocks, totals, tols)
-                ),
-                cap, "vertex",
-            )
-        else:
-            per_unit = bounded_factors(
-                (self.labelings(s, tol, cap, max_free=1) for s, tol in enumerate(tols)), cap, "vertex"
-            )
-            points = []
-            for s, labelings in enumerate(per_unit):
-                caps = self._caps(s)
-                unit_points = []
-                for labels in labelings:
-                    x = [c if label > 0 else 0.0 for label, c in zip(labels, caps)]
-                    if 0 in labels:
-                        # the capped mass summed in route order, as the walk sums it
-                        x[labels.index(0)] = totals[s] - list(itertools.accumulate(x))[-1]
-                    unit_points.append(np.array(x))
-                points.append(_canonical_order(unit_points))
+        """Every vertex of an uncapped set: per unit, its total on one route,
+        in route order (e_0 first, the canonical order of _corner_solver), or
+        the origin alone when the total is within 1e-12 (1 + total) of 0; the
+        units combine in itertools.product order.  Raises FleetModelError on
+        a capped set, which the forward never builds, and above cap
+        vertices."""
+        if self.upper is not None:
+            raise FleetModelError("vertices are enumerated on uncapped sets only; this set has upper bounds")
+        points = bounded_factors(
+            (
+                [np.zeros(len(block))] if total <= 1e-12 * (1.0 + total) else total * np.eye(len(block))
+                for block, total in zip(self.blocks, self.totals.tolist())
+            ),
+            cap, "vertex",
+        )
         out = []
         for combo in itertools.product(*points):
             f = np.zeros(self.n_routes)
@@ -409,6 +332,7 @@ def certify_local_min(
     h,
     f,
     network: Network,
+    *,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> Certificate:
     """First- and second-order test that f is a local minimizer of F(h, .)
@@ -673,6 +597,7 @@ def solve_convex(
     strategy: FleetStrategy,
     h,
     network: Network,
+    *,
     config: SolverConfig = DEFAULT_CONFIG,
     certify: bool = True,
 ) -> AssignmentResult:
@@ -717,16 +642,11 @@ def _distinct(points: Sequence[np.ndarray], scale: float) -> list[int]:
     return indices
 
 
-def _canonical_order(candidates: list[np.ndarray]) -> list[np.ndarray]:
-    # lexicographically largest first: mass concentrated on the lowest route
-    # index becomes the canonical representative
-    return sorted(candidates, key=lambda v: tuple(-v))
-
-
 def solve_concave(
     strategy: FleetStrategy,
     h,
     network: Network,
+    *,
     config: SolverConfig = DEFAULT_CONFIG,
     certify: bool = True,
 ) -> AssignmentResult:
@@ -742,17 +662,18 @@ def _corner_solver(
     function of (h, certify) for checked HDV flows h: each call evaluates
     every vertex in one batched objective._evaluate, whose rows are
     bit-identical to one evaluation each, and reports the chosen vertex's
-    value from it.  Of the tie set, the vertex first in canonical order is
-    f."""
+    value from it.  Of the tie set, the vertex first in canonical order
+    (lexicographically largest, so mass on the lowest route index first:
+    the order FeasibleSet.vertices lists) is f."""
     vertices = np.array(FeasibleSet.from_network(network).vertices(config.vertex_cap))
 
     def solve(h: np.ndarray, certify: bool) -> AssignmentResult:
         batch = np.broadcast_to(h, (len(vertices),) + h.shape)
         values = _evaluate(strategy, batch, vertices, network).value.tolist()
-        # the tied rows in the canonical order of _canonical_order, copied
+        # the tied rows in canonical order, copied
         ties = sorted(_ties(values), key=lambda i: tuple(-vertices[i]))
         tied = tuple(vertices[ties])
-        cert = certify_local_min(strategy, h, tied[0], network, config) if certify else None
+        cert = certify_local_min(strategy, h, tied[0], network, config=config) if certify else None
         return AssignmentResult(
             f=tied[0],
             objective=values[ties[0]],
@@ -776,6 +697,7 @@ def solve_general(
     strategy: FleetStrategy,
     h,
     network: Network,
+    *,
     seed: int = 0,
     config: SolverConfig = DEFAULT_CONFIG,
     certify: bool = True,
@@ -833,7 +755,7 @@ def _assigner(
 
     kind = _convexity_kind(strategy, network, config.pd_rtol)
     if kind is ConvexityKind.CONVEX_EVERYWHERE:
-        return lambda h, seed, certify: solve_convex(strategy, h, network, config, certify=certify)
+        return lambda h, seed, certify: solve_convex(strategy, h, network, config=config, certify=certify)
     if kind is ConvexityKind.CONCAVE_EVERYWHERE:
         corners = _corner_solver(strategy, network, config)
         return lambda h, seed, certify: corners(h, certify)
@@ -844,6 +766,7 @@ def fleet_assign(
     strategy: FleetStrategy,
     h,
     network: Network,
+    *,
     seed: int = 0,
     config: SolverConfig = DEFAULT_CONFIG,
     certify: bool = True,

@@ -38,15 +38,15 @@ pivot starts from the greedy vertex.
 
 When the certificate fails, the solution set is enumerated: every
 solution solves the KKT system of its face, so that system is solved on
-each lower/free/cap labeling that can hold every unit's fleet
-(FeasibleSet.labelings, the walk whose one-free-route labelings are the
-forward corners), and its point is kept when the pivot's complementarity
-test (_complementarity) finds no broken route there.  Where b is
-diagonal each label of a route allows its unit's multiplier only one
-interval (_multiplier_windows), so the walk drops every labeling whose
-intervals do not meet.  A face whose KKT system is singular (L = 0,
-dependent routes) gives its minimum-norm solution.  The listed solution of
-least norm is the estimate.  Above SolverConfig.vertex_cap labelings, or
+each lower/free/cap labeling that can hold every unit's fleet within 1e-7
+* (1 + fleet mass) (_labelings, a depth-first walk over the faces of the
+capped set, which only this module enumerates), and its point is kept
+when the pivot's complementarity test (_complementarity) finds no broken
+route there.  Where b is diagonal each label of a route allows its unit's
+multiplier only one interval (_multiplier_windows), so the walk drops
+every labeling whose intervals do not meet.  A face whose KKT system is
+singular (L = 0, dependent routes) gives its minimum-norm solution.  The
+listed solution of least norm is the estimate.  Above SolverConfig.vertex_cap labelings, or
 once a unit's walk passes its node budget (3 (routes + 1) (vertex_cap +
 1) nodes), the enumeration raises FleetModelError: the solution set is
 complete or not given.
@@ -60,6 +60,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -487,8 +488,67 @@ def _pivot(
 # -- face enumeration ----------------------------------------------------------------
 
 
+def _labelings(
+    feasible: FeasibleSet, s: int, cap: int, windows: np.ndarray | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Lower (-1) / free (0) / cap (+1) labelings of unit s's routes that
+    can hold its fleet mass within tol = 1e-7 * (1 + fleet mass): capped
+    mass equal to the total, or below it with free routes whose caps reach
+    above it (a free route that must sit at a bound names a point another
+    labeling names).  Free and cap labels need a positive cap; an uncapped
+    set's caps are infinite.  With `windows` (see _multiplier_windows), an
+    (n_routes, 3, 2) array of the interval [lo, hi] of the unit's
+    multiplier that each route's label (-1, 0, +1) allows, a branch ends
+    once its labels' intervals do not meet.  Depth first, lower before
+    free before cap at each route, and lazily, so a caller may stop early.
+
+    The walk pops at most 3 (routes + 1) (cap + 1) nodes, room for cap + 1
+    root-to-leaf paths of routes + 1 nodes and the up to three children
+    each node pushes; past that it raises FleetModelError, naming the walk,
+    however few labelings it has yielded."""
+    total = float(feasible.totals[s])
+    tol = 1e-7 * (1.0 + feasible.total_mass)
+    block = feasible.blocks[s]
+    caps = [math.inf] * len(block) if feasible.upper is None else feasible.upper[block].tolist()
+    budget = 3 * (len(caps) + 1) * (cap + 1)
+    # the largest mass routes i.. can hold
+    reach = list(itertools.accumulate(caps[::-1]))[::-1] + [0.0]
+    allowed = None if windows is None else windows[block].tolist()
+    # (labels, capped mass, free routes' cap sum, multiplier interval)
+    stack = [((), 0.0, 0.0, (-math.inf, math.inf))]
+    for _ in range(budget):
+        if not stack:
+            return
+        labels, fixed, room, mu = stack.pop()
+        i = len(labels)
+        if fixed > total + tol or fixed + room + reach[i] < total - tol or mu[0] > mu[1]:
+            continue
+        if i == len(caps):
+            if room > 0.0:
+                keep = fixed < total - tol and fixed + room > total + tol
+            else:
+                keep = abs(fixed - total) <= tol
+            if keep:
+                yield labels
+            continue
+        route_cap = caps[i]
+        lower = free = capped = mu
+        if allowed is not None:
+            lower, free, capped = ((max(mu[0], lo), min(mu[1], hi)) for lo, hi in allowed[i])
+        if route_cap > 0.0:
+            if math.isfinite(route_cap):
+                stack.append((labels + (1,), fixed + route_cap, room, capped))
+            stack.append((labels + (0,), fixed, room + route_cap, free))
+        stack.append((labels + (-1,), fixed, room, lower))
+    if stack:
+        raise FleetModelError(
+            f"the labeling walk of unit {s} passed its budget of {budget} nodes, "
+            f"3 (routes + 1) (cap + 1) at the cap of {cap}; raise vertex_cap"
+        )
+
+
 def _multiplier_windows(a0: np.ndarray, b: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
-    """The windows of FeasibleSet.labelings for a diagonal b (R,): route r costs
+    """The windows of _labelings for a diagonal b (R,): route r costs
     A_r = a0_r + b_rr f_r, so its unit's multiplier is at most a0_r when r
     is at 0 (unless its cap is 0: then it bounds none), at least a0_r +
     b_rr u_r when r is at its cap u_r, and between the two when r is free
@@ -525,17 +585,16 @@ def _face_solutions(
     with its VI gap.
 
     Solves the face of every product of the units' labelings (see
-    FeasibleSet.labelings; where b is a diagonal (R,), only those whose
+    _labelings; where b is a diagonal (R,), only those whose
     multiplier windows meet, see _multiplier_windows) and keeps the points
     that _validated accepts, by the pivot's complementarity test, and whose
     VI gap is within max(tol_gap, 1e-6 * scale), in enumeration order.
     Raises FleetModelError above config.vertex_cap partitions, or when a
     unit's walk passes its node budget at that cap.
     """
-    tol = 1e-7 * (1.0 + feasible.total_mass)
     windows = _multiplier_windows(a0, b, feasible) if b.ndim == 1 else None
     per_unit = bounded_factors(
-        (feasible.labelings(s, tol, config.vertex_cap, windows=windows) for s in range(len(feasible.blocks))),
+        (_labelings(feasible, s, config.vertex_cap, windows) for s in range(len(feasible.blocks))),
         config.vertex_cap, "face",
     )
     gate = max(tol_gap, 1e-6 * _residual_scale(feasible))
@@ -675,6 +734,7 @@ def solve_inverse(
     strategy: FleetStrategy,
     q,
     network: Network,
+    *,
     config: SolverConfig = DEFAULT_CONFIG,
     seed: int | None = None,
 ) -> InverseResult:
@@ -729,6 +789,7 @@ def inverse_link_flows(
     strategy: FleetStrategy,
     a,
     network: Network,
+    *,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> InverseResult:
     """Recover the fleet link flow from an observed total link flow.
@@ -748,11 +809,11 @@ def inverse_link_flows(
     forward equilibrium, f_hat is the link image of solve_inverse's.
     """
     a = _flows(a, network.n_links, "observed link flows")
-    units = network.units_or_raise()
     feasible = FeasibleSet.from_network(network)
     # a must be the link image of some route flow holding each unit's demand
-    demands = np.array([u.q_hdv + u.q_crv for u in units])
-    nearest = route_fiber(network, a, totals=demands, config=config, _allow_any=True)
+    demands = np.array([u.q_hdv + u.q_crv for u in network.units_or_raise()])
+    demand_set = FeasibleSet(blocks=feasible.blocks, totals=demands, n_routes=network.n_routes)
+    nearest = _fiber(network, a, demand_set, config)
     if nearest.residual > 1e-6 * (1.0 + float(np.max(np.abs(a)))):
         raise NotRealisableError(
             f"no feasible route flow reproduces the observed link flow "
@@ -820,12 +881,11 @@ def _least_distance(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
 def route_fiber(
     network: Network,
     phi,
-    totals=None,
     upper=None,
     config: SolverConfig = DEFAULT_CONFIG,
-    _allow_any: bool = False,
 ) -> FiberResult:
-    """All feasible route flows mapping to the link flow phi.
+    """All feasible route flows mapping to the link flow phi: route flows
+    holding each unit's fleet size q_crv, within the caps upper when given.
 
     Returns the minimum-norm representative, an orthonormal basis of the
     fiber directions (null directions of the conversion that also preserve
@@ -833,14 +893,29 @@ def route_fiber(
     basis direction.  The representative f_p + basis c is exact: f_p, the
     least-squares flow, is orthogonal to the fiber, so c is the least
     coefficient vector keeping it inside the box (f_p when none does).
+    Raises NotRealisableError when the representative misses phi and the
+    fleet sizes by more than 1e-7 * (1 + |(phi, q_crv)|).
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (network.n_links,):
         raise DimensionMismatchError("phi must be a link vector")
     if not np.all(np.isfinite(phi)):
         raise InfeasibleProblemError("link flow must be finite")
-    # FeasibleSet checks the totals and the caps
-    feasible = FeasibleSet.from_network(network, totals, upper)
+    # FeasibleSet checks the caps
+    feasible = FeasibleSet.from_network(network, upper=upper)
+    fiber = _fiber(network, phi, feasible, config)
+    tol = 1e-7 * (1.0 + float(np.linalg.norm(np.concatenate([phi, feasible.totals]))))
+    if fiber.residual > tol:
+        raise NotRealisableError(
+            f"link flow is not realisable by any feasible route flow "
+            f"(best residual {fiber.residual:.3g})"
+        )
+    return fiber
+
+
+def _fiber(network: Network, phi: np.ndarray, feasible: FeasibleSet, config: SolverConfig) -> FiberResult:
+    """route_fiber's fiber for a finite link flow phi over the route flows
+    of `feasible`, whatever its residual."""
     blocks, totals = feasible.blocks, feasible.totals
     box = np.full(network.n_routes, math.inf) if feasible.upper is None else feasible.upper
 
@@ -855,7 +930,6 @@ def route_fiber(
     target = np.concatenate(rhs)
 
     f_p, *_ = np.linalg.lstsq(e, target, rcond=None)
-    tol = 1e-7 * (1.0 + float(np.linalg.norm(target)))
 
     _, s_vals, vt = np.linalg.svd(e)
     rank = int(np.sum(s_vals > config.rank_rtol * (s_vals[0] if s_vals.size else 1.0)))
@@ -881,11 +955,6 @@ def route_fiber(
     rep = np.minimum(np.maximum(rep, 0.0), box)
     rep = np.where(np.abs(rep) < 1e-11 * (1.0 + float(np.max(np.abs(rep)))), 0.0, rep)
     residual = float(np.linalg.norm(e @ rep - target))
-    if residual > tol and not _allow_any:
-        raise NotRealisableError(
-            f"link flow is not realisable by any feasible route flow "
-            f"(best residual {residual:.3g})"
-        )
 
     intervals = tuple(
         _step_interval(rep, basis[:, j], box) for j in range(k)
@@ -1025,6 +1094,7 @@ def discrete_recover(
     strategy: FleetStrategy,
     q,
     network: Network,
+    *,
     config: SolverConfig = DEFAULT_CONFIG,
     seed: int = 0,
 ) -> DiscreteRecovery:

@@ -98,13 +98,17 @@ def _check_mixtures(alphas: np.ndarray, weights: np.ndarray) -> None:
 
 def _demands(network: Network) -> tuple[float, float]:
     """The HDV demand and the fleet size of the network's OD unit; raises
-    FleetModelError unless the network has two routes."""
+    FleetModelError unless the network has two routes, both in one unit."""
     if network.n_routes != 2:
         raise FleetModelError(
             f"Stackelberg analysis covers two-route networks, got {network.n_routes}"
         )
-    unit = network.units_or_raise()[0]
-    return float(unit.q_hdv), float(unit.q_crv)
+    units = network.units_or_raise()
+    if len(units) != 1:
+        raise FleetModelError(
+            f"Stackelberg analysis covers one OD unit holding both routes, got {len(units)} units"
+        )
+    return float(units[0].q_hdv), float(units[0].q_crv)
 
 
 def _expected_cost_gap(alphas, weights, h1, q_hdv, q_crv, network) -> np.ndarray:

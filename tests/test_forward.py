@@ -1,10 +1,12 @@
 """Forward assignment: projection, the three solvers, dispatch, certificates."""
 
+import ast
 import collections
 import dataclasses
 import hashlib
 import itertools
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -221,22 +223,13 @@ def vertex_oracle(caps, total):
 
 class TestVertices:
     @given(
-        caps=st.lists(st.sampled_from([0.0, math.inf]) | st.floats(0.5, 10.0), min_size=1, max_size=5),
-        how=st.sampled_from(["zero", "subset", "share"]),
-        picks=st.lists(st.booleans(), min_size=5, max_size=5),
-        share=st.floats(0.0, 1.0),
+        n=st.integers(1, 5),
+        total=st.sampled_from([0.0, 5e-13, 1e-12, 2e-12]) | st.floats(0.0, 100.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_match_brute_force_labelings(self, caps, how, picks, share):
-        finite = [c for c in caps if math.isfinite(c)]
-        if how == "zero":
-            total = 0.0
-        elif how == "subset":  # the capped routes of some labeling hold it exactly
-            total = sum(c for c, pick in zip(caps, picks) if pick and math.isfinite(c))
-        else:
-            total = share * (sum(finite) + (10.0 if len(finite) < len(caps) else 0.0))
-        got = simple_set(total, n=len(caps), upper=caps).vertices(DEFAULT_CONFIG.vertex_cap)
-        assert [v.tobytes() for v in got] == [v.tobytes() for v in vertex_oracle(caps, total)]
+    def test_match_brute_force_labelings(self, n, total):
+        got = simple_set(total, n=n).vertices(DEFAULT_CONFIG.vertex_cap)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in vertex_oracle([math.inf] * n, total)]
 
     def test_uncapped_order_is_e0_first_in_each_unit(self):
         fset = FeasibleSet(
@@ -257,21 +250,49 @@ class TestVertices:
         cap=st.integers(1, 60),
     )
     @settings(max_examples=200, deadline=None)
-    def test_uncapped_units_match_the_labeling_walk(self, sizes, totals, cap):
-        # an uncapped unit's vertices are built directly; infinite caps take
-        # the labeling walk, which names the same points in the same order,
-        # and the product of the units raises the same error above the cap
+    def test_units_combine_in_product_order(self, sizes, totals, cap):
+        # the units' oracle vertices in itertools.product order, or the
+        # error above the cap
         blocks = tuple(np.arange(sum(sizes[:u]), sum(sizes[:u + 1])) for u in range(len(sizes)))
-        n, masses = sum(sizes), np.array(totals[:len(sizes)])
-        direct = FeasibleSet(blocks=blocks, totals=masses, n_routes=n)
-        walk = FeasibleSet(blocks=blocks, totals=masses, n_routes=n, upper=np.full(n, math.inf))
-        outcomes = []
-        for fset in (direct, walk):
-            try:
-                outcomes.append([v.tobytes() for v in fset.vertices(cap)])
-            except FleetModelError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+        n, masses = sum(sizes), totals[:len(sizes)]
+        per_unit = [vertex_oracle([math.inf] * size, total) for size, total in zip(sizes, masses)]
+        if math.prod(len(points) for points in per_unit) > cap:
+            expected = f"vertex enumeration exceeded the cap of {cap}; raise vertex_cap"
+        else:
+            expected = [np.concatenate(combo).tobytes() for combo in itertools.product(*per_unit)]
+        fset = FeasibleSet(blocks=blocks, totals=np.array(masses), n_routes=n)
+        try:
+            got = [v.tobytes() for v in fset.vertices(cap)]
+        except FleetModelError as exc:
+            got = str(exc)
+        assert got == expected
+
+    def test_a_capped_set_raises(self):
+        # only the inverse caps a set, and it enumerates faces, not vertices
+        with pytest.raises(FleetModelError, match="uncapped sets only"):
+            simple_set(1.0, n=3, upper=np.full(3, math.inf)).vertices(DEFAULT_CONFIG.vertex_cap)
+
+    def test_only_the_inverse_builds_capped_sets(self):
+        # a FeasibleSet(...) or FeasibleSet.from_network(...) call given an
+        # upper bound, by keyword or by position
+        def caps(node) -> bool:
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "FeasibleSet":
+                positional = 3
+            elif isinstance(func, ast.Attribute) and func.attr == "from_network":
+                positional = 1
+            else:
+                return False
+            return len(node.args) > positional or any(k.arg == "upper" for k in node.keywords)
+
+        src = Path(forward.__file__).parent
+        capped = sorted(
+            path.name
+            for path in src.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and caps(node)
+        )
+        assert set(capped) == {"inverse.py"}
 
 
 class TestSolveConvex:
@@ -342,7 +363,7 @@ class TestSolveConcave:
         from fleet_inverse import DEFAULT_CONFIG
 
         with pytest.raises(FleetModelError):
-            solve_concave(MALICIOUS, np.ones(3), net, DEFAULT_CONFIG.replace(vertex_cap=2))
+            solve_concave(MALICIOUS, np.ones(3), net, config=DEFAULT_CONFIG.replace(vertex_cap=2))
 
 
 class TestSolveGeneral:
@@ -494,7 +515,9 @@ class TestOneSourceOfFleetSizes:
     )
     def test_no_entry_takes_a_second_copy(self, fig_two_route, entry, keyword):
         # the network's OD units are the one source of fleet sizes: no entry
-        # takes them again as a feasible set or a list of sizes
+        # takes them again as a feasible set or a list of sizes, by keyword
+        # or in the old argument's place (it once reached the solve as the
+        # config and failed there with an AttributeError)
         net = fig_two_route
         value = FeasibleSet.from_network(net) if keyword == "feasible" else net.fleet_sizes()
         args = {
@@ -506,6 +529,8 @@ class TestOneSourceOfFleetSizes:
         function = getattr(forward if keyword == "feasible" else inverse, entry)
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
             function(*args, **{keyword: value})
+        with pytest.raises(TypeError, match=rf"takes {len(args)} positional arguments but {len(args) + 1} were given"):
+            function(*args, value)
 
 
 class TestDispatchByStructure:
@@ -581,7 +606,7 @@ class TestWorkCounters:
         config = DEFAULT_CONFIG.replace(max_pg_iter=5)
         ladder = route_ladder()
         for h, net in ladder:
-            result = solve_convex(SELFISH, h, net, config, certify=False)
+            result = solve_convex(SELFISH, h, net, config=config, certify=False)
             assert result.objective == eval_objective(SELFISH, h, result.f, net)
         assert calls["points"] == 154
         calls.clear()
@@ -604,7 +629,7 @@ class TestWorkCounters:
         h, net = sc.hdv_route_flows, sc.network
         result = fleet_assign(sc.strategy, h, net, config=sc.config)
         assert result.trace.method == "projected_gradient" and len(calls) == 6
-        assert result.certificate == certify_local_min(sc.strategy, h, result.f, net, sc.config)
+        assert result.certificate == certify_local_min(sc.strategy, h, result.f, net, config=sc.config)
         h, net = route_ladder()[0]
         result = fleet_assign(DISRUPTIVE, h, net)
         assert result.trace.method == "multistart_projected_gradient"
@@ -887,13 +912,13 @@ class TestCertify:
         sc = parse_scenario(fixture_path(name))
         h = sc.hdv_route_flows
         f = fleet_assign(sc.strategy, h, sc.network, config=sc.config).f
-        base = certify_local_min(sc.strategy, h, f, sc.network, sc.config)
+        base = certify_local_min(sc.strategy, h, f, sc.network, config=sc.config)
         assert abs(base.min_directional_derivative) <= 1e-12
         for r in range(len(f)):
             for toward in (-np.inf, np.inf):
                 g = f.copy()
                 g[r] = np.nextafter(g[r], toward)
-                cert = certify_local_min(sc.strategy, h, g, sc.network, sc.config)
+                cert = certify_local_min(sc.strategy, h, g, sc.network, config=sc.config)
                 moved = abs(cert.min_directional_derivative - base.min_directional_derivative)
                 assert moved <= 1e-12
 
@@ -1068,7 +1093,7 @@ class TestCapValidation:
         feasible = FeasibleSet(blocks=net.unit_blocks(), totals=[30], n_routes=3, upper=[60, 5, 60])
         assert feasible.totals.dtype == feasible.upper.dtype == np.float64
         assert feasible.total_mass == 30.0
-        expected = FeasibleSet.from_network(net, totals=np.array([30.0]), upper=np.array([60.0, 5.0, 60.0]))
+        expected = FeasibleSet.from_network(net, upper=np.array([60.0, 5.0, 60.0]))
         v = np.array([40.0, 10.0, -5.0])
         np.testing.assert_array_equal(feasible.project(v), expected.project(v))
         with pytest.raises(InfeasibleProblemError, match="negative fleet mass"):

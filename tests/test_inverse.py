@@ -751,25 +751,23 @@ class TestNonFiniteObservations:
 
 
 class TestTypedInputErrors:
-    # each of these used to escape the typed errors: numpy's LinAlgError
-    # (totals of the wrong length), an all-NaN fiber (non-finite totals or
-    # NaN caps), a NotRealisableError (caps of the wrong length), or a
-    # silent accept (NaN fleet totals, theta) or a crash inside numpy's
-    # generators (seeds out of range)
+    # each of these used to escape the typed errors: an all-NaN fiber (NaN
+    # caps), a NotRealisableError (caps of the wrong length), numpy's
+    # LinAlgError (totals of the wrong length), or a silent accept
+    # (non-finite fleet totals, theta) or a crash inside numpy's generators
+    # (seeds out of range)
     @pytest.mark.parametrize(
         "call,error,match",
         [
-            (lambda net: route_fiber(net, net.route_to_link(np.array([30.0, 20.0])), totals=[10.0, 1.0]),
-             DimensionMismatchError, "one fleet total per unit"),
-            (lambda net: route_fiber(net, net.route_to_link(np.array([30.0, 20.0])), totals=[math.nan]),
-             InfeasibleProblemError, "fleet sizes must be finite"),
-            (lambda net: route_fiber(net, net.route_to_link(np.array([30.0, 20.0])), totals=[math.inf]),
-             InfeasibleProblemError, "fleet sizes must be finite"),
             (lambda net: route_fiber(net, net.route_to_link(np.array([30.0, 20.0])), upper=[60.0]),
              DimensionMismatchError, "upper bound vector has wrong length"),
             (lambda net: route_fiber(net, net.route_to_link(np.array([30.0, 20.0])), upper=[60.0, math.nan]),
              InfeasibleProblemError, "upper bounds must not be NaN"),
+            (lambda net: FeasibleSet(blocks=net.unit_blocks(), totals=np.array([10.0, 1.0]), n_routes=2),
+             DimensionMismatchError, "one fleet total per unit"),
             (lambda net: FeasibleSet(blocks=net.unit_blocks(), totals=np.array([math.nan]), n_routes=2),
+             InfeasibleProblemError, "fleet sizes must be finite"),
+            (lambda net: FeasibleSet(blocks=net.unit_blocks(), totals=np.array([math.inf]), n_routes=2),
              InfeasibleProblemError, "fleet sizes must be finite"),
             (lambda net: SimulationConfig(theta=math.nan), ValueError, "theta must be finite and positive"),
             (lambda net: SimulationConfig(seed=-2), ValueError, r"seed must lie in \[0, 2\*\*63\)"),
@@ -1145,11 +1143,11 @@ class TestFaceExit:
 
 @contextlib.contextmanager
 def counting_walk_nodes():
-    """A one-entry list counting the nodes FeasibleSet.labelings pops (runs
-    of its `stack.pop()` line), traced by sys.settrace while the block runs."""
-    lines, first = inspect.getsourcelines(FeasibleSet.labelings)
+    """A one-entry list counting the nodes inverse._labelings pops (runs of
+    its `stack.pop()` line), traced by sys.settrace while the block runs."""
+    lines, first = inspect.getsourcelines(inverse._labelings)
     pop_line = first + next(i for i, line in enumerate(lines) if "stack.pop()" in line)
-    code = FeasibleSet.labelings.__code__
+    code = inverse._labelings.__code__
     nodes = [0]
 
     def local(frame, event, arg):
@@ -1185,11 +1183,11 @@ class TestLabelingBudget:
         # of 1 (24 nodes) it raises
         fset = FeasibleSet(blocks=(np.arange(3),), totals=np.array([1.5]), n_routes=3, upper=np.ones(3))
         with counting_walk_nodes() as nodes:
-            labelings = list(fset.labelings(0, 1e-9, 2))
+            labelings = list(inverse._labelings(fset, 0, 2))
         assert nodes[0] == 34
-        assert labelings == list(fset.labelings(0, 1e-9, DEFAULT_CONFIG.vertex_cap)) and len(labelings) == 13
+        assert labelings == list(inverse._labelings(fset, 0, DEFAULT_CONFIG.vertex_cap)) and len(labelings) == 13
         with pytest.raises(FleetModelError, match="labeling walk of unit 0 passed its budget of 24 nodes"):
-            list(fset.labelings(0, 1e-9, 1))
+            list(inverse._labelings(fset, 0, 1))
 
 
 def _dense_monotone_vi(rng):

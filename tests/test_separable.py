@@ -304,8 +304,7 @@ class TestClosedForms:
         feasible = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q)
         a0, b = inverse._affine_operator(strategy, q, net)
         diagonal = np.diagonal(b)
-        tol = 1e-7 * (1.0 + feasible.total_mass)
-        per_unit = [list(feasible.labelings(s, tol, DEFAULT_CONFIG.vertex_cap)) for s in range(len(feasible.blocks))]
+        per_unit = [list(inverse._labelings(feasible, s, DEFAULT_CONFIG.vertex_cap)) for s in range(len(feasible.blocks))]
         active = np.zeros(net.n_routes, dtype=int)
         for combo in itertools.product(*per_unit):
             for block, labels in zip(feasible.blocks, combo):
@@ -346,7 +345,7 @@ def _dense_inverse(strategy, q, net, config=DEFAULT_CONFIG):
     route gradient matrix, the feasible-direction basis and eigvalsh, and
     the diagonal of the operator margin * grad^T on these separable
     networks."""
-    feasible = FeasibleSet.from_network(net, None, q)
+    feasible = FeasibleSet.from_network(net, upper=q)
     grad, t = net.route_gradient(q), net.route_times(q)
     pd = _pd_certificate(net.feasible_direction_basis(), grad, config.pd_rtol)
     a0, _ = inverse._route_operator(strategy, q, t, grad)

@@ -22,7 +22,7 @@ from fleet_inverse import (
     verify_corner_support,
 )
 from fleet_inverse.dynamics import SimulationConfig, simulate
-from fleet_inverse.network import Network
+from fleet_inverse.network import Link, Network, ODUnit, Route
 from fleet_inverse.scenario import fixture_path, parse_scenario
 from fleet_inverse import stackelberg
 from fleet_inverse.stackelberg import _expected_objectives, _induced_ue_batch
@@ -93,6 +93,30 @@ class TestInducedUE:
         net = three_affine_routes()
         with pytest.raises(FleetModelError):
             induced_ue(MixedCornerStrategy(0.5).as_mixture(), network=net)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda net: induced_ue(MixedCornerStrategy(0.5).as_mixture(), net),
+            lambda net: expected_hdv_time(MixedCornerStrategy(0.5).as_mixture(), np.array([30.0, 40.0]), net),
+            lambda net: optimize_corner_mixture(MALICIOUS, net),
+            lambda net: verify_corner_support(net),
+            lambda net: compare_routings(net, days=4),
+        ],
+    )
+    def test_requires_both_routes_in_one_unit(self, call):
+        # two single-route units (30 and 40 HDVs) used to be read as unit
+        # 0's game: the p = 0.5 mixture induced [30, 0], the second unit's
+        # 40 HDVs gone
+        links = [Link("a", BPRDelay(5.0, 1.0, 50.0, 2.0)), Link("b", BPRDelay(15.0, 1.0, 80.0, 2.0))]
+        routes = [Route("r1", ("a",)), Route("r2", ("b",))]
+        units = [
+            ODUnit("O", "D1", q_hdv=30.0, q_crv=10.0, route_ids=("r1",)),
+            ODUnit("O", "D2", q_hdv=40.0, q_crv=10.0, route_ids=("r2",)),
+        ]
+        net = Network(links, routes, units=units)
+        with pytest.raises(FleetModelError, match="one OD unit holding both routes, got 2 units"):
+            call(net)
 
 
 class TestExpectedObjective:
