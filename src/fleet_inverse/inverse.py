@@ -22,8 +22,9 @@ the route solution.
 Both levels run one driver (_recover).  Each entry point validates its
 observation and assembles its feasible set, its operator and its
 positive-definiteness test (Network.feasible_direction_pd at the route
-level, network._pd_certificate on the link level's basis and jacobian);
-the driver does the rest, with one method for each class of VI.
+level; at the link level the slope rule on separable networks, else
+network._pd_certificate on its basis and jacobian); _recover does the
+rest, with one method for each class of VI.
 Both levels build B = L G^T (_slope_operator) in the form of the route
 gradient G that Network._route_gradient_form_at decides at the observed
 flow, (R,) or (R, R), and (R,) at L = 0; every step reads it from b.
@@ -74,7 +75,7 @@ from .errors import (
     NotRealisableError,
 )
 from .forward import FeasibleSet, _assigner, _distinct, _flows, _seeded, _separable_minimum, bounded_factors
-from .network import Network, PDCertificate, _pd_certificate, _restricted_min_eigenvalue
+from .network import Network, PDCertificate, _pd_certificate, _restricted_min_eigenvalue, _slopes_pd_certificate
 from .objective import FleetStrategy
 
 __all__ = [
@@ -104,8 +105,8 @@ _MAX_OUTER_ITER = 300
 class UniquenessCertificate:
     """The uniqueness theorem's verdict: it applies when the margin exceeds
     MARGIN_EPS and `pd`, the positive-definiteness test, passes.
-    min_rayleigh reads through to pd's, so where the test passed without
-    it (see Network.feasible_direction_pd) it is computed only when read."""
+    min_rayleigh reads through to pd's, so where the slope rule decided
+    (see PDCertificate) it is computed only when read."""
 
     theorem_applies: bool
     reason: str
@@ -744,9 +745,9 @@ def solve_inverse(
     units' fleet sizes q_crv}.
     One route gradient at q, in Network._route_gradient_form_at's form, gives
     both the operator and the certificate's positive-definiteness test
-    (Network.feasible_direction_pd), which on a diagonal gradient mostly
-    passes without an eigendecomposition, leaving min_rayleigh to be
-    computed when read.  When the uniqueness certificate fails,
+    (Network.feasible_direction_pd), which on a diagonal gradient decides
+    by the slope rule without an eigendecomposition, leaving min_rayleigh
+    to be computed when read.  When the uniqueness certificate fails,
     `solutions` lists every face solution, f_hat (the one of least norm,
     see _recover) first; above config.vertex_cap partitions it raises
     FleetModelError.  On linearly dependent routes `fiber` holds the route
@@ -798,10 +799,13 @@ def inverse_link_flows(
     are exactly the images of feasible route flows, a convex set); the
     returned link flow is unique whenever the margin is positive and the
     link-time jacobian is positive definite on realisable directions, even
-    if several route flows realize it.  Otherwise `solutions` holds the
-    link images of the face solutions, as in solve_inverse (FleetModelError
-    above config.vertex_cap partitions).  It draws no random numbers, so
-    it takes no seed.
+    if several route flows realize it.  On a separable network that test
+    is the route level's slope rule on the route slopes g = N tau' at a
+    (u = N^T v has u^T J u = sum_r g_r v_r^2, and u = 0 only at v = 0),
+    min_rayleigh the dense test's, computed when read.  Otherwise
+    `solutions` holds the link images of the face solutions, as in
+    solve_inverse (FleetModelError above config.vertex_cap partitions).  It
+    draws no random numbers, so it takes no seed.
 
     The route variables are not capped by the observation, so where a is
     off the forward's image f_hat may exceed it on a link and h_hat go
@@ -823,8 +827,16 @@ def inverse_link_flows(
     tau = network.link_travel_times(a)
     jac = network.link_time_jacobian(a)
     a0 = network.incidence @ (strategy.lam_crv * tau + jac.T @ (strategy.lam_hdv * a))
-    b = _slope_operator(strategy.margin, network._route_gradient_form_at(a))
-    pd = _pd_certificate(_link_feasible_basis(network), jac, config.pd_rtol)
+    grad = network._route_gradient_form_at(a)
+    b = _slope_operator(strategy.margin, grad)
+
+    def dense() -> PDCertificate:
+        return _pd_certificate(_link_feasible_basis(network), jac, config.pd_rtol)
+
+    if network.separable:
+        pd = _slopes_pd_certificate(grad, network.unit_blocks(), lambda: dense().min_rayleigh)
+    else:
+        pd = dense()
     return _recover(
         "link", a, a0, b, feasible, float(np.linalg.norm(tau)),
         _certificate(strategy.margin, pd, _LINK_REASONS), config, image=network.route_to_link,

@@ -392,10 +392,15 @@ class PDCertificate:
     (one vehicle moved between two routes, direction (1, -1)) has unit
     scale.  +inf marks a vacuous pass (no feasible direction exists).  It
     is computed the first time it is read, by `rayleigh` (a function of no
-    arguments), and kept: a test that decides without it (see
-    Network.feasible_direction_pd) leaves the eigendecomposition to the
-    callers that read it.  Two threads reading it first at once may both
-    compute it, to the same bits.
+    arguments), and kept: the slope rule (_slopes_pd_certificate), which
+    decides without it, leaves the eigendecomposition to the callers that
+    read it.  Two threads reading it first at once may both compute it, to
+    the same bits.
+
+    threshold is what `passes` compared with: pd_rtol * |trace| / n, which
+    the dense test's min_rayleigh must exceed (0 on a vacuous pass), or 0,
+    the slope rule's bound on every slope; a rule pass may read a
+    min_rayleigh at or below 0 where rounding hides a tiny eigenvalue.
     """
 
     passes: bool
@@ -431,6 +436,20 @@ def _pd_certificate(basis: np.ndarray, grad: np.ndarray, pd_rtol: float) -> PDCe
         threshold=float(threshold),
         rayleigh=lambda: min_rayleigh,
     )
+
+
+def _slopes_pd_certificate(slopes: np.ndarray, blocks, rayleigh: Callable[[], float]) -> PDCertificate:
+    """Positive definiteness of diag(slopes) on the directions that sum to
+    zero inside every block, decided exactly: it passes when no slope is
+    negative and no block has two zero slopes.  Then sum_r slopes_r v_r^2
+    vanishes only where v is carried by zero slopes, and a nonzero
+    direction of zero sum inside each block needs two routes of one block.
+    A negative or NaN slope fails it, whatever the other slopes.  The rule
+    behind both inverse certificates on a diagonal gradient; min_rayleigh
+    is rayleigh's, computed when first read."""
+    zero = slopes == 0.0
+    passes = bool(np.all(slopes >= 0.0)) and all(np.count_nonzero(zero[block]) < 2 for block in blocks)
+    return PDCertificate(passes=passes, threshold=0.0, rayleigh=rayleigh)
 
 
 def _positions(idx: list[int]):
@@ -829,30 +848,16 @@ class Network:
 
     def feasible_direction_pd(self, q, pd_rtol: float = DEFAULT_CONFIG.pd_rtol) -> PDCertificate:
         """Positive definiteness of the travel-time gradient on feasible
-        directions, the gate for inverse uniqueness: twice its least
-        eigenvalue there (min_rayleigh) against pd_rtol * |trace| / R.
+        directions, the gate for inverse uniqueness.
 
         Where the gradient is diag(g), g the route slopes (see
-        _route_gradient_form_at), its restriction is block diagonal
-        by unit, and by Cauchy interlacing (Horn and Johnson, Matrix
-        Analysis, ch. 4) each unit's least eigenvalue lies between its
-        smallest and second-smallest slope.  When twice the least slope
-        over the units of two or more routes, less the dense test's
-        rounding, exceeds the threshold, the test passes without an
-        eigendecomposition.  Every other case (an inconclusive bound, a
-        failing test, a gradient that is not diagonal) runs the dense test,
-        the eigenvalues of the restricted gradient.  Either way the
-        decision is the dense test's, and min_rayleigh, computed when first
-        read (see PDCertificate), has its bits.
-
-        The rounding allowance, 16 R eps max|g| on the eigenvalue, covers
-        the dense test's own error: its products err by at most gamma_R
-        |||Q|||_2^2 max|g| <= 9 R eps max|g| (Higham 2002, section 3.5; the
-        basis Q takes its columns from a Householder reflector, so |||Q|||_2
-        <= 3), and the basis' departure from orthonormality and eigvalsh's
-        backward error add small multiples of R eps max|g|.  Measured on
-        single units of up to 500 routes, the whole error stays below 0.31
-        R eps max|g|.
+        _route_gradient_form_at), the test is exact: it passes when no
+        slope is negative and no unit has two zero slopes
+        (_slopes_pd_certificate), with no eigendecomposition.  Any other
+        gradient runs the dense test, twice its least eigenvalue on
+        feasible directions (min_rayleigh) against pd_rtol * |trace| / R.
+        Either way min_rayleigh is that dense value, computed when first
+        read (see PDCertificate); pd_rtol sets only the dense test.
         """
         q = self._check_dim(q, "route", batch=False)
         a = self._route_to_link_at(q)
@@ -861,18 +866,9 @@ class Network:
     def _feasible_direction_pd_at(self, q: np.ndarray, grad: np.ndarray, pd_rtol: float) -> PDCertificate:
         """feasible_direction_pd at the route flow q of the right shape from
         its route gradient grad, as _route_gradient_form_at gives it."""
-        multi = [block for block in self.unit_blocks() if len(block) > 1]
-        if grad.ndim == 1 and multi:
-            least = min(float(grad[block].min()) for block in multi)
-            slack = 16.0 * self.n_routes * np.finfo(float).eps * float(np.max(np.abs(grad)))
-            threshold = float(pd_rtol * abs(np.sum(grad)) / self.n_routes)
-            if 2.0 * (least - slack) > threshold:
-                q = q.copy()  # a caller may change its array before the first read
-                # the dense test's arithmetic (see _pd_certificate)
-                return PDCertificate(
-                    passes=True, threshold=threshold, rayleigh=lambda: 2.0 * self.restricted_min_eigenvalue(q)
-                )
-            grad = self.route_gradient(q)
+        if grad.ndim == 1:
+            q = q.copy()  # a caller may change its array before the first read
+            return _slopes_pd_certificate(grad, self.unit_blocks(), lambda: 2.0 * self.restricted_min_eigenvalue(q))
         # without a unit of two routes the basis is empty and grad unread
         return _pd_certificate(self.feasible_direction_basis(), grad, pd_rtol)
 

@@ -745,7 +745,7 @@ class TestWorkCounters:
 
     def test_ladder_inverses_certify_without_an_eigendecomposition(self, monkeypatch):
         # the ladder networks are separable and every observed route flows,
-        # so the interlacing bound certifies each inverse: no dense gradient,
+        # so the slope rule certifies each inverse: no dense gradient,
         # basis or eigendecomposition (12 of each when every inverse ran the
         # dense test), nor in the forwards.  Each inverse evaluates the link
         # slopes once, for its certificate and its operator, and takes

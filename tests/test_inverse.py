@@ -1165,16 +1165,31 @@ def counting_walk_nodes():
 
 class TestLabelingBudget:
     def test_the_walk_stops_at_its_node_budget(self):
-        # the malicious inverse on ladder draw #7 (R = 50) is not certified,
-        # and its face walk used to visit nodes without bound (no answer
-        # within 15 s at the default cap); at vertex_cap = 50 it raises
-        # after at most 3 (routes + 1) (cap + 1) = 3 x 51 x 51 nodes
+        # the social inverse on ladder draw #7 (R = 50) has margin 0, so it
+        # is never certified, and its face walk used to visit nodes without
+        # bound; at vertex_cap = 50 it raises after at most 3 (routes + 1)
+        # (cap + 1) = 3 x 51 x 51 nodes
         h, net = route_ladder()[7]
-        q = h + fleet_assign(MALICIOUS, h, net, certify=False).f
+        q = h + fleet_assign(SOCIAL, h, net, certify=False).f
         with counting_walk_nodes() as nodes:
             with pytest.raises(FleetModelError, match="labeling walk of unit 0 passed its budget of 7803 nodes"):
-                solve_inverse(MALICIOUS, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=50))
+                solve_inverse(SOCIAL, q, net, config=DEFAULT_CONFIG.replace(vertex_cap=50))
         assert 0 < nodes[0] <= 3 * 51 * 51
+
+    @pytest.mark.parametrize("draw", [7, 9, 10, 11])
+    def test_the_malicious_ladder_inverses_are_certified_without_a_walk(self, draw):
+        # lam_crv = 0 makes every route's cost 0 at its cap, so an
+        # uncertified inverse walks labelings past any budget; the route
+        # slopes are all positive, so the slope rule certifies each one and
+        # the pivot answers, even at a cap of 50 labelings
+        h, net = route_ladder()[draw]
+        f = fleet_assign(MALICIOUS, h, net, certify=False).f
+        with counting_walk_nodes() as nodes:
+            result = solve_inverse(MALICIOUS, h + f, net, config=DEFAULT_CONFIG.replace(vertex_cap=50))
+        assert nodes[0] == 0
+        assert result.certificate.theorem_applies and len(result.solutions) == 1
+        mass = float(np.sum(net.fleet_sizes()))
+        assert float(np.max(np.abs(result.f_hat - f))) <= 1e-9 * (1.0 + mass)
 
     def test_a_walk_within_its_budget_lists_every_labeling(self):
         # three routes capped at 1 holding a mass of 1.5: the whole walk pops

@@ -15,6 +15,7 @@ from fleet_inverse import (
     BPRDelay,
     CrossAffineDelay,
     FeasibleSet,
+    FleetModelError,
     FleetStrategy,
     Link,
     Network,
@@ -23,12 +24,13 @@ from fleet_inverse import (
     Route,
     WebsterDelay,
     fleet_assign,
+    inverse_link_flows,
     single_od_network,
     solve_inverse,
 )
 from fleet_inverse import forward, inverse
 from fleet_inverse.config import DEFAULT_CONFIG
-from fleet_inverse.network import _pd_certificate
+from fleet_inverse.network import PDCertificate, _pd_certificate
 from fleet_inverse.objective import _evaluate, _gradient_in_f, _hessian_in_f
 from fleet_inverse.scenario import fixture_path, parse_scenario
 from conftest import overlapping_routes, route_ladder
@@ -340,14 +342,15 @@ def _observed_separable(rng, sizes, signalized: bool):
     return Network(links, routes, units=units), np.concatenate(parts)
 
 
-def _dense_inverse(strategy, q, net, config=DEFAULT_CONFIG):
-    """solve_inverse as the dense test and the dense operator give it: the
-    route gradient matrix, the feasible-direction basis and eigvalsh, and
-    the diagonal of the operator margin * grad^T on these separable
-    networks."""
+def _dense_inverse(strategy, q, net, config=DEFAULT_CONFIG, pd=None):
+    """solve_inverse as the dense operator gives it, the diagonal of the
+    operator margin * grad^T from the route gradient matrix on these
+    separable networks, with the positive-definiteness test pd: by default
+    the dense test, the feasible-direction basis and eigvalsh."""
     feasible = FeasibleSet.from_network(net, upper=q)
     grad, t = net.route_gradient(q), net.route_times(q)
-    pd = _pd_certificate(net.feasible_direction_basis(), grad, config.pd_rtol)
+    if pd is None:
+        pd = _pd_certificate(net.feasible_direction_basis(), grad, config.pd_rtol)
     a0, _ = inverse._route_operator(strategy, q, t, grad)
     b = np.diagonal(strategy.margin * grad.T)
     certificate = inverse._certificate(strategy.margin, pd, inverse._ROUTE_REASONS)
@@ -364,6 +367,18 @@ def _outcome(solve, *args):
 
 def _bits(x) -> bytes:
     return np.float64(x).tobytes()
+
+
+def _slopes_pass(g, blocks) -> bool:
+    """diag(g) positive definite on the zero-sum directions of every block,
+    for g >= 0: each block's second-least slope is positive."""
+    return bool(np.all(g >= 0.0)) and all(len(block) < 2 or np.sort(g[block])[1] > 0.0 for block in blocks)
+
+
+def _rounding_allowance(g) -> float:
+    """A bound on the dense test's rounding on diag(g), 16 R eps max|g| on
+    its least eigenvalue, on min_rayleigh's scale (twice that)."""
+    return 2.0 * 16.0 * len(g) * np.finfo(float).eps * float(np.max(np.abs(g)))
 
 
 def _assert_same_operator(strategy, q, net):
@@ -402,53 +417,75 @@ class TestSeparableCertificate:
     )
     @settings(max_examples=150, deadline=None)
     def test_inverse_matches_the_dense_certificate_and_operator(self, sizes, signalized, lam_hdv, margin, seed):
-        # the interlacing bound decides as the dense test does, and the
-        # inverse from the gradient's diagonal keeps every byte of the one
-        # from the gradient matrix (routes of one or two links).  The null
-        # strategy is skipped: with A = 0 every face solves the VI, and
-        # enumerating them, not the operator, takes the time.
+        # the slope rule decides on the gradient matrix's diagonal, passing
+        # wherever the dense test does, and the inverse from the gradient's
+        # diagonal keeps every byte of the one from the gradient matrix
+        # under the same decision (routes of one or two links), min_rayleigh
+        # the dense test's.  The null strategy is skipped: with A = 0 every
+        # face solves the VI, and enumerating them, not the operator, takes
+        # the time.
         assume(lam_hdv != 0.0 or margin != 0.0)
         rng = np.random.default_rng(seed)
         net, q = _observed_separable(rng, sizes, signalized)
         assert net.separable
+        grad = net.route_gradient(q)
         pd = net.feasible_direction_pd(q, DEFAULT_CONFIG.pd_rtol)
-        dense = _pd_certificate(net.feasible_direction_basis(), net.route_gradient(q), DEFAULT_CONFIG.pd_rtol)
-        assert pd.passes == dense.passes
+        dense = _pd_certificate(net.feasible_direction_basis(), grad, DEFAULT_CONFIG.pd_rtol)
+        assert pd.passes == _slopes_pass(np.diagonal(grad), net.unit_blocks())
+        assert pd.passes or not dense.passes
         assert _bits(pd.min_rayleigh) == _bits(dense.min_rayleigh)
         strategy = FleetStrategy(lam_hdv, lam_hdv + margin)
         _assert_same_operator(strategy, q, net)
-        _assert_same_inverse(_outcome(solve_inverse, strategy, q, net), _outcome(_dense_inverse, strategy, q, net))
+        same_decision = PDCertificate(passes=pd.passes, threshold=0.0, rayleigh=lambda: dense.min_rayleigh)
+        _assert_same_inverse(
+            _outcome(solve_inverse, strategy, q, net),
+            _outcome(_dense_inverse, strategy, q, net, DEFAULT_CONFIG, same_decision),
+        )
 
     @given(
-        k=st.integers(3, 6),
-        offset=st.floats(-64.0, 64.0),
+        sizes=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+        signalized=st.booleans(),
+        lam_hdv=st.floats(-1.0, 1.0),
+        margin=st.floats(1e-3, 1.5),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
-    @example(k=3, offset=0.0, seed=0)
-    @example(k=6, offset=1.0, seed=1)
-    def test_bound_decides_as_the_dense_test_at_its_threshold(self, k, offset, seed):
-        # two affine routes share the least slope s, so s is the restricted
-        # gradient's least eigenvalue; s sits `offset` rounding allowances
-        # (16 R eps max|g|) above the slope at which 2 s meets the threshold
-        # pd_rtol |trace| / R.  The dense test turns near offset 0, within
-        # its rounding, and the bound only above offset 1.
+    def test_slope_rule_agrees_with_the_dense_test_off_its_rounding(self, sizes, signalized, lam_hdv, margin, seed):
+        # a quarter of the routes carry no flow and a quarter nearly none,
+        # so their slopes are 0 or straddle the dense threshold.  Where the
+        # dense min_rayleigh clears its threshold by more than its rounding
+        # allowance the rule passes too; where the rule certifies and the
+        # dense test refuses, the enumeration the dense test would run lists
+        # one solution, the certified f_hat within the inverse's own
+        # distinctness window 1e-6 (1 + fleet mass) (the two may put a route
+        # whose cap is below it on different faces), where it ends within
+        # its budget
         rng = np.random.default_rng(seed)
-        others = rng.uniform(0.02, 0.2, k - 2)
-        pd_rtol = DEFAULT_CONFIG.pd_rtol
-        slack = 16.0 * k * np.finfo(float).eps * float(others.max())
-        s = pd_rtol * float(others.sum()) / (2.0 * k - 2.0 * pd_rtol) + offset * slack
-        net = single_od_network([AffineDelay(1.0, s), AffineDelay(1.0, s)] + [AffineDelay(1.0, g) for g in others], 10.0, 5.0)
-        q = rng.uniform(1.0, 5.0, k)
-        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-            pd = net.feasible_direction_pd(q, pd_rtol)
-        dense = _pd_certificate(net.feasible_direction_basis(), net.route_gradient(q), pd_rtol)
-        assert pd.passes == dense.passes
-        if offset < 0.99:
-            assert eigvalsh.call_count == 1
-        elif offset > 1.01:
-            assert eigvalsh.call_count == 0 and pd.passes
-        assert _bits(pd.min_rayleigh) == _bits(dense.min_rayleigh)
+        net, q = _observed_separable(rng, sizes, signalized)
+        grad = net.route_gradient(q)
+        pd = net.feasible_direction_pd(q, DEFAULT_CONFIG.pd_rtol)
+        dense = _pd_certificate(net.feasible_direction_basis(), grad, DEFAULT_CONFIG.pd_rtol)
+        if dense.min_rayleigh > dense.threshold + _rounding_allowance(np.diagonal(grad)):
+            assert pd.passes
+        if pd.passes == dense.passes:
+            return
+        assert pd.passes and not dense.passes
+        strategy = FleetStrategy(lam_hdv, lam_hdv + margin)
+        certified = solve_inverse(strategy, q, net)
+        assert certified.certificate.theorem_applies and certified.converged and len(certified.solutions) == 1
+        try:
+            listed = _dense_inverse(strategy, q, net)
+        except FleetModelError:
+            return
+        mass = float(np.sum(net.fleet_sizes()))
+        if not listed.converged:
+            # the enumeration validates no face only where a unit's fleet is
+            # below the labeling walk's mass tolerance 1e-7 (1 + fleet
+            # mass): the walk then keeps no labeling with a free route
+            assert np.any(net.fleet_sizes() < 1e-7 * (1.0 + mass))
+            return
+        assert len(listed.solutions) == 1
+        np.testing.assert_allclose(listed.f_hat, certified.f_hat, rtol=0.0, atol=1e-6 * (1.0 + mass))
 
     @pytest.mark.parametrize("lam_hdv, lam_crv", [(-2.0, -1.0), (-1.0, -2.0), (0.5, -0.5)])
     def test_operator_keeps_the_dense_zeros(self, lam_hdv, lam_crv):
@@ -461,8 +498,9 @@ class TestSeparableCertificate:
             _assert_same_operator(FleetStrategy(lam_hdv, lam_crv), q, net)
 
     def test_min_rayleigh_reads_its_own_copy_of_q(self):
-        # the bound certifies this draw; min_rayleigh, computed when first
-        # read, is the one at q even though the caller's array has changed
+        # the slope rule certifies this draw; min_rayleigh, computed when
+        # first read, is the one at q even though the caller's array has
+        # changed
         h, net = route_ladder()[3]
         q = h + fleet_assign(FleetStrategy.preset("selfish"), h, net, certify=False).f
         expected = _pd_certificate(net.feasible_direction_basis(), net.route_gradient(q), DEFAULT_CONFIG.pd_rtol)
@@ -472,18 +510,51 @@ class TestSeparableCertificate:
         q[:] = q[::-1]
         assert _bits(pd.min_rayleigh) == _bits(expected.min_rayleigh)
 
-    def test_seed_2_ladder_draw_is_left_to_the_dense_test(self):
-        # instance seed 2, R = 100, draw 1: a route's slope is below the
-        # bound, so the dense test decides, and it refuses the certificate
+    def test_seed_2_ladder_draw_is_certified_by_the_slope_rule(self):
+        # instance seed 2, R = 100, draw 1: a route carrying 0.0104 has
+        # slope 1.3e-11, so the dense test refuses (min_rayleigh 3.7e-11
+        # under its threshold 8.3e-11); every slope is positive, so the rule
+        # certifies without an eigendecomposition, and the enumeration the
+        # dense test runs lists the certified f_hat as its only solution
         h, net = route_ladder(2)[10]
         selfish = FleetStrategy.preset("selfish")
         q = h + fleet_assign(selfish, h, net, certify=False).f
         with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
             pd = net.feasible_direction_pd(q, DEFAULT_CONFIG.pd_rtol)
-        assert eigvalsh.call_count == 1 and not pd.passes
-        result = solve_inverse(selfish, q, net)
-        assert not result.certificate.theorem_applies
-        _assert_same_inverse(result, _dense_inverse(selfish, q, net))
+            result = solve_inverse(selfish, q, net)
+        assert eigvalsh.call_count == 0 and pd.passes and result.certificate.theorem_applies
+        dense = _pd_certificate(net.feasible_direction_basis(), net.route_gradient(q), DEFAULT_CONFIG.pd_rtol)
+        assert not dense.passes and _bits(pd.min_rayleigh) == _bits(dense.min_rayleigh)
+        listed = _dense_inverse(selfish, q, net)
+        mass = float(np.sum(net.fleet_sizes()))
+        assert len(result.solutions) == len(listed.solutions) == 1
+        np.testing.assert_allclose(result.f_hat, listed.f_hat, rtol=0.0, atol=1e-9 * (1.0 + mass))
+
+    @pytest.mark.parametrize("passes", [True, False])
+    def test_link_level_rule_agrees_with_the_dense_jacobian_test(self, passes):
+        # on a separable network the link level decides by the route slopes
+        # N tau' at the observed link flow, without the realisable basis or
+        # an eigendecomposition (a refusal reads min_rayleigh, which runs
+        # them, for its reason); the dense test of the link jacobian on the
+        # realisable directions gives the same verdict and min_rayleigh.
+        # Two empty power-4 routes of one unit have zero slopes, so both
+        # refuse; the ladder's selfish equilibrium flows on every route
+        if passes:
+            h, net = route_ladder()[3]
+            q = h + fleet_assign(FleetStrategy.preset("selfish"), h, net, certify=False).f
+        else:
+            net = single_od_network([BPRDelay(2.0, 1.0, 30.0, 4.0), BPRDelay(3.0, 1.0, 40.0, 4.0),
+                                     AffineDelay(1.0, 0.1)], q_hdv=20.0, q_crv=10.0)
+            q = np.array([0.0, 0.0, 30.0])
+        a = net.route_to_link(q)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh, \
+                mock.patch.object(inverse, "_link_feasible_basis", wraps=inverse._link_feasible_basis) as basis:
+            result = inverse_link_flows(FleetStrategy.preset("selfish"), a, net)
+            assert eigvalsh.call_count == basis.call_count == (0 if passes else 1)
+            dense = _pd_certificate(inverse._link_feasible_basis(net), net.link_time_jacobian(a), DEFAULT_CONFIG.pd_rtol)
+        assert result.certificate.pd.passes == dense.passes == passes
+        assert result.certificate.theorem_applies == passes
+        assert _bits(result.certificate.min_rayleigh) == _bits(dense.min_rayleigh)
 
     def test_three_link_routes_agree_within_rounding(self):
         # a route's slope sums three link slopes: the diagonal's

@@ -595,8 +595,8 @@ SWEEP_SHA256 = {
     "link/ladder2/8": "3a07dd3303f86e91",
     "route/ladder2/9": "7b749714f11d8abe",
     "link/ladder2/9": "db39a850e8508aad",
-    "route/ladder2/10": "b5af2caeaaa362d2",
-    "link/ladder2/10": "309081e535c2a2dc",
+    "route/ladder2/10": "0005f866f4a24480",
+    "link/ladder2/10": "74cbccfa7d69c9c7",
     "route/ladder2/11": "e4576a2c453099b1",
     "link/ladder2/11": "594a63f6e9ba0ba3",
     "forward/overlap20": "da5e538582dc6a3f",
