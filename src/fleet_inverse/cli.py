@@ -172,7 +172,7 @@ def _run_inverse(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
 
 
 def _run_classify(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
-    result = classify_convexity(scenario.strategy, scenario.network, scenario.config.pd_rtol)
+    result = classify_convexity(scenario.strategy, scenario.network)
     rows = [
         {
             "lambda_hdv": scenario.strategy.lam_hdv,
@@ -187,12 +187,12 @@ def _run_certify(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     net = scenario.network
     h = _need(scenario, "hdv_route_flows", "hdv_route_flows")
     f = _need(scenario, "fleet_route_flows", "fleet_route_flows")
-    cert = certify_local_min(scenario.strategy, h, f, net, config=scenario.config)
+    cert = certify_local_min(scenario.strategy, h, f, net)
     q = np.asarray(h) + np.asarray(f)
-    pd = net.feasible_direction_pd(q, scenario.config.pd_rtol)
-    independence = net.routes_linearly_independent(scenario.config.rank_rtol)
+    pd = net.feasible_direction_pd(q)
+    independence = net.routes_linearly_independent()
     # the route flows sharing f's link flow and unit sums
-    fiber = inverse.route_fiber(net, net.route_to_link(np.asarray(f)), config=scenario.config)
+    fiber = inverse.route_fiber(net, net.route_to_link(np.asarray(f)))
     rows = [
         {
             "is_local_min": cert.is_local_min,
@@ -312,7 +312,7 @@ def _run_fiber(scenario: Scenario, args) -> tuple[list[dict], list[str]]:
     else:
         raise ScenarioError("missing-field", "$.observed", "fiber needs observed flows")
     phi = inverse.inverse_link_flows(scenario.strategy, observed, net, config=scenario.config).f_hat
-    fiber = inverse.route_fiber(net, phi, upper=q, config=scenario.config)
+    fiber = inverse.route_fiber(net, phi, upper=q)
     origin = f"fleet link flow recovered from observed {kind} flows"
     dim = fiber.dimension
     rows = []

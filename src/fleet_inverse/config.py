@@ -6,6 +6,10 @@ seed is its `simulation` section's (dynamics.SimulationConfig.seed), and the
 library's seeded functions take theirs as an argument, 0 by default.  Others
 are method constants, fixed in code and documented where used:
 
+* network.py: the relative thresholds PD_RTOL = 1e-9 of the dense
+  positive-definiteness tests (also of the forward's Newton cutoff, its
+  local-minimum test and the convexity classifier) and RANK_RTOL = 1e-9 of
+  the incidence's rank, so no setting decides a certificate;
 * forward.py: the projected-gradient target _TOL_PG = 1e-9, the tie window
   _TOL_TIE = 1e-9, the certificate's directional-derivative slack
   _TOL_DD = 1e-8, the window _TOL_DISTINCT = 1e-6 that tells minimizers
@@ -31,8 +35,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-# the counts and caps that have a lower bound (*_rtol and tol_* are finite
-# and positive)
+# the counts and caps that have a lower bound (tol_* are finite and positive)
 _MINIMUM = {"n_starts": 0, "vertex_cap": 1, "max_pg_iter": 1}
 
 
@@ -44,9 +47,6 @@ def _valid_seed(seed) -> bool:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    # rank / positive-definiteness gates (relative thresholds)
-    rank_rtol: float = 1e-9        # x largest singular value of the incidence matrix
-    pd_rtol: float = 1e-9          # x trace(sym gradient)/R
     # forward solvers
     n_starts: int = 20             # random multistart points (on top of vertices)
     vertex_cap: int = 20000        # refuse to enumerate more vertices or faces than this
@@ -57,7 +57,7 @@ class SolverConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             name, value = f.name, getattr(self, f.name)
-            if name.endswith("_rtol") or name.startswith("tol_"):
+            if name.startswith("tol_"):
                 if not (math.isfinite(value) and value > 0.0):
                     raise ValueError(f"{name} must be finite and positive, got {value!r}")
             elif name in _MINIMUM and value < _MINIMUM[name]:

@@ -30,7 +30,7 @@ from .errors import (
     FleetModelError,
     InfeasibleProblemError,
 )
-from .network import Network
+from .network import PD_RTOL, Network
 from .objective import (
     ConvexityKind,
     FleetStrategy,
@@ -332,8 +332,6 @@ def certify_local_min(
     h,
     f,
     network: Network,
-    *,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> Certificate:
     """First- and second-order test that f is a local minimizer of F(h, .)
     on the network's feasible set, from one gradient and at most one
@@ -345,7 +343,7 @@ def certify_local_min(
     (c the gradient centred per unit) is at least -tol_dd.  Second order:
     the pairs whose derivative lies within tol_dd of zero span the critical
     directions; on the zero-sum span of the routes they touch in each unit
-    the reduced Hessian may have no eigenvalue below -pd_rtol times its
+    the reduced Hessian may have no eigenvalue below -PD_RTOL times its
     largest |eigenvalue|, the cutoff of _newton_direction (no negative
     curvature on the critical cone, Nocedal and Wright 2006, Thm 12.5).
     The span contains that cone, so the test may reject a degenerate
@@ -358,10 +356,10 @@ def certify_local_min(
     and f is a finite point of the set (FeasibleSet.contains).
     """
     feasible = FeasibleSet.from_network(network)
-    return _certify(strategy, _flows(h, network.n_routes), f, network, feasible, config)
+    return _certify(strategy, _flows(h, network.n_routes), f, network, feasible)
 
 
-def _certify(strategy, h, f, network, feasible, config, point: _Point | None = None) -> Certificate:
+def _certify(strategy, h, f, network, feasible, point: _Point | None = None) -> Certificate:
     """certify_local_min at checked HDV flows h, its checks of f included,
     at f's point (evaluated here when None)."""
     f = np.asarray(f, dtype=float)
@@ -396,7 +394,7 @@ def _certify(strategy, h, f, network, feasible, config, point: _Point | None = N
             hess = np.diag(hess)
         q = _zero_sum_basis(faces, feasible.n_routes)
         w = np.linalg.eigvalsh(q.T @ hess @ q)
-        ok = w[0] >= -config.pd_rtol * float(np.max(np.abs(w)))
+        ok = w[0] >= -PD_RTOL * float(np.max(np.abs(w)))
     return Certificate(is_local_min=bool(ok), min_directional_derivative=min_dd)
 
 
@@ -428,7 +426,6 @@ def _newton_direction(
     route_grad: np.ndarray,
     p: np.ndarray,
     eps: float,
-    pd_rtol: float,
 ) -> np.ndarray | None:
     """Projected Newton direction on the free face (Bertsekas 1982).
 
@@ -445,7 +442,7 @@ def _newton_direction(
 
     A diagonal route_grad (see Network._route_gradient_form_at) gives
     a diagonal H.  When every free entry of a unit with two or more free
-    routes exceeds pd_rtol times the largest, H and b = grad + H d are
+    routes exceeds PD_RTOL times the largest, H and b = grad + H d are
     scaled by one power of 2 and each unit's free coordinates move by
     _separable_minimum(b_F, H_F, 0), the O(R) closed form.  By Cauchy
     interlacing every eigenvalue of the reduced Hessian then lies above the
@@ -468,11 +465,11 @@ def _newton_direction(
     if hess.ndim == 1:
         # H and b scaled by the power of 2 that brings the largest free
         # curvature into [0.5, 1): exact, and with subnormal strategy
-        # weights it keeps pd_rtol * max and 1 / H_F finite
+        # weights it keeps PD_RTOL * max and 1 / H_F finite
         curvature = hess[faces[0] if len(faces) == 1 else np.concatenate(faces)]
         exponent = -math.frexp(curvature.max())[1]
         curvature = np.ldexp(curvature, exponent)
-        if (curvature > pd_rtol * curvature.max()).all():
+        if (curvature > PD_RTOL * curvature.max()).all():
             b = np.ldexp(grad + hess * d, exponent)
             hess = np.ldexp(hess, exponent)
             for free in faces:
@@ -481,7 +478,7 @@ def _newton_direction(
         hess = np.diag(hess)
     q = _zero_sum_basis(faces, feasible.n_routes)
     w, v = np.linalg.eigh(q.T @ hess @ q)
-    cutoff = pd_rtol * float(np.max(np.abs(w)))
+    cutoff = PD_RTOL * float(np.max(np.abs(w)))
     if w[0] < -cutoff:
         return None
     keep = w > cutoff
@@ -565,7 +562,7 @@ def _descend(
         stationary = residual <= _TOL_PG * (1.0 + float(np.abs(grad).max()))
         d = _newton_direction(
             strategy, here, network, feasible, f, grad, route_grad, p,
-            min(1e-7 * scale, residual), config.pd_rtol,
+            min(1e-7 * scale, residual),
         )
         if d is not None and float(np.abs(d).max()) <= 1e-13 * scale:
             # at rounding level: taken whole only at a stationary point
@@ -607,7 +604,7 @@ def solve_convex(
     feasible = FeasibleSet.from_network(network)
     f0 = feasible.project(np.full(feasible.n_routes, feasible.total_mass / max(1, feasible.n_routes)))
     f, iterations, converged, point = _descend(strategy, h, network, feasible, f0, config)
-    cert = _certify(strategy, h, f, network, feasible, config, point) if certify else None
+    cert = _certify(strategy, h, f, network, feasible, point) if certify else None
     return AssignmentResult(
         f=f,
         objective=point.value,
@@ -673,7 +670,7 @@ def _corner_solver(
         # the tied rows in canonical order, copied
         ties = sorted(_ties(values), key=lambda i: tuple(-vertices[i]))
         tied = tuple(vertices[ties])
-        cert = certify_local_min(strategy, h, tied[0], network, config=config) if certify else None
+        cert = certify_local_min(strategy, h, tied[0], network) if certify else None
         return AssignmentResult(
             f=tied[0],
             objective=values[ties[0]],
@@ -725,7 +722,7 @@ def solve_general(
     )
     kept = sorted(_distinct(points, 1.0 + feasible.total_mass), key=lambda i: finals[i].value)
     best = kept[0]
-    cert = _certify(strategy, h, points[best], network, feasible, config, finals[best]) if certify else None
+    cert = _certify(strategy, h, points[best], network, feasible, finals[best]) if certify else None
     return AssignmentResult(
         f=points[best],
         objective=finals[best].value,
@@ -753,7 +750,7 @@ def _assigner(
             )
         return empty
 
-    kind = _convexity_kind(strategy, network, config.pd_rtol)
+    kind = _convexity_kind(strategy, network)
     if kind is ConvexityKind.CONVEX_EVERYWHERE:
         return lambda h, seed, certify: solve_convex(strategy, h, network, config=config, certify=certify)
     if kind is ConvexityKind.CONCAVE_EVERYWHERE:

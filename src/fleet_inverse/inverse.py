@@ -21,10 +21,10 @@ the route solution.
 
 Both levels run one driver (_recover).  Each entry point validates its
 observation and assembles its feasible set, its operator and its
-positive-definiteness test (Network.feasible_direction_pd at the route
-level; at the link level the slope rule on separable networks, else
-network._pd_certificate on its basis and jacobian); _recover does the
-rest, with one method for each class of VI.
+positive-definiteness test (Network._pd_test at both levels: the slope
+rule on the private slopes of a link-additive network, else the dense test
+on the route gradient or the link-time jacobian); _recover does the rest,
+with one method for each class of VI.
 Both levels build B = L G^T (_slope_operator) in the form of the route
 gradient G that Network._route_gradient_form_at decides at the observed
 flow, (R,) or (R, R), and (R,) at L = 0; every step reads it from b.
@@ -75,7 +75,7 @@ from .errors import (
     NotRealisableError,
 )
 from .forward import FeasibleSet, _assigner, _distinct, _flows, _seeded, _separable_minimum, bounded_factors
-from .network import Network, PDCertificate, _pd_certificate, _restricted_min_eigenvalue, _slopes_pd_certificate
+from .network import RANK_RTOL, Network, PDCertificate, _pd_certificate, _restricted_min_eigenvalue
 from .objective import FleetStrategy
 
 __all__ = [
@@ -616,13 +616,14 @@ def _face_solutions(
 
 
 # the certificate's reasons at each level: the margin is not positive; the
-# gradient is not positive definite (formatted with its min_rayleigh); the
-# theorem applies
+# gradient is not positive definite (formatted with the test pd, whose
+# min_rayleigh, which may cost an eigendecomposition, only the route level
+# shows); the theorem applies
 _ROUTE_REASONS = (
     "margin lam_crv - lam_hdv is not positive; the assignment operator "
     "is not invertible for this strategy",
     "travel-time gradient is not positive definite on feasible "
-    "directions (min pair-swap eigenvalue {:.3g})",
+    "directions (min pair-swap eigenvalue {pd.min_rayleigh:.3g})",
     "margin positive and travel-time gradient positive definite on feasible directions",
 )
 _LINK_REASONS = (
@@ -640,7 +641,7 @@ def _certificate(
     if margin <= MARGIN_EPS:
         applies, reason = False, reasons[0]
     elif not pd.passes:
-        applies, reason = False, reasons[1].format(pd.min_rayleigh)
+        applies, reason = False, reasons[1].format(pd=pd)
     else:
         applies, reason = True, reasons[2]
     return UniquenessCertificate(theorem_applies=applies, reason=reason, pd=pd, margin=margin)
@@ -756,15 +757,16 @@ def solve_inverse(
     q = _flows(q, network.n_routes, "observed flows")
     feasible = FeasibleSet.from_network(network, upper=q)
     x, t = network._link_flows_and_times(q)
-    grad = network._route_gradient_form_at(x)
-    pd = network._feasible_direction_pd_at(q, grad, config.pd_rtol)
+    slopes = network.delay_table.derivatives(x)
+    grad = network._route_gradient_form(slopes)
+    pd = network._feasible_direction_pd_at(q, grad, slopes)
     a0, b = _route_operator(strategy, q, t, grad)
 
     def fiber(f_hat: np.ndarray) -> FiberResult | None:
-        if network.routes_linearly_independent(config.rank_rtol).independent:
+        if network.routes_linearly_independent().independent:
             return None
         try:
-            return route_fiber(network, network.route_to_link(f_hat), upper=q, config=config)
+            return route_fiber(network, network.route_to_link(f_hat), upper=q)
         except NotRealisableError:
             return None
 
@@ -799,10 +801,10 @@ def inverse_link_flows(
     are exactly the images of feasible route flows, a convex set); the
     returned link flow is unique whenever the margin is positive and the
     link-time jacobian is positive definite on realisable directions, even
-    if several route flows realize it.  On a separable network that test
-    is the route level's slope rule on the route slopes g = N tau' at a
-    (u = N^T v has u^T J u = sum_r g_r v_r^2, and u = 0 only at v = 0),
-    min_rayleigh the dense test's, computed when read.  Otherwise
+    if several route flows realize it.  That test is the route level's
+    (Network._pd_test) on the link slopes and jacobian at a; its slope
+    rule's refusal is exact on a separable network, where u = N^T v
+    vanishes only at v = 0.  Where the certificate fails,
     `solutions` holds the link images of the face solutions, as in
     solve_inverse (FleetModelError above config.vertex_cap partitions).  It
     draws no random numbers, so it takes no seed.
@@ -817,7 +819,7 @@ def inverse_link_flows(
     # a must be the link image of some route flow holding each unit's demand
     demands = np.array([u.q_hdv + u.q_crv for u in network.units_or_raise()])
     demand_set = FeasibleSet(blocks=feasible.blocks, totals=demands, n_routes=network.n_routes)
-    nearest = _fiber(network, a, demand_set, config)
+    nearest = _fiber(network, a, demand_set)
     if nearest.residual > 1e-6 * (1.0 + float(np.max(np.abs(a)))):
         raise NotRealisableError(
             f"no feasible route flow reproduces the observed link flow "
@@ -827,16 +829,12 @@ def inverse_link_flows(
     tau = network.link_travel_times(a)
     jac = network.link_time_jacobian(a)
     a0 = network.incidence @ (strategy.lam_crv * tau + jac.T @ (strategy.lam_hdv * a))
-    grad = network._route_gradient_form_at(a)
+    slopes = network.delay_table.derivatives(a)
+    grad = network._route_gradient_form(slopes)
     b = _slope_operator(strategy.margin, grad)
-
-    def dense() -> PDCertificate:
-        return _pd_certificate(_link_feasible_basis(network), jac, config.pd_rtol)
-
-    if network.separable:
-        pd = _slopes_pd_certificate(grad, network.unit_blocks(), lambda: dense().min_rayleigh)
-    else:
-        pd = dense()
+    pd = network._pd_test(
+        grad, slopes, lambda: _pd_certificate(_link_feasible_basis(network), jac), exact=network.separable
+    )
     return _recover(
         "link", a, a0, b, feasible, float(np.linalg.norm(tau)),
         _certificate(strategy.margin, pd, _LINK_REASONS), config, image=network.route_to_link,
@@ -890,12 +888,7 @@ def _least_distance(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     return -r[:k] / r[k]
 
 
-def route_fiber(
-    network: Network,
-    phi,
-    upper=None,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> FiberResult:
+def route_fiber(network: Network, phi, upper=None) -> FiberResult:
     """All feasible route flows mapping to the link flow phi: route flows
     holding each unit's fleet size q_crv, within the caps upper when given.
 
@@ -915,7 +908,7 @@ def route_fiber(
         raise InfeasibleProblemError("link flow must be finite")
     # FeasibleSet checks the caps
     feasible = FeasibleSet.from_network(network, upper=upper)
-    fiber = _fiber(network, phi, feasible, config)
+    fiber = _fiber(network, phi, feasible)
     tol = 1e-7 * (1.0 + float(np.linalg.norm(np.concatenate([phi, feasible.totals]))))
     if fiber.residual > tol:
         raise NotRealisableError(
@@ -925,7 +918,7 @@ def route_fiber(
     return fiber
 
 
-def _fiber(network: Network, phi: np.ndarray, feasible: FeasibleSet, config: SolverConfig) -> FiberResult:
+def _fiber(network: Network, phi: np.ndarray, feasible: FeasibleSet) -> FiberResult:
     """route_fiber's fiber for a finite link flow phi over the route flows
     of `feasible`, whatever its residual."""
     blocks, totals = feasible.blocks, feasible.totals
@@ -944,7 +937,7 @@ def _fiber(network: Network, phi: np.ndarray, feasible: FeasibleSet, config: Sol
     f_p, *_ = np.linalg.lstsq(e, target, rcond=None)
 
     _, s_vals, vt = np.linalg.svd(e)
-    rank = int(np.sum(s_vals > config.rank_rtol * (s_vals[0] if s_vals.size else 1.0)))
+    rank = int(np.sum(s_vals > RANK_RTOL * (s_vals[0] if s_vals.size else 1.0)))
     basis = vt[rank:].T  # (R, k) orthonormal
 
     k = basis.shape[1]

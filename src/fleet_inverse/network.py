@@ -25,7 +25,6 @@ from typing import Callable, ClassVar, Mapping, Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
 from .errors import (
     DelayDomainError,
     DimensionMismatchError,
@@ -392,14 +391,14 @@ class PDCertificate:
     (one vehicle moved between two routes, direction (1, -1)) has unit
     scale.  +inf marks a vacuous pass (no feasible direction exists).  It
     is computed the first time it is read, by `rayleigh` (a function of no
-    arguments), and kept: the slope rule (_slopes_pd_certificate), which
+    arguments), and kept: the slope rule (Network._pd_test), which
     decides without it, leaves the eigendecomposition to the callers that
     read it.  Two threads reading it first at once may both compute it, to
     the same bits.
 
-    threshold is what `passes` compared with: pd_rtol * |trace| / n, which
+    threshold is what `passes` compared with: PD_RTOL * |trace| / n, which
     the dense test's min_rayleigh must exceed (0 on a vacuous pass), or 0,
-    the slope rule's bound on every slope; a rule pass may read a
+    the slope rule's bound on every private slope; a rule pass may read a
     min_rayleigh at or below 0 where rounding hides a tiny eigenvalue.
     """
 
@@ -420,36 +419,28 @@ def _restricted_min_eigenvalue(basis: np.ndarray, grad: np.ndarray):
     return float(value) if value.ndim == 0 else value
 
 
-def _pd_certificate(basis: np.ndarray, grad: np.ndarray, pd_rtol: float) -> PDCertificate:
+# relative thresholds of the dense positive-definiteness test (x |trace| / n)
+# and of the incidence's rank (x its largest singular value), fixed in code:
+# no setting decides a certificate
+PD_RTOL = 1e-9
+RANK_RTOL = 1e-9
+
+
+def _pd_certificate(basis: np.ndarray, grad: np.ndarray) -> PDCertificate:
     """Positive definiteness of the (n, n) gradient grad on the span of the
     orthonormal columns of basis: twice its least restricted eigenvalue
-    against pd_rtol * |trace| / n.  The dense test behind both inverse
-    certificates: the route gradient on feasible directions, and the
-    link-time jacobian on realisable ones."""
+    against PD_RTOL * |trace| / n.  The dense test of both inverse
+    certificates where the slope rule does not decide (Network._pd_test)."""
     if basis.shape[1] == 0:
         return PDCertificate(passes=True, threshold=0.0, rayleigh=lambda: math.inf)
     # a unit pair swap (1, -1) has unit scale: twice the unit-norm quotient
     min_rayleigh = 2.0 * _restricted_min_eigenvalue(basis, grad)
-    threshold = pd_rtol * abs(np.trace(grad)) / grad.shape[0]
+    threshold = PD_RTOL * abs(np.trace(grad)) / grad.shape[0]
     return PDCertificate(
         passes=bool(min_rayleigh > threshold),
         threshold=float(threshold),
         rayleigh=lambda: min_rayleigh,
     )
-
-
-def _slopes_pd_certificate(slopes: np.ndarray, blocks, rayleigh: Callable[[], float]) -> PDCertificate:
-    """Positive definiteness of diag(slopes) on the directions that sum to
-    zero inside every block, decided exactly: it passes when no slope is
-    negative and no block has two zero slopes.  Then sum_r slopes_r v_r^2
-    vanishes only where v is carried by zero slopes, and a nonzero
-    direction of zero sum inside each block needs two routes of one block.
-    A negative or NaN slope fails it, whatever the other slopes.  The rule
-    behind both inverse certificates on a diagonal gradient; min_rayleigh
-    is rayleigh's, computed when first read."""
-    zero = slopes == 0.0
-    passes = bool(np.all(slopes >= 0.0)) and all(np.count_nonzero(zero[block]) < 2 for block in blocks)
-    return PDCertificate(passes=passes, threshold=0.0, rayleigh=rayleigh)
 
 
 def _positions(idx: list[int]):
@@ -618,7 +609,7 @@ class Network:
     is link-additive and no shared link (on two or more routes) has slope,
     it is diagonal, and so are the objective's Hessian and the inverse
     operator, which then run on the route slopes N tau' in O(R)
-    (_route_gradient_form_at decides); on a separable network, at every flow.
+    (_route_gradient_form decides); on a separable network, at every flow.
 
     Parameters
     ----------
@@ -788,34 +779,37 @@ class Network:
         return grad if self._cross_term is None else grad + self._cross_term
 
     def _route_gradient_form_at(self, a: np.ndarray) -> np.ndarray:
-        """The route gradient at the route flows whose link flows are a, in
-        the one form the objective and both inverse levels carry it, from one
-        slope evaluation: the route slopes N tau' (R,) where no shared link
-        has slope at a, the matrix otherwise.  A separable network skips the test."""
-        slopes = self.delay_table.derivatives(a)
+        """_route_gradient_form at the link flows a, from one slope evaluation."""
+        return self._route_gradient_form(self.delay_table.derivatives(a))
+
+    def _route_gradient_form(self, slopes: np.ndarray) -> np.ndarray:
+        """The route gradient from the link slopes tau' at its link flows, in
+        the one form the objective and both inverse levels carry it: the
+        route slopes N tau' (R,) where no shared link has slope, the matrix
+        otherwise.  A separable network skips the test."""
         if self.separable or (self.link_additive and not np.count_nonzero(slopes[self._shared])):
             return _rowwise(self.incidence, slopes)
         return self._route_gradient_at(slopes)
 
     # -- structure certificates ------------------------------------------------
 
-    def routes_linearly_independent(self, rank_rtol: float = DEFAULT_CONFIG.rank_rtol) -> LinearIndependence:
+    def routes_linearly_independent(self) -> LinearIndependence:
         """Rank test of the incidence matrix via singular values: routes are
-        independent when every singular value exceeds rank_rtol times the
+        independent when every singular value exceeds RANK_RTOL times the
         largest.
 
         When dependent, returns an orthonormal basis of route-space vectors
         whose induced link flows vanish.  Where every route has a link no
         other route uses, the least singular value is at least 1 and the
         largest at most sqrt(|N|_1 |N|_inf) (Golub and Van Loan, section
-        2.3): when rank_rtol times that bound is below 1, no SVD runs.
+        2.3): when RANK_RTOL times that bound is below 1, no SVD runs.
         """
-        if rank_rtol * self._singular_bound < 1.0:
+        if RANK_RTOL * self._singular_bound < 1.0:
             basis = np.zeros((self.n_routes, 0))
             basis.setflags(write=False)
             return LinearIndependence(independent=True, null_basis=basis)
         u, s, _ = np.linalg.svd(self.incidence, full_matrices=True)
-        threshold = rank_rtol * (s[0] if s.size else 0.0)
+        threshold = RANK_RTOL * (s[0] if s.size else 0.0)
         rank = int(np.sum(s > threshold))
         basis = u[:, rank:].copy()
         basis.setflags(write=False)
@@ -846,31 +840,46 @@ class Network:
             return math.inf
         return _restricted_min_eigenvalue(basis, self.route_gradient(q))
 
-    def feasible_direction_pd(self, q, pd_rtol: float = DEFAULT_CONFIG.pd_rtol) -> PDCertificate:
+    def feasible_direction_pd(self, q) -> PDCertificate:
         """Positive definiteness of the travel-time gradient on feasible
-        directions, the gate for inverse uniqueness.
-
-        Where the gradient is diag(g), g the route slopes (see
-        _route_gradient_form_at), the test is exact: it passes when no
-        slope is negative and no unit has two zero slopes
-        (_slopes_pd_certificate), with no eigendecomposition.  Any other
-        gradient runs the dense test, twice its least eigenvalue on
-        feasible directions (min_rayleigh) against pd_rtol * |trace| / R.
-        Either way min_rayleigh is that dense value, computed when first
-        read (see PDCertificate); pd_rtol sets only the dense test.
-        """
+        directions, the gate for inverse uniqueness (_pd_test): the slope
+        rule on the private slopes, exact on a diagonal gradient, else twice
+        the least eigenvalue on feasible directions (min_rayleigh) against
+        PD_RTOL * |trace| / R.  min_rayleigh is always that dense value,
+        computed when first read (see PDCertificate)."""
         q = self._check_dim(q, "route", batch=False)
-        a = self._route_to_link_at(q)
-        return self._feasible_direction_pd_at(q, self._route_gradient_form_at(a), pd_rtol)
+        slopes = self.delay_table.derivatives(self._route_to_link_at(q))
+        return self._feasible_direction_pd_at(q, self._route_gradient_form(slopes), slopes)
 
-    def _feasible_direction_pd_at(self, q: np.ndarray, grad: np.ndarray, pd_rtol: float) -> PDCertificate:
+    def _feasible_direction_pd_at(self, q: np.ndarray, grad: np.ndarray, slopes: np.ndarray) -> PDCertificate:
         """feasible_direction_pd at the route flow q of the right shape from
-        its route gradient grad, as _route_gradient_form_at gives it."""
-        if grad.ndim == 1:
-            q = q.copy()  # a caller may change its array before the first read
-            return _slopes_pd_certificate(grad, self.unit_blocks(), lambda: 2.0 * self.restricted_min_eigenvalue(q))
-        # without a unit of two routes the basis is empty and grad unread
-        return _pd_certificate(self.feasible_direction_basis(), grad, pd_rtol)
+        its link slopes and the route gradient grad formed from them."""
+        q = q.copy()  # a caller may change its array before the first read
+
+        def dense() -> PDCertificate:
+            # without a unit of two routes the basis is empty and the gradient unread
+            matrix = self.route_gradient(q) if grad.ndim == 1 else grad
+            return _pd_certificate(self.feasible_direction_basis(), matrix)
+
+        return self._pd_test(grad, slopes, dense, exact=grad.ndim == 1)
+
+    def _pd_test(self, grad, slopes, dense: Callable[[], PDCertificate], exact: bool) -> PDCertificate:
+        """Positive definiteness of the route gradient G (grad, formed from
+        the link slopes) on feasible directions, or of the link-time
+        jacobian on realisable ones (u = N^T v has u^T J u = v^T G v).  With
+        no shared link of negative slope G >= diag(p), p_r the summed slope
+        of the links route r uses alone (grad where diagonal), so the slope
+        rule passes where no p_r is negative or NaN and no unit has two zero
+        entries (a nonzero zero-sum direction needs two routes of one unit).
+        Where it fails, its refusal stands when `exact`; otherwise, and off
+        link-additive networks, dense() decides.  min_rayleigh is always
+        dense()'s, computed when first read."""
+        if self.separable or (self.link_additive and np.all(slopes[self._shared] >= 0.0)):
+            p = grad if grad.ndim == 1 else _rowwise(self.incidence, np.where(self._shared, 0.0, slopes))
+            passes = bool(np.all(p >= 0.0)) and all(np.count_nonzero(p[b] == 0.0) < 2 for b in self.unit_blocks())
+            if passes or exact:
+                return PDCertificate(passes=passes, threshold=0.0, rayleigh=lambda: dense().min_rayleigh)
+        return dense()
 
 
 def single_od_network(

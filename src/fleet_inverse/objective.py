@@ -20,9 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
 from .errors import DimensionMismatchError, UnsupportedDelayError
-from .network import Network
+from .network import PD_RTOL, Network
 
 __all__ = [
     "FleetStrategy",
@@ -264,7 +263,7 @@ def _mixed_sign_power_kind(strategy: FleetStrategy, gammas: list[float]) -> Conv
     return ConvexityKind.INDEFINITE
 
 
-def _quadratic_kind(strategy: FleetStrategy, network: Network, pd_rtol: float) -> ConvexityKind:
+def _quadratic_kind(strategy: FleetStrategy, network: Network) -> ConvexityKind:
     """Class of a quadratic objective from the eigenvalues of its constant
     Hessian restricted to the feasible directions (every direction when the
     network declares no OD units)."""
@@ -275,7 +274,7 @@ def _quadratic_kind(strategy: FleetStrategy, network: Network, pd_rtol: float) -
     else:
         basis = network.feasible_direction_basis()
     eig = np.linalg.eigvalsh(basis.T @ hess @ basis)
-    threshold = pd_rtol * abs(np.trace(hess)) / network.n_routes
+    threshold = PD_RTOL * abs(np.trace(hess)) / network.n_routes
     if eig.size == 0 or eig[0] > threshold:
         return ConvexityKind.CONVEX_EVERYWHERE
     if eig[-1] <= threshold:
@@ -283,9 +282,7 @@ def _quadratic_kind(strategy: FleetStrategy, network: Network, pd_rtol: float) -
     return ConvexityKind.INDEFINITE
 
 
-def classify_convexity(
-    strategy: FleetStrategy, network: Network, pd_rtol: float = DEFAULT_CONFIG.pd_rtol
-) -> ConvexityClass:
+def classify_convexity(strategy: FleetStrategy, network: Network) -> ConvexityClass:
     """Classify F(h, .) from the network's structure: over the whole
     non-negative orthant for link-additive networks, and along the feasible
     directions of the OD units for affine and cross-affine ones.
@@ -301,7 +298,7 @@ def classify_convexity(
       concave, mixed signs indefinite.
     * Affine and cross-affine networks: the objective is quadratic; its
       Hessian restricted to feasible directions is convex when its smallest
-      eigenvalue exceeds pd_rtol * |trace| / R, concave when its largest
+      eigenvalue exceeds PD_RTOL * |trace| / R, concave when its largest
       does not (this includes lam_crv = 0, a linear objective), and
       indefinite otherwise.
     * Anything else is indefinite: no global certificate applies.
@@ -309,7 +306,7 @@ def classify_convexity(
     per_link is empty outside the power family.
     """
     per_link = _curvature_data(strategy, network) if _power_family(network) else ()
-    return ConvexityClass(kind=_convexity_kind(strategy, network, pd_rtol), per_link=per_link)
+    return ConvexityClass(kind=_convexity_kind(strategy, network), per_link=per_link)
 
 
 def _power_family(network: Network) -> bool:
@@ -320,7 +317,7 @@ def _power_family(network: Network) -> bool:
     )
 
 
-def _convexity_kind(strategy: FleetStrategy, network: Network, pd_rtol: float) -> ConvexityKind:
+def _convexity_kind(strategy: FleetStrategy, network: Network) -> ConvexityKind:
     """classify_convexity's kind alone, without the per-link rows."""
     delays = [link.delay for link in network.links]
     if _power_family(network):
@@ -328,7 +325,7 @@ def _convexity_kind(strategy: FleetStrategy, network: Network, pd_rtol: float) -
     if network.link_additive and all(d.convex_nondecreasing for d in delays):
         return _sign_definite_kind(strategy) or ConvexityKind.INDEFINITE
     if all(d.affine_in_flows for d in delays):
-        return _quadratic_kind(strategy, network, pd_rtol)
+        return _quadratic_kind(strategy, network)
     return ConvexityKind.INDEFINITE
 
 

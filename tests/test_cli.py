@@ -605,7 +605,7 @@ class TestTypedSections:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("tol_p", -1.0), ("tol_vi", 0.0), ("pd_rtol", -1e-9), ("ue_tol", 0.0), ("mixture_grid", 0),
+        [("tol_p", -1.0), ("tol_vi", 0.0), ("tol_vi", -1e-9), ("ue_tol", 0.0), ("mixture_grid", 0),
          ("mixture_grid", 1), ("n_starts", -1), ("discrete_starts", -1),
          ("vertex_cap", -1), ("vertex_cap", 0), ("max_pg_iter", 0), ("max_vi_iter", -1),
          ("max_outer_iter", 0), ("armijo_factor", 1.0), ("armijo_c1", 0.0),
@@ -671,15 +671,18 @@ class TestTypedSections:
 
     def test_deleted_certificate_knobs_exit_parse(self, tmp_path, capsys):
         # the certificate samples no directions and takes no finite
-        # differences: a scenario still setting its two knobs exits 2
+        # differences, and its positive-definiteness and rank thresholds
+        # are fixed in code: a scenario still setting one of these knobs,
+        # even to its former default, exits 2
         doc = load_doc("two_route_asymmetric")
-        doc["tolerances"] = {"n_dirs": 50, "tol_curv": 1e-8}
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(doc))
-        assert main(["certify", "--scenario", str(path), "--out", "-"]) == EXIT_PARSE
-        err = capsys.readouterr().err
-        assert "error[parse]: bad-value at $.tolerances:" in err
-        assert "unknown tolerance fields: ['n_dirs', 'tol_curv']" in err
+        for knobs in ({"n_dirs": 50, "tol_curv": 1e-8}, {"pd_rtol": 1e-9}, {"rank_rtol": 1e-9}):
+            doc["tolerances"] = knobs
+            path.write_text(json.dumps(doc))
+            assert main(["certify", "--scenario", str(path), "--out", "-"]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert "error[parse]: bad-value at $.tolerances:" in err
+            assert f"unknown tolerance fields: {sorted(knobs)}" in err
 
     @pytest.mark.parametrize(
         "key,value",

@@ -629,7 +629,7 @@ class TestWorkCounters:
         h, net = sc.hdv_route_flows, sc.network
         result = fleet_assign(sc.strategy, h, net, config=sc.config)
         assert result.trace.method == "projected_gradient" and len(calls) == 6
-        assert result.certificate == certify_local_min(sc.strategy, h, result.f, net, config=sc.config)
+        assert result.certificate == certify_local_min(sc.strategy, h, result.f, net)
         h, net = route_ladder()[0]
         result = fleet_assign(DISRUPTIVE, h, net)
         assert result.trace.method == "multistart_projected_gradient"
@@ -912,13 +912,13 @@ class TestCertify:
         sc = parse_scenario(fixture_path(name))
         h = sc.hdv_route_flows
         f = fleet_assign(sc.strategy, h, sc.network, config=sc.config).f
-        base = certify_local_min(sc.strategy, h, f, sc.network, config=sc.config)
+        base = certify_local_min(sc.strategy, h, f, sc.network)
         assert abs(base.min_directional_derivative) <= 1e-12
         for r in range(len(f)):
             for toward in (-np.inf, np.inf):
                 g = f.copy()
                 g[r] = np.nextafter(g[r], toward)
-                cert = certify_local_min(sc.strategy, h, g, sc.network, config=sc.config)
+                cert = certify_local_min(sc.strategy, h, g, sc.network)
                 moved = abs(cert.min_directional_derivative - base.min_directional_derivative)
                 assert moved <= 1e-12
 

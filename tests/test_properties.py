@@ -266,31 +266,32 @@ class TestConfigValidation:
     def test_unknown_field_rejected(self):
         # the deleted thread and certificate knobs and the fixed method
         # constants included
-        for name in ("no_such_field", "max_threads", "n_dirs", "tol_curv") + FIXED_CONSTANTS:
+        for name in ("no_such_field", "max_threads", "n_dirs", "tol_curv", "pd_rtol", "rank_rtol") + FIXED_CONSTANTS:
             with pytest.raises(ValueError, match="unknown tolerance fields"):
                 DEFAULT_CONFIG.replace(**{name: 1})
 
     def test_the_settable_fields(self):
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "rank_rtol", "pd_rtol", "n_starts", "vertex_cap", "max_pg_iter", "tol_vi",
+            "n_starts", "vertex_cap", "max_pg_iter", "tol_vi",
         ]
 
     def test_signature_defaults_are_the_config_defaults(self):
         # a parameter named after a SolverConfig field defaults to
         # DEFAULT_CONFIG's value (or to None, for "the config's"), so no
-        # default is written twice
+        # default is written twice; and no function takes the deleted
+        # certificate thresholds, now constants of network.py
         fields = {f.name for f in dataclasses.fields(SolverConfig)}
-        seen = []
+        names = set()
         for module in (network, objective, forward, inverse, stackelberg, dynamics, scenario):
             callables = [v for v in vars(module).values() if inspect.isfunction(v) and v.__module__ == module.__name__]
             for cls in (v for v in vars(module).values() if inspect.isclass(v) and v.__module__ == module.__name__):
                 callables += [v for v in vars(cls).values() if inspect.isfunction(v)]
             for fn in callables:
                 for name, param in inspect.signature(fn).parameters.items():
+                    names.add(name)
                     if name in fields and param.default not in (inspect.Parameter.empty, None):
-                        seen.append(fn.__qualname__)
                         assert param.default == getattr(DEFAULT_CONFIG, name), (fn.__qualname__, name)
-        assert {"Network.routes_linearly_independent", "Network.feasible_direction_pd", "classify_convexity"} <= set(seen)
+        assert "config" in names and not names & {"pd_rtol", "rank_rtol"}
 
     def test_every_field_is_read(self):
         # a SolverConfig field that no module outside config.py reads is a

@@ -30,7 +30,7 @@ from fleet_inverse import (
 )
 from fleet_inverse import forward, inverse
 from fleet_inverse.config import DEFAULT_CONFIG
-from fleet_inverse.network import PDCertificate, _pd_certificate
+from fleet_inverse.network import PD_RTOL, RANK_RTOL, PDCertificate, _pd_certificate
 from fleet_inverse.objective import _evaluate, _gradient_in_f, _hessian_in_f
 from fleet_inverse.scenario import fixture_path, parse_scenario
 from conftest import overlapping_routes, route_ladder
@@ -181,8 +181,7 @@ class TestSeparableFlag:
 
 
 class TestIndependence:
-    @pytest.mark.parametrize("rank_rtol", [1e-9, 0.5, 0.6, 1.0])
-    def test_flag_and_basis_match_the_svd(self, rank_rtol):
+    def test_flag_and_basis_match_the_svd(self):
         # where every route has a link of its own the flag needs no SVD
         # below the structural bound; where the bound does not decide, the
         # SVD still does and gives the null basis.  Every fixture, every
@@ -195,8 +194,8 @@ class TestIndependence:
         networks += [_separable_instance(rng, [3, 2], False)[0] for _ in range(5)]
         for net in networks:
             s = np.linalg.svd(net.incidence, compute_uv=False)
-            rank = int(np.sum(s > rank_rtol * s[0]))
-            result = net.routes_linearly_independent(rank_rtol)
+            rank = int(np.sum(s > RANK_RTOL * s[0]))
+            result = net.routes_linearly_independent()
             assert result.independent == (rank == net.n_routes)
             assert result.null_basis.shape == (net.n_routes, net.n_routes - rank)
 
@@ -271,13 +270,13 @@ class TestClosedForms:
         eps = 1e-7 * (1.0 + feasible.total_mass)
         args = (strategy, point, net, feasible, f, grad)
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-            closed = forward._newton_direction(*args, slopes, p, eps, DEFAULT_CONFIG.pd_rtol)
-        dense = forward._newton_direction(*args, np.diag(slopes), p, eps, DEFAULT_CONFIG.pd_rtol)
+            closed = forward._newton_direction(*args, slopes, p, eps)
+        dense = forward._newton_direction(*args, np.diag(slopes), p, eps)
         # a positive definite face takes the closed form; on a face left to
         # the eigendecomposition the two Hessians differ in rounding only
         # (2 lam G against lam (G + G^T))
         hess = _hessian_in_f(strategy, point, net, slopes)
-        if convex and np.all(hess > DEFAULT_CONFIG.pd_rtol * np.max(hess)):
+        if convex and np.all(hess > PD_RTOL * np.max(hess)):
             assert eigh.call_count == 0
         if closed is None or dense is None:
             assert closed is None and dense is None
@@ -350,7 +349,7 @@ def _dense_inverse(strategy, q, net, config=DEFAULT_CONFIG, pd=None):
     feasible = FeasibleSet.from_network(net, upper=q)
     grad, t = net.route_gradient(q), net.route_times(q)
     if pd is None:
-        pd = _pd_certificate(net.feasible_direction_basis(), grad, config.pd_rtol)
+        pd = _pd_certificate(net.feasible_direction_basis(), grad)
     a0, _ = inverse._route_operator(strategy, q, t, grad)
     b = np.diagonal(strategy.margin * grad.T)
     certificate = inverse._certificate(strategy.margin, pd, inverse._ROUTE_REASONS)
@@ -429,8 +428,8 @@ class TestSeparableCertificate:
         net, q = _observed_separable(rng, sizes, signalized)
         assert net.separable
         grad = net.route_gradient(q)
-        pd = net.feasible_direction_pd(q, DEFAULT_CONFIG.pd_rtol)
-        dense = _pd_certificate(net.feasible_direction_basis(), grad, DEFAULT_CONFIG.pd_rtol)
+        pd = net.feasible_direction_pd(q)
+        dense = _pd_certificate(net.feasible_direction_basis(), grad)
         assert pd.passes == _slopes_pass(np.diagonal(grad), net.unit_blocks())
         assert pd.passes or not dense.passes
         assert _bits(pd.min_rayleigh) == _bits(dense.min_rayleigh)
@@ -463,8 +462,8 @@ class TestSeparableCertificate:
         rng = np.random.default_rng(seed)
         net, q = _observed_separable(rng, sizes, signalized)
         grad = net.route_gradient(q)
-        pd = net.feasible_direction_pd(q, DEFAULT_CONFIG.pd_rtol)
-        dense = _pd_certificate(net.feasible_direction_basis(), grad, DEFAULT_CONFIG.pd_rtol)
+        pd = net.feasible_direction_pd(q)
+        dense = _pd_certificate(net.feasible_direction_basis(), grad)
         if dense.min_rayleigh > dense.threshold + _rounding_allowance(np.diagonal(grad)):
             assert pd.passes
         if pd.passes == dense.passes:
@@ -503,9 +502,9 @@ class TestSeparableCertificate:
         # changed
         h, net = route_ladder()[3]
         q = h + fleet_assign(FleetStrategy.preset("selfish"), h, net, certify=False).f
-        expected = _pd_certificate(net.feasible_direction_basis(), net.route_gradient(q), DEFAULT_CONFIG.pd_rtol)
+        expected = _pd_certificate(net.feasible_direction_basis(), net.route_gradient(q))
         with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-            pd = net.feasible_direction_pd(q, DEFAULT_CONFIG.pd_rtol)
+            pd = net.feasible_direction_pd(q)
         assert pd.passes and eigvalsh.call_count == 0
         q[:] = q[::-1]
         assert _bits(pd.min_rayleigh) == _bits(expected.min_rayleigh)
@@ -520,10 +519,10 @@ class TestSeparableCertificate:
         selfish = FleetStrategy.preset("selfish")
         q = h + fleet_assign(selfish, h, net, certify=False).f
         with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-            pd = net.feasible_direction_pd(q, DEFAULT_CONFIG.pd_rtol)
+            pd = net.feasible_direction_pd(q)
             result = solve_inverse(selfish, q, net)
         assert eigvalsh.call_count == 0 and pd.passes and result.certificate.theorem_applies
-        dense = _pd_certificate(net.feasible_direction_basis(), net.route_gradient(q), DEFAULT_CONFIG.pd_rtol)
+        dense = _pd_certificate(net.feasible_direction_basis(), net.route_gradient(q))
         assert not dense.passes and _bits(pd.min_rayleigh) == _bits(dense.min_rayleigh)
         listed = _dense_inverse(selfish, q, net)
         mass = float(np.sum(net.fleet_sizes()))
@@ -534,9 +533,10 @@ class TestSeparableCertificate:
     def test_link_level_rule_agrees_with_the_dense_jacobian_test(self, passes):
         # on a separable network the link level decides by the route slopes
         # N tau' at the observed link flow, without the realisable basis or
-        # an eigendecomposition (a refusal reads min_rayleigh, which runs
-        # them, for its reason); the dense test of the link jacobian on the
-        # realisable directions gives the same verdict and min_rayleigh.
+        # an eigendecomposition (a refusal's reason does not show
+        # min_rayleigh, so it runs neither); the dense test of the link
+        # jacobian on the realisable directions gives the same verdict and
+        # min_rayleigh.
         # Two empty power-4 routes of one unit have zero slopes, so both
         # refuse; the ladder's selfish equilibrium flows on every route
         if passes:
@@ -550,8 +550,8 @@ class TestSeparableCertificate:
         with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh, \
                 mock.patch.object(inverse, "_link_feasible_basis", wraps=inverse._link_feasible_basis) as basis:
             result = inverse_link_flows(FleetStrategy.preset("selfish"), a, net)
-            assert eigvalsh.call_count == basis.call_count == (0 if passes else 1)
-            dense = _pd_certificate(inverse._link_feasible_basis(net), net.link_time_jacobian(a), DEFAULT_CONFIG.pd_rtol)
+            assert eigvalsh.call_count == basis.call_count == 0
+            dense = _pd_certificate(inverse._link_feasible_basis(net), net.link_time_jacobian(a))
         assert result.certificate.pd.passes == dense.passes == passes
         assert result.certificate.theorem_applies == passes
         assert _bits(result.certificate.min_rayleigh) == _bits(dense.min_rayleigh)
