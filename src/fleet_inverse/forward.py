@@ -21,6 +21,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
     FleetModelError,
     InfeasibleProblemError,
 )
-from .network import PD_RTOL, Network
+from .network import PD_RTOL, Network, _route_units
 from .objective import (
     ConvexityKind,
     FleetStrategy,
@@ -173,12 +174,15 @@ class FeasibleSet:
     def from_network(cls, network: Network, upper=None) -> "FeasibleSet":
         """The set of the network's OD units and fleet sizes q_crv, capped
         by upper when it is given."""
-        return cls(
-            blocks=network.unit_blocks(),
-            totals=network.fleet_sizes(),
-            n_routes=network.n_routes,
-            upper=upper,
-        )
+        feasible = cls(network.unit_blocks(), network.fleet_sizes(), network.n_routes, upper)
+        object.__setattr__(feasible, "_route_unit", network._structure.route_unit)
+        return feasible
+
+    @cached_property
+    def _route_unit(self) -> np.ndarray:
+        """Each route's unit: the network's own map on a set from_network
+        builds, formed from the blocks on first read on any other."""
+        return _route_units(self.blocks, self.n_routes)
 
     def project(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)

@@ -75,7 +75,7 @@ from .errors import (
     NotRealisableError,
 )
 from .forward import FeasibleSet, _assigner, _distinct, _flows, _seeded, _separable_minimum, bounded_factors
-from .network import RANK_RTOL, Network, PDCertificate, _pd_certificate, _restricted_min_eigenvalue
+from .network import Network, PDCertificate, _pd_certificate, _restricted_min_eigenvalue
 from .objective import FleetStrategy
 
 __all__ = [
@@ -299,12 +299,9 @@ def _face_point(a0: np.ndarray, b: np.ndarray, feasible: FeasibleSet, active: np
 
     free_idx = np.flatnonzero(free)
     n_free = len(free_idx)
-    unit = np.zeros(feasible.n_routes, dtype=int)
-    for s, block in enumerate(feasible.blocks):
-        unit[block] = s
     # the units holding a free route, ascending, and the position of each
     # free route's unit among them
-    units_with_free, unit_row = np.unique(unit[free_idx], return_inverse=True)
+    units_with_free, unit_row = np.unique(feasible._route_unit[free_idx], return_inverse=True)
     m = n_free + len(units_with_free)
     rows = np.arange(n_free)
     lhs = np.zeros((m, m))
@@ -778,14 +775,8 @@ def solve_inverse(
 
 def _link_feasible_basis(network: Network) -> np.ndarray:
     """Orthonormal basis of link-space directions reachable as images of
-    feasible route directions."""
-    route_basis = network.feasible_direction_basis()
-    if route_basis.shape[1] == 0:
-        return np.zeros((network.n_links, 0))
-    image = network.incidence.T @ route_basis
-    u, s, _ = np.linalg.svd(image, full_matrices=False)
-    rank = int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0)))
-    return u[:, :rank]
+    feasible route directions (read-only, formed once per network)."""
+    return network._structure.link_basis
 
 
 def inverse_link_flows(
@@ -817,9 +808,7 @@ def inverse_link_flows(
     a = _flows(a, network.n_links, "observed link flows")
     feasible = FeasibleSet.from_network(network)
     # a must be the link image of some route flow holding each unit's demand
-    demands = np.array([u.q_hdv + u.q_crv for u in network.units_or_raise()])
-    demand_set = FeasibleSet(blocks=feasible.blocks, totals=demands, n_routes=network.n_routes)
-    nearest = _fiber(network, a, demand_set)
+    nearest = _fiber(network, a, network._structure.demands)
     if nearest.residual > 1e-6 * (1.0 + float(np.max(np.abs(a)))):
         raise NotRealisableError(
             f"no feasible route flow reproduces the observed link flow "
@@ -827,13 +816,17 @@ def inverse_link_flows(
         )
 
     tau = network.link_travel_times(a)
-    jac = network.link_time_jacobian(a)
-    a0 = network.incidence @ (strategy.lam_crv * tau + jac.T @ (strategy.lam_hdv * a))
     slopes = network.delay_table.derivatives(a)
+    # the link-time jacobian J, diag(slopes) on a link-additive network, is
+    # formed there only for the dense test: J^T w is _times(slopes, w)
+    jac = None if network.link_additive else network.link_time_jacobian(a)
+    weighted = _times(slopes if jac is None else jac.T, strategy.lam_hdv * a)
+    a0 = network.incidence @ (strategy.lam_crv * tau + weighted)
     grad = network._route_gradient_form(slopes)
     b = _slope_operator(strategy.margin, grad)
     pd = network._pd_test(
-        grad, slopes, lambda: _pd_certificate(_link_feasible_basis(network), jac), exact=network.separable
+        grad, slopes, lambda: _pd_certificate(_link_feasible_basis(network), np.diag(slopes) if jac is None else jac),
+        exact=network.separable,
     )
     return _recover(
         "link", a, a0, b, feasible, float(np.linalg.norm(tau)),
@@ -908,7 +901,7 @@ def route_fiber(network: Network, phi, upper=None) -> FiberResult:
         raise InfeasibleProblemError("link flow must be finite")
     # FeasibleSet checks the caps
     feasible = FeasibleSet.from_network(network, upper=upper)
-    fiber = _fiber(network, phi, feasible)
+    fiber = _fiber(network, phi, feasible.totals, feasible.upper)
     tol = 1e-7 * (1.0 + float(np.linalg.norm(np.concatenate([phi, feasible.totals]))))
     if fiber.residual > tol:
         raise NotRealisableError(
@@ -918,27 +911,14 @@ def route_fiber(network: Network, phi, upper=None) -> FiberResult:
     return fiber
 
 
-def _fiber(network: Network, phi: np.ndarray, feasible: FeasibleSet) -> FiberResult:
+def _fiber(network: Network, phi: np.ndarray, totals: np.ndarray, upper: np.ndarray | None = None) -> FiberResult:
     """route_fiber's fiber for a finite link flow phi over the route flows
-    of `feasible`, whatever its residual."""
-    blocks, totals = feasible.blocks, feasible.totals
-    box = np.full(network.n_routes, math.inf) if feasible.upper is None else feasible.upper
-
-    rows = [network.incidence.T]
-    rhs = [phi]
-    indicator = np.zeros((len(blocks), network.n_routes))
-    for s, block in enumerate(blocks):
-        indicator[s, block] = 1.0
-    rows.append(indicator)
-    rhs.append(totals)
-    e = np.vstack(rows)
-    target = np.concatenate(rhs)
-
+    with unit sums totals, within the caps upper when given, whatever its
+    residual."""
+    box = np.full(network.n_routes, math.inf) if upper is None else upper
+    e, basis = network._structure.fiber  # basis (R, k) orthonormal
+    target = np.concatenate([phi, totals])
     f_p, *_ = np.linalg.lstsq(e, target, rcond=None)
-
-    _, s_vals, vt = np.linalg.svd(e)
-    rank = int(np.sum(s_vals > RANK_RTOL * (s_vals[0] if s_vals.size else 1.0)))
-    basis = vt[rank:].T  # (R, k) orthonormal
 
     k = basis.shape[1]
     if k == 0:
@@ -992,7 +972,7 @@ def _hessian_norm_bound(network: Network, q: np.ndarray):
     tensor at q (or at each row of a batch): sum over links of
     |tau''| * N^(3/2), N the number of routes through the link."""
     seconds = np.abs(network.delay_table.second_derivatives(network.route_to_link(q)))
-    route_counts = np.sum(network.incidence, axis=0)
+    route_counts = network._structure.routes_on
     total = 0.0
     for link in range(network.n_links):  # accumulated in link order
         total = total + seconds[..., link] * route_counts[link] ** 1.5
@@ -1017,9 +997,8 @@ def lipschitz_bound(
         raise ValueError(f"samples must be at least 1, got {samples!r}")
     if not _valid_seed(seed):
         raise ValueError(f"seed must lie in [0, 2**63), got {seed!r}")
-    units = network.units_or_raise()
     blocks = network.unit_blocks()
-    unit_totals = np.array([u.q_hdv + u.q_crv for u in units])
+    unit_totals = network._structure.demands
     fleet_mass = float(np.sum(network.fleet_sizes()))
     demand_mass = float(np.sum(unit_totals))
 

@@ -4,8 +4,9 @@ Conventions used throughout the package:
 
 * Flows are vehicles per period, times are in a consistent time unit, so
   objective values carry vehicle-time units.
-* Route flow vectors are the concatenation of per-unit blocks; each OD unit
-  owns a contiguous-by-construction subset of the route list.
+* Route flow vectors have one entry per route, in the order of the route
+  list; each OD unit owns the routes it lists, in that order, and the
+  units partition the route list without needing to be contiguous in it.
 * The incidence matrix has one row per route and one column per link.
 * Background traffic never appears as a flow variable; it is folded into
   the delay-function parameters.
@@ -601,6 +602,103 @@ def _require_flows(x: np.ndarray, what: str) -> None:
         raise DelayDomainError(f"{what} flows must be finite and non-negative")
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
+
+
+def _route_units(blocks: Sequence[np.ndarray], n_routes: int) -> np.ndarray:
+    """Each route's unit, for blocks that partition range(n_routes)."""
+    unit = np.empty(n_routes, dtype=int)
+    unit[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
+    return _read_only(unit)
+
+
+@dataclass(frozen=True, eq=False)
+class _Structure:
+    """A network's structure, decided once (by _structure).  Its arrays are
+    read-only, and the unit facts None without units.  Its bases are formed
+    when first read, never at construction, and kept (two threads reading
+    one first may both form it, to the same bits)."""
+
+    incidence: np.ndarray
+    blocks: tuple[np.ndarray, ...] | None  # each unit's route positions, in the order it lists them
+    route_unit: np.ndarray | None  # each route's unit
+    demands: np.ndarray | None  # each unit's q_hdv + q_crv
+    fleet_sizes: np.ndarray | None  # each unit's q_crv
+    routes_on: np.ndarray  # each link's number of routes
+    shared: np.ndarray  # the links on two or more routes
+    separable: bool  # link-additive with no shared link
+    cross_term: np.ndarray | None  # N E N^T (see Network._route_gradient_at), None where 0
+    singular_bound: float  # sqrt(|N|_1 |N|_inf), inf unless every route has a link of its own
+
+    @cached_property
+    def zero_sum_basis(self) -> np.ndarray:
+        """Network.feasible_direction_basis: each unit's columns in turn."""
+        n_routes = self.incidence.shape[0]
+        columns = [np.zeros((n_routes, 0))]
+        for block in self.blocks:
+            if len(block) > 1:
+                basis = np.zeros((n_routes, len(block) - 1))
+                basis[block] = np.linalg.svd(np.ones((1, len(block))))[2][1:].T
+                columns.append(basis)
+        return _read_only(np.hstack(columns))
+
+    @cached_property
+    def link_basis(self) -> np.ndarray:
+        """Orthonormal (L, k) basis of the link images of zero_sum_basis."""
+        image = self.incidence.T @ self.zero_sum_basis
+        if image.shape[1] == 0:
+            return _read_only(image)
+        u, s, _ = np.linalg.svd(image, full_matrices=False)
+        return _read_only(u[:, : int(np.sum(s > 1e-12 * s[0]))])
+
+    @cached_property
+    def independence(self) -> LinearIndependence:
+        """Network.routes_linearly_independent's answer."""
+        n_routes = self.incidence.shape[0]
+        if RANK_RTOL * self.singular_bound < 1.0:
+            return LinearIndependence(True, _read_only(np.zeros((n_routes, 0))))
+        u, s, _ = np.linalg.svd(self.incidence)
+        rank = int(np.sum(s > RANK_RTOL * s[0]))
+        return LinearIndependence(rank == n_routes, _read_only(u[:, rank:].copy()))
+
+    @cached_property
+    def fiber(self) -> tuple[np.ndarray, np.ndarray]:
+        """[N^T; indicator], a route flow's link flows and unit sums, and an
+        orthonormal (R, k) basis of its null space (the rank counting the
+        singular values above RANK_RTOL times the largest)."""
+        n_routes = self.incidence.shape[0]
+        indicator = np.zeros((len(self.blocks), n_routes))
+        indicator[self.route_unit, np.arange(n_routes)] = 1.0
+        system = _read_only(np.vstack([self.incidence.T, indicator]))
+        _, s, vt = np.linalg.svd(system)
+        return system, _read_only(vt[int(np.sum(s > RANK_RTOL * s[0])):].T)
+
+
+def _structure(incidence: np.ndarray, delay_table: DelayTable, units, blocks) -> _Structure:
+    """The _Structure of a network from its read-only incidence, its delay
+    table, and its units with the route positions each lists, a partition
+    of the routes (both None without units)."""
+    routes_on = _read_only(incidence.sum(axis=0))
+    shared = _read_only(routes_on > 1.0)
+    cross_term = None
+    if not delay_table.link_additive:
+        rows = np.zeros((len(routes_on), len(routes_on)))
+        rows[delay_table.cross_at] = delay_table.cross_slopes
+        cross_term = _read_only(incidence @ rows @ incidence.T)
+    own = incidence[:, routes_on == 1.0].any(axis=1).all()
+    bound = math.sqrt(routes_on.max() * incidence.sum(axis=1).max()) if own else math.inf
+    per_unit = (None, None, None, None)
+    if units is not None:
+        blocks = tuple(_read_only(np.asarray(block, dtype=int)) for block in blocks)
+        demands = _read_only(np.array([u.q_hdv + u.q_crv for u in units]))
+        sizes = _read_only(np.array([u.q_crv for u in units]))
+        per_unit = (blocks, _route_units(blocks, len(incidence)), demands, sizes)
+    separable = delay_table.link_additive and not shared.any()
+    return _Structure(incidence, *per_unit, routes_on, shared, separable, cross_term, bound)
+
+
 class Network:
     """Immutable network with delay functions, routes, and OD units.
 
@@ -641,31 +739,19 @@ class Network:
         incidence.setflags(write=False)
         self.incidence = incidence
 
-        routes_on = incidence.sum(axis=0)
-        self._shared = routes_on > 1.0
-        self.separable = self.delay_table.link_additive and not self._shared.any()
-        self._cross_term = None  # N E N^T (see _route_gradient_at), None where 0
-        if not self.delay_table.link_additive:
-            rows = np.zeros((len(self.links), len(self.links)))
-            rows[self.delay_table.cross_at] = self.delay_table.cross_slopes
-            self._cross_term = incidence @ rows @ incidence.T
-        # sqrt(|N|_1 |N|_inf), inf unless every route has a link of its own
-        own = incidence[:, routes_on == 1.0].any(axis=1).all()
-        self._singular_bound = math.sqrt(routes_on.max() * incidence.sum(axis=1).max()) if own else math.inf
-
         self.units: tuple[ODUnit, ...] | None = None
-        self._unit_blocks: tuple[np.ndarray, ...] | None = None
+        blocks = None
         if units is not None:
             units = tuple(units)
             if not units:
                 raise ModelInputError("malformed", ("units",), "network needs at least one unit")
-            blocks = []
-            for u, unit in enumerate(units):
-                at = _resolve(unit.route_ids, self._route_index, f"unit {u}", ("units", u, "routes"))
-                blocks.append(np.asarray(at, dtype=int))
+            blocks = [
+                _resolve(unit.route_ids, self._route_index, f"unit {u}", ("units", u, "routes"))
+                for u, unit in enumerate(units)
+            ]
             covered: set[int] = set()
             for u, block in enumerate(blocks):
-                for j, r in enumerate(block.tolist()):
+                for j, r in enumerate(block):
                     if r in covered:
                         message = f"units must not share routes: {self.routes[r].id!r} is listed twice"
                         raise ModelInputError("bad-value", ("units", u, "routes", j), message)
@@ -674,7 +760,7 @@ class Network:
                 names = [route.id for r, route in enumerate(self.routes) if r not in covered]
                 raise ModelInputError("bad-value", (), f"routes not covered by any unit: {names}")
             self.units = units
-            self._unit_blocks = tuple(blocks)
+        self._structure = _structure(incidence, self.delay_table, self.units, blocks)
 
     # -- basic shape ---------------------------------------------------------
 
@@ -691,13 +777,20 @@ class Network:
         """True when every link delay depends only on its own flow."""
         return self.delay_table.link_additive
 
+    @property
+    def separable(self) -> bool:
+        """True when the network is link-additive and no link is on two routes."""
+        return self._structure.separable
+
     def unit_blocks(self) -> tuple[np.ndarray, ...]:
-        if self._unit_blocks is None:
-            raise FleetModelError("this operation needs OD units, but none were declared")
-        return self._unit_blocks
+        """Each unit's route positions, in the order it lists them (read-only)."""
+        self.units_or_raise()
+        return self._structure.blocks
 
     def fleet_sizes(self) -> np.ndarray:
-        return np.array([u.q_crv for u in self.units_or_raise()])
+        """Each unit's fleet size q_crv (read-only)."""
+        self.units_or_raise()
+        return self._structure.fleet_sizes
 
     def units_or_raise(self) -> tuple[ODUnit, ...]:
         if self.units is None:
@@ -776,7 +869,8 @@ class Network:
         at its link flows, one vector or a batch (S, L): N diag(tau') N^T,
         plus N E N^T, E the jacobian's constant cross-affine rows."""
         grad = (self.incidence * slopes[..., None, :]) @ self.incidence.T
-        return grad if self._cross_term is None else grad + self._cross_term
+        cross_term = self._structure.cross_term
+        return grad if cross_term is None else grad + cross_term
 
     def _route_gradient_form_at(self, a: np.ndarray) -> np.ndarray:
         """_route_gradient_form at the link flows a, from one slope evaluation."""
@@ -787,7 +881,7 @@ class Network:
         the one form the objective and both inverse levels carry it: the
         route slopes N tau' (R,) where no shared link has slope, the matrix
         otherwise.  A separable network skips the test."""
-        if self.separable or (self.link_additive and not np.count_nonzero(slopes[self._shared])):
+        if self.separable or (self.link_additive and not np.count_nonzero(slopes[self._structure.shared])):
             return _rowwise(self.incidence, slopes)
         return self._route_gradient_at(slopes)
 
@@ -803,32 +897,14 @@ class Network:
         other route uses, the least singular value is at least 1 and the
         largest at most sqrt(|N|_1 |N|_inf) (Golub and Van Loan, section
         2.3): when RANK_RTOL times that bound is below 1, no SVD runs.
+        The first call decides and every later call returns its answer.
         """
-        if RANK_RTOL * self._singular_bound < 1.0:
-            basis = np.zeros((self.n_routes, 0))
-            basis.setflags(write=False)
-            return LinearIndependence(independent=True, null_basis=basis)
-        u, s, _ = np.linalg.svd(self.incidence, full_matrices=True)
-        threshold = RANK_RTOL * (s[0] if s.size else 0.0)
-        rank = int(np.sum(s > threshold))
-        basis = u[:, rank:].copy()
-        basis.setflags(write=False)
-        return LinearIndependence(independent=rank == self.n_routes, null_basis=basis)
+        return self._structure.independence
 
     def feasible_direction_basis(self) -> np.ndarray:
-        """Orthonormal basis of directions with zero sum inside every unit block."""
-        columns = []
-        for block in self.unit_blocks():
-            k = len(block)
-            if k < 2:
-                continue
-            _, _, vt = np.linalg.svd(np.ones((1, k)))
-            basis = np.zeros((self.n_routes, k - 1))
-            basis[block] = vt[1:].T
-            columns.append(basis)
-        if not columns:
-            return np.zeros((self.n_routes, 0))
-        return np.hstack(columns)
+        """Orthonormal basis of directions with zero sum inside every unit block (read-only)."""
+        self.units_or_raise()
+        return self._structure.zero_sum_basis
 
     def restricted_min_eigenvalue(self, q):
         """Smallest eigenvalue of sym(route gradient) on feasible directions
@@ -874,8 +950,9 @@ class Network:
         Where it fails, its refusal stands when `exact`; otherwise, and off
         link-additive networks, dense() decides.  min_rayleigh is always
         dense()'s, computed when first read."""
-        if self.separable or (self.link_additive and np.all(slopes[self._shared] >= 0.0)):
-            p = grad if grad.ndim == 1 else _rowwise(self.incidence, np.where(self._shared, 0.0, slopes))
+        shared = self._structure.shared
+        if self.separable or (self.link_additive and np.all(slopes[shared] >= 0.0)):
+            p = grad if grad.ndim == 1 else _rowwise(self.incidence, np.where(shared, 0.0, slopes))
             passes = bool(np.all(p >= 0.0)) and all(np.count_nonzero(p[b] == 0.0) < 2 for b in self.unit_blocks())
             if passes or exact:
                 return PDCertificate(passes=passes, threshold=0.0, rayleigh=lambda: dense().min_rayleigh)

@@ -162,6 +162,28 @@ def overlapping_routes(r: int):
     return h, Network(links, routes, units=[unit])
 
 
+def interleaved_units(layout: str = "interleaved") -> Network:
+    """Four routes in two units, {r0, r2} (q_hdv 30, q_crv 20) and {r1, r3}
+    (25, 15), over their own BPR links, r0 and r1 also over a shared link
+    s.  "contiguous" lists the routes r0, r2, r1, r3, so each unit is a
+    run of the route list; "interleaved" lists r0, r1, r2, r3 with units
+    (r0, r2) and (r1, r3); "reversed" lists r0, r1, r2, r3 with units
+    (r3, r1) and (r2, r0)."""
+    delays = {
+        "p0": BPRDelay(2.0, 1.0, 30.0, 4.0), "p1": BPRDelay(3.0, 1.0, 40.0, 2.0),
+        "p2": BPRDelay(1.5, 1.0, 25.0, 4.0), "p3": BPRDelay(4.0, 1.0, 50.0, 2.0), "s": BPRDelay(1.0, 1.0, 60.0, 4.0),
+    }
+    paths = {"r0": ("p0", "s"), "r1": ("p1", "s"), "r2": ("p2",), "r3": ("p3",)}
+    order, unit_routes = {
+        "contiguous": (("r0", "r2", "r1", "r3"), (("r0", "r2"), ("r1", "r3"))),
+        "interleaved": (("r0", "r1", "r2", "r3"), (("r0", "r2"), ("r1", "r3"))),
+        "reversed": (("r0", "r1", "r2", "r3"), (("r3", "r1"), ("r2", "r0"))),
+    }[layout]
+    demand = {"r0": (30.0, 20.0), "r2": (30.0, 20.0), "r1": (25.0, 15.0), "r3": (25.0, 15.0)}
+    units = [ODUnit("O", f"D{ids[0]}", *demand[ids[0]], route_ids=ids) for ids in unit_routes]
+    return Network([Link(k, d) for k, d in delays.items()], [Route(r, paths[r]) for r in order], units=units)
+
+
 @pytest.fixture
 def fig_two_route():
     return asymmetric_two_route()

@@ -245,6 +245,19 @@ class TestLinkInverse:
             assert link.h_hat.tobytes() == net.route_to_link(route.h_hat).tobytes()
             assert np.all(link.h_hat >= 0.0)
 
+    def test_a_link_inverse_evaluates_the_slopes_once(self, monkeypatch):
+        # ladder draw #10 is link-additive: the link slopes serve the
+        # operator's a0, the route gradient's form and the certificate, and
+        # no (L, L) jacobian is formed (a second slope evaluation formed it)
+        h, net = route_ladder()[10]
+        a = net.route_to_link(h + fleet_assign(SELFISH, h, net, certify=False).f)
+        slopes, jacobians = [], []
+        method, jacobian = DelayTable.derivatives, Network.link_time_jacobian
+        monkeypatch.setattr(DelayTable, "derivatives", lambda self, x: slopes.append(x) or method(self, x))
+        monkeypatch.setattr(Network, "link_time_jacobian", lambda self, x: jacobians.append(x) or jacobian(self, x))
+        assert inverse_link_flows(SELFISH, a, net).certificate.theorem_applies
+        assert len(slopes) == 1 and jacobians == []
+
     def test_not_realisable(self, net_overlap):
         # upstream links carry 400 but downstream only 100: no route flow fits
         with pytest.raises(NotRealisableError):

@@ -3,6 +3,7 @@
 import ast
 import math
 import typing
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from fleet_inverse import (
     CrossAffineDelay,
     DelayDomainError,
     DimensionMismatchError,
+    FeasibleSet,
     FleetModelError,
     Link,
     ModelInputError,
@@ -27,15 +29,21 @@ from fleet_inverse import (
     UnsupportedDelayError,
     WebsterDelay,
     fleet_assign,
+    inverse_link_flows,
+    route_fiber,
     single_od_network,
+    solve_inverse,
 )
 import fleet_inverse
 from fleet_inverse.network import Delay
-from fleet_inverse.scenario import fixture_path, parse_scenario
+from fleet_inverse.scenario import fixture_path, list_fixtures, parse_scenario
 from conftest import (
     cross_dependent_two_route,
     fd_route_gradient,
+    interleaved_units,
     overlap_network,
+    overlapping_routes,
+    route_ladder,
     symmetric_quadratic,
     three_affine_routes,
     two_od_overlap,
@@ -616,3 +624,181 @@ class TestDelayDeclarations:
         }
         assert not imported & delay_names
         assert not named(objective)
+
+
+def _exact_rank(matrix) -> int:
+    """Rank of a small integer matrix by Gaussian elimination in exact
+    rationals."""
+    rows = [[Fraction(int(x)) for x in row] for row in np.asarray(matrix).tolist()]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i, row in enumerate(rows):
+            if i != rank and row[col] != 0:
+                factor = row[col] / rows[rank][col]
+                rows[i] = [a - factor * b for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def _assert_orthonormal_null_basis(basis, matrix, dimension):
+    # orthonormal columns, as many as the null space's dimension, each in it
+    assert basis.shape == (matrix.shape[1], dimension)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(dimension), atol=1e-12)
+    np.testing.assert_allclose(matrix @ basis, 0.0, atol=1e-12)
+
+
+def _structure_cases():
+    fixtures = list_fixtures()
+    assert len(fixtures) == 11
+    cases = [(name, lambda name=name: parse_scenario(fixture_path(name)).network) for name in fixtures]
+    cases += [
+        ("overlap_network", overlap_network),
+        ("two_od_overlap", two_od_overlap),
+        ("overlapping_routes_20", lambda: overlapping_routes(20)[1]),
+        ("interleaved_units", interleaved_units),
+    ]
+    return cases + [(f"ladder_{i}", lambda i=i: route_ladder()[i][1]) for i in range(12)]
+
+
+class TestStructure:
+    """The network's _Structure against facts rebuilt by brute force from
+    the incidence matrix, the link delays and each unit's route ids."""
+
+    @pytest.mark.parametrize("build", [build for _, build in _structure_cases()],
+                             ids=[name for name, _ in _structure_cases()])
+    def test_every_field_matches_a_brute_force_rebuild(self, build):
+        net = build()
+        n = net.incidence
+        n_routes, n_links = n.shape
+        record = net._structure
+        assert record.incidence is n
+        at = {route.id: r for r, route in enumerate(net.routes)}
+        blocks = [[at[i] for i in unit.route_ids] for unit in net.units]
+        assert [block.tolist() for block in record.blocks] == blocks
+        assert record.route_unit.tolist() == [next(u for u, b in enumerate(blocks) if r in b) for r in range(n_routes)]
+        assert record.demands.tolist() == [unit.q_hdv + unit.q_crv for unit in net.units]
+        assert record.fleet_sizes.tolist() == [unit.q_crv for unit in net.units]
+
+        counts = [sum(int(n[r, link]) for r in range(n_routes)) for link in range(n_links)]
+        assert record.routes_on.tolist() == counts
+        assert record.shared.tolist() == [c > 1 for c in counts]
+        cross = [l for l, link in enumerate(net.links) if isinstance(link.delay, CrossAffineDelay)]
+        assert record.separable == (not cross and max(counts) == 1)
+        own = all(any(n[r, link] and counts[link] == 1 for link in range(n_links)) for r in range(n_routes))
+        row_max = max(sum(int(x) for x in row) for row in n)
+        assert record.singular_bound == (math.sqrt(max(counts) * row_max) if own else math.inf)
+        if not cross:
+            assert record.cross_term is None
+        else:
+            e = np.zeros((n_links, n_links))
+            for l in cross:
+                delay = net.links[l].delay
+                e[l, l] = delay.own_slope
+                for other, coef in delay.cross.items():
+                    e[l, [link.id for link in net.links].index(other)] = coef
+            expected = [[sum(n[r, l] * e[l, m] * n[s, m] for l in range(n_links) for m in range(n_links))
+                         for s in range(n_routes)] for r in range(n_routes)]
+            np.testing.assert_allclose(record.cross_term, expected, rtol=1e-12, atol=1e-12)
+
+        indicator = np.array([[1.0 if r in block else 0.0 for r in range(n_routes)] for block in blocks])
+        _assert_orthonormal_null_basis(record.zero_sum_basis, indicator, n_routes - len(blocks))
+        # the zero-sum directions e_first - e_r of each unit span the basis
+        moves = np.array([np.eye(n_routes)[b[0]] - np.eye(n_routes)[r] for b in blocks for r in b[1:]]).reshape(-1, n_routes)
+        image = n.T @ moves.T
+        link_rank = _exact_rank(image)
+        assert record.link_basis.shape == (n_links, link_rank)
+        np.testing.assert_allclose(record.link_basis.T @ record.link_basis, np.eye(link_rank), atol=1e-12)
+        np.testing.assert_allclose(image - record.link_basis @ (record.link_basis.T @ image), 0.0, atol=1e-12)
+
+        rank = _exact_rank(n)
+        assert record.independence.independent == (rank == n_routes)
+        _assert_orthonormal_null_basis(record.independence.null_basis, n.T, n_routes - rank)
+        system, directions = record.fiber
+        assert system.tobytes() == np.vstack([n.T, indicator]).tobytes()
+        _assert_orthonormal_null_basis(directions, system, n_routes - _exact_rank(system))
+
+    def test_the_record_and_what_it_hands_out_are_read_only(self):
+        # one caller's write would change the network for every later solve
+        net = cross_dependent_two_route(2.0, 1.0)
+        record = net._structure
+        feasible = FeasibleSet.from_network(net)
+        arrays = [
+            record.blocks[0], record.route_unit, record.demands, record.fleet_sizes, record.routes_on, record.shared,
+            record.cross_term, record.zero_sum_basis, record.link_basis, record.independence.null_basis, *record.fiber,
+            net.unit_blocks()[0], net.fleet_sizes(), net.feasible_direction_basis(),
+            feasible.blocks[0], feasible.totals, feasible._route_unit,
+        ]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert feasible.blocks[0] is net.unit_blocks()[0]
+
+    def test_a_set_built_by_hand_maps_its_routes_to_their_units(self):
+        net = interleaved_units("reversed")
+        by_hand = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes)
+        assert by_hand._route_unit.tolist() == net._structure.route_unit.tolist() == [1, 0, 1, 0]
+
+    def test_structural_svds_run_once_per_network(self, monkeypatch):
+        # on two_od_overlap no route has a link of its own, so the own-link
+        # bound does not decide independence.  Each structural SVD runs on
+        # its first read, once per network: each unit's zero-sum block (two
+        # of 1 x 2), the incidence (4 x 4), the link image of the zero-sum
+        # basis (4 x 2) and the fiber system (6 x 4); construction runs
+        # none.  Only lstsq, which solves for the observed flow, runs on
+        # every call.
+        calls = []
+        svd, lstsq = np.linalg.svd, np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(("svd", np.shape(a))) or svd(a, *args, **kw))
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(("lstsq",)) or lstsq(*args, **kw))
+        selfish = FleetStrategy.preset("selfish")
+        net = two_od_overlap()
+        assert calls == []
+        h = np.array([12.0, 18.0, 10.0, 20.0])
+        f = fleet_assign(selfish, h, net).f
+        q = h + f
+        structural = [("svd", (1, 2)), ("svd", (1, 2)), ("svd", (4, 4)), ("svd", (4, 2)), ("svd", (6, 4))]
+        per_round = None
+        for _ in range(3):
+            calls.clear()
+            assert net.feasible_direction_basis().shape == (4, 2)
+            assert not net.routes_linearly_independent().independent
+            assert route_fiber(net, net.route_to_link(f)).dimension == 1
+            assert solve_inverse(selfish, q, net).fiber is not None
+            inverse_link_flows(selfish, net.route_to_link(q), net)
+            svds = sorted(c for c in calls if c[0] == "svd")
+            if per_round is None:
+                assert svds == sorted(structural)
+                per_round = len(calls) - len(svds)
+                assert per_round > 0
+            else:
+                assert svds == [] and calls == [("lstsq",)] * per_round
+
+
+class TestInterleavedUnits:
+    """A unit's routes need not be contiguous in the route list."""
+
+    @pytest.mark.parametrize("layout", ["interleaved", "reversed"])
+    @pytest.mark.parametrize("preset", ["selfish", "social", "malicious", "disruptive"])
+    def test_interleaved_units_give_the_contiguous_answers(self, layout, preset):
+        # the same route flows by route id, forward and inverse, at both
+        # levels, within 64 eps (1 + demand): each layout sums its units'
+        # routes in another order
+        strategy = FleetStrategy.preset(preset)
+        h_by_id = {"r0": 12.0, "r1": 10.0, "r2": 18.0, "r3": 15.0}
+        answers = []
+        for net in (interleaved_units("contiguous"), interleaved_units(layout)):
+            ids = [route.id for route in net.routes]
+            h = np.array([h_by_id[r] for r in ids])
+            f = fleet_assign(strategy, h, net).f
+            route, link = solve_inverse(strategy, h + f, net), inverse_link_flows(strategy, net.route_to_link(h + f), net)
+            answers.append(({r: x for r, x in zip(ids, f)}, {r: x for r, x in zip(ids, route.f_hat)},
+                            dict(zip([l.id for l in net.links], link.f_hat)), len(route.solutions)))
+        tol = 64 * np.finfo(float).eps * (1.0 + sum(unit.q_hdv + unit.q_crv for unit in net.units))
+        (*contiguous, count), (*other, other_count) = answers
+        assert count == other_count
+        for expected, got in zip(contiguous, other):
+            assert max(abs(expected[k] - got[k]) for k in expected) <= tol
