@@ -128,10 +128,11 @@ class FeasibleSet:
     blocks[s] holds the route indices of unit s; totals[s] the fleet mass
     that must be placed on them.  upper is None or a cap vector of length
     n_routes, with no NaN or negative cap.  The forward's sets are never
-    capped: only the inverse caps its set, by the observation (0 <= f <=
-    q), and enumerates that set's faces itself.  totals and upper are taken
-    as float arrays, and total_mass, the sum of the totals, once, at
-    construction.
+    capped (upper None); every inverse set carries caps, the observation at
+    the route level (0 <= f <= q) and +inf where the observation does not
+    cap (the link level, an uncapped fiber), and the inverse enumerates
+    its set's faces itself.  totals and upper are taken as float arrays,
+    and total_mass, the sum of the totals, once, at construction.
     """
 
     blocks: tuple[np.ndarray, ...]

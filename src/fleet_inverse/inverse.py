@@ -15,7 +15,7 @@ feasible directions the VI is strictly monotone, hence has at most one
 solution: that is the uniqueness certificate reported alongside every
 result.  The link level applies the same theorem to an observed link flow
 a: the link times and the link-time jacobian at a take the place of t(q)
-and its gradient, the route variables are not capped, the jacobian is
+and its gradient, the route variables are capped at +inf, the jacobian is
 tested on realisable link directions, and the answer is the link image of
 the route solution.
 
@@ -232,7 +232,7 @@ def _linear_minimum(c: np.ndarray, feasible: FeasibleSet) -> tuple[np.ndarray, f
         order = np.argsort(c[block], kind="stable")
         remaining = float(total)
         for r in block[order].tolist():
-            cap = remaining if feasible.upper is None else min(remaining, float(feasible.upper[r]))
+            cap = min(remaining, float(feasible.upper[r]))
             x[r] = cap
             remaining -= cap
             if remaining <= 0:
@@ -258,13 +258,10 @@ def _active_partition(f: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
     """-1 where f is at its lower bound, +1 where it is at its cap, 0 where it
     is free, each within the route's active band min(1e-6 * (1 + fleet
     mass), 1e-6 * cap), so a tiny cap keeps its own label."""
-    band = 1e-6 * (1.0 + feasible.total_mass)
-    if feasible.upper is not None:
-        band = np.minimum(band, 1e-6 * feasible.upper)
+    band = np.minimum(1e-6 * (1.0 + feasible.total_mass), 1e-6 * feasible.upper)
     lower_active = f <= band
     active = np.where(lower_active, -1, 0)
-    if feasible.upper is not None:
-        active[(f >= feasible.upper - band) & ~lower_active] = 1
+    active[(f >= feasible.upper - band) & ~lower_active] = 1
     return active
 
 
@@ -280,9 +277,7 @@ def _face_point(a0: np.ndarray, b: np.ndarray, feasible: FeasibleSet, active: np
     least-squares solve of the KKT system gives its unique or, where it is
     singular, its minimum-norm solution."""
     free = active == 0
-    fixed = np.zeros(feasible.n_routes)
-    if feasible.upper is not None:
-        fixed = np.where(active > 0, feasible.upper, fixed)
+    fixed = np.where(active > 0, feasible.upper, 0.0)
     if not np.any(free):
         return fixed
     # the mass each unit's bound routes leave to its free routes
@@ -338,8 +333,7 @@ def _bound_violations(candidate: np.ndarray, feasible: FeasibleSet) -> np.ndarra
     _active_partition)."""
     tol_feas = 1e-9 * (1.0 + feasible.total_mass)
     out = np.where(candidate < -tol_feas, -1, 0)
-    if feasible.upper is not None:
-        out[candidate > feasible.upper + tol_feas] = 1
+    out[candidate > feasible.upper + tol_feas] = 1
     return out
 
 
@@ -369,7 +363,7 @@ def _complementarity(
     tol_mass, tol_dual = _kkt_tolerances(a_val, feasible)
     crossed = np.where(active == 0, _bound_violations(point, feasible), 0)
     broken = crossed != 0
-    movable = np.ones(feasible.n_routes, dtype=bool) if feasible.upper is None else feasible.upper > 0.0
+    movable = feasible.upper > 0.0
     for block, total in zip(feasible.blocks, feasible.totals):
         lower, cap = block[(active[block] < 0) & movable[block]], block[active[block] > 0]
         free_costs = a_val[block[active[block] == 0]]
@@ -493,8 +487,8 @@ def _labelings(
     can hold its fleet mass within tol = 1e-7 * (1 + fleet mass): capped
     mass equal to the total, or below it with free routes whose caps reach
     above it (a free route that must sit at a bound names a point another
-    labeling names).  Free and cap labels need a positive cap; an uncapped
-    set's caps are infinite.  With `windows` (see _multiplier_windows), an
+    labeling names).  Free and cap labels need a positive cap, and cap
+    labels a finite one.  With `windows` (see _multiplier_windows), an
     (n_routes, 3, 2) array of the interval [lo, hi] of the unit's
     multiplier that each route's label (-1, 0, +1) allows, a branch ends
     once its labels' intervals do not meet.  Depth first, lower before
@@ -507,7 +501,7 @@ def _labelings(
     total = float(feasible.totals[s])
     tol = 1e-7 * (1.0 + feasible.total_mass)
     block = feasible.blocks[s]
-    caps = [math.inf] * len(block) if feasible.upper is None else feasible.upper[block].tolist()
+    caps = feasible.upper[block].tolist()
     budget = 3 * (len(caps) + 1) * (cap + 1)
     # the largest mass routes i.. can hold
     reach = list(itertools.accumulate(caps[::-1]))[::-1] + [0.0]
@@ -562,7 +556,7 @@ def _multiplier_windows(a0: np.ndarray, b: np.ndarray, feasible: FeasibleSet) ->
     most = np.zeros(feasible.n_routes)
     for block, total in zip(feasible.blocks, feasible.totals):
         most[block] = total + len(block) * tol_feas
-    caps = math.inf if feasible.upper is None else feasible.upper
+    caps = feasible.upper
     at_cap = a0 + b * np.minimum(caps, most)
     slope = np.abs(b) * tol_feas
     tol = 1e-10 * (1.0 + float(np.max(np.maximum(np.abs(a0), np.abs(at_cap)))) + float(np.max(slope)))
@@ -697,8 +691,7 @@ def _recover(
 
     # each point with its VI gap, None where no solve has checked it
     if unique:
-        movable = np.ones(feasible.n_routes, dtype=bool) if feasible.upper is None else feasible.upper > 0.0
-        if b.ndim == 1 and np.all(b[movable] > 0.0):
+        if b.ndim == 1 and np.all(b[feasible.upper > 0.0] > 0.0):
             start = _active_partition(feasible._multiplier_point(a0, b), feasible)
         else:
             start = _active_partition(greedy(), feasible)
@@ -756,7 +749,7 @@ def solve_inverse(
     x, t = network._link_flows_and_times(q)
     slopes = network.delay_table.derivatives(x)
     grad = network._route_gradient_form(slopes)
-    pd = network._feasible_direction_pd_at(q, grad, slopes)
+    pd = network._feasible_direction_pd_at(grad, slopes)
     a0, b = _route_operator(strategy, q, t, grad)
 
     def fiber(f_hat: np.ndarray) -> FiberResult | None:
@@ -795,20 +788,22 @@ def inverse_link_flows(
     if several route flows realize it.  That test is the route level's
     (Network._pd_test) on the link slopes and jacobian at a; its slope
     rule's refusal is exact on a separable network, where u = N^T v
-    vanishes only at v = 0.  Where the certificate fails,
+    vanishes only at v = 0; a cross-affine jacobian extends the slopes
+    the test reads.  Where the certificate fails,
     `solutions` holds the link images of the face solutions, as in
     solve_inverse (FleetModelError above config.vertex_cap partitions).  It
     draws no random numbers, so it takes no seed.
 
-    The route variables are not capped by the observation, so where a is
-    off the forward's image f_hat may exceed it on a link and h_hat go
-    negative, the certificate applying.  Where a is the link image of a
-    forward equilibrium, f_hat is the link image of solve_inverse's.
+    The route variables are capped at +inf, not by the observation, so
+    where a is off the forward's image f_hat may exceed it on a link and
+    h_hat go negative, the certificate applying.  Where a is the link
+    image of a forward equilibrium, f_hat is the link image of
+    solve_inverse's.
     """
     a = _flows(a, network.n_links, "observed link flows")
-    feasible = FeasibleSet.from_network(network)
+    feasible = FeasibleSet.from_network(network, upper=np.full(network.n_routes, math.inf))
     # a must be the link image of some route flow holding each unit's demand
-    nearest = _fiber(network, a, network._structure.demands)
+    nearest = _fiber(network, a, network._structure.demands, feasible.upper)
     if nearest.residual > 1e-6 * (1.0 + float(np.max(np.abs(a)))):
         raise NotRealisableError(
             f"no feasible route flow reproduces the observed link flow "
@@ -819,7 +814,7 @@ def inverse_link_flows(
     slopes = network.delay_table.derivatives(a)
     # the link-time jacobian J, diag(slopes) on a link-additive network, is
     # formed there only for the dense test: J^T w is _times(slopes, w)
-    jac = None if network.link_additive else network.link_time_jacobian(a)
+    jac = None if network.link_additive else network.delay_table.jacobian(slopes)
     weighted = _times(slopes if jac is None else jac.T, strategy.lam_hdv * a)
     a0 = network.incidence @ (strategy.lam_crv * tau + weighted)
     grad = network._route_gradient_form(slopes)
@@ -883,7 +878,8 @@ def _least_distance(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
 
 def route_fiber(network: Network, phi, upper=None) -> FiberResult:
     """All feasible route flows mapping to the link flow phi: route flows
-    holding each unit's fleet size q_crv, within the caps upper when given.
+    holding each unit's fleet size q_crv, within the caps upper (+inf on
+    every route when None).
 
     Returns the minimum-norm representative, an orthonormal basis of the
     fiber directions (null directions of the conversion that also preserve
@@ -900,7 +896,8 @@ def route_fiber(network: Network, phi, upper=None) -> FiberResult:
     if not np.all(np.isfinite(phi)):
         raise InfeasibleProblemError("link flow must be finite")
     # FeasibleSet checks the caps
-    feasible = FeasibleSet.from_network(network, upper=upper)
+    caps = np.full(network.n_routes, math.inf) if upper is None else upper
+    feasible = FeasibleSet.from_network(network, upper=caps)
     fiber = _fiber(network, phi, feasible.totals, feasible.upper)
     tol = 1e-7 * (1.0 + float(np.linalg.norm(np.concatenate([phi, feasible.totals]))))
     if fiber.residual > tol:
@@ -911,11 +908,10 @@ def route_fiber(network: Network, phi, upper=None) -> FiberResult:
     return fiber
 
 
-def _fiber(network: Network, phi: np.ndarray, totals: np.ndarray, upper: np.ndarray | None = None) -> FiberResult:
+def _fiber(network: Network, phi: np.ndarray, totals: np.ndarray, box: np.ndarray) -> FiberResult:
     """route_fiber's fiber for a finite link flow phi over the route flows
-    with unit sums totals, within the caps upper when given, whatever its
-    residual."""
-    box = np.full(network.n_routes, math.inf) if upper is None else upper
+    with unit sums totals, within the caps box (+inf where uncapped),
+    whatever its residual."""
     e, basis = network._structure.fiber  # basis (R, k) orthonormal
     target = np.concatenate([phi, totals])
     f_p, *_ = np.linalg.lstsq(e, target, rcond=None)

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     DelayDomainError,
     DimensionMismatchError,
-    FleetModelError,
     ModelInputError,
     UnsupportedDelayError,
 )
@@ -472,9 +471,9 @@ class DelayTable:
     vector and one slope matrix whose rows hold the own slope on the
     diagonal.  Every method takes link flows of shape (L,) or a batch
     (S, L), one row per flow, evaluates each kind's kernels once on all of
-    its links, and returns one value per link (the jacobian, diag(tau') and
-    the cross-affine rows, formed for link_time_jacobian only, one row per
-    link).  Cross-affine sums run one BLAS dot product per row, so each row
+    its links, and returns one value per link; the jacobian, diag(tau')
+    and the cross-affine rows, takes the slopes instead and returns one
+    row per link.  Cross-affine sums run one BLAS dot product per row, so each row
     of a batch is bit-identical to the unbatched call.  Flows are not
     validated here beyond the kernels' own domains.
     """
@@ -550,13 +549,14 @@ class DelayTable:
             slopes[..., at] = kernels.derivatives(a[..., at])
         return slopes
 
-    def jacobian(self, a: np.ndarray) -> np.ndarray:
-        """d tau / d a, shape (..., L, L): diagonal on the kernel links, the
-        slope rows on the cross-affine links."""
-        n = a.shape[-1]
-        jac = np.zeros(a.shape + (n,))
-        diagonal = jac.reshape(a.shape[:-1] + (n * n,))[..., :: n + 1]  # a view
-        diagonal[...] = self.derivatives(a)
+    def jacobian(self, slopes: np.ndarray) -> np.ndarray:
+        """d tau / d a, shape (..., L, L), from the slopes derivatives(a)
+        at the link flows a: diagonal on the kernel links, the slope rows on
+        the cross-affine links."""
+        n = slopes.shape[-1]
+        jac = np.zeros(slopes.shape + (n,))
+        diagonal = jac.reshape(slopes.shape[:-1] + (n * n,))[..., :: n + 1]  # a view
+        diagonal[...] = slopes
         if not self.link_additive:
             jac[..., self.cross_at, :] = self.cross_slopes
         return jac
@@ -617,15 +617,15 @@ def _route_units(blocks: Sequence[np.ndarray], n_routes: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Structure:
     """A network's structure, decided once (by _structure).  Its arrays are
-    read-only, and the unit facts None without units.  Its bases are formed
-    when first read, never at construction, and kept (two threads reading
-    one first may both form it, to the same bits)."""
+    read-only.  Its bases are formed when first read, never at
+    construction, and kept (two threads reading one first may both form
+    it, to the same bits)."""
 
     incidence: np.ndarray
-    blocks: tuple[np.ndarray, ...] | None  # each unit's route positions, in the order it lists them
-    route_unit: np.ndarray | None  # each route's unit
-    demands: np.ndarray | None  # each unit's q_hdv + q_crv
-    fleet_sizes: np.ndarray | None  # each unit's q_crv
+    blocks: tuple[np.ndarray, ...]  # each unit's route positions, in the order it lists them
+    route_unit: np.ndarray  # each route's unit
+    demands: np.ndarray  # each unit's q_hdv + q_crv
+    fleet_sizes: np.ndarray  # each unit's q_crv
     routes_on: np.ndarray  # each link's number of routes
     shared: np.ndarray  # the links on two or more routes
     separable: bool  # link-additive with no shared link
@@ -679,7 +679,7 @@ class _Structure:
 def _structure(incidence: np.ndarray, delay_table: DelayTable, units, blocks) -> _Structure:
     """The _Structure of a network from its read-only incidence, its delay
     table, and its units with the route positions each lists, a partition
-    of the routes (both None without units)."""
+    of the routes."""
     routes_on = _read_only(incidence.sum(axis=0))
     shared = _read_only(routes_on > 1.0)
     cross_term = None
@@ -689,14 +689,12 @@ def _structure(incidence: np.ndarray, delay_table: DelayTable, units, blocks) ->
         cross_term = _read_only(incidence @ rows @ incidence.T)
     own = incidence[:, routes_on == 1.0].any(axis=1).all()
     bound = math.sqrt(routes_on.max() * incidence.sum(axis=1).max()) if own else math.inf
-    per_unit = (None, None, None, None)
-    if units is not None:
-        blocks = tuple(_read_only(np.asarray(block, dtype=int)) for block in blocks)
-        demands = _read_only(np.array([u.q_hdv + u.q_crv for u in units]))
-        sizes = _read_only(np.array([u.q_crv for u in units]))
-        per_unit = (blocks, _route_units(blocks, len(incidence)), demands, sizes)
+    blocks = tuple(_read_only(np.asarray(block, dtype=int)) for block in blocks)
+    demands = _read_only(np.array([u.q_hdv + u.q_crv for u in units]))
+    sizes = _read_only(np.array([u.q_crv for u in units]))
     separable = delay_table.link_additive and not shared.any()
-    return _Structure(incidence, *per_unit, routes_on, shared, separable, cross_term, bound)
+    route_unit = _route_units(blocks, len(incidence))
+    return _Structure(incidence, blocks, route_unit, demands, sizes, routes_on, shared, separable, cross_term, bound)
 
 
 class Network:
@@ -713,8 +711,8 @@ class Network:
     ----------
     links, routes : link and route definitions; every route references
         existing links.
-    units : OD units partitioning the route list.  Optional; operations that
-        need demand data raise if units are missing.
+    units : OD units partitioning the route list; every network has one
+        at least.
 
     Construction raises ModelInputError at the first failing fact of the
     links (one at least, unique ids, cross slopes on other links), routes
@@ -725,7 +723,7 @@ class Network:
         self,
         links: Sequence[Link],
         routes: Sequence[Route],
-        units: Sequence[ODUnit] | None = None,
+        units: Sequence[ODUnit],
     ):
         self.links = tuple(links)
         self.routes = tuple(routes)
@@ -739,27 +737,23 @@ class Network:
         incidence.setflags(write=False)
         self.incidence = incidence
 
-        self.units: tuple[ODUnit, ...] | None = None
-        blocks = None
-        if units is not None:
-            units = tuple(units)
-            if not units:
-                raise ModelInputError("malformed", ("units",), "network needs at least one unit")
-            blocks = [
-                _resolve(unit.route_ids, self._route_index, f"unit {u}", ("units", u, "routes"))
-                for u, unit in enumerate(units)
-            ]
-            covered: set[int] = set()
-            for u, block in enumerate(blocks):
-                for j, r in enumerate(block):
-                    if r in covered:
-                        message = f"units must not share routes: {self.routes[r].id!r} is listed twice"
-                        raise ModelInputError("bad-value", ("units", u, "routes", j), message)
-                    covered.add(r)
-            if len(covered) != len(self.routes):
-                names = [route.id for r, route in enumerate(self.routes) if r not in covered]
-                raise ModelInputError("bad-value", (), f"routes not covered by any unit: {names}")
-            self.units = units
+        self.units = tuple(units)
+        if not self.units:
+            raise ModelInputError("malformed", ("units",), "network needs at least one unit")
+        blocks = [
+            _resolve(unit.route_ids, self._route_index, f"unit {u}", ("units", u, "routes"))
+            for u, unit in enumerate(self.units)
+        ]
+        covered: set[int] = set()
+        for u, block in enumerate(blocks):
+            for j, r in enumerate(block):
+                if r in covered:
+                    message = f"units must not share routes: {self.routes[r].id!r} is listed twice"
+                    raise ModelInputError("bad-value", ("units", u, "routes", j), message)
+                covered.add(r)
+        if len(covered) != len(self.routes):
+            names = [route.id for r, route in enumerate(self.routes) if r not in covered]
+            raise ModelInputError("bad-value", (), f"routes not covered by any unit: {names}")
         self._structure = _structure(incidence, self.delay_table, self.units, blocks)
 
     # -- basic shape ---------------------------------------------------------
@@ -784,18 +778,11 @@ class Network:
 
     def unit_blocks(self) -> tuple[np.ndarray, ...]:
         """Each unit's route positions, in the order it lists them (read-only)."""
-        self.units_or_raise()
         return self._structure.blocks
 
     def fleet_sizes(self) -> np.ndarray:
         """Each unit's fleet size q_crv (read-only)."""
-        self.units_or_raise()
         return self._structure.fleet_sizes
-
-    def units_or_raise(self) -> tuple[ODUnit, ...]:
-        if self.units is None:
-            raise FleetModelError("this operation needs OD units, but none were declared")
-        return self.units
 
     def _check_dim(self, x, kind: str, batch: bool = True) -> np.ndarray:
         """x as a float "route" or "link" vector, or a batch of them."""
@@ -828,7 +815,7 @@ class Network:
     def link_time_jacobian(self, a) -> np.ndarray:
         """d tau / d a, an (A, A) matrix per flow; diagonal unless
         cross-dependence."""
-        return self.delay_table.jacobian(self._check_dim(a, "link"))
+        return self.delay_table.jacobian(self.delay_table.derivatives(self._check_dim(a, "link")))
 
     def link_second_derivatives(self, a) -> np.ndarray:
         """d^2 tau_a / d a_a^2 on every link carrying flow; 0 on cross-affine
@@ -903,7 +890,6 @@ class Network:
 
     def feasible_direction_basis(self) -> np.ndarray:
         """Orthonormal basis of directions with zero sum inside every unit block (read-only)."""
-        self.units_or_raise()
         return self._structure.zero_sum_basis
 
     def restricted_min_eigenvalue(self, q):
@@ -925,16 +911,15 @@ class Network:
         computed when first read (see PDCertificate)."""
         q = self._check_dim(q, "route", batch=False)
         slopes = self.delay_table.derivatives(self._route_to_link_at(q))
-        return self._feasible_direction_pd_at(q, self._route_gradient_form(slopes), slopes)
+        return self._feasible_direction_pd_at(self._route_gradient_form(slopes), slopes)
 
-    def _feasible_direction_pd_at(self, q: np.ndarray, grad: np.ndarray, slopes: np.ndarray) -> PDCertificate:
-        """feasible_direction_pd at the route flow q of the right shape from
-        its link slopes and the route gradient grad formed from them."""
-        q = q.copy()  # a caller may change its array before the first read
+    def _feasible_direction_pd_at(self, grad: np.ndarray, slopes: np.ndarray) -> PDCertificate:
+        """feasible_direction_pd from the link slopes at a route flow's link
+        flows and the route gradient grad formed from them."""
 
         def dense() -> PDCertificate:
             # without a unit of two routes the basis is empty and the gradient unread
-            matrix = self.route_gradient(q) if grad.ndim == 1 else grad
+            matrix = self._route_gradient_at(slopes) if grad.ndim == 1 else grad
             return _pd_certificate(self.feasible_direction_basis(), matrix)
 
         return self._pd_test(grad, slopes, dense, exact=grad.ndim == 1)

@@ -265,14 +265,10 @@ def _mixed_sign_power_kind(strategy: FleetStrategy, gammas: list[float]) -> Conv
 
 def _quadratic_kind(strategy: FleetStrategy, network: Network) -> ConvexityKind:
     """Class of a quadratic objective from the eigenvalues of its constant
-    Hessian restricted to the feasible directions (every direction when the
-    network declares no OD units)."""
+    Hessian restricted to the feasible directions."""
     zero = np.zeros(network.n_routes)
     hess = objective_hessian_in_f(strategy, zero, zero, network)
-    if network.units is None:
-        basis = np.eye(network.n_routes)
-    else:
-        basis = network.feasible_direction_basis()
+    basis = network.feasible_direction_basis()
     eig = np.linalg.eigvalsh(basis.T @ hess @ basis)
     threshold = PD_RTOL * abs(np.trace(hess)) / network.n_routes
     if eig.size == 0 or eig[0] > threshold:

@@ -347,7 +347,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 "q_crv": unit.q_crv,
                 "routes": list(unit.route_ids),
             }
-            for unit in net.units_or_raise()
+            for unit in net.units
         ],
     }
     if scenario.strategy_name is not None:

@@ -103,7 +103,7 @@ def _demands(network: Network) -> tuple[float, float]:
         raise FleetModelError(
             f"Stackelberg analysis covers two-route networks, got {network.n_routes}"
         )
-    units = network.units_or_raise()
+    units = network.units
     if len(units) != 1:
         raise FleetModelError(
             f"Stackelberg analysis covers one OD unit holding both routes, got {len(units)} units"

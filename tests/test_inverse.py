@@ -258,6 +258,20 @@ class TestLinkInverse:
         assert inverse_link_flows(SELFISH, a, net).certificate.theorem_applies
         assert len(slopes) == 1 and jacobians == []
 
+    def test_a_cross_affine_link_inverse_evaluates_the_slopes_once(self, monkeypatch):
+        # the fixture's middle links are cross-affine: the jacobian extends
+        # the slopes that the route gradient's form was built from (a second
+        # slope evaluation when DelayTable.jacobian took them again)
+        sc = parse_scenario(fixture_path("cross_dependent_stable"))
+        net = sc.network
+        a = net.route_to_link(sc.observed_route_flows)
+        assert not net.link_additive
+        slopes = []
+        method = DelayTable.derivatives
+        monkeypatch.setattr(DelayTable, "derivatives", lambda self, x: slopes.append(x) or method(self, x))
+        assert inverse_link_flows(sc.strategy, a, net).certificate.theorem_applies
+        assert len(slopes) == 1
+
     def test_not_realisable(self, net_overlap):
         # upstream links carry 400 but downstream only 100: no route flow fits
         with pytest.raises(NotRealisableError):
@@ -327,6 +341,35 @@ class TestRouteFiber:
     def test_unrealisable_phi(self, net_overlap):
         with pytest.raises(NotRealisableError):
             route_fiber(net_overlap, np.array([80.0, 20.0, 10.0, 10.0]))
+
+    @given(
+        two_units=st.booleans(),
+        weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        shift=st.sampled_from([0.0, 0.0, 1e-3, 5.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_no_caps_are_infinite_caps(self, two_units, weights, shift):
+        # route_fiber without upper caps every route at +inf: the fiber of
+        # a fleet flow's link image, or of that image shifted off it (which
+        # may not be realisable), is the same to the byte either way
+        net = two_od_overlap() if two_units else overlap_network()
+        f = np.zeros(4)
+        for block, size in zip(net.unit_blocks(), net.fleet_sizes()):
+            w = np.array(weights)[block] + 1e-3
+            f[block] = w / w.sum() * size
+        phi = net.route_to_link(f) + shift * np.array([1.0, 0.0, 0.0, 0.0])
+        answers = []
+        for upper in ((), (np.full(4, np.inf),)):
+            try:
+                fiber = route_fiber(net, phi, *upper)
+            except NotRealisableError as err:
+                answers.append(str(err))
+            else:
+                answers.append((
+                    fiber.representative.tobytes(), fiber.basis.tobytes(),
+                    np.array(fiber.intervals).tobytes(), np.float64(fiber.residual).tobytes(),
+                ))
+        assert answers[0] == answers[1]
 
     def test_realisable_flows_on_four_dimensional_fiber(self):
         # Dykstra's alternating projections, which the least-distance solve
@@ -814,6 +857,23 @@ class TestRouteCertificate:
             verdicts.add((strategy.margin > inverse.MARGIN_EPS, pd.passes))
         assert {(True, True), (True, False)} <= verdicts
 
+    def test_min_rayleigh_reads_the_slopes_the_inverse_holds(self, monkeypatch):
+        # the slope rule certifies ladder draw #10, so min_rayleigh is
+        # computed when read: from the gradient matrix of the inverse's own
+        # link slopes, one slope evaluation in all (two when it re-derived
+        # them from q), to the bits of the dense test at q
+        h, net = route_ladder()[10]
+        q = h + fleet_assign(SELFISH, h, net, certify=False).f
+        slopes = []
+        method = DelayTable.derivatives
+        monkeypatch.setattr(DelayTable, "derivatives", lambda self, x: slopes.append(x) or method(self, x))
+        certificate = solve_inverse(SELFISH, q, net).certificate
+        assert certificate.pd.threshold == 0.0
+        min_rayleigh = certificate.min_rayleigh
+        assert len(slopes) == 1
+        dense = _pd_certificate(net.feasible_direction_basis(), net.route_gradient(q))
+        assert min_rayleigh.hex() == dense.min_rayleigh.hex()
+
 
 def _near_connector(draw: int, k: int):
     """(h, network, f): seed-2024 ladder draw `draw` (R = 100) with a link
@@ -938,8 +998,9 @@ class TestLinearMinimum:
             bounds = np.cumsum(np.concatenate([[0], sizes]))
             blocks = tuple(np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
             n = int(bounds[-1])
-            upper = rng.uniform(0.0, 10.0, n) if rng.random() < 0.7 else None
-            caps = [float(np.sum(upper[b])) if upper is not None else 30.0 for b in blocks]
+            capped = rng.random() < 0.7
+            upper = rng.uniform(0.0, 10.0, n) if capped else np.full(n, np.inf)
+            caps = [float(np.sum(upper[b])) if capped else 30.0 for b in blocks]
             totals = np.array([rng.uniform(0.0, cap) for cap in caps])
             feasible = FeasibleSet(blocks=blocks, totals=totals, n_routes=n, upper=upper)
             c = rng.integers(0, 3, n).astype(float)  # many ties
@@ -966,7 +1027,10 @@ def _reference_link_solve(strategy, a, network):
     """The certified link VI of inverse_link_flows solved by the
     extragradient alone (see _reference_vi); returns the link flow and the
     residual."""
-    feasible = FeasibleSet(blocks=network.unit_blocks(), totals=network.fleet_sizes(), n_routes=network.n_routes)
+    feasible = FeasibleSet(
+        blocks=network.unit_blocks(), totals=network.fleet_sizes(), n_routes=network.n_routes,
+        upper=np.full(network.n_routes, np.inf),
+    )
     tau = network.link_travel_times(a)
     jac = network.link_time_jacobian(a)
     a0 = network.incidence @ (strategy.lam_crv * tau + jac.T @ (strategy.lam_hdv * a))
@@ -1327,10 +1391,11 @@ def _dense_monotone_vi(rng):
     n = int(sizes.sum())
     bounds = np.cumsum(np.concatenate([[0], sizes]))
     blocks = tuple(np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
-    upper = None
-    if rng.random() < 0.7:
+    upper = np.full(n, np.inf)
+    capped = rng.random() < 0.7
+    if capped:
         upper = np.where(rng.random(n) < 0.8, rng.uniform(0.5, 10.0, n), 1e-9)
-    caps = [float(np.sum(upper[b])) if upper is not None else 20.0 for b in blocks]
+    caps = [float(np.sum(upper[b])) if capped else 20.0 for b in blocks]
     totals = np.array([rng.uniform(0.1, 0.95) * cap for cap in caps])
     m = rng.normal(size=(n, n))
     b = m @ m.T + 0.05 * np.eye(n)
@@ -1608,7 +1673,9 @@ class TestFaceEnumeration:
         tau, jac = net.link_travel_times(a), net.link_time_jacobian(a)
         link_a0 = net.incidence @ (strategy.lam_crv * tau + jac.T @ (strategy.lam_hdv * a))
         link_b = inverse._slope_operator(strategy.margin, net._route_gradient_form_at(a))
-        link_set = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes)
+        link_set = FeasibleSet(
+            blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=np.full(net.n_routes, np.inf)
+        )
         for a0, diagonal, feasible in ((a0, b, route_set), (link_a0, link_b, link_set)):
             assert diagonal.ndim == 1
             tol_gap = DEFAULT_CONFIG.tol_vi * max(1.0, feasible.total_mass)

@@ -18,7 +18,6 @@ from fleet_inverse import (
     DelayDomainError,
     DimensionMismatchError,
     FeasibleSet,
-    FleetModelError,
     Link,
     ModelInputError,
     Network,
@@ -89,13 +88,16 @@ MODEL_FACTS = [
     (lambda: unit(), "malformed", ("routes",)),
     (lambda: unit("r1", q_hdv=-1.0), "negative-flow", ("q_hdv",)),
     (lambda: unit("r1", q_crv=math.inf), "bad-value", ("q_crv",)),
-    (lambda: Network([], ROUTES), "malformed", ("links",)),
-    (lambda: Network(LINKS + LINKS[:1], ROUTES), "bad-value", ("links", 2, "id")),
-    (lambda: Network((LINKS[0], cross_link("l2", "z")), ROUTES), "dangling-id", ("links", 1, "delay", "cross", "z")),
-    (lambda: Network((LINKS[0], cross_link("l2", "l2")), ROUTES), "bad-value", ("links", 1, "delay", "cross", "l2")),
-    (lambda: Network(LINKS, []), "malformed", ("routes",)),
-    (lambda: Network(LINKS, ROUTES[::-1] + ROUTES[1:]), "bad-value", ("routes", 2, "id")),
-    (lambda: Network(LINKS, (ROUTES[0], Route("r2", ("l2", "z")))), "dangling-id", ("routes", 1, "links", 1)),
+    (lambda: Network([], ROUTES, [unit("r1", "r2")]), "malformed", ("links",)),
+    (lambda: Network(LINKS + LINKS[:1], ROUTES, [unit("r1", "r2")]), "bad-value", ("links", 2, "id")),
+    (lambda: Network((LINKS[0], cross_link("l2", "z")), ROUTES, [unit("r1", "r2")]), "dangling-id",
+     ("links", 1, "delay", "cross", "z")),
+    (lambda: Network((LINKS[0], cross_link("l2", "l2")), ROUTES, [unit("r1", "r2")]), "bad-value",
+     ("links", 1, "delay", "cross", "l2")),
+    (lambda: Network(LINKS, [], [unit("r1", "r2")]), "malformed", ("routes",)),
+    (lambda: Network(LINKS, ROUTES[::-1] + ROUTES[1:], [unit("r1", "r2")]), "bad-value", ("routes", 2, "id")),
+    (lambda: Network(LINKS, (ROUTES[0], Route("r2", ("l2", "z"))), [unit("r1", "r2")]), "dangling-id",
+     ("routes", 1, "links", 1)),
     (lambda: Network(LINKS, ROUTES, units=[]), "malformed", ("units",)),
     (lambda: Network(LINKS, ROUTES, units=[unit("r1"), unit("r3")]), "dangling-id", ("units", 1, "routes", 0)),
     (lambda: Network(LINKS, ROUTES, units=[unit("r1", "r2"), unit("r1")]), "bad-value", ("units", 1, "routes", 0)),
@@ -118,7 +120,7 @@ def test_model_facts_are_checked_links_routes_units_then_the_partition():
     bad_cross = (LINKS[0], cross_link("l2", "z"))
     dangling_route = (ROUTES[0], Route("r2", ("z",)))
     cases = [
-        (Network, (bad_cross, dangling_route), ("links", 1, "delay", "cross", "z")),
+        (Network, (bad_cross, dangling_route, [unit("r3")]), ("links", 1, "delay", "cross", "z")),
         (Network, (LINKS, dangling_route, [unit("r3")]), ("routes", 1, "links", 0)),
         (Network, (LINKS, ROUTES, [unit("r1", "r1"), unit("r3")]), ("units", 1, "routes", 0)),
     ]
@@ -130,14 +132,7 @@ def test_model_facts_are_checked_links_routes_units_then_the_partition():
 
 def test_a_link_without_a_delay_kind_is_unsupported():
     with pytest.raises(UnsupportedDelayError, match="link 'l1' has unsupported delay type float"):
-        Network([Link("l1", 1.0)], [Route("r1", ("l1",))])
-
-
-def test_demand_data_needs_units():
-    net = Network(LINKS, ROUTES)
-    for operation in (net.unit_blocks, net.fleet_sizes):
-        with pytest.raises(FleetModelError, match="this operation needs OD units"):
-            operation()
+        Network([Link("l1", 1.0)], [Route("r1", ("l1",))], [unit("r1")])
 
 
 def test_a_cross_affine_delay_hashes_by_value():
@@ -419,7 +414,7 @@ class TestRouteGradient:
             Route(f"r{r}", tuple(ids[j] for j in sorted(rng.choice(n_links, size=int(rng.integers(1, n_links + 1)), replace=False))))
             for r in range(n_routes)
         ]
-        net = Network([Link(i, d) for i, d in zip(ids, delays)], routes)
+        net = Network([Link(i, d) for i, d in zip(ids, delays)], routes, [unit(*(r.id for r in routes))])
         q = rng.uniform(0.0, 1.0, (3, n_routes) if batch else n_routes) * (rng.random(n_routes) < 0.6)
         n = net.incidence
         jac = net.link_time_jacobian(net.route_to_link(q))

@@ -161,17 +161,6 @@ class TestRouteLevelDelays:
         malicious = classify_convexity(FleetStrategy.preset("malicious"), net)
         assert malicious.kind is ConvexityKind.CONCAVE_EVERYWHERE
 
-    def test_classified_without_units(self):
-        # no OD units: every direction counts
-        links = [
-            Link("p1", CrossAffineDelay(1.0, 1.0, {"p2": 3.0})),
-            Link("p2", CrossAffineDelay(1.0, 1.0, {"p1": 0.0})),
-        ]
-        net = Network(links, [Route("r1", ("p1",)), Route("r2", ("p2",))])
-        # G + G^T = [[2, 3], [3, 2]] has eigenvalues 5 and -1
-        assert classify_convexity(FleetStrategy.preset("selfish"), net).kind is ConvexityKind.INDEFINITE
-        assert classify_convexity(FleetStrategy.preset("malicious"), net).kind is ConvexityKind.CONCAVE_EVERYWHERE
-
     def test_forward_solver_handles_it(self):
         net = self.build()
         result = fleet_assign(FleetStrategy.preset("selfish"), np.array([12.0, 8.0]), net)

@@ -97,7 +97,7 @@ def _inverse_case(solve, *args, **kwargs) -> str:
 
 def _split_hdv(network) -> np.ndarray:
     h = np.zeros(network.n_routes)
-    for unit, block in zip(network.units_or_raise(), network.unit_blocks()):
+    for unit, block in zip(network.units, network.unit_blocks()):
         h[block] = unit.q_hdv / len(block)
     return h
 
