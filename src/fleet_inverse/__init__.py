@@ -41,7 +41,6 @@ from .inverse import (
     lipschitz_bound,
     route_fiber,
     solve_inverse,
-    stationarity_map,
 )
 from .network import (
     AffineDelay,
@@ -63,8 +62,6 @@ from .objective import (
     FleetStrategy,
     classify_convexity,
     eval_objective,
-    eval_objective_link_form,
-    local_convexity_at,
     objective_gradient_in_f,
     objective_hessian_in_f,
 )
@@ -72,8 +69,6 @@ from .stackelberg import (
     GeneralMixture,
     MixedCornerStrategy,
     compare_routings,
-    expected_fleet_objective,
-    expected_hdv_time,
     induced_ue,
     optimize_corner_mixture,
     verify_corner_support,

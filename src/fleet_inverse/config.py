@@ -33,16 +33,22 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 # the counts and caps that have a lower bound (tol_* are finite and positive)
 _MINIMUM = {"n_starts": 0, "vertex_cap": 1, "max_pg_iter": 1}
 
 
+def _integer(value) -> bool:
+    """Whether value is an int or a numpy integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _valid_seed(seed) -> bool:
-    """Seeds lie in [0, 2**63): numpy's generators take no negative seed,
-    and a Philox key word holds 64 bits."""
-    return 0 <= seed < 2**63
+    """Seeds are integers in [0, 2**63): numpy's generators take no negative
+    seed, and a Philox key word holds 64 bits."""
+    return _integer(seed) and 0 <= seed < 2**63
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig, _valid_seed
+from .config import DEFAULT_CONFIG, SolverConfig, _integer, _valid_seed
 from .forward import _assigner, _flows
 from .network import Network
 from .objective import FleetStrategy
@@ -31,7 +31,7 @@ class SimulationConfig:
     strategy: FleetStrategy = field(default_factory=lambda: FleetStrategy(0.0, 1.0))
 
     def __post_init__(self):
-        if self.days < 1:
+        if not _integer(self.days) or self.days < 1:
             raise ValueError("days must be at least 1")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError("mu must lie in [0, 1]")

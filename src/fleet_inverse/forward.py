@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
+from .config import DEFAULT_CONFIG, SolverConfig, _integer
 from .errors import (
     DimensionMismatchError,
     FleetModelError,
@@ -525,7 +525,9 @@ def _descend(
     rejected trial the next a interpolates (see _backtrack), and an arc
     fails once a falls to 1e-16 (each rejection multiplies a by at most
     _ARMIJO_FACTOR = 0.5: within 54 trials).  Each point is evaluated once
-    (objective._evaluate, at checked HDV flows h): the accepted
+    (objective._evaluate, at checked HDV flows h), and a trial that the arc
+    projects onto the bits of the search's previous trial is not evaluated
+    again: it is rejected with that trial's value and slope.  The accepted
     trial's link flows, weights and travel times give the next iteration's
     gradient, and its link flows and weights the Hessian, which is built
     only when a face needs it.  It stops when max|f - P(f - grad)| <=
@@ -543,13 +545,18 @@ def _descend(
 
     def search(path) -> tuple[np.ndarray, _Point] | None:
         # Armijo backtracking along path(a), with slack for the objective's
-        # rounding near a minimum; the accepted trial's point, or None
+        # rounding near a minimum; the accepted trial's point, or None.  A
+        # trial the arc projects onto the previous one's bits reuses its
+        # point and slope.
         f_ref = here.value + rounding * (1.0 + abs(here.value))
         a = 1.0
+        last = b""
         while a > 1e-16:
             x = path(a)
-            trial = _evaluate(strategy, h, x, network)
-            slope = float(grad @ (x - f))
+            if (key := x.tobytes()) != last:
+                last = key
+                trial = _evaluate(strategy, h, x, network)
+                slope = float(grad @ (x - f))
             if trial.value <= f_ref + _ARMIJO_C1 * slope:
                 return x, trial
             a = _backtrack(a, here.value, slope, trial.value, _ARMIJO_FACTOR)
@@ -688,10 +695,11 @@ def _corner_solver(
 
 
 def _seeded(seed: int) -> int:
-    """The seed, refused when None: numpy would draw fresh OS entropy for
-    it, and the run would not repeat."""
-    if seed is None:
-        raise ValueError("seed must lie in [0, 2**63), got None")
+    """The seed, refused unless an integer (None would draw fresh OS
+    entropy, and the run would not repeat).  Its range is numpy's to
+    check: simulate seeds day d with seed + d."""
+    if not _integer(seed):
+        raise ValueError(f"seed must lie in [0, 2**63), got {seed!r}")
     return seed
 
 

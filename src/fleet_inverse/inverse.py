@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig, _valid_seed
+from .config import DEFAULT_CONFIG, SolverConfig, _integer, _valid_seed
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -84,7 +84,6 @@ __all__ = [
     "FiberResult",
     "LipschitzBound",
     "DiscreteRecovery",
-    "stationarity_map",
     "solve_inverse",
     "inverse_link_flows",
     "route_fiber",
@@ -179,20 +178,13 @@ class DiscreteRecovery:
 # -- operator and gap ------------------------------------------------------------
 
 
-def _affine_operator(
-    strategy: FleetStrategy, q: np.ndarray, network: Network
-) -> tuple[np.ndarray, np.ndarray]:
-    """A(f) = a0 + B f in route space at the observed total flow q."""
-    return _route_operator(strategy, q, network.route_times(q), network.route_gradient(q))
-
-
 def _route_operator(
     strategy: FleetStrategy, q: np.ndarray, t: np.ndarray, grad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(a0, B) of _affine_operator from the route times t and the route
-    gradient grad at q, in the form of Network._route_gradient_form_at:
-    the matrix, or its diagonal g (R,), which gives B's diagonal (R,),
-    margin g.  Bit for bit the dense operator's a0 and B's diagonal
+    """A(f) = a0 + B f in route space at the observed total flow q: (a0, B)
+    from the route times t and the route gradient grad at q, in the form of
+    Network._route_gradient_form_at: the matrix, or its diagonal g (R,),
+    which gives B's diagonal (R,), margin g.  Bit for bit the dense operator's a0 and B's diagonal
     wherever each route has one or two links (see _times)."""
     return strategy.lam_crv * t + _times(grad.T, strategy.lam_hdv * q), _slope_operator(strategy.margin, grad)
 
@@ -207,20 +199,6 @@ def _times(b: np.ndarray, f: np.ndarray) -> np.ndarray:
     """B f for an operator b given as its diagonal (R,) or as a matrix.
     The + 0.0 makes a zero product +0, as the matrix product's sums do."""
     return b * f + 0.0 if b.ndim == 1 else b @ f
-
-
-def stationarity_map(strategy: FleetStrategy, q, f, network: Network) -> np.ndarray:
-    """The VI operator at candidate f; contracting with a direction g gives
-    the directional derivative of the fleet objective at f with HDV flows
-    q - f held fixed."""
-    q = np.asarray(q, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if q.shape != f.shape or q.shape != (network.n_routes,):
-        raise DimensionMismatchError("q and f must both be route vectors")
-    if not np.all(np.isfinite(f)):
-        raise InfeasibleProblemError("fleet flows must be finite")
-    a0, b = _affine_operator(strategy, q, network)
-    return a0 + _times(b, f)
 
 
 def _linear_minimum(c: np.ndarray, feasible: FeasibleSet) -> tuple[np.ndarray, float]:
@@ -987,9 +965,9 @@ def lipschitz_bound(
     estimates the supremum norms of the travel-time gradient and of its
     Lipschitz modulus, the minimum feasible-direction eigenvalue rho, and
     assembles K / (L * rho) bounding |f* - f#| / |q* - q#|.  The samples
-    (at least 1) are evaluated as one batch.
+    (an integer, at least 1) are evaluated as one batch.
     """
-    if samples < 1:
+    if not _integer(samples) or samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
     if not _valid_seed(seed):
         raise ValueError(f"seed must lie in [0, 2**63), got {seed!r}")

@@ -817,18 +817,15 @@ class Network:
         cross-dependence."""
         return self.delay_table.jacobian(self.delay_table.derivatives(self._check_dim(a, "link")))
 
-    def link_second_derivatives(self, a) -> np.ndarray:
-        """d^2 tau_a / d a_a^2 on every link carrying flow; 0 on cross-affine
-        links, whose delays are linear in the link flows.
+    def _link_second_derivatives_at(self, a: np.ndarray) -> np.ndarray:
+        """d^2 tau_a / d a_a^2 at link flows a of the right shape, on every
+        link carrying flow; 0 on cross-affine links, whose delays are linear
+        in the link flows.
 
         Links without flow report 0: the curvature may be unbounded there
         (BPR powers below 2), and the objective weights it by a link flow
         that vanishes with it.
         """
-        return self._link_second_derivatives_at(self._check_dim(a, "link"))
-
-    def _link_second_derivatives_at(self, a: np.ndarray) -> np.ndarray:
-        """link_second_derivatives at link flows a of the right shape."""
         flowing = a > 0
         # 0.5 lies inside every kernel's domain; those entries are dropped
         second = self.delay_table.second_derivatives(np.where(flowing, a, 0.5))
@@ -891,16 +888,6 @@ class Network:
     def feasible_direction_basis(self) -> np.ndarray:
         """Orthonormal basis of directions with zero sum inside every unit block (read-only)."""
         return self._structure.zero_sum_basis
-
-    def restricted_min_eigenvalue(self, q):
-        """Smallest eigenvalue of sym(route gradient) on feasible directions
-        (the unit-norm Rayleigh quotient), one per row of a batch.  Returns
-        +inf when the feasible subspace is trivial.
-        """
-        basis = self.feasible_direction_basis()
-        if basis.shape[1] == 0:
-            return math.inf
-        return _restricted_min_eigenvalue(basis, self.route_gradient(q))
 
     def feasible_direction_pd(self, q) -> PDCertificate:
         """Positive definiteness of the travel-time gradient on feasible

@@ -29,11 +29,9 @@ __all__ = [
     "ConvexityClass",
     "LinkCurvature",
     "eval_objective",
-    "eval_objective_link_form",
     "objective_gradient_in_f",
     "objective_hessian_in_f",
     "classify_convexity",
-    "local_convexity_at",
     "link_curvature_sign",
 ]
 
@@ -154,16 +152,6 @@ def eval_objective(strategy: FleetStrategy, h, f, network: Network):
     per row)."""
     h, f = _check_pair(h, f, network.n_routes, batch=True)
     return _evaluate(strategy, h, f, network).value
-
-
-def eval_objective_link_form(strategy: FleetStrategy, h, f, network: Network) -> float:
-    """Link-form evaluation; agrees with the route form on link-additive
-    networks because the weights aggregate along the incidence matrix."""
-    h, f = _check_pair(h, f, network.n_routes)
-    eta = network.route_to_link(h)
-    phi = network.route_to_link(f)
-    tau = network.link_travel_times(eta + phi)
-    return float((strategy.lam_hdv * eta + strategy.lam_crv * phi) @ tau)
 
 
 def objective_gradient_in_f(strategy: FleetStrategy, h, f, network: Network) -> np.ndarray:
@@ -333,49 +321,3 @@ def link_curvature_sign(row: LinkCurvature, eta: float, phi: float) -> int:
     if value < 0:
         return -1
     return 0
-
-
-@dataclass(frozen=True)
-class LocalConvexity:
-    link_id: str
-    convex: bool
-    strict: bool
-    sign: int
-    threshold: float
-
-
-def local_convexity_at(strategy: FleetStrategy, eta, phi, network: Network) -> tuple[LocalConvexity, ...]:
-    """Per-link local convexity flags at HDV link flows eta and fleet link
-    flows phi.
-
-    A link is flagged convex when its exact second-derivative sign is
-    positive, equivalently phi > threshold * eta; boundary points with zero
-    curvature are flagged non-strict.  Requires lam_crv > 0 (the threshold
-    form divides by it) and exponents above 1.
-    """
-    if strategy.lam_crv <= 0:
-        raise UnsupportedDelayError("local convexity thresholds require lam_crv > 0")
-    eta = np.asarray(eta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if eta.shape != (network.n_links,) or phi.shape != (network.n_links,):
-        raise DimensionMismatchError(
-            f"expected two link vectors of length {network.n_links}"
-        )
-    per_link = _curvature_data(strategy, network)
-    out = []
-    for i, row in enumerate(per_link):
-        if row.gamma <= 1.0:
-            raise UnsupportedDelayError(
-                f"link {row.link_id!r}: local convexity test needs exponent > 1"
-            )
-        sign = link_curvature_sign(row, float(eta[i]), float(phi[i]))
-        out.append(
-            LocalConvexity(
-                link_id=row.link_id,
-                convex=sign > 0,
-                strict=sign != 0,
-                sign=sign,
-                threshold=row.threshold,
-            )
-        )
-    return tuple(out)

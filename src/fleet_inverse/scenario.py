@@ -2,8 +2,11 @@
 and optional observations, with eager validation.
 
 Every validation failure raises ScenarioError carrying a machine-readable
-code and the path of the offending field.  parse -> serialize -> parse is
-the identity on the validated model.
+code and the path of the offending field.  A Scenario keeps what its
+document chose (a strategy preset's name, the tolerance overrides, whether
+a `simulation` section was given), so the document can be written back:
+tests/conftest.py's scenario_to_dict does so, and parse -> serialize ->
+parse is the identity on the validated model.
 
 The parser checks only the document's shape: JSON types, required fields,
 finite numbers, the schema.  What the model assumes of its values (positive
@@ -12,11 +15,11 @@ the routes) the model's constructors check, each fact once, and the
 ModelInputError they raise becomes a ScenarioError with the same code at
 the JSON path of the offending field.
 
-Delays and the `simulation` and `tolerances` sections are read and
-written from the model's own declarations: a delay by its class's `kind`
-(network.py) and its dataclass fields in order, the two sections by the
-fields of SimulationConfig and SolverConfig, whose defaults fill what a
-document omits.  Each field is read by its declared type: a float as a
+Delays and the `simulation` and `tolerances` sections are read from the
+model's own declarations: a delay by its class's `kind` (network.py) and
+its dataclass fields in order, the two sections by the fields of
+SimulationConfig and SolverConfig, whose defaults fill what a document
+omits.  Each field is read by its declared type: a float as a
 finite number, an int as a JSON integer, a str as a string, never a bool.
 """
 
@@ -42,7 +45,6 @@ __all__ = [
     "ScenarioError",
     "parse_scenario",
     "parse_scenario_dict",
-    "scenario_to_dict",
     "fixture_path",
     "list_fixtures",
 ]
@@ -184,15 +186,6 @@ def _read_fields(cls, doc: dict, path: str) -> dict:
     return values
 
 
-def _fields_to_dict(obj) -> dict:
-    """The inverse of _read_fields, mappings sorted by key."""
-    doc = {}
-    for name in _FIELDS[type(obj)]:
-        value = getattr(obj, name)
-        doc[name] = dict(sorted(value.items())) if isinstance(value, dict) else value
-    return doc
-
-
 def _parse_delay(spec, path: str) -> Delay:
     kind = _require(_object(spec, path), "kind", path)
     # a JSON array or object kind is unhashable
@@ -325,48 +318,3 @@ def parse_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError("malformed", "$", f"invalid JSON: {exc}") from exc
     return parse_scenario_dict(doc)
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Canonical serialization; parsing it back yields an identical model."""
-    net = scenario.network
-    doc: dict = {
-        "schema": SCHEMA_VERSION,
-        "links": [
-            {"id": link.id, "delay": {"kind": link.delay.kind, **_fields_to_dict(link.delay)}}
-            for link in net.links
-        ],
-        "routes": [
-            {"id": route.id, "links": list(route.link_ids)} for route in net.routes
-        ],
-        "units": [
-            {
-                "origin": unit.origin,
-                "destination": unit.destination,
-                "q_hdv": unit.q_hdv,
-                "q_crv": unit.q_crv,
-                "routes": list(unit.route_ids),
-            }
-            for unit in net.units
-        ],
-    }
-    if scenario.strategy_name is not None:
-        doc["strategy"] = scenario.strategy_name
-    else:
-        doc["strategy"] = {
-            "lambda_hdv": scenario.strategy.lam_hdv,
-            "lambda_crv": scenario.strategy.lam_crv,
-        }
-    if scenario.hdv_route_flows is not None:
-        doc["hdv_route_flows"] = list(map(float, scenario.hdv_route_flows))
-    if scenario.fleet_route_flows is not None:
-        doc["fleet_route_flows"] = list(map(float, scenario.fleet_route_flows))
-    if scenario.observed_route_flows is not None:
-        doc["observed"] = {"route_flows": list(map(float, scenario.observed_route_flows))}
-    if scenario.observed_link_flows is not None:
-        doc["observed"] = {"link_flows": list(map(float, scenario.observed_link_flows))}
-    if scenario.simulation_given:
-        doc["simulation"] = _fields_to_dict(scenario.simulation)
-    if scenario.tolerance_overrides:
-        doc["tolerances"] = dict(scenario.tolerance_overrides)
-    return doc

@@ -37,8 +37,6 @@ __all__ = [
     "MixedCornerStrategy",
     "GeneralMixture",
     "induced_ue",
-    "expected_fleet_objective",
-    "expected_hdv_time",
     "optimize_corner_mixture",
     "verify_corner_support",
     "compare_routings",
@@ -203,21 +201,6 @@ def _expected_objectives(
     total = np.zeros(len(weights))
     np.add.at(total, rows, weights[rows, points] * eval_objective(strategy, h[rows], f, network))
     return total
-
-
-def expected_fleet_objective(strategy: FleetStrategy, mixture: GeneralMixture, h, network: Network) -> float:
-    """Expectation of the fleet objective over the mixture support, at the
-    induced HDV flows h."""
-    _, q_crv = _demands(network)
-    alphas, weights = _mixture_arrays([mixture])
-    h = np.asarray(h, dtype=float)[None]
-    return float(_expected_objectives(strategy, alphas, weights, h, network, q_crv)[0])
-
-
-def expected_hdv_time(mixture: GeneralMixture, h, network: Network) -> float:
-    """Expected total HDV travel time under the mixture; the malicious
-    fleet maximizes this quantity."""
-    return -expected_fleet_objective(MALICIOUS, mixture, h, network)
 
 
 def _mixture_values(
@@ -413,13 +396,13 @@ def compare_routings(
     left to the reader of the report.
     """
     q_hdv, q_crv = _demands(network)
+    sim_config = SimulationConfig(days=days, mu=mu, seed=seed, strategy=MALICIOUS)
     burn_in = days // 4
 
     optimum = optimize_corner_mixture(MALICIOUS, network)
     # with no fleet the game is trivial: HDVs start on route 0 and no Nash
     # search runs
     trivial = q_crv == 0.0
-    sim_config = SimulationConfig(days=days, mu=mu, seed=seed, strategy=MALICIOUS)
     initial = np.array([q_hdv, 0.0] if trivial else [0.6 * q_hdv, 0.4 * q_hdv])
     states = simulate(sim_config, initial, network, config)
     nash_exists, cycle = (True, ()) if trivial else _nash_cycle(network, config)

@@ -1,6 +1,9 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders for the test suite, and the references the
+tests compare the library against."""
 
 import ctypes
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +13,22 @@ from fleet_inverse import (
     AffineDelay,
     BPRDelay,
     CrossAffineDelay,
+    DimensionMismatchError,
+    FleetStrategy,
+    InfeasibleProblemError,
     Link,
     Network,
     ODUnit,
     QuadraticDelay,
     Route,
+    UnsupportedDelayError,
     single_od_network,
 )
+from fleet_inverse.inverse import _route_operator, _times
+from fleet_inverse.network import _restricted_min_eigenvalue
+from fleet_inverse.objective import _check_pair, _curvature_data, link_curvature_sign
+from fleet_inverse.scenario import _FIELDS, SCHEMA_VERSION, Scenario
+from fleet_inverse.stackelberg import MALICIOUS, _demands, _expected_objectives, _mixture_arrays
 
 
 def _openblas_core() -> str:
@@ -182,6 +194,174 @@ def interleaved_units(layout: str = "interleaved") -> Network:
     demand = {"r0": (30.0, 20.0), "r2": (30.0, 20.0), "r1": (25.0, 15.0), "r3": (25.0, 15.0)}
     units = [ODUnit("O", f"D{ids[0]}", *demand[ids[0]], route_ids=ids) for ids in unit_routes]
     return Network([Link(k, d) for k, d in delays.items()], [Route(r, paths[r]) for r in order], units=units)
+
+
+# -- references ------------------------------------------------------------
+#
+# Quantities of the model that no library path needs in this form.  The
+# tests compare the solvers and certificates against them.
+
+
+def link_second_derivatives(network: Network, a) -> np.ndarray:
+    """d^2 tau_a / d a_a^2 at the link flows a (one vector or a batch), as
+    the objective's Hessian reads it: 0 on links without flow and on
+    cross-affine links."""
+    return network._link_second_derivatives_at(network._check_dim(a, "link"))
+
+
+def restricted_min_eigenvalue(network: Network, q):
+    """Smallest eigenvalue of sym(route gradient) on feasible directions
+    (the unit-norm Rayleigh quotient), one per row of a batch.  Returns
+    +inf when the feasible subspace is trivial."""
+    basis = network.feasible_direction_basis()
+    if basis.shape[1] == 0:
+        return math.inf
+    return _restricted_min_eigenvalue(basis, network.route_gradient(q))
+
+
+def eval_objective_link_form(strategy: FleetStrategy, h, f, network: Network) -> float:
+    """Link-form evaluation; agrees with the route form on link-additive
+    networks because the weights aggregate along the incidence matrix."""
+    h, f = _check_pair(h, f, network.n_routes)
+    eta = network.route_to_link(h)
+    phi = network.route_to_link(f)
+    tau = network.link_travel_times(eta + phi)
+    return float((strategy.lam_hdv * eta + strategy.lam_crv * phi) @ tau)
+
+
+@dataclass(frozen=True)
+class LocalConvexity:
+    link_id: str
+    convex: bool
+    strict: bool
+    sign: int
+    threshold: float
+
+
+def local_convexity_at(strategy: FleetStrategy, eta, phi, network: Network) -> tuple[LocalConvexity, ...]:
+    """Per-link local convexity flags at HDV link flows eta and fleet link
+    flows phi.
+
+    A link is flagged convex when its exact second-derivative sign is
+    positive, equivalently phi > threshold * eta; boundary points with zero
+    curvature are flagged non-strict.  Requires lam_crv > 0 (the threshold
+    form divides by it) and exponents above 1.
+    """
+    if strategy.lam_crv <= 0:
+        raise UnsupportedDelayError("local convexity thresholds require lam_crv > 0")
+    eta = np.asarray(eta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if eta.shape != (network.n_links,) or phi.shape != (network.n_links,):
+        raise DimensionMismatchError(
+            f"expected two link vectors of length {network.n_links}"
+        )
+    per_link = _curvature_data(strategy, network)
+    out = []
+    for i, row in enumerate(per_link):
+        if row.gamma <= 1.0:
+            raise UnsupportedDelayError(
+                f"link {row.link_id!r}: local convexity test needs exponent > 1"
+            )
+        sign = link_curvature_sign(row, float(eta[i]), float(phi[i]))
+        out.append(
+            LocalConvexity(
+                link_id=row.link_id,
+                convex=sign > 0,
+                strict=sign != 0,
+                sign=sign,
+                threshold=row.threshold,
+            )
+        )
+    return tuple(out)
+
+
+def expected_fleet_objective(strategy: FleetStrategy, mixture, h, network: Network) -> float:
+    """Expectation of the fleet objective over the mixture support, at the
+    induced HDV flows h."""
+    _, q_crv = _demands(network)
+    alphas, weights = _mixture_arrays([mixture])
+    h = np.asarray(h, dtype=float)[None]
+    return float(_expected_objectives(strategy, alphas, weights, h, network, q_crv)[0])
+
+
+def expected_hdv_time(mixture, h, network: Network) -> float:
+    """Expected total HDV travel time under the mixture; the malicious
+    fleet maximizes this quantity."""
+    return -expected_fleet_objective(MALICIOUS, mixture, h, network)
+
+
+def affine_operator(strategy: FleetStrategy, q: np.ndarray, network: Network) -> tuple[np.ndarray, np.ndarray]:
+    """(a0, B) of the inverse's VI operator A(f) = a0 + B f in route space
+    at the observed total flow q."""
+    return _route_operator(strategy, q, network.route_times(q), network.route_gradient(q))
+
+
+def stationarity_map(strategy: FleetStrategy, q, f, network: Network) -> np.ndarray:
+    """The VI operator at candidate f; contracting with a direction g gives
+    the directional derivative of the fleet objective at f with HDV flows
+    q - f held fixed."""
+    q = np.asarray(q, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if q.shape != f.shape or q.shape != (network.n_routes,):
+        raise DimensionMismatchError("q and f must both be route vectors")
+    if not np.all(np.isfinite(f)):
+        raise InfeasibleProblemError("fleet flows must be finite")
+    a0, b = affine_operator(strategy, q, network)
+    return a0 + _times(b, f)
+
+
+def _fields_to_dict(obj) -> dict:
+    """The inverse of the scenario parser's _read_fields, mappings sorted by key."""
+    doc = {}
+    for name in _FIELDS[type(obj)]:
+        value = getattr(obj, name)
+        doc[name] = dict(sorted(value.items())) if isinstance(value, dict) else value
+    return doc
+
+
+def scenario_to_dict(scenario: Scenario) -> dict:
+    """Canonical serialization; parsing it back yields an identical model."""
+    net = scenario.network
+    doc: dict = {
+        "schema": SCHEMA_VERSION,
+        "links": [
+            {"id": link.id, "delay": {"kind": link.delay.kind, **_fields_to_dict(link.delay)}}
+            for link in net.links
+        ],
+        "routes": [
+            {"id": route.id, "links": list(route.link_ids)} for route in net.routes
+        ],
+        "units": [
+            {
+                "origin": unit.origin,
+                "destination": unit.destination,
+                "q_hdv": unit.q_hdv,
+                "q_crv": unit.q_crv,
+                "routes": list(unit.route_ids),
+            }
+            for unit in net.units
+        ],
+    }
+    if scenario.strategy_name is not None:
+        doc["strategy"] = scenario.strategy_name
+    else:
+        doc["strategy"] = {
+            "lambda_hdv": scenario.strategy.lam_hdv,
+            "lambda_crv": scenario.strategy.lam_crv,
+        }
+    if scenario.hdv_route_flows is not None:
+        doc["hdv_route_flows"] = list(map(float, scenario.hdv_route_flows))
+    if scenario.fleet_route_flows is not None:
+        doc["fleet_route_flows"] = list(map(float, scenario.fleet_route_flows))
+    if scenario.observed_route_flows is not None:
+        doc["observed"] = {"route_flows": list(map(float, scenario.observed_route_flows))}
+    if scenario.observed_link_flows is not None:
+        doc["observed"] = {"link_flows": list(map(float, scenario.observed_link_flows))}
+    if scenario.simulation_given:
+        doc["simulation"] = _fields_to_dict(scenario.simulation)
+    if scenario.tolerance_overrides:
+        doc["tolerances"] = dict(scenario.tolerance_overrides)
+    return doc
 
 
 @pytest.fixture

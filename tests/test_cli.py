@@ -34,8 +34,8 @@ from fleet_inverse.scenario import (
     list_fixtures,
     parse_scenario,
     parse_scenario_dict,
-    scenario_to_dict,
 )
+from conftest import scenario_to_dict
 
 ALL_FIXTURES = list_fixtures()
 

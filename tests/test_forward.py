@@ -578,8 +578,10 @@ class TestWorkCounters:
     def test_route_ladder_evaluation_gate(self, monkeypatch):
         # each Armijo trial evaluates the objective and the travel times once,
         # and the accepted trial's times give the next gradient: the 12
-        # ladder forwards make 249 of each (457 objective and 609 travel-time
-        # evaluations with blind halving and the times evaluated again).
+        # ladder forwards make 230 of each (457 objective and 609 travel-time
+        # evaluations with blind halving and the times evaluated again, 249
+        # when a trial the arc projected onto the previous one was evaluated
+        # again).
         # Each of them ends on the rounding-level Newton step, which moves f,
         # so each still evaluates its final point once.
         calls = collections.Counter()
@@ -591,15 +593,16 @@ class TestWorkCounters:
             )
         for h, net in route_ladder():
             fleet_assign(SELFISH, h, net, certify=False)
-        assert calls["_evaluate"] == 249
-        assert calls["values"] == 249
+        assert calls["_evaluate"] == 230
+        assert calls["values"] == 230
 
     def test_descents_report_their_last_evaluated_point(self, monkeypatch):
         # a descent that stops anywhere but on the rounding-level Newton step
         # reports the value of the point it evaluated last: stopped by
-        # max_pg_iter = 5, the 12 ladder forwards make 154 objective
-        # evaluations and the 25 disruptive starts at R = 5 make 184 (166
-        # and 208 when each evaluated its final point again)
+        # max_pg_iter = 5, the 12 ladder forwards make 135 objective
+        # evaluations and the 25 disruptive starts at R = 5 make 179 (166
+        # and 208 when each evaluated its final point again; 154 and 184
+        # when a repeated trial was evaluated again)
         calls = collections.Counter()
         method = forward._evaluate
         monkeypatch.setattr(forward, "_evaluate", lambda *args: calls.update(["points"]) or method(*args))
@@ -608,12 +611,12 @@ class TestWorkCounters:
         for h, net in ladder:
             result = solve_convex(SELFISH, h, net, config=config, certify=False)
             assert result.objective == eval_objective(SELFISH, h, result.f, net)
-        assert calls["points"] == 154
+        assert calls["points"] == 135
         calls.clear()
         h, net = ladder[0]
         result = solve_general(DISRUPTIVE, h, net, config=config, certify=False)
         assert result.objective == eval_objective(DISRUPTIVE, h, result.f, net)
-        assert calls["points"] == 184
+        assert calls["points"] == 179
 
     def test_certified_forward_evaluates_its_last_point_once(self, monkeypatch):
         # the certificate reads the descent's last evaluated point: the
@@ -658,10 +661,11 @@ class TestWorkCounters:
         # one evaluation per point: its link flows N^T (h + f), delays and
         # travel times are formed once, and the gradient (link slopes) and
         # the Hessian (link curvatures and weights N^T w) at an iterate read
-        # them.  The 12 ladder forwards take 141 iterations and evaluate 249
-        # points, forming link flows 249 times (531 when the gradient and the
-        # Hessian each formed them again) and the delay table's values,
-        # slopes and curvatures 249, 141 and 141 times.
+        # them.  The 12 ladder forwards take 141 iterations and evaluate 230
+        # points (249 when a repeated trial was evaluated again), forming
+        # link flows 230 times (531 when the gradient and the Hessian each
+        # formed them again, with the repeats) and the delay table's values,
+        # slopes and curvatures 230, 141 and 141 times.
         calls = collections.Counter()
         for owner, name, key in (
             (network.DelayTable, "values", "values"),
@@ -677,7 +681,7 @@ class TestWorkCounters:
         monkeypatch.setattr(forward, "_evaluate", lambda *args, method=forward._evaluate:
                             calls.update(["points"]) or method(*args))
         iterations = sum(fleet_assign(SELFISH, h, net, certify=False).trace.iterations for h, net in route_ladder())
-        assert iterations <= 150 and calls["points"] == 249
+        assert iterations <= 150 and calls["points"] == 230
         assert calls["values"] == calls["points"]
         assert calls["derivatives"] == calls["second_derivatives"] == iterations
         # every Hessian forms its link weights once; every other product is a

@@ -31,6 +31,7 @@ from fleet_inverse import (
     QuadraticDelay,
     Route,
     certify_local_min,
+    compare_routings,
     discrete_recover,
     eval_objective,
     fleet_assign,
@@ -39,12 +40,14 @@ from fleet_inverse import (
     route_fiber,
     single_od_network,
     solve_inverse,
-    stationarity_map,
 )
 from conftest import (
+    affine_operator,
     asymmetric_two_route,
     overlap_network,
+    restricted_min_eigenvalue,
     route_ladder,
+    stationarity_map,
     symmetric_quadratic,
     three_affine_routes,
     two_od_overlap,
@@ -202,7 +205,7 @@ class TestLinkInverse:
         result = inverse_link_flows(SELFISH, [15.0], net)
         np.testing.assert_array_equal(result.f_hat, [5.0])
         assert result.certificate.theorem_applies and result.certificate.pd.min_rayleigh == math.inf
-        assert net.restricted_min_eigenvalue([15.0]) == math.inf
+        assert restricted_min_eigenvalue(net, [15.0]) == math.inf
 
     def test_overlap_uniform_case(self, net_overlap):
         q = np.array([100.0, 100.0, 100.0, 100.0])
@@ -570,8 +573,8 @@ class TestLipschitzBound:
 
     def test_one_slope_evaluation_per_bound(self, fig_two_route):
         # rho is read off the batch of route gradients formed for grad_norm,
-        # with the bits of restricted_min_eigenvalue; that method formed the
-        # batch again from a second slope evaluation
+        # with the bits of restricted_min_eigenvalue; forming the batch again
+        # took a second slope evaluation
         with (
             mock.patch.object(DelayTable, "derivatives", autospec=True,
                               side_effect=DelayTable.derivatives) as derivatives,
@@ -580,7 +583,7 @@ class TestLipschitzBound:
             bound = lipschitz_bound(SELFISH, fig_two_route, samples=40, seed=1)
         assert derivatives.call_count == 1
         q = hessian.call_args.args[1]
-        assert bound.rho == min(fig_two_route.restricted_min_eigenvalue(q).tolist())
+        assert bound.rho == min(restricted_min_eigenvalue(fig_two_route, q).tolist())
 
     def test_no_feasible_direction_leaves_rho_infinite(self):
         net = single_od_network([AffineDelay(1.0, 2.0)], q_hdv=30.0, q_crv=10.0)
@@ -830,11 +833,32 @@ class TestTypedInputErrors:
             (lambda net: SimulationConfig(seed=-2), ValueError, r"seed must lie in \[0, 2\*\*63\)"),
             (lambda net: lipschitz_bound(SELFISH, net, samples=2, seed=-1), ValueError, "seed must lie"),
             (lambda net: lipschitz_bound(SELFISH, net, samples=2, seed=10**23), ValueError, "seed must lie"),
+            # integer parameters refuse bools and non-integers: a float seed
+            # reached numpy's untyped TypeError on an indefinite objective
+            # (lam = (-1, 0.2) here), went unread on a convex one, or was cast
+            # to a uint64 Philox key (1.7 read as 1); a float count failed
+            # in range()
+            (lambda net: fleet_assign(FleetStrategy(-1.0, 0.2), [10.0, 40.0], net, seed=1.5), ValueError,
+             "seed must lie"),
+            (lambda net: fleet_assign(SELFISH, [10.0, 40.0], net, seed=True), ValueError, "seed must lie"),
+            (lambda net: discrete_recover(SELFISH, [60.0, 40.0], net, seed=0.0), ValueError, "seed must lie"),
+            (lambda net: lipschitz_bound(SELFISH, net, samples=2, seed=1.7), ValueError, "seed must lie"),
+            (lambda net: lipschitz_bound(SELFISH, net, samples=2, seed=True), ValueError, "seed must lie"),
+            (lambda net: lipschitz_bound(SELFISH, net, samples=2.5), ValueError, "samples must be at least 1"),
+            (lambda net: lipschitz_bound(SELFISH, net, samples=True), ValueError, "samples must be at least 1"),
+            (lambda net: SimulationConfig(seed=1.5), ValueError, r"seed must lie in \[0, 2\*\*63\)"),
+            (lambda net: SimulationConfig(days=True), ValueError, "days must be at least 1"),
+            (lambda net: compare_routings(net, days=2.5), ValueError, "days must be at least 1"),
         ],
     )
     def test_raises_typed_error(self, fig_two_route, call, error, match):
         with pytest.raises(error, match=match):
             call(fig_two_route)
+
+    def test_numpy_integers_are_integers(self, fig_two_route):
+        bound = lipschitz_bound(SELFISH, fig_two_route, samples=np.int64(3), seed=np.uint8(2))
+        assert bound == lipschitz_bound(SELFISH, fig_two_route, samples=3, seed=2)
+        assert SimulationConfig(days=np.int32(5), seed=np.int64(1)).days == 5
 
 
 class TestRouteCertificate:
@@ -1213,7 +1237,7 @@ class TestFaceExit:
         assert pivot_calls[0][1] > 1 and pivot_calls[1] == (None, 1, None)
         assert not capped.converged and capped.residual > 1e-6
         feasible = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q)
-        a0, _ = inverse._affine_operator(SELFISH, q, net)
+        a0, _ = affine_operator(SELFISH, q, net)
         assert capped.f_hat.tobytes() == inverse._linear_minimum(a0, feasible)[0].tobytes()
 
     def test_uncertified_f_hat_is_the_least_norm_solution(self, pivot_calls):
@@ -1564,7 +1588,7 @@ class TestFaceEnumeration:
             feasible = FeasibleSet(
                 blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q
             )
-            a0, _ = inverse._affine_operator(strategy, q, net)
+            a0, _ = affine_operator(strategy, q, net)
             greedy, _ = inverse._linear_minimum(a0, feasible)
             solutions = np.array(result.solutions)
             assert float(np.min(np.max(np.abs(solutions - greedy), axis=1))) <= 1e-12
@@ -1593,7 +1617,7 @@ class TestFaceEnumeration:
         feasible = FeasibleSet(
             blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q
         )
-        a0, b = inverse._affine_operator(strategy, q, net)
+        a0, b = affine_operator(strategy, q, net)
         b = np.diagonal(b)
         scale = max(1.0, feasible.total_mass)
         tol_gap = DEFAULT_CONFIG.tol_vi * (1.0 + float(np.linalg.norm(net.route_times(q)))) * scale

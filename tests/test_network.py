@@ -40,8 +40,10 @@ from conftest import (
     cross_dependent_two_route,
     fd_route_gradient,
     interleaved_units,
+    link_second_derivatives,
     overlap_network,
     overlapping_routes,
+    restricted_min_eigenvalue,
     route_ladder,
     symmetric_quadratic,
     three_affine_routes,
@@ -282,21 +284,21 @@ class TestBatchedKernels:
         times = net.route_times(q)
         links = net.route_to_link(q)
         tau = net.link_travel_times(links)
-        second = net.link_second_derivatives(links)
+        second = link_second_derivatives(net, links)
         assert times.shape == q.shape and tau.shape == links.shape
         for i in range(len(q)):
             assert _bits(times[i]) == _bits(net.route_times(q[i]))
             assert _bits(links[i]) == _bits(net.route_to_link(q[i]))
             assert _bits(tau[i]) == _bits(net.link_travel_times(links[i]))
-            assert _bits(second[i]) == _bits(net.link_second_derivatives(links[i]))
+            assert _bits(second[i]) == _bits(link_second_derivatives(net, links[i]))
         flowing = q[2:]  # BPR powers below 1 have no derivative at zero flow
         jac = net.link_time_jacobian(net.route_to_link(flowing))
         grad = net.route_gradient(flowing)
-        rho = net.restricted_min_eigenvalue(flowing)
+        rho = restricted_min_eigenvalue(net, flowing)
         for i in range(len(flowing)):
             assert _bits(jac[i]) == _bits(net.link_time_jacobian(net.route_to_link(flowing[i])))
             assert _bits(grad[i]) == _bits(net.route_gradient(flowing[i]))
-            assert _bits(rho[i]) == _bits(net.restricted_min_eigenvalue(flowing[i]))
+            assert _bits(rho[i]) == _bits(restricted_min_eigenvalue(net, flowing[i]))
 
     @pytest.mark.parametrize("name", sorted(kind_networks()))
     def test_scalar_methods_share_the_table(self, name):
@@ -305,7 +307,7 @@ class TestBatchedKernels:
         a = net.route_to_link(rng.uniform(0.01, KIND_FLOW_CAP.get(name, 60.0), size=net.n_routes))
         tau = net.link_travel_times(a)
         jac = net.link_time_jacobian(a)
-        second = net.link_second_derivatives(a)
+        second = link_second_derivatives(net, a)
         for i, link in enumerate(net.links):
             if isinstance(link.delay, CrossAffineDelay):
                 continue
@@ -324,7 +326,7 @@ class TestBatchedKernels:
         with pytest.raises(DelayDomainError, match="saturation"):
             net.link_time_jacobian(net.route_to_link(q))
         with pytest.raises(DelayDomainError, match="saturation"):
-            net.link_second_derivatives(net.route_to_link(q))
+            link_second_derivatives(net, net.route_to_link(q))
 
     def test_bpr_fractional_power_derivative_raises_in_a_batch(self):
         net = single_od_network(
@@ -338,7 +340,7 @@ class TestBatchedKernels:
         with pytest.raises(DelayDomainError, match="< 2 has no second derivative"):
             net.delay_table.second_derivatives(a)
         # the objective's curvature drops zero-flow links instead
-        assert net.link_second_derivatives(a)[1, 1] == 0.0
+        assert link_second_derivatives(net, a)[1, 1] == 0.0
 
     def test_batch_shapes_checked(self):
         net = symmetric_quadratic()

@@ -20,8 +20,6 @@ from fleet_inverse import (
     WebsterDelay,
     classify_convexity,
     eval_objective,
-    eval_objective_link_form,
-    local_convexity_at,
     objective_gradient_in_f,
     objective_hessian_in_f,
     single_od_network,
@@ -32,6 +30,9 @@ from fleet_inverse.objective import (
 from conftest import (
     asymmetric_two_route,
     cross_dependent_two_route,
+    eval_objective_link_form,
+    link_second_derivatives,
+    local_convexity_at,
     overlap_network,
     symmetric_quadratic,
     three_affine_routes,
@@ -199,7 +200,7 @@ class TestSharedEvaluation:
         q, w = h + f, lam_hdv * h + lam_crv * f
         t = net.route_times(q)
         value = float(np.vecdot(w, t))
-        curvature = net.route_to_link(w) * net.link_second_derivatives(net.route_to_link(q))
+        curvature = net.route_to_link(w) * link_second_derivatives(net, net.route_to_link(q))
         n, matrix = net.incidence, net.route_gradient(q)
         dense = lam_crv * (matrix + matrix.T) + (n * curvature) @ n.T
         if net.separable:

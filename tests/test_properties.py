@@ -31,7 +31,7 @@ from fleet_inverse import (
 )
 from fleet_inverse import dynamics, forward, inverse, network, objective, scenario, stackelberg
 from fleet_inverse.config import SolverConfig
-from conftest import fd_route_gradient, symmetric_quadratic
+from conftest import fd_route_gradient, local_convexity_at, stationarity_map, symmetric_quadratic
 
 
 class TestClassifierSecondDirectionalDerivative:
@@ -219,15 +219,15 @@ INPUT_CHECKS = [
     (lambda: stackelberg.GeneralMixture(((1.5, 1.0),)), ValueError, r"split fractions must lie in \[0, 1\]"),
     (lambda: eval_objective(FleetStrategy(0.0, 1.0), [1.0, 1.0], [1.0], _bpr_pair(2.0)),
      fleet_inverse.DimensionMismatchError, "expected two route vectors of length 2"),
-    (lambda: objective.local_convexity_at(FleetStrategy(0.0, 1.0), [1.0], [1.0, 1.0], _bpr_pair(2.0)),
+    (lambda: local_convexity_at(FleetStrategy(0.0, 1.0), [1.0], [1.0, 1.0], _bpr_pair(2.0)),
      fleet_inverse.DimensionMismatchError, "expected two link vectors of length 2"),
-    (lambda: objective.local_convexity_at(FleetStrategy(0.0, 1.0), [1.0, 1.0], [1.0, 1.0], _bpr_pair(0.5)),
+    (lambda: local_convexity_at(FleetStrategy(0.0, 1.0), [1.0, 1.0], [1.0, 1.0], _bpr_pair(0.5)),
      fleet_inverse.UnsupportedDelayError, "exponent 0.5 < 1"),
-    (lambda: objective.local_convexity_at(FleetStrategy(0.0, 1.0), [1.0, 1.0], [1.0, 1.0], _bpr_pair(1.0)),
+    (lambda: local_convexity_at(FleetStrategy(0.0, 1.0), [1.0, 1.0], [1.0, 1.0], _bpr_pair(1.0)),
      fleet_inverse.UnsupportedDelayError, "local convexity test needs exponent > 1"),
     (lambda: forward.FeasibleSet.from_network(_bpr_pair(2.0)).project([1.0]),
      fleet_inverse.DimensionMismatchError, "expected vector of length 2"),
-    (lambda: inverse.stationarity_map(FleetStrategy(0.0, 1.0), [1.0, 1.0], [1.0], _bpr_pair(2.0)),
+    (lambda: stationarity_map(FleetStrategy(0.0, 1.0), [1.0, 1.0], [1.0], _bpr_pair(2.0)),
      fleet_inverse.DimensionMismatchError, "q and f must both be route vectors"),
     (lambda: inverse.route_fiber(_bpr_pair(2.0), [1.0]), fleet_inverse.DimensionMismatchError, "phi must be a link"),
     (lambda: inverse.discrete_recover(FleetStrategy(0.0, 1.0), [4.0, 4.0], _bpr_pair(2.0)),

@@ -33,7 +33,7 @@ from fleet_inverse.config import DEFAULT_CONFIG
 from fleet_inverse.network import PD_RTOL, RANK_RTOL, PDCertificate, _pd_certificate
 from fleet_inverse.objective import _evaluate, _gradient_in_f, _hessian_in_f
 from fleet_inverse.scenario import fixture_path, parse_scenario
-from conftest import overlapping_routes, route_ladder
+from conftest import affine_operator, overlapping_routes, route_ladder
 
 SEPARABLE_FIXTURES = ["two_route_asymmetric", "signalized_link", "stackelberg_symmetric", "discrete_two_route"]
 # link-additive with shared links, then cross-affine
@@ -303,7 +303,7 @@ class TestClosedForms:
         strategy = FleetStrategy(lam_hdv, lam_hdv + margin)
         q = h + f
         feasible = FeasibleSet(blocks=net.unit_blocks(), totals=net.fleet_sizes(), n_routes=net.n_routes, upper=q)
-        a0, b = inverse._affine_operator(strategy, q, net)
+        a0, b = affine_operator(strategy, q, net)
         diagonal = np.diagonal(b)
         per_unit = [list(inverse._labelings(feasible, s, DEFAULT_CONFIG.vertex_cap)) for s in range(len(feasible.blocks))]
         active = np.zeros(net.n_routes, dtype=int)

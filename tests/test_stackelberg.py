@@ -14,8 +14,6 @@ from fleet_inverse import (
     GeneralMixture,
     MixedCornerStrategy,
     compare_routings,
-    expected_fleet_objective,
-    expected_hdv_time,
     induced_ue,
     optimize_corner_mixture,
     single_od_network,
@@ -29,6 +27,8 @@ from fleet_inverse.stackelberg import _expected_objectives, _induced_ue_batch
 from conftest import (
     asymmetric_two_route,
     cross_dependent_two_route,
+    expected_fleet_objective,
+    expected_hdv_time,
     symmetric_quadratic,
     three_affine_routes,
 )
